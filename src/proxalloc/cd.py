@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InfeasibleSuspected,
     MaxCyclesExceeded,
     NonPositiveDiagonal,
     NonPositiveStart,
@@ -121,6 +122,10 @@ def _run_cycles(update_coordinate, x0, cfg, constants=None, record_iterates=Fals
         report.primal_residuals.append(delta)
         if record_iterates:
             report.iterates.append(x.copy())
+        # max() skips a NaN move, so a blown-up sweep would read as converged
+        if not np.all(np.isfinite(x)):
+            raise InfeasibleSuspected(f"{name}: cycle {cycle} left non-finite coordinates",
+                                      last=x, report=report)
         if delta <= cfg.tol:
             report.status = CONVERGED
             return x, report

@@ -7,25 +7,35 @@ For closed convex f_j with known proxes the iterate converges to
 prox_{f_1+...+f_m}(v); when every f_j is a set indicator it converges to
 the projection onto the intersection.
 
+There is one cycle loop, ``dykstra_cycle``; every other function here
+builds a list of operators and hands it to that loop.  Operators are
+built once per call with their parameters validated and bound, so the
+loop itself runs bare numpy closures.
+
 Cycle counting follows the convention that "cycle 0" is the constant
 input v, so convergence is checked from the first cycle onward by
 comparing with the previous sweep.
 
 Termination needs care: iterates can sit frozen on a plateau for many
 cycles while only the residuals drift (each operator parking on its own
-set), so stability across cycles alone is a false signal.  Every loop
-below therefore also requires the operator outputs within the last cycle
-to agree with each other, which only happens at an (approximately)
-common feasible point.
+set), so stability across cycles alone is a false signal.  The loop
+therefore also requires the operator outputs within the last cycle to
+agree with each other, which only happens at an (approximately) common
+feasible point.
+
+On an empty intersection the loop never settles and the residuals grow
+linearly with the cycle count.  At every power-of-two cycle the loop
+raises EmptySetSuspected once a residual exceeds 1e6 (1 + max|v|), which
+catches the divergence within twice the cycles it takes to get there and
+adds only log2(cycles) residual checks to a sweep that converges.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySetSuspected, MaxCyclesExceeded
+from .errors import EmptySetSuspected, InvertedBounds, MaxCyclesExceeded
 from .linalg import as_matrix, as_vector, pseudo_inverse
-from .prox import truncate
 from .reports import CONVERGED, MAX_ITER, SolverReport
 
 
@@ -45,28 +55,7 @@ def dykstra_two(f1, f2, v, cfg=None):
     Returns (x, report) where x is the limit of the second-operator
     iterates (feasible for f2's set when f2 is a projection).
     """
-    cfg = cfg or DykstraConfig()
-    v = as_vector(v)
-    x = v.copy()
-    y = v.copy()
-    p = np.zeros_like(v)
-    q = np.zeros_like(v)
-    report = SolverReport(status=MAX_ITER)
-    for cycle in range(1, cfg.max_cycles + 1):
-        x_new = f1(y + p)
-        p = y + p - x_new
-        y_new = f2(x_new + q)
-        q = x_new + q - y_new
-        delta = max(np.max(np.abs(x_new - x)), np.max(np.abs(y_new - y)),
-                    np.max(np.abs(x_new - y_new)))
-        x, y = x_new, y_new
-        report.iterations = cycle
-        report.primal_residuals.append(delta)
-        if delta <= cfg.tol:
-            report.status = CONVERGED
-            return y, report
-    raise MaxCyclesExceeded(f"dykstra_two: no convergence in {cfg.max_cycles} cycles",
-                            last=y, report=report)
+    return dykstra_cycle([f1, f2], v, cfg)
 
 
 def dykstra_cycle(fns, v, cfg=None):
@@ -74,6 +63,8 @@ def dykstra_cycle(fns, v, cfg=None):
 
     m = 1 is a single prox application; for all-projection inputs the
     result is the projection onto the intersection of the m sets.
+    Raises EmptySetSuspected when the residuals blow up (see the module
+    docstring) and MaxCyclesExceeded after cfg.max_cycles cycles.
     """
     cfg = cfg or DykstraConfig()
     v = as_vector(v)
@@ -85,9 +76,10 @@ def dykstra_cycle(fns, v, cfg=None):
         report = SolverReport(status=CONVERGED, iterations=1, primal_residuals=[0.0])
         return fns[0](v), report
 
-    x = v.copy()
+    blowup = 1e6 * (1.0 + np.max(np.abs(v)))
+    x = v
     residuals = [np.zeros_like(v) for _ in range(m)]
-    prev = [v.copy() for _ in range(m)]
+    prev = [v] * m
     report = SolverReport(status=MAX_ITER)
     for cycle in range(1, cfg.max_cycles + 1):
         delta = 0.0
@@ -104,124 +96,99 @@ def dykstra_cycle(fns, v, cfg=None):
         if delta <= cfg.tol:
             report.status = CONVERGED
             return x, report
+        if cycle & (cycle - 1) == 0 and any(np.max(np.abs(z)) > blowup for z in residuals):
+            raise EmptySetSuspected("Dykstra residuals diverge; intersection may be empty",
+                                    last=x, report=report)
     raise MaxCyclesExceeded(f"dykstra_cycle: no convergence in {cfg.max_cycles} cycles",
                             last=x, report=report)
+
+
+# ---------------------------------------------------------------------------
+# operator builders: validate once, return bare closures for the loop
+# ---------------------------------------------------------------------------
+
+def _halfspace_ops(c, d, n):
+    """One projection onto {x : c_j x <= d_j} per row of C."""
+    c = as_matrix(c)
+    d = as_vector(d)
+    if c.shape[1] != n or d.size != c.shape[0]:
+        raise ValueError(f"constraint shapes {c.shape}/{d.shape} do not match v ({n})")
+    row_norm2 = np.einsum("ij,ij->i", c, c)
+    if np.any(row_norm2 == 0):
+        raise ValueError("zero constraint row")
+
+    def halfspace(row, rhs, inv_norm2):
+        def op(t):
+            gap = row @ t - rhs
+            return t - (gap * inv_norm2) * row if gap > 0 else t
+        return op
+
+    return [halfspace(c[j], float(d[j]), 1.0 / row_norm2[j]) for j in range(c.shape[0])]
+
+
+def _box_op(lower, upper, n):
+    """Truncation into [lower, upper]; the bounds are checked here, not per call."""
+    lo = np.broadcast_to(np.asarray(-np.inf if lower is None else lower, dtype=float), (n,))
+    hi = np.broadcast_to(np.asarray(np.inf if upper is None else upper, dtype=float), (n,))
+    if np.any(lo > hi):
+        raise InvertedBounds("lower bound exceeds upper bound")
+    return lambda t: np.minimum(np.maximum(t, lo), hi)
+
+
+def _linear_ops(a, b, c, d, lower, upper, n):
+    """Operators for {x : A x = B, C x <= D, lower <= x <= upper}, in that order.
+
+    The affine block is one pseudo-inverse correction, the inequality
+    block one half-space per row and the bounds one truncation; a block
+    left as None contributes no operator.
+    """
+    ops = []
+    if a is not None:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = as_vector(b)
+        a_pinv = pseudo_inverse(a)
+        ops.append(lambda t: t - a_pinv @ (a @ t - b))
+    if c is not None:
+        ops += _halfspace_ops(c, d, n)
+    if lower is not None or upper is not None:
+        ops.append(_box_op(lower, upper, n))
+    return ops
 
 
 def project_polyhedron(c, d, v, cfg=None):
     """Euclidean projection of v onto {x : C x <= D}.
 
     One Dykstra operator per inequality row, each a closed-form
-    half-space correction; the whole sweep is vectorized per row so it
-    stays cheap for very long v.
+    half-space correction.
     """
-    cfg = cfg or DykstraConfig()
-    c = as_matrix(c)
-    d = as_vector(d)
     v = as_vector(v)
-    m = c.shape[0]
-    if c.shape[1] != v.size or d.size != m:
-        raise ValueError(f"constraint shapes {c.shape}/{d.shape} do not match v ({v.size})")
-    row_norm2 = np.einsum("ij,ij->i", c, c)
-    if np.any(row_norm2 == 0):
-        raise ValueError("zero constraint row")
-
-    x = v.copy()
-    z = np.zeros((m, v.size))
-    prev = np.tile(v, (m, 1))
-    for cycle in range(1, cfg.max_cycles + 1):
-        delta = 0.0
-        for j in range(m):
-            t = x + z[j]
-            gap = c[j] @ t - d[j]
-            x_next = t - (max(gap, 0.0) / row_norm2[j]) * c[j]
-            z[j] = t - x_next
-            delta = max(delta, np.max(np.abs(x_next - prev[j])),
-                        np.max(np.abs(x_next - x)))
-            prev[j] = x_next
-            x = x_next
-        if delta <= cfg.tol:
-            return x
-    raise MaxCyclesExceeded(f"project_polyhedron: no convergence in {cfg.max_cycles} cycles",
-                            last=x)
+    ops = _halfspace_ops(c, d, v.size)
+    return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
 
 
 def project_general_linear(a, b, c, d, lower, upper, v, cfg=None):
     """Projection onto {x : A x = B, C x <= D, lower <= x <= upper}.
 
-    Any of the three blocks may be None; the affine part uses the
-    pseudo-inverse correction, the inequality part is itself resolved by
-    a nested polyhedron projection, and the box is a truncation.
-    Residual blow-up (||z|| growing past 1e6 times the input scale) is
-    reported as a suspected empty intersection, since Dykstra cycles
-    forever on one.
+    Any of the three blocks may be None.  One Dykstra sweep runs over the
+    pseudo-inverse affine correction, one half-space operator per row of
+    C and the box truncation; an empty intersection raises
+    EmptySetSuspected by the loop's residual blow-up rule.
     """
-    cfg = cfg or DykstraConfig()
     v = as_vector(v)
-    fns = []
-    if a is not None:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = as_vector(b)
-        a_pinv = pseudo_inverse(a)
-        fns.append(lambda t: t - a_pinv @ (a @ t - b))
-    if c is not None:
-        c = as_matrix(c)
-        d = as_vector(d)
-        fns.append(lambda t: project_polyhedron(c, d, t, cfg))
-    if lower is not None or upper is not None:
-        lo = -np.inf if lower is None else lower
-        hi = np.inf if upper is None else upper
-        fns.append(lambda t: truncate(t, lo, hi))
-    if not fns:
+    ops = _linear_ops(a, b, c, d, lower, upper, v.size)
+    if not ops:
         return v.copy()
-    if len(fns) == 1:
-        return fns[0](v)
-
-    blowup = 1e6 * (1.0 + np.max(np.abs(v)))
-    x = v.copy()
-    residuals = [np.zeros_like(v) for _ in fns]
-    prev = [v.copy() for _ in fns]
-    for cycle in range(1, cfg.max_cycles + 1):
-        delta = 0.0
-        for j, fn in enumerate(fns):
-            t = x + residuals[j]
-            x_next = fn(t)
-            residuals[j] = t - x_next
-            delta = max(delta, np.max(np.abs(x_next - prev[j])),
-                        np.max(np.abs(x_next - x)))
-            prev[j] = x_next
-            x = x_next
-        if delta <= cfg.tol:
-            return x
-        if any(np.max(np.abs(z)) > blowup for z in residuals):
-            raise EmptySetSuspected("Dykstra residuals diverge; intersection may be empty",
-                                    last=x)
-    raise MaxCyclesExceeded(f"project_general_linear: no convergence in {cfg.max_cycles} cycles",
-                            last=x)
+    return dykstra_cycle(ops, v, cfg)[0]
 
 
 def project_box_ball(v, lower, upper, center, radius, cfg=None):
     """Projection onto Box[lower, upper] intersect l2-ball(center, radius)."""
-    cfg = cfg or DykstraConfig()
     v = as_vector(v)
     center = np.broadcast_to(np.asarray(center, dtype=float), v.shape)
     r = float(radius)
 
-    y = v.copy()
-    x = v.copy()
-    z1 = np.zeros_like(v)
-    z2 = np.zeros_like(v)
-    for cycle in range(1, cfg.max_cycles + 1):
-        t1 = y + z1 - center
-        x_new = center + (r / max(r, float(np.linalg.norm(t1)))) * t1
-        z1 = y + z1 - x_new
-        t2 = x_new + z2
-        y_new = truncate(t2, lower, upper)
-        z2 = t2 - y_new
-        delta = max(np.max(np.abs(x_new - x)), np.max(np.abs(y_new - y)),
-                    np.max(np.abs(x_new - y_new)))
-        x, y = x_new, y_new
-        if delta <= cfg.tol:
-            return y
-    raise MaxCyclesExceeded(f"project_box_ball: no convergence in {cfg.max_cycles} cycles",
-                            last=y)
+    def ball(t):
+        w = t - center
+        return center + (r / max(r, float(np.linalg.norm(w)))) * w
+
+    return dykstra_cycle([ball, _box_op(lower, upper, v.size)], v, cfg)[0]

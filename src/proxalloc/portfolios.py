@@ -19,7 +19,7 @@ import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve
 from .cd import CdConfig, ccd_qp_logbarrier, ccd_rb_stdev
-from .dykstra import DykstraConfig, dykstra_cycle, project_box_ball, project_general_linear
+from .dykstra import DykstraConfig, _linear_ops, dykstra_cycle, project_box_ball
 from .errors import (
     EmptySetSuspected,
     FormulationDisagreement,
@@ -38,6 +38,7 @@ from .prox import (
     Hyperplane,
     LpBall,
     prox_bid_ask,
+    prox_kl,
     project,
     soft_threshold,
     truncate,
@@ -883,19 +884,6 @@ def _volatility_ball_projection(cov, radius, v, tol=1e-13):
     return vol_at(theta)[1]
 
 
-def _prox_kl_exact(v, lam, reference):
-    """prox of lam * sum_i x_i ln(x_i / ref_i) from its first-order condition.
-
-    Solves lam (ln(x/ref) + 1) + x - v = 0, so the unconstrained minimum
-    sits exactly at the reference; the catalogue prox_kl keeps a variant
-    whose linear term is lam/ref and whose minimum therefore drifts off
-    the reference when it is not uniform.
-    """
-    from .linalg import lambert_w_exp
-
-    return lam * lambert_w_exp(np.log(reference / lam) + v / lam - 1.0)
-
-
 def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
                  cfg=None):
     """Minimize KL(w | reference) under budget, box and return/vol targets."""
@@ -923,9 +911,13 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     def y_prox(phi):
         return lambda v: dykstra_cycle(ops, v, dykstra_cfg)[0]
 
+    # prox_kl carries the linear term x (1/ref - 1); shifting its input by
+    # lam (1/ref - 1) cancels that term, leaving the prox of
+    # lam * sum x ln(x / ref), whose minimum sits at the reference
+    shift = 1.0 / reference - 1.0
     cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, eps_prime=1e-10, max_iter=100000)
     problem = AdmmProblem(
-        x_update=lambda y, u, phi: _prox_kl_exact(y - u, 1.0 / phi, reference),
+        x_update=lambda y, u, phi: prox_kl(y - u + shift / phi, 1.0 / phi, reference),
         y_prox=y_prox)
     x0 = reference / reference.sum()
     try:
@@ -1134,15 +1126,13 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
                 state["x"] = SpdFactor(q + phi * np.eye(n)).solve(rhs)
             return state["x"]
 
+        linear_ops = _linear_ops(np.ones((1, n)), np.ones(1), c_rows, d_vals,
+                                 lower, upper, n)
+
         def y_prox(phi):
-            ops = _robo_l1_ops(cfg, phi, n)
-            ops.append(lambda t: project_general_linear(np.ones((1, n)), np.ones(1),
-                                                        c_rows, d_vals, lower, upper,
-                                                        t, dykstra_cfg))
+            ops = _robo_l1_ops(cfg, phi, n) + linear_ops
             for s in cfg.nonlinear_sets:
                 ops.append(lambda t, s=s: project(s, t))
-            if len(ops) == 1:
-                return ops[0]
             return lambda t: dykstra_cycle(ops, t, dykstra_cfg)[0]
 
     else:

@@ -291,9 +291,13 @@ def prox_quadratic(v, q, r):
 
 
 def prox_kl(v, lam, reference):
-    """prox of lam * sum_i x_i ln(x_i / ref_i), via the Lambert W function.
+    """prox of lam * sum_i (x_i ln(x_i / ref_i) + x_i (1/ref_i - 1)), via Lambert W.
 
-    The Shannon-entropy prox is the reference = 1 special case.
+    The linear term puts the stationarity condition at
+    lam (ln(x / ref) + 1/ref) + x - v = 0.  The prox of the plain
+    lam * sum_i x_i ln(x_i / ref_i) is this one evaluated at
+    v + lam (1/ref - 1); with reference = 1 the two coincide and give the
+    Shannon-entropy prox.
     """
     v = as_vector(v)
     if lam <= 0:

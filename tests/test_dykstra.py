@@ -9,7 +9,7 @@ from proxalloc.dykstra import (
     project_general_linear,
     project_polyhedron,
 )
-from proxalloc.errors import EmptySetSuspected
+from proxalloc.errors import EmptySetSuspected, InvertedBounds
 from proxalloc.prox import (
     Box,
     Halfspace,
@@ -108,6 +108,17 @@ class TestDykstraCycle:
         assert np.array_equal(out, v)
         assert report.iterations == 1
 
+    def test_empty_intersection_of_plain_operators_detected(self):
+        # x_0 <= 0 against x_0 >= 1000: the residuals grow by the gap each cycle
+        halves = [Halfspace(np.array([1.0, 0.0]), 0.0),
+                  Halfspace(np.array([-1.0, 0.0]), -1000.0)]
+        ops = [lambda t, h=h: project(h, t) for h in halves]
+        with pytest.raises(EmptySetSuspected) as info:
+            dykstra_cycle(ops, np.array([0.3, 0.4]), DykstraConfig(max_cycles=100000))
+        cycles = info.value.report.iterations
+        assert cycles & (cycles - 1) == 0  # tested only at powers of two
+        assert cycles < 10000
+
     def test_identical_sets_equal_single_projection(self):
         ball = LpBall(2, np.zeros(4), 1.0)
         op = lambda t: project(ball, t)
@@ -168,6 +179,39 @@ class TestProjectGeneralLinear:
         v = np.full(4, 0.25)
         out = project_general_linear(a, b, None, None, 0.0, 1.0, v)
         assert np.allclose(out, v, atol=1e-12)
+
+    def test_budget_sector_and_asset_caps_variational_inequality(self):
+        # the QP-bridge shape: budget row, sector-cap rows and asset caps;
+        # x is the projection iff (v - x).(w - x) <= 0 for every feasible w
+        rng = np.random.default_rng(11)
+        n = 12
+        sector = np.arange(n) % 3
+        c = np.vstack([(sector == k).astype(float) for k in range(3)])
+        d = np.array([0.3, 0.35, 0.4])
+        a, b = np.ones((1, n)), np.ones(1)
+        cap = np.full(n, 0.12)
+        feasible = []
+        while len(feasible) < 300:
+            w = rng.dirichlet(np.full(n, 8.0))
+            if np.all(c @ w <= d) and np.all(w <= cap):
+                feasible.append(w)
+        for _ in range(10):
+            v = rng.standard_normal(n) * 0.3 + 1.0 / n
+            x = project_general_linear(a, b, c, d, 0.0, cap, v, DykstraConfig(tol=1e-12))
+            assert abs(x.sum() - 1.0) <= 1e-9
+            assert np.all(c @ x <= d + 1e-9)
+            assert np.all(x >= -1e-9) and np.all(x <= cap + 1e-9)
+            for w in feasible:
+                assert (v - x) @ (w - x) <= 1e-9
+
+    @pytest.mark.parametrize("project_fn", [
+        lambda v, lo, hi: project_general_linear(np.ones((1, 3)), np.ones(1), None, None,
+                                                 lo, hi, v),
+        lambda v, lo, hi: project_box_ball(v, lo, hi, np.zeros(3), 1.0),
+    ], ids=["general_linear", "box_ball"])
+    def test_inverted_bounds_rejected(self, project_fn):
+        with pytest.raises(InvertedBounds):
+            project_fn(np.zeros(3), np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.4, 1.0]))
 
     def test_empty_intersection_detected(self):
         a = np.array([[1.0, 0.0]])

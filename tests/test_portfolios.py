@@ -5,6 +5,7 @@ from proxalloc import data
 from proxalloc.cd import CdConfig
 from proxalloc.errors import (
     InfeasibleTargets,
+    ProxallocError,
     TargetUnreachable,
     UnreachableDiversification,
 )
@@ -394,6 +395,14 @@ class TestRiskBudgeting:
         w_ccd = risk_budgeting(u, EW8, measure=measure, engine="ccd")
         w_admm = risk_budgeting(u, EW8, measure=measure, engine="admm")
         assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-5
+
+    def test_stdev_scale_below_best_sharpe_raises_typed_error(self):
+        # with the scale below the best single-asset Sharpe ratio the
+        # objective is unbounded below and the coordinate sweep overflows
+        u = tilted_universe()
+        scale = 0.5 * float(np.max(u.mu / u.sigma))
+        with np.errstate(all="ignore"), pytest.raises(ProxallocError):
+            risk_budgeting(u, EW8, measure=StdevRisk(scale=scale, rate=0.0))
 
 
 class TestMdp:
