@@ -6,7 +6,9 @@ the y-update is a prox evaluated at v_y = A x - c + u.  The scaled dual
 u accumulates the primal residual.  An optional adaptive scheme keeps the
 primal and dual residual norms within a factor mu of each other by
 inflating or deflating the penalty, rescaling u so the unscaled dual
-phi*u is preserved across penalty changes.
+phi*u is preserved across penalty changes.  Every quadratic x-update
+solves through linalg.PenaltyFactor, which factors Q + phi I once per
+penalty value.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import PenaltyFactor, as_vector
 from .reports import CONVERGED, DIVERGED, MAX_ITER, SolverReport
 
 
@@ -133,32 +135,27 @@ def admm_solve(problem, x0, y0, cfg=None):
 # lasso solvers
 # ---------------------------------------------------------------------------
 
-class _RidgeSolver:
-    """Cached solve of (X'X + phi I) beta = rhs, refactoring only on phi change."""
-
-    def __init__(self, x_mat):
-        self.gram = x_mat.T @ x_mat
-        self.phi = None
-        self._factor = None
-
-    def solve(self, rhs, phi):
-        from .linalg import SpdFactor
-
-        if self._factor is None or phi != self.phi:
-            self._factor = SpdFactor(self.gram + phi * np.eye(self.gram.shape[0]))
-            self.phi = phi
-        return self._factor.solve(rhs)
-
-
 def _lasso_problem(x_mat, y, y_prox, objective):
     x_mat = np.asarray(x_mat, dtype=float)
     xty = x_mat.T @ y
-    ridge = _RidgeSolver(x_mat)
-    return AdmmProblem(
-        x_update=lambda yy, uu, phi: ridge.solve(xty + phi * (yy - uu), phi),
-        y_prox=y_prox,
-        objective=objective,
-    )
+    gram = PenaltyFactor(x_mat.T @ x_mat)
+    return AdmmProblem(x_update=lambda yy, uu, phi: gram.solve(xty + phi * (yy - uu), phi),
+                       y_prox=y_prox, objective=objective)
+
+
+def _lasso(x_mat, y, y_prox, penalty, cfg, beta0, return_report):
+    """Consensus split beta = beta_bar of 0.5||Y - X beta||^2 + penalty(beta_bar)."""
+    x_mat = np.asarray(x_mat, dtype=float)
+    y = as_vector(y)
+
+    def objective(beta, beta_bar):
+        resid = y - x_mat @ beta
+        return 0.5 * float(resid @ resid) + penalty(beta_bar)
+
+    problem = _lasso_problem(x_mat, y, y_prox, objective)
+    start = np.zeros(x_mat.shape[1]) if beta0 is None else as_vector(beta0)
+    _, beta_bar, report = admm_solve(problem, start, start, cfg)
+    return (beta_bar, report) if return_report else beta_bar
 
 
 def admm_lasso_lambda(x_mat, y, lam, cfg=None, beta0=None, return_report=False):
@@ -171,19 +168,8 @@ def admm_lasso_lambda(x_mat, y, lam, cfg=None, beta0=None, return_report=False):
 
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    x_mat = np.asarray(x_mat, dtype=float)
-    y = as_vector(y)
-    p = x_mat.shape[1]
-
-    def objective(beta, beta_bar):
-        resid = y - x_mat @ beta
-        return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta_bar)))
-
-    problem = _lasso_problem(x_mat, y, lambda phi: (lambda v: soft_threshold(v, lam / phi)),
-                             objective)
-    start = np.zeros(p) if beta0 is None else as_vector(beta0)
-    _, beta_bar, report = admm_solve(problem, start, start, cfg)
-    return (beta_bar, report) if return_report else beta_bar
+    return _lasso(x_mat, y, lambda phi: (lambda v: soft_threshold(v, lam / phi)),
+                  lambda b: lam * float(np.sum(np.abs(b))), cfg, beta0, return_report)
 
 
 def admm_lasso_tau(x_mat, y, tau, cfg=None, beta0=None, return_report=False):
@@ -196,17 +182,6 @@ def admm_lasso_tau(x_mat, y, tau, cfg=None, beta0=None, return_report=False):
 
     if tau <= 0:
         raise ValueError("tau must be positive")
-    x_mat = np.asarray(x_mat, dtype=float)
-    y = as_vector(y)
-    p = x_mat.shape[1]
-    ball = LpBall(1, np.zeros(p), tau)
-
-    def objective(beta, beta_bar):
-        resid = y - x_mat @ beta
-        return 0.5 * float(resid @ resid)
-
-    problem = _lasso_problem(x_mat, y, lambda phi: (lambda v: project(ball, v)),
-                             objective)
-    start = np.zeros(p) if beta0 is None else as_vector(beta0)
-    _, beta_bar, report = admm_solve(problem, start, start, cfg)
-    return (beta_bar, report) if return_report else beta_bar
+    ball = LpBall(1, np.zeros(np.shape(x_mat)[1]), tau)
+    return _lasso(x_mat, y, lambda phi: (lambda v: project(ball, v)),
+                  lambda b: 0.0, cfg, beta0, return_report)

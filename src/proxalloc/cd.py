@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveDiagonal,
     NonPositiveStart,
     NonPositiveVariance,
+    OutOfDomain,
     ZeroColumn,
 )
 from .linalg import as_matrix, as_vector
@@ -282,6 +283,23 @@ def ccd_erc(cov, lam, x0, cfg=None, return_report=False):
     return (x, report) if return_report else x
 
 
+def _check_stdev_scale(excess, xi, variances):
+    """Reject a stdev scale xi at which risk budgeting has no solution.
+
+    Along a long position t e_i the objective -x'excess + xi sqrt(x'cov x)
+    - lam sum_j b_j ln x_j behaves like t (xi sigma_i - excess_i)
+    - lam b_i ln t, which is unbounded below when xi <= excess_i / sigma_i.
+    The check covers single assets only; a long portfolio with a higher
+    Sharpe ratio than every asset makes the problem unbounded as well.
+    """
+    if xi <= 0:
+        raise ValueError("xi must be positive")
+    sharpe = float(np.max(excess / np.sqrt(variances)))
+    if xi <= sharpe:
+        raise OutOfDomain(f"stdev scale {xi:.6g} is not above the best single-asset "
+                          f"Sharpe ratio {sharpe:.6g}; the objective is unbounded below")
+
+
 def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
                  return_report=False):
     """Unscaled risk-budgeting weights for -x'(mu - r) + xi * sqrt(x' cov x).
@@ -289,14 +307,13 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     The portfolio volatility entering each coordinate quadratic is frozen
     at the current iterate (it moves slowly between coordinate updates),
     which turns the stationarity condition into a scalar quadratic with a
-    single positive root.
+    single positive root.  Raises OutOfDomain, before any sweep, when xi
+    is not above the best single-asset Sharpe ratio.
     """
     cfg = cfg or CdConfig()
     cov = as_matrix(cov)
     mu = as_vector(mu)
     n = mu.size
-    if xi <= 0:
-        raise ValueError("xi must be positive")
     budgets = as_vector(budgets)
     if np.any(budgets <= 0):
         raise ValueError("risk budgets must be positive")
@@ -304,12 +321,13 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     variances = np.diag(cov).copy()
     if np.any(variances <= 0):
         raise NonPositiveVariance("covariance needs a positive diagonal")
+    excess = mu - rate
+    _check_stdev_scale(excess, xi, variances)
     x0 = np.full(n, 1.0 / n) if x0 is None else as_vector(x0).copy()
     if np.any(x0 <= 0):
         raise NonPositiveStart("starting point must be strictly positive")
     if lam is None:
         lam = float(np.sqrt(x0 @ cov @ x0))
-    excess = mu - rate
 
     def update(i, xx):
         vol = np.sqrt(xx @ cov @ xx)

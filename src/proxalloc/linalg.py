@@ -88,10 +88,10 @@ def cholesky_lower(m):
 
 
 class SpdFactor:
-    """Cached Cholesky factorization for repeated right-hand sides.
+    """Cholesky factorization reused across right-hand sides.
 
-    The splitting engines refactor only when their penalty parameter
-    changes, so the factor object is the natural cache unit.
+    The splitting engines keep one per penalty value in a PenaltyFactor,
+    which refactors only when the penalty changes.
     """
 
     def __init__(self, m):
@@ -103,6 +103,42 @@ class SpdFactor:
         # from the residuals instead of dying inside a triangular solve
         y = solve_triangular(self.lower, b, lower=True, check_finite=False)
         return solve_triangular(self.lower.T, y, lower=False, check_finite=False)
+
+
+class PenaltyFactor:
+    """Solves against Q + phi I for a fixed Q, factoring once per phi.
+
+    The ADMM x-updates solve against the same Q under a penalty that
+    changes only now and then (Boyd et al. 2011, sec. 4.2), so the
+    factors of the last four penalty values are kept.  A 1-d ``q`` means
+    diag(q) and is solved elementwise.
+    """
+
+    def __init__(self, q):
+        self.q = np.asarray(q, dtype=float)
+        self.diagonal = self.q.ndim == 1
+        self._factors = {}
+
+    def matvec(self, x):
+        return self.q * x if self.diagonal else self.q @ x
+
+    def solve(self, rhs, phi=0.0):
+        if self.diagonal:
+            return rhs / (self.q + phi)
+        factor = self._factors.get(phi)
+        if factor is None:
+            factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]))
+            self._factors[phi] = factor
+            if len(self._factors) > 4:
+                self._factors.pop(next(iter(self._factors)))
+        return factor.solve(rhs)
+
+    def solve_on_plane(self, rhs, phi, a, b):
+        """argmin 0.5 x'(Q + phi I)x - rhs'x subject to a'x = b."""
+        base = self.solve(rhs, phi)
+        k_a = self.solve(a, phi)
+        nu = (b - a @ base) / (a @ k_a)
+        return base + nu * k_a
 
 
 def solve_spd(m, b):

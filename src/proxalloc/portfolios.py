@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve
-from .cd import CdConfig, ccd_qp_logbarrier, ccd_rb_stdev
+from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
 from .dykstra import DykstraConfig, _linear_ops, dykstra_cycle, project_box_ball
 from .errors import (
     EmptySetSuspected,
@@ -31,7 +31,7 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import RootBracket, SpdFactor, as_matrix, as_vector, bisect
+from .linalg import PenaltyFactor, RootBracket, as_matrix, as_vector, bisect
 from .prox import (
     Box,
     Halfspace,
@@ -44,7 +44,6 @@ from .prox import (
     truncate,
 )
 from .qp import QpProblem, default_qp_config, qp_solve
-from .reports import CONVERGED, MAX_ITER, SolverReport
 
 
 # ---------------------------------------------------------------------------
@@ -416,38 +415,22 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
 # minimum variance with diversification
 # ---------------------------------------------------------------------------
 
-def _hyperplane_x_update(cov):
-    """Closed-form budget-constrained ridge solve, cached per penalty.
+def _gmv_admm(universe, y_prox, start=None, cfg=None):
+    """Minimum variance on the budget plane 1'x = 1 against a y-prox builder.
 
-    Returns x(y, u, phi) = argmin 0.5 x'(cov + phi I)x - phi x'(y - u)
-    subject to 1'x = 1.
+    The x-update is the budget-constrained ridge solve
+    argmin 0.5 x'(cov + phi I)x - phi x'(y - u) s.t. 1'x = 1; ``y_prox(phi)``
+    returns the prox of the remaining terms.  Starts at ``start`` (equal
+    weights by default) and returns (y, report).
     """
-    n = cov.shape[0]
-    ones = np.ones(n)
-    cache = {}
-
-    def solve(rhs, phi):
-        if phi not in cache:
-            cache[phi] = SpdFactor(cov + phi * np.eye(n))
-            if len(cache) > 4:
-                cache.pop(next(iter(cache)))
-        return cache[phi].solve(rhs)
-
-    def x_update(y, u, phi):
-        base = solve(phi * (y - u), phi)
-        k_ones = solve(ones, phi)
-        nu = (1.0 - ones @ base) / (ones @ k_ones)
-        return base + nu * k_ones
-
-    return x_update
-
-
-def _gmv_admm(universe, y_projection, cfg=None, start=None):
     n = universe.n
     cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
                             eps=1e-11, eps_prime=1e-11, max_iter=100000)
-    problem = AdmmProblem(x_update=_hyperplane_x_update(universe.cov),
-                          y_prox=lambda phi: y_projection)
+    quad = PenaltyFactor(universe.cov)
+    ones = np.ones(n)
+    problem = AdmmProblem(
+        x_update=lambda y, u, phi: quad.solve_on_plane(phi * (y - u), phi, ones, 1.0),
+        y_prox=y_prox)
     x0 = np.full(n, 1.0 / n) if start is None else as_vector(start)
     x, y, report = admm_solve(problem, x0, x0, cfg)
     if not report.converged:
@@ -502,7 +485,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
         dykstra_cfg = DykstraConfig(tol=1e-12)
         projection = lambda v: project_box_ball(v, np.zeros(n), upper_vec,
                                                 np.zeros(n), radius, dykstra_cfg)
-        y, _ = _gmv_admm(universe, projection, cfg)
+        y, _ = _gmv_admm(universe, lambda phi: projection, cfg=cfg)
         return _gate(y), None
 
     raise ValueError(f"unknown method {method!r}")
@@ -571,7 +554,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         def projection(t):
             return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec)
 
-        y, _ = _gmv_admm(universe, projection, cfg)
+        y, _ = _gmv_admm(universe, lambda phi: projection, cfg=cfg)
         return _gate(y)
     raise TypeError(f"unknown diversification constraint {constraint!r}")
 
@@ -605,13 +588,7 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
             return ops[0]
         return lambda t: dykstra_cycle(ops, t, dykstra_cfg)[0]
 
-    cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
-                            eps=1e-11, eps_prime=1e-11, max_iter=100000)
-    problem = AdmmProblem(x_update=_hyperplane_x_update(universe.cov), y_prox=y_prox)
-    x0 = current.copy()
-    x, y, report = admm_solve(problem, x0, x0, cfg)
-    if not report.converged:
-        raise MaxIterExceeded("rebalance ADMM did not converge", last=y, report=report)
+    y, _ = _gmv_admm(universe, y_prox, start=current, cfg=cfg)
     return _gate(y)
 
 
@@ -619,17 +596,22 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
 # risk budgeting
 # ---------------------------------------------------------------------------
 
+def _excess_and_scale(universe, measure):
+    """(excess returns, scale) of a risk measure; volatility is (0, 1)."""
+    if isinstance(measure, Volatility):
+        return np.zeros(universe.n), 1.0
+    if isinstance(measure, StdevRisk):
+        rate = universe.rate if measure.rate is None else measure.rate
+        return universe.mu - rate, measure.scale
+    raise TypeError(f"unknown risk measure {measure!r}")
+
+
 def risk_contributions(w, universe, measure=Volatility()):
     """Per-asset risk contributions w_i * d risk / d w_i."""
     w = w.w if isinstance(w, PortfolioWeights) else as_vector(w)
+    excess, xi = _excess_and_scale(universe, measure)
     cov_w = universe.cov @ w
-    vol = np.sqrt(w @ cov_w)
-    if isinstance(measure, Volatility):
-        return w * cov_w / vol
-    if isinstance(measure, StdevRisk):
-        rate = universe.rate if measure.rate is None else measure.rate
-        return -w * (universe.mu - rate) + measure.scale * w * cov_w / vol
-    raise TypeError(f"unknown risk measure {measure!r}")
+    return -w * excess + xi * w * cov_w / np.sqrt(w @ cov_w)
 
 
 def erc(universe, cfg=None, return_report=False):
@@ -669,30 +651,27 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
              max_iter=100000):
     """ADMM split for the risk-budgeting barrier problem (unscaled).
 
-    x-update is the prox of the risk term (closed form for the variance
-    split; an inner frozen-volatility CCD for the stdev measure); the
-    y-update is the closed-form barrier prox.  Terminates on the largest
-    coordinate move, matching how the cyclic engines count work.
+    The x-update is the prox of the risk term: a ridge solve for the
+    volatility measure, an inner frozen-volatility CCD for the stdev
+    measure.  The y-update is the closed-form prox of the barrier
+    -lam sum_i b_i ln y_i.  The penalty stays at phi, and the solve stops
+    once the primal residual ||x - y|| and the dual residual
+    phi ||y - y_prev|| are both at most tol.
     """
     n = universe.n
     cov = universe.cov
-    budgets = as_vector(budgets)
-    budgets = budgets / budgets.sum()
-    x = np.full(n, 1.0 / n)
-    y = x.copy()
-    u = np.zeros(n)
-
     if isinstance(measure, Volatility):
-        factor = SpdFactor(cov + phi * np.eye(n))
-        x_update = lambda v: factor.solve(phi * v)
-    elif isinstance(measure, StdevRisk):
-        rate = universe.rate if measure.rate is None else measure.rate
-        excess = universe.mu - rate
-        xi = measure.scale
+        quad = PenaltyFactor(cov)
+        x_update = lambda y, u, phi: quad.solve(phi * (y - u), phi)
+    else:
+        excess, xi = _excess_and_scale(universe, measure)
         variances = np.diag(cov)
+        _check_stdev_scale(excess, xi, variances)
+        state = {"x": np.full(n, 1.0 / n)}
 
-        def x_update(v):
-            xx = np.maximum(x, 1e-12)
+        def x_update(y, u, phi):
+            v = y - u
+            xx = np.maximum(state["x"], 1e-12)
             for _ in range(200):
                 delta = 0.0
                 for i in range(n):
@@ -704,24 +683,18 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
                     xx[i] = new
                 if delta <= 1e-12:
                     break
+            state["x"] = xx
             return xx
-    else:
-        raise TypeError(f"unknown risk measure {measure!r}")
 
-    report = SolverReport(status=MAX_ITER)
-    for iteration in range(1, max_iter + 1):
-        x_new = x_update(y - u)
-        v = x_new + u
-        y = 0.5 * (v + np.sqrt(v * v + 4.0 * lam / phi * budgets))
-        u = u + x_new - y
-        delta = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        report.iterations = iteration
-        report.primal_residuals.append(delta)
-        if delta <= tol:
-            report.status = CONVERGED
-            return y, report
-    raise MaxIterExceeded("risk-budgeting ADMM did not converge", last=y, report=report)
+    def y_prox(phi):
+        return lambda v: 0.5 * (v + np.sqrt(v * v + 4.0 * lam / phi * budgets))
+
+    cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, eps_prime=tol, max_iter=max_iter)
+    x0 = np.full(n, 1.0 / n)
+    _, y, report = admm_solve(AdmmProblem(x_update=x_update, y_prox=y_prox), x0, x0, cfg)
+    if not report.converged:
+        raise MaxIterExceeded("risk-budgeting ADMM did not converge", last=y, report=report)
+    return y, report
 
 
 def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
@@ -731,17 +704,10 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     if np.any(budgets <= 0):
         raise ValueError("risk budgets must be positive")
     budgets = budgets / budgets.sum()
-    n = universe.n
     if engine == "ccd":
-        if isinstance(measure, Volatility):
-            x, report = ccd_rb_stdev(np.zeros(n), 0.0, 1.0, universe.cov, budgets,
-                                     cfg=cfg, return_report=True)
-        elif isinstance(measure, StdevRisk):
-            rate = universe.rate if measure.rate is None else measure.rate
-            x, report = ccd_rb_stdev(universe.mu, rate, measure.scale, universe.cov,
-                                     budgets, cfg=cfg, return_report=True)
-        else:
-            raise TypeError(f"unknown risk measure {measure!r}")
+        excess, xi = _excess_and_scale(universe, measure)
+        x, report = ccd_rb_stdev(excess, 0.0, xi, universe.cov, budgets, cfg=cfg,
+                                 return_report=True)
     elif engine == "admm":
         x, report = _rb_admm(universe, budgets, measure, **admm_kwargs)
     else:
@@ -1111,6 +1077,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
 
     elif formulation == "admm_ccd":
         state = {"x": np.full(n, 1.0 / n)}
+        quad = PenaltyFactor(q)
         budgets = None
         if cfg.barrier > 0:
             budgets = as_vector(cfg.risk_budgets)
@@ -1123,7 +1090,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
                                                cfg.barrier * budgets, state["x"],
                                                CdConfig(tol=1e-12))
             else:
-                state["x"] = SpdFactor(q + phi * np.eye(n)).solve(rhs)
+                state["x"] = quad.solve(rhs, phi)
             return state["x"]
 
         linear_ops = _linear_ops(np.ones((1, n)), np.ones(1), c_rows, d_vals,

@@ -26,7 +26,7 @@ from .errors import (
     MaxIterExceeded,
     NotPositiveDefinite,
 )
-from .linalg import SpdFactor, as_vector
+from .linalg import PenaltyFactor, as_vector
 from .reports import DIVERGED, SolverReport
 
 
@@ -63,31 +63,6 @@ class QpProblem:
 
     def has_constraints(self):
         return any(blk is not None for blk in (self.a, self.c, self.lower, self.upper))
-
-
-class _Quad:
-    """Q wrapper with cached (Q + phi I) solves for dense or diagonal Q."""
-
-    def __init__(self, q):
-        self.q = q
-        self.diagonal = q.ndim == 1
-        self._cache = {}
-
-    def matvec(self, x):
-        return self.q * x if self.diagonal else self.q @ x
-
-    def solve(self, rhs, phi=0.0):
-        if self.diagonal:
-            return rhs / (self.q + phi)
-        if phi not in self._cache:
-            n = self.q.shape[0]
-            self._cache[phi] = SpdFactor(self.q + phi * np.eye(n))
-            if len(self._cache) > 4:
-                self._cache.pop(next(iter(self._cache)))
-        return self._cache[phi].solve(rhs)
-
-    def trace_mean(self):
-        return float(np.mean(self.q)) if self.diagonal else float(np.mean(np.diag(self.q)))
 
 
 def canonicalize(problem):
@@ -131,7 +106,8 @@ def default_qp_config(problem=None):
     """ADMM settings tuned for the QP bridge: phi0 = mean diagonal of Q."""
     phi0 = 1.0
     if problem is not None:
-        phi0 = max(_Quad(problem.q).trace_mean(), 1e-8)
+        q = problem.q
+        phi0 = max(float(np.mean(q if q.ndim == 1 else np.diag(q))), 1e-8)
     return AdmmConfig(phi0=phi0, eps=1e-11, eps_prime=1e-11, max_iter=200000)
 
 
@@ -142,7 +118,7 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False,
     Raises MaxIterExceeded when ADMM hits its iteration cap and
     InfeasibleSuspected when the constraint projection diverges.
     """
-    quad = _Quad(problem.q)
+    quad = PenaltyFactor(problem.q)
     r = problem.r
     n = problem.n
 
@@ -174,10 +150,7 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False,
         rhs = r + phi * (y - u)
         if not keep_plane:
             return quad.solve(rhs, phi)
-        k_rhs = quad.solve(rhs, phi)
-        k_a = quad.solve(plane_a, phi)
-        nu = (plane_b - plane_a @ k_rhs) / (plane_a @ k_a)
-        return k_rhs + nu * k_a
+        return quad.solve_on_plane(rhs, phi, plane_a, plane_b)
 
     if has_y_sets:
         def y_prox(phi):
@@ -220,7 +193,7 @@ def qp_dual(q, r, s, t):
     s = np.atleast_2d(np.asarray(s, dtype=float))
     r = as_vector(r)
     t = as_vector(t)
-    factor = SpdFactor(q)
+    factor = PenaltyFactor(q)
     qinv_st = np.column_stack([factor.solve(s[i]) for i in range(s.shape[0])])
     qbar = s @ qinv_st
     rbar = s @ factor.solve(r) - t
@@ -229,8 +202,7 @@ def qp_dual(q, r, s, t):
 
 def stationarity_residual(problem, x, grad_step=1.0):
     """||P_Omega(x - t grad f(x)) - x||_inf, a projected-gradient KKT measure."""
-    quad = _Quad(problem.q)
-    g = quad.matvec(x) - problem.r
+    g = PenaltyFactor(problem.q).matvec(x) - problem.r
     stepped = x - grad_step * g
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
                                   problem.lower, problem.upper, stepped)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from proxalloc.errors import MaxIterExceeded, NoSignChange, NotPositiveDefinite, OutOfDomain
+from proxalloc import linalg
 from proxalloc.linalg import (
+    PenaltyFactor,
     RootBracket,
     bisect,
     cholesky_lower,
@@ -67,6 +69,52 @@ class TestSolveSpd:
         b = np.ones(8)
         x = solve_spd(cov, b)
         assert np.max(np.abs(cov @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
+
+
+class TestPenaltyFactor:
+    PHIS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+    def test_solve_matches_dense_solve_dense_q(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        q = random_spd(rng, 6)
+        factor = PenaltyFactor(q)
+        factorizations = []
+        real = linalg.cholesky_lower
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m: factorizations.append(1) or real(m))
+        # the first penalty has been evicted when it comes back; the last
+        # four have not
+        for phi in self.PHIS + (self.PHIS[0],) + self.PHIS[-3:]:
+            rhs = rng.standard_normal(6)
+            expected = np.linalg.solve(q + phi * np.eye(6), rhs)
+            assert np.max(np.abs(factor.solve(rhs, phi) - expected)) <= 1e-10
+        assert len(factorizations) == 7
+
+    def test_solve_matches_dense_solve_diagonal_q(self):
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.5, 2.0, 6)
+        factor = PenaltyFactor(q)
+        for phi in self.PHIS:
+            rhs = rng.standard_normal(6)
+            expected = np.linalg.solve(np.diag(q) + phi * np.eye(6), rhs)
+            assert np.max(np.abs(factor.solve(rhs, phi) - expected)) <= 1e-10
+        assert np.array_equal(factor.matvec(rhs), q * rhs)
+
+    def test_solve_on_plane_is_kkt_point(self):
+        rng = np.random.default_rng(6)
+        for q in (random_spd(rng, 5), rng.uniform(0.5, 2.0, 5)):
+            factor = PenaltyFactor(q)
+            dense = q if q.ndim == 2 else np.diag(q)
+            for phi in self.PHIS:
+                rhs = rng.standard_normal(5)
+                a = rng.standard_normal(5)
+                b = float(rng.standard_normal())
+                x = factor.solve_on_plane(rhs, phi, a, b)
+                assert abs(a @ x - b) <= 1e-10
+                # stationarity: the gradient is a multiple of the plane normal
+                grad = (dense + phi * np.eye(5)) @ x - rhs
+                along = (grad @ a) / (a @ a) * a
+                assert np.max(np.abs(grad - along)) <= 1e-10
 
 
 class TestPseudoInverse:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -398,11 +400,28 @@ class TestRiskBudgeting:
 
     def test_stdev_scale_below_best_sharpe_raises_typed_error(self):
         # with the scale below the best single-asset Sharpe ratio the
-        # objective is unbounded below and the coordinate sweep overflows
+        # objective is unbounded below; both engines refuse it before
+        # iterating, so no overflow warning is printed on the way
         u = tilted_universe()
         scale = 0.5 * float(np.max(u.mu / u.sigma))
-        with np.errstate(all="ignore"), pytest.raises(ProxallocError):
-            risk_budgeting(u, EW8, measure=StdevRisk(scale=scale, rate=0.0))
+        for engine in ("ccd", "admm"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ProxallocError):
+                    risk_budgeting(u, EW8, measure=StdevRisk(scale=scale, rate=0.0),
+                                   engine=engine)
+
+    def test_admm_engine_stops_on_residuals(self):
+        u = tilted_universe()
+        tol = 1e-9
+        for measure in (Volatility(), StdevRisk(scale=2.0, rate=0.0)):
+            _, report = risk_budgeting(u, EW8, measure=measure, engine="admm",
+                                       return_report=True, tol=tol)
+            assert report.converged
+            assert len(report.primal_residuals) == report.iterations
+            assert len(report.dual_residuals) == report.iterations
+            assert report.primal_residuals[-1] <= tol
+            assert report.dual_residuals[-1] <= tol
 
 
 class TestMdp:
@@ -526,6 +545,29 @@ class TestRoboAdvisor:
                          formulation="both")
         w = robo_advisor(u, cfg)
         assert np.max(np.abs(w.w - target.w)) <= 1e-5
+
+    def test_ccd_split_factors_once_per_penalty(self, monkeypatch):
+        from proxalloc import linalg, portfolios
+
+        u = SET1.universe
+        cfg = RoboConfig(current=EW8, reference=EW8, gamma=0.1, l1_current=0.01,
+                         l2_reference=0.2, formulation="admm_ccd")
+        factorizations = []
+        real_cholesky = linalg.cholesky_lower
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m: factorizations.append(1) or real_cholesky(m))
+        reports = []
+        real_admm = portfolios.admm_solve
+
+        def recording_admm(*args, **kwargs):
+            x, y, report = real_admm(*args, **kwargs)
+            reports.append(report)
+            return x, y, report
+
+        monkeypatch.setattr(portfolios, "admm_solve", recording_admm)
+        robo_advisor(u, cfg)
+        assert reports[0].iterations >= 20
+        assert 1 <= len(factorizations) <= reports[0].iterations // 10
 
     def test_dominant_l1_freezes_current(self):
         u = SET1.universe
