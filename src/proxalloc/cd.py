@@ -9,11 +9,20 @@ the risk-budgeting updates built on the same positive-root trick.
 
 A "cycle" is one full sweep over the n coordinates; convergence is
 declared when the largest coordinate move within a cycle drops to tol.
+Every selection rule makes exactly n moves a cycle.
+
+A move of a specialized solver reads one row (or column) of its matrix.
+The risk-budgeting update also needs the volatility sqrt(x' cov x); it
+and cov x change by a rank-one amount when one coordinate moves, so
+``ccd_rb_stdev`` carries both through the sweep and recomputes them
+exactly once a cycle: O(n) a move and O(n^2) a cycle.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .errors import (
     InfeasibleSuspected,
@@ -115,15 +124,17 @@ def _run_cycles(update_coordinate, x0, cfg, constants=None, record_iterates=Fals
         report.iterates.append(x.copy())
     for cycle in range(1, cfg.max_cycles + 1):
         delta = 0.0
-        for i in order():
-            old = x[i]
-            x[i] = update_coordinate(int(i), x)
-            delta = max(delta, abs(x[i] - old))
+        for i in order().tolist():
+            old = x.item(i)
+            x[i] = update_coordinate(i, x)
+            move = abs(x.item(i) - old)
+            if move > delta:
+                delta = move
         report.iterations = cycle
         report.primal_residuals.append(delta)
         if record_iterates:
             report.iterates.append(x.copy())
-        # max() skips a NaN move, so a blown-up sweep would read as converged
+        # delta skips a NaN move, so a blown-up sweep would read as converged
         if not np.all(np.isfinite(x)):
             raise InfeasibleSuspected(f"{name}: cycle {cycle} left non-finite coordinates",
                                       last=x, report=report)
@@ -289,8 +300,10 @@ def _check_stdev_scale(excess, xi, variances):
     Along a long position t e_i the objective -x'excess + xi sqrt(x'cov x)
     - lam sum_j b_j ln x_j behaves like t (xi sigma_i - excess_i)
     - lam b_i ln t, which is unbounded below when xi <= excess_i / sigma_i.
-    The check covers single assets only; a long portfolio with a higher
-    Sharpe ratio than every asset makes the problem unbounded as well.
+    The check covers single assets only.  A long portfolio x with a
+    higher Sharpe ratio than every asset makes the problem unbounded as
+    well, along t x; ``ccd_rb_stdev`` certifies that case from its
+    iterate at every cycle boundary.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
@@ -307,8 +320,19 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     The portfolio volatility entering each coordinate quadratic is frozen
     at the current iterate (it moves slowly between coordinate updates),
     which turns the stationarity condition into a scalar quadratic with a
-    single positive root.  Raises OutOfDomain, before any sweep, when xi
-    is not above the best single-asset Sharpe ratio.
+    single positive root.  ``cov`` is symmetric.
+
+    A move d on coordinate i adds d cov[i] to cov x and
+    d (2 (cov x)_i + d cov_ii) to x'cov x, so both are carried through
+    the sweep: a move costs O(n) and a cycle O(n^2).  They are recomputed
+    exactly at every cycle boundary (every n-th move, whatever the
+    coordinate rule), so rounding cannot drift across cycles.
+
+    Raises OutOfDomain, before any sweep, when xi is not above the best
+    single-asset Sharpe ratio, and at a cycle boundary, carrying the
+    iterate as ``last``, once the iterate's Sharpe ratio
+    excess'x / sqrt(x'cov x) reaches xi: the objective then falls without
+    bound along t x.
     """
     cfg = cfg or CdConfig()
     cov = as_matrix(cov)
@@ -326,16 +350,38 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     x0 = np.full(n, 1.0 / n) if x0 is None else as_vector(x0).copy()
     if np.any(x0 <= 0):
         raise NonPositiveStart("starting point must be strictly positive")
-    if lam is None:
-        lam = float(np.sqrt(x0 @ cov @ x0))
+    lam = float(np.sqrt(x0 @ cov @ x0) if lam is None else lam)
+    xi = float(xi)
+    rows = list(cov)
+    var = variances.tolist()
+    ex = excess.tolist()
+    bud = budgets.tolist()
+    cov_x = None
+    quad = 0.0  # x' cov x
+    moves = 0
 
     def update(i, xx):
-        vol = np.sqrt(xx @ cov @ xx)
-        off = cov[i] @ xx - variances[i] * xx[i]
-        a = xi * variances[i]
-        b = xi * off - excess[i] * vol
-        c = -lam * vol * budgets[i]
-        return (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        nonlocal cov_x, quad, moves
+        if moves % n == 0:
+            cov_x = cov @ xx
+            quad = float(xx @ cov_x)
+            if quad > 0.0 and float(excess @ xx) >= xi * math.sqrt(quad):
+                raise OutOfDomain(f"ccd_rb_stdev: the iterate's Sharpe ratio reached the "
+                                  f"stdev scale {xi:.6g}; the objective is unbounded below",
+                                  last=xx.copy())
+        moves += 1
+        x_i = xx.item(i)
+        cov_x_i = cov_x.item(i)
+        # an indefinite cov can drive x'cov x negative; NaN reaches the sweep check
+        vol = math.sqrt(quad) if quad > 0.0 else math.nan
+        a = xi * var[i]
+        b = xi * (cov_x_i - var[i] * x_i) - ex[i] * vol
+        c = -lam * vol * bud[i]
+        new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        d = new - x_i
+        cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
+        quad += d * (2.0 * cov_x_i + d * var[i])
+        return new
 
     x, report = _run_cycles(update, x0, cfg, constants=variances, name="ccd_rb_stdev")
     return (x, report) if return_report else x

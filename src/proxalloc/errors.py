@@ -20,7 +20,12 @@ class NoSignChange(ProxallocError, ValueError):
 
 
 class OutOfDomain(ProxallocError, ValueError):
-    pass
+    """An input outside the problem's domain; ``last`` is the iterate that
+    certified it, when a solve found it out."""
+
+    def __init__(self, message, last=None):
+        super().__init__(message)
+        self.last = last
 
 
 class NegativeLambda(ProxallocError, ValueError):

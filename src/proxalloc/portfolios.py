@@ -12,10 +12,12 @@ normalization gate (tiny negative clips, budget rescale), so solver
 slack never leaks into downstream statistics.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
@@ -667,20 +669,31 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
         excess, xi = _excess_and_scale(universe, measure)
         variances = np.diag(cov)
         _check_stdev_scale(excess, xi, variances)
+        rows = list(cov)
+        var = variances.tolist()
+        ex = excess.tolist()
         state = {"x": np.full(n, 1.0 / n)}
 
         def x_update(y, u, phi):
-            v = y - u
+            v = (y - u).tolist()
             xx = np.maximum(state["x"], 1e-12)
             for _ in range(200):
+                # cov x and x'cov x run through the sweep as in ccd_rb_stdev,
+                # recomputed exactly once a sweep
+                cov_x = cov @ xx
+                quad = float(xx @ cov_x)
                 delta = 0.0
                 for i in range(n):
-                    vol = np.sqrt(max(xx @ cov @ xx, 1e-300))
-                    off = cov[i] @ xx - variances[i] * xx[i]
-                    new = (excess[i] * vol + phi * vol * v[i] - xi * off) / \
-                          (xi * variances[i] + phi * vol)
-                    delta = max(delta, abs(new - xx[i]))
+                    vol = math.sqrt(max(quad, 1e-300))
+                    x_i = xx.item(i)
+                    cov_x_i = cov_x.item(i)
+                    new = (ex[i] * vol + phi * vol * v[i] - xi * (cov_x_i - var[i] * x_i)) / \
+                          (xi * var[i] + phi * vol)
+                    d = new - x_i
+                    delta = max(delta, abs(d))
                     xx[i] = new
+                    cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
+                    quad += d * (2.0 * cov_x_i + d * var[i])
                 if delta <= 1e-12:
                     break
             state["x"] = xx

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from proxalloc.cd import (
     CdConfig,
@@ -18,7 +19,13 @@ from proxalloc.cd import (
     projected_cd,
 )
 from proxalloc.data import parameter_set_1
-from proxalloc.errors import NonPositiveDiagonal, NonPositiveStart, ZeroColumn
+from proxalloc.errors import (
+    InfeasibleSuspected,
+    NonPositiveDiagonal,
+    NonPositiveStart,
+    OutOfDomain,
+    ZeroColumn,
+)
 from proxalloc.linalg import solve_spd
 from proxalloc.prox import Box
 
@@ -259,6 +266,88 @@ class TestRbStdev:
         rc = xi * w * cov_w / vol  # mu = 0 so only the vol term contributes
         ratios = rc / budgets
         assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-6
+
+
+def factor_cov(rng, n, k=3):
+    """Mean returns and covariance of a k-factor model with a market factor."""
+    loadings = rng.normal(0.0, 0.6, size=(n, k))
+    loadings[:, 0] = rng.uniform(0.6, 1.4, size=n)
+    f = rng.uniform(0.12, 0.22, size=k)
+    s = rng.uniform(0.10, 0.30, size=n)
+    return rng.uniform(0.02, 0.10, size=n), (loadings * f**2) @ loadings.T + np.diag(s**2)
+
+
+def long_only_max_sharpe(excess, cov):
+    """Long-only maximum Sharpe ratio: min w'cov w s.t. excess'w = 1, w >= 0."""
+    n = excess.size
+    res = minimize(lambda w: w @ cov @ w, np.full(n, 1.0 / excess.sum()),
+                   jac=lambda w: 2.0 * cov @ w, method="SLSQP", bounds=[(0.0, None)] * n,
+                   constraints=[{"type": "eq", "fun": lambda w: excess @ w - 1.0,
+                                 "jac": lambda w: excess}],
+                   options={"ftol": 1e-15, "maxiter": 500})
+    assert res.success
+    w = np.maximum(res.x, 0.0)
+    return float(excess @ w / np.sqrt(w @ cov @ w))
+
+
+def rb_stdev_reference(excess, xi, cov, budgets, cfg):
+    """ccd_rb_stdev's coordinate root with sqrt(x'cov x) recomputed every move."""
+    n = excess.size
+    variances = np.diag(cov)
+    budgets = budgets / budgets.sum()
+    x0 = np.full(n, 1.0 / n)
+    lam = float(np.sqrt(x0 @ cov @ x0))
+
+    def update(i, x):
+        vol = np.sqrt(x @ cov @ x)
+        a = xi * variances[i]
+        b = xi * (cov[i] @ x - variances[i] * x[i]) - excess[i] * vol
+        c = -lam * vol * budgets[i]
+        return (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+
+    return ccd_generic(update, x0, cfg)
+
+
+class TestRbStdevRunningProducts:
+    @pytest.mark.parametrize("rule", [Cyclic(), UniformRandom(seed=4),
+                                      LipschitzWeighted(alpha=1.0, seed=5)])
+    def test_matches_recomputed_volatility(self, rule):
+        # the running cov x and x'cov x, refreshed every n-th move, follow
+        # the exact products under every coordinate rule
+        rng = np.random.default_rng(21)
+        n = 60
+        mu, cov = factor_cov(rng, n)
+        budgets = rng.uniform(0.2, 1.0, size=n)
+        tangency = float(np.sqrt(mu @ np.linalg.solve(cov, mu)))
+        if isinstance(rule, LipschitzWeighted):
+            rule = LipschitzWeighted(rule.alpha, rule.seed, constants=np.diag(cov))
+        for excess, xi in ((np.zeros(n), 1.0), (mu, 1.5 * tangency)):
+            cfg = CdConfig(tol=1e-10, rule=rule, max_cycles=100000)
+            x, report = ccd_rb_stdev(excess, 0.0, xi, cov, budgets, cfg=cfg,
+                                     return_report=True)
+            x_ref, report_ref = rb_stdev_reference(excess, xi, cov, budgets, cfg)
+            assert np.max(np.abs(x - x_ref)) <= 1e-12
+            assert report.iterations == report_ref.iterations
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_portfolio_sharpe_above_scale_certified(self, seed):
+        # between the best single-asset and the long-only maximum Sharpe
+        # ratio the objective is unbounded below along some long portfolio;
+        # the iterate reaches such a portfolio within a few cycles
+        mu, cov = factor_cov(np.random.default_rng(seed), 50)
+        best_single = float(np.max(mu / np.sqrt(np.diag(cov))))
+        xi = 0.5 * (best_single + long_only_max_sharpe(mu, cov))
+        with pytest.raises(OutOfDomain) as info:
+            ccd_rb_stdev(mu, 0.0, xi, cov, np.ones(50), cfg=CdConfig(max_cycles=50))
+        last = info.value.last
+        assert np.all(last > 0)
+        assert mu @ last >= xi * np.sqrt(last @ cov @ last)
+
+    def test_indefinite_cov_raises_typed_error(self):
+        # x'cov x < 0 has no volatility; the sweep reports it, not math.sqrt
+        cov = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(InfeasibleSuspected):
+            ccd_rb_stdev(np.zeros(2), 0.0, 1.0, cov, np.ones(2))
 
 
 class TestProjectedCd:
