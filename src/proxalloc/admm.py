@@ -1,8 +1,10 @@
-"""Scaled-dual ADMM for problems split as f_x(x) + f_y(y), A x - y = c.
+"""Scaled-dual ADMM for problems split as f_x(x) + f_y(y), A x = y.
 
 The x-update is whatever subproblem solver the caller supplies (closed
 form for quadratics, CCD for quadratics with barriers, a nested QP, ...);
-the y-update is a prox evaluated at v_y = A x - c + u.  The scaled dual
+the y-update is a prox evaluated at v_y = A x + u.  A sum of several
+y-terms is split by ``consensus_problem``, one copy y_j = x per term, so
+each y-update stays a closed-form prox.  The scaled dual
 u accumulates the primal residual.  An optional adaptive scheme keeps the
 primal and dual residual norms within a factor mu of each other by
 inflating or deflating the penalty, rescaling u so the unscaled dual
@@ -40,19 +42,17 @@ class AdmmConfig:
 
 @dataclass
 class AdmmProblem:
-    """One splitting: x-subproblem solver, y-prox builder, coupling A, c.
+    """One splitting: x-subproblem solver, y-prox builder, coupling A.
 
     ``x_update(y, u, phi)`` returns the x-minimizer of
-    f_x(x) + phi/2 ||A x - y - c + u||^2.  ``y_prox(phi)`` returns the
+    f_x(x) + phi/2 ||A x - y + u||^2.  ``y_prox(phi)`` returns the
     prox of f_y / phi (projections may ignore phi).  ``a`` is None for
-    the consensus split x = y; ``c`` is None for a zero offset.
-    ``objective(x, y)`` is only used for reporting.
+    the split x = y.  ``objective(x, y)`` is only used for reporting.
     """
 
     x_update: Callable
     y_prox: Callable
     a: Optional[object] = None
-    c: Optional[object] = None
     objective: Optional[Callable] = None
 
 
@@ -74,6 +74,30 @@ def penalty_update(phi, r_norm, s_norm, cfg):
     return phi
 
 
+def consensus_problem(x_prox, blocks, n):
+    """Global-consensus split of f(x) + sum_j g_j(x) over x in R^n.
+
+    ``x_prox(v, rho)`` returns argmin f(x) + rho/2 ||x - v||^2 and each
+    entry of ``blocks`` is a y-prox builder for one g_j, as in
+    AdmmProblem.y_prox.  Block j gets its own copy y_j = x: ``a`` stacks
+    m identity matrices, the y-update applies each block's prox to its
+    copy, and the x-update calls x_prox at the mean of the y_j - u_j with
+    penalty m phi (Boyd et al. 2011, sec. 7.1).  One block gives the
+    plain split x = y.
+    """
+    m = len(blocks)
+    if m == 1:
+        return AdmmProblem(x_update=lambda y, u, phi: x_prox(y - u, phi), y_prox=blocks[0])
+
+    def y_prox(phi):
+        fns = [block(phi) for block in blocks]
+        return lambda v: np.concatenate([f(t) for f, t in zip(fns, v.reshape(m, n))])
+
+    return AdmmProblem(
+        x_update=lambda y, u, phi: x_prox((y - u).reshape(m, n).mean(axis=0), m * phi),
+        y_prox=y_prox, a=np.vstack([np.eye(n)] * m))
+
+
 def admm_solve(problem, x0, y0, cfg=None):
     """Run ADMM until both residual norms meet (eps, eps_prime).
 
@@ -85,7 +109,6 @@ def admm_solve(problem, x0, y0, cfg=None):
     a = None if problem.a is None else np.asarray(problem.a, dtype=float)
     x = as_vector(x0).copy()
     y = as_vector(y0).copy()
-    c = np.zeros(y.size) if problem.c is None else as_vector(problem.c)
     u = np.zeros(y.size)
     phi = cfg.phi0
     prox = problem.y_prox(phi)
@@ -94,14 +117,14 @@ def admm_solve(problem, x0, y0, cfg=None):
     for iteration in range(1, cfg.max_iter + 1):
         x = problem.x_update(y, u, phi)
         ax = x if a is None else a @ x
-        v_y = ax - c + u
+        v_y = ax + u
         if not np.all(np.isfinite(v_y)):
             # count only completed iterations so traces stay aligned
             report.status = DIVERGED
             report.iterations = iteration - 1
             return x, y, report
         y_new = prox(v_y)
-        r = ax - y_new - c
+        r = ax - y_new
         dy = y_new - y
         s = phi * (dy if a is None else a.T @ dy)
         y = y_new

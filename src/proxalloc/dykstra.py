@@ -135,26 +135,6 @@ def _box_op(lower, upper, n):
     return lambda t: np.minimum(np.maximum(t, lo), hi)
 
 
-def _linear_ops(a, b, c, d, lower, upper, n):
-    """Operators for {x : A x = B, C x <= D, lower <= x <= upper}, in that order.
-
-    The affine block is one pseudo-inverse correction, the inequality
-    block one half-space per row and the bounds one truncation; a block
-    left as None contributes no operator.
-    """
-    ops = []
-    if a is not None:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = as_vector(b)
-        a_pinv = pseudo_inverse(a)
-        ops.append(lambda t: t - a_pinv @ (a @ t - b))
-    if c is not None:
-        ops += _halfspace_ops(c, d, n)
-    if lower is not None or upper is not None:
-        ops.append(_box_op(lower, upper, n))
-    return ops
-
-
 def project_polyhedron(c, d, v, cfg=None):
     """Euclidean projection of v onto {x : C x <= D}.
 
@@ -171,14 +151,21 @@ def project_general_linear(a, b, c, d, lower, upper, v, cfg=None):
 
     Any of the three blocks may be None.  One Dykstra sweep runs over the
     pseudo-inverse affine correction, one half-space operator per row of
-    C and the box truncation; an empty intersection raises
+    C and the box truncation, in that order; an empty intersection raises
     EmptySetSuspected by the loop's residual blow-up rule.
     """
     v = as_vector(v)
-    ops = _linear_ops(a, b, c, d, lower, upper, v.size)
-    if not ops:
-        return v.copy()
-    return dykstra_cycle(ops, v, cfg)[0]
+    ops = []
+    if a is not None:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = as_vector(b)
+        a_pinv = pseudo_inverse(a)
+        ops.append(lambda t: t - a_pinv @ (a @ t - b))
+    if c is not None:
+        ops += _halfspace_ops(c, d, v.size)
+    if lower is not None or upper is not None:
+        ops.append(_box_op(lower, upper, v.size))
+    return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
 
 
 def project_box_ball(v, lower, upper, center, radius, cfg=None):

@@ -126,4 +126,5 @@ class FormulationDisagreement(IterationError):
 
 
 class InfeasibleTargets(IterationError):
-    """Return/volatility targets that no admissible portfolio satisfies."""
+    """Return/volatility targets or turnover caps that no admissible
+    portfolio satisfies; ``last`` is the portfolio that certifies it."""

@@ -4,8 +4,10 @@ Mean-variance and its turnover/cost/tracking variants stay quadratic
 programs; minimum-variance with diversification floors, risk budgeting,
 the most-diversified portfolio, KL and Rao-entropy portfolios, and the
 composite managed-account objective are solved by splitting: a smooth
-x-subproblem (closed form, CCD, or a nested QP) against a y-prox that
-Dykstra assembles from the operator catalogue.
+x-subproblem (closed form, CCD, or a nested QP) against one y-block per
+constraint set or nonsmooth term, each a closed-form prox from the
+operator catalogue, joined by consensus ADMM.  Inputs whose constraint
+sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -19,9 +21,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .admm import AdmmConfig, AdmmProblem, admm_solve
+from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
-from .dykstra import DykstraConfig, _linear_ops, dykstra_cycle, project_box_ball
+from .dykstra import DykstraConfig, project_box_ball, project_general_linear
 from .errors import (
     EmptySetSuspected,
     FormulationDisagreement,
@@ -39,9 +41,10 @@ from .prox import (
     Halfspace,
     Hyperplane,
     LpBall,
+    ProjectionFn,
     prox_bid_ask,
     prox_kl,
-    project,
+    prox_log_barrier,
     soft_threshold,
     truncate,
 )
@@ -103,13 +106,12 @@ class PortfolioWeights:
 
 @dataclass
 class RebalanceContext:
-    """Current holdings plus trading frictions and caps."""
+    """Current holdings plus trading frictions and a turnover cap."""
 
     current: object
     bid_cost: object = 0.0
     ask_cost: object = 0.0
     turnover_cap: Optional[float] = None
-    cost_cap: Optional[float] = None
 
     def __post_init__(self):
         self.current = as_vector(self.current, "current")
@@ -167,9 +169,15 @@ class RoboConfig:
     l1/l2 penalties pull toward the current holdings and the reference
     mix; ``barrier`` scales the risk-budget log barrier.  l1 shaping
     vectors are per-asset scales (diagonal matrices); l2 shaping may be a
-    full matrix.  ``formulation`` picks which split solves the x-step:
-    a nested QP ("admm_qp"), coordinate descent ("admm_ccd"), or "both"
-    to run the two and cross-check.
+    full matrix.  ``linear_sets`` holds Halfspace descriptors and
+    ``nonlinear_sets`` any catalogued set; both must hold at the answer.
+    ``formulation`` picks the split, each a consensus ADMM with one
+    y-block per l1 pull and per nonlinear set: "admm_qp" keeps the
+    quadratic, budget, box and linear sets in a nested-QP x-update and
+    the barrier in a y-block; "admm_ccd" keeps the quadratic and barrier
+    in a coordinate-descent x-update and gives the budget plane, each
+    linear set and the box a y-block of their own.  "both" runs the two
+    and cross-checks.
     """
 
     benchmark: object = None
@@ -205,19 +213,17 @@ class RoboConfig:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _gate(w, long_only=True, budget=True):
+def _gate(w, long_only=True):
     """Normalization gate: clip solver residue, restore the budget."""
     w = as_vector(w).copy()
     if long_only:
         if np.min(w) < -1e-6:
             raise ValueError(f"long-only violated by {np.min(w):.2e}")
         w = np.maximum(w, 0.0)
-    if budget:
-        total = w.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"budget off by {total - 1.0:.2e}")
-        w = w / total
-    return PortfolioWeights(w)
+    total = w.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"budget off by {total - 1.0:.2e}")
+    return PortfolioWeights(w / total)
 
 
 def herfindahl(w):
@@ -264,15 +270,16 @@ def stats(w, universe, benchmark=None, reference=None, current=None):
     return out
 
 
-def _budget_row(n):
-    return np.ones((1, n)), np.ones(1)
+def _projection(set_):
+    """y-block builder of a set indicator: the projection, for every phi."""
+    op = ProjectionFn(set_)
+    return lambda phi: op
 
 
-def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None,
-                     x0=None, return_report=False):
-    a, b = _budget_row(len(r))
-    problem = QpProblem(q=q, r=r, a=a, b=b, c=c, d=d, lower=lower, upper=upper)
-    return qp_solve(problem, cfg=cfg, x0=x0, return_report=return_report)
+def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None, x0=None):
+    problem = QpProblem(q=q, r=r, a=np.ones((1, len(r))), b=np.ones(1), c=c, d=d,
+                        lower=lower, upper=upper)
+    return qp_solve(problem, cfg=cfg, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +424,28 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
 # minimum variance with diversification
 # ---------------------------------------------------------------------------
 
-def _gmv_admm(universe, y_prox, start=None, cfg=None):
-    """Minimum variance on the budget plane 1'x = 1 against a y-prox builder.
+def _gmv_admm(universe, blocks, start=None, cfg=None):
+    """Minimum variance on the budget plane 1'x = 1 plus one y-block per term.
 
-    The x-update is the budget-constrained ridge solve
-    argmin 0.5 x'(cov + phi I)x - phi x'(y - u) s.t. 1'x = 1; ``y_prox(phi)``
-    returns the prox of the remaining terms.  Starts at ``start`` (equal
-    weights by default) and returns (y, report).
+    The x-prox is the budget-constrained ridge solve
+    argmin 0.5 x'(cov + rho I)x - rho x'v s.t. 1'x = 1; ``blocks`` are the
+    y-prox builders of the remaining terms, joined by consensus_problem.
+    Starts at ``start`` (equal weights by default) and returns the first
+    block's y.
     """
     n = universe.n
     cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
                             eps=1e-11, eps_prime=1e-11, max_iter=100000)
     quad = PenaltyFactor(universe.cov)
     ones = np.ones(n)
-    problem = AdmmProblem(
-        x_update=lambda y, u, phi: quad.solve_on_plane(phi * (y - u), phi, ones, 1.0),
-        y_prox=y_prox)
+    problem = consensus_problem(
+        lambda v, rho: quad.solve_on_plane(rho * v, rho, ones, 1.0), blocks, n)
     x0 = np.full(n, 1.0 / n) if start is None else as_vector(start)
-    x, y, report = admm_solve(problem, x0, x0, cfg)
+    _, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
     if not report.converged:
         raise MaxIterExceeded("minimum-variance ADMM did not converge",
-                              last=y, report=report)
-    return y, report
+                              last=y[:n], report=report)
+    return y[:n]
 
 
 def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
@@ -487,13 +494,12 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
         dykstra_cfg = DykstraConfig(tol=1e-12)
         projection = lambda v: project_box_ball(v, np.zeros(n), upper_vec,
                                                 np.zeros(n), radius, dykstra_cfg)
-        y, _ = _gmv_admm(universe, lambda phi: projection, cfg=cfg)
-        return _gate(y), None
+        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg)), None
 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _entropy_floor_projection(v, floor, lower=None, upper=None, theta_max=1e12):
+def _entropy_floor_projection(v, floor, lower, upper, theta_max=1e12):
     """Euclidean projection onto {x in box : -sum x ln x >= floor}.
 
     The dual problem is coordinate-separable: for a multiplier theta >= 0
@@ -506,17 +512,13 @@ def _entropy_floor_projection(v, floor, lower=None, upper=None, theta_max=1e12):
     from .linalg import lambert_w_exp
 
     v = as_vector(v)
-    lo = np.zeros(v.size) if lower is None else np.broadcast_to(
-        np.asarray(lower, dtype=float), v.shape)
-    hi_box = np.ones(v.size) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), v.shape)
-    clipped = np.clip(v, lo, hi_box)
+    clipped = np.clip(v, lower, upper)
     if shannon_entropy(clipped) >= floor:
         return clipped
 
     def entropy_at(theta):
         x = theta * lambert_w_exp(v / theta - 1.0 - np.log(theta))
-        x = np.clip(x, lo, hi_box)
+        x = np.clip(x, lower, upper)
         return shannon_entropy(x), x
 
     theta_hi = 1.0
@@ -556,8 +558,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         def projection(t):
             return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec)
 
-        y, _ = _gmv_admm(universe, lambda phi: projection, cfg=cfg)
-        return _gate(y)
+        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg))
     raise TypeError(f"unknown diversification constraint {constraint!r}")
 
 
@@ -565,9 +566,12 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
                         ask_cost=0.0, turnover_cap=None, upper=None, cfg=None):
     """Minimum variance shaped by trading frictions around current holdings.
 
-    With costs the y-update is the bid/ask prox (a no-trade band around
-    the holdings); with a turnover cap it is the l1-ball projection
-    centered there.  Both compose with the long-only box under Dykstra.
+    Consensus ADMM with one y-block per term: the long-only box, the
+    l1-ball of the turnover cap centered at the holdings, and the bid/ask
+    prox of the costs (a no-trade band around the holdings).  A turnover
+    cap below the l1 distance from the holdings c to the long-only budget
+    set, sum |c - clip(c)| + |1 - sum clip(c)| with clip into [0, upper],
+    raises InfeasibleTargets before the loop, with clip(c) as ``last``.
     """
     n = universe.n
     current = as_vector(current)
@@ -575,23 +579,20 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
         np.asarray(upper, dtype=float), (n,))
     if turnover_cap is not None and turnover_cap <= 0:
         return _gate(current)
-    box = Box(np.zeros(n), upper_vec)
-    dykstra_cfg = DykstraConfig(tol=1e-12)
+    blocks = [_projection(Box(np.zeros(n), upper_vec))]
+    if turnover_cap is not None:
+        clipped = np.clip(current, 0.0, upper_vec)
+        needed = float(np.sum(np.abs(current - clipped)) + abs(1.0 - clipped.sum()))
+        if turnover_cap < needed:
+            raise InfeasibleTargets(f"turnover cap {turnover_cap} below the {needed:.6g} "
+                                    "needed to reach a long-only budget portfolio",
+                                    last=clipped)
+        blocks.append(_projection(LpBall(1, current, float(turnover_cap))))
+    if cost_scale > 0:
+        blocks.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
+                                                         ask_cost, current))
+    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg))
 
-    def y_prox(phi):
-        ops = [lambda t: project(box, t)]
-        if turnover_cap is not None:
-            ball = LpBall(1, current, float(turnover_cap))
-            ops.append(lambda t: project(ball, t))
-        if cost_scale > 0:
-            ops.append(lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
-                                              ask_cost, current))
-        if len(ops) == 1:
-            return ops[0]
-        return lambda t: dykstra_cycle(ops, t, dykstra_cfg)[0]
-
-    y, _ = _gmv_admm(universe, y_prox, start=current, cfg=cfg)
-    return _gate(y)
 
 
 # ---------------------------------------------------------------------------
@@ -844,70 +845,90 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
 # entropy portfolios
 # ---------------------------------------------------------------------------
 
-def _volatility_ball_projection(cov, radius, v, tol=1e-13):
-    """Euclidean projection onto the ellipsoid {x : x' cov x <= radius^2}."""
-    v = as_vector(v)
-    if float(v @ cov @ v) <= radius**2:
-        return v.copy()
-    n = v.size
-    eye = np.eye(n)
+def _volatility_ball_projection(cov, radius):
+    """Euclidean projection onto the ellipsoid {x : x' cov x <= radius^2}.
 
-    def vol_at(theta):
-        x = np.linalg.solve(eye + theta * cov, v)
-        return float(np.sqrt(x @ cov @ x)), x
+    Returns the projection as a function of v.  With cov = V diag(lam) V'
+    and w = V'v, the projection of an outside v is V (w / (1 + theta lam))
+    at the root theta of g(theta) = sum_i lam_i w_i^2 / (1 + theta lam_i)^2
+    - radius^2.  g is convex and decreasing, so Newton from theta = 0
+    climbs to the root without overshooting and needs no bracket.  cov is
+    decomposed once, here.
+    """
+    lam, vecs = np.linalg.eigh(cov)
+    lam = np.maximum(lam, 0.0)
+    r2 = float(radius) ** 2
 
-    hi = 1.0
-    while vol_at(hi)[0] > radius:
-        hi *= 4.0
-    theta = bisect(lambda t: vol_at(t)[0] - radius, RootBracket(0.0, hi, tol=tol))
-    return vol_at(theta)[1]
+    def project_onto(v):
+        w = vecs.T @ v
+        lw2 = lam * w * w
+        if float(np.sum(lw2)) <= r2:
+            return v.copy()
+        theta = 0.0
+        for _ in range(200):
+            d = 1.0 + theta * lam
+            step = (float(np.sum(lw2 / d**2)) - r2) / (2.0 * float(np.sum(lam * lw2 / d**3)))
+            theta += step
+            if step <= 1e-15 * theta:
+                break
+        return vecs @ (w / (1.0 + theta * lam))
+
+    return project_onto
 
 
 def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
                  cfg=None):
-    """Minimize KL(w | reference) under budget, box and return/vol targets."""
+    """Minimize KL(w | reference) under the budget and return/vol targets.
+
+    Consensus ADMM: the x-update is the KL prox, and the budget plane, the
+    return half-space and the volatility ellipsoid get one y-block each.
+    The long-only box needs no block: the KL prox returns positive
+    weights, and the plane caps their sum at 1.  Targets that no
+    long-only portfolio meets raise InfeasibleTargets before the loop,
+    with the portfolio that certifies it as ``last``: the asset of largest
+    expected return, or the minimum-volatility portfolio (on the
+    long-only frontier at the return target when one binds).
+    """
     n = universe.n
     reference = as_vector(reference)
     if np.any(reference <= 0):
         raise ValueError("reference weights must be positive")
-    plane = Hyperplane(np.ones(n), 1.0)
-    box = Box(np.zeros(n), np.ones(n))
-    ops = [lambda t: project(plane, t), lambda t: project(box, t)]
+    blocks = [_projection(Hyperplane(np.ones(n), 1.0))]
     if target_return is not None:
-        if not np.any(universe.mu):
-            # zero expected returns: the target is vacuous or hopeless
-            if target_return > 0:
-                raise InfeasibleTargets(f"return target {target_return} with zero "
-                                        "expected returns")
-        else:
-            half = Halfspace(-universe.mu, -float(target_return))
-            ops.append(lambda t: project(half, t))
+        best = int(np.argmax(universe.mu))
+        if target_return > universe.mu[best]:
+            raise InfeasibleTargets(f"return target {target_return} above the largest "
+                                    f"expected return {universe.mu[best]:.6g}",
+                                    last=np.eye(n)[best])
+        # at or below the smallest expected return the target is vacuous
+        if target_return > np.min(universe.mu):
+            blocks.append(_projection(Halfspace(-universe.mu, -float(target_return))))
     if max_volatility is not None:
-        ops.append(lambda t: _volatility_ball_projection(universe.cov,
-                                                         float(max_volatility), t))
-    dykstra_cfg = DykstraConfig(tol=1e-12)
-
-    def y_prox(phi):
-        return lambda v: dykstra_cycle(ops, v, dykstra_cfg)[0]
+        floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
+        if target_return is not None and floor @ universe.mu < target_return:
+            # the return target binds: trace the long-only frontier to it
+            floor = mvo_target(universe, target_return=target_return,
+                               lower=np.zeros(n), upper=np.ones(n)).w
+        floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
+        if max_volatility < floor_vol - 1e-6:
+            raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
+                                    f"{floor_vol:.6g}", last=floor)
+        ball = _volatility_ball_projection(universe.cov, max_volatility)
+        blocks.append(lambda phi: ball)
 
     # prox_kl carries the linear term x (1/ref - 1); shifting its input by
     # lam (1/ref - 1) cancels that term, leaving the prox of
     # lam * sum x ln(x / ref), whose minimum sits at the reference
     shift = 1.0 / reference - 1.0
     cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, eps_prime=1e-10, max_iter=100000)
-    problem = AdmmProblem(
-        x_update=lambda y, u, phi: prox_kl(y - u + shift / phi, 1.0 / phi, reference),
-        y_prox=y_prox)
+    problem = consensus_problem(
+        lambda v, rho: prox_kl(v + shift / rho, 1.0 / rho, reference), blocks, n)
     x0 = reference / reference.sum()
-    try:
-        x, y, report = admm_solve(problem, x0, x0, cfg)
-    except (MaxCyclesExceeded, EmptySetSuspected) as exc:
-        raise InfeasibleTargets("target projection does not settle; the target set "
-                                "looks empty", last=exc.last) from exc
+    _, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
     if not report.converged:
         raise InfeasibleTargets("KL portfolio targets look unreachable",
-                                last=y, report=report)
-    w = _gate(y)
+                                last=y[:n], report=report)
+    w = _gate(y[:n])
     s = stats(w, universe)
     if target_return is not None and s.expected_return < target_return - 1e-6:
         raise InfeasibleTargets(f"return target missed by {target_return - s.expected_return:.2e}")
@@ -1017,43 +1038,13 @@ def _robo_quadratic(universe, cfg):
     return q, r
 
 
-def _robo_l1_ops(cfg, phi, n):
-    ops = []
-    if cfg.l1_current > 0:
-        scale = _as_diag(cfg.shape_l1_current, n)
-        anchor = as_vector(cfg.current)
-        lam = cfg.l1_current / phi * scale
-        ops.append(lambda t, a=anchor, l=lam: a + soft_threshold(t - a, l))
-    if cfg.l1_reference > 0:
-        scale = _as_diag(cfg.shape_l1_reference, n)
-        anchor = as_vector(cfg.reference)
-        lam = cfg.l1_reference / phi * scale
-        ops.append(lambda t, a=anchor, l=lam: a + soft_threshold(t - a, l))
-    return ops
+def _soft_pull(weight, scale, anchor):
+    """y-block of the l1 pull weight * ||diag(scale) (x - anchor)||_1."""
+    def build(phi):
+        lam = weight / phi * scale
+        return lambda t: anchor + soft_threshold(t - anchor, lam)
 
-
-def _robo_barrier_op(cfg, phi, n):
-    budgets = as_vector(cfg.risk_budgets)
-    budgets = budgets / budgets.sum()
-    lam = cfg.barrier / phi * budgets
-
-    def op(t):
-        return 0.5 * (t + np.sqrt(t * t + 4.0 * lam))
-
-    return op
-
-
-def _linear_set_rows(sets):
-    rows, rhs = [], []
-    for s in sets:
-        if isinstance(s, Halfspace):
-            rows.append(as_vector(s.c))
-            rhs.append(float(s.d))
-        else:
-            raise TypeError("linear_sets accepts Halfspace descriptors")
-    if not rows:
-        return None, None
-    return np.vstack(rows), np.asarray(rhs)
+    return build
 
 
 def _robo_solve(universe, cfg, formulation, admm_cfg=None):
@@ -1061,72 +1052,72 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     q, r = _robo_quadratic(universe, cfg)
     lower = np.broadcast_to(np.asarray(cfg.lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(cfg.upper, dtype=float), (n,))
-    c_rows, d_vals = _linear_set_rows(cfg.linear_sets)
-    dykstra_cfg = DykstraConfig(tol=1e-12)
+    if not all(isinstance(s, Halfspace) for s in cfg.linear_sets):
+        raise TypeError("linear_sets accepts Halfspace descriptors")
+    c_rows = d_vals = None
+    if cfg.linear_sets:
+        c_rows = np.vstack([as_vector(s.c) for s in cfg.linear_sets])
+        d_vals = np.array([float(s.d) for s in cfg.linear_sets])
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
                                       eps=1e-9, eps_prime=1e-9, max_iter=50000)
+    budgets = None
+    if cfg.barrier > 0:
+        budgets = as_vector(cfg.risk_budgets)
+        budgets = budgets / budgets.sum()
+    pulls = ((cfg.l1_current, cfg.shape_l1_current, cfg.current),
+             (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
+    blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
+              for weight, shape, anchor in pulls if weight > 0]
+    blocks += [_projection(s) for s in cfg.nonlinear_sets]
+    x0 = np.full(n, 1.0 / n)
 
     if formulation == "admm_qp":
         inner_cfg = default_qp_config()
         inner_cfg.eps = inner_cfg.eps_prime = 1e-12
 
-        def x_update(y, u, phi):
-            problem = QpProblem(q=q + phi * np.eye(n), r=r + phi * (y - u),
+        def x_prox(v, rho):
+            problem = QpProblem(q=q + rho * np.eye(n), r=r + rho * v,
                                 a=np.ones((1, n)), b=np.ones(1),
                                 c=c_rows, d=d_vals, lower=lower, upper=upper)
             return qp_solve(problem, cfg=inner_cfg)
 
-        def y_prox(phi):
-            ops = _robo_l1_ops(cfg, phi, n)
-            if cfg.barrier > 0:
-                ops.append(_robo_barrier_op(cfg, phi, n))
-            for s in cfg.nonlinear_sets:
-                ops.append(lambda t, s=s: project(s, t))
-            if not ops:
-                return lambda t: t
-            if len(ops) == 1:
-                return ops[0]
-            return lambda t: dykstra_cycle(ops, t, dykstra_cfg)[0]
+        if budgets is not None:
+            blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi,
+                                                                 budgets))
+        blocks = blocks or [lambda phi: lambda t: t]
 
     elif formulation == "admm_ccd":
-        state = {"x": np.full(n, 1.0 / n)}
+        try:
+            project_general_linear(np.ones((1, n)), np.ones(1), c_rows, d_vals,
+                                   lower, upper, x0)
+        except (EmptySetSuspected, MaxCyclesExceeded) as exc:
+            raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
+                                      last=exc.last) from exc
+        state = {"x": x0}
         quad = PenaltyFactor(q)
-        budgets = None
-        if cfg.barrier > 0:
-            budgets = as_vector(cfg.risk_budgets)
-            budgets = budgets / budgets.sum()
 
-        def x_update(y, u, phi):
-            rhs = r + phi * (y - u)
-            if cfg.barrier > 0:
-                state["x"] = ccd_qp_logbarrier(q + phi * np.eye(n), rhs,
+        def x_prox(v, rho):
+            rhs = r + rho * v
+            if budgets is not None:
+                state["x"] = ccd_qp_logbarrier(q + rho * np.eye(n), rhs,
                                                cfg.barrier * budgets, state["x"],
                                                CdConfig(tol=1e-12))
             else:
-                state["x"] = quad.solve(rhs, phi)
+                state["x"] = quad.solve(rhs, rho)
             return state["x"]
 
-        linear_ops = _linear_ops(np.ones((1, n)), np.ones(1), c_rows, d_vals,
-                                 lower, upper, n)
-
-        def y_prox(phi):
-            ops = _robo_l1_ops(cfg, phi, n) + linear_ops
-            for s in cfg.nonlinear_sets:
-                ops.append(lambda t, s=s: project(s, t))
-            return lambda t: dykstra_cycle(ops, t, dykstra_cfg)[0]
+        sets = [Hyperplane(np.ones(n), 1.0), *cfg.linear_sets, Box(lower, upper)]
+        blocks += [_projection(s) for s in sets]
 
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
 
-    problem = AdmmProblem(x_update=x_update, y_prox=y_prox)
-    x0 = np.full(n, 1.0 / n)
-    x, y, report = admm_solve(problem, x0, x0, admm_cfg)
+    x, _, report = admm_solve(consensus_problem(x_prox, blocks, n), x0,
+                              np.tile(x0, len(blocks)), admm_cfg)
     if not report.converged:
         raise MaxIterExceeded(f"robo {formulation} did not converge",
-                              last=y, report=report)
-    # the CCD split keeps the budget geometry in y; the QP split in x
-    out = x if formulation == "admm_qp" else y
-    return out
+                              last=x, report=report)
+    return x
 
 
 def robo_advisor(universe, cfg, admm_cfg=None):

@@ -111,8 +111,7 @@ def default_qp_config(problem=None):
     return AdmmConfig(phi0=phi0, eps=1e-11, eps_prime=1e-11, max_iter=200000)
 
 
-def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False,
-             projection_cfg=None):
+def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
     """Solve a QpProblem; returns the weights (and a report on request).
 
     Raises MaxIterExceeded when ADMM hits its iteration cap and
@@ -135,7 +134,7 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False,
             pass  # singular Q: fall through to the regularized ADMM path
 
     cfg = cfg or default_qp_config(problem)
-    projection_cfg = projection_cfg or DykstraConfig(tol=min(1e-10, cfg.eps))
+    projection_cfg = DykstraConfig(tol=min(1e-10, cfg.eps))
 
     keep_plane = problem.a is not None and problem.a.shape[0] == 1
     plane_a = problem.a[0] if keep_plane else None

@@ -34,7 +34,3 @@ class SolverReport:
     @property
     def primal_residual(self):
         return self.primal_residuals[-1] if self.primal_residuals else np.nan
-
-    @property
-    def dual_residual(self):
-        return self.dual_residuals[-1] if self.dual_residuals else np.nan

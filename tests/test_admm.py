@@ -7,12 +7,14 @@ from proxalloc.admm import (
     admm_lasso_lambda,
     admm_lasso_tau,
     admm_solve,
+    consensus_problem,
     penalty_update,
 )
 from proxalloc.cd import CdConfig, cd_lasso, cd_ols
 from proxalloc.data import lasso_synthetic
+from proxalloc.dykstra import DykstraConfig, dykstra_cycle
 from proxalloc.linalg import SpdFactor
-from proxalloc.prox import Box, LpBall, project
+from proxalloc.prox import Box, Hyperplane, LpBall, project
 from proxalloc.qp import QpProblem, qp_solve
 
 FAST = AdmmConfig(eps=1e-12, eps_prime=1e-12, max_iter=50000)
@@ -87,6 +89,35 @@ class TestDriver:
             assert report.converged
             outputs.append(y)
         assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-6
+
+
+class TestConsensusProblem:
+    def test_projection_onto_intersection_matches_dykstra(self):
+        # f = 0.5||x - v||^2 over plane, box and l1-ball blocks is the
+        # projection of v onto their intersection
+        rng = np.random.default_rng(3)
+        n = 6
+        plane = Hyperplane(np.ones(n), 1.0)
+        box = Box(np.zeros(n), np.full(n, 0.35))
+        for _ in range(10):
+            center = rng.dirichlet(np.full(n, 5.0))
+            ball = LpBall(1, center, 0.3)
+            v = center + rng.standard_normal(n)
+            sets = (plane, box, ball)
+            problem = consensus_problem(lambda w, rho: (v + rho * w) / (1.0 + rho),
+                                        [lambda phi, s=s: lambda t: project(s, t)
+                                         for s in sets], n)
+            x0 = np.full(n, 1.0 / n)
+            x, _, report = admm_solve(problem, x0, np.tile(x0, len(sets)), FAST)
+            expected, _ = dykstra_cycle([lambda t, s=s: project(s, t) for s in sets], v,
+                                        DykstraConfig(tol=1e-13))
+            assert report.converged
+            assert np.max(np.abs(x - expected)) <= 1e-8
+
+    def test_single_block_is_the_plain_split(self):
+        block = lambda phi: (lambda t: t)
+        problem = consensus_problem(lambda w, rho: w, [block], 3)
+        assert problem.a is None and problem.y_prox is block
 
 
 class TestPenaltyUpdate:

@@ -142,5 +142,11 @@ class TestReproduceCommand:
         text = out.read_text()
         assert "from_zeros" in text and "from_ones" in text
 
+    def test_seed_only_on_reproduce(self, tmp_path):
+        inp = write_payload(tmp_path, {"model": "erc", "set": 1})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["allocate", "--input", inp, "--seed", "1"])
+        assert exit_info.value.code == EXIT_INPUT
+
     def test_missing_file_is_input_error(self):
         assert main(["prox", "--input", "/nonexistent/file.json"]) == EXIT_INPUT

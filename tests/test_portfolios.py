@@ -6,6 +6,7 @@ import pytest
 from proxalloc import data
 from proxalloc.cd import CdConfig
 from proxalloc.errors import (
+    InfeasibleSuspected,
     InfeasibleTargets,
     ProxallocError,
     TargetUnreachable,
@@ -496,6 +497,93 @@ class TestKlPortfolio:
         with pytest.raises(InfeasibleTargets):
             kl_portfolio(SET1.universe, EW8, max_volatility=0.05)
 
+    def test_volatility_ball_projection_matches_bisection(self):
+        from proxalloc.portfolios import _volatility_ball_projection
+
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 8):
+            m = rng.standard_normal((n, n))
+            cov = m @ m.T / n + 0.01 * np.eye(n)
+            radius = 0.3
+            project_onto = _volatility_ball_projection(cov, radius)
+            for _ in range(20):
+                v = rng.standard_normal(n)
+                x = project_onto(v)
+                if v @ cov @ v <= radius**2:
+                    assert np.array_equal(x, v)
+                    continue
+                # reference: bisection on theta of x = (I + theta cov)^-1 v
+                at = lambda t: np.linalg.solve(np.eye(n) + t * cov, v)
+                lo, hi = 0.0, 1.0
+                while np.sqrt(at(hi) @ cov @ at(hi)) > radius:
+                    hi *= 4.0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if np.sqrt(at(mid) @ cov @ at(mid)) > radius:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert np.max(np.abs(x - at(hi))) <= 1e-10
+                assert abs(np.sqrt(x @ cov @ x) - radius) <= 1e-12
+
+
+class TestFailFastBeforeAdmm:
+    """Empty constraint sets raise a typed error before the ADMM loop starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_admm(self, monkeypatch):
+        from proxalloc import portfolios
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the ADMM loop started")
+
+        monkeypatch.setattr(portfolios, "admm_solve", fail)
+
+    def test_kl_return_above_max_mu(self):
+        u = tilted_universe()
+        with pytest.raises(InfeasibleTargets) as err:
+            kl_portfolio(u, EW8, target_return=0.1)
+        assert np.array_equal(err.value.last, np.eye(8)[7])
+        assert err.value.last @ u.mu < 0.1
+
+    def test_kl_cap_below_min_volatility(self):
+        u = SET1.universe
+        with pytest.raises(InfeasibleTargets) as err:
+            kl_portfolio(u, EW8, max_volatility=0.05)
+        gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8)).w
+        assert np.max(np.abs(err.value.last - gmv)) <= 1e-6
+        assert stats(err.value.last, u).volatility > 0.05
+
+    def test_kl_cap_below_min_volatility_at_return_target(self):
+        u = tilted_universe()
+        gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
+        cap = 0.15  # above the minimum volatility, below it at the target
+        assert stats(gmv, u).volatility < cap
+        with pytest.raises(InfeasibleTargets) as err:
+            kl_portfolio(u, EW8, target_return=0.085, max_volatility=cap)
+        s = stats(err.value.last, u)
+        assert abs(s.expected_return - 0.085) <= 1e-7
+        assert s.volatility > cap
+
+    def test_turnover_cap_below_distance_to_budget_box(self):
+        current = np.concatenate([np.full(4, 0.3), np.full(4, -0.05)])
+        with pytest.raises(InfeasibleTargets) as err:
+            rebalance_penalized(SET1.universe, current, turnover_cap=0.3)
+        clipped = err.value.last
+        assert np.array_equal(clipped, np.maximum(current, 0.0))
+        # 0.2 to clear the shorts, then 0.2 to bring the budget from 1.2 to 1
+        needed = np.sum(np.abs(current - clipped)) + abs(1.0 - clipped.sum())
+        assert abs(needed - 0.4) <= 1e-12
+
+    def test_robo_ccd_disjoint_linear_sets(self):
+        from proxalloc.prox import Halfspace
+
+        cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)],
+                         formulation="admm_ccd")
+        with pytest.raises(InfeasibleSuspected) as err:
+            robo_advisor(SET1.universe, cfg)
+        assert err.value.last is not None
+
 
 class TestRqePortfolio:
     def test_zero_dissimilarity_returns_equal_weights(self):
@@ -601,6 +689,26 @@ class TestRoboAdvisor:
             assert np.max(np.abs(w_qp.w - w_ccd.w)) <= 1e-4, trial
             assert abs(w.w.sum() - 1.0) <= 1e-8
             assert np.all(w.w >= -1e-9)
+
+
+    def test_linear_and_nonlinear_sets(self):
+        from proxalloc.prox import Halfspace, LpBall
+
+        u = SET1.universe
+        pair = np.zeros(8)
+        pair[[0, 1]] = 1.0
+        base = dict(current=EW8, reference=EW8, gamma=0.05, l1_current=0.005,
+                    l2_reference=0.1, linear_sets=[Halfspace(pair, 0.25)],
+                    nonlinear_sets=[LpBall(2, EW8, 0.1)])
+        free = robo_advisor(u, RoboConfig(**{**base, "linear_sets": [],
+                                             "nonlinear_sets": []})).w
+        assert pair @ free > 0.25 and np.linalg.norm(free - EW8) > 0.1  # both bind
+        weights = [robo_advisor(u, RoboConfig(**base, formulation=f)).w
+                   for f in ("admm_qp", "admm_ccd")]
+        assert np.max(np.abs(weights[0] - weights[1])) <= 1e-4
+        for w in weights:
+            assert pair @ w <= 0.25 + 1e-7
+            assert np.linalg.norm(w - EW8) <= 0.1 + 1e-7
 
 
 class TestBudgetInvariant:
