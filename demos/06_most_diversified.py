@@ -2,8 +2,11 @@
 
 Long/short, the maximizer of (w . sigma) / portfolio-vol has a closed
 form; long-only it concentrates into a few names, and an effective-bets
-floor trades diversification ratio for breadth.  The x-step is a small
-Newton solve on the budget plane, the y-step a box-ball projection.
+floor trades diversification ratio for breadth.  The ratio ignores
+scale, so long-only the solver minimizes y'Cy on the plane sigma'y = 1
+and rescales y to the budget: one ADMM split whose x-step is a linear
+solve on that plane and whose y-blocks project onto the nonnegative
+orthant and, for a floor of N bets, the cone sqrt(N) ||y|| <= sum(y).
 """
 
 import numpy as np

@@ -45,6 +45,7 @@ from .portfolios import (
 from .prox import (
     AffineSet,
     Box,
+    EffectiveBetsCone,
     Halfspace,
     Hyperplane,
     LpBall,

@@ -46,13 +46,16 @@ class AdmmProblem:
 
     ``x_update(y, u, phi)`` returns the x-minimizer of
     f_x(x) + phi/2 ||A x - y + u||^2.  ``y_prox(phi)`` returns the
-    prox of f_y / phi (projections may ignore phi).  ``a`` is None for
-    the split x = y.  ``objective(x, y)`` is only used for reporting.
+    prox of f_y / phi (projections may ignore phi).  A stacks ``copies``
+    identity matrices, so y holds that many copies of x; 1 is the split
+    x = y.  A is applied by concatenation and A' by a sum over the
+    copies, never as a dense matrix.  ``objective(x, y)`` is only used
+    for reporting.
     """
 
     x_update: Callable
     y_prox: Callable
-    a: Optional[object] = None
+    copies: int = 1
     objective: Optional[Callable] = None
 
 
@@ -79,11 +82,10 @@ def consensus_problem(x_prox, blocks, n):
 
     ``x_prox(v, rho)`` returns argmin f(x) + rho/2 ||x - v||^2 and each
     entry of ``blocks`` is a y-prox builder for one g_j, as in
-    AdmmProblem.y_prox.  Block j gets its own copy y_j = x: ``a`` stacks
-    m identity matrices, the y-update applies each block's prox to its
-    copy, and the x-update calls x_prox at the mean of the y_j - u_j with
-    penalty m phi (Boyd et al. 2011, sec. 7.1).  One block gives the
-    plain split x = y.
+    AdmmProblem.y_prox.  Block j gets its own copy y_j = x (``copies`` =
+    m), the y-update applies each block's prox to its copy, and the
+    x-update calls x_prox at the mean of the y_j - u_j with penalty m phi
+    (Boyd et al. 2011, sec. 7.1).  One block gives the plain split x = y.
     """
     m = len(blocks)
     if m == 1:
@@ -95,7 +97,7 @@ def consensus_problem(x_prox, blocks, n):
 
     return AdmmProblem(
         x_update=lambda y, u, phi: x_prox((y - u).reshape(m, n).mean(axis=0), m * phi),
-        y_prox=y_prox, a=np.vstack([np.eye(n)] * m))
+        y_prox=y_prox, copies=m)
 
 
 def admm_solve(problem, x0, y0, cfg=None):
@@ -106,7 +108,7 @@ def admm_solve(problem, x0, y0, cfg=None):
     callers can inspect how far the solve got.
     """
     cfg = cfg or AdmmConfig()
-    a = None if problem.a is None else np.asarray(problem.a, dtype=float)
+    m = problem.copies
     x = as_vector(x0).copy()
     y = as_vector(y0).copy()
     u = np.zeros(y.size)
@@ -116,7 +118,7 @@ def admm_solve(problem, x0, y0, cfg=None):
 
     for iteration in range(1, cfg.max_iter + 1):
         x = problem.x_update(y, u, phi)
-        ax = x if a is None else a @ x
+        ax = x if m == 1 else np.concatenate((x,) * m)
         v_y = ax + u
         if not np.all(np.isfinite(v_y)):
             # count only completed iterations so traces stay aligned
@@ -126,7 +128,7 @@ def admm_solve(problem, x0, y0, cfg=None):
         y_new = prox(v_y)
         r = ax - y_new
         dy = y_new - y
-        s = phi * (dy if a is None else a.T @ dy)
+        s = phi * (dy if m == 1 else dy.reshape(m, -1).sum(axis=0))
         y = y_new
         u = u + r
 

@@ -118,6 +118,7 @@ class PenaltyFactor:
         self.q = np.asarray(q, dtype=float)
         self.diagonal = self.q.ndim == 1
         self._factors = {}
+        self._planes = {}
 
     def matvec(self, x):
         return self.q * x if self.diagonal else self.q @ x
@@ -134,10 +135,18 @@ class PenaltyFactor:
         return factor.solve(rhs)
 
     def solve_on_plane(self, rhs, phi, a, b):
-        """argmin 0.5 x'(Q + phi I)x - rhs'x subject to a'x = b."""
+        """argmin 0.5 x'(Q + phi I)x - rhs'x subject to a'x = b.
+
+        (Q + phi I)^-1 a is kept per penalty value for the normal last
+        passed, since an ADMM x-update keeps one plane through a solve.
+        """
         base = self.solve(rhs, phi)
-        k_a = self.solve(a, phi)
-        nu = (b - a @ base) / (a @ k_a)
+        plane = self._planes.get(phi)
+        if plane is None or plane[0] is not a:
+            k_a = self.solve(a, phi)
+            plane = self._planes[phi] = (a, k_a, a @ k_a)
+        _, k_a, a_k_a = plane
+        nu = (b - a @ base) / a_k_a
         return base + nu * k_a
 
 
@@ -185,35 +194,20 @@ def bisect(f, bracket):
 def lambert_w(x):
     """Principal branch of the Lambert W function (w e^w = x, x >= -1/e).
 
-    Halley iteration started from log1p(x) for x >= 0 and from the
-    branch-point series for x < 0; accepts scalars or arrays.
+    scipy.special.lambertw, real part; accepts scalars or arrays.
     """
+    # imported here: scipy.special adds to the package import time, and
+    # only the entropy and KL models need it
+    from scipy.special import lambertw
+
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < -_INV_E - 1e-12):
         raise OutOfDomain("lambert_w needs x >= -1/e")
     x = np.maximum(x, -_INV_E)
-
-    w = np.empty_like(x)
-    neg = x < 0
-    w[~neg] = np.log1p(x[~neg])
-    # series around the branch point x = -1/e, accurate enough to seed Halley
-    p = np.sqrt(2.0 * (np.e * x[neg] + 1.0))
-    w[neg] = -1.0 + p - p**2 / 3.0 + 11.0 / 72.0 * p**3
-
-    target = 1e-13 * (1.0 + np.abs(x))
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - x
-        if np.all(np.abs(f) <= target):
-            break
-        wp1 = w + 1.0
-        # Halley step; the denominator only vanishes at the branch point,
-        # where f is already zero
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = np.where(np.abs(denom) > 0, f / np.where(denom == 0, 1.0, denom), 0.0)
-        w = w - step
-        w = np.maximum(w, -1.0)
+    # the double nearest -1/e lies just below the branch point, where
+    # lambertw returns nan; W is -1 there
+    w = np.where(x > -_INV_E, lambertw(x).real, -1.0)
     return float(w[0]) if scalar else w
 
 

@@ -1,13 +1,14 @@
 """Allocation models assembled from the CCD / ADMM / Dykstra engines.
 
-Mean-variance and its turnover/cost/tracking variants stay quadratic
-programs; minimum-variance with diversification floors, risk budgeting,
-the most-diversified portfolio, KL and Rao-entropy portfolios, and the
-composite managed-account objective are solved by splitting: a smooth
-x-subproblem (closed form, CCD, or a nested QP) against one y-block per
-constraint set or nonsmooth term, each a closed-form prox from the
-operator catalogue, joined by consensus ADMM.  Inputs whose constraint
-sets are empty are caught before the ADMM loop starts.
+Mean-variance and its cost/tracking variants stay quadratic programs;
+turnover-capped mean-variance, minimum-variance with diversification
+floors, risk budgeting, the most-diversified portfolio, KL and
+Rao-entropy portfolios, and the composite managed-account objective are
+solved by splitting: a smooth x-subproblem (closed form, CCD, or a nested
+QP) against one y-block per constraint set or nonsmooth term, each a
+closed-form prox from the operator catalogue, joined by consensus ADMM.
+Inputs whose constraint sets are empty are caught before the ADMM loop
+starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -32,12 +33,14 @@ from .errors import (
     InfeasibleTargets,
     MaxCyclesExceeded,
     MaxIterExceeded,
+    OutOfDomain,
     TargetUnreachable,
     UnreachableDiversification,
 )
 from .linalg import PenaltyFactor, RootBracket, as_matrix, as_vector, bisect
 from .prox import (
     Box,
+    EffectiveBetsCone,
     Halfspace,
     Hyperplane,
     LpBall,
@@ -46,7 +49,6 @@ from .prox import (
     prox_kl,
     prox_log_barrier,
     soft_threshold,
-    truncate,
 )
 from .qp import QpProblem, default_qp_config, qp_solve
 
@@ -365,42 +367,24 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     return _gate(w)
 
 
-def _augmented_rebalance_blocks(universe):
-    """Q and the x = current + buys - sells linkage of the 3n-variable QPs."""
-    n = universe.n
-    q = np.zeros((3 * n, 3 * n))
-    q[:n, :n] = universe.cov
-    # minimum-norm ridge on the trade blocks: selects the complementary
-    # (buy xor sell) representative among objective ties
-    q[n:, n:] = 1e-10 * np.eye(2 * n)
-    link = np.hstack([np.eye(n), np.eye(n), -np.eye(n)])
-    return q, link
-
-
 def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
-    """MVO with sum of buys and sells capped, as a 3n-variable QP."""
+    """MVO with the sum of buys and sells capped: min 0.5 x'Cx - gamma mu'x
+    s.t. 1'x = 1, 0 <= x <= 1, ||x - current||_1 <= turnover_cap.
+
+    The consensus split of rebalance_penalized (box and l1-ball blocks,
+    the same InfeasibleTargets check) with gamma mu in the x-update.
+    """
     if turnover_cap < 0:
         raise ValueError("turnover_cap must be nonnegative")
-    n = universe.n
-    current = as_vector(current)
-    if turnover_cap == 0:
-        return _gate(current)
-    q, link = _augmented_rebalance_blocks(universe)
-    r = np.concatenate([gamma * universe.mu, np.zeros(2 * n)])
-    a = np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]), link])
-    b = np.concatenate([[1.0], current])
-    c = np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :]
-    d = np.array([turnover_cap])
-    problem = QpProblem(q=q, r=r, a=a, b=b, c=c, d=d,
-                        lower=np.zeros(3 * n), upper=np.ones(3 * n))
-    x = qp_solve(problem, cfg=cfg)
-    return _gate(x[:n])
+    return _rebalance_split(universe, as_vector(current), turnover_cap, None, [],
+                           gamma * universe.mu, cfg)
 
 
 def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
     """MVO net of bid/ask transaction costs, with the budget financed.
 
-    The financing identity sum x + sells'bid + buys'ask = 1 replaces the
+    A 3n-variable QP in (x, buys, sells) with x = current + buys - sells;
+    the financing identity sum x + sells'bid + buys'ask = 1 replaces the
     plain budget row.
     """
     n = universe.n
@@ -409,7 +393,12 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
     ask = np.broadcast_to(np.asarray(ask_cost, dtype=float), (n,))
     if np.any(bid < 0) or np.any(ask < 0):
         raise ValueError("costs must be nonnegative")
-    q, link = _augmented_rebalance_blocks(universe)
+    q = np.zeros((3 * n, 3 * n))
+    q[:n, :n] = universe.cov
+    # minimum-norm ridge on the trade blocks: selects the complementary
+    # (buy xor sell) representative among objective ties
+    q[n:, n:] = 1e-10 * np.eye(2 * n)
+    link = np.hstack([np.eye(n), np.eye(n), -np.eye(n)])
     r = np.concatenate([gamma * universe.mu, -bid, -ask])
     a = np.vstack([np.concatenate([np.ones(n), bid, ask]), link])
     b = np.concatenate([[1.0], current])
@@ -424,23 +413,24 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
 # minimum variance with diversification
 # ---------------------------------------------------------------------------
 
-def _gmv_admm(universe, blocks, start=None, cfg=None):
-    """Minimum variance on the budget plane 1'x = 1 plus one y-block per term.
+def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0):
+    """Minimum variance on the plane a'x = 1 plus one y-block per term.
 
-    The x-prox is the budget-constrained ridge solve
-    argmin 0.5 x'(cov + rho I)x - rho x'v s.t. 1'x = 1; ``blocks`` are the
+    The x-prox is the ridge solve
+    argmin 0.5 x'(cov + rho I)x - (linear + rho v)'x s.t. a'x = 1, with
+    a = ``plane`` (the budget normal 1 by default); ``blocks`` are the
     y-prox builders of the remaining terms, joined by consensus_problem.
-    Starts at ``start`` (equal weights by default) and returns the first
-    block's y.
+    Starts at ``start`` (the equal point 1 / 1'a on the plane by default)
+    and returns the first block's y.
     """
     n = universe.n
     cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
                             eps=1e-11, eps_prime=1e-11, max_iter=100000)
     quad = PenaltyFactor(universe.cov)
-    ones = np.ones(n)
+    a = np.ones(n) if plane is None else plane
     problem = consensus_problem(
-        lambda v, rho: quad.solve_on_plane(rho * v, rho, ones, 1.0), blocks, n)
-    x0 = np.full(n, 1.0 / n) if start is None else as_vector(start)
+        lambda v, rho: quad.solve_on_plane(linear + rho * v, rho, a, 1.0), blocks, n)
+    x0 = np.full(n, 1.0 / a.sum()) if start is None else as_vector(start)
     _, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
     if not report.converged:
         raise MaxIterExceeded("minimum-variance ADMM did not converge",
@@ -573,8 +563,19 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
     set, sum |c - clip(c)| + |1 - sum clip(c)| with clip into [0, upper],
     raises InfeasibleTargets before the loop, with clip(c) as ``last``.
     """
-    n = universe.n
     current = as_vector(current)
+    costs = []
+    if cost_scale > 0:
+        costs.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
+                                                        ask_cost, current))
+    return _rebalance_split(universe, current, turnover_cap, upper, costs, 0.0, cfg)
+
+
+def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg):
+    """Body of rebalance_penalized and mvo_turnover: min 0.5 x'Cx - linear'x
+    on the budget plane with a box block [0, upper], the l1 turnover ball
+    around ``current`` (when a cap is given) and the ``costs`` blocks."""
+    n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
     if turnover_cap is not None and turnover_cap <= 0:
@@ -588,11 +589,8 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
                                     "needed to reach a long-only budget portfolio",
                                     last=clipped)
         blocks.append(_projection(LpBall(1, current, float(turnover_cap))))
-    if cost_scale > 0:
-        blocks.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
-                                                         ask_cost, current))
-    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg))
-
+    blocks += costs
+    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +737,9 @@ def _mdp_inner(cov, sigma, phi, anchor, x0, tol=1e-12, max_iter=200):
 
     Newton on the bordered KKT system with an Armijo backtrack that keeps
     x'sigma positive; falls back to a projected gradient step whenever
-    the Newton direction fails to descend.
+    the Newton direction fails to descend.  Only the entropy-floor MDP
+    runs it, as its ADMM x-update: made homogeneous, an entropy floor is a
+    relative-entropy cone, whose projection has no closed form.
     """
     n = cov.shape[0]
     ones = np.ones(n)
@@ -750,19 +750,13 @@ def _mdp_inner(cov, sigma, phi, anchor, x0, tol=1e-12, max_iter=200):
         s = xx @ sigma
         if s <= 0 or q <= 0:
             return np.inf
-        val = 0.5 * np.log(q) - np.log(s)
-        if phi > 0:
-            val += 0.5 * phi * np.sum((xx - anchor) ** 2)
-        return val
+        return 0.5 * np.log(q) - np.log(s) + 0.5 * phi * np.sum((xx - anchor) ** 2)
 
     def gradient(xx):
         cov_x = cov @ xx
         q = xx @ cov_x
         s = xx @ sigma
-        g = cov_x / q - sigma / s
-        if phi > 0:
-            g = g + phi * (xx - anchor)
-        return g, cov_x, q, s
+        return cov_x / q - sigma / s + phi * (xx - anchor), cov_x, q, s
 
     for _ in range(max_iter):
         g, cov_x, q, s = gradient(x)
@@ -794,51 +788,55 @@ def _mdp_inner(cov, sigma, phi, anchor, x0, tol=1e-12, max_iter=200):
 
 
 def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
-    """Most diversified portfolio: maximize w'sigma / sqrt(w'Cw).
+    """Most diversified portfolio: maximize w'sigma / sqrt(w'Cw) on 1'w = 1.
 
-    Long/short is a single Newton solve on the budget plane.  Long-only
-    (optionally with an effective-bets or entropy floor) splits the
-    geometry into the y-update while the x-update re-solves the smooth
-    penalized objective.
+    The ratio ignores scale, so w = y / 1'y with y = argmin y'Cy s.t.
+    sigma'y = 1 over the same cone of directions (Choueifaty & Coignard
+    2008).  Long/short: w = z / 1'z with z = C^-1 sigma, and OutOfDomain
+    when 1'z <= 0, as the ratio then has no maximum on the budget plane.
+    Long-only: one consensus split on sigma'y = 1 with y-blocks for the
+    orthant, an effective-bets floor N (the cone sqrt(N) ||y|| <= 1'y) and
+    each cap u_i < 1 (y_i <= u_i 1'y).  An entropy floor has no closed-form
+    homogeneous projection and keeps ADMM around ``_mdp_inner``.
     """
     n = universe.n
     cov, sigma = universe.cov, universe.sigma
-    x0 = np.full(n, 1.0 / n)
     if not long_only:
         if constraint is not None:
             raise ValueError("diversification floors need long_only=True")
-        x = _mdp_inner(cov, sigma, 0.0, x0, x0)
-        return PortfolioWeights(x / x.sum())
+        z = PenaltyFactor(cov).solve(sigma)
+        if z.sum() <= 0:
+            raise OutOfDomain(f"1'cov^-1 sigma = {z.sum():.3g} <= 0: the long/short "
+                              "diversification ratio has no maximum on the budget plane")
+        return PortfolioWeights(z / z.sum())
 
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
-    dykstra_cfg = DykstraConfig(tol=1e-12)
-    if constraint is None:
-        projection = lambda v: truncate(v, np.zeros(n), upper_vec)
-    elif isinstance(constraint, EffectiveBets):
-        radius = np.sqrt(1.0 / constraint.minimum)
-        projection = lambda v: project_box_ball(v, np.zeros(n), upper_vec,
-                                                np.zeros(n), radius, dykstra_cfg)
-    elif isinstance(constraint, ShannonEntropyFloor):
+    if isinstance(constraint, ShannonEntropyFloor):
+        state = {"x": np.full(n, 1.0 / n)}
+
+        def x_update(y, u, phi):
+            state["x"] = _mdp_inner(cov, sigma, phi, y - u, state["x"])
+            return state["x"]
+
         projection = lambda v: _entropy_floor_projection(v, constraint.minimum,
                                                          np.zeros(n), upper_vec)
-    else:
+        cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-8, eps_prime=1e-8, max_iter=50000)
+        problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: projection)
+        _, y, report = admm_solve(problem, state["x"], state["x"], cfg)
+        if not report.converged:
+            raise MaxIterExceeded("MDP ADMM did not converge", last=y, report=report)
+        return _gate(y)
+
+    blocks = [_projection(Box(0.0, np.inf))]
+    if isinstance(constraint, EffectiveBets):
+        blocks.append(_projection(EffectiveBetsCone(constraint.minimum)))
+    elif constraint is not None:
         raise TypeError(f"unknown diversification constraint {constraint!r}")
-
-    state = {"x": x0.copy()}
-
-    def x_update(y, u, phi):
-        state["x"] = _mdp_inner(cov, sigma, phi, y - u, state["x"])
-        return state["x"]
-
-    # the inner Newton solve delivers ~1e-10 accurate x-updates, so the
-    # outer residual target must sit above that noise floor
-    cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-8, eps_prime=1e-8, max_iter=50000)
-    problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: projection)
-    x, y, report = admm_solve(problem, x0, x0, cfg)
-    if not report.converged:
-        raise MaxIterExceeded("MDP ADMM did not converge", last=y, report=report)
-    return _gate(y)
+    blocks += [_projection(Halfspace(row - cap, 0.0))
+               for row, cap in zip(np.eye(n), upper_vec) if cap < 1]
+    y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma)
+    return _gate(y / y.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ The proximal operator of a closed convex f is
 of a convex set the prox is the Euclidean projection onto it.  This
 module is the catalogue of the closed forms used everywhere else:
 soft-thresholding, box truncation, lp balls and their complements,
-log barriers, KL divergence, bid/ask transaction costs, sum of the k
-largest components, plus scaling/translation calculus.
+the effective-bets cone, log barriers, KL divergence, bid/ask
+transaction costs, sum of the k largest components, plus
+scaling/translation calculus.
 
 A "prox-fn" in engine signatures is any callable v -> x of matching
 length; the small classes at the bottom bind parameters at construction
@@ -130,6 +131,13 @@ class Simplex:
 
 
 @dataclass(frozen=True)
+class EffectiveBetsCone:
+    """{y : sqrt(bets) ||y|| <= 1'y}, so y / 1'y has at least ``bets`` effective
+    bets: the second-order cone about 1/sqrt(n) with slope sqrt((n - bets) / bets)"""
+    bets: float
+
+
+@dataclass(frozen=True)
 class Polyhedron:
     """{x : C x <= D}, projected by cyclic half-space corrections"""
     c: object
@@ -233,6 +241,27 @@ def _(set_: Simplex, v):
     v = as_vector(v)
     mu = threshold_sum_root(v, 1.0)
     return np.maximum(v - mu, 0.0)
+
+
+@project.register
+def _(set_: EffectiveBetsCone, v):
+    v = as_vector(v)
+    n = v.size
+    if not 0 < set_.bets <= n:
+        raise DegenerateSet(f"effective bets must lie in (0, {n}]")
+    # v = t e + z with e = 1/sqrt(n), z orthogonal to e: the cone is ||z|| <= slope t,
+    # its polar cone maps to 0 and any other v to the boundary ray through z
+    root_n = np.sqrt(n)
+    t = v.sum() / root_n
+    z = v - t / root_n
+    r = float(np.linalg.norm(z))
+    slope = np.sqrt((n - set_.bets) / set_.bets)
+    if r <= slope * t:
+        return v.copy()
+    if slope * r <= -t:
+        return np.zeros(n)
+    t_new = (t + slope * r) / (1.0 + slope * slope)
+    return t_new / root_n + (slope * t_new / r) * z
 
 
 @project.register

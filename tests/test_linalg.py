@@ -105,9 +105,10 @@ class TestPenaltyFactor:
         for q in (random_spd(rng, 5), rng.uniform(0.5, 2.0, 5)):
             factor = PenaltyFactor(q)
             dense = q if q.ndim == 2 else np.diag(q)
-            for phi in self.PHIS:
+            normals = [rng.standard_normal(5) for _ in range(2)]
+            # each normal twice per penalty: the factor keeps the last one seen
+            for phi, a in [(phi, a) for phi in self.PHIS for a in normals + normals]:
                 rhs = rng.standard_normal(5)
-                a = rng.standard_normal(5)
                 b = float(rng.standard_normal())
                 x = factor.solve_on_plane(rhs, phi, a, b)
                 assert abs(a @ x - b) <= 1e-10

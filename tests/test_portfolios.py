@@ -1,13 +1,17 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from proxalloc import data
 from proxalloc.cd import CdConfig
 from proxalloc.errors import (
     InfeasibleSuspected,
     InfeasibleTargets,
+    OutOfDomain,
     ProxallocError,
     TargetUnreachable,
     UnreachableDiversification,
@@ -39,10 +43,20 @@ from proxalloc.portfolios import (
     rqe_portfolio,
     stats,
 )
+from proxalloc.qp import QpProblem, qp_solve, stationarity_residual
 
 SET1 = data.parameter_set_1()
 SET2 = data.parameter_set_2()
 EW8 = np.full(8, 1.0 / 8.0)
+
+
+def factor_universe(rng, n):
+    """The benchmark's seeded factor-model universe, from perfbench/universe.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "universe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_universe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.factor_universe(rng, n)
 
 
 def tilted_universe():
@@ -201,6 +215,24 @@ class TestMvoTurnover:
         var = w.w @ u.cov @ w.w
         gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
         assert var >= gmv.w @ u.cov @ gmv.w - 1e-12
+
+    def test_matches_the_trade_variable_qp(self):
+        # the same model as a QP in (x, buys, sells) with x = current + buys - sells
+        u, gamma, cap, n = tilted_universe(), 1.0, 0.3, 8
+        q = np.zeros((3 * n, 3 * n))
+        q[:n, :n] = u.cov
+        q[n:, n:] = 1e-10 * np.eye(2 * n)
+        a = np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]),
+                       np.hstack([np.eye(n), np.eye(n), -np.eye(n)])])
+        problem = QpProblem(q=q, r=np.concatenate([gamma * u.mu, np.zeros(2 * n)]), a=a,
+                            b=np.concatenate([[1.0], EW8]),
+                            c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
+                            d=np.array([cap]), lower=np.zeros(3 * n),
+                            upper=np.ones(3 * n))
+        expected = qp_solve(problem)[:n]
+        w = mvo_turnover(u, gamma, EW8, cap)
+        assert abs(np.sum(np.abs(expected - EW8)) - cap) <= 1e-8  # the cap binds
+        assert np.max(np.abs(w.w - expected)) <= 1e-8
 
 
 class TestMvoCosts:
@@ -440,6 +472,70 @@ class TestMdp:
         assert np.max(np.abs(w6.as_percent() - data.MDP_GRID_WEIGHTS[:, 5])) <= 0.01
         assert abs(effective_bets(w6.w) - 6.0) <= 1e-6
 
+    def test_long_short_without_a_maximum_raises(self):
+        # 1' cov^-1 sigma < 0: w = z / 1'z has a negative diversification
+        # ratio, and the ratio grows without bound along z on the budget plane
+        rho = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.7], [0.9, 0.7, 1.0]])
+        u = AssetUniverse(names=list("abc"), mu=np.zeros(3), sigma=[0.1, 0.3, 0.3],
+                          rho=rho)
+        assert solve_spd(u.cov, u.sigma).sum() < 0
+        with pytest.raises(OutOfDomain):
+            mdp(u, long_only=False)
+
+    @staticmethod
+    def homogeneous(w, u):
+        """y = w / sigma'w, the solution of min y'Cy s.t. sigma'y = 1."""
+        return w / (w @ u.sigma)
+
+    def test_no_floor_is_stationary_for_its_homogeneous_qp(self):
+        for u in (data.mdp_table_universe(), factor_universe(np.random.default_rng(0), 100)):
+            y = self.homogeneous(mdp(u, long_only=True).w, u)
+            problem = QpProblem(q=u.cov, r=np.zeros(u.n), a=u.sigma[None, :], b=[1.0],
+                                lower=np.zeros(u.n))
+            assert stationarity_residual(problem, y) <= 1e-8
+
+    def test_bets_floors_meet_the_cone_kkt_conditions(self):
+        # min y'Cy s.t. sigma'y = 1, y >= 0, g(y) = sqrt(N)||y|| - 1'y <= 0:
+        # cov y = lam sigma - kappa grad g on the support, with kappa >= 0
+        u = data.mdp_table_universe()
+        for bets in data.MDP_GRID_BETS[2:]:
+            y = self.homogeneous(mdp(u, long_only=True, constraint=EffectiveBets(bets)).w, u)
+            grad_g = np.sqrt(bets) * y / np.linalg.norm(y) - 1.0
+            basis = np.column_stack([u.sigma, -grad_g])
+            live = y > 1e-10
+            (lam, kappa), *_ = np.linalg.lstsq(basis[live], (u.cov @ y)[live], rcond=None)
+            residual = u.cov @ y - basis @ [lam, kappa]
+            assert np.max(np.abs(residual[live])) <= 1e-9
+            assert np.all(residual[~live] >= -1e-9)  # orthant multipliers
+            assert kappa >= 0
+            assert abs(np.sqrt(bets) * np.linalg.norm(y) - y.sum()) <= 1e-9  # binds
+
+    def test_caps_and_entropy_floor_match_a_direct_ratio_maximization(self):
+        u = data.mdp_table_universe()
+        cov, sigma = u.cov, u.sigma
+
+        def neg_ratio(w):
+            return -(w @ sigma) / np.sqrt(w @ cov @ w)
+
+        def neg_ratio_grad(w):
+            var = w @ cov @ w
+            return -(sigma / np.sqrt(var) - (w @ sigma) * (cov @ w) / var**1.5)
+
+        budget = {"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(8)}
+        entropy = {"type": "ineq", "fun": lambda w: -np.sum(w * np.log(w)) - 1.2,
+                   "jac": lambda w: -np.log(w) - 1.0}
+        cases = [(0.2, [budget], {"upper": 0.2}), (0.3, [budget], {"upper": 0.3}),
+                 (1.0, [budget, entropy], {"constraint": ShannonEntropyFloor(1.2)})]
+        for cap, constraints, kwargs in cases:
+            oracle = minimize(neg_ratio, EW8, jac=neg_ratio_grad, method="SLSQP",
+                              bounds=[(1e-12, cap)] * 8, constraints=constraints,
+                              options={"ftol": 1e-15, "maxiter": 1000})
+            assert oracle.success
+            w = mdp(u, long_only=True, **kwargs).w
+            assert np.max(w) <= cap + 1e-8
+            assert np.max(np.abs(w - oracle.x)) <= 1e-6
+            assert neg_ratio(w) <= neg_ratio(oracle.x) + 1e-12
+
     def test_single_asset_universe(self):
         u = AssetUniverse(names=["only"], mu=np.zeros(1), sigma=[0.2],
                           rho=np.eye(1))
@@ -574,6 +670,12 @@ class TestFailFastBeforeAdmm:
         # 0.2 to clear the shorts, then 0.2 to bring the budget from 1.2 to 1
         needed = np.sum(np.abs(current - clipped)) + abs(1.0 - clipped.sum())
         assert abs(needed - 0.4) <= 1e-12
+
+    def test_mvo_turnover_cap_below_distance_to_budget_box(self):
+        current = np.concatenate([np.full(4, 0.3), np.full(4, -0.05)])
+        with pytest.raises(InfeasibleTargets) as err:
+            mvo_turnover(tilted_universe(), 0.5, current, 0.3)
+        assert np.array_equal(err.value.last, np.maximum(current, 0.0))
 
     def test_robo_ccd_disjoint_linear_sets(self):
         from proxalloc.prox import Halfspace

@@ -13,6 +13,7 @@ from proxalloc.linalg import threshold_sum_root
 from proxalloc.prox import (
     AffineSet,
     Box,
+    EffectiveBetsCone,
     Halfspace,
     Hyperplane,
     LpBall,
@@ -170,6 +171,51 @@ class TestProjections:
         d = np.array([1.0])
         out = project(Polyhedron(c, d), np.array([2.0, 2.0]))
         assert np.allclose(out, [0.5, 0.5], atol=1e-9)
+
+
+class TestEffectiveBetsCone:
+    @staticmethod
+    def member(rng, n, bets):
+        """A random point of the cone: t along 1/sqrt(n) plus an orthogonal
+        part of norm at most slope * t."""
+        t = rng.uniform(0.0, 3.0)
+        z = rng.standard_normal(n)
+        z -= z.mean()
+        z *= rng.uniform(0.0, 1.0) * np.sqrt((n - bets) / bets) * t / np.linalg.norm(z)
+        return t / np.sqrt(n) + z
+
+    def test_variational_inequality_and_idempotence(self):
+        rng = np.random.default_rng(11)
+        branches = {"inside": 0, "apex": 0, "boundary": 0}
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            bets = rng.uniform(1.0, n)
+            cone = EffectiveBetsCone(bets)
+            v = rng.standard_normal(n) + rng.uniform(-1.0, 1.0)
+            p = project(cone, v)
+            assert np.sqrt(bets) * np.linalg.norm(p) <= p.sum() + 1e-12
+            # projection onto a closed convex cone: p'(v - p) = 0 and
+            # (v - p)'(y - p) <= 0 for every member y
+            assert abs(p @ (v - p)) <= 1e-12 * (1.0 + v @ v)
+            for _ in range(20):
+                y = self.member(rng, n, bets)
+                assert (v - p) @ (y - p) <= 1e-12 * (1.0 + v @ v + y @ y)
+            assert np.max(np.abs(project(cone, p) - p)) <= 1e-13 * (1.0 + np.abs(v).max())
+            branches["inside" if np.array_equal(p, v) else
+                     "apex" if not p.any() else "boundary"] += 1
+        assert min(branches.values()) > 0
+
+    def test_members_rescale_to_enough_bets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            p = project(EffectiveBetsCone(4.0), rng.uniform(0.0, 1.0, 10))
+            w = p / p.sum()
+            assert 1.0 / (w @ w) >= 4.0 - 1e-9
+
+    def test_bets_outside_the_asset_count(self):
+        for bets in (0.0, 3.5):
+            with pytest.raises(DegenerateSet):
+                project(EffectiveBetsCone(bets), np.ones(3))
 
 
 class TestProxMax:
