@@ -3,7 +3,8 @@
 One objective blends benchmarked mean-variance, l1/l2 pull toward the
 current and reference mixes, and a risk-budget log barrier, under budget
 and box constraints.  Two different splits must agree: the x-step as a
-nested QP, or as coordinate descent on the quadratic-plus-barrier.  The
+ridge solve on the budget plane (the barrier, box and l1 terms each a
+y-block), or as coordinate descent on the quadratic-plus-barrier.  The
 snippet walks the barrier weight from pure minimum variance toward risk
 budgeting, and shows the l1 term creating a genuine no-trade region.
 """
@@ -45,6 +46,6 @@ cfg = RoboConfig(benchmark=data.parameter_set_1().benchmark,
                  formulation="both")
 w_qp = portfolios.robo_advisor(u, RoboConfig(**{**vars(cfg), "formulation": "admm_qp"}))
 w_ccd = portfolios.robo_advisor(u, RoboConfig(**{**vars(cfg), "formulation": "admm_ccd"}))
-print("  nested-QP split   :", ", ".join(f"{x:.3f}" for x in w_qp.w))
+print("  ridge-plane split :", ", ".join(f"{x:.3f}" for x in w_qp.w))
 print("  coordinate split  :", ", ".join(f"{x:.3f}" for x in w_ccd.w))
 print(f"  max disagreement  : {np.max(np.abs(w_qp.w - w_ccd.w)):.2e}")

@@ -1,7 +1,7 @@
 """Scaled-dual ADMM for problems split as f_x(x) + f_y(y), A x = y.
 
 The x-update is whatever subproblem solver the caller supplies (closed
-form for quadratics, CCD for quadratics with barriers, a nested QP, ...);
+form for quadratics, CCD for quadratics with barriers, a Newton solve, ...);
 the y-update is a prox evaluated at v_y = A x + u.  A sum of several
 y-terms is split by ``consensus_problem``, one copy y_j = x per term, so
 each y-update stays a closed-form prox.  The scaled dual

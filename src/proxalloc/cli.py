@@ -433,9 +433,10 @@ def _build_parser():
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None)
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--phi", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        if name == "qp":
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--phi", type=float, default=None)
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p = sub.add_parser("reproduce")
     p.add_argument("table", choices=["table4", "table5", "erc", "lasso_trace",
                                      "box_qp_trace"])

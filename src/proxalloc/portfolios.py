@@ -4,8 +4,8 @@ Mean-variance and its cost/tracking variants stay quadratic programs;
 turnover-capped mean-variance, minimum-variance with diversification
 floors, risk budgeting, the most-diversified portfolio, KL and
 Rao-entropy portfolios, and the composite managed-account objective are
-solved by splitting: a smooth x-subproblem (closed form, CCD, or a nested
-QP) against one y-block per constraint set or nonsmooth term, each a
+solved by splitting: a smooth x-subproblem (a closed-form prox or CCD)
+against one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, joined by consensus ADMM.
 Inputs whose constraint sets are empty are caught before the ADMM loop
 starts.
@@ -15,12 +15,10 @@ normalization gate (tiny negative clips, budget rescale), so solver
 slack never leaks into downstream statistics.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
@@ -50,7 +48,7 @@ from .prox import (
     prox_log_barrier,
     soft_threshold,
 )
-from .qp import QpProblem, default_qp_config, qp_solve
+from .qp import QpProblem, qp_solve
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +172,11 @@ class RoboConfig:
     full matrix.  ``linear_sets`` holds Halfspace descriptors and
     ``nonlinear_sets`` any catalogued set; both must hold at the answer.
     ``formulation`` picks the split, each a consensus ADMM with one
-    y-block per l1 pull and per nonlinear set: "admm_qp" keeps the
-    quadratic, budget, box and linear sets in a nested-QP x-update and
-    the barrier in a y-block; "admm_ccd" keeps the quadratic and barrier
-    in a coordinate-descent x-update and gives the budget plane, each
-    linear set and the box a y-block of their own.  "both" runs the two
-    and cross-checks.
+    y-block per l1 pull, nonlinear set, linear set and the box:
+    "admm_qp" keeps the quadratic and the budget plane in a closed-form
+    ridge x-update and gives the barrier a y-block; "admm_ccd" keeps the
+    quadratic and barrier in a coordinate-descent x-update and gives the
+    budget plane a y-block.  "both" runs the two and cross-checks.
     """
 
     benchmark: object = None
@@ -276,6 +273,29 @@ def _projection(set_):
     """y-block builder of a set indicator: the projection, for every phi."""
     op = ProjectionFn(set_)
     return lambda phi: op
+
+
+def _secular_root(a, c):
+    """The root theta >= 0 of g(theta) = sum_k a_k / (1 + theta c_k)^2 = 1.
+
+    a, c >= 0 with c_k > 0 wherever a_k > 0; returns 0 when g(0) <= 1.
+    Newton runs on 1/sqrt(g) - 1, which is concave and increasing in
+    theta (the secular function of More & Sorensen 1983), so it climbs
+    from 0 to the root without overshooting and needs no bracket.
+    """
+    theta = 0.0
+    ac = a * c
+    for _ in range(100):
+        t = 1.0 / (1.0 + theta * c)
+        t2 = t * t
+        g = float(a @ t2)
+        if g <= 1.0:
+            break
+        step = g * (g**0.5 - 1.0) / float(ac @ (t2 * t))
+        theta += step
+        if step <= 1e-15 * theta:
+            break
+    return theta
 
 
 def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None, x0=None):
@@ -653,11 +673,21 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     """ADMM split for the risk-budgeting barrier problem (unscaled).
 
     The x-update is the prox of the risk term: a ridge solve for the
-    volatility measure, an inner frozen-volatility CCD for the stdev
-    measure.  The y-update is the closed-form prox of the barrier
+    volatility measure, and for the stdev measure the prox of
+    -excess'x + xi sqrt(x'cov x), in closed form up to one scalar root.
+    With cov = V diag(l) V' (decomposed once) and w = V'(phi v + excess),
+    the prox at v is V z, z_k = w_k s / (phi s + xi l_k) where l_k > 0 and
+    z_k = w_k / phi where l_k = 0.  s = sqrt(x'cov x) is the root of
+    sum_{l_k > 0} l_k w_k^2 / (phi s + xi l_k)^2 = 1 (the trust-region
+    secular equation of More & Sorensen 1983), or 0 when that sum is at
+    most 1 at s = 0.  The y-update is the closed-form prox of the barrier
     -lam sum_i b_i ln y_i.  The penalty stays at phi, and the solve stops
     once the primal residual ||x - y|| and the dual residual
     phi ||y - y_prev|| are both at most tol.
+
+    Raises OutOfDomain with ``last`` = y once y's Sharpe ratio
+    excess'y / sqrt(y'cov y) reaches xi: the objective then falls
+    without bound along t y, as in ccd_rb_stdev.
     """
     n = universe.n
     cov = universe.cov
@@ -666,37 +696,23 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
         x_update = lambda y, u, phi: quad.solve(phi * (y - u), phi)
     else:
         excess, xi = _excess_and_scale(universe, measure)
-        variances = np.diag(cov)
-        _check_stdev_scale(excess, xi, variances)
-        rows = list(cov)
-        var = variances.tolist()
-        ex = excess.tolist()
-        state = {"x": np.full(n, 1.0 / n)}
+        _check_stdev_scale(excess, xi, np.diag(cov))
+        eig, vecs = np.linalg.eigh(cov)
+        pos = eig > 1e-12 * eig[-1]  # below this, eigh's rounding decides the sign
+        eig = eig[pos]
+        inv_xi_eig = 1.0 / (xi * eig)
 
         def x_update(y, u, phi):
-            v = (y - u).tolist()
-            xx = np.maximum(state["x"], 1e-12)
-            for _ in range(200):
-                # cov x and x'cov x run through the sweep as in ccd_rb_stdev,
-                # recomputed exactly once a sweep
-                cov_x = cov @ xx
-                quad = float(xx @ cov_x)
-                delta = 0.0
-                for i in range(n):
-                    vol = math.sqrt(max(quad, 1e-300))
-                    x_i = xx.item(i)
-                    cov_x_i = cov_x.item(i)
-                    new = (ex[i] * vol + phi * vol * v[i] - xi * (cov_x_i - var[i] * x_i)) / \
-                          (xi * var[i] + phi * vol)
-                    d = new - x_i
-                    delta = max(delta, abs(d))
-                    xx[i] = new
-                    cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
-                    quad += d * (2.0 * cov_x_i + d * var[i])
-                if delta <= 1e-12:
-                    break
-            state["x"] = xx
-            return xx
+            if float(excess @ y) >= xi * float(y @ cov @ y) ** 0.5:
+                raise OutOfDomain(f"risk-budgeting ADMM: the iterate's Sharpe ratio "
+                                  f"reached the stdev scale {xi:.6g}; the objective is "
+                                  "unbounded below", last=y.copy())
+            w = vecs.T @ (phi * (y - u) + excess)
+            w_pos = w[pos]
+            s = _secular_root(w_pos * w_pos * inv_xi_eig / xi, phi * inv_xi_eig)
+            z = w / phi
+            z[pos] = w_pos * s / (phi * s + xi * eig)
+            return vecs @ z
 
     def y_prox(phi):
         return lambda v: 0.5 * (v + np.sqrt(v * v + 4.0 * lam / phi * budgets))
@@ -848,10 +864,8 @@ def _volatility_ball_projection(cov, radius):
 
     Returns the projection as a function of v.  With cov = V diag(lam) V'
     and w = V'v, the projection of an outside v is V (w / (1 + theta lam))
-    at the root theta of g(theta) = sum_i lam_i w_i^2 / (1 + theta lam_i)^2
-    - radius^2.  g is convex and decreasing, so Newton from theta = 0
-    climbs to the root without overshooting and needs no bracket.  cov is
-    decomposed once, here.
+    at the root theta of sum_i lam_i w_i^2 / (1 + theta lam_i)^2 = radius^2,
+    found by ``_secular_root``.  cov is decomposed once, here.
     """
     lam, vecs = np.linalg.eigh(cov)
     lam = np.maximum(lam, 0.0)
@@ -862,14 +876,7 @@ def _volatility_ball_projection(cov, radius):
         lw2 = lam * w * w
         if float(np.sum(lw2)) <= r2:
             return v.copy()
-        theta = 0.0
-        for _ in range(200):
-            d = 1.0 + theta * lam
-            step = (float(np.sum(lw2 / d**2)) - r2) / (2.0 * float(np.sum(lam * lw2 / d**3)))
-            theta += step
-            if step <= 1e-15 * theta:
-                break
-        return vecs @ (w / (1.0 + theta * lam))
+        return vecs @ (w / (1.0 + _secular_root(lw2 / r2, lam) * lam))
 
     return project_onto
 
@@ -935,31 +942,12 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     return w
 
 
-def _most_negative_eigenvalue(m, iters=500, seed=7):
-    """Power iteration on -M; returns min(lambda_min(M), 0.0) estimate."""
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    shift = float(np.max(np.abs(m))) * n  # make -M + shift I positive
-    lam = 0.0
-    for _ in range(iters):
-        w = -(m @ v) + shift * v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        v = w / nrm
-        lam = float(v @ (-(m @ v)))
-    # lam estimates the largest eigenvalue of -M, i.e. -lambda_min(M)
-    return min(-lam, 0.0)
-
-
 def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
     """Stationary point of 0.5 w'Dw on the long-only budget set.
 
     D is a nonnegative symmetric dissimilarity with zero diagonal and is
-    generally indefinite, so the splitting penalty is floored at
-    1.1 |lambda_min(D)| (power-iteration estimate) and inflated until the
+    generally indefinite (its trace is zero), so the splitting penalty is
+    floored at 1.1 |lambda_min(D)| + 1e-6 and inflated until the
     iteration settles; a deterministic asymmetric start breaks the
     symmetry ties of the saddle at equal weights.
     """
@@ -976,7 +964,7 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
     if not np.any(d):
         return _gate(np.full(n, 1.0 / n))
 
-    floor = 1.1 * abs(_most_negative_eigenvalue(d)) + 1e-6
+    floor = 1.1 * abs(float(np.linalg.eigvalsh(d)[0])) + 1e-6
     start = np.full(n, 1.0 / n) * (1.0 + 1e-3 * np.arange(n, 0, -1) / n)
     start /= start.sum()
     last_error = None
@@ -1047,6 +1035,8 @@ def _soft_pull(weight, scale, anchor):
 
 def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     n = universe.n
+    if formulation not in ("admm_qp", "admm_ccd"):
+        raise ValueError(f"unknown formulation {formulation!r}")
     q, r = _robo_quadratic(universe, cfg)
     lower = np.broadcast_to(np.asarray(cfg.lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(cfg.upper, dtype=float), (n,))
@@ -1056,6 +1046,13 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     if cfg.linear_sets:
         c_rows = np.vstack([as_vector(s.c) for s in cfg.linear_sets])
         d_vals = np.array([float(s.d) for s in cfg.linear_sets])
+    ones = np.ones(n)
+    x0 = ones / n
+    try:
+        project_general_linear(ones[None, :], np.ones(1), c_rows, d_vals, lower, upper, x0)
+    except (EmptySetSuspected, MaxCyclesExceeded) as exc:
+        raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
+                                  last=exc.last) from exc
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
                                       eps=1e-9, eps_prime=1e-9, max_iter=50000)
     budgets = None
@@ -1067,32 +1064,19 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
               for weight, shape, anchor in pulls if weight > 0]
     blocks += [_projection(s) for s in cfg.nonlinear_sets]
-    x0 = np.full(n, 1.0 / n)
+    sets = [*cfg.linear_sets, Box(lower, upper)]
+    quad = PenaltyFactor(q)
 
     if formulation == "admm_qp":
-        inner_cfg = default_qp_config()
-        inner_cfg.eps = inner_cfg.eps_prime = 1e-12
-
         def x_prox(v, rho):
-            problem = QpProblem(q=q + rho * np.eye(n), r=r + rho * v,
-                                a=np.ones((1, n)), b=np.ones(1),
-                                c=c_rows, d=d_vals, lower=lower, upper=upper)
-            return qp_solve(problem, cfg=inner_cfg)
+            return quad.solve_on_plane(r + rho * v, rho, ones, 1.0)
 
+        blocks += [_projection(s) for s in sets]
         if budgets is not None:
             blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi,
                                                                  budgets))
-        blocks = blocks or [lambda phi: lambda t: t]
-
-    elif formulation == "admm_ccd":
-        try:
-            project_general_linear(np.ones((1, n)), np.ones(1), c_rows, d_vals,
-                                   lower, upper, x0)
-        except (EmptySetSuspected, MaxCyclesExceeded) as exc:
-            raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
-                                      last=exc.last) from exc
+    else:
         state = {"x": x0}
-        quad = PenaltyFactor(q)
 
         def x_prox(v, rho):
             rhs = r + rho * v
@@ -1104,11 +1088,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
                 state["x"] = quad.solve(rhs, rho)
             return state["x"]
 
-        sets = [Hyperplane(np.ones(n), 1.0), *cfg.linear_sets, Box(lower, upper)]
-        blocks += [_projection(s) for s in sets]
-
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+        blocks += [_projection(s) for s in (Hyperplane(ones, 1.0), *sets)]
 
     x, _, report = admm_solve(consensus_problem(x_prox, blocks, n), x0,
                               np.tile(x0, len(blocks)), admm_cfg)

@@ -343,6 +343,28 @@ class TestRbStdevRunningProducts:
         assert np.all(last > 0)
         assert mu @ last >= xi * np.sqrt(last @ cov @ last)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_admm_engine_certifies_portfolio_sharpe_above_scale(self, seed):
+        # the risk-budgeting ADMM checks the same certificate on its y
+        # iterate, so it stops instead of running to its iteration cap
+        from proxalloc.portfolios import AssetUniverse, StdevRisk, risk_budgeting
+
+        mu, cov = factor_cov(np.random.default_rng(seed), 50)
+        sigma = np.sqrt(np.diag(cov))
+        rho = cov / np.outer(sigma, sigma)
+        rho = 0.5 * (rho + rho.T)
+        np.fill_diagonal(rho, 1.0)
+        universe = AssetUniverse(names=[f"a{i}" for i in range(50)], mu=mu,
+                                 sigma=sigma, rho=rho)
+        best_single = float(np.max(mu / sigma))
+        xi = 0.5 * (best_single + long_only_max_sharpe(mu, universe.cov))
+        with pytest.raises(OutOfDomain) as info:
+            risk_budgeting(universe, np.ones(50), StdevRisk(xi), engine="admm",
+                           max_iter=5000)
+        last = info.value.last
+        assert np.all(last > 0)
+        assert mu @ last >= xi * np.sqrt(last @ universe.cov @ last)
+
     def test_indefinite_cov_raises_typed_error(self):
         # x'cov x < 0 has no volatility; the sweep reports it, not math.sqrt
         cov = np.array([[1.0, -2.0], [-2.0, 1.0]])

@@ -148,5 +148,20 @@ class TestReproduceCommand:
             main(["allocate", "--input", inp, "--seed", "1"])
         assert exit_info.value.code == EXIT_INPUT
 
+    def test_solver_options_only_on_qp(self, tmp_path):
+        # --tol/--phi/--max-iter reach the QP solver only; elsewhere they
+        # are rejected rather than silently ignored
+        inp = write_payload(tmp_path, {"model": "erc", "set": 1})
+        for argv in (["allocate", "--input", inp, "--tol", "1e-6"],
+                     ["prox", "--input", inp, "--phi", "2"],
+                     ["project", "--input", inp, "--max-iter", "10"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == EXIT_INPUT
+        qp = write_payload(tmp_path, {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [0.0, 0.0],
+                                      "A": [[1.0, 1.0]], "B": [1.0]}, name="qp.json")
+        assert main(["qp", "--input", qp, "--tol", "1e-9", "--phi", "2",
+                     "--max-iter", "1000"]) == EXIT_OK
+
     def test_missing_file_is_input_error(self):
         assert main(["prox", "--input", "/nonexistent/file.json"]) == EXIT_INPUT

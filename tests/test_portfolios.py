@@ -431,6 +431,23 @@ class TestRiskBudgeting:
         w_admm = risk_budgeting(u, EW8, measure=measure, engine="admm")
         assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-5
 
+    def test_stdev_engines_agree_on_a_singular_covariance(self):
+        # a duplicated asset (correlation 1 with asset 0) makes cov singular;
+        # the ADMM prox works in cov's eigenbasis and never inverts it
+        u = tilted_universe()
+        rho = np.ones((9, 9))
+        rho[:8, :8] = u.rho
+        rho[8, :8] = rho[:8, 8] = u.rho[0]
+        dup = AssetUniverse(names=[*u.names, "copy"], mu=np.append(u.mu, u.mu[0]),
+                            sigma=np.append(u.sigma, u.sigma[0]), rho=rho)
+        assert np.linalg.eigvalsh(dup.cov)[0] <= 1e-15
+        budgets = np.linspace(1.0, 2.0, 9)
+        measure = StdevRisk(scale=2.0, rate=0.0)
+        w_ccd = risk_budgeting(dup, budgets, measure=measure, engine="ccd",
+                               cfg=CdConfig(tol=1e-12))
+        w_admm = risk_budgeting(dup, budgets, measure=measure, engine="admm")
+        assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-6
+
     def test_stdev_scale_below_best_sharpe_raises_typed_error(self):
         # with the scale below the best single-asset Sharpe ratio the
         # objective is unbounded below; both engines refuse it before
@@ -680,11 +697,12 @@ class TestFailFastBeforeAdmm:
     def test_robo_ccd_disjoint_linear_sets(self):
         from proxalloc.prox import Halfspace
 
-        cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)],
-                         formulation="admm_ccd")
-        with pytest.raises(InfeasibleSuspected) as err:
-            robo_advisor(SET1.universe, cfg)
-        assert err.value.last is not None
+        for formulation in ("admm_qp", "admm_ccd"):
+            cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)],
+                             formulation=formulation)
+            with pytest.raises(InfeasibleSuspected) as err:
+                robo_advisor(SET1.universe, cfg)
+            assert err.value.last is not None
 
 
 class TestRqePortfolio:
@@ -758,6 +776,24 @@ class TestRoboAdvisor:
         robo_advisor(u, cfg)
         assert reports[0].iterations >= 20
         assert 1 <= len(factorizations) <= reports[0].iterations // 10
+
+    def test_qp_split_runs_no_nested_qp(self, monkeypatch):
+        from proxalloc import portfolios
+        from proxalloc.prox import Halfspace, LpBall
+
+        def fail(*args, **kwargs):
+            raise AssertionError("qp_solve called")
+
+        monkeypatch.setattr(portfolios, "qp_solve", fail)
+        pair = np.zeros(8)
+        pair[[0, 1]] = 1.0
+        cfg = RoboConfig(current=EW8, reference=EW8, gamma=0.05, l1_current=0.005,
+                         l2_reference=0.1, barrier=0.01, risk_budgets=EW8,
+                         linear_sets=[Halfspace(pair, 0.25)],
+                         nonlinear_sets=[LpBall(2, EW8, 0.1)], formulation="both")
+        w = robo_advisor(SET1.universe, cfg)  # "both" asserts <= 1e-3 internally
+        assert pair @ w.w <= 0.25 + 1e-7
+        assert np.linalg.norm(w.w - EW8) <= 0.1 + 1e-7
 
     def test_dominant_l1_freezes_current(self):
         u = SET1.universe
