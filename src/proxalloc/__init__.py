@@ -66,7 +66,7 @@ from .prox import (
     soft_threshold_two_sided,
     truncate,
 )
-from .qp import QpProblem, canonicalize, qp_dual, qp_solve
+from .qp import QpProblem, canonicalize, linear_projection, qp_dual, qp_solve
 from .reports import SolverReport
 
 __version__ = "0.1.0"

@@ -1,16 +1,19 @@
-"""Scaled-dual ADMM for problems split as f_x(x) + f_y(y), A x = y.
+"""Scaled-dual ADMM for problems split as f_x(x) + f_y(y), K x = y.
 
 The x-update is whatever subproblem solver the caller supplies (closed
 form for quadratics, CCD for quadratics with barriers, a Newton solve, ...);
-the y-update is a prox evaluated at v_y = A x + u.  A sum of several
+the y-update is a prox evaluated at v_y = K x + u.  A sum of several
 y-terms is split by ``consensus_problem``, one copy y_j = x per term, so
-each y-update stays a closed-form prox.  The scaled dual
+each y-update stays a closed-form prox; the QP bridge stacks its
+constraint rows in K and clips y into their bounds.  The scaled dual
 u accumulates the primal residual.  An optional adaptive scheme keeps the
 primal and dual residual norms within a factor mu of each other by
 inflating or deflating the penalty, rescaling u so the unscaled dual
 phi*u is preserved across penalty changes.  Every quadratic x-update
 solves through linalg.PenaltyFactor, which factors Q + phi I once per
-penalty value.
+penalty value.  Two optional hooks let a split end early: one certifies
+from the change of the dual that the problem is infeasible, the other
+polishes the iterate into an exact answer.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import PenaltyFactor, as_vector
-from .reports import CONVERGED, DIVERGED, MAX_ITER, SolverReport
+from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
+
+CERTIFY_EVERY = 10  # iterations between infeasibility checks
+POLISH_FIRST = 10  # iterations before the first polish; then at every doubling
 
 
 @dataclass
@@ -42,20 +48,29 @@ class AdmmConfig:
 
 @dataclass
 class AdmmProblem:
-    """One splitting: x-subproblem solver, y-prox builder, coupling A.
+    """One splitting: x-subproblem solver, y-prox builder, coupling K.
 
     ``x_update(y, u, phi)`` returns the x-minimizer of
-    f_x(x) + phi/2 ||A x - y + u||^2.  ``y_prox(phi)`` returns the
-    prox of f_y / phi (projections may ignore phi).  A stacks ``copies``
-    identity matrices, so y holds that many copies of x; 1 is the split
-    x = y.  A is applied by concatenation and A' by a sum over the
-    copies, never as a dense matrix.  ``objective(x, y)`` is only used
-    for reporting.
+    f_x(x) + phi/2 ||K x - y + u||^2.  ``y_prox(phi)`` returns the
+    prox of f_y / phi (projections may ignore phi).  K is given as the
+    pair ``apply`` (x -> K x) and ``adjoint`` (v -> K'v), never as a
+    dense matrix the loop reads; both None is the split x = y.
+    ``infeasible(r)``, when given, is asked every CERTIFY_EVERY
+    iterations whether the last change of the scaled dual, r = K x - y,
+    certifies that no K x lies in the domain of f_y; the solve then stops
+    with status "infeasible".  ``polish(x, y, dual)``, when given, runs
+    at iteration POLISH_FIRST, at every doubling of the count after it
+    and on convergence, with the unscaled dual phi u; a point it returns
+    ends the solve as converged, in place of x, with report.polished set.
+    ``objective(x, y)`` is only used for reporting.
     """
 
     x_update: Callable
     y_prox: Callable
-    copies: int = 1
+    apply: Optional[Callable] = None
+    adjoint: Optional[Callable] = None
+    infeasible: Optional[Callable] = None
+    polish: Optional[Callable] = None
     objective: Optional[Callable] = None
 
 
@@ -82,8 +97,8 @@ def consensus_problem(x_prox, blocks, n):
 
     ``x_prox(v, rho)`` returns argmin f(x) + rho/2 ||x - v||^2 and each
     entry of ``blocks`` is a y-prox builder for one g_j, as in
-    AdmmProblem.y_prox.  Block j gets its own copy y_j = x (``copies`` =
-    m), the y-update applies each block's prox to its copy, and the
+    AdmmProblem.y_prox.  Block j gets its own copy y_j = x (K stacks m
+    identities), the y-update applies each block's prox to its copy, and the
     x-update calls x_prox at the mean of the y_j - u_j with penalty m phi
     (Boyd et al. 2011, sec. 7.1).  One block gives the plain split x = y.
     """
@@ -97,7 +112,8 @@ def consensus_problem(x_prox, blocks, n):
 
     return AdmmProblem(
         x_update=lambda y, u, phi: x_prox((y - u).reshape(m, n).mean(axis=0), m * phi),
-        y_prox=y_prox, copies=m)
+        y_prox=y_prox, apply=lambda x: np.concatenate((x,) * m),
+        adjoint=lambda v: v.reshape(m, -1).sum(axis=0))
 
 
 def admm_solve(problem, x0, y0, cfg=None):
@@ -108,27 +124,29 @@ def admm_solve(problem, x0, y0, cfg=None):
     callers can inspect how far the solve got.
     """
     cfg = cfg or AdmmConfig()
-    m = problem.copies
+    apply, adjoint = problem.apply, problem.adjoint
+    infeasible, polish = problem.infeasible, problem.polish
     x = as_vector(x0).copy()
     y = as_vector(y0).copy()
     u = np.zeros(y.size)
     phi = cfg.phi0
     prox = problem.y_prox(phi)
     report = SolverReport(status=MAX_ITER)
+    next_polish = POLISH_FIRST
 
     for iteration in range(1, cfg.max_iter + 1):
         x = problem.x_update(y, u, phi)
-        ax = x if m == 1 else np.concatenate((x,) * m)
-        v_y = ax + u
+        kx = x if apply is None else apply(x)
+        v_y = kx + u
         if not np.all(np.isfinite(v_y)):
             # count only completed iterations so traces stay aligned
             report.status = DIVERGED
             report.iterations = iteration - 1
             return x, y, report
         y_new = prox(v_y)
-        r = ax - y_new
+        r = kx - y_new
         dy = y_new - y
-        s = phi * (dy if m == 1 else dy.reshape(m, -1).sum(axis=0))
+        s = phi * (dy if adjoint is None else adjoint(dy))
         y = y_new
         u = u + r
 
@@ -142,8 +160,19 @@ def admm_solve(problem, x0, y0, cfg=None):
             return x, y, report
         if problem.objective is not None:
             report.objective_trace.append(float(problem.objective(x, y)))
-        if r_norm <= cfg.eps and s_norm <= cfg.eps_prime:
+        converged = r_norm <= cfg.eps and s_norm <= cfg.eps_prime
+        if polish is not None and (converged or iteration == next_polish):
+            next_polish *= 2
+            finished = polish(x, y, phi * u)
+            if finished is not None:
+                report.status = CONVERGED
+                report.polished = True
+                return finished, y, report
+        if converged:
             report.status = CONVERGED
+            return x, y, report
+        if infeasible is not None and iteration % CERTIFY_EVERY == 0 and infeasible(r):
+            report.status = INFEASIBLE
             return x, y, report
 
         if cfg.adaptive:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from .errors import (
     DimensionMismatch,
@@ -90,17 +91,23 @@ def cholesky_lower(m):
 class SpdFactor:
     """Cholesky factorization reused across right-hand sides.
 
-    The splitting engines keep one per penalty value in a PenaltyFactor,
-    which refactors only when the penalty changes.
+    The factor is stored once in Fortran order, so a 1-d solve is two
+    BLAS triangular solves (dtrsv) with no wrapper checks or copies; 2-d
+    right-hand sides go through solve_triangular.  The splitting engines
+    keep one per penalty value in a PenaltyFactor, which refactors only
+    when the penalty changes.
     """
 
     def __init__(self, m):
-        self.lower = cholesky_lower(m)
+        self.lower = np.asfortranarray(cholesky_lower(m))
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         # finite checks are skipped so solver loops can detect divergence
         # from the residuals instead of dying inside a triangular solve
+        if b.ndim == 1:
+            y = dtrsv(self.lower, b, lower=1)
+            return dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
         y = solve_triangular(self.lower, b, lower=True, check_finite=False)
         return solve_triangular(self.lower.T, y, lower=False, check_finite=False)
 
@@ -111,7 +118,7 @@ class PenaltyFactor:
     The ADMM x-updates solve against the same Q under a penalty that
     changes only now and then (Boyd et al. 2011, sec. 4.2), so the
     factors of the last four penalty values are kept.  A 1-d ``q`` means
-    diag(q) and is solved elementwise.
+    diag(q) and is solved elementwise, so no n x n matrix is built.
     """
 
     def __init__(self, q):
@@ -119,13 +126,15 @@ class PenaltyFactor:
         self.diagonal = self.q.ndim == 1
         self._factors = {}
         self._planes = {}
+        self._rows = {}
 
     def matvec(self, x):
         return self.q * x if self.diagonal else self.q @ x
 
     def solve(self, rhs, phi=0.0):
         if self.diagonal:
-            return rhs / (self.q + phi)
+            d = self.q + phi
+            return rhs / (d if np.ndim(rhs) == 1 else d[:, None])
         factor = self._factors.get(phi)
         if factor is None:
             factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]))
@@ -148,6 +157,25 @@ class PenaltyFactor:
         _, k_a, a_k_a = plane
         nu = (b - a @ base) / a_k_a
         return base + nu * k_a
+
+    def solve_with_rows(self, rhs, phi, rows):
+        """(Q + phi (I + K'K))^-1 rhs for a short dense block of rows K (m x n).
+
+        Woodbury on the (Q + phi I) factor: with W = (Q + phi I)^-1 K' and
+        the m x m capacitance S = I / phi + K W, the solution is
+        base - W S^-1 K base for base = (Q + phi I)^-1 rhs.  W and the
+        factor of S are kept per penalty value for the rows last passed,
+        so a diagonal Q costs O(nm) a solve and never an n x n matrix.
+        """
+        base = self.solve(rhs, phi)
+        cached = self._rows.get(phi)
+        if cached is None or cached[0] is not rows:
+            w = self.solve(rows.T, phi)
+            s = np.eye(rows.shape[0]) / phi + rows @ w
+            capacitance = SpdFactor(0.5 * (s + s.T))
+            cached = self._rows[phi] = (rows, w, capacitance)
+        _, w, capacitance = cached
+        return base - w @ capacitance.solve(rows @ base)
 
 
 def solve_spd(m, b):

@@ -22,14 +22,12 @@ import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
-from .dykstra import DykstraConfig, project_box_ball, project_general_linear
+from .dykstra import DykstraConfig, project_box_ball
 from .errors import (
-    EmptySetSuspected,
     FormulationDisagreement,
     IndefiniteUnhandled,
     InfeasibleSuspected,
     InfeasibleTargets,
-    MaxCyclesExceeded,
     MaxIterExceeded,
     OutOfDomain,
     TargetUnreachable,
@@ -48,7 +46,7 @@ from .prox import (
     prox_log_barrier,
     soft_threshold,
 )
-from .qp import QpProblem, qp_solve
+from .qp import QpProblem, linear_projection, qp_solve
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +329,14 @@ def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
 
 def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
                upper=None, ineq=None, gamma_max=1e6, tol=1e-8):
-    """Hit a return or volatility target by bisecting the trade-off weight.
+    """The frontier portfolio at a return or volatility target.
 
-    Both achieved return and achieved volatility increase with gamma, so
-    the right gamma is found by bisection; a target outside the reachable
-    band raises TargetUnreachable.
+    A return target above the minimum-variance return is one QP, the
+    minimum variance under the extra row -mu'x <= -target_return; a target
+    the constraints cannot reach is certified infeasible by the QP bridge.
+    A volatility target bisects the trade-off weight gamma, since the
+    achieved volatility increases with it.  A target outside the
+    reachable band raises TargetUnreachable.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
@@ -351,6 +352,15 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         if target < low_val - 1e-6:
             raise TargetUnreachable(f"target {target} below the minimum {low_val:.6g}")
         return mvo_gamma(universe, 0.0, lower, upper, ineq)
+    if target_return is not None:
+        c, d = ineq if ineq is not None else (np.zeros((0, universe.n)), np.zeros(0))
+        try:
+            w = _solve_budget_qp(universe.cov, np.zeros(universe.n), lower, upper,
+                                 np.vstack([c, -universe.mu]),
+                                 np.append(d, -float(target_return)))
+        except InfeasibleSuspected as exc:
+            raise TargetUnreachable(f"target {target} above the reachable return") from exc
+        return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
     hi = 1.0
     hi_val = achieved(hi)
     while hi_val < target and hi < gamma_max:
@@ -1049,8 +1059,8 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     ones = np.ones(n)
     x0 = ones / n
     try:
-        project_general_linear(ones[None, :], np.ones(1), c_rows, d_vals, lower, upper, x0)
-    except (EmptySetSuspected, MaxCyclesExceeded) as exc:
+        linear_projection(ones[None, :], np.ones(1), c_rows, d_vals, lower, upper, x0)
+    except InfeasibleSuspected as exc:
         raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
                                   last=exc.last) from exc
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),

@@ -1,13 +1,30 @@
-"""General quadratic programming assembled from ADMM and Dykstra.
+"""General quadratic programming on one clipped ADMM split.
 
 min 0.5 x'Qx - x'R  s.t.  A x = B, C x <= D, lower <= x <= upper
 
 Unconstrained and equality-only problems are solved in closed form.
-Everything else runs ADMM on the split f_x = quadratic (+ the budget
-hyperplane when A is a single row, which keeps the x-update closed form)
-and f_y = indicator of the remaining constraints, whose projection is
-delegated to Dykstra.  The same solver doubles as the numeric oracle the
-other engines are cross-checked against.
+Everything else runs ADMM on the single split K x = z, l <= z <= u, of
+OSQP (Stellato et al. 2020, arXiv 1711.08013), with every constraint row
+stacked in K = [w A; C; I]:
+
+* the y-update clips z into [l, u];
+* the x-update solves against Q + phi (I + K_d'K_d), K_d = [w A; C] the
+  dense rows, through the penalty factor of Q plus an m x m capacitance
+  factor (linalg.PenaltyFactor.solve_with_rows);
+* every dense row is scaled to unit norm, so one badly scaled row (a
+  financing row with prohibitive costs) does not stall the split, and
+  the equality rows then carry w = sqrt(1000), which weighs them as
+  OSQP's thousandfold equality penalty does.
+
+After 10 iterations, at every doubling of the count and on convergence
+the active set is guessed from z and the dual, and the point is
+polished: an equality QP on the free coordinates, kept only if it is
+feasible and its multipliers have the right signs, which ends the solve.
+An empty feasible set is certified from the change of the dual (Banjac,
+Goulart, Stellato & Boyd 2019), and every answer is checked by
+``stationarity_residual``, which the report keeps.  The same solver
+doubles as the numeric oracle the other engines are cross-checked
+against.
 
 Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
@@ -23,11 +40,20 @@ from .dykstra import DykstraConfig, project_general_linear
 from .errors import (
     EmptySetSuspected,
     InfeasibleSuspected,
+    InvertedBounds,
+    MaxCyclesExceeded,
     MaxIterExceeded,
     NotPositiveDefinite,
 )
-from .linalg import PenaltyFactor, as_vector
-from .reports import DIVERGED, SolverReport
+from .linalg import PenaltyFactor, as_vector, cholesky_lower
+from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
+
+EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = B
+POLISH_TOL = 1e-9  # feasibility and multiplier-sign slack of a polished point
+POLISH_ROUNDS = 4  # equality solves a polish may spend on violated rows
+INFEASIBLE_EPS = 1e-6  # relative tolerance of the infeasibility certificate
+# the stationarity check of an answer: default tolerance, at most 1000 cycles
+CERTIFICATE_CFG = DykstraConfig(max_cycles=1000)
 
 
 @dataclass
@@ -93,17 +119,171 @@ def canonicalize(problem):
     return np.vstack(s_rows), np.concatenate(t_rows)
 
 
-def _solve_equality_qp(quad, r, a, b):
-    """Closed form for min 0.5 x'Qx - x'R s.t. A x = B via the dual Schur system."""
-    qinv_r = quad.solve(r)
-    qinv_at = np.column_stack([quad.solve(a[i]) for i in range(a.shape[0])])
-    schur = a @ qinv_at
-    nu = np.linalg.solve(schur, b - a @ qinv_r)
-    return qinv_r + qinv_at @ nu
+def _solve_equality_qp(q, r, a, b):
+    """min 0.5 x'Qx - x'R s.t. A x = B for positive-definite Q.
+
+    Returns (x, nu) with Q x = R + A'nu.  A diagonal Q goes through the
+    Schur complement A Q^-1 A'; a dense one through the KKT system, which
+    stays accurate where Q has near-zero ridges (the trade blocks of
+    mvo_costs) and the Schur route cancels.  Raises NotPositiveDefinite
+    or LinAlgError when Q or the system is singular.
+    """
+    if q.ndim == 1:
+        if np.any(q <= 0):
+            raise NotPositiveDefinite("diagonal entry at or below zero")
+        nu = np.linalg.solve(a @ (a.T / q[:, None]), b - a @ (r / q))
+        return (r + a.T @ nu) / q, nu
+    cholesky_lower(q)  # positive definite, so the stationary point is the minimum
+    k = a.shape[0]
+    kkt = np.block([[q, -a.T], [a, np.zeros((k, k))]])
+    sol = np.linalg.solve(kkt, np.concatenate([r, b]))
+    return sol[:r.size], sol[r.size:]
+
+
+def _row_norms(rows):
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if np.any(norms == 0):
+        raise ValueError("zero constraint row")
+    return norms
+
+
+def _bound(value, fill, n):
+    return np.full(n, fill) if value is None else np.broadcast_to(
+        np.asarray(value, dtype=float), (n,))
+
+
+class _ClippedSplit:
+    """The rows K = [K_d; I] of the split K x = z and their bounds [l, u].
+
+    K_d holds the rows of A, scaled to norm EQUALITY_WEIGHT, then the rows
+    of C, scaled to unit norm; l = u on the equality rows.
+    """
+
+    def __init__(self, problem):
+        n = problem.n
+        rows, lo, hi = [], [], []
+        if problem.a is not None:
+            w = EQUALITY_WEIGHT / _row_norms(problem.a)
+            rows.append(w[:, None] * problem.a)
+            lo.append(w * problem.b)
+            hi.append(w * problem.b)
+        if problem.c is not None:
+            w = 1.0 / _row_norms(problem.c)
+            rows.append(w[:, None] * problem.c)
+            lo.append(np.full(problem.d.size, -np.inf))
+            hi.append(w * problem.d)
+        lo.append(_bound(problem.lower, -np.inf, n))
+        hi.append(_bound(problem.upper, np.inf, n))
+        self.lo = np.concatenate(lo)
+        self.hi = np.concatenate(hi)
+        if np.any(self.lo > self.hi):
+            raise InvertedBounds("lower bound exceeds upper bound")
+        self.rows = np.vstack(rows) if rows else np.zeros((0, n))
+        self.m = self.rows.shape[0]
+
+    def apply(self, x):
+        return np.concatenate((self.rows @ x, x))
+
+    def adjoint(self, v):
+        return self.rows.T @ v[:self.m] + v[self.m:]
+
+    def clip(self, v):
+        return np.minimum(np.maximum(v, self.lo), self.hi)
+
+    def infeasible(self, dz):
+        """Banjac et al.'s primal certificate: K'dz ~ 0 with support below 0.
+
+        dz is the last change of the scaled dual; a direction with K'dz = 0
+        and u'max(dz, 0) + l'min(dz, 0) < 0 separates range(K) from [l, u].
+        """
+        size = float(np.max(np.abs(dz)))
+        if size == 0.0 or np.max(np.abs(self.adjoint(dz))) > INFEASIBLE_EPS * size:
+            return False
+        up, down = dz > INFEASIBLE_EPS * size, dz < -INFEASIBLE_EPS * size
+        if np.any(np.isinf(self.hi[up])) or np.any(np.isinf(self.lo[down])):
+            return False
+        support = float(self.hi[up] @ dz[up] + self.lo[down] @ dz[down])
+        return support < -INFEASIBLE_EPS * size
+
+
+def _polish(problem, split, z, dual):
+    """The exact optimum on the active set guessed from z and the dual, or None.
+
+    A row of K is taken as active at its lower bound when z - l < -dual
+    and at its upper bound when u - z < dual (OSQP's guess); equality rows
+    always are.  Active box rows fix their coordinates, active dense rows
+    become equalities, and the equality QP on the free coordinates is
+    solved by _solve_equality_qp.  Rows the solution violates join the
+    active set and the solve repeats, at most POLISH_ROUNDS times, which
+    settles the ties of a nearly flat objective.  The point is kept only
+    if every row holds to POLISH_TOL and every inequality multiplier has
+    the sign the KKT conditions need.
+    """
+    m, lo, hi = split.m, split.lo, split.hi
+    equal = lo == hi
+    at_lo = (z - lo < -dual) | equal
+    at_hi = (hi - z < dual) & ~at_lo
+    for _ in range(POLISH_ROUNDS):
+        point = _active_set_point(problem, split, at_lo, at_hi)
+        if point is None:
+            return None
+        x, nu, grad, tol = point
+        kx = split.apply(x)
+        slack = POLISH_TOL * (1.0 + np.abs(kx))
+        below, above = kx < lo - slack, kx > hi + slack
+        if not (np.any(below) or np.any(above)):
+            # only C rows sit at an upper bound; the multipliers of A's rows
+            # take either sign
+            capped = at_hi[:m][(at_lo | at_hi)[:m]]
+            signed = (np.all(nu[capped] <= tol) and np.all(grad[at_lo[m:] & ~equal[m:]] >= -tol)
+                      and np.all(grad[at_hi[m:]] <= tol))
+            return x if signed else None
+        at_lo |= below
+        at_hi = (at_hi | above) & ~at_lo
+    return None
+
+
+def _active_set_point(problem, split, at_lo, at_hi):
+    """Solve the equality QP of one active set.
+
+    Returns (x, nu, grad, tol): the point, the multipliers of the active
+    dense rows (Q x - R = K_act'nu on the free coordinates), the reduced
+    gradient Q x - R - K_act'nu whose sign the fixed coordinates check,
+    and the multiplier-sign slack; None when the QP is singular.
+    """
+    m, lo, hi = split.m, split.lo, split.hi
+    fix_lo, fix_hi = at_lo[m:], at_hi[m:]
+    free = ~(fix_lo | fix_hi)
+    if not np.any(free):
+        return None  # a vertex of the box leaves the multipliers to ADMM
+    x = np.where(fix_lo, lo[m:], np.where(fix_hi, hi[m:], 0.0))
+    active = (at_lo | at_hi)[:m]
+    rows = split.rows[active]
+    target = np.where(at_lo, lo, hi)[:m][active]
+    q, r = problem.q, problem.r
+    if q.ndim == 1:
+        q_free, r_free = q[free], r[free]
+    else:
+        q_free = q[np.ix_(free, free)]
+        r_free = r[free] - q[np.ix_(free, ~free)] @ x[~free]
+    try:
+        x[free], nu = _solve_equality_qp(q_free, r_free, rows[:, free],
+                                         target - rows[:, ~free] @ x[~free])
+    except (NotPositiveDefinite, np.linalg.LinAlgError):
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    qx = PenaltyFactor(q).matvec(x)
+    tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
+    return x, nu, qx - r - rows.T @ nu, tol
 
 
 def default_qp_config(problem=None):
-    """ADMM settings tuned for the QP bridge: phi0 = mean diagonal of Q."""
+    """ADMM settings for the QP bridge: phi0 = mean diagonal of Q.
+
+    eps and eps_prime stop the solves whose every polish is rejected
+    (a singular or indefinite reduced Q, a degenerate vertex).
+    """
     phi0 = 1.0
     if problem is not None:
         q = problem.q
@@ -111,74 +291,84 @@ def default_qp_config(problem=None):
     return AdmmConfig(phi0=phi0, eps=1e-11, eps_prime=1e-11, max_iter=200000)
 
 
+def _certified(problem, x, report, return_report):
+    """Attach the stationarity residual of x to the report and return."""
+    try:
+        report.stationarity_residual = stationarity_residual(problem, x, cfg=CERTIFICATE_CFG)
+    except (MaxCyclesExceeded, EmptySetSuspected):
+        report.stationarity_residual = np.nan  # the projection did not settle
+    return (x, report) if return_report else x
+
+
 def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
     """Solve a QpProblem; returns the weights (and a report on request).
 
-    Raises MaxIterExceeded when ADMM hits its iteration cap and
-    InfeasibleSuspected when the constraint projection diverges.
+    ADMM runs on the clipped split until a polish is accepted or the
+    residuals meet cfg's tolerances; the answer is then the polished
+    point (report.polished) or the box block of z.  x0 starts x and y0
+    starts z at K y0 (both default to zero).  Raises MaxIterExceeded when
+    ADMM hits its iteration cap and InfeasibleSuspected when the dual
+    iterates certify an empty feasible set or the iterates diverge.  The
+    report carries ``stationarity_residual``, NaN when its projection did
+    not settle.
     """
     quad = PenaltyFactor(problem.q)
     r = problem.r
     n = problem.n
 
     if not problem.has_constraints():
-        x = quad.solve(r)
-        return (x, SolverReport(iterations=0)) if return_report else x
+        return _certified(problem, quad.solve(r), SolverReport(iterations=0), return_report)
 
     if problem.a is not None and problem.c is None and problem.lower is None \
             and problem.upper is None:
         try:
-            x = _solve_equality_qp(quad, r, problem.a, problem.b)
-            return (x, SolverReport(iterations=0)) if return_report else x
+            x, _ = _solve_equality_qp(problem.q, r, problem.a, problem.b)
+            return _certified(problem, x, SolverReport(iterations=0), return_report)
         except (NotPositiveDefinite, np.linalg.LinAlgError):
             pass  # singular Q: fall through to the regularized ADMM path
 
     cfg = cfg or default_qp_config(problem)
-    projection_cfg = DykstraConfig(tol=min(1e-10, cfg.eps))
-
-    keep_plane = problem.a is not None and problem.a.shape[0] == 1
-    plane_a = problem.a[0] if keep_plane else None
-    plane_b = float(problem.b[0]) if keep_plane else None
-    y_a = None if keep_plane else problem.a
-    y_b = None if keep_plane else problem.b
-
-    has_y_sets = any(blk is not None for blk in (y_a, problem.c, problem.lower,
-                                                 problem.upper))
+    split = _ClippedSplit(problem)
+    rows = split.rows
 
     def x_update(y, u, phi):
-        rhs = r + phi * (y - u)
-        if not keep_plane:
-            return quad.solve(rhs, phi)
-        return quad.solve_on_plane(rhs, phi, plane_a, plane_b)
+        rhs = r + phi * split.adjoint(y - u)
+        return quad.solve_with_rows(rhs, phi, rows) if split.m else quad.solve(rhs, phi)
 
-    if has_y_sets:
-        def y_prox(phi):
-            return lambda v: project_general_linear(y_a, y_b, problem.c, problem.d,
-                                                    problem.lower, problem.upper,
-                                                    v, projection_cfg)
-    else:
-        def y_prox(phi):
-            return lambda v: v
-
-    admm_problem = AdmmProblem(x_update=x_update, y_prox=y_prox,
-                               objective=lambda x, y: problem.objective(x))
+    admm_problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: split.clip,
+                               apply=split.apply, adjoint=split.adjoint,
+                               infeasible=split.infeasible,
+                               polish=lambda x, z, dual: _polish(problem, split, z, dual),
+                               objective=lambda x, z: problem.objective(x))
     start_x = np.zeros(n) if x0 is None else as_vector(x0)
-    start_y = start_x if y0 is None else as_vector(y0)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, y, report = admm_solve(admm_problem, start_x, start_y, cfg)
-    except EmptySetSuspected as exc:
-        raise InfeasibleSuspected("constraint projection diverged; feasible set may be empty",
-                                  last=exc.last) from exc
+    start_z = split.apply(start_x if y0 is None else as_vector(y0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, z, report = admm_solve(admm_problem, start_x, start_z, cfg)
+    if report.polished:
+        return _certified(problem, x, report, return_report)
+    if report.status == INFEASIBLE:
+        raise InfeasibleSuspected("the dual iterates certify an empty feasible set",
+                                  last=z[split.m:], report=report)
     if report.status == DIVERGED:
         raise InfeasibleSuspected("iterates diverged; the constraint blocks may be inconsistent",
-                                  last=y if has_y_sets else x, report=report)
-    if not report.converged:
+                                  last=z[split.m:], report=report)
+    if report.status != CONVERGED:
         raise MaxIterExceeded(
             f"qp_solve: residual {report.primal_residual:.3e} after {report.iterations} iterations",
-            last=y if has_y_sets else x, report=report)
-    x_out = y if has_y_sets else x
-    return (x_out, report) if return_report else x_out
+            last=z[split.m:], report=report)
+    return _certified(problem, z[split.m:], report, return_report)
+
+
+def linear_projection(a, b, c, d, lower, upper, v):
+    """Projection of v onto {x : A x = B, C x <= D, lower <= x <= upper}.
+
+    The QP min 0.5||x||^2 - v'x on the bridge, with Q = diag(1); any
+    block may be None.  An empty set raises InfeasibleSuspected with the
+    dual certificate rather than running a sweep to its cycle cap.
+    """
+    v = as_vector(v)
+    return qp_solve(QpProblem(q=np.ones(v.size), r=v, a=a, b=b, c=c, d=d,
+                              lower=lower, upper=upper))
 
 
 def qp_dual(q, r, s, t):
@@ -193,16 +383,19 @@ def qp_dual(q, r, s, t):
     r = as_vector(r)
     t = as_vector(t)
     factor = PenaltyFactor(q)
-    qinv_st = np.column_stack([factor.solve(s[i]) for i in range(s.shape[0])])
-    qbar = s @ qinv_st
+    qbar = s @ factor.solve(s.T)
     rbar = s @ factor.solve(r) - t
     return qbar, rbar
 
 
-def stationarity_residual(problem, x, grad_step=1.0):
-    """||P_Omega(x - t grad f(x)) - x||_inf, a projected-gradient KKT measure."""
+def stationarity_residual(problem, x, grad_step=1.0, cfg=None):
+    """||P_Omega(x - t grad f(x)) - x||_inf, a projected-gradient KKT measure.
+
+    The projection is a Dykstra sweep (``cfg``, a DykstraConfig), which
+    raises MaxCyclesExceeded when it does not settle.
+    """
     g = PenaltyFactor(problem.q).matvec(x) - problem.r
     stepped = x - grad_step * g
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
-                                  problem.lower, problem.upper, stepped)
+                                  problem.lower, problem.upper, stepped, cfg)
     return float(np.max(np.abs(proj - x)))

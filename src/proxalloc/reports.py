@@ -1,12 +1,14 @@
 """Solver observability record shared by every iterative engine."""
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
+INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -17,7 +19,9 @@ class SolverReport:
     residual traces have one entry per iteration; ``primal_residuals``
     holds ||r||_2 for ADMM and the per-cycle max coordinate change for
     the cyclic engines.  ``iterates`` is only populated when a solve is
-    asked to record its trajectory.
+    asked to record its trajectory.  ``polished`` marks an ADMM answer
+    finished by its polish step; a QP solve keeps the
+    ``stationarity_residual`` that certifies its answer.
     """
 
     status: str = CONVERGED
@@ -26,6 +30,8 @@ class SolverReport:
     dual_residuals: list = field(default_factory=list)
     objective_trace: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
+    polished: bool = False
+    stationarity_residual: Optional[float] = None
 
     @property
     def converged(self):

@@ -117,7 +117,7 @@ class TestConsensusProblem:
     def test_single_block_is_the_plain_split(self):
         block = lambda phi: (lambda t: t)
         problem = consensus_problem(lambda w, rho: w, [block], 3)
-        assert problem.copies == 1 and problem.y_prox is block
+        assert problem.apply is None and problem.y_prox is block
 
 
 class TestPenaltyUpdate:

@@ -70,6 +70,14 @@ class TestSolveSpd:
         x = solve_spd(cov, b)
         assert np.max(np.abs(cov @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
 
+    def test_matrix_right_hand_side(self):
+        rng = np.random.default_rng(7)
+        m = random_spd(rng, 5)
+        rhs = rng.standard_normal((5, 3))
+        x = solve_spd(m, rhs)
+        assert x.shape == (5, 3)
+        assert np.max(np.abs(m @ x - rhs)) <= 1e-10
+
 
 class TestPenaltyFactor:
     PHIS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -116,6 +124,19 @@ class TestPenaltyFactor:
                 grad = (dense + phi * np.eye(5)) @ x - rhs
                 along = (grad @ a) / (a @ a) * a
                 assert np.max(np.abs(grad - along)) <= 1e-10
+
+    def test_solve_with_rows_matches_dense_solve(self):
+        rng = np.random.default_rng(8)
+        for q in (random_spd(rng, 6), rng.uniform(0.5, 2.0, 6)):
+            factor = PenaltyFactor(q)
+            dense = q if q.ndim == 2 else np.diag(q)
+            rows = 30.0 * rng.standard_normal((2, 6))
+            for phi in self.PHIS[1:] + self.PHIS[1:]:
+                rhs = rng.standard_normal(6)
+                matrix = dense + phi * (np.eye(6) + rows.T @ rows)
+                expected = np.linalg.solve(matrix, rhs)
+                x = factor.solve_with_rows(rhs, phi, rows)
+                assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 class TestPseudoInverse:

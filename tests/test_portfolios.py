@@ -136,6 +136,25 @@ class TestMvoTarget:
         with pytest.raises(TargetUnreachable):
             mvo_target(u, target_return=0.5, lower=np.zeros(8), upper=np.ones(8))
 
+    @pytest.mark.parametrize("target, tail", [(0.085, (0.5, 0.5)), (0.089, (0.1, 0.9))])
+    def test_return_target_is_one_qp_at_a_vertex(self, monkeypatch, target, tail):
+        from proxalloc import portfolios
+
+        def fail(*args, **kwargs):
+            raise AssertionError("gamma bisected")
+
+        monkeypatch.setattr(portfolios, "bisect", fail)
+        w = mvo_target(tilted_universe(), target_return=target, lower=np.zeros(8),
+                       upper=np.ones(8))
+        assert np.max(np.abs(w.w - np.concatenate([np.zeros(6), tail]))) <= 1e-8
+
+    def test_below_the_minimum_variance_return(self):
+        u = tilted_universe()
+        gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
+        with pytest.raises(TargetUnreachable):
+            mvo_target(u, target_return=stats(gmv, u).expected_return - 1e-3,
+                       lower=np.zeros(8), upper=np.ones(8))
+
 
 class TestMvoBenchmark:
     def test_zero_alpha_returns_benchmark(self):
@@ -703,6 +722,15 @@ class TestFailFastBeforeAdmm:
             with pytest.raises(InfeasibleSuspected) as err:
                 robo_advisor(SET1.universe, cfg)
             assert err.value.last is not None
+
+    def test_robo_disjoint_sets_certified_within_1000_iterations(self):
+        from proxalloc.prox import Halfspace
+
+        cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)])
+        with pytest.raises(InfeasibleSuspected) as err:
+            robo_advisor(SET1.universe, cfg)
+        certificate = err.value.__cause__.report
+        assert certificate.status == "infeasible" and certificate.iterations <= 1000
 
 
 class TestRqePortfolio:

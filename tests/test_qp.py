@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from proxalloc.errors import InfeasibleSuspected, NotPositiveDefinite
+from proxalloc import data, qp
+from proxalloc.errors import InfeasibleSuspected, MaxCyclesExceeded, NotPositiveDefinite
 from proxalloc.linalg import solve_spd
-from proxalloc.qp import QpProblem, canonicalize, qp_dual, qp_solve, stationarity_residual
+from proxalloc.qp import (
+    QpProblem,
+    canonicalize,
+    linear_projection,
+    qp_dual,
+    qp_solve,
+    stationarity_residual,
+)
 
 
 def random_box_qp(rng, n):
@@ -138,6 +146,74 @@ class TestQpSolve:
                       lower=1000.0, upper=2000.0)
         with pytest.raises(InfeasibleSuspected):
             qp_solve(p)
+
+
+def return_floor_qp(floor):
+    """Long-only minimum variance on parameter set 1 with mu_i = 0.02 + 0.01 i
+    and the return row -mu'x <= -floor."""
+    cov = data.parameter_set_1().universe.cov
+    mu = 0.02 + 0.01 * np.arange(8)
+    return QpProblem(q=cov, r=np.zeros(8), a=np.ones((1, 8)), b=[1.0], c=-mu[None, :],
+                     d=[-floor], lower=np.zeros(8), upper=np.ones(8))
+
+
+class TestClippedSplit:
+    @pytest.mark.parametrize("floor, tail", [(0.085, (0.5, 0.5)), (0.089, (0.1, 0.9))])
+    def test_return_floor_vertex(self, floor, tail):
+        # optima confirmed by SLSQP; ADMM alone stalled here for 20,000 iterations
+        x, report = qp_solve(return_floor_qp(floor), return_report=True)
+        expected = np.concatenate([np.zeros(6), tail])
+        assert np.max(np.abs(x - expected)) <= 1e-8
+        assert report.converged and report.iterations <= 1000
+
+    @pytest.mark.parametrize("problem", [
+        return_floor_qp(0.5),  # above the largest expected return
+        # a half-space parallel to the budget plane, on its far side
+        QpProblem(q=np.eye(8), r=np.full(8, 0.125), a=np.ones((1, 8)), b=[1.0],
+                  c=np.ones((1, 8)), d=[0.5], lower=np.zeros(8), upper=np.ones(8)),
+    ])
+    def test_infeasible_rows_are_certified(self, problem):
+        with pytest.raises(InfeasibleSuspected) as err:
+            qp_solve(problem)
+        assert err.value.report.status == "infeasible"
+        assert err.value.report.iterations <= 1000
+        assert err.value.last is not None
+
+    def test_diagonal_and_dense_q_agree_at_n_300(self):
+        rng = np.random.default_rng(11)
+        n = 300
+        diag = rng.uniform(0.5, 3.0, n)
+        r = rng.standard_normal(n)
+        c = rng.standard_normal((3, n))
+        d = np.full(3, -1.0)
+        x_diag, rep = qp_solve(QpProblem(q=diag, r=r, c=c, d=d, lower=-1.0, upper=1.0),
+                               return_report=True)
+        x_dense = qp_solve(QpProblem(q=np.diag(diag), r=r, c=c, d=d, lower=-1.0, upper=1.0))
+        assert np.max(np.abs(x_diag - x_dense)) <= 1e-8
+        assert np.max(c @ x_diag - d) <= 1e-9
+        assert rep.stationarity_residual <= 1e-8
+
+    def test_report_carries_stationarity_residual(self):
+        rng = np.random.default_rng(12)
+        p = random_box_qp(rng, 6)
+        x, report = qp_solve(p, return_report=True)
+        assert report.stationarity_residual == stationarity_residual(p, x, cfg=qp.CERTIFICATE_CFG)
+        assert report.stationarity_residual <= 1e-6
+
+    def test_certificate_that_does_not_settle_stays_inside(self, monkeypatch):
+        def unsettled(*args, **kwargs):
+            raise MaxCyclesExceeded("projection did not settle")
+
+        monkeypatch.setattr(qp, "stationarity_residual", unsettled)
+        x, report = qp_solve(return_floor_qp(0.085), return_report=True)
+        assert np.isnan(report.stationarity_residual)
+        assert abs(x[6] - 0.5) <= 1e-8
+
+    def test_linear_projection_matches_clipped_budget(self):
+        v = np.array([0.9, 0.5, -0.2, 0.1])
+        x = linear_projection(np.ones((1, 4)), np.ones(1), None, None, 0.0, 1.0, v)
+        # the projection onto the simplex: v - s clipped at zero, s = 0.2
+        assert np.max(np.abs(x - [0.7, 0.3, 0.0, 0.0])) <= 1e-10
 
 
 class TestQpDual:
