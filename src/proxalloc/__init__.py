@@ -51,9 +51,9 @@ from .prox import (
     LpBall,
     LpBallComplement,
     Polyhedron,
-    ProjectionFn,
     Simplex,
     project,
+    projector,
     prox_bid_ask,
     prox_kl,
     prox_log_barrier,

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import PenaltyFactor, as_vector
+from .prox import LpBall, projector, soft_threshold
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
@@ -218,8 +219,6 @@ def admm_lasso_lambda(x_mat, y, lam, cfg=None, beta0=None, return_report=False):
     Consensus split; the y-update is soft-thresholding at lam/phi, so it
     does depend on the penalty value.
     """
-    from .prox import soft_threshold
-
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return _lasso(x_mat, y, lambda phi: (lambda v: soft_threshold(v, lam / phi)),
@@ -232,10 +231,6 @@ def admm_lasso_tau(x_mat, y, tau, cfg=None, beta0=None, return_report=False):
     Same split with the y-update replaced by the l1-ball projection,
     which is independent of the penalty parameter.
     """
-    from .prox import LpBall, project
-
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    ball = LpBall(1, np.zeros(np.shape(x_mat)[1]), tau)
-    return _lasso(x_mat, y, lambda phi: (lambda v: project(ball, v)),
-                  lambda b: 0.0, cfg, beta0, return_report)
+    p = np.shape(x_mat)[1]
+    ball = projector(LpBall(1, np.zeros(p), tau), p)  # DegenerateSet unless tau > 0
+    return _lasso(x_mat, y, lambda phi: ball, lambda b: 0.0, cfg, beta0, return_report)

@@ -34,7 +34,7 @@ from .errors import (
     ZeroColumn,
 )
 from .linalg import as_matrix, as_vector
-from .prox import project, soft_threshold
+from .prox import projector, soft_threshold
 from .reports import CONVERGED, MAX_ITER, SolverReport
 
 
@@ -401,16 +401,15 @@ def projected_cd(grad, sets, eta, x0, cfg=None, return_report=False):
     """
     cfg = cfg or CdConfig()
     x0 = as_vector(x0)
-    sets = list(sets)
-    if len(sets) != x0.size:
+    ops = [projector(s, 1) for s in sets]
+    if len(ops) != x0.size:
         raise ValueError("need one scalar set per coordinate")
     if eta <= 0:
         raise ValueError("eta must be positive")
 
     def update(i, xx):
         g = as_vector(grad(xx))
-        t = np.atleast_1d(xx[i] - eta * g[i])
-        return project(sets[i], t)[0]
+        return ops[i](np.atleast_1d(xx[i] - eta * g[i]))[0]
 
     x, report = _run_cycles(update, x0, cfg, name="projected_cd")
     return (x, report) if return_report else x

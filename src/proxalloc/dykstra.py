@@ -8,9 +8,10 @@ prox_{f_1+...+f_m}(v); when every f_j is a set indicator it converges to
 the projection onto the intersection.
 
 There is one cycle loop, ``dykstra_cycle``; every other function here
-builds a list of operators and hands it to that loop.  Operators are
-built once per call with their parameters validated and bound, so the
-loop itself runs bare numpy closures.
+builds a list of catalogue projectors (``prox.projector``) and hands it
+to that loop.  Each projector checks its set once, when it is built, so
+the loop itself runs bare numpy closures; a caller that sweeps many
+vectors builds the list once and calls ``dykstra_cycle`` itself.
 
 Cycle counting follows the convention that "cycle 0" is the constant
 input v, so convergence is checked from the first cycle onward by
@@ -34,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySetSuspected, InvertedBounds, MaxCyclesExceeded
-from .linalg import as_matrix, as_vector, pseudo_inverse
+from .errors import DimensionMismatch, EmptySetSuspected, MaxCyclesExceeded
+from .linalg import as_matrix, as_vector
+from .prox import AffineSet, Box, Halfspace, LpBall, projector
 from .reports import CONVERGED, MAX_ITER, SolverReport
 
 
@@ -104,35 +106,16 @@ def dykstra_cycle(fns, v, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# operator builders: validate once, return bare closures for the loop
+# operator lists of catalogue projectors
 # ---------------------------------------------------------------------------
 
-def _halfspace_ops(c, d, n):
-    """One projection onto {x : c_j x <= d_j} per row of C."""
+def _halfspaces(c, d, n):
+    """One half-space projector per row of C x <= D."""
     c = as_matrix(c)
     d = as_vector(d)
-    if c.shape[1] != n or d.size != c.shape[0]:
-        raise ValueError(f"constraint shapes {c.shape}/{d.shape} do not match v ({n})")
-    row_norm2 = np.einsum("ij,ij->i", c, c)
-    if np.any(row_norm2 == 0):
-        raise ValueError("zero constraint row")
-
-    def halfspace(row, rhs, inv_norm2):
-        def op(t):
-            gap = row @ t - rhs
-            return t - (gap * inv_norm2) * row if gap > 0 else t
-        return op
-
-    return [halfspace(c[j], float(d[j]), 1.0 / row_norm2[j]) for j in range(c.shape[0])]
-
-
-def _box_op(lower, upper, n):
-    """Truncation into [lower, upper]; the bounds are checked here, not per call."""
-    lo = np.broadcast_to(np.asarray(-np.inf if lower is None else lower, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(np.inf if upper is None else upper, dtype=float), (n,))
-    if np.any(lo > hi):
-        raise InvertedBounds("lower bound exceeds upper bound")
-    return lambda t: np.minimum(np.maximum(t, lo), hi)
+    if c.shape != (d.size, n):
+        raise DimensionMismatch(f"constraint shapes {c.shape}/{d.shape} do not match v ({n})")
+    return [projector(Halfspace(row, rhs), n) for row, rhs in zip(c, d)]
 
 
 def project_polyhedron(c, d, v, cfg=None):
@@ -142,7 +125,7 @@ def project_polyhedron(c, d, v, cfg=None):
     half-space correction.
     """
     v = as_vector(v)
-    ops = _halfspace_ops(c, d, v.size)
+    ops = _halfspaces(c, d, v.size)
     return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
 
 
@@ -157,25 +140,16 @@ def project_general_linear(a, b, c, d, lower, upper, v, cfg=None):
     v = as_vector(v)
     ops = []
     if a is not None:
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = as_vector(b)
-        a_pinv = pseudo_inverse(a)
-        ops.append(lambda t: t - a_pinv @ (a @ t - b))
+        ops.append(projector(AffineSet(a, b), v.size))
     if c is not None:
-        ops += _halfspace_ops(c, d, v.size)
+        ops += _halfspaces(c, d, v.size)
     if lower is not None or upper is not None:
-        ops.append(_box_op(lower, upper, v.size))
+        ops.append(projector(Box(lower, upper), v.size))
     return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
 
 
 def project_box_ball(v, lower, upper, center, radius, cfg=None):
     """Projection onto Box[lower, upper] intersect l2-ball(center, radius)."""
     v = as_vector(v)
-    center = np.broadcast_to(np.asarray(center, dtype=float), v.shape)
-    r = float(radius)
-
-    def ball(t):
-        w = t - center
-        return center + (r / max(r, float(np.linalg.norm(w)))) * w
-
-    return dykstra_cycle([ball, _box_op(lower, upper, v.size)], v, cfg)[0]
+    ops = [projector(LpBall(2, center, radius), v.size), projector(Box(lower, upper), v.size)]
+    return dykstra_cycle(ops, v, cfg)[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
-from .dykstra import DykstraConfig, project_box_ball
+from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
     FormulationDisagreement,
     IndefiniteUnhandled,
@@ -40,13 +40,13 @@ from .prox import (
     Halfspace,
     Hyperplane,
     LpBall,
-    ProjectionFn,
+    projector,
     prox_bid_ask,
     prox_kl,
     prox_log_barrier,
     soft_threshold,
 )
-from .qp import QpProblem, linear_projection, qp_solve
+from .qp import POLISH_TOL, QpProblem, linear_projection, qp_solve
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +267,9 @@ def stats(w, universe, benchmark=None, reference=None, current=None):
     return out
 
 
-def _projection(set_):
-    """y-block builder of a set indicator: the projection, for every phi."""
-    op = ProjectionFn(set_)
+def _projection(set_, n):
+    """y-block builder of a set indicator: its projector, built once, for every phi."""
+    op = projector(set_, n)
     return lambda phi: op
 
 
@@ -332,8 +332,10 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     """The frontier portfolio at a return or volatility target.
 
     A return target above the minimum-variance return is one QP, the
-    minimum variance under the extra row -mu'x <= -target_return; a target
-    the constraints cannot reach is certified infeasible by the QP bridge.
+    minimum variance under the extra row -mu'x <= -target_return.  A
+    target above the return at gamma_max raises TargetUnreachable before
+    that QP runs, and one that other constraints cut off is certified
+    infeasible by the QP bridge.
     A volatility target bisects the trade-off weight gamma, since the
     achieved volatility increases with it.  A target outside the
     reachable band raises TargetUnreachable.
@@ -353,6 +355,15 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
             raise TargetUnreachable(f"target {target} below the minimum {low_val:.6g}")
         return mvo_gamma(universe, 0.0, lower, upper, ineq)
     if target_return is not None:
+        # the gamma_max end of the frontier bounds the reachable return, to
+        # the polish accuracy of its QP; past it the QP's dual certificate
+        # can take its whole iteration budget to settle
+        top = mvo_gamma(universe, gamma_max, lower, upper, ineq)
+        top_val = stats(top, universe).expected_return
+        if target > top_val + POLISH_TOL:
+            raise TargetUnreachable(f"target {target} above the maximum {top_val:.6g}")
+        if target >= top_val:
+            return top
         c, d = ineq if ineq is not None else (np.zeros((0, universe.n)), np.zeros(0))
         try:
             w = _solve_budget_qp(universe.cov, np.zeros(universe.n), lower, upper,
@@ -512,8 +523,9 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     if method == "admm":
         radius = np.sqrt(1.0 / min_bets)
         dykstra_cfg = DykstraConfig(tol=1e-12)
-        projection = lambda v: project_box_ball(v, np.zeros(n), upper_vec,
-                                                np.zeros(n), radius, dykstra_cfg)
+        ops = [projector(LpBall(2, np.zeros(n), radius), n),
+               projector(Box(np.zeros(n), upper_vec), n)]
+        projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg)[0]
         return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg)), None
 
     raise ValueError(f"unknown method {method!r}")
@@ -610,7 +622,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg)
         np.asarray(upper, dtype=float), (n,))
     if turnover_cap is not None and turnover_cap <= 0:
         return _gate(current)
-    blocks = [_projection(Box(np.zeros(n), upper_vec))]
+    blocks = [_projection(Box(np.zeros(n), upper_vec), n)]
     if turnover_cap is not None:
         clipped = np.clip(current, 0.0, upper_vec)
         needed = float(np.sum(np.abs(current - clipped)) + abs(1.0 - clipped.sum()))
@@ -618,7 +630,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg)
             raise InfeasibleTargets(f"turnover cap {turnover_cap} below the {needed:.6g} "
                                     "needed to reach a long-only budget portfolio",
                                     last=clipped)
-        blocks.append(_projection(LpBall(1, current, float(turnover_cap))))
+        blocks.append(_projection(LpBall(1, current, float(turnover_cap)), n))
     blocks += costs
     return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear))
 
@@ -854,12 +866,12 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
             raise MaxIterExceeded("MDP ADMM did not converge", last=y, report=report)
         return _gate(y)
 
-    blocks = [_projection(Box(0.0, np.inf))]
+    blocks = [_projection(Box(0.0, np.inf), n)]
     if isinstance(constraint, EffectiveBets):
-        blocks.append(_projection(EffectiveBetsCone(constraint.minimum)))
+        blocks.append(_projection(EffectiveBetsCone(constraint.minimum), n))
     elif constraint is not None:
         raise TypeError(f"unknown diversification constraint {constraint!r}")
-    blocks += [_projection(Halfspace(row - cap, 0.0))
+    blocks += [_projection(Halfspace(row - cap, 0.0), n)
                for row, cap in zip(np.eye(n), upper_vec) if cap < 1]
     y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma)
     return _gate(y / y.sum())
@@ -908,7 +920,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     reference = as_vector(reference)
     if np.any(reference <= 0):
         raise ValueError("reference weights must be positive")
-    blocks = [_projection(Hyperplane(np.ones(n), 1.0))]
+    blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
     if target_return is not None:
         best = int(np.argmax(universe.mu))
         if target_return > universe.mu[best]:
@@ -917,7 +929,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
                                     last=np.eye(n)[best])
         # at or below the smallest expected return the target is vacuous
         if target_return > np.min(universe.mu):
-            blocks.append(_projection(Halfspace(-universe.mu, -float(target_return))))
+            blocks.append(_projection(Halfspace(-universe.mu, -float(target_return)), n))
     if max_volatility is not None:
         floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
         if target_return is not None and floor @ universe.mu < target_return:
@@ -1073,7 +1085,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
              (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
     blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
               for weight, shape, anchor in pulls if weight > 0]
-    blocks += [_projection(s) for s in cfg.nonlinear_sets]
+    blocks += [_projection(s, n) for s in cfg.nonlinear_sets]
     sets = [*cfg.linear_sets, Box(lower, upper)]
     quad = PenaltyFactor(q)
 
@@ -1081,7 +1093,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
         def x_prox(v, rho):
             return quad.solve_on_plane(r + rho * v, rho, ones, 1.0)
 
-        blocks += [_projection(s) for s in sets]
+        blocks += [_projection(s, n) for s in sets]
         if budgets is not None:
             blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi,
                                                                  budgets))
@@ -1098,7 +1110,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
                 state["x"] = quad.solve(rhs, rho)
             return state["x"]
 
-        blocks += [_projection(s) for s in (Hyperplane(ones, 1.0), *sets)]
+        blocks += [_projection(s, n) for s in (Hyperplane(ones, 1.0), *sets)]
 
     x, _, report = admm_solve(consensus_problem(x_prox, blocks, n), x0,
                               np.tile(x0, len(blocks)), admm_cfg)

@@ -10,8 +10,10 @@ transaction costs, sum of the k largest components, plus
 scaling/translation calculus.
 
 A "prox-fn" in engine signatures is any callable v -> x of matching
-length; the small classes at the bottom bind parameters at construction
-so the ADMM/Dykstra drivers stay parameter-free.
+length.  ``projector(set_, n)`` checks a set's parameters once and
+returns its projection as such a callable, which an engine builds once
+per solve so its loop runs no validation; ``project`` is the one-shot
+form.
 """
 
 from dataclasses import dataclass
@@ -64,12 +66,7 @@ def soft_threshold_two_sided(v, lam_minus, lam_plus):
 
 def truncate(v, lower, upper):
     """Clamp v into [lower, upper] elementwise (idempotent)."""
-    v = as_vector(v)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
-    if np.any(lower > upper):
-        raise InvertedBounds("lower bound exceeds upper bound")
-    return np.minimum(np.maximum(v, lower), upper)
+    return project(Box(lower, upper), v)
 
 
 def _sign_nonneg(v):
@@ -104,7 +101,7 @@ class AffineSet:
 
 @dataclass(frozen=True)
 class Box:
-    """{x : lower <= x <= upper}"""
+    """{x : lower <= x <= upper}; a bound of None leaves that side open"""
     lower: object
     upper: object
 
@@ -145,130 +142,171 @@ class Polyhedron:
 
 
 @singledispatch
-def project(set_, v):
-    """Euclidean projection of v onto a catalogued convex set."""
+def projector(set_, n):
+    """The Euclidean projection onto a catalogued convex set in R^n, as v -> P(v).
+
+    The set's parameters are checked against n here, once: a zero normal,
+    a radius at or below zero or bets outside (0, n] raise DegenerateSet,
+    a box with lower above upper InvertedBounds, a ball norm without a
+    closed form UnsupportedNorm, and a shape that does not match n
+    DimensionMismatch.  The closure does no checking, so an engine
+    builds it once per solve and calls it inside its loop on float vectors
+    of length n; it may return v itself when v lies in the set.
+    """
     raise TypeError(f"no projection registered for {type(set_).__name__}")
 
 
-@project.register
-def _(set_: Hyperplane, v):
+def project(set_, v):
+    """Euclidean projection of v onto a catalogued convex set."""
     v = as_vector(v)
-    a = as_vector(set_.a)
-    if a.shape != v.shape:
-        raise DimensionMismatch("hyperplane normal does not match v")
-    nrm2 = float(a @ a)
+    return projector(set_, v.size)(v)
+
+
+def _fit(x, n, name):
+    """x as a float array broadcast to length n."""
+    try:
+        return np.broadcast_to(np.asarray(x, dtype=float), (n,))
+    except ValueError:
+        raise DimensionMismatch(f"{name} does not match length {n}") from None
+
+
+def _normal(c, n, name):
+    """A nonzero normal of length n and its squared norm."""
+    c = as_vector(c)
+    if c.shape != (n,):
+        raise DimensionMismatch(f"{name} normal does not match v")
+    nrm2 = float(np.einsum("i,i", c, c))
     if nrm2 == 0.0:
-        raise DegenerateSet("hyperplane normal is zero")
-    return v - ((a @ v - set_.b) / nrm2) * a
+        raise DegenerateSet(f"{name} normal is zero")
+    return c, nrm2
 
 
-@project.register
-def _(set_: Halfspace, v):
-    v = as_vector(v)
-    c = as_vector(set_.c)
-    if c.shape != v.shape:
-        raise DimensionMismatch("half-space normal does not match v")
-    nrm2 = float(c @ c)
-    if nrm2 == 0.0:
-        raise DegenerateSet("half-space normal is zero")
-    return v - (max(c @ v - set_.d, 0.0) / nrm2) * c
+@projector.register
+def _(set_: Hyperplane, n):
+    a, nrm2 = _normal(set_.a, n, "hyperplane")
+    b = set_.b
+    return lambda v: v - ((a @ v - b) / nrm2) * a
 
 
-@project.register
-def _(set_: AffineSet, v):
-    v = as_vector(v)
+@projector.register
+def _(set_: Halfspace, n):
+    c, nrm2 = _normal(set_.c, n, "half-space")
+    d, inv_nrm2 = float(set_.d), 1.0 / nrm2
+
+    def op(v):
+        gap = c @ v - d
+        return v - (gap * inv_nrm2) * c if gap > 0 else v
+
+    return op
+
+
+@projector.register
+def _(set_: AffineSet, n):
     a = np.atleast_2d(np.asarray(set_.a, dtype=float))
     b = as_vector(set_.b)
-    if a.shape[1] != v.size or a.shape[0] != b.size:
+    if a.shape != (b.size, n):
         raise DimensionMismatch("affine set dimensions do not match v")
-    return v - pseudo_inverse(a) @ (a @ v - b)
+    a_pinv = pseudo_inverse(a)
+    return lambda v: v - a_pinv @ (a @ v - b)
 
 
-@project.register
-def _(set_: Box, v):
-    return truncate(v, set_.lower, set_.upper)
+@projector.register
+def _(set_: Box, n):
+    lo = _fit(-np.inf if set_.lower is None else set_.lower, n, "lower bound")
+    hi = _fit(np.inf if set_.upper is None else set_.upper, n, "upper bound")
+    if np.any(lo > hi):
+        raise InvertedBounds("lower bound exceeds upper bound")
+    return lambda v: np.minimum(np.maximum(v, lo), hi)
 
 
-@project.register
-def _(set_: LpBall, v):
-    v = as_vector(v)
+def _ball(set_, n):
+    """The center broadcast to length n and the radius, which must be positive."""
     if set_.radius <= 0:
         raise DegenerateSet("ball radius must be positive")
-    center = np.broadcast_to(np.asarray(set_.center, dtype=float), v.shape)
-    w = v - center
-    r = float(set_.radius)
-    if set_.p == 2:
-        nrm = float(np.linalg.norm(w))
-        return center + (r / max(r, nrm)) * w
-    if set_.p in (np.inf, "inf"):
-        return center + np.clip(w, -r, r)
-    if set_.p == 1:
-        if np.sum(np.abs(w)) <= r:
-            return v.copy()
-        s = threshold_sum_root(np.abs(w), r)
-        return v - np.sign(w) * np.minimum(np.abs(w), s)
-    raise UnsupportedNorm(f"no l{set_.p} ball projection")
+    return _fit(set_.center, n, "ball center"), float(set_.radius)
 
 
-@project.register
-def _(set_: LpBallComplement, v):
-    v = as_vector(v)
-    if set_.radius <= 0:
-        raise DegenerateSet("ball radius must be positive")
-    center = np.broadcast_to(np.asarray(set_.center, dtype=float), v.shape)
-    w = v - center
-    r = float(set_.radius)
+@projector.register
+def _(set_: LpBall, n):
+    center, r = _ball(set_, n)
     if set_.p == 2:
-        nrm = float(np.linalg.norm(w))
-        if nrm >= r:
-            return v.copy()
-        if nrm == 0.0:
-            # every boundary point is equidistant; pick the first axis
-            out = center.copy()
-            out[0] += r
-            return out
-        return center + (r / nrm) * w
-    if set_.p == 1:
+        def op(v):
+            w = v - center
+            return center + (r / max(r, float(np.linalg.norm(w)))) * w
+    elif set_.p in (np.inf, "inf"):
+        op = lambda v: center + np.clip(v - center, -r, r)
+    elif set_.p == 1:
+        def op(v):
+            w = v - center
+            if np.sum(np.abs(w)) <= r:
+                return v.copy()
+            s = threshold_sum_root(np.abs(w), r)
+            return v - np.sign(w) * np.minimum(np.abs(w), s)
+    else:
+        raise UnsupportedNorm(f"no l{set_.p} ball projection")
+    return op
+
+
+@projector.register
+def _(set_: LpBallComplement, n):
+    center, r = _ball(set_, n)
+    if set_.p == 2:
+        def op(v):
+            w = v - center
+            nrm = float(np.linalg.norm(w))
+            if nrm >= r:
+                return v.copy()
+            if nrm == 0.0:
+                # every boundary point is equidistant; pick the first axis
+                out = center.copy()
+                out[0] += r
+                return out
+            return center + (r / nrm) * w
+    elif set_.p == 1:
         # selection rule for the non-unique projection: keep sign(v - c),
         # with sign(0) = +1, and spread the missing mass evenly
-        gap = max(r - np.sum(np.abs(w)), 0.0)
-        return v + _sign_nonneg(w) * (gap / v.size)
-    raise UnsupportedNorm(f"no l{set_.p} ball-complement projection")
+        def op(v):
+            w = v - center
+            return v + _sign_nonneg(w) * (max(r - np.sum(np.abs(w)), 0.0) / n)
+    else:
+        raise UnsupportedNorm(f"no l{set_.p} ball-complement projection")
+    return op
 
 
-@project.register
-def _(set_: Simplex, v):
-    v = as_vector(v)
-    mu = threshold_sum_root(v, 1.0)
-    return np.maximum(v - mu, 0.0)
+@projector.register
+def _(set_: Simplex, n):
+    return lambda v: np.maximum(v - threshold_sum_root(v, 1.0), 0.0)
 
 
-@project.register
-def _(set_: EffectiveBetsCone, v):
-    v = as_vector(v)
-    n = v.size
+@projector.register
+def _(set_: EffectiveBetsCone, n):
     if not 0 < set_.bets <= n:
         raise DegenerateSet(f"effective bets must lie in (0, {n}]")
     # v = t e + z with e = 1/sqrt(n), z orthogonal to e: the cone is ||z|| <= slope t,
     # its polar cone maps to 0 and any other v to the boundary ray through z
     root_n = np.sqrt(n)
-    t = v.sum() / root_n
-    z = v - t / root_n
-    r = float(np.linalg.norm(z))
     slope = np.sqrt((n - set_.bets) / set_.bets)
-    if r <= slope * t:
-        return v.copy()
-    if slope * r <= -t:
-        return np.zeros(n)
-    t_new = (t + slope * r) / (1.0 + slope * slope)
-    return t_new / root_n + (slope * t_new / r) * z
+
+    def op(v):
+        t = v.sum() / root_n
+        z = v - t / root_n
+        r = float(np.linalg.norm(z))
+        if r <= slope * t:
+            return v.copy()
+        if slope * r <= -t:
+            return np.zeros(n)
+        t_new = (t + slope * r) / (1.0 + slope * slope)
+        return t_new / root_n + (slope * t_new / r) * z
+
+    return op
 
 
-@project.register
-def _(set_: Polyhedron, v):
-    from .dykstra import project_polyhedron
+@projector.register
+def _(set_: Polyhedron, n):
+    from .dykstra import _halfspaces, dykstra_cycle
 
-    return project_polyhedron(set_.c, set_.d, v)
+    ops = _halfspaces(set_.c, set_.d, n)
+    return lambda v: dykstra_cycle(ops, v)[0] if ops else v.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +410,8 @@ def prox_sum_k_largest(v, lam, k, tol=1e-12):
         raise NegativeLambda("prox_sum_k_largest needs lam > 0")
     if not 1 <= k <= v.size:
         raise BadK(f"k must lie in [1, {v.size}], got {k}")
-    box = Box(0.0, 1.0)
-    plane = Hyperplane(np.ones(v.size), float(k))
-    proj, _ = dykstra_two(lambda t: project(box, t), lambda t: project(plane, t),
+    proj, _ = dykstra_two(projector(Box(0.0, 1.0), v.size),
+                          projector(Hyperplane(np.ones(v.size), float(k)), v.size),
                           v / lam, DykstraConfig(tol=tol))
     return v - lam * proj
 
@@ -390,24 +427,3 @@ def prox_scale_translate(base_prox, a, b, v):
     v = as_vector(v)
     b = np.broadcast_to(np.asarray(b, dtype=float), v.shape)
     return (base_prox(a * v + b) - b) / a
-
-
-# ---------------------------------------------------------------------------
-# parameter-binding wrapper (engine building block)
-# ---------------------------------------------------------------------------
-
-class ProjectionFn:
-    """A set projection packaged as a prox-fn (parameters bound once).
-
-    Projections are invariant under the prox rescaling prox_{f/phi}, so
-    the same instance can be handed to ADMM for any penalty value.
-    """
-
-    def __init__(self, set_):
-        self.set = set_
-
-    def __call__(self, v):
-        return project(self.set, v)
-
-    def __repr__(self):
-        return f"ProjectionFn({self.set!r})"

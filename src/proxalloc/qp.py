@@ -7,7 +7,7 @@ Everything else runs ADMM on the single split K x = z, l <= z <= u, of
 OSQP (Stellato et al. 2020, arXiv 1711.08013), with every constraint row
 stacked in K = [w A; C; I]:
 
-* the y-update clips z into [l, u];
+* the y-update clips z into [l, u], the catalogue Box projector;
 * the x-update solves against Q + phi (I + K_d'K_d), K_d = [w A; C] the
   dense rows, through the penalty factor of Q plus an m x m capacitance
   factor (linalg.PenaltyFactor.solve_with_rows);
@@ -40,12 +40,12 @@ from .dykstra import DykstraConfig, project_general_linear
 from .errors import (
     EmptySetSuspected,
     InfeasibleSuspected,
-    InvertedBounds,
     MaxCyclesExceeded,
     MaxIterExceeded,
     NotPositiveDefinite,
 )
 from .linalg import PenaltyFactor, as_vector, cholesky_lower
+from .prox import Box, projector
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
 
 EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = B
@@ -176,19 +176,15 @@ class _ClippedSplit:
         hi.append(_bound(problem.upper, np.inf, n))
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
-        if np.any(self.lo > self.hi):
-            raise InvertedBounds("lower bound exceeds upper bound")
         self.rows = np.vstack(rows) if rows else np.zeros((0, n))
         self.m = self.rows.shape[0]
+        self.clip = projector(Box(self.lo, self.hi), self.m + n)
 
     def apply(self, x):
         return np.concatenate((self.rows @ x, x))
 
     def adjoint(self, v):
         return self.rows.T @ v[:self.m] + v[self.m:]
-
-    def clip(self, v):
-        return np.minimum(np.maximum(v, self.lo), self.hi)
 
     def infeasible(self, dz):
         """Banjac et al.'s primal certificate: K'dz ~ 0 with support below 0.

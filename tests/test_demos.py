@@ -7,8 +7,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["04_minimum_variance_diversified.py",
-                                  "06_most_diversified.py"])
+@pytest.mark.parametrize("demo", sorted(name for name in os.listdir(os.path.join(ROOT, "demos"))
+                                         if name.endswith(".py")))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,4 +1,5 @@
 import importlib.util
+import time
 import warnings
 from pathlib import Path
 
@@ -147,6 +148,15 @@ class TestMvoTarget:
         w = mvo_target(tilted_universe(), target_return=target, lower=np.zeros(8),
                        upper=np.ones(8))
         assert np.max(np.abs(w.w - np.concatenate([np.zeros(6), tail]))) <= 1e-8
+
+    @pytest.mark.parametrize("target", [0.0900001, 0.09000001])
+    def test_just_above_the_largest_return_is_certified(self, target):
+        # the largest expected return is 0.09: the long-only frontier ends there
+        start = time.perf_counter()
+        with pytest.raises(TargetUnreachable):
+            mvo_target(tilted_universe(), target_return=target, lower=np.zeros(8),
+                       upper=np.ones(8))
+        assert time.perf_counter() - start < 1.0
 
     def test_below_the_minimum_variance_return(self):
         u = tilted_universe()
@@ -571,6 +581,28 @@ class TestMdp:
             assert np.max(w) <= cap + 1e-8
             assert np.max(np.abs(w - oracle.x)) <= 1e-6
             assert neg_ratio(w) <= neg_ratio(oracle.x) + 1e-12
+
+    def test_sets_are_validated_once_per_solve(self, monkeypatch):
+        from proxalloc import portfolios, prox
+
+        calls = {"as_vector": 0}
+        reports = []
+        as_vector, admm_solve = prox.as_vector, portfolios.admm_solve
+
+        def counted(*args, **kwargs):
+            calls["as_vector"] += 1
+            return as_vector(*args, **kwargs)
+
+        def reported(*args, **kwargs):
+            result = admm_solve(*args, **kwargs)
+            reports.append(result[2])
+            return result
+
+        monkeypatch.setattr(prox, "as_vector", counted)
+        monkeypatch.setattr(portfolios, "admm_solve", reported)
+        mdp(data.mdp_table_universe(), long_only=True, constraint=EffectiveBets(3.0))
+        assert sum(r.iterations for r in reports) >= 100
+        assert calls["as_vector"] <= 10
 
     def test_single_asset_universe(self):
         u = AssetUniverse(names=["only"], mu=np.zeros(1), sigma=[0.2],

@@ -4,6 +4,7 @@ import pytest
 from proxalloc.errors import (
     BadK,
     DegenerateSet,
+    DimensionMismatch,
     InvertedBounds,
     NegativeLambda,
     UnsupportedNorm,
@@ -21,6 +22,7 @@ from proxalloc.prox import (
     Polyhedron,
     Simplex,
     project,
+    projector,
     prox_bid_ask,
     prox_kl,
     prox_log_barrier,
@@ -171,6 +173,54 @@ class TestProjections:
         d = np.array([1.0])
         out = project(Polyhedron(c, d), np.array([2.0, 2.0]))
         assert np.allclose(out, [0.5, 0.5], atol=1e-9)
+
+
+# sets in R^3 whose parameters are invalid, with the error projector(set_, 3) raises
+INVALID_SETS = {
+    "hyperplane_zero_normal": (Hyperplane(np.zeros(3), 1.0), DegenerateSet),
+    "halfspace_zero_normal": (Halfspace(np.zeros(3), 1.0), DegenerateSet),
+    "polyhedron_zero_row": (Polyhedron(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                                       np.ones(2)), DegenerateSet),
+    "l2_ball_zero_radius": (LpBall(2, np.zeros(3), 0.0), DegenerateSet),
+    "l1_ball_negative_radius": (LpBall(1, np.zeros(3), -1.0), DegenerateSet),
+    "complement_zero_radius": (LpBallComplement(2, np.zeros(3), 0.0), DegenerateSet),
+    "cone_zero_bets": (EffectiveBetsCone(0.0), DegenerateSet),
+    "cone_bets_above_n": (EffectiveBetsCone(3.5), DegenerateSet),
+    "box_inverted": (Box(np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.4, 1.0])),
+                     InvertedBounds),
+    "hyperplane_short_normal": (Hyperplane(np.ones(2), 1.0), DimensionMismatch),
+    "halfspace_long_normal": (Halfspace(np.ones(4), 1.0), DimensionMismatch),
+    "affine_columns": (AffineSet(np.ones((1, 2)), np.ones(1)), DimensionMismatch),
+    "affine_rows": (AffineSet(np.ones((1, 3)), np.ones(2)), DimensionMismatch),
+    "polyhedron_rows": (Polyhedron(np.ones((2, 3)), np.ones(3)), DimensionMismatch),
+    "box_bounds": (Box(np.zeros(2), 1.0), DimensionMismatch),
+    "ball_center": (LpBall(2, np.zeros(2), 1.0), DimensionMismatch),
+    "ball_norm": (LpBall(3, np.zeros(3), 1.0), UnsupportedNorm),
+}
+
+
+class TestProjector:
+    @pytest.mark.parametrize("name", INVALID_SETS)
+    def test_parameters_checked_before_any_vector(self, name):
+        set_, error = INVALID_SETS[name]
+        with pytest.raises(error):
+            projector(set_, 3)
+
+    def test_closure_matches_project_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        n = 5
+        c = rng.standard_normal(n)
+        sets = [Hyperplane(c, 0.4), Halfspace(c, -0.3),
+                AffineSet(rng.standard_normal((2, n)), rng.standard_normal(2)),
+                Box(-0.5, np.linspace(0.1, 1.0, n)), Box(None, 0.2), Simplex(),
+                *(LpBall(p, c, 1.2) for p in (1, 2, np.inf)),
+                *(LpBallComplement(p, c, 1.2) for p in (1, 2)),
+                EffectiveBetsCone(2.5), Polyhedron(rng.standard_normal((3, n)), np.ones(3))]
+        for set_ in sets:
+            op = projector(set_, n)
+            for _ in range(20):
+                v = 2.0 * rng.standard_normal(n)
+                assert np.array_equal(op(v), project(set_, v)), set_
 
 
 class TestEffectiveBetsCone:
