@@ -89,8 +89,8 @@ def dykstra_cycle(fns, v, cfg=None):
             t = x + residuals[j]
             x_next = fn(t)
             residuals[j] = t - x_next
-            delta = max(delta, np.max(np.abs(x_next - prev[j])),
-                        np.max(np.abs(x_next - x)))
+            delta = max(delta, float(np.abs(x_next - prev[j]).max()),
+                        float(np.abs(x_next - x).max()))
             prev[j] = x_next
             x = x_next
         report.iterations = cycle

@@ -2,9 +2,10 @@
 
 Everything downstream (proximal operators, the splitting engines, the
 portfolio models) funnels its numeric work through this module: SPD
-factorizations, the Moore-Penrose pseudo-inverse, bisection, the Lambert
-W function and the piecewise-linear threshold equation
-sum_i (v_i - s)_+ = target that shows up in simplex/l1-ball projections.
+factorizations, the Moore-Penrose pseudo-inverse, a bracketing root
+finder, the Lambert W function and the piecewise-linear threshold
+equation sum_i (v_i - s)_+ = target that shows up in simplex/l1-ball
+projections.
 
 Vectors and matrices are plain float64 ndarrays; ``as_vector`` /
 ``as_matrix`` are the constructors that enforce finiteness.
@@ -55,7 +56,7 @@ def is_symmetric(m, tol=SYMMETRY_TOL):
 
 @dataclass
 class RootBracket:
-    """Bisection interval with tolerance and iteration cap."""
+    """Root-finding interval with tolerance and iteration cap."""
 
     lo: float
     hi: float
@@ -193,30 +194,54 @@ def pseudo_inverse(a):
 
 
 def bisect(f, bracket):
-    """Root of a scalar function by bisection on a sign-changing bracket.
+    """Root of a scalar function on a sign-changing bracket.
 
-    Returns s with |f(s)| <= tol or with the bracket narrowed to tol.
+    Anderson-Bjorck regula falsi (Anderson & Bjorck 1973): each step takes
+    the secant point of the two bracket ends, or the midpoint when that
+    point falls outside the open bracket.  When the same end is kept twice
+    running, its value is scaled by 1 - f(new) / f(replaced) (by 1/2 when
+    that is not positive), which removes the one-sided stall of plain
+    regula falsi and makes the convergence superlinear.  Returns s with
+    |f(s)| <= tol or with the bracket narrowed to tol; MaxIterExceeded
+    carries the last point evaluated, which lies in the bracket.
+
+    This is the library's one root finder.  It keeps the name ``bisect``
+    because the benchmark's tracer counts calls to it as root finds.
     """
     lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
-    flo = f(lo)
+    flo = float(f(lo))
     if abs(flo) <= tol:
         return lo
-    fhi = f(hi)
+    fhi = float(f(hi))
     if abs(fhi) <= tol:
         return hi
     if flo * fhi > 0:
         raise NoSignChange(f"f({lo})={flo:.3g} and f({hi})={fhi:.3g} have the same sign")
+    newest_hi = True  # which end holds the most recent point
+    s = 0.5 * (lo + hi)
     for _ in range(bracket.max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        s = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        fs = float(f(s))
+        if abs(fs) <= tol or (hi - lo) <= tol:
+            return s
+        to_hi = (fs > 0) == (fhi > 0)
+        if to_hi == newest_hi:
+            # the other end is kept a second time: scale its value
+            m = 1.0 - fs / (fhi if to_hi else flo)
+            m = m if m > 0 else 0.5
+            if to_hi:
+                flo *= m
+            else:
+                fhi *= m
+        if to_hi:
+            hi, fhi = s, fs
         else:
-            hi = mid
-    raise MaxIterExceeded(f"bisection did not meet tol={tol} in {bracket.max_iter} steps",
-                          last=0.5 * (lo + hi))
+            lo, flo = s, fs
+        newest_hi = to_hi
+    raise MaxIterExceeded(f"root find did not meet tol={tol} in {bracket.max_iter} steps",
+                          last=s)
 
 
 def lambert_w(x):

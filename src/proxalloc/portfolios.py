@@ -33,7 +33,7 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import PenaltyFactor, RootBracket, as_matrix, as_vector, bisect
+from .linalg import PenaltyFactor, RootBracket, as_matrix, as_vector, bisect, lambert_w_exp
 from .prox import (
     Box,
     EffectiveBetsCone,
@@ -233,7 +233,11 @@ def effective_bets(w):
 
 
 def shannon_entropy(w):
-    w = as_vector(w)
+    return _entropy(as_vector(w))
+
+
+def _entropy(w):
+    """-sum w ln w over the positive entries of a validated vector."""
     pos = w[w > 0]
     return float(-np.sum(pos * np.log(pos))) + 0.0  # normalize -0.0
 
@@ -539,19 +543,21 @@ def _entropy_floor_projection(v, floor, lower, upper, theta_max=1e12):
     x_i(theta) = theta W(exp(v_i/theta - 1 - ln theta)), clipped into the
     box (exact, because the scalar objective stays strictly convex).
     theta is then bisected on the entropy of the clipped path, so the
-    whole box-and-entropy intersection costs one scalar root find.
+    whole box-and-entropy intersection costs one scalar root find.  v is
+    an ADMM iterate, already checked finite by the loop, so nothing on
+    this path revalidates it; each point of the path is kept, so no theta
+    is evaluated twice.
     """
-    from .linalg import lambert_w_exp
-
-    v = as_vector(v)
     clipped = np.clip(v, lower, upper)
-    if shannon_entropy(clipped) >= floor:
+    if _entropy(clipped) >= floor:
         return clipped
+    path = {}
 
     def entropy_at(theta):
-        x = theta * lambert_w_exp(v / theta - 1.0 - np.log(theta))
-        x = np.clip(x, lower, upper)
-        return shannon_entropy(x), x
+        if theta not in path:
+            x = np.clip(theta * lambert_w_exp(v / theta - 1.0 - np.log(theta)), lower, upper)
+            path[theta] = (_entropy(x), x)
+        return path[theta]
 
     theta_hi = 1.0
     while entropy_at(theta_hi)[0] < floor:
@@ -903,15 +909,52 @@ def _volatility_ball_projection(cov, radius):
     return project_onto
 
 
+def _kl_tilt(mu, reference, target):
+    """argmin KL(w | reference) on the budget plane with mu'w >= target.
+
+    The minimum-relative-entropy tilt of entropy pooling (Meucci 2008):
+    w(lam) = softmax(ln ref + lam (mu - max mu)), with lam = 0 when the
+    target does not bind and otherwise the root of mu'w(lam) = target,
+    which increases in lam.  The root is found in units of the spread of
+    mu on an expanding bracket.  A target at max mu has no finite root:
+    its answer is the limit, the best assets in proportion to ref.
+    """
+    w = reference / reference.sum()
+    top = float(np.max(mu))
+    spread = top - float(np.min(mu))
+    if target is None or spread == 0.0 or target <= mu @ w:
+        return w
+    if target >= top:
+        best = np.where(mu == top, reference, 0.0)
+        return best / best.sum()
+    d = (mu - top) / spread
+    goal = (target - top) / spread
+    log_ref = np.log(reference)
+
+    def tilt(lam):
+        z = log_ref + lam * d
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    lam_hi = 1.0
+    while tilt(lam_hi) @ d < goal:
+        lam_hi *= 4.0
+    lam = bisect(lambda t: tilt(t) @ d - goal, RootBracket(0.0, lam_hi, tol=1e-14))
+    return tilt(lam)
+
+
 def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
                  cfg=None):
     """Minimize KL(w | reference) under the budget and return/vol targets.
 
-    Consensus ADMM: the x-update is the KL prox, and the budget plane, the
-    return half-space and the volatility ellipsoid get one y-block each.
-    The long-only box needs no block: the KL prox returns positive
-    weights, and the plane caps their sum at 1.  Targets that no
-    long-only portfolio meets raise InfeasibleTargets before the loop,
+    Without a volatility cap the answer is closed form: the exponential
+    tilt of the reference toward mu (``_kl_tilt``), one scalar root when
+    the return target binds, and ``cfg`` is unused.  Under a volatility
+    cap it is consensus ADMM: the x-update is the KL prox, and the budget
+    plane, the return half-space and the volatility ellipsoid get one
+    y-block each.  The long-only box needs no block: the KL prox returns
+    positive weights, and the plane caps their sum at 1.  Targets that no
+    long-only portfolio meets raise InfeasibleTargets before any solve,
     with the portfolio that certifies it as ``last``: the asset of largest
     expected return, or the minimum-volatility portfolio (on the
     long-only frontier at the return target when one binds).
@@ -920,28 +963,29 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     reference = as_vector(reference)
     if np.any(reference <= 0):
         raise ValueError("reference weights must be positive")
-    blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
     if target_return is not None:
         best = int(np.argmax(universe.mu))
         if target_return > universe.mu[best]:
             raise InfeasibleTargets(f"return target {target_return} above the largest "
                                     f"expected return {universe.mu[best]:.6g}",
                                     last=np.eye(n)[best])
-        # at or below the smallest expected return the target is vacuous
-        if target_return > np.min(universe.mu):
-            blocks.append(_projection(Halfspace(-universe.mu, -float(target_return)), n))
-    if max_volatility is not None:
-        floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
-        if target_return is not None and floor @ universe.mu < target_return:
-            # the return target binds: trace the long-only frontier to it
-            floor = mvo_target(universe, target_return=target_return,
-                               lower=np.zeros(n), upper=np.ones(n)).w
-        floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
-        if max_volatility < floor_vol - 1e-6:
-            raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
-                                    f"{floor_vol:.6g}", last=floor)
-        ball = _volatility_ball_projection(universe.cov, max_volatility)
-        blocks.append(lambda phi: ball)
+    if max_volatility is None:
+        return _gate(_kl_tilt(universe.mu, reference, target_return))
+    blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
+    # at or below the smallest expected return the target is vacuous
+    if target_return is not None and target_return > np.min(universe.mu):
+        blocks.append(_projection(Halfspace(-universe.mu, -float(target_return)), n))
+    floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
+    if target_return is not None and floor @ universe.mu < target_return:
+        # the return target binds: trace the long-only frontier to it
+        floor = mvo_target(universe, target_return=target_return,
+                           lower=np.zeros(n), upper=np.ones(n)).w
+    floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
+    if max_volatility < floor_vol - 1e-6:
+        raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
+                                f"{floor_vol:.6g}", last=floor)
+    ball = _volatility_ball_projection(universe.cov, max_volatility)
+    blocks.append(lambda phi: ball)
 
     # prox_kl carries the linear term x (1/ref - 1); shifting its input by
     # lam (1/ref - 1) cancels that term, leaving the prox of
@@ -959,7 +1003,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     s = stats(w, universe)
     if target_return is not None and s.expected_return < target_return - 1e-6:
         raise InfeasibleTargets(f"return target missed by {target_return - s.expected_return:.2e}")
-    if max_volatility is not None and s.volatility > max_volatility + 1e-6:
+    if s.volatility > max_volatility + 1e-6:
         raise InfeasibleTargets(f"volatility cap exceeded by {s.volatility - max_volatility:.2e}")
     return w
 

@@ -180,8 +180,29 @@ class TestBisect:
             bisect(lambda s: s * s + 1.0, RootBracket(0.0, 1.0))
 
     def test_max_iter(self):
+        # nonlinear: a secant step solves a linear f exactly
         with pytest.raises(MaxIterExceeded):
-            bisect(lambda s: s - 0.1234567, RootBracket(0.0, 1.0, tol=1e-14, max_iter=3))
+            bisect(lambda s: s**3 - 0.1234567, RootBracket(0.0, 1.0, tol=1e-14, max_iter=3))
+
+    def test_superlinear_on_a_steep_exponential(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return np.expm1(20.0 * s) - 5.0
+
+        root = bisect(f, RootBracket(0.0, 1.0, tol=1e-12))
+        assert abs(root - np.log(6.0) / 20.0) <= 1e-12
+        # plain bisection halves [0, 1] to 1e-12 in about 40 evaluations
+        plain = 2 + int(np.ceil(np.log2(1.0 / 1e-12)))
+        assert len(calls) <= plain // 2
+
+    def test_last_lies_in_the_bracket(self):
+        for f in (lambda s: s**3 - 0.1234567, lambda s: np.expm1(20.0 * s) - 5.0,
+                  lambda s: 0.5 - np.exp(-50.0 * s)):
+            with pytest.raises(MaxIterExceeded) as err:
+                bisect(f, RootBracket(0.0, 1.0, tol=1e-15, max_iter=4))
+            assert 0.0 < err.value.last < 1.0
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):

@@ -357,6 +357,36 @@ class TestGmvDiversified:
             gmv_diversified(SET1.universe,
                             constraint=ShannonEntropyFloor(np.log(8.0) + 0.1))
 
+    def test_entropy_floor_validates_nothing_per_iteration(self, monkeypatch):
+        import sys
+
+        from proxalloc import linalg, portfolios
+
+        calls = {"as_vector": 0}
+        reports = []
+        as_vector, admm_solve = linalg.as_vector, portfolios.admm_solve
+
+        def counted(*args, **kwargs):
+            calls["as_vector"] += 1
+            return as_vector(*args, **kwargs)
+
+        def reported(*args, **kwargs):
+            result = admm_solve(*args, **kwargs)
+            reports.append(result[2])
+            return result
+
+        # every module that binds linalg.as_vector
+        for name, module in list(sys.modules.items()):
+            if name.startswith("proxalloc") and getattr(module, "as_vector", None) is as_vector:
+                monkeypatch.setattr(module, "as_vector", counted)
+        monkeypatch.setattr(portfolios, "admm_solve", reported)
+        u = factor_universe(np.random.default_rng(0), 8)
+        h0 = stats(gmv_diversified(u), u).shannon_entropy
+        calls["as_vector"] = 0
+        gmv_diversified(u, constraint=ShannonEntropyFloor(h0 + 0.5 * (np.log(8.0) - h0)))
+        assert sum(r.iterations for r in reports) >= 50
+        assert calls["as_vector"] <= 10
+
 
 class TestRebalancePenalized:
     def test_zero_cost_is_gmv(self):
@@ -660,6 +690,78 @@ class TestKlPortfolio:
     def test_infeasible_cap(self):
         with pytest.raises(InfeasibleTargets):
             kl_portfolio(SET1.universe, EW8, max_volatility=0.05)
+
+    @staticmethod
+    def tilt_residual(w, reference, mu):
+        """ln(w / ref) = lam mu + c: the least-squares lam and the worst residual."""
+        basis = np.column_stack([mu, np.ones(mu.size)])
+        log_ratio = np.log(w / reference)
+        coef, *_ = np.linalg.lstsq(basis, log_ratio, rcond=None)
+        return coef[0], np.max(np.abs(log_ratio - basis @ coef))
+
+    def test_return_target_matches_slsqp(self):
+        u = tilted_universe()
+        reference = np.random.default_rng(3).dirichlet(np.ones(8))
+        target = 0.075
+        assert reference @ u.mu < target
+        w = kl_portfolio(u, reference, target_return=target).w
+        result = minimize(
+            lambda x: np.sum(x * np.log(x / reference)), reference,
+            jac=lambda x: np.log(x / reference) + 1.0, method="SLSQP",
+            bounds=[(1e-12, 1.0)] * 8,
+            constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+                          "jac": lambda x: np.ones(8)},
+                         {"type": "ineq", "fun": lambda x: x @ u.mu - target,
+                          "jac": lambda x: u.mu}],
+            options={"ftol": 1e-15, "maxiter": 1000})
+        assert result.success
+        assert np.max(np.abs(w - result.x)) <= 1e-7
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_return_target_meets_the_tilt_kkt_conditions(self, n):
+        rng = np.random.default_rng(n)
+        u = factor_universe(rng, n)
+        reference = rng.dirichlet(np.ones(n))
+        for target in np.quantile(u.mu, [0.3, 0.7, 0.95]):
+            w = kl_portfolio(u, reference, target_return=target).w
+            lam, residual = self.tilt_residual(w, reference, u.mu)
+            assert residual <= 1e-9
+            assert lam >= -1e-9
+            if lam > 1e-9:
+                assert abs(w @ u.mu - target) <= 1e-12
+
+    def test_target_below_the_free_return_is_the_reference(self):
+        u = tilted_universe()
+        reference = np.arange(1.0, 9.0)
+        free = reference / reference.sum()
+        w = kl_portfolio(u, reference, target_return=free @ u.mu - 1e-3).w
+        assert np.max(np.abs(w - free)) <= 1e-15
+
+    def test_target_at_a_tied_maximum_is_the_reference_weighted_tie(self):
+        mu = 0.02 + 0.01 * np.arange(8)
+        mu[3] = mu[7]
+        u = AssetUniverse(names=SET1.universe.names, mu=mu, sigma=SET1.universe.sigma,
+                          rho=SET1.universe.rho)
+        reference = np.arange(1.0, 9.0)
+        start = time.perf_counter()
+        w = kl_portfolio(u, reference, target_return=mu.max()).w
+        assert time.perf_counter() - start < 0.1
+        expected = np.zeros(8)
+        expected[[3, 7]] = reference[[3, 7]] / (reference[3] + reference[7])
+        assert np.max(np.abs(w - expected)) <= 1e-15
+
+    def test_no_admm_without_a_volatility_cap(self, monkeypatch):
+        from proxalloc import portfolios
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the ADMM loop started")
+
+        monkeypatch.setattr(portfolios, "admm_solve", fail)
+        u = tilted_universe()
+        for target in (None, 0.0, 0.06, 0.085, 0.09):
+            w = kl_portfolio(u, EW8, target_return=target).w
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert target is None or w @ u.mu >= target - 1e-12
 
     def test_volatility_ball_projection_matches_bisection(self):
         from proxalloc.portfolios import _volatility_ball_projection
