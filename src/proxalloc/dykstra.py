@@ -60,16 +60,19 @@ def dykstra_two(f1, f2, v, cfg=None):
     return dykstra_cycle([f1, f2], v, cfg)
 
 
-def dykstra_cycle(fns, v, cfg=None):
+def dykstra_cycle(fns, v, cfg=None, check=True):
     """Dykstra sweep over m prox operators with one residual per operator.
 
     m = 1 is a single prox application; for all-projection inputs the
     result is the projection onto the intersection of the m sets.
     Raises EmptySetSuspected when the residuals blow up (see the module
     docstring) and MaxCyclesExceeded after cfg.max_cycles cycles.
+    ``check`` coerces v to a finite 1-d float array first; an engine that
+    sweeps its own finite float iterates turns it off.
     """
     cfg = cfg or DykstraConfig()
-    v = as_vector(v)
+    if check:
+        v = as_vector(v)
     fns = list(fns)
     m = len(fns)
     if m == 0:

@@ -70,15 +70,19 @@ class RootBracket:
             raise ValueError("tol must be positive")
 
 
-def cholesky_lower(m):
+def cholesky_lower(m, check=True):
     """Lower Cholesky factor L with L L^T = m.
 
     Raises NotPositiveDefinite when the factorization breaks down or any
     pivot falls at or below 1e-14 times the largest diagonal entry.
+    ``check`` tests that m is a finite symmetric matrix first; internal
+    factorizations of a matrix checked where it entered the library
+    (Q + phi I, a block of Q, a symmetrized capacitance) turn it off.
     """
-    m = as_matrix(m)
-    if not is_symmetric(m):
-        raise ValueError("matrix is not symmetric to 1e-12")
+    if check:
+        m = as_matrix(m)
+        if not is_symmetric(m):
+            raise ValueError("matrix is not symmetric to 1e-12")
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -99,8 +103,8 @@ class SpdFactor:
     when the penalty changes.
     """
 
-    def __init__(self, m):
-        self.lower = np.asfortranarray(cholesky_lower(m))
+    def __init__(self, m, check=True):
+        self.lower = np.asfortranarray(cholesky_lower(m, check))
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -119,12 +123,15 @@ class PenaltyFactor:
     The ADMM x-updates solve against the same Q under a penalty that
     changes only now and then (Boyd et al. 2011, sec. 4.2), so the
     factors of the last four penalty values are kept.  A 1-d ``q`` means
-    diag(q) and is solved elementwise, so no n x n matrix is built.
+    diag(q) and is solved elementwise, so no n x n matrix is built.  The
+    first factorization checks that Q is finite and symmetric; Q + phi I
+    differs from Q on the diagonal only, so later ones skip the check.
     """
 
     def __init__(self, q):
         self.q = np.asarray(q, dtype=float)
         self.diagonal = self.q.ndim == 1
+        self._checked = False
         self._factors = {}
         self._planes = {}
         self._rows = {}
@@ -138,7 +145,8 @@ class PenaltyFactor:
             return rhs / (d if np.ndim(rhs) == 1 else d[:, None])
         factor = self._factors.get(phi)
         if factor is None:
-            factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]))
+            factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]), check=not self._checked)
+            self._checked = True
             self._factors[phi] = factor
             if len(self._factors) > 4:
                 self._factors.pop(next(iter(self._factors)))
@@ -173,7 +181,7 @@ class PenaltyFactor:
         if cached is None or cached[0] is not rows:
             w = self.solve(rows.T, phi)
             s = np.eye(rows.shape[0]) / phi + rows @ w
-            capacitance = SpdFactor(0.5 * (s + s.T))
+            capacitance = SpdFactor(0.5 * (s + s.T), check=False)
             cached = self._rows[phi] = (rows, w, capacitance)
         _, w, capacitance = cached
         return base - w @ capacitance.solve(rows @ base)

@@ -15,6 +15,7 @@ normalization gate (tiny negative clips, budget rescale), so solver
 slack never leaks into downstream statistics.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +25,8 @@ from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
 from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
 from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
+    BadK,
+    DimensionMismatch,
     FormulationDisagreement,
     IndefiniteUnhandled,
     InfeasibleSuspected,
@@ -46,7 +49,7 @@ from .prox import (
     prox_log_barrier,
     soft_threshold,
 )
-from .qp import POLISH_TOL, QpProblem, linear_projection, qp_solve
+from .qp import POLISH_TOL, QpProblem, _Bridge, _certified, linear_projection, qp_solve
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +394,42 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     """Replicate a benchmark with a fixed number of holdings.
 
     Repeatedly solves the long-only tracking QP and knocks out the asset
-    with the smallest nonzero weight (lowest index on ties) until exactly
-    n_assets names remain invested.
+    with the smallest nonzero weight (the lowest index on ties) until
+    exactly n_assets names remain invested.  Weights tie when equal in a
+    polished (exact) answer and within POLISH_TOL in one ADMM ended, whose
+    split of tied weights (duplicated assets, a singular Q) is rounding.
+    A knocked-out asset gets an upper bound of 0, so every round solves
+    one QP split, factored once.  After the first round, each round tries
+    the exact optimum on the last support, with the zero weights and the
+    knocked-out asset pinned at 0, and runs ADMM from the last weights
+    only when qp_solve's polish tests reject it.  Raises BadK unless
+    n_assets is an integer in [1, n] and DimensionMismatch unless the
+    benchmark has n entries.
     """
     n = universe.n
-    if not 1 <= n_assets <= n:
-        raise ValueError(f"n_assets must lie in [1, {n}]")
-    b = as_vector(benchmark)
-    r = universe.cov @ b
+    if not isinstance(n_assets, numbers.Integral) or not 1 <= n_assets <= n:
+        raise BadK(f"n_assets must be an integer in [1, {n}], got {n_assets!r}")
+    b = as_vector(benchmark, "benchmark")
+    if b.size != n:
+        raise DimensionMismatch(f"benchmark has {b.size} entries for {n} assets")
     upper = np.ones(n)
+    bridge = _Bridge(QpProblem(q=universe.cov, r=universe.cov @ b, a=np.ones((1, n)),
+                               b=np.ones(1), lower=np.zeros(n), upper=upper), cfg)
     live_tol = 1e-7
+    w = None
     while True:
-        w = _solve_budget_qp(universe.cov, r, lower=np.zeros(n), upper=upper, cfg=cfg)
-        w = np.where(w < live_tol, 0.0, w)
+        x, report = bridge.solve(x0=w, guess=w)
+        w = np.where(x < live_tol, 0.0, x)
         active = np.flatnonzero(w > 0)
         if active.size <= n_assets:
             break
-        smallest = active[np.argmin(w[active])]
-        upper[smallest] = 0.0
+        # that rounding depends on the ADMM start, so ties there are loose
+        tie = 0.0 if report.polished else POLISH_TOL
+        upper[active[w[active] <= np.min(w[active]) + tie][0]] = 0.0
+        bridge.set_upper(upper)
+    # the check qp_solve gives every answer it returns; the weights carry no
+    # report yet, so its residual is dropped here
+    _certified(bridge.problem, x, report, return_report=False)
     return _gate(w)
 
 
@@ -529,7 +550,8 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
         dykstra_cfg = DykstraConfig(tol=1e-12)
         ops = [projector(LpBall(2, np.zeros(n), radius), n),
                projector(Box(np.zeros(n), upper_vec), n)]
-        projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg)[0]
+        # v is the ADMM iterate K x + u, which admm_solve has found finite
+        projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
         return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg)), None
 
     raise ValueError(f"unknown method {method!r}")

@@ -21,10 +21,16 @@ the active set is guessed from z and the dual, and the point is
 polished: an equality QP on the free coordinates, kept only if it is
 feasible and its multipliers have the right signs, which ends the solve.
 An empty feasible set is certified from the change of the dual (Banjac,
-Goulart, Stellato & Boyd 2019), and every answer is checked by
+Goulart, Stellato & Boyd 2019), and every returned answer is checked by
 ``stationarity_residual``, which the report keeps.  The same solver
 doubles as the numeric oracle the other engines are cross-checked
 against.
+
+A caller that solves one QP under changing upper bounds keeps one
+``_Bridge``, whose split and factors are built once; each solve may first
+try a guessed active set, such as the last answer's, through the polish
+tests before it runs ADMM (OSQP's warm start, Stellato et al. 2020, sec. 5).
+Q is checked in QpProblem, not again by the polish's factorizations.
 
 Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
@@ -44,7 +50,7 @@ from .errors import (
     MaxIterExceeded,
     NotPositiveDefinite,
 )
-from .linalg import PenaltyFactor, as_vector, cholesky_lower
+from .linalg import PenaltyFactor, as_matrix, as_vector, cholesky_lower
 from .prox import Box, projector
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
 
@@ -69,7 +75,7 @@ class QpProblem:
 
     def __post_init__(self):
         self.r = as_vector(self.r)
-        self.q = np.asarray(self.q, dtype=float)
+        self.q = as_vector(self.q, "Q") if np.ndim(self.q) == 1 else as_matrix(self.q, "Q")
         if self.q.ndim == 2 and np.max(np.abs(self.q - self.q.T)) > 1e-10:
             raise ValueError("Q must be symmetric")
         if self.a is not None:
@@ -133,11 +139,16 @@ def _solve_equality_qp(q, r, a, b):
             raise NotPositiveDefinite("diagonal entry at or below zero")
         nu = np.linalg.solve(a @ (a.T / q[:, None]), b - a @ (r / q))
         return (r + a.T @ nu) / q, nu
-    cholesky_lower(q)  # positive definite, so the stationary point is the minimum
-    k = a.shape[0]
-    kkt = np.block([[q, -a.T], [a, np.zeros((k, k))]])
+    # positive definite, so the stationary point is the minimum; q is a
+    # block of the Q that QpProblem checked
+    cholesky_lower(q, check=False)
+    n = r.size
+    kkt = np.zeros((n + a.shape[0],) * 2)
+    kkt[:n, :n] = q
+    kkt[:n, n:] = -a.T
+    kkt[n:, :n] = a
     sol = np.linalg.solve(kkt, np.concatenate([r, b]))
-    return sol[:r.size], sol[r.size:]
+    return sol[:n], sol[n:]
 
 
 def _row_norms(rows):
@@ -180,6 +191,11 @@ class _ClippedSplit:
         self.m = self.rows.shape[0]
         self.clip = projector(Box(self.lo, self.hi), self.m + n)
 
+    def set_upper(self, upper):
+        """Replace the upper bounds of the box rows and rebuild the clip."""
+        self.hi[self.m:] = upper
+        self.clip = projector(Box(self.lo, self.hi), self.hi.size)
+
     def apply(self, x):
         return np.concatenate((self.rows @ x, x))
 
@@ -206,19 +222,29 @@ def _polish(problem, split, z, dual):
     """The exact optimum on the active set guessed from z and the dual, or None.
 
     A row of K is taken as active at its lower bound when z - l < -dual
-    and at its upper bound when u - z < dual (OSQP's guess); equality rows
-    always are.  Active box rows fix their coordinates, active dense rows
-    become equalities, and the equality QP on the free coordinates is
-    solved by _solve_equality_qp.  Rows the solution violates join the
-    active set and the solve repeats, at most POLISH_ROUNDS times, which
-    settles the ties of a nearly flat objective.  The point is kept only
-    if every row holds to POLISH_TOL and every inequality multiplier has
-    the sign the KKT conditions need.
+    and at its upper bound when u - z < dual (OSQP's guess); _settle
+    decides whether the guess is kept.
+    """
+    return _settle(problem, split, z - split.lo < -dual, split.hi - z < dual)
+
+
+def _settle(problem, split, at_lo, at_hi):
+    """The exact optimum on the active rows at_lo / at_hi (masks over K), or None.
+
+    Rows with l = u (equalities, pinned coordinates) are always active,
+    at their lower bound.  Active box rows fix their coordinates, active
+    dense rows become equalities, and the equality QP on the free
+    coordinates is solved by _solve_equality_qp.  Rows the solution
+    violates join the active set and the solve repeats, at most
+    POLISH_ROUNDS times, which settles the ties of a nearly flat
+    objective.  The point is kept only if every row holds to POLISH_TOL
+    and every inequality multiplier has the sign the KKT conditions need;
+    rows with l = u take multipliers of either sign.
     """
     m, lo, hi = split.m, split.lo, split.hi
     equal = lo == hi
-    at_lo = (z - lo < -dual) | equal
-    at_hi = (hi - z < dual) & ~at_lo
+    at_lo = at_lo | equal
+    at_hi = at_hi & ~at_lo
     for _ in range(POLISH_ROUNDS):
         point = _active_set_point(problem, split, at_lo, at_hi)
         if point is None:
@@ -234,7 +260,7 @@ def _polish(problem, split, z, dual):
             signed = (np.all(nu[capped] <= tol) and np.all(grad[at_lo[m:] & ~equal[m:]] >= -tol)
                       and np.all(grad[at_hi[m:]] <= tol))
             return x if signed else None
-        at_lo |= below
+        at_lo = at_lo | below
         at_hi = (at_hi | above) & ~at_lo
     return None
 
@@ -260,8 +286,9 @@ def _active_set_point(problem, split, at_lo, at_hi):
     if q.ndim == 1:
         q_free, r_free = q[free], r[free]
     else:
-        q_free = q[np.ix_(free, free)]
-        r_free = r[free] - q[np.ix_(free, ~free)] @ x[~free]
+        q_rows = q[free]  # one gather of the free rows, then two column blocks
+        q_free = q_rows[:, free]
+        r_free = r[free] - q_rows[:, ~free] @ x[~free]
     try:
         x[free], nu = _solve_equality_qp(q_free, r_free, rows[:, free],
                                          target - rows[:, ~free] @ x[~free])
@@ -296,6 +323,85 @@ def _certified(problem, x, report, return_report):
     return (x, report) if return_report else x
 
 
+class _Bridge:
+    """One QP on the bridge: the problem, its clipped split, the penalty
+    factor of Q and the ADMM settings.
+
+    Only the upper bounds change between solves (``set_upper``), so the
+    factors of Q + phi I and of the capacitance, kept per penalty value,
+    serve every solve.  ``solve`` returns an uncertified (x, report);
+    qp_solve is one solve and the stationarity check of its answer.
+    """
+
+    def __init__(self, problem, cfg=None):
+        self.problem = problem
+        self.split = _ClippedSplit(problem)
+        self.quad = PenaltyFactor(problem.q)
+        self.cfg = cfg or default_qp_config(problem)
+        split, quad, r = self.split, self.quad, problem.r
+
+        def x_update(y, u, phi):
+            rhs = r + phi * split.adjoint(y - u)
+            return quad.solve_with_rows(rhs, phi, split.rows) if split.m else quad.solve(rhs, phi)
+
+        self.admm = AdmmProblem(x_update=x_update, y_prox=lambda phi: split.clip,
+                                apply=split.apply, adjoint=split.adjoint,
+                                infeasible=split.infeasible,
+                                polish=lambda x, z, dual: _polish(problem, split, z, dual),
+                                objective=lambda x, z: problem.objective(x))
+
+    def set_upper(self, upper):
+        """Replace the upper bounds of x (a length-n float array)."""
+        self.problem.upper = upper
+        self.split.set_upper(upper)
+
+    def solve(self, x0=None, y0=None, guess=None):
+        """The optimum as (x, report), without the stationarity check.
+
+        ``guess`` is a point whose rows at or beyond a bound are taken as
+        the active set: when _settle accepts the exact optimum on it, that
+        ends the solve with no ADMM iteration.  Otherwise ADMM starts x at
+        x0 and z at K y0 (both zero by default).  Raises as qp_solve.
+        """
+        problem, split = self.problem, self.split
+        if not problem.has_constraints():
+            return self.quad.solve(problem.r), SolverReport(iterations=0)
+
+        if problem.a is not None and problem.c is None and problem.lower is None \
+                and problem.upper is None:
+            try:
+                x, _ = _solve_equality_qp(problem.q, problem.r, problem.a, problem.b)
+                return x, SolverReport(iterations=0)
+            except (NotPositiveDefinite, np.linalg.LinAlgError):
+                pass  # singular Q: fall through to the regularized ADMM path
+
+        if guess is not None:
+            kx = split.apply(guess)
+            x = _settle(problem, split, kx <= split.lo, kx >= split.hi)
+            if x is not None:
+                return x, SolverReport(polished=True)
+
+        start_x = np.zeros(problem.n) if x0 is None else as_vector(x0)
+        start_z = split.apply(start_x if y0 is None else as_vector(y0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, z, report = admm_solve(self.admm, start_x, start_z, self.cfg)
+        if report.polished:
+            return x, report
+        if report.status == INFEASIBLE:
+            raise InfeasibleSuspected("the dual iterates certify an empty feasible set",
+                                      last=z[split.m:], report=report)
+        if report.status == DIVERGED:
+            raise InfeasibleSuspected(
+                "iterates diverged; the constraint blocks may be inconsistent",
+                last=z[split.m:], report=report)
+        if report.status != CONVERGED:
+            raise MaxIterExceeded(
+                f"qp_solve: residual {report.primal_residual:.3e} "
+                f"after {report.iterations} iterations",
+                last=z[split.m:], report=report)
+        return z[split.m:], report
+
+
 def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
     """Solve a QpProblem; returns the weights (and a report on request).
 
@@ -304,55 +410,12 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
     point (report.polished) or the box block of z.  x0 starts x and y0
     starts z at K y0 (both default to zero).  Raises MaxIterExceeded when
     ADMM hits its iteration cap and InfeasibleSuspected when the dual
-    iterates certify an empty feasible set or the iterates diverge.  The
-    report carries ``stationarity_residual``, NaN when its projection did
-    not settle.
+    iterates certify an empty feasible set or the iterates diverge.  Every
+    returned answer's report carries ``stationarity_residual``, NaN when
+    its projection did not settle.
     """
-    quad = PenaltyFactor(problem.q)
-    r = problem.r
-    n = problem.n
-
-    if not problem.has_constraints():
-        return _certified(problem, quad.solve(r), SolverReport(iterations=0), return_report)
-
-    if problem.a is not None and problem.c is None and problem.lower is None \
-            and problem.upper is None:
-        try:
-            x, _ = _solve_equality_qp(problem.q, r, problem.a, problem.b)
-            return _certified(problem, x, SolverReport(iterations=0), return_report)
-        except (NotPositiveDefinite, np.linalg.LinAlgError):
-            pass  # singular Q: fall through to the regularized ADMM path
-
-    cfg = cfg or default_qp_config(problem)
-    split = _ClippedSplit(problem)
-    rows = split.rows
-
-    def x_update(y, u, phi):
-        rhs = r + phi * split.adjoint(y - u)
-        return quad.solve_with_rows(rhs, phi, rows) if split.m else quad.solve(rhs, phi)
-
-    admm_problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: split.clip,
-                               apply=split.apply, adjoint=split.adjoint,
-                               infeasible=split.infeasible,
-                               polish=lambda x, z, dual: _polish(problem, split, z, dual),
-                               objective=lambda x, z: problem.objective(x))
-    start_x = np.zeros(n) if x0 is None else as_vector(x0)
-    start_z = split.apply(start_x if y0 is None else as_vector(y0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, z, report = admm_solve(admm_problem, start_x, start_z, cfg)
-    if report.polished:
-        return _certified(problem, x, report, return_report)
-    if report.status == INFEASIBLE:
-        raise InfeasibleSuspected("the dual iterates certify an empty feasible set",
-                                  last=z[split.m:], report=report)
-    if report.status == DIVERGED:
-        raise InfeasibleSuspected("iterates diverged; the constraint blocks may be inconsistent",
-                                  last=z[split.m:], report=report)
-    if report.status != CONVERGED:
-        raise MaxIterExceeded(
-            f"qp_solve: residual {report.primal_residual:.3e} after {report.iterations} iterations",
-            last=z[split.m:], report=report)
-    return _certified(problem, z[split.m:], report, return_report)
+    x, report = _Bridge(problem, cfg).solve(x0, y0)
+    return _certified(problem, x, report, return_report)
 
 
 def linear_projection(a, b, c, d, lower, upper, v):

@@ -99,6 +99,16 @@ class TestDykstraCycle:
             out_cycle, _ = dykstra_cycle(ops, v, cfg)
             assert np.max(np.abs(out_two - out_cycle)) <= 1e-10
 
+    def test_checks_its_input_unless_told_not_to(self):
+        ops = [lambda t: project(Hyperplane(np.ones(3), 1.0), t),
+               lambda t: project(Box(0.0, 0.5), t)]
+        with pytest.raises(ValueError, match="NaN"):
+            dykstra_cycle(ops, np.array([0.1, np.nan, 0.2]))
+        v = np.array([0.9, -0.3, 0.6])
+        checked, _ = dykstra_cycle(ops, v)
+        unchecked, _ = dykstra_cycle(ops, v, check=False)
+        assert np.array_equal(checked, unchecked)
+
     def test_feasible_point_fixed_in_one_cycle(self):
         halves = [Halfspace(np.array([1.0, 0.0]), 1.0),
                   Halfspace(np.array([0.0, 1.0]), 1.0),

@@ -54,6 +54,21 @@ class TestCholesky:
             cholesky_lower(m)
 
 
+    def test_public_entry_points_reject_asymmetric_and_nonfinite_input(self):
+        asymmetric = np.array([[2.0, 0.5], [0.4, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky_lower(asymmetric)
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_spd(asymmetric, [1.0, 1.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            PenaltyFactor(asymmetric).solve(np.ones(2), 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            cholesky_lower(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        # the unchecked factorization reads the lower triangle only
+        lower = cholesky_lower(asymmetric, check=False)
+        assert np.allclose(lower @ lower.T, np.tril(asymmetric) + np.tril(asymmetric, -1).T)
+
+
 class TestSolveSpd:
     def test_identity(self):
         assert np.allclose(solve_spd(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
@@ -89,7 +104,7 @@ class TestPenaltyFactor:
         factorizations = []
         real = linalg.cholesky_lower
         monkeypatch.setattr(linalg, "cholesky_lower",
-                            lambda m: factorizations.append(1) or real(m))
+                            lambda m, *args: factorizations.append(1) or real(m, *args))
         # the first penalty has been evicted when it comes back; the last
         # four have not
         for phi in self.PHIS + (self.PHIS[0],) + self.PHIS[-3:]:
@@ -97,6 +112,17 @@ class TestPenaltyFactor:
             expected = np.linalg.solve(q + phi * np.eye(6), rhs)
             assert np.max(np.abs(factor.solve(rhs, phi) - expected)) <= 1e-10
         assert len(factorizations) == 7
+
+    def test_checks_q_on_its_first_factorization_only(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        factor = PenaltyFactor(random_spd(rng, 5))
+        checks = []
+        real = linalg.is_symmetric
+        monkeypatch.setattr(linalg, "is_symmetric", lambda m: checks.append(1) or real(m))
+        for phi in self.PHIS:
+            factor.solve(rng.standard_normal(5), phi)
+        factor.solve_with_rows(rng.standard_normal(5), 1.0, rng.standard_normal((2, 5)))
+        assert len(checks) == 1
 
     def test_solve_matches_dense_solve_diagonal_q(self):
         rng = np.random.default_rng(5)

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from proxalloc import data
 from proxalloc.cd import CdConfig
 from proxalloc.errors import (
+    BadK,
+    DimensionMismatch,
     InfeasibleSuspected,
     InfeasibleTargets,
     OutOfDomain,
@@ -49,6 +53,39 @@ from proxalloc.qp import QpProblem, qp_solve, stationarity_residual
 SET1 = data.parameter_set_1()
 SET2 = data.parameter_set_2()
 EW8 = np.full(8, 1.0 / 8.0)
+
+
+def duplicate_asset(u, i):
+    """u with a copy of asset i appended: same return, volatility and correlations."""
+    keep = np.append(np.arange(u.n), i)
+    return AssetUniverse(names=[*u.names, f"{u.names[i]} copy"], mu=u.mu[keep],
+                         sigma=u.sigma[keep], rho=u.rho[np.ix_(keep, keep)])
+
+
+def cold_index_sampling(u, b, k):
+    """index_sampling as one cold qp_solve per knock-out round, the oracle.
+
+    Ties are exact on a polished answer and within POLISH_TOL on one ADMM
+    ended, as in index_sampling.
+    """
+    from proxalloc.qp import POLISH_TOL
+
+    n, upper = u.n, np.ones(u.n)
+    while True:
+        problem = QpProblem(q=u.cov, r=u.cov @ b, a=np.ones((1, n)), b=np.ones(1),
+                            lower=np.zeros(n), upper=upper.copy())
+        x, report = qp_solve(problem, return_report=True)
+        w = np.where(x < 1e-7, 0.0, x)
+        active = np.flatnonzero(w > 0)
+        if active.size <= k:
+            return np.maximum(w, 0.0) / w.sum()
+        tie = 0.0 if report.polished else POLISH_TOL
+        upper[active[w[active] <= w[active].min() + tie][0]] = 0.0
+
+
+def assert_same_sampling(w, expected):
+    assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
+    assert np.max(np.abs(w - expected)) <= 1e-8
 
 
 def factor_universe(rng, n):
@@ -217,6 +254,109 @@ class TestIndexSampling:
         assert np.max(np.abs(w.w - frozen)) <= 1e-6
         again = index_sampling(SET1.universe, SET1.benchmark, 4)
         assert np.array_equal(w.w, again.w)
+
+    @pytest.mark.parametrize("n", [8, 12, 30, 60])
+    def test_matches_a_cold_qp_per_round(self, n):
+        rng = np.random.default_rng(n)
+        u = factor_universe(rng, n)
+        b = rng.dirichlet(np.ones(n))
+        for k in sorted({1, n // 4, n // 2, n - 1}):
+            assert_same_sampling(index_sampling(u, b, k).w, cold_index_sampling(u, b, k))
+
+    def test_duplicated_asset_tie_knocks_out_the_lower_index(self):
+        # asset 0 and its copy (index 12) have the same row of the covariance,
+        # so Q is singular, no round polishes while both are held, and the
+        # pair's split is rounding: an exact tie rule keeps asset 0 here
+        rng = np.random.default_rng(0)
+        u = duplicate_asset(factor_universe(rng, 12), 0)
+        b = rng.dirichlet(np.ones(13))
+        w = index_sampling(u, b, 3).w
+        assert_same_sampling(w, cold_index_sampling(u, b, 3))
+        assert w[0] == 0 and w[12] > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 9), share=st.floats(0.0, 1.0),
+           copies=st.booleans())
+    def test_matches_a_cold_qp_per_round_property(self, seed, n, share, copies):
+        rng = np.random.default_rng(seed)
+        u = factor_universe(rng, n)
+        if copies:
+            u = duplicate_asset(u, int(rng.integers(n)))
+        b = rng.dirichlet(np.ones(u.n))
+        k = 1 + int(share * (u.n - 1))
+        assert_same_sampling(index_sampling(u, b, k).w, cold_index_sampling(u, b, k))
+
+    def test_rejected_warm_guess_runs_admm_again(self, monkeypatch):
+        from proxalloc import qp
+
+        rng = np.random.default_rng(21)
+        u = factor_universe(rng, 12)
+        b = rng.dirichlet(np.ones(12))
+        runs = []
+        real_admm = qp.admm_solve
+
+        def counting_admm(*args, **kwargs):
+            result = real_admm(*args, **kwargs)
+            runs.append(result[2].iterations)
+            return result
+
+        monkeypatch.setattr(qp, "admm_solve", counting_admm)
+        expected = index_sampling(u, b, 4).w
+        assert len(runs) == 1  # every later round keeps its warm guess
+
+        runs.clear()
+        real_settle = qp._settle
+        rejected = []
+
+        def reject_second_round(*args):
+            # the first call after the first ADMM run is the second round's guess
+            if len(runs) == 1 and not rejected:
+                rejected.append(args)
+                return None
+            return real_settle(*args)
+
+        monkeypatch.setattr(qp, "_settle", reject_second_round)
+        w = index_sampling(u, b, 4).w
+        assert len(rejected) == 1 and len(runs) == 2
+        assert_same_sampling(w, expected)
+
+    def test_factors_once_for_every_round(self, monkeypatch):
+        from proxalloc import linalg, qp
+
+        rng = np.random.default_rng(30)
+        u = factor_universe(rng, 30)
+        b = rng.dirichlet(np.ones(30))
+        factorizations, rounds = [], []
+
+        class CountingFactor(linalg.SpdFactor):
+            def __init__(self, m, check=True):
+                factorizations.append(m.shape[0])
+                super().__init__(m, check)
+
+        real_solve = qp._Bridge.solve
+
+        def counting_solve(self, *args, **kwargs):
+            result = real_solve(self, *args, **kwargs)
+            rounds.append(len(factorizations))
+            return result
+
+        monkeypatch.setattr(linalg, "SpdFactor", CountingFactor)
+        monkeypatch.setattr(qp._Bridge, "solve", counting_solve)
+        index_sampling(u, b, 7)
+        assert len(rounds) >= 20
+        # Q + phi I and the capacitance are factored in the first round only
+        assert 0 < rounds[0] == rounds[-1] < len(rounds)
+
+    def test_typed_input_errors(self):
+        u = factor_universe(np.random.default_rng(0), 6)
+        with pytest.raises(DimensionMismatch):
+            index_sampling(u, np.full(5, 0.2), 3)
+        for k in (2.5, 3.0, "3"):
+            with pytest.raises(BadK):
+                index_sampling(u, np.full(6, 1.0 / 6.0), k)
+        with pytest.raises(ValueError):
+            index_sampling(u, np.full(6, 1.0 / 6.0), 0)
+        assert np.count_nonzero(index_sampling(u, np.full(6, 1.0 / 6.0), np.int64(3)).w) == 3
 
 
 class TestMvoTurnover:
@@ -925,7 +1065,7 @@ class TestRoboAdvisor:
         factorizations = []
         real_cholesky = linalg.cholesky_lower
         monkeypatch.setattr(linalg, "cholesky_lower",
-                            lambda m: factorizations.append(1) or real_cholesky(m))
+                            lambda m, *args: factorizations.append(1) or real_cholesky(m, *args))
         reports = []
         real_admm = portfolios.admm_solve
 

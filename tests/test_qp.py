@@ -139,6 +139,14 @@ class TestQpSolve:
         assert len(report.dual_residuals) == report.iterations
         assert len(report.objective_trace) == report.iterations
 
+    def test_problem_rejects_asymmetric_and_nonfinite_q(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(q=np.array([[1.0, 0.2], [0.1, 1.0]]), r=np.zeros(2))
+        with pytest.raises(ValueError, match="NaN"):
+            QpProblem(q=np.array([[1.0, np.nan], [np.nan, 1.0]]), r=np.zeros(2))
+        with pytest.raises(ValueError, match="NaN"):
+            QpProblem(q=np.array([1.0, np.inf]), r=np.zeros(2))
+
     def test_infeasible_detected(self):
         n = 2
         p = QpProblem(q=np.eye(n), r=np.zeros(n),
