@@ -9,7 +9,8 @@ constraint rows in K and clips y into their bounds.  The scaled dual
 u accumulates the primal residual.  An optional adaptive scheme keeps the
 primal and dual residual norms within a factor mu of each other by
 inflating or deflating the penalty, rescaling u so the unscaled dual
-phi*u is preserved across penalty changes.  Every quadratic x-update
+phi*u is preserved across penalty changes, until the penalty has turned
+back MAX_PHI_REVERSALS times.  Every quadratic x-update
 solves through linalg.PenaltyFactor, which factors Q + phi I once per
 penalty value.  Two optional hooks let a split end early: one certifies
 from the change of the dual that the problem is infeasible, the other
@@ -27,6 +28,9 @@ from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
 POLISH_FIRST = 10  # iterations before the first polish; then at every doubling
+# turns of the penalty per solve, then it is held: convergence needs it fixed after
+# finitely many changes (Boyd et al. 2011, 3.4.1); a one-way run only finds its scale
+MAX_PHI_REVERSALS = 50
 
 
 @dataclass
@@ -134,6 +138,7 @@ def admm_solve(problem, x0, y0, cfg=None):
     prox = problem.y_prox(phi)
     report = SolverReport(status=MAX_ITER)
     next_polish = POLISH_FIRST
+    reversals, last_step = 0, 0
 
     for iteration in range(1, cfg.max_iter + 1):
         x = problem.x_update(y, u, phi)
@@ -176,9 +181,12 @@ def admm_solve(problem, x0, y0, cfg=None):
             report.status = INFEASIBLE
             return x, y, report
 
-        if cfg.adaptive:
+        if cfg.adaptive and reversals < MAX_PHI_REVERSALS:
             phi_new = penalty_update(phi, r_norm, s_norm, cfg)
             if phi_new != phi:
+                step = 1 if phi_new > phi else -1
+                reversals += step == -last_step
+                last_step = step
                 u *= phi / phi_new
                 phi = phi_new
                 prox = problem.y_prox(phi)

@@ -275,17 +275,17 @@ def lambert_w(x):
 def lambert_w_exp(z):
     """W(exp(z)), i.e. the positive root of w + ln w = z, without overflow.
 
-    For moderate z this is lambert_w(exp(z)); for large z, where exp
-    overflows, the asymptotic seed z - ln z is polished by Newton on
-    w + ln w = z.
+    For moderate z this is scipy's lambertw at exp(z) > 0, where the checks
+    of ``lambert_w`` never act; for large z, where exp overflows, the
+    asymptotic seed z - ln z is polished by Newton on w + ln w = z.
     """
+    from scipy.special import lambertw
+
     scalar = np.isscalar(z) or np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    w = np.empty_like(z)
     big = z > 300.0
-    if np.any(~big):
-        w[~big] = lambert_w(np.exp(z[~big]))
-    if np.any(big):
+    w = lambertw(np.exp(np.where(big, 0.0, z))).real.copy()
+    if big.any():
         zb = z[big]
         wb = zb - np.log(zb)
         for _ in range(8):

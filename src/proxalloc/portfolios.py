@@ -6,15 +6,17 @@ floors, risk budgeting, the most-diversified portfolio, KL and
 Rao-entropy portfolios, and the composite managed-account objective are
 solved by splitting: a smooth x-subproblem (a closed-form prox or CCD)
 against one y-block per constraint set or nonsmooth term, each a
-closed-form prox from the operator catalogue, joined by consensus ADMM.
-Inputs whose constraint sets are empty are caught before the ADMM loop
-starts.
+closed-form prox from the operator catalogue, an exact projection by
+scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
+and ball), joined by consensus ADMM.  Inputs whose constraint sets are
+empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
 slack never leaks into downstream statistics.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -557,38 +559,92 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _entropy_floor_projection(v, floor, lower, upper, theta_max=1e12):
+def _entropy_root(point, floor):
+    """point(theta)[1] at the root theta >= 0 of point(theta)[0] = floor.
+
+    point(theta) = (entropy, x), the entropy rising with the multiplier theta:
+    theta_hi grows by 4 from 1 to bracket the floor, then ``bisect`` runs.
+    """
+    entropy_at = functools.cache(point)
+    theta_hi = 1.0
+    while entropy_at(theta_hi)[0] < floor:
+        theta_hi *= 4.0
+        if theta_hi > 1e12:
+            raise UnreachableDiversification(f"entropy floor {floor} unreachable")
+    theta = bisect(lambda t: entropy_at(t)[0] - floor,
+                   RootBracket(1e-13, theta_hi, tol=1e-14, max_iter=300))
+    return entropy_at(theta)[1]
+
+
+def _entropy_floor_projection(v, floor, lower, upper):
     """Euclidean projection onto {x in box : -sum x ln x >= floor}.
 
     The dual problem is coordinate-separable: for a multiplier theta >= 0
     on the entropy term the unique scalar stationary point is
     x_i(theta) = theta W(exp(v_i/theta - 1 - ln theta)), clipped into the
     box (exact, because the scalar objective stays strictly convex).
-    theta is then bisected on the entropy of the clipped path, so the
-    whole box-and-entropy intersection costs one scalar root find.  v is
-    an ADMM iterate, already checked finite by the loop, so nothing on
-    this path revalidates it; each point of the path is kept, so no theta
-    is evaluated twice.
+    theta is then found on the entropy of the clipped path, so the whole
+    box-and-entropy intersection costs one scalar root find.  v is an
+    ADMM iterate, already checked finite by the loop, so nothing on this
+    path revalidates it.
     """
     clipped = np.clip(v, lower, upper)
     if _entropy(clipped) >= floor:
         return clipped
-    path = {}
 
-    def entropy_at(theta):
-        if theta not in path:
-            x = np.clip(theta * lambert_w_exp(v / theta - 1.0 - np.log(theta)), lower, upper)
-            path[theta] = (_entropy(x), x)
-        return path[theta]
+    def point(theta):
+        x = np.clip(theta * lambert_w_exp(v / theta - 1.0 - np.log(theta)), lower, upper)
+        return _entropy(x), x
 
-    theta_hi = 1.0
-    while entropy_at(theta_hi)[0] < floor:
-        theta_hi *= 4.0
-        if theta_hi > theta_max:
-            raise UnreachableDiversification(f"entropy floor {floor} unreachable")
-    theta = bisect(lambda t: entropy_at(t)[0] - floor,
-                   RootBracket(1e-13, theta_hi, tol=1e-14, max_iter=300))
-    return entropy_at(theta)[1]
+    return _entropy_root(point, floor)
+
+
+def _entropy_cone_projection(v, floor):
+    """Euclidean projection onto the cone {y >= 0 : H(y / 1'y) >= floor}.
+
+    Stationarity with g(y) = sum_i y_i ln(y_i / s) + floor s, s = 1'y, and a
+    multiplier theta gives y = theta W(exp(b + a)) for b = v / theta - floor
+    and a = ln(s / theta), the root of f(a) = ln sum_i W(exp(b_i + a)) - a.
+    f falls with slope sum_i (w_i / (1 + w_i)) / sum_i w_i - 1 in (-1, 0), so
+    a + f(a) bounds the root on the side f(a) points to, and Newton steps
+    that leave the bounds take the midpoint.  Below a = -40 - max b, f is the
+    constant LSE(b): a root exists only for LSE(b) > 0.  Elsewhere the s -> 0
+    limit y / s = softmax(b) keeps the entropy continuous in theta, and a
+    floor met there puts v in the polar cone, whose projection is 0.
+    """
+    y = np.maximum(v, 0.0)
+    if not y.any() or _entropy(y / y.sum()) >= floor:
+        return y
+    warm = [y.sum()]  # s at the last theta, the start of the next root in a
+
+    def point(theta):
+        b = v / theta - floor
+        p = np.exp(b - b.max())
+        if b.max() + np.log(p.sum()) <= 0.0:
+            return _entropy(p / p.sum()), np.zeros_like(v)
+        lo, hi = -40.0 - b.max(), np.inf
+        a = max(np.log(warm[0] / theta), lo)
+        tol = 1e-14 * max(1.0, abs(a))
+        for _ in range(100):
+            w = lambert_w_exp(b + a)
+            f = np.log(w.sum()) - a
+            lo, hi = (a + f, hi) if f > 0 else (lo, a + f)
+            if abs(f) <= tol or hi - lo <= tol:
+                break
+            a -= f / (np.sum(w / (1.0 + w)) / w.sum() - 1.0)
+            if not lo <= a <= hi:  # only with a finite hi
+                a = 0.5 * (lo + hi)
+        warm[0] = theta * w.sum()
+        return _entropy(w / w.sum()), theta * w
+
+    return _entropy_root(point, floor)
+
+
+def _equal_weight_entropy(floor, n):
+    """True for an entropy floor of ln n, met by equal weights only; raises above it."""
+    if floor > np.log(n) + 1e-9:
+        raise UnreachableDiversification(f"entropy floor {floor} > ln n")
+    return floor >= np.log(n) - 1e-9
 
 
 def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
@@ -610,9 +666,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         return w
     if isinstance(constraint, ShannonEntropyFloor):
         floor = constraint.minimum
-        if floor > np.log(n) + 1e-9:
-            raise UnreachableDiversification(f"entropy floor {floor} > ln n")
-        if floor >= np.log(n) - 1e-9:
+        if _equal_weight_entropy(floor, n):
             return _gate(np.full(n, 1.0 / n))
 
         def projection(t):
@@ -798,61 +852,6 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
 # most diversified portfolio
 # ---------------------------------------------------------------------------
 
-def _mdp_inner(cov, sigma, phi, anchor, x0, tol=1e-12, max_iter=200):
-    """min 0.5 ln(x'Cx) - ln(x'sigma) + phi/2 ||x - anchor||^2 on the budget plane.
-
-    Newton on the bordered KKT system with an Armijo backtrack that keeps
-    x'sigma positive; falls back to a projected gradient step whenever
-    the Newton direction fails to descend.  Only the entropy-floor MDP
-    runs it, as its ADMM x-update: made homogeneous, an entropy floor is a
-    relative-entropy cone, whose projection has no closed form.
-    """
-    n = cov.shape[0]
-    ones = np.ones(n)
-    x = as_vector(x0).copy()
-
-    def value(xx):
-        q = xx @ cov @ xx
-        s = xx @ sigma
-        if s <= 0 or q <= 0:
-            return np.inf
-        return 0.5 * np.log(q) - np.log(s) + 0.5 * phi * np.sum((xx - anchor) ** 2)
-
-    def gradient(xx):
-        cov_x = cov @ xx
-        q = xx @ cov_x
-        s = xx @ sigma
-        return cov_x / q - sigma / s + phi * (xx - anchor), cov_x, q, s
-
-    for _ in range(max_iter):
-        g, cov_x, q, s = gradient(x)
-        reduced = g - (ones @ g / n) * ones
-        if np.max(np.abs(reduced)) <= tol:
-            break
-        hess = cov / q - 2.0 * np.outer(cov_x, cov_x) / q**2 \
-            + np.outer(sigma, sigma) / s**2 + phi * np.eye(n)
-        kkt = np.block([[hess, ones[:, None]], [ones[None, :], np.zeros((1, 1))]])
-        rhs = np.concatenate([-g, [0.0]])
-        try:
-            step = np.linalg.solve(kkt, rhs)[:n]
-        except np.linalg.LinAlgError:
-            step = -reduced
-        if step @ g > 0:
-            step = -reduced
-        t = 1.0
-        base = value(x)
-        slope = step @ g
-        for _ in range(60):
-            candidate = x + t * step
-            if value(candidate) <= base + 1e-4 * t * slope:
-                x = candidate
-                break
-            t *= 0.5
-        else:
-            x = x - 1e-3 * reduced / max(np.max(np.abs(reduced)), 1.0)
-    return x
-
-
 def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     """Most diversified portfolio: maximize w'sigma / sqrt(w'Cw) on 1'w = 1.
 
@@ -861,9 +860,10 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     2008).  Long/short: w = z / 1'z with z = C^-1 sigma, and OutOfDomain
     when 1'z <= 0, as the ratio then has no maximum on the budget plane.
     Long-only: one consensus split on sigma'y = 1 with y-blocks for the
-    orthant, an effective-bets floor N (the cone sqrt(N) ||y|| <= 1'y) and
-    each cap u_i < 1 (y_i <= u_i 1'y).  An entropy floor has no closed-form
-    homogeneous projection and keeps ADMM around ``_mdp_inner``.
+    orthant and an effective-bets floor N (the cone sqrt(N) ||y|| <= 1'y),
+    or for an entropy floor h the one cone {y >= 0 : H(y / 1'y) >= h}
+    (``_entropy_cone_projection``), which lies in the orthant already;
+    each cap u_i < 1 adds the half-space y_i <= u_i 1'y.
     """
     n = universe.n
     cov, sigma = universe.cov, universe.sigma
@@ -879,26 +879,16 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
     if isinstance(constraint, ShannonEntropyFloor):
-        state = {"x": np.full(n, 1.0 / n)}
-
-        def x_update(y, u, phi):
-            state["x"] = _mdp_inner(cov, sigma, phi, y - u, state["x"])
-            return state["x"]
-
-        projection = lambda v: _entropy_floor_projection(v, constraint.minimum,
-                                                         np.zeros(n), upper_vec)
-        cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-8, eps_prime=1e-8, max_iter=50000)
-        problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: projection)
-        _, y, report = admm_solve(problem, state["x"], state["x"], cfg)
-        if not report.converged:
-            raise MaxIterExceeded("MDP ADMM did not converge", last=y, report=report)
-        return _gate(y)
-
-    blocks = [_projection(Box(0.0, np.inf), n)]
-    if isinstance(constraint, EffectiveBets):
-        blocks.append(_projection(EffectiveBetsCone(constraint.minimum), n))
-    elif constraint is not None:
-        raise TypeError(f"unknown diversification constraint {constraint!r}")
+        if _equal_weight_entropy(constraint.minimum, n):
+            return _gate(np.full(n, 1.0 / n))
+        cone = lambda v: _entropy_cone_projection(v, constraint.minimum)
+        blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
+    else:
+        blocks = [_projection(Box(0.0, np.inf), n)]
+        if isinstance(constraint, EffectiveBets):
+            blocks.append(_projection(EffectiveBetsCone(constraint.minimum), n))
+        elif constraint is not None:
+            raise TypeError(f"unknown diversification constraint {constraint!r}")
     blocks += [_projection(Halfspace(row - cap, 0.0), n)
                for row, cap in zip(np.eye(n), upper_vec) if cap < 1]
     y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma)

@@ -148,6 +148,37 @@ class TestPenaltyUpdate:
         assert np.max(np.abs(phi_new * u_new - lam)) <= 1e-12
 
 
+class TestPenaltyCap:
+    @pytest.mark.parametrize("rule", ["turn back", "one way"])
+    def test_penalty_stops_adapting_after_a_bounded_number_of_reversals(self, monkeypatch,
+                                                                        rule):
+        # "turn back" asks for the opposite change on every iteration, as
+        # residual balancing did on the entropy cone with cap blocks: ADMM
+        # converges only when phi is fixed after finitely many changes.
+        # "one way" only searches for the scale and is never held.
+        from proxalloc import admm
+
+        steps = {"turn back": lambda phi, r, s, cfg: 2.0 * phi if phi <= 1.0 else 0.5 * phi,
+                 "one way": lambda phi, r, s, cfg: 0.5 * phi}
+        monkeypatch.setattr(admm, "penalty_update", steps[rule])
+        a = np.array([3.0, -4.0, 0.0])
+        built = []
+
+        def y_prox(phi):
+            built.append(phi)
+            return lambda v: v / max(1.0, np.linalg.norm(v))  # the unit ball
+
+        problem = AdmmProblem(x_update=lambda y, u, phi: (a + phi * (y - u)) / (1.0 + phi),
+                              y_prox=y_prox)
+        # zero tolerances: every one of the 300 iterations may ask for a change
+        _, y, report = admm_solve(problem, np.zeros(3), np.zeros(3),
+                                  AdmmConfig(eps=0.0, eps_prime=0.0, max_iter=300))
+        assert report.iterations == 300
+        # the first change turns nothing back
+        assert len(built) - 1 == (admm.MAX_PHI_REVERSALS + 1 if rule == "turn back" else 300)
+        assert np.max(np.abs(y - a / 5.0)) <= 1e-12
+
+
 class TestLassoSolvers:
     def setup_method(self):
         rng = np.random.default_rng(7)

@@ -46,6 +46,7 @@ from proxalloc.portfolios import (
     risk_contributions,
     robo_advisor,
     rqe_portfolio,
+    shannon_entropy,
     stats,
 )
 from proxalloc.qp import QpProblem, qp_solve, stationarity_residual
@@ -472,9 +473,10 @@ class TestGmvDiversified:
         w_ref, _ = gmv_herfindahl(u, min_bets=5.0, method="admm")
         assert np.max(np.abs(w.w - w_ref.w)) <= 1e-9
 
-    def test_entropy_at_log_n_is_equal_weight(self):
-        w = gmv_diversified(SET1.universe,
-                            constraint=ShannonEntropyFloor(np.log(8.0)))
+    @pytest.mark.parametrize("model", [gmv_diversified, mdp])
+    @pytest.mark.parametrize("below", [0.0, 5e-10])
+    def test_entropy_at_log_n_is_equal_weight(self, model, below):
+        w = model(SET1.universe, constraint=ShannonEntropyFloor(np.log(8.0) - below))
         assert np.allclose(w.w, 1.0 / 8.0, atol=1e-10)
 
     def test_zero_entropy_floor_inactive(self):
@@ -492,10 +494,10 @@ class TestGmvDiversified:
         unconstrained = gmv_diversified(u, constraint=None)
         assert s.volatility >= stats(unconstrained, u).volatility - 1e-10
 
-    def test_unreachable_entropy(self):
+    @pytest.mark.parametrize("model", [gmv_diversified, mdp])
+    def test_unreachable_entropy(self, model):
         with pytest.raises(UnreachableDiversification):
-            gmv_diversified(SET1.universe,
-                            constraint=ShannonEntropyFloor(np.log(8.0) + 0.1))
+            model(SET1.universe, constraint=ShannonEntropyFloor(np.log(8.0) + 0.1))
 
     def test_entropy_floor_validates_nothing_per_iteration(self, monkeypatch):
         import sys
@@ -673,6 +675,74 @@ class TestRiskBudgeting:
             assert report.dual_residuals[-1] <= tol
 
 
+class TestEntropyConeProjection:
+    """Projection onto K_h = {y >= 0 : H(y / 1'y) >= h}, checked on its KKT conditions."""
+
+    @staticmethod
+    def project(v, floor):
+        from proxalloc.portfolios import _entropy_cone_projection
+
+        return _entropy_cone_projection(np.asarray(v, dtype=float), floor)
+
+    @staticmethod
+    def in_polar(v, floor):
+        # v'y <= 0 on K_h iff max_p {p'v : H(p) >= h} = min_t t (LSE(v / t) - h) <= 0
+        from scipy.optimize import minimize_scalar
+        from scipy.special import logsumexp
+
+        best = minimize_scalar(lambda s: logsumexp(v * np.exp(-s)) - floor,
+                               bounds=(-30.0, 30.0), method="bounded")
+        return best.fun <= 1e-9
+
+    def assert_kkt(self, v, floor, y):
+        # y in K_h, y - v = -theta grad g(y) with theta >= 0 and
+        # g(y) = sum y ln(y / 1'y) + h 1'y = 0 when theta > 0
+        scale = max(1.0, np.max(np.abs(v)))
+        if not np.any(y):
+            assert self.in_polar(v, floor)
+            return
+        p = y / y.sum()
+        h = shannon_entropy(p)
+        assert h >= floor - 1e-12
+        if np.array_equal(y, np.maximum(v, 0.0)):
+            return
+        assert np.all(y > 0)
+        grad_g = np.log(p) + floor
+        theta = (v - y) @ grad_g / (grad_g @ grad_g)
+        assert theta >= 0
+        assert np.max(np.abs(y - v + theta * grad_g)) <= 1e-12 * scale
+        assert abs(h - floor) <= 1e-12
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            floor = rng.uniform(0.05, 0.98) * np.log(n)
+            v = rng.choice([0.01, 1.0, 100.0]) * (rng.standard_normal(n)
+                                                  + rng.choice([-1.0, 0.0, 0.5]))
+            y = self.project(v, floor)
+            kinds.add("zero" if not np.any(y) else
+                      "orthant" if np.array_equal(y, np.maximum(v, 0.0)) else "boundary")
+            self.assert_kkt(v, floor, y)
+        assert kinds == {"zero", "orthant", "boundary"}
+
+    def test_nonpositive_input_projects_to_zero(self):
+        assert not np.any(self.project([-1.0, 0.0, -3.0, -0.5], 0.8))
+
+    def test_polar_input_with_positive_entries_projects_to_zero(self):
+        # t (ln q + c) with LSE(ln q + c) = c < h lies in the polar cone
+        floor, q = 1.2, np.array([0.6, 0.1, 0.1, 0.1, 0.1])
+        v = 3.0 * (np.log(q) + floor - 0.1)
+        assert v[0] > 0 and self.in_polar(v, floor)
+        assert not np.any(self.project(v, floor))
+
+    def test_orthant_projection_meeting_the_floor_is_returned(self):
+        v = np.array([1.0, 1.1, 0.9, -2.0])
+        assert shannon_entropy(np.maximum(v, 0.0) / 3.0) >= 1.0
+        assert np.array_equal(self.project(v, 1.0), np.maximum(v, 0.0))
+
+
 class TestMdp:
     def test_long_short_closed_form(self):
         u = data.mdp_table_universe()
@@ -726,6 +796,25 @@ class TestMdp:
             assert kappa >= 0
             assert abs(np.sqrt(bets) * np.linalg.norm(y) - y.sum()) <= 1e-9  # binds
 
+    @pytest.mark.parametrize("case", ["table 1.2", "table 1.9", "factor n=100"])
+    def test_entropy_floors_meet_the_cone_kkt_conditions(self, case):
+        # min y'Cy s.t. sigma'y = 1, g(y) = sum y ln(y / 1'y) + h 1'y <= 0:
+        # cov y = lam sigma - kappa grad g with grad g = ln(y / 1'y) + h and
+        # kappa >= 0; g keeps y > 0, so every asset is on the support
+        if case == "factor n=100":
+            u = factor_universe(np.random.default_rng(0), 100)
+            floor = np.log(100 / 3)
+        else:
+            u, floor = data.mdp_table_universe(), float(case.split()[1])
+        y = self.homogeneous(mdp(u, long_only=True, constraint=ShannonEntropyFloor(floor)).w, u)
+        assert np.all(y > 0)
+        grad_g = np.log(y / y.sum()) + floor
+        basis = np.column_stack([u.sigma, -grad_g])
+        (lam, kappa), *_ = np.linalg.lstsq(basis, u.cov @ y, rcond=None)
+        assert np.max(np.abs(u.cov @ y - basis @ [lam, kappa])) <= 1e-9
+        assert kappa >= 0
+        assert abs(stats(y / y.sum(), u).shannon_entropy - floor) <= 1e-9  # binds
+
     def test_caps_and_entropy_floor_match_a_direct_ratio_maximization(self):
         u = data.mdp_table_universe()
         cov, sigma = u.cov, u.sigma
@@ -738,10 +827,15 @@ class TestMdp:
             return -(sigma / np.sqrt(var) - (w @ sigma) * (cov @ w) / var**1.5)
 
         budget = {"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(8)}
-        entropy = {"type": "ineq", "fun": lambda w: -np.sum(w * np.log(w)) - 1.2,
-                   "jac": lambda w: -np.log(w) - 1.0}
+
+        def entropy(floor):
+            return {"type": "ineq", "fun": lambda w: -np.sum(w * np.log(w)) - floor,
+                    "jac": lambda w: -np.log(w) - 1.0}
+
         cases = [(0.2, [budget], {"upper": 0.2}), (0.3, [budget], {"upper": 0.3}),
-                 (1.0, [budget, entropy], {"constraint": ShannonEntropyFloor(1.2)})]
+                 (1.0, [budget, entropy(1.2)], {"constraint": ShannonEntropyFloor(1.2)}),
+                 (0.3, [budget, entropy(1.95)],
+                  {"upper": 0.3, "constraint": ShannonEntropyFloor(1.95)})]
         for cap, constraints, kwargs in cases:
             oracle = minimize(neg_ratio, EW8, jac=neg_ratio_grad, method="SLSQP",
                               bounds=[(1e-12, cap)] * 8, constraints=constraints,
