@@ -14,7 +14,9 @@ back MAX_PHI_REVERSALS times.  Every quadratic x-update
 solves through linalg.PenaltyFactor, which factors Q + phi I once per
 penalty value.  Two optional hooks let a split end early: one certifies
 from the change of the dual that the problem is infeasible, the other
-polishes the iterate into an exact answer.
+polishes the iterate into an exact answer on the active set it shows.
+The QP bridge uses both; the Herfindahl split of the diversified
+minimum-variance models polishes too.
 """
 
 from dataclasses import dataclass

@@ -105,6 +105,11 @@ class MaxIterExceeded(IterationError):
     pass
 
 
+class Diverged(IterationError):
+    """An ADMM solve whose iterates turned non-finite; ``last`` is the iterate
+    it ended on and ``report`` has status "diverged"."""
+
+
 class MaxCyclesExceeded(IterationError):
     pass
 

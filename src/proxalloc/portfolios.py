@@ -8,8 +8,9 @@ solved by splitting: a smooth x-subproblem (a closed-form prox or CCD)
 against one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
-and ball), joined by consensus ADMM.  Inputs whose constraint sets are
-empty are caught before the ADMM loop starts.
+and ball), joined by consensus ADMM.  The box-and-ball split ends with a
+polish: the exact optimum on the active set its y-block shows.  Inputs
+whose constraint sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -29,6 +30,7 @@ from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
     BadK,
     DimensionMismatch,
+    Diverged,
     FormulationDisagreement,
     IndefiniteUnhandled,
     InfeasibleSuspected,
@@ -52,6 +54,10 @@ from .prox import (
     soft_threshold,
 )
 from .qp import POLISH_TOL, QpProblem, _Bridge, _certified, linear_projection, qp_solve
+from .reports import DIVERGED
+
+# slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
+CAP_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +487,22 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
 # minimum variance with diversification
 # ---------------------------------------------------------------------------
 
-def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0):
+def _check_caps(upper):
+    """Raise InfeasibleTargets when the caps leave no long-only budget portfolio."""
+    if upper.sum() < 1.0 - CAP_SLACK:
+        raise InfeasibleTargets(f"the caps sum to {upper.sum():.6g} < 1: no long-only "
+                                "portfolio meets the budget", last=np.array(upper))
+
+
+def _admm_failure(what, y, report):
+    """The typed error of an ADMM solve that ended neither converged nor polished."""
+    if report.status == DIVERGED:
+        return Diverged(f"{what} diverged after {report.iterations} iterations",
+                        last=y, report=report)
+    return MaxIterExceeded(f"{what} did not converge", last=y, report=report)
+
+
+def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, polish=None):
     """Minimum variance on the plane a'x = 1 plus one y-block per term.
 
     The x-prox is the ridge solve
@@ -489,7 +510,10 @@ def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0):
     a = ``plane`` (the budget normal 1 by default); ``blocks`` are the
     y-prox builders of the remaining terms, joined by consensus_problem.
     Starts at ``start`` (the equal point 1 / 1'a on the plane by default)
-    and returns the first block's y.
+    and returns the first block's y, or the point of ``polish`` (the
+    AdmmProblem hook, given the stacked y) when it ends the solve.
+    Raises Diverged when the iterates turn non-finite and MaxIterExceeded
+    at the iteration cap, both with the first block's y as ``last``.
     """
     n = universe.n
     cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
@@ -498,12 +522,88 @@ def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0):
     a = np.ones(n) if plane is None else plane
     problem = consensus_problem(
         lambda v, rho: quad.solve_on_plane(linear + rho * v, rho, a, 1.0), blocks, n)
+    problem.polish = polish
     x0 = np.full(n, 1.0 / a.sum()) if start is None else as_vector(start)
-    _, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
+    x, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
+    if report.polished:
+        return x
     if not report.converged:
-        raise MaxIterExceeded("minimum-variance ADMM did not converge",
-                              last=y[:n], report=report)
+        raise _admm_failure("minimum-variance ADMM", y[:n], report)
     return y[:n]
+
+
+def _herfindahl_polish(cov, upper, radius):
+    """Polish hook of the Herfindahl split: min x'cov x on 1'x = 1,
+    0 <= x <= upper, ||x|| <= radius, solved exactly on a guessed active set.
+
+    The box-and-ball y-block ends in the box clip, so its output holds
+    exact zeros Z and exact caps C; the rest F is free.  With x_Z = 0 and
+    x_C = u_C, the KKT conditions on F are (cov_FF + lam I) x_F =
+    nu 1 - cov_FC u_C and 1'x_F = 1 - 1'u_C, for the budget multiplier nu
+    and a ball multiplier lam >= 0.  In cov_FF's eigenbasis both are
+    explicit in lam: lam = 0 when that point lies in the ball, and
+    otherwise the root of ||x(lam)|| = radius, found by ``bisect``, as the
+    ridge path's norm falls in lam.  The point is kept only if it holds
+    to POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
+    gradient g = cov x + lam x - nu 1 is >= 0 on Z and <= 0 on C.
+    Otherwise, or when cov_FF is singular, the hook returns None and ADMM
+    goes on.
+    """
+    r2 = radius * radius
+
+    def polish(x, y, dual):
+        zero = y <= 0.0
+        cap = (y >= upper) & ~zero
+        free = ~(zero | cap)
+        if not free.any():
+            return None  # a vertex of the box leaves the multipliers to ADMM
+        u_cap = upper[cap]
+        budget = 1.0 - u_cap.sum()
+        room = r2 - u_cap @ u_cap  # what the ball leaves to ||x_F||^2
+        eig, vecs = np.linalg.eigh(cov[np.ix_(free, free)])
+        if eig[0] <= 1e-12 * eig[-1]:
+            return None
+        ones = vecs.sum(axis=0)  # V'1
+        shift = vecs.T @ (cov[np.ix_(free, cap)] @ u_cap)
+
+        def ridge(lam):
+            """(nu, V'x_F) at the ball multiplier lam."""
+            d = 1.0 / (eig + lam)
+            nu = (budget + ones @ (shift * d)) / (ones @ (ones * d))
+            return nu, (nu * ones - shift) * d
+
+        def excess(lam):
+            z = ridge(lam)[1]
+            return z @ z - room
+
+        lam = 0.0
+        if excess(0.0) > 0.0:
+            # as lam grows, x_F tends to the equal split of the budget
+            if budget * budget / free.sum() >= room:
+                return None
+            hi = eig[-1]
+            while excess(hi) > 0.0:
+                hi *= 4.0
+                if hi > 1e12 * eig[-1]:
+                    return None
+            try:
+                lam = bisect(excess, RootBracket(0.0, hi, tol=1e-14 * room))
+            except MaxIterExceeded:
+                return None
+        nu, z = ridge(lam)
+        point = np.where(cap, upper, 0.0)
+        point[free] = vecs @ z
+        grad = cov @ point + lam * point
+        tol = POLISH_TOL * float(np.max(np.abs(grad)))
+        grad -= nu
+        inside = (np.all(point[free] >= -POLISH_TOL)
+                  and np.all(point[free] <= upper[free] + POLISH_TOL)
+                  and point @ point <= r2 * (1.0 + POLISH_TOL))
+        signed = (np.all(grad[zero & (upper > 0.0)] >= -tol)
+                  and np.all(grad[cap] <= tol))
+        return point if inside and signed else None
+
+    return polish
 
 
 def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
@@ -512,12 +612,18 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     method="bisection" sweeps the ridge weight lam in
     min 0.5 x'(cov + 2 lam I)x until 1/sum(x^2) hits the floor and
     returns (weights, lam); method="admm" splits the ball constraint
-    into the y-update and returns (weights, None).  A floor at (or
-    above) the asset count returns equal weights directly.
+    into the y-update, a Dykstra sweep over the ball and the box, and
+    returns (weights, None).  That split ends at the polish of
+    ``_herfindahl_polish``: the exact KKT point on the support and caps
+    the sweep's output shows, once the polish tests accept it (OSQP's
+    solution polishing, Stellato et al. 2020).  A floor at (or above) the
+    asset count returns equal weights directly; caps summing below 1
+    raise InfeasibleTargets.
     """
     n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
+    _check_caps(upper_vec)
     if min_bets > n + 1e-9:
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
     if min_bets >= n - 1e-9:
@@ -554,29 +660,46 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
                projector(Box(np.zeros(n), upper_vec), n)]
         # v is the ADMM iterate K x + u, which admm_solve has found finite
         projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
-        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg)), None
+        polish = _herfindahl_polish(universe.cov, upper_vec, radius)
+        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg,
+                               polish=polish)), None
 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _entropy_root(point, floor):
+def _entropy_root(point, floor, last=None):
     """point(theta)[1] at the root theta >= 0 of point(theta)[0] = floor.
 
-    point(theta) = (entropy, x), the entropy rising with the multiplier theta:
-    theta_hi grows by 4 from 1 to bracket the floor, then ``bisect`` runs.
+    point(theta) = (entropy, x), the entropy rising with the multiplier theta.
+    ``last``, when given, carries the root from one projection of a sequence
+    (the ADMM iterations) to the next: a list [theta, step] of the previous
+    root and its relative change from the one before, updated here.  The
+    root is first bracketed within a factor 1 + s of theta, s = 4 step
+    clipped to [1e-9, 1], which narrows as the iterates settle.  When no
+    root is known yet or the floor lies outside that bracket, theta_hi
+    grows by 4 from 1 to bracket the floor on [1e-13, theta_hi].  ``bisect``
+    runs on the bracket.
     """
     entropy_at = functools.cache(point)
-    theta_hi = 1.0
-    while entropy_at(theta_hi)[0] < floor:
-        theta_hi *= 4.0
-        if theta_hi > 1e12:
-            raise UnreachableDiversification(f"entropy floor {floor} unreachable")
-    theta = bisect(lambda t: entropy_at(t)[0] - floor,
-                   RootBracket(1e-13, theta_hi, tol=1e-14, max_iter=300))
+    gap = lambda t: entropy_at(t)[0] - floor
+    warm = last is not None and last[0] is not None
+    if warm:
+        span = 1.0 + min(max(4.0 * last[1], 1e-9), 1.0)
+        lo, hi = last[0] / span, last[0] * span
+        warm = gap(lo) < 0.0 < gap(hi)
+    if not warm:
+        lo, hi = 1e-13, 1.0
+        while entropy_at(hi)[0] < floor:
+            hi *= 4.0
+            if hi > 1e12:
+                raise UnreachableDiversification(f"entropy floor {floor} unreachable")
+    theta = bisect(gap, RootBracket(lo, hi, tol=1e-14, max_iter=300))
+    if last is not None:
+        last[:] = theta, abs(theta / last[0] - 1.0) if warm else 1.0
     return entropy_at(theta)[1]
 
 
-def _entropy_floor_projection(v, floor, lower, upper):
+def _entropy_floor_projection(v, floor, lower, upper, last=None):
     """Euclidean projection onto {x in box : -sum x ln x >= floor}.
 
     The dual problem is coordinate-separable: for a multiplier theta >= 0
@@ -596,10 +719,10 @@ def _entropy_floor_projection(v, floor, lower, upper):
         x = np.clip(theta * lambert_w_exp(v / theta - 1.0 - np.log(theta)), lower, upper)
         return _entropy(x), x
 
-    return _entropy_root(point, floor)
+    return _entropy_root(point, floor, last)
 
 
-def _entropy_cone_projection(v, floor):
+def _entropy_cone_projection(v, floor, last=None):
     """Euclidean projection onto the cone {y >= 0 : H(y / 1'y) >= floor}.
 
     Stationarity with g(y) = sum_i y_i ln(y_i / s) + floor s, s = 1'y, and a
@@ -637,7 +760,7 @@ def _entropy_cone_projection(v, floor):
         warm[0] = theta * w.sum()
         return _entropy(w / w.sum()), theta * w
 
-    return _entropy_root(point, floor)
+    return _entropy_root(point, floor, last)
 
 
 def _equal_weight_entropy(floor, n):
@@ -650,13 +773,15 @@ def _equal_weight_entropy(floor, n):
 def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
     """Minimum variance under a weight-diversification floor.
 
-    EffectiveBets floors reuse the Herfindahl ball split; Shannon-entropy
-    floors put the entropy super-level set into the y-update next to the
-    box.
+    EffectiveBets floors reuse the Herfindahl ball split and its polish;
+    Shannon-entropy floors put the entropy super-level set into the
+    y-update next to the box.  Caps summing below 1 raise
+    InfeasibleTargets.
     """
     n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
+    _check_caps(upper_vec)
     if constraint is None:
         w = _solve_budget_qp(universe.cov, np.zeros(n), lower=np.zeros(n),
                              upper=upper_vec, cfg=cfg)
@@ -669,8 +794,10 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         if _equal_weight_entropy(floor, n):
             return _gate(np.full(n, 1.0 / n))
 
+        last = [None, 1.0]  # the last root theta, which brackets the next one
+
         def projection(t):
-            return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec)
+            return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec, last)
 
         return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg))
     raise TypeError(f"unknown diversification constraint {constraint!r}")
@@ -825,7 +952,7 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     x0 = np.full(n, 1.0 / n)
     _, y, report = admm_solve(AdmmProblem(x_update=x_update, y_prox=y_prox), x0, x0, cfg)
     if not report.converged:
-        raise MaxIterExceeded("risk-budgeting ADMM did not converge", last=y, report=report)
+        raise _admm_failure("risk-budgeting ADMM", y, report)
     return y, report
 
 
@@ -878,10 +1005,12 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
 
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
+    _check_caps(upper_vec)
     if isinstance(constraint, ShannonEntropyFloor):
         if _equal_weight_entropy(constraint.minimum, n):
             return _gate(np.full(n, 1.0 / n))
-        cone = lambda v: _entropy_cone_projection(v, constraint.minimum)
+        last = [None, 1.0]  # the last root theta, which brackets the next one
+        cone = lambda v: _entropy_cone_projection(v, constraint.minimum, last)
         blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
     else:
         blocks = [_projection(Box(0.0, np.inf), n)]

@@ -14,8 +14,10 @@ from proxalloc.cd import CdConfig
 from proxalloc.errors import (
     BadK,
     DimensionMismatch,
+    Diverged,
     InfeasibleSuspected,
     InfeasibleTargets,
+    MaxIterExceeded,
     OutOfDomain,
     ProxallocError,
     TargetUnreachable,
@@ -103,6 +105,47 @@ def tilted_universe():
     u = SET1.universe
     mu = 0.02 + 0.01 * np.arange(8)
     return AssetUniverse(names=u.names, mu=mu, sigma=u.sigma, rho=u.rho)
+
+
+def herfindahl_oracle(u, bets, upper=1.0):
+    """min x'cov x on the long-only budget set with 1/||x||^2 >= bets, by SLSQP.
+
+    SLSQP stops once the objective changes by less than ftol, which leaves
+    the weights about 1e-8 from the optimum.  A second run restarts at the
+    first answer x1 with the objective written as its change from there,
+    (x - x1)'cov(x - x1) + 2 (cov x1)'(x - x1), whose small values resolve
+    a tolerance of 1e-24 and bring the weights to about 1e-10.
+    """
+    n = u.n
+    cov = u.cov / np.mean(np.diag(u.cov))
+    constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(n)},
+                   {"type": "ineq", "fun": lambda x: 1.0 / bets - x @ x,
+                    "jac": lambda x: -2.0 * x}]
+    x = np.full(n, 1.0 / n)
+    for ftol in (1e-16, 1e-24):
+        x1, g1 = x, cov @ x
+        x = minimize(lambda x: (x - x1) @ cov @ (x - x1) + 2.0 * g1 @ (x - x1), x1,
+                     jac=lambda x: 2.0 * (cov @ (x - x1) + g1), method="SLSQP",
+                     bounds=[(0.0, upper)] * n, constraints=constraints,
+                     options={"ftol": ftol, "maxiter": 1000}).x
+    return x
+
+
+@pytest.fixture
+def admm_reports(monkeypatch):
+    """The reports of every admm_solve the models run, in call order."""
+    from proxalloc import portfolios
+
+    reports = []
+    admm_solve = portfolios.admm_solve
+
+    def reported(*args, **kwargs):
+        result = admm_solve(*args, **kwargs)
+        reports.append(result[2])
+        return result
+
+    monkeypatch.setattr(portfolios, "admm_solve", reported)
+    return reports
 
 
 class TestStats:
@@ -453,6 +496,61 @@ class TestGmvHerfindahl:
         with pytest.raises(UnreachableDiversification):
             gmv_herfindahl(SET1.universe, min_bets=9.0)
 
+    @pytest.mark.parametrize("universe, bets, upper, ball_binds, caps_bind", [
+        (SET1.universe, 3.0, 1.0, True, False),
+        (SET1.universe, 6.0, 1.0, True, False),
+        (factor_universe(np.random.default_rng(3), 10), 3.5, 1.0, False, False),
+        (SET1.universe, 3.0, 0.3, False, True),
+        (SET1.universe, 4.0, 0.3, True, True),
+    ])
+    def test_polish_matches_an_slsqp_oracle(self, admm_reports, universe, bets, upper,
+                                            ball_binds, caps_bind):
+        w, _ = gmv_herfindahl(universe, upper=upper, min_bets=bets, method="admm")
+        assert admm_reports[-1].polished
+        assert np.max(np.abs(w.w - herfindahl_oracle(universe, bets, upper))) <= 1e-9
+        assert (effective_bets(w.w) <= bets + 1e-9) == ball_binds
+        assert (np.max(w.w) >= upper - 1e-12) == caps_bind
+
+    def test_diversified_effective_bets_path_is_polished(self, admm_reports):
+        u = SET1.universe
+        w = gmv_diversified(u, upper=0.3, constraint=EffectiveBets(4.0))
+        assert admm_reports[-1].polished
+        assert np.max(np.abs(w.w - herfindahl_oracle(u, 4.0, 0.3))) <= 1e-9
+
+    def test_rejected_polish_lets_admm_go_on_to_the_same_answer(self, monkeypatch,
+                                                                 admm_reports):
+        from proxalloc import portfolios
+
+        u = SET1.universe
+        expected, _ = gmv_herfindahl(u, min_bets=5.0)
+        build = portfolios._herfindahl_polish
+        calls = []
+
+        def reject_first(*args):
+            polish = build(*args)
+
+            def once(x, y, dual):
+                calls.append(x)
+                return None if len(calls) == 1 else polish(x, y, dual)
+
+            return once
+
+        monkeypatch.setattr(portfolios, "_herfindahl_polish", reject_first)
+        w, _ = gmv_herfindahl(u, min_bets=5.0)
+        report = admm_reports[-1]
+        assert len(calls) >= 2 and report.polished
+        assert report.iterations > admm_reports[0].iterations
+        assert np.max(np.abs(w.w - expected.w)) <= 1e-12
+
+    def test_table4_columns_end_polished_within_20_iterations(self, admm_reports):
+        u = SET1.universe
+        for bets in data.MINVAR_GRID_BETS:
+            admm_reports.clear()
+            gmv_herfindahl(u, min_bets=bets, method="admm")
+            # the floor of 8 bets is met by equal weights alone, with no ADMM
+            assert all(r.polished and r.iterations <= 20 for r in admm_reports)
+            assert len(admm_reports) == (bets < 8)
+
     def test_bets_monotone_in_ridge(self):
         from proxalloc.portfolios import _solve_budget_qp
 
@@ -498,6 +596,46 @@ class TestGmvDiversified:
     def test_unreachable_entropy(self, model):
         with pytest.raises(UnreachableDiversification):
             model(SET1.universe, constraint=ShannonEntropyFloor(np.log(8.0) + 0.1))
+
+    def test_warm_entropy_roots_match_cold_ones(self, monkeypatch):
+        from proxalloc import portfolios
+
+        calls = {"w": 0}
+        brackets = []
+        lambert_w_exp, bisect = portfolios.lambert_w_exp, portfolios.bisect
+
+        def counted(z):
+            calls["w"] += 1
+            return lambert_w_exp(z)
+
+        def recorded(f, bracket):
+            brackets.append(bracket.lo)
+            return bisect(f, bracket)
+
+        monkeypatch.setattr(portfolios, "lambert_w_exp", counted)
+        monkeypatch.setattr(portfolios, "bisect", recorded)
+        rng = np.random.default_rng(7)
+        lower, upper = np.zeros(12), np.full(12, 0.3)
+        projections = [
+            lambda v, last: portfolios._entropy_floor_projection(v, 2.4, lower, upper, last),
+            lambda v, last: portfolios._entropy_cone_projection(v, 2.4, last)]
+        for project in projections:
+            v = rng.normal(0.1, 0.3, 12)
+            last, warm_calls, cold_calls, warm_cold_starts = [None, 1.0], 0, 0, 0
+            # small moves, as between ADMM iterations, and one jump that leaves
+            # the warm bracket and falls back to the cold one
+            for step in [1e-3, 1e-5, 1e-7, 0.5, 1e-4, 1e-6, 1e-8]:
+                v = v + step * rng.standard_normal(12)
+                calls["w"] = 0
+                cold = project(v, None)
+                cold_calls += calls["w"]
+                calls["w"], brackets[:] = 0, []
+                warm = project(v, last)
+                warm_calls += calls["w"]
+                warm_cold_starts += brackets == [1e-13]
+                assert np.max(np.abs(warm - cold)) <= 1e-12
+            assert warm_cold_starts == 2  # the first projection and the jump
+            assert warm_calls < cold_calls
 
     def test_entropy_floor_validates_nothing_per_iteration(self, monkeypatch):
         import sys
@@ -1099,6 +1237,48 @@ class TestFailFastBeforeAdmm:
             robo_advisor(SET1.universe, cfg)
         certificate = err.value.__cause__.report
         assert certificate.status == "infeasible" and certificate.iterations <= 1000
+
+
+    @pytest.mark.parametrize("solve", [
+        lambda u, cap: mdp(u, upper=cap),
+        lambda u, cap: mdp(u, upper=cap, constraint=ShannonEntropyFloor(1.5)),
+        lambda u, cap: gmv_diversified(u, upper=cap),
+        lambda u, cap: gmv_diversified(u, upper=cap, constraint=EffectiveBets(4.0)),
+        lambda u, cap: gmv_diversified(u, upper=cap, constraint=ShannonEntropyFloor(1.5)),
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=4.0, method="admm"),
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=4.0, method="bisection"),
+    ], ids=["mdp", "mdp_entropy", "gmv_diversified", "gmv_diversified_bets",
+            "gmv_diversified_entropy", "gmv_herfindahl_admm", "gmv_herfindahl_bisection"])
+    def test_caps_summing_below_one(self, solve):
+        cap = np.full(8, 0.1)
+        with pytest.raises(InfeasibleTargets) as err:
+            solve(data.mdp_table_universe(), cap)
+        assert np.array_equal(err.value.last, cap)
+
+    def test_caps_summing_to_one_up_to_rounding_pass(self):
+        from proxalloc.portfolios import _check_caps
+
+        _check_caps(np.full(10, 0.1))  # sums to 1 - 1.1e-16
+
+
+class TestDivergence:
+    """ADMM iterates that turn non-finite raise Diverged with the last iterate and report."""
+
+    def test_minimum_variance_split(self):
+        from proxalloc.portfolios import _gmv_admm
+
+        with pytest.raises(Diverged) as err:
+            _gmv_admm(SET1.universe, [lambda phi: lambda v: np.full_like(v, np.nan)])
+        assert err.value.report.status == "diverged" and err.value.last.size == 8
+        assert not isinstance(err.value, MaxIterExceeded)
+
+    def test_risk_budgeting_split(self):
+        from proxalloc.portfolios import _rb_admm
+
+        # infinite budgets send the barrier prox, the y-block, to infinity
+        with pytest.raises(Diverged) as err:
+            _rb_admm(SET1.universe, np.full(8, np.inf), Volatility())
+        assert err.value.report.status == "diverged" and err.value.last.size == 8
 
 
 class TestRqePortfolio:
