@@ -14,9 +14,12 @@ back MAX_PHI_REVERSALS times.  Every quadratic x-update
 solves through linalg.PenaltyFactor, which factors Q + phi I once per
 penalty value.  Two optional hooks let a split end early: one certifies
 from the change of the dual that the problem is infeasible, the other
-polishes the iterate into an exact answer on the active set it shows.
-The QP bridge uses both; the Herfindahl split of the diversified
-minimum-variance models polishes too.
+polishes the iterate into an exact answer on the active set it shows,
+at every power-of-two iteration from the first and on convergence, so
+a split whose active set shows early ends early while a polish that
+keeps failing costs O(log iterations) tries.  The QP bridge uses both
+hooks; the Herfindahl split of the diversified minimum-variance models
+polishes too.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,6 @@ from .prox import LpBall, projector, soft_threshold
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
-POLISH_FIRST = 10  # iterations before the first polish; then at every doubling
 # turns of the penalty per solve, then it is held: convergence needs it fixed after
 # finitely many changes (Boyd et al. 2011, 3.4.1); a one-way run only finds its scale
 MAX_PHI_REVERSALS = 50
@@ -66,8 +68,8 @@ class AdmmProblem:
     iterations whether the last change of the scaled dual, r = K x - y,
     certifies that no K x lies in the domain of f_y; the solve then stops
     with status "infeasible".  ``polish(x, y, dual)``, when given, runs
-    at iteration POLISH_FIRST, at every doubling of the count after it
-    and on convergence, with the unscaled dual phi u; a point it returns
+    at every power-of-two iteration (1, 2, 4, 8, ...) and on
+    convergence, with the unscaled dual phi u; a point it returns
     ends the solve as converged, in place of x, with report.polished set.
     ``objective(x, y)`` is only used for reporting.
     """
@@ -139,7 +141,6 @@ def admm_solve(problem, x0, y0, cfg=None):
     phi = cfg.phi0
     prox = problem.y_prox(phi)
     report = SolverReport(status=MAX_ITER)
-    next_polish = POLISH_FIRST
     reversals, last_step = 0, 0
 
     for iteration in range(1, cfg.max_iter + 1):
@@ -169,8 +170,7 @@ def admm_solve(problem, x0, y0, cfg=None):
         if problem.objective is not None:
             report.objective_trace.append(float(problem.objective(x, y)))
         converged = r_norm <= cfg.eps and s_norm <= cfg.eps_prime
-        if polish is not None and (converged or iteration == next_polish):
-            next_polish *= 2
+        if polish is not None and (converged or iteration & (iteration - 1) == 0):
             finished = polish(x, y, phi * u)
             if finished is not None:
                 report.status = CONVERGED

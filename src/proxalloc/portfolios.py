@@ -53,7 +53,15 @@ from .prox import (
     prox_log_barrier,
     soft_threshold,
 )
-from .qp import POLISH_TOL, QpProblem, _Bridge, _certified, linear_projection, qp_solve
+from .qp import (
+    POLISH_ROUNDS,
+    POLISH_TOL,
+    QpProblem,
+    _Bridge,
+    _certified,
+    linear_projection,
+    qp_solve,
+)
 from .reports import DIVERGED
 
 # slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
@@ -494,6 +502,16 @@ def _check_caps(upper):
                                 "portfolio meets the budget", last=np.array(upper))
 
 
+def _equal_weights(upper):
+    """Equal weights, the one portfolio a floor of n bets or of entropy ln n
+    admits; raises InfeasibleTargets when a cap is below 1/n."""
+    n = upper.size
+    if upper.min() < 1.0 / n - CAP_SLACK:
+        raise InfeasibleTargets(f"only equal weights meet the floor, and a cap of "
+                                f"{upper.min():.6g} < 1/{n} excludes them", last=np.array(upper))
+    return _gate(np.full(n, 1.0 / n))
+
+
 def _admm_failure(what, y, report):
     """The typed error of an ADMM solve that ended neither converged nor polished."""
     if report.status == DIVERGED:
@@ -543,17 +561,25 @@ def _herfindahl_polish(cov, upper, radius):
     and a ball multiplier lam >= 0.  In cov_FF's eigenbasis both are
     explicit in lam: lam = 0 when that point lies in the ball, and
     otherwise the root of ||x(lam)|| = radius, found by ``bisect``, as the
-    ridge path's norm falls in lam.  The point is kept only if it holds
-    to POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
+    ridge path's norm falls in lam.  The point is kept once it holds to
+    POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
     gradient g = cov x + lam x - nu 1 is >= 0 on Z and <= 0 on C.
-    Otherwise, or when cov_FF is singular, the hook returns None and ADMM
-    goes on.
+    Otherwise the names that break these tests move and the solve
+    repeats, at most POLISH_ROUNDS times (a primal-dual active-set step,
+    Hintermueller, Ito & Kunisch 2003): free names below 0 join Z, free
+    names above their cap join C, and names of Z or C whose reduced
+    gradient has the wrong sign go free.  A free set too small to meet
+    the ball, budget^2 / |F| >= radius^2 - ||u_C||^2, is the limit
+    lam -> inf, where x_F is the equal share s of the budget and g / lam
+    is x - s: every zero and every cap above s goes free.  When the
+    rounds run out, or cov_FF is singular, the hook returns None and
+    ADMM goes on.
     """
     r2 = radius * radius
+    movable = upper > 0.0  # a zero with no room under its cap stays at 0
 
-    def polish(x, y, dual):
-        zero = y <= 0.0
-        cap = (y >= upper) & ~zero
+    def solve(zero, cap):
+        """(point, reduced gradient, sign slack) on the set (zero, cap), or None."""
         free = ~(zero | cap)
         if not free.any():
             return None  # a vertex of the box leaves the multipliers to ADMM
@@ -578,9 +604,11 @@ def _herfindahl_polish(cov, upper, radius):
 
         lam = 0.0
         if excess(0.0) > 0.0:
-            # as lam grows, x_F tends to the equal split of the budget
-            if budget * budget / free.sum() >= room:
-                return None
+            # as lam grows, x_F tends to the equal share of the budget
+            share = budget / free.sum()
+            if budget * share >= room:  # the limit lam -> inf, where g / lam = x - share
+                point = np.where(cap, upper, np.where(free, share, 0.0))
+                return point, point - share, 0.0
             hi = eig[-1]
             while excess(hi) > 0.0:
                 hi *= 4.0
@@ -595,13 +623,25 @@ def _herfindahl_polish(cov, upper, radius):
         point[free] = vecs @ z
         grad = cov @ point + lam * point
         tol = POLISH_TOL * float(np.max(np.abs(grad)))
-        grad -= nu
-        inside = (np.all(point[free] >= -POLISH_TOL)
-                  and np.all(point[free] <= upper[free] + POLISH_TOL)
-                  and point @ point <= r2 * (1.0 + POLISH_TOL))
-        signed = (np.all(grad[zero & (upper > 0.0)] >= -tol)
-                  and np.all(grad[cap] <= tol))
-        return point if inside and signed else None
+        return point, grad - nu, tol
+
+    def polish(x, y, dual):
+        zero = y <= 0.0
+        cap = (y >= upper) & ~zero
+        for _ in range(1 + POLISH_ROUNDS):
+            solved = solve(zero, cap)
+            if solved is None:
+                return None
+            point, grad, tol = solved
+            free = ~(zero | cap)
+            low = free & (point < -POLISH_TOL)
+            high = free & (point > upper + POLISH_TOL)
+            release = (zero & movable & (grad < -tol)) | (cap & (grad > tol))
+            if not (low.any() or high.any() or release.any()):
+                return point if point @ point <= r2 * (1.0 + POLISH_TOL) else None
+            zero = (zero | low) & ~release
+            cap = (cap | high) & ~release
+        return None
 
     return polish
 
@@ -615,10 +655,11 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     into the y-update, a Dykstra sweep over the ball and the box, and
     returns (weights, None).  That split ends at the polish of
     ``_herfindahl_polish``: the exact KKT point on the support and caps
-    the sweep's output shows, once the polish tests accept it (OSQP's
-    solution polishing, Stellato et al. 2020).  A floor at (or above) the
-    asset count returns equal weights directly; caps summing below 1
-    raise InfeasibleTargets.
+    the sweep's output shows, corrected by a few active-set rounds, once
+    the polish tests accept it (OSQP's solution polishing, Stellato et
+    al. 2020); the polish runs from the first ADMM iteration.  A floor
+    at the asset count returns equal weights directly; caps summing
+    below 1, or below 1/n at that floor, raise InfeasibleTargets.
     """
     n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
@@ -627,7 +668,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     if min_bets > n + 1e-9:
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
     if min_bets >= n - 1e-9:
-        return _gate(np.full(n, 1.0 / n)), np.inf
+        return _equal_weights(upper_vec), np.inf
 
     if method == "bisection":
         state = {"x": None}
@@ -775,8 +816,9 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
 
     EffectiveBets floors reuse the Herfindahl ball split and its polish;
     Shannon-entropy floors put the entropy super-level set into the
-    y-update next to the box.  Caps summing below 1 raise
-    InfeasibleTargets.
+    y-update next to the box.  A floor of n bets or ln n admits equal
+    weights only, which it returns directly.  Caps summing below 1, or
+    below 1/n at such a floor, raise InfeasibleTargets.
     """
     n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
@@ -792,7 +834,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
     if isinstance(constraint, ShannonEntropyFloor):
         floor = constraint.minimum
         if _equal_weight_entropy(floor, n):
-            return _gate(np.full(n, 1.0 / n))
+            return _equal_weights(upper_vec)
 
         last = [None, 1.0]  # the last root theta, which brackets the next one
 
@@ -990,7 +1032,9 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     orthant and an effective-bets floor N (the cone sqrt(N) ||y|| <= 1'y),
     or for an entropy floor h the one cone {y >= 0 : H(y / 1'y) >= h}
     (``_entropy_cone_projection``), which lies in the orthant already;
-    each cap u_i < 1 adds the half-space y_i <= u_i 1'y.
+    each cap u_i < 1 adds the half-space y_i <= u_i 1'y.  A floor of n
+    bets or ln n returns equal weights directly, and raises
+    InfeasibleTargets when a cap is below 1/n.
     """
     n = universe.n
     cov, sigma = universe.cov, universe.sigma
@@ -1008,7 +1052,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     _check_caps(upper_vec)
     if isinstance(constraint, ShannonEntropyFloor):
         if _equal_weight_entropy(constraint.minimum, n):
-            return _gate(np.full(n, 1.0 / n))
+            return _equal_weights(upper_vec)
         last = [None, 1.0]  # the last root theta, which brackets the next one
         cone = lambda v: _entropy_cone_projection(v, constraint.minimum, last)
         blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
@@ -1016,6 +1060,8 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
         blocks = [_projection(Box(0.0, np.inf), n)]
         if isinstance(constraint, EffectiveBets):
             blocks.append(_projection(EffectiveBetsCone(constraint.minimum), n))
+            if constraint.minimum >= n - 1e-9:  # the cone has checked bets <= n
+                return _equal_weights(upper_vec)
         elif constraint is not None:
             raise TypeError(f"unknown diversification constraint {constraint!r}")
     blocks += [_projection(Halfspace(row - cap, 0.0), n)

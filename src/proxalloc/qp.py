@@ -16,7 +16,7 @@ stacked in K = [w A; C; I]:
   the equality rows then carry w = sqrt(1000), which weighs them as
   OSQP's thousandfold equality penalty does.
 
-After 10 iterations, at every doubling of the count and on convergence
+At every power-of-two iteration (1, 2, 4, ...) and on convergence
 the active set is guessed from z and the dual, and the point is
 polished: an equality QP on the free coordinates, kept only if it is
 feasible and its multipliers have the right signs, which ends the solve.
@@ -56,7 +56,7 @@ from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
 
 EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = B
 POLISH_TOL = 1e-9  # feasibility and multiplier-sign slack of a polished point
-POLISH_ROUNDS = 4  # equality solves a polish may spend on violated rows
+POLISH_ROUNDS = 4  # re-solves a polish may spend on a corrected active set
 INFEASIBLE_EPS = 1e-6  # relative tolerance of the infeasibility certificate
 # the stationarity check of an answer: default tolerance, at most 1000 cycles
 CERTIFICATE_CFG = DykstraConfig(max_cycles=1000)
@@ -234,18 +234,21 @@ def _settle(problem, split, at_lo, at_hi):
     Rows with l = u (equalities, pinned coordinates) are always active,
     at their lower bound.  Active box rows fix their coordinates, active
     dense rows become equalities, and the equality QP on the free
-    coordinates is solved by _solve_equality_qp.  Rows the solution
-    violates join the active set and the solve repeats, at most
-    POLISH_ROUNDS times, which settles the ties of a nearly flat
-    objective.  The point is kept only if every row holds to POLISH_TOL
-    and every inequality multiplier has the sign the KKT conditions need;
-    rows with l = u take multipliers of either sign.
+    coordinates is solved by _solve_equality_qp.  The point is kept once
+    every row holds to POLISH_TOL and every inequality multiplier has the
+    sign the KKT conditions need; rows with l = u take multipliers of
+    either sign.  Otherwise the active set is corrected and the solve
+    repeats, at most POLISH_ROUNDS times (a primal-dual active-set step,
+    Hintermueller, Ito & Kunisch 2003): rows the point violates join it,
+    or, when it violates none, the rows whose multiplier has the wrong
+    sign leave it.  This settles the ties of a nearly flat objective and
+    an active set guessed one row off.
     """
     m, lo, hi = split.m, split.lo, split.hi
     equal = lo == hi
     at_lo = at_lo | equal
     at_hi = at_hi & ~at_lo
-    for _ in range(POLISH_ROUNDS):
+    for _ in range(1 + POLISH_ROUNDS):
         point = _active_set_point(problem, split, at_lo, at_hi)
         if point is None:
             return None
@@ -253,15 +256,19 @@ def _settle(problem, split, at_lo, at_hi):
         kx = split.apply(x)
         slack = POLISH_TOL * (1.0 + np.abs(kx))
         below, above = kx < lo - slack, kx > hi + slack
-        if not (np.any(below) or np.any(above)):
-            # only C rows sit at an upper bound; the multipliers of A's rows
-            # take either sign
-            capped = at_hi[:m][(at_lo | at_hi)[:m]]
-            signed = (np.all(nu[capped] <= tol) and np.all(grad[at_lo[m:] & ~equal[m:]] >= -tol)
-                      and np.all(grad[at_hi[m:]] <= tol))
-            return x if signed else None
-        at_lo = at_lo | below
-        at_hi = (at_hi | above) & ~at_lo
+        if np.any(below) or np.any(above):
+            at_lo = at_lo | below
+            at_hi = (at_hi | above) & ~at_lo
+            continue
+        # only C rows sit at an upper bound; the multipliers of A's rows
+        # take either sign
+        dense = np.flatnonzero((at_lo | at_hi)[:m])
+        release = np.zeros_like(at_lo)
+        release[dense[at_hi[dense] & (nu > tol)]] = True
+        release[m:] = (at_lo[m:] & ~equal[m:] & (grad < -tol)) | (at_hi[m:] & (grad > tol))
+        if not np.any(release):
+            return x
+        at_lo, at_hi = at_lo & ~release, at_hi & ~release
     return None
 
 

@@ -551,6 +551,49 @@ class TestGmvHerfindahl:
             assert all(r.polished and r.iterations <= 20 for r in admm_reports)
             assert len(admm_reports) == (bets < 8)
 
+    def test_table4_columns_end_polished_at_the_first_iteration(self, admm_reports):
+        u = SET1.universe
+        for bets in [b for b in data.MINVAR_GRID_BETS if b < 8]:
+            admm_reports.clear()
+            gmv_herfindahl(u, min_bets=bets, method="admm")
+            assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
+
+    def test_weakly_binding_cap_ends_polished_within_2_iterations(self, admm_reports):
+        # one cap binds with a reduced gradient of about -1e-6, which the
+        # sweep's early iterates leave free
+        u = SET1.universe
+        w, _ = gmv_herfindahl(u, upper=0.4, min_bets=4.0, method="admm")
+        assert admm_reports[-1].polished and admm_reports[-1].iterations <= 2
+        assert np.max(np.abs(w.w - herfindahl_oracle(u, 4.0, 0.4))) <= 1e-9
+
+    @pytest.mark.parametrize("bets, upper", [(3.0, 1.0), (6.0, 1.0), (7.5, 1.0), (4.0, 0.4)])
+    @pytest.mark.parametrize("guess", ["all_free", "one_name"])
+    def test_polish_corrects_a_far_guess_to_the_oracle(self, bets, upper, guess):
+        from proxalloc.portfolios import _herfindahl_polish
+
+        u = SET1.universe
+        y = np.full(8, 0.5 * upper) if guess == "all_free" else 0.5 * upper * np.eye(8)[0]
+        polish = _herfindahl_polish(u.cov, np.full(8, upper), np.sqrt(1.0 / bets))
+        w = polish(None, y, None)
+        assert w is not None
+        assert np.max(np.abs(w - herfindahl_oracle(u, bets, upper))) <= 1e-9
+
+    def test_polish_out_of_rounds_returns_none_and_admm_goes_on(self, monkeypatch,
+                                                                 admm_reports):
+        from proxalloc import portfolios
+
+        u, caps = SET1.universe, np.full(8, 0.3)
+        polish = portfolios._herfindahl_polish(u.cov, caps, 0.5)
+        # this guess needs one correction more than POLISH_ROUNDS allows
+        assert polish(None, 0.15 * np.eye(8)[0], None) is None
+        expected, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
+        monkeypatch.setattr(portfolios, "POLISH_ROUNDS", 0)  # the sweep's guess only
+        w, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
+        assert admm_reports[0].iterations == 1 < admm_reports[1].iterations
+        assert admm_reports[1].polished
+        # a polished point depends on its active set alone
+        assert np.array_equal(w.w, expected.w)
+
     def test_bets_monotone_in_ridge(self):
         from proxalloc.portfolios import _solve_budget_qp
 
@@ -1254,6 +1297,24 @@ class TestFailFastBeforeAdmm:
         with pytest.raises(InfeasibleTargets) as err:
             solve(data.mdp_table_universe(), cap)
         assert np.array_equal(err.value.last, cap)
+
+    @pytest.mark.parametrize("solve", [
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=8.0, method="admm"),
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=8.0, method="bisection"),
+        lambda u, cap: gmv_diversified(u, upper=cap, constraint=EffectiveBets(8.0)),
+        lambda u, cap: gmv_diversified(u, upper=cap, constraint=ShannonEntropyFloor(np.log(8.0))),
+        lambda u, cap: mdp(u, upper=cap, constraint=EffectiveBets(8.0)),
+        lambda u, cap: mdp(u, upper=cap, constraint=ShannonEntropyFloor(np.log(8.0))),
+    ], ids=["gmv_herfindahl_admm", "gmv_herfindahl_bisection", "gmv_diversified_bets",
+            "gmv_diversified_entropy", "mdp_bets", "mdp_entropy"])
+    def test_cap_below_one_over_n_under_an_equal_weight_floor(self, solve):
+        # the caps sum above 1, but only equal weights meet a floor of n bets or ln n
+        cap = np.array([0.05] + [1.0] * 7)
+        with pytest.raises(InfeasibleTargets) as err:
+            solve(SET1.universe, cap)
+        assert np.array_equal(err.value.last, cap)
+        w = solve(SET1.universe, np.full(8, 0.125))
+        assert np.array_equal((w[0] if isinstance(w, tuple) else w).w, EW8)
 
     def test_caps_summing_to_one_up_to_rounding_pass(self):
         from proxalloc.portfolios import _check_caps

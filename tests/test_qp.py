@@ -131,6 +131,36 @@ class TestQpSolve:
         i, j = np.unravel_index(np.argmin(values), values.shape)
         assert np.max(np.abs(x - [grid[i], grid[j]])) <= 1.5e-3  # grid pitch
 
+    @pytest.mark.parametrize("rejected", [0, 1, 3, np.inf])
+    def test_polish_runs_at_powers_of_two_and_on_convergence(self, monkeypatch, rejected):
+        box = random_box_qp(np.random.default_rng(4), 6)
+        p = QpProblem(q=box.q, r=box.r, a=np.ones((1, 6)), b=[0.5], lower=box.lower,
+                      upper=box.upper)
+        polish, calls = qp._polish, []
+
+        def counted(*args):
+            calls.append(args)
+            return None if len(calls) <= rejected else polish(*args)
+
+        monkeypatch.setattr(qp, "_polish", counted)
+        _, report = qp_solve(p, return_report=True)
+        k = report.iterations
+        if rejected < np.inf:
+            assert report.polished and k == 2**rejected
+        else:
+            assert report.converged and not report.polished
+            # iterations 1, 2, 4, ... and the converged one when it is not among them
+            assert len(calls) == k.bit_length() + (k & (k - 1) != 0)
+
+    def test_settle_releases_a_bound_whose_multiplier_has_the_wrong_sign(self):
+        p = QpProblem(q=np.eye(3), r=np.array([0.6, 0.3, 0.1]), a=np.ones((1, 3)), b=[1.0],
+                      lower=0.0, upper=1.0)
+        split = qp._ClippedSplit(p)
+        at_lo = np.zeros(split.m + 3, dtype=bool)
+        at_lo[-1] = True  # x_3 guessed at 0, where the reduced gradient is -0.15
+        x = qp._settle(p, split, at_lo, np.zeros_like(at_lo))
+        assert x is not None and np.max(np.abs(x - p.r)) <= 1e-14
+
     def test_report_traces_align_with_iterations(self):
         rng = np.random.default_rng(9)
         p = random_box_qp(rng, 4)
