@@ -240,11 +240,9 @@ def _cmd_allocate(payload, args):
         w, rep = portfolios.erc(universe, return_report=True)
         report_fields = {"cycles": rep.iterations}
     elif model == "gmv":
-        min_bets = float(payload.get("min_bets", 1.0))
-        method = payload.get("method", "admm")
         w, lam = portfolios.gmv_herfindahl(universe, payload.get("upper"),
-                                           min_bets, method=method)
-        report_fields = {"ridge_weight": None if lam is None else float(lam)}
+                                           float(payload.get("min_bets", 1.0)))
+        report_fields = {"ridge_weight": float(lam)}
     elif model == "mvo":
         w = portfolios.mvo_gamma(universe, float(payload.get("gamma", 0.0)),
                                  lower=payload.get("lower"),
@@ -286,11 +284,9 @@ def reproduce_minvar_grid():
     weights = np.zeros((8, len(data.MINVAR_GRID_BETS)))
     ridges = []
     for j, bets in enumerate(data.MINVAR_GRID_BETS):
-        w, _ = portfolios.gmv_herfindahl(universe, min_bets=bets, method="admm")
-        wb, lam = portfolios.gmv_herfindahl(universe, min_bets=bets,
-                                            method="bisection")
+        w, lam = portfolios.gmv_herfindahl(universe, min_bets=bets)
         weights[:, j] = w.as_percent()
-        ridges.append(lam * 100.0 if np.isfinite(lam) else np.inf)
+        ridges.append(lam * 100.0)
     return weights, np.asarray(ridges)
 
 

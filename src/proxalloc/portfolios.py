@@ -40,7 +40,8 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import PenaltyFactor, RootBracket, as_matrix, as_vector, bisect, lambert_w_exp
+from .linalg import (PenaltyFactor, RootBracket, as_matrix, as_vector, bisect,
+                     lambert_w_exp, threshold_sum_root)
 from .prox import (
     Box,
     EffectiveBetsCone,
@@ -319,10 +320,10 @@ def _secular_root(a, c):
     return theta
 
 
-def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None, x0=None):
+def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None):
     problem = QpProblem(q=q, r=r, a=np.ones((1, len(r))), b=np.ones(1), c=c, d=d,
                         lower=lower, upper=upper)
-    return qp_solve(problem, cfg=cfg, x0=x0)
+    return qp_solve(problem, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +551,7 @@ def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, po
     return y[:n]
 
 
-def _herfindahl_polish(cov, upper, radius):
+def _herfindahl_polish(cov, upper, radius, accepted):
     """Polish hook of the Herfindahl split: min x'cov x on 1'x = 1,
     0 <= x <= upper, ||x|| <= radius, solved exactly on a guessed active set.
 
@@ -559,10 +560,12 @@ def _herfindahl_polish(cov, upper, radius):
     x_C = u_C, the KKT conditions on F are (cov_FF + lam I) x_F =
     nu 1 - cov_FC u_C and 1'x_F = 1 - 1'u_C, for the budget multiplier nu
     and a ball multiplier lam >= 0.  In cov_FF's eigenbasis both are
-    explicit in lam: lam = 0 when that point lies in the ball, and
+    explicit in lam: lam = lam0 when that point lies in the ball, and
     otherwise the root of ||x(lam)|| = radius, found by ``bisect``, as the
-    ridge path's norm falls in lam.  The point is kept once it holds to
-    POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
+    ridge path's norm falls in lam; lam0 is 0, or 1e-12 eig_max when
+    cov_FF is singular (cov_FF + lam I is definite for any lam > 0).  The
+    point is kept, and its lam written to ``accepted[0]``, once it holds
+    to POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
     gradient g = cov x + lam x - nu 1 is >= 0 on Z and <= 0 on C.
     Otherwise the names that break these tests move and the solve
     repeats, at most POLISH_ROUNDS times (a primal-dual active-set step,
@@ -572,14 +575,13 @@ def _herfindahl_polish(cov, upper, radius):
     the ball, budget^2 / |F| >= radius^2 - ||u_C||^2, is the limit
     lam -> inf, where x_F is the equal share s of the budget and g / lam
     is x - s: every zero and every cap above s goes free.  When the
-    rounds run out, or cov_FF is singular, the hook returns None and
-    ADMM goes on.
+    rounds run out the hook returns None and ADMM goes on.
     """
     r2 = radius * radius
     movable = upper > 0.0  # a zero with no room under its cap stays at 0
 
     def solve(zero, cap):
-        """(point, reduced gradient, sign slack) on the set (zero, cap), or None."""
+        """(point, reduced gradient, sign slack, lam) on the set (zero, cap), or None."""
         free = ~(zero | cap)
         if not free.any():
             return None  # a vertex of the box leaves the multipliers to ADMM
@@ -587,8 +589,7 @@ def _herfindahl_polish(cov, upper, radius):
         budget = 1.0 - u_cap.sum()
         room = r2 - u_cap @ u_cap  # what the ball leaves to ||x_F||^2
         eig, vecs = np.linalg.eigh(cov[np.ix_(free, free)])
-        if eig[0] <= 1e-12 * eig[-1]:
-            return None
+        lam0 = 0.0 if eig[0] > 1e-12 * eig[-1] else 1e-12 * eig[-1]
         ones = vecs.sum(axis=0)  # V'1
         shift = vecs.T @ (cov[np.ix_(free, cap)] @ u_cap)
 
@@ -602,20 +603,20 @@ def _herfindahl_polish(cov, upper, radius):
             z = ridge(lam)[1]
             return z @ z - room
 
-        lam = 0.0
-        if excess(0.0) > 0.0:
+        lam = lam0
+        if excess(lam0) > 0.0:
             # as lam grows, x_F tends to the equal share of the budget
             share = budget / free.sum()
             if budget * share >= room:  # the limit lam -> inf, where g / lam = x - share
                 point = np.where(cap, upper, np.where(free, share, 0.0))
-                return point, point - share, 0.0
+                return point, point - share, 0.0, np.inf
             hi = eig[-1]
             while excess(hi) > 0.0:
                 hi *= 4.0
                 if hi > 1e12 * eig[-1]:
                     return None
             try:
-                lam = bisect(excess, RootBracket(0.0, hi, tol=1e-14 * room))
+                lam = bisect(excess, RootBracket(lam0, hi, tol=1e-14 * room))
             except MaxIterExceeded:
                 return None
         nu, z = ridge(lam)
@@ -623,7 +624,7 @@ def _herfindahl_polish(cov, upper, radius):
         point[free] = vecs @ z
         grad = cov @ point + lam * point
         tol = POLISH_TOL * float(np.max(np.abs(grad)))
-        return point, grad - nu, tol
+        return point, grad - nu, tol, lam
 
     def polish(x, y, dual):
         zero = y <= 0.0
@@ -632,13 +633,16 @@ def _herfindahl_polish(cov, upper, radius):
             solved = solve(zero, cap)
             if solved is None:
                 return None
-            point, grad, tol = solved
+            point, grad, tol, lam = solved
             free = ~(zero | cap)
             low = free & (point < -POLISH_TOL)
             high = free & (point > upper + POLISH_TOL)
             release = (zero & movable & (grad < -tol)) | (cap & (grad > tol))
             if not (low.any() or high.any() or release.any()):
-                return point if point @ point <= r2 * (1.0 + POLISH_TOL) else None
+                if point @ point > r2 * (1.0 + POLISH_TOL):
+                    return None
+                accepted[0] = lam
+                return point
             zero = (zero | low) & ~release
             cap = (cap | high) & ~release
         return None
@@ -649,18 +653,22 @@ def _herfindahl_polish(cov, upper, radius):
 def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     """Long-only minimum variance with an effective-bets floor.
 
-    method="bisection" sweeps the ridge weight lam in
-    min 0.5 x'(cov + 2 lam I)x until 1/sum(x^2) hits the floor and
-    returns (weights, lam); method="admm" splits the ball constraint
-    into the y-update, a Dykstra sweep over the ball and the box, and
-    returns (weights, None).  That split ends at the polish of
-    ``_herfindahl_polish``: the exact KKT point on the support and caps
-    the sweep's output shows, corrected by a few active-set rounds, once
-    the polish tests accept it (OSQP's solution polishing, Stellato et
-    al. 2020); the polish runs from the first ADMM iteration.  A floor
-    at the asset count returns equal weights directly; caps summing
-    below 1, or below 1/n at that floor, raise InfeasibleTargets.
+    Returns (weights, lam), lam the ball's KKT multiplier (the published
+    ridge row's lam*: the weights also minimize x'(cov + lam I)x on the
+    budget and box).  One ADMM split, with a Dykstra sweep over the ball
+    and the box as its y-update, ends at the polish of
+    ``_herfindahl_polish`` (OSQP's solution polishing, Stellato et al.
+    2020), which reports lam: 0 where the floor is slack, as a floor of
+    at most 1 bet is (||x||_2 <= ||x||_1 = 1); NaN if ADMM ends
+    unpolished.  The most bets the caps admit is 1/||x||^2 at
+    x = min(upper, t), the budget portfolio nearest 0: a floor above it
+    raises InfeasibleTargets with x as ``last``, and one within 1e-9
+    returns x with lam = inf, as a floor of n bets returns equal weights.
+    Caps summing below 1, or below 1/n at that floor, raise
+    InfeasibleTargets.  ``method`` accepts "admm" only.
     """
+    if method != "admm":
+        raise ValueError(f"unknown method {method!r}: the Herfindahl split is the one solver")
     n = universe.n
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
@@ -669,43 +677,27 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
     if min_bets >= n - 1e-9:
         return _equal_weights(upper_vec), np.inf
+    if upper_vec.min() < 1.0 / n:  # otherwise the nearest portfolio to 0 is 1/n, n bets
+        spare = upper_vec.sum() - 1.0
+        widest = np.minimum(upper_vec, threshold_sum_root(upper_vec, spare)) if spare > 0.0 \
+            else np.array(upper_vec)
+        most = effective_bets(widest)
+        if min_bets > most + 1e-9:
+            raise InfeasibleTargets(f"the caps admit at most {most:.10g} effective bets "
+                                    f"< {min_bets}", last=widest)
+        if min_bets >= most - 1e-9:
+            return _gate(widest), np.inf
 
-    if method == "bisection":
-        state = {"x": None}
-
-        def solve_ridge(lam):
-            # ridge convention Q = cov + lam I, i.e. penalty (lam/2)||x||^2,
-            # matching the published lam* row
-            x = _solve_budget_qp(universe.cov + lam * np.eye(n), np.zeros(n),
-                                 lower=np.zeros(n), upper=upper_vec, cfg=cfg,
-                                 x0=state["x"])
-            state["x"] = x
-            return x
-
-        base = solve_ridge(0.0)
-        if effective_bets(base) >= min_bets - 1e-9:
-            return _gate(base), 0.0
-        hi = 0.1
-        while effective_bets(solve_ridge(hi)) < min_bets:
-            hi *= 4.0
-            if hi > 1e6:
-                return _gate(np.full(n, 1.0 / n)), np.inf
-        lam = bisect(lambda l: effective_bets(solve_ridge(l)) - min_bets,
-                     RootBracket(0.0, hi, tol=1e-7))
-        return _gate(solve_ridge(lam)), lam
-
-    if method == "admm":
-        radius = np.sqrt(1.0 / min_bets)
-        dykstra_cfg = DykstraConfig(tol=1e-12)
-        ops = [projector(LpBall(2, np.zeros(n), radius), n),
-               projector(Box(np.zeros(n), upper_vec), n)]
-        # v is the ADMM iterate K x + u, which admm_solve has found finite
-        projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
-        polish = _herfindahl_polish(universe.cov, upper_vec, radius)
-        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg,
-                               polish=polish)), None
-
-    raise ValueError(f"unknown method {method!r}")
+    radius = np.sqrt(1.0 / min_bets)
+    dykstra_cfg = DykstraConfig(tol=1e-12)
+    ops = [projector(LpBall(2, np.zeros(n), radius), n),
+           projector(Box(np.zeros(n), upper_vec), n)]
+    # v is the ADMM iterate K x + u, which admm_solve has found finite
+    projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
+    accepted = [np.nan]  # the ball multiplier of the polished point
+    polish = _herfindahl_polish(universe.cov, upper_vec, radius, accepted)
+    w = _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg, polish=polish))
+    return w, 0.0 if min_bets <= 1.0 else accepted[0]
 
 
 def _entropy_root(point, floor, last=None):
@@ -829,7 +821,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
                              upper=upper_vec, cfg=cfg)
         return _gate(w)
     if isinstance(constraint, EffectiveBets):
-        w, _ = gmv_herfindahl(universe, upper_vec, constraint.minimum, "admm", cfg)
+        w, _ = gmv_herfindahl(universe, upper_vec, constraint.minimum, cfg=cfg)
         return w
     if isinstance(constraint, ShannonEntropyFloor):
         floor = constraint.minimum

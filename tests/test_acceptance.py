@@ -49,7 +49,7 @@ class TestAcceptance:
 
     def test_criterion_2_text_anchored_gmv(self):
         u = data.parameter_set_1().universe
-        w, _ = portfolios.gmv_herfindahl(u, min_bets=6.435, method="admm")
+        w, _ = portfolios.gmv_herfindahl(u, min_bets=6.435)
         gap = float(np.max(np.abs(w.as_percent() - data.MINVAR_BENCHMARK_WEIGHTS)))
         record(2, gap <= 0.01, f"benchmark-bets portfolio gap {gap:.4f}pp")
 

@@ -102,6 +102,15 @@ class TestAllocateCommand:
         assert main(["allocate", "--input", inp, "--output", str(out)]) == EXIT_OK
         result = read_json(out)
         assert np.allclose(result["weights"], 1 / 8)
+        assert result["ridge_weight"] == np.inf
+
+    def test_gmv_reports_the_ridge_weight_of_its_floor(self, tmp_path):
+        from proxalloc.data import MINVAR_GRID_RIDGE
+
+        inp = write_payload(tmp_path, {"model": "gmv", "set": 1, "min_bets": 5})
+        out = tmp_path / "out.json"
+        assert main(["allocate", "--input", inp, "--output", str(out)]) == EXIT_OK
+        assert abs(100 * read_json(out)["ridge_weight"] - MINVAR_GRID_RIDGE[4]) <= 0.1
 
     def test_mdp_grid_column(self, tmp_path):
         from proxalloc.data import MDP_GRID_WEIGHTS

@@ -131,6 +131,35 @@ def herfindahl_oracle(u, bets, upper=1.0):
     return x
 
 
+def assert_ridge_certificate(u, w, lam, bets, upper=1.0):
+    """Check (w, lam) against the KKT conditions of the effective-bets floor.
+
+    For lam >= 0 the ridge QP min x'(cov + lam I)x on the long-only budget
+    set under the caps has one answer, which the QP bridge finds; w must be
+    it to 1e-9, meet the floor, and sit on the ball 1/||w||^2 = bets when
+    0 < lam < inf (complementary slackness).  Together these certify w as
+    the optimum and lam as the ball's multiplier.
+    """
+    from proxalloc.portfolios import _solve_budget_qp
+
+    n = u.n
+    assert 0.0 <= lam < np.inf
+    ridge = _solve_budget_qp(u.cov + lam * np.eye(n), np.zeros(n), lower=np.zeros(n),
+                             upper=np.broadcast_to(upper, (n,)))
+    assert np.max(np.abs(w - ridge)) <= 1e-9
+    assert effective_bets(w) >= bets - 1e-9
+    if lam > 0.0:
+        assert abs(effective_bets(w) - bets) <= 1e-9
+
+
+def duplicated_asset_universe():
+    """Set #1 with a ninth asset that copies asset 7, so cov is singular."""
+    u = SET1.universe
+    idx = list(range(8)) + [6]
+    return AssetUniverse(names=[f"a{i}" for i in range(9)], mu=u.mu[idx],
+                         sigma=u.sigma[idx], rho=u.rho[np.ix_(idx, idx)])
+
+
 @pytest.fixture
 def admm_reports(monkeypatch):
     """The reports of every admm_solve the models run, in call order."""
@@ -473,24 +502,63 @@ class TestMvoCosts:
 
 
 class TestGmvHerfindahl:
-    def test_methods_agree(self):
+    def test_ridge_row_matches_table4(self):
         u = SET1.universe
-        for bets in (3.0, 5.0, 6.435):
-            w_admm, lam_admm = gmv_herfindahl(u, min_bets=bets, method="admm")
-            w_bis, lam_bis = gmv_herfindahl(u, min_bets=bets, method="bisection")
-            assert lam_admm is None and lam_bis >= 0
-            assert np.max(np.abs(w_admm.w - w_bis.w)) <= 1e-4
-            assert effective_bets(w_admm.w) >= bets - 1e-6
+        ridges = [100.0 * gmv_herfindahl(u, min_bets=bets)[1] for bets in data.MINVAR_GRID_BETS]
+        # a floor of 1 bet is vacuous; only equal weights meet a floor of 8
+        assert ridges[0] == 0.0 and ridges[-1] == np.inf
+        assert np.max(np.abs(np.subtract(ridges[1:-1], data.MINVAR_GRID_RIDGE[1:-1]))) <= 0.1
+
+    @pytest.mark.parametrize("bets", [b for b in data.MINVAR_GRID_BETS if 1 < b < 8])
+    def test_table4_ridge_weight_is_certified(self, bets):
+        u = SET1.universe
+        w, lam = gmv_herfindahl(u, min_bets=bets)
+        assert_ridge_certificate(u, w.w, lam, bets)
 
     def test_full_diversification_is_equal_weight(self):
-        w, lam = gmv_herfindahl(SET1.universe, min_bets=8.0, method="bisection")
+        w, lam = gmv_herfindahl(SET1.universe, min_bets=8.0)
         assert np.allclose(w.w, 1.0 / 8.0, atol=1e-12)
         assert lam == np.inf
 
     def test_inactive_floor_returns_unconstrained(self):
-        w, lam = gmv_herfindahl(SET1.universe, min_bets=1.0, method="bisection")
+        w, lam = gmv_herfindahl(SET1.universe, min_bets=1.0)
         assert lam == 0.0
         assert abs(w.w[6] - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("method", ["bisection", "ADMM"])
+    def test_only_the_split_is_a_method(self, method):
+        with pytest.raises(ValueError):
+            gmv_herfindahl(SET1.universe, min_bets=3.0, method=method)
+
+    @pytest.mark.parametrize("bets", [3.0, 5.0, 8.0])
+    def test_duplicated_asset_ends_polished_with_a_certified_ridge(self, admm_reports, bets):
+        # cov is singular, and so is cov_FF whenever both copies are free
+        u = duplicated_asset_universe()
+        w, lam = gmv_herfindahl(u, min_bets=bets)
+        assert admm_reports[-1].polished and admm_reports[-1].iterations <= 2
+        assert 0.0 < lam < np.inf
+        assert_ridge_certificate(u, w.w, lam, bets)
+        assert abs(w.w[6] - w.w[8]) <= 1e-9  # the copies share their weight
+
+    def test_floor_above_the_caps_reach_fails_fast(self):
+        u, caps = SET1.universe, np.array([0.05] + [1.0] * 7)
+        widest = np.array([0.05] + [0.95 / 7] * 7)  # the budget portfolio nearest 0
+        most = effective_bets(widest)
+        assert abs(most - 7.6087) <= 1e-4
+        for solve in (lambda: gmv_herfindahl(u, upper=caps, min_bets=7.9),
+                      lambda: gmv_diversified(u, upper=caps, constraint=EffectiveBets(7.9))):
+            start = time.perf_counter()
+            with pytest.raises(InfeasibleTargets) as err:
+                solve()
+            assert time.perf_counter() - start < 0.1
+            assert np.max(np.abs(err.value.last - widest)) <= 1e-15
+        w, lam = gmv_herfindahl(u, upper=caps, min_bets=most - 5e-10)
+        assert lam == np.inf and np.max(np.abs(w.w - widest)) <= 1e-15
+
+    def test_caps_summing_to_one_admit_only_themselves(self):
+        caps = np.array([0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1])
+        w, lam = gmv_herfindahl(SET1.universe, upper=caps, min_bets=effective_bets(caps))
+        assert lam == np.inf and np.array_equal(w.w, caps)
 
     def test_unreachable(self):
         with pytest.raises(UnreachableDiversification):
@@ -505,9 +573,12 @@ class TestGmvHerfindahl:
     ])
     def test_polish_matches_an_slsqp_oracle(self, admm_reports, universe, bets, upper,
                                             ball_binds, caps_bind):
-        w, _ = gmv_herfindahl(universe, upper=upper, min_bets=bets, method="admm")
+        # SLSQP stalls about 5e-9 from the optimum at some BLAS thread counts;
+        # the ridge certificate on the returned lam is exact
+        w, lam = gmv_herfindahl(universe, upper=upper, min_bets=bets)
         assert admm_reports[-1].polished
-        assert np.max(np.abs(w.w - herfindahl_oracle(universe, bets, upper))) <= 1e-9
+        assert_ridge_certificate(universe, w.w, lam, bets, upper)
+        assert (lam > 0.0) == ball_binds
         assert (effective_bets(w.w) <= bets + 1e-9) == ball_binds
         assert (np.max(w.w) >= upper - 1e-12) == caps_bind
 
@@ -522,7 +593,7 @@ class TestGmvHerfindahl:
         from proxalloc import portfolios
 
         u = SET1.universe
-        expected, _ = gmv_herfindahl(u, min_bets=5.0)
+        expected, expected_lam = gmv_herfindahl(u, min_bets=5.0)
         build = portfolios._herfindahl_polish
         calls = []
 
@@ -536,17 +607,18 @@ class TestGmvHerfindahl:
             return once
 
         monkeypatch.setattr(portfolios, "_herfindahl_polish", reject_first)
-        w, _ = gmv_herfindahl(u, min_bets=5.0)
+        w, lam = gmv_herfindahl(u, min_bets=5.0)
         report = admm_reports[-1]
         assert len(calls) >= 2 and report.polished
         assert report.iterations > admm_reports[0].iterations
         assert np.max(np.abs(w.w - expected.w)) <= 1e-12
+        assert abs(lam - expected_lam) <= 1e-12 * expected_lam
 
     def test_table4_columns_end_polished_within_20_iterations(self, admm_reports):
         u = SET1.universe
         for bets in data.MINVAR_GRID_BETS:
             admm_reports.clear()
-            gmv_herfindahl(u, min_bets=bets, method="admm")
+            gmv_herfindahl(u, min_bets=bets)
             # the floor of 8 bets is met by equal weights alone, with no ADMM
             assert all(r.polished and r.iterations <= 20 for r in admm_reports)
             assert len(admm_reports) == (bets < 8)
@@ -555,14 +627,14 @@ class TestGmvHerfindahl:
         u = SET1.universe
         for bets in [b for b in data.MINVAR_GRID_BETS if b < 8]:
             admm_reports.clear()
-            gmv_herfindahl(u, min_bets=bets, method="admm")
+            gmv_herfindahl(u, min_bets=bets)
             assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
 
     def test_weakly_binding_cap_ends_polished_within_2_iterations(self, admm_reports):
         # one cap binds with a reduced gradient of about -1e-6, which the
         # sweep's early iterates leave free
         u = SET1.universe
-        w, _ = gmv_herfindahl(u, upper=0.4, min_bets=4.0, method="admm")
+        w, _ = gmv_herfindahl(u, upper=0.4, min_bets=4.0)
         assert admm_reports[-1].polished and admm_reports[-1].iterations <= 2
         assert np.max(np.abs(w.w - herfindahl_oracle(u, 4.0, 0.4))) <= 1e-9
 
@@ -573,19 +645,21 @@ class TestGmvHerfindahl:
 
         u = SET1.universe
         y = np.full(8, 0.5 * upper) if guess == "all_free" else 0.5 * upper * np.eye(8)[0]
-        polish = _herfindahl_polish(u.cov, np.full(8, upper), np.sqrt(1.0 / bets))
+        accepted = [None]
+        polish = _herfindahl_polish(u.cov, np.full(8, upper), np.sqrt(1.0 / bets), accepted)
         w = polish(None, y, None)
         assert w is not None
-        assert np.max(np.abs(w - herfindahl_oracle(u, bets, upper))) <= 1e-9
+        assert_ridge_certificate(u, w, accepted[0], bets, upper)
 
     def test_polish_out_of_rounds_returns_none_and_admm_goes_on(self, monkeypatch,
                                                                  admm_reports):
         from proxalloc import portfolios
 
         u, caps = SET1.universe, np.full(8, 0.3)
-        polish = portfolios._herfindahl_polish(u.cov, caps, 0.5)
+        accepted = [None]
+        polish = portfolios._herfindahl_polish(u.cov, caps, 0.5, accepted)
         # this guess needs one correction more than POLISH_ROUNDS allows
-        assert polish(None, 0.15 * np.eye(8)[0], None) is None
+        assert polish(None, 0.15 * np.eye(8)[0], None) is None and accepted == [None]
         expected, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
         monkeypatch.setattr(portfolios, "POLISH_ROUNDS", 0)  # the sweep's guess only
         w, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
@@ -611,7 +685,7 @@ class TestGmvDiversified:
     def test_effective_bets_path_matches_herfindahl(self):
         u = SET1.universe
         w = gmv_diversified(u, constraint=EffectiveBets(5.0))
-        w_ref, _ = gmv_herfindahl(u, min_bets=5.0, method="admm")
+        w_ref, _ = gmv_herfindahl(u, min_bets=5.0)
         assert np.max(np.abs(w.w - w_ref.w)) <= 1e-9
 
     @pytest.mark.parametrize("model", [gmv_diversified, mdp])
@@ -1288,10 +1362,9 @@ class TestFailFastBeforeAdmm:
         lambda u, cap: gmv_diversified(u, upper=cap),
         lambda u, cap: gmv_diversified(u, upper=cap, constraint=EffectiveBets(4.0)),
         lambda u, cap: gmv_diversified(u, upper=cap, constraint=ShannonEntropyFloor(1.5)),
-        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=4.0, method="admm"),
-        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=4.0, method="bisection"),
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=4.0),
     ], ids=["mdp", "mdp_entropy", "gmv_diversified", "gmv_diversified_bets",
-            "gmv_diversified_entropy", "gmv_herfindahl_admm", "gmv_herfindahl_bisection"])
+            "gmv_diversified_entropy", "gmv_herfindahl_admm"])
     def test_caps_summing_below_one(self, solve):
         cap = np.full(8, 0.1)
         with pytest.raises(InfeasibleTargets) as err:
@@ -1299,13 +1372,12 @@ class TestFailFastBeforeAdmm:
         assert np.array_equal(err.value.last, cap)
 
     @pytest.mark.parametrize("solve", [
-        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=8.0, method="admm"),
-        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=8.0, method="bisection"),
+        lambda u, cap: gmv_herfindahl(u, upper=cap, min_bets=8.0),
         lambda u, cap: gmv_diversified(u, upper=cap, constraint=EffectiveBets(8.0)),
         lambda u, cap: gmv_diversified(u, upper=cap, constraint=ShannonEntropyFloor(np.log(8.0))),
         lambda u, cap: mdp(u, upper=cap, constraint=EffectiveBets(8.0)),
         lambda u, cap: mdp(u, upper=cap, constraint=ShannonEntropyFloor(np.log(8.0))),
-    ], ids=["gmv_herfindahl_admm", "gmv_herfindahl_bisection", "gmv_diversified_bets",
+    ], ids=["gmv_herfindahl_admm", "gmv_diversified_bets",
             "gmv_diversified_entropy", "mdp_bets", "mdp_entropy"])
     def test_cap_below_one_over_n_under_an_equal_weight_floor(self, solve):
         # the caps sum above 1, but only equal weights meet a floor of n bets or ln n
