@@ -252,7 +252,7 @@ def _cmd_allocate(payload, args):
         if payload.get("min_bets") is not None:
             constraint = portfolios.EffectiveBets(float(payload["min_bets"]))
         w = portfolios.mdp(universe, long_only=payload.get("long_only", True),
-                           constraint=constraint)
+                           constraint=constraint, upper=payload.get("upper"))
     elif model == "rb":
         w = portfolios.risk_budgeting(universe, _vec(payload, "budgets"),
                                       engine=payload.get("engine", "ccd"))

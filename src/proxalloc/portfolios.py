@@ -1,10 +1,11 @@
 """Allocation models assembled from the CCD / ADMM / Dykstra engines.
 
-Mean-variance and its cost/tracking variants stay quadratic programs;
-turnover-capped mean-variance, minimum-variance with diversification
-floors, risk budgeting, the most-diversified portfolio, KL and
-Rao-entropy portfolios, and the composite managed-account objective are
-solved by splitting: a smooth x-subproblem (a closed-form prox or CCD)
+Mean-variance, its cost/tracking variants and the floor-free
+most-diversified portfolio stay quadratic programs; turnover-capped
+mean-variance, minimum variance and the most-diversified portfolio
+under diversification floors, risk budgeting, KL and Rao-entropy
+portfolios, and the composite managed-account objective are solved by
+splitting: a smooth x-subproblem (a closed-form prox or CCD)
 against one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
@@ -59,7 +60,6 @@ from .qp import (
     POLISH_TOL,
     QpProblem,
     _Bridge,
-    _certified,
     linear_projection,
     qp_solve,
 )
@@ -444,9 +444,6 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
         tie = 0.0 if report.polished else POLISH_TOL
         upper[active[w[active] <= np.min(w[active]) + tie][0]] = 0.0
         bridge.set_upper(upper)
-    # the check qp_solve gives every answer it returns; the weights carry no
-    # report yet, so its residual is dropped here
-    _certified(bridge.problem, x, report, return_report=False)
     return _gate(w)
 
 
@@ -664,8 +661,10 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     x = min(upper, t), the budget portfolio nearest 0: a floor above it
     raises InfeasibleTargets with x as ``last``, and one within 1e-9
     returns x with lam = inf, as a floor of n bets returns equal weights.
-    Caps summing below 1, or below 1/n at that floor, raise
-    InfeasibleTargets.  ``method`` accepts "admm" only.
+    Caps summing to 1 are the one budget portfolio, returned before any
+    split with lam = 0 when the floor is slack.  Caps summing below 1, or
+    below 1/n at a floor of n bets, raise InfeasibleTargets.  ``method``
+    accepts "admm" only.
     """
     if method != "admm":
         raise ValueError(f"unknown method {method!r}: the Herfindahl split is the one solver")
@@ -677,16 +676,19 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
     if min_bets >= n - 1e-9:
         return _equal_weights(upper_vec), np.inf
-    if upper_vec.min() < 1.0 / n:  # otherwise the nearest portfolio to 0 is 1/n, n bets
-        spare = upper_vec.sum() - 1.0
-        widest = np.minimum(upper_vec, threshold_sum_root(upper_vec, spare)) if spare > 0.0 \
-            else np.array(upper_vec)
+    spare = upper_vec.sum() - 1.0
+    # caps of at least 1/n summing above 1 leave 1/n, n bets, nearest 0
+    if spare <= CAP_SLACK or upper_vec.min() < 1.0 / n:
+        widest = np.minimum(upper_vec, threshold_sum_root(upper_vec, spare)) \
+            if spare > CAP_SLACK else np.array(upper_vec)
         most = effective_bets(widest)
         if min_bets > most + 1e-9:
             raise InfeasibleTargets(f"the caps admit at most {most:.10g} effective bets "
                                     f"< {min_bets}", last=widest)
         if min_bets >= most - 1e-9:
             return _gate(widest), np.inf
+        if spare <= CAP_SLACK:  # the caps are the one budget portfolio
+            return _gate(widest), 0.0
 
     radius = np.sqrt(1.0 / min_bets)
     dykstra_cfg = DykstraConfig(tol=1e-12)
@@ -1018,15 +1020,17 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
 
     The ratio ignores scale, so w = y / 1'y with y = argmin y'Cy s.t.
     sigma'y = 1 over the same cone of directions (Choueifaty & Coignard
-    2008).  Long/short: w = z / 1'z with z = C^-1 sigma, and OutOfDomain
-    when 1'z <= 0, as the ratio then has no maximum on the budget plane.
-    Long-only: one consensus split on sigma'y = 1 with y-blocks for the
-    orthant and an effective-bets floor N (the cone sqrt(N) ||y|| <= 1'y),
-    or for an entropy floor h the one cone {y >= 0 : H(y / 1'y) >= h}
-    (``_entropy_cone_projection``), which lies in the orthant already;
-    each cap u_i < 1 adds the half-space y_i <= u_i 1'y.  A floor of n
-    bets or ln n returns equal weights directly, and raises
-    InfeasibleTargets when a cap is below 1/n.
+    2008), where a cap u_i < 1 is the row y_i - u_i 1'y <= 0.
+    Long/short: w = z / 1'z with z = C^-1 sigma, and OutOfDomain when
+    1'z <= 0, as the ratio then has no maximum on the budget plane.
+    Long-only without a floor: one QP over y >= 0 and the cap rows,
+    polished on the QP bridge (``cfg`` its AdmmConfig).  With a floor: a
+    consensus split on sigma'y = 1 with one half-space block per cap row
+    and y-blocks for the orthant and an effective-bets floor N (the cone
+    sqrt(N) ||y|| <= 1'y), or for an entropy floor h the one cone
+    {y >= 0 : H(y / 1'y) >= h} (``_entropy_cone_projection``), which lies
+    in the orthant already.  A floor of n bets or ln n returns equal
+    weights directly, and raises InfeasibleTargets when a cap is below 1/n.
     """
     n = universe.n
     cov, sigma = universe.cov, universe.sigma
@@ -1042,22 +1046,26 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     upper_vec = np.ones(n) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (n,))
     _check_caps(upper_vec)
+    caps = (np.eye(n) - upper_vec[:, None])[upper_vec < 1]  # the rows e_i' - u_i 1'
+    if constraint is None:
+        problem = QpProblem(q=cov, r=np.zeros(n), a=sigma[None, :], b=np.ones(1),
+                            c=caps, d=np.zeros(len(caps)), lower=np.zeros(n))
+        y, _ = _Bridge(problem, cfg).solve()
+        return _gate(y / y.sum())
     if isinstance(constraint, ShannonEntropyFloor):
         if _equal_weight_entropy(constraint.minimum, n):
             return _equal_weights(upper_vec)
         last = [None, 1.0]  # the last root theta, which brackets the next one
         cone = lambda v: _entropy_cone_projection(v, constraint.minimum, last)
         blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
+    elif isinstance(constraint, EffectiveBets):
+        blocks = [_projection(Box(0.0, np.inf), n),
+                  _projection(EffectiveBetsCone(constraint.minimum), n)]
+        if constraint.minimum >= n - 1e-9:  # the cone has checked bets <= n
+            return _equal_weights(upper_vec)
     else:
-        blocks = [_projection(Box(0.0, np.inf), n)]
-        if isinstance(constraint, EffectiveBets):
-            blocks.append(_projection(EffectiveBetsCone(constraint.minimum), n))
-            if constraint.minimum >= n - 1e-9:  # the cone has checked bets <= n
-                return _equal_weights(upper_vec)
-        elif constraint is not None:
-            raise TypeError(f"unknown diversification constraint {constraint!r}")
-    blocks += [_projection(Halfspace(row - cap, 0.0), n)
-               for row, cap in zip(np.eye(n), upper_vec) if cap < 1]
+        raise TypeError(f"unknown diversification constraint {constraint!r}")
+    blocks += [_projection(Halfspace(row, 0.0), n) for row in caps]
     y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma)
     return _gate(y / y.sum())
 

@@ -321,15 +321,6 @@ def default_qp_config(problem=None):
     return AdmmConfig(phi0=phi0, eps=1e-11, eps_prime=1e-11, max_iter=200000)
 
 
-def _certified(problem, x, report, return_report):
-    """Attach the stationarity residual of x to the report and return."""
-    try:
-        report.stationarity_residual = stationarity_residual(problem, x, cfg=CERTIFICATE_CFG)
-    except (MaxCyclesExceeded, EmptySetSuspected):
-        report.stationarity_residual = np.nan  # the projection did not settle
-    return (x, report) if return_report else x
-
-
 class _Bridge:
     """One QP on the bridge: the problem, its clipped split, the penalty
     factor of Q and the ADMM settings.
@@ -422,7 +413,11 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
     its projection did not settle.
     """
     x, report = _Bridge(problem, cfg).solve(x0, y0)
-    return _certified(problem, x, report, return_report)
+    try:
+        report.stationarity_residual = stationarity_residual(problem, x, cfg=CERTIFICATE_CFG)
+    except (MaxCyclesExceeded, EmptySetSuspected):
+        report.stationarity_residual = np.nan  # the projection did not settle
+    return (x, report) if return_report else x
 
 
 def linear_projection(a, b, c, d, lower, upper, v):

@@ -122,6 +122,17 @@ class TestAllocateCommand:
         weights = 100 * np.asarray(read_json(out)["weights"])
         assert np.max(np.abs(weights - MDP_GRID_WEIGHTS[:, 5])) <= 0.01
 
+    def test_mdp_reads_its_caps(self, tmp_path):
+        from proxalloc import data, portfolios
+
+        inp = write_payload(tmp_path, {"model": "mdp", "set": "mdp_table", "upper": 0.2})
+        out = tmp_path / "out.json"
+        assert main(["allocate", "--input", inp, "--output", str(out)]) == EXIT_OK
+        weights = np.asarray(read_json(out)["weights"])
+        assert np.max(weights) <= 0.2 + 1e-12
+        expected = portfolios.mdp(data.mdp_table_universe(), upper=0.2).w
+        assert np.max(np.abs(weights - expected)) <= 1e-12
+
     def test_infeasible_model_domain_exit(self, tmp_path):
         inp = write_payload(tmp_path, {"model": "gmv", "set": 1, "min_bets": 9})
         assert main(["allocate", "--input", inp]) == EXIT_DOMAIN

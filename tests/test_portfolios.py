@@ -560,6 +560,14 @@ class TestGmvHerfindahl:
         w, lam = gmv_herfindahl(SET1.universe, upper=caps, min_bets=effective_bets(caps))
         assert lam == np.inf and np.array_equal(w.w, caps)
 
+    @pytest.mark.parametrize("caps", [np.full(8, 0.125), np.array([0.2, 0.2] + [0.1] * 6)],
+                             ids=["uniform", "uneven"])
+    def test_caps_summing_to_one_under_a_slack_floor_run_no_split(self, admm_reports, caps):
+        w, lam = gmv_herfindahl(SET1.universe, upper=caps, min_bets=4.0)
+        assert not admm_reports
+        assert lam == 0.0
+        assert np.max(np.abs(w.w - caps)) <= 1e-15
+
     def test_unreachable(self):
         with pytest.raises(UnreachableDiversification):
             gmv_herfindahl(SET1.universe, min_bets=9.0)
@@ -1029,11 +1037,38 @@ class TestMdp:
         return w / (w @ u.sigma)
 
     def test_no_floor_is_stationary_for_its_homogeneous_qp(self):
-        for u in (data.mdp_table_universe(), factor_universe(np.random.default_rng(0), 100)):
-            y = self.homogeneous(mdp(u, long_only=True).w, u)
+        # min y'Cy s.t. sigma'y = 1, y >= 0 and y_i - u_i 1'y <= 0 for every cap
+        table, factor = data.mdp_table_universe(), factor_universe(np.random.default_rng(0), 100)
+        for u, cap in ((table, None), (factor, None), (table, 0.2), (factor, 0.05)):
+            y = self.homogeneous(mdp(u, long_only=True, upper=cap).w, u)
+            caps = None if cap is None else np.eye(u.n) - cap
             problem = QpProblem(q=u.cov, r=np.zeros(u.n), a=u.sigma[None, :], b=[1.0],
+                                c=caps, d=None if cap is None else np.zeros(u.n),
                                 lower=np.zeros(u.n))
             assert stationarity_residual(problem, y) <= 1e-8
+            if cap is not None:
+                assert np.max(y - cap * y.sum()) <= 1e-12  # the caps hold
+
+    @pytest.mark.parametrize("universe, cap", [
+        (data.mdp_table_universe(), None),
+        (data.mdp_table_universe(), 0.2),
+        (factor_universe(np.random.default_rng(0), 100), 0.05),
+    ], ids=["table", "table caps 0.2", "factor n=100 caps 0.05"])
+    def test_no_floor_runs_no_consensus_split(self, monkeypatch, universe, cap):
+        from proxalloc import portfolios
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a floor-free mdp ran the consensus split")
+
+        monkeypatch.setattr(portfolios, "_gmv_admm", fail)
+        w = mdp(universe, long_only=True, upper=cap)
+        assert abs(w.w.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("caps", [np.full(8, 0.125), np.array([0.2, 0.2] + [0.1] * 6)],
+                             ids=["uniform", "uneven"])
+    def test_caps_summing_to_one_return_the_caps(self, caps):
+        w = mdp(data.mdp_table_universe(), long_only=True, upper=caps)
+        assert np.max(np.abs(w.w - caps)) <= 1e-12
 
     def test_bets_floors_meet_the_cone_kkt_conditions(self):
         # min y'Cy s.t. sigma'y = 1, y >= 0, g(y) = sqrt(N)||y|| - 1'y <= 0:
