@@ -32,8 +32,7 @@ for k in range(1, 7):
     print(f"  cycle {k}: {np.max(np.abs(report.iterates[k] - beta_cd)):.2e}")
 
 t0 = time.time()
-beta_admm = admm_lasso_lambda(x, y, lam,
-                              AdmmConfig(eps=1e-12, eps_prime=1e-12))
+beta_admm = admm_lasso_lambda(x, y, lam, AdmmConfig(eps=1e-12))
 t_admm = time.time() - t0
 print(f"\nsplitting (penalized form): {t_admm*1e3:.0f} ms, "
       f"max gap to CD {np.max(np.abs(beta_admm - beta_cd)):.1e}")
@@ -49,7 +48,7 @@ print(f"augmented QP (100 variables): {t_qp*1e3:.0f} ms, "
       f"max gap to CD {np.max(np.abs(beta_qp - beta_cd)):.1e}")
 
 tau = float(np.sum(np.abs(beta_cd)))
-beta_tau = admm_lasso_tau(x, y, tau, AdmmConfig(eps=1e-12, eps_prime=1e-12))
+beta_tau = admm_lasso_tau(x, y, tau, AdmmConfig(eps=1e-12))
 print(f"\nconstrained form at tau = ||beta||_1 = {tau:.3f} recovers the same "
       f"fit: {np.max(np.abs(beta_tau - beta_cd)):.1e}")
 print("(its l1-ball projection ignores the penalty parameter entirely,")

@@ -42,7 +42,7 @@ for n in (100, 10000, 100000):
     t_dyk = time.time() - t0
     problem = QpProblem(q=np.ones(n), r=v, c=c, d=d)
     cfg = default_qp_config(problem)
-    cfg.eps = cfg.eps_prime = 1e-8
+    cfg.eps = 1e-8
     t0 = time.time()
     x = qp_solve(problem, cfg=cfg)
     t_qp = time.time() - t0

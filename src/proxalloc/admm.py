@@ -6,20 +6,21 @@ the y-update is a prox evaluated at v_y = K x + u.  A sum of several
 y-terms is split by ``consensus_problem``, one copy y_j = x per term, so
 each y-update stays a closed-form prox; the QP bridge stacks its
 constraint rows in K and clips y into their bounds.  The scaled dual
-u accumulates the primal residual.  An optional adaptive scheme keeps the
-primal and dual residual norms within a factor mu of each other by
-inflating or deflating the penalty, rescaling u so the unscaled dual
-phi*u is preserved across penalty changes, until the penalty has turned
-back MAX_PHI_REVERSALS times.  Every quadratic x-update
-solves through linalg.PenaltyFactor, which factors Q + phi I once per
-penalty value.  Two optional hooks let a split end early: one certifies
-from the change of the dual that the problem is infeasible, the other
-polishes the iterate into an exact answer on the active set it shows,
-at every power-of-two iteration from the first and on convergence, so
-a split whose active set shows early ends early while a polish that
-keeps failing costs O(log iterations) tries.  The QP bridge uses both
-hooks; the Herfindahl split of the diversified minimum-variance models
-polishes too.
+u accumulates the primal residual, and y starts at K x0 unless the
+caller gives y0.  An optional adaptive scheme (Boyd et al. 2011,
+3.4.1) keeps the squared primal and dual residual norms within a factor
+MU of each other by multiplying the penalty by TAU_UP or dividing it by
+TAU_DOWN, rescaling u so the unscaled dual phi*u is preserved across
+penalty changes, until the penalty has turned back MAX_PHI_REVERSALS
+times.  Every quadratic x-update solves through linalg.PenaltyFactor,
+which factors Q + phi I once per penalty value.  Two optional hooks let
+a split end early: one certifies from the change of the dual that the
+problem is infeasible, the other polishes the iterate into an exact
+answer on the active set it shows, at every power-of-two iteration from
+the first and on convergence, so a split whose active set shows early
+ends early while a polish that keeps failing costs O(log iterations)
+tries.  The QP bridge uses both hooks; the Herfindahl split of the
+diversified minimum-variance models polishes too.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,10 @@ from .prox import LpBall, projector, soft_threshold
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
+# residual balancing: mu, tau and tau' of Boyd et al. 2011, eq. 3.13
+MU = 1e3  # bound on the ratio of the squared residual norms
+TAU_UP = 2.0  # factor of a penalty increase
+TAU_DOWN = 2.0  # divisor of a penalty decrease
 # turns of the penalty per solve, then it is held: convergence needs it fixed after
 # finitely many changes (Boyd et al. 2011, 3.4.1); a one-way run only finds its scale
 MAX_PHI_REVERSALS = 50
@@ -39,20 +44,22 @@ MAX_PHI_REVERSALS = 50
 
 @dataclass
 class AdmmConfig:
+    """Settings of one ADMM solve.
+
+    ``phi0`` is the first penalty value, ``eps`` the bound that both the
+    primal and the dual residual norm must meet, ``max_iter`` the
+    iteration cap and ``adaptive`` switches residual balancing on (off
+    keeps phi0 throughout).
+    """
+
     phi0: float = 1.0
-    mu: float = 1e3
-    tau: float = 2.0
-    tau_prime: float = 2.0
     eps: float = 1e-15
-    eps_prime: float = 1e-15
     max_iter: int = 100000
     adaptive: bool = True
 
     def __post_init__(self):
         if self.phi0 <= 0:
             raise ValueError("phi0 must be positive")
-        if min(self.mu, self.tau, self.tau_prime) < 1:
-            raise ValueError("mu, tau, tau_prime must be >= 1")
 
 
 @dataclass
@@ -71,7 +78,6 @@ class AdmmProblem:
     at every power-of-two iteration (1, 2, 4, 8, ...) and on
     convergence, with the unscaled dual phi u; a point it returns
     ends the solve as converged, in place of x, with report.polished set.
-    ``objective(x, y)`` is only used for reporting.
     """
 
     x_update: Callable
@@ -80,24 +86,22 @@ class AdmmProblem:
     adjoint: Optional[Callable] = None
     infeasible: Optional[Callable] = None
     polish: Optional[Callable] = None
-    objective: Optional[Callable] = None
 
 
-def penalty_update(phi, r_norm, s_norm, cfg):
+def penalty_update(phi, r_norm, s_norm):
     """Next penalty value from the residual-balancing rule.
 
-    Inflates phi by tau when the primal residual dominates the dual one
-    by more than a factor mu (squared norms), deflates by tau_prime in
-    the opposite case, otherwise leaves it unchanged.  tau = tau' = 1
-    gives the constant-penalty scheme.  Callers must rescale the scaled
-    dual u by phi_old/phi_new when the value changes.
+    Multiplies phi by TAU_UP when the primal residual dominates the dual
+    one by more than a factor MU (squared norms), divides it by TAU_DOWN
+    in the opposite case, otherwise leaves it unchanged.  Callers must
+    rescale the scaled dual u by phi_old/phi_new when the value changes.
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
-    if r_norm**2 > cfg.mu * s_norm**2:
-        return phi * cfg.tau
-    if s_norm**2 > cfg.mu * r_norm**2:
-        return phi / cfg.tau_prime
+    if r_norm**2 > MU * s_norm**2:
+        return phi * TAU_UP
+    if s_norm**2 > MU * r_norm**2:
+        return phi / TAU_DOWN
     return phi
 
 
@@ -125,18 +129,22 @@ def consensus_problem(x_prox, blocks, n):
         adjoint=lambda v: v.reshape(m, -1).sum(axis=0))
 
 
-def admm_solve(problem, x0, y0, cfg=None):
-    """Run ADMM until both residual norms meet (eps, eps_prime).
+def admm_solve(problem, x0, y0=None, cfg=None):
+    """Run ADMM from x0 until both residual norms meet cfg.eps.
 
-    Returns (x, y, report); on hitting max_iter the best iterate so far
-    is returned with report.status = "max_iter" rather than raising, so
-    callers can inspect how far the solve got.
+    y starts at y0, or at K x0 when y0 is None.  Returns (x, y, report);
+    on hitting max_iter the last iterate is returned with report.status
+    = "max_iter" rather than raising, so callers can inspect how far the
+    solve got.
     """
     cfg = cfg or AdmmConfig()
     apply, adjoint = problem.apply, problem.adjoint
     infeasible, polish = problem.infeasible, problem.polish
     x = as_vector(x0).copy()
-    y = as_vector(y0).copy()
+    if y0 is None:
+        y = x if apply is None else apply(x)
+    else:
+        y = as_vector(y0).copy()
     u = np.zeros(y.size)
     phi = cfg.phi0
     prox = problem.y_prox(phi)
@@ -167,9 +175,7 @@ def admm_solve(problem, x0, y0, cfg=None):
         if not np.isfinite(r_norm) or not np.isfinite(s_norm):
             report.status = DIVERGED
             return x, y, report
-        if problem.objective is not None:
-            report.objective_trace.append(float(problem.objective(x, y)))
-        converged = r_norm <= cfg.eps and s_norm <= cfg.eps_prime
+        converged = r_norm <= cfg.eps and s_norm <= cfg.eps
         if polish is not None and (converged or iteration & (iteration - 1) == 0):
             finished = polish(x, y, phi * u)
             if finished is not None:
@@ -184,7 +190,7 @@ def admm_solve(problem, x0, y0, cfg=None):
             return x, y, report
 
         if cfg.adaptive and reversals < MAX_PHI_REVERSALS:
-            phi_new = penalty_update(phi, r_norm, s_norm, cfg)
+            phi_new = penalty_update(phi, r_norm, s_norm)
             if phi_new != phi:
                 step = 1 if phi_new > phi else -1
                 reversals += step == -last_step
@@ -200,26 +206,20 @@ def admm_solve(problem, x0, y0, cfg=None):
 # lasso solvers
 # ---------------------------------------------------------------------------
 
-def _lasso_problem(x_mat, y, y_prox, objective):
+def _lasso_problem(x_mat, y, y_prox):
     x_mat = np.asarray(x_mat, dtype=float)
     xty = x_mat.T @ y
     gram = PenaltyFactor(x_mat.T @ x_mat)
     return AdmmProblem(x_update=lambda yy, uu, phi: gram.solve(xty + phi * (yy - uu), phi),
-                       y_prox=y_prox, objective=objective)
+                       y_prox=y_prox)
 
 
-def _lasso(x_mat, y, y_prox, penalty, cfg, beta0, return_report):
-    """Consensus split beta = beta_bar of 0.5||Y - X beta||^2 + penalty(beta_bar)."""
-    x_mat = np.asarray(x_mat, dtype=float)
-    y = as_vector(y)
-
-    def objective(beta, beta_bar):
-        resid = y - x_mat @ beta
-        return 0.5 * float(resid @ resid) + penalty(beta_bar)
-
-    problem = _lasso_problem(x_mat, y, y_prox, objective)
-    start = np.zeros(x_mat.shape[1]) if beta0 is None else as_vector(beta0)
-    _, beta_bar, report = admm_solve(problem, start, start, cfg)
+def _lasso(x_mat, y, y_prox, cfg, beta0, return_report):
+    """Consensus split beta = beta_bar of 0.5||Y - X beta||^2 + g(beta_bar),
+    with ``y_prox`` the prox builder of g."""
+    problem = _lasso_problem(x_mat, as_vector(y), y_prox)
+    start = np.zeros(np.shape(x_mat)[1]) if beta0 is None else beta0
+    _, beta_bar, report = admm_solve(problem, start, cfg=cfg)
     return (beta_bar, report) if return_report else beta_bar
 
 
@@ -232,7 +232,7 @@ def admm_lasso_lambda(x_mat, y, lam, cfg=None, beta0=None, return_report=False):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return _lasso(x_mat, y, lambda phi: (lambda v: soft_threshold(v, lam / phi)),
-                  lambda b: lam * float(np.sum(np.abs(b))), cfg, beta0, return_report)
+                  cfg, beta0, return_report)
 
 
 def admm_lasso_tau(x_mat, y, tau, cfg=None, beta0=None, return_report=False):
@@ -243,4 +243,4 @@ def admm_lasso_tau(x_mat, y, tau, cfg=None, beta0=None, return_report=False):
     """
     p = np.shape(x_mat)[1]
     ball = projector(LpBall(1, np.zeros(p), tau), p)  # DegenerateSet unless tau > 0
-    return _lasso(x_mat, y, lambda phi: ball, lambda b: 0.0, cfg, beta0, return_report)
+    return _lasso(x_mat, y, lambda phi: ball, cfg, beta0, return_report)

@@ -207,7 +207,7 @@ def _cmd_qp(payload, args):
 
         cfg = default_qp_config(problem)
         if args.tol:
-            cfg.eps = cfg.eps_prime = args.tol
+            cfg.eps = args.tol
         if args.phi:
             cfg.phi0 = args.phi
         if args.max_iter:

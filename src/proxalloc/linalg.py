@@ -121,20 +121,34 @@ class PenaltyFactor:
     """Solves against Q + phi I for a fixed Q, factoring once per phi.
 
     The ADMM x-updates solve against the same Q under a penalty that
-    changes only now and then (Boyd et al. 2011, sec. 4.2), so the
-    factors of the last four penalty values are kept.  A 1-d ``q`` means
-    diag(q) and is solved elementwise, so no n x n matrix is built.  The
-    first factorization checks that Q is finite and symmetric; Q + phi I
-    differs from Q on the diagonal only, so later ones skip the check.
+    changes only now and then (Boyd et al. 2011, sec. 4.2), so one cache
+    keeps what the last four penalty values need: the factor of
+    Q + phi I, and for ``solve_on_plane`` and ``solve_with_rows`` the
+    solves against the normal or the rows last passed.  A 1-d ``q``
+    means diag(q) and is solved elementwise, so no n x n matrix is
+    built.  The first factorization checks that Q is finite and
+    symmetric; Q + phi I differs from Q on the diagonal only, so later
+    ones skip the check.
     """
 
     def __init__(self, q):
         self.q = np.asarray(q, dtype=float)
         self.diagonal = self.q.ndim == 1
         self._checked = False
-        self._factors = {}
-        self._planes = {}
-        self._rows = {}
+        self._cache = {}  # phi -> [factor, plane, rows]
+
+    def _entry(self, phi):
+        entry = self._cache.get(phi)
+        if entry is None:
+            factor = None
+            if not self.diagonal:
+                factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]),
+                                   check=not self._checked)
+                self._checked = True
+            entry = self._cache[phi] = [factor, None, None]
+            if len(self._cache) > 4:
+                self._cache.pop(next(iter(self._cache)))
+        return entry
 
     def matvec(self, x):
         return self.q * x if self.diagonal else self.q @ x
@@ -143,14 +157,7 @@ class PenaltyFactor:
         if self.diagonal:
             d = self.q + phi
             return rhs / (d if np.ndim(rhs) == 1 else d[:, None])
-        factor = self._factors.get(phi)
-        if factor is None:
-            factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]), check=not self._checked)
-            self._checked = True
-            self._factors[phi] = factor
-            if len(self._factors) > 4:
-                self._factors.pop(next(iter(self._factors)))
-        return factor.solve(rhs)
+        return self._entry(phi)[0].solve(rhs)
 
     def solve_on_plane(self, rhs, phi, a, b):
         """argmin 0.5 x'(Q + phi I)x - rhs'x subject to a'x = b.
@@ -159,11 +166,11 @@ class PenaltyFactor:
         passed, since an ADMM x-update keeps one plane through a solve.
         """
         base = self.solve(rhs, phi)
-        plane = self._planes.get(phi)
-        if plane is None or plane[0] is not a:
+        entry = self._entry(phi)
+        if entry[1] is None or entry[1][0] is not a:
             k_a = self.solve(a, phi)
-            plane = self._planes[phi] = (a, k_a, a @ k_a)
-        _, k_a, a_k_a = plane
+            entry[1] = (a, k_a, a @ k_a)
+        _, k_a, a_k_a = entry[1]
         nu = (b - a @ base) / a_k_a
         return base + nu * k_a
 
@@ -177,13 +184,12 @@ class PenaltyFactor:
         so a diagonal Q costs O(nm) a solve and never an n x n matrix.
         """
         base = self.solve(rhs, phi)
-        cached = self._rows.get(phi)
-        if cached is None or cached[0] is not rows:
+        entry = self._entry(phi)
+        if entry[2] is None or entry[2][0] is not rows:
             w = self.solve(rows.T, phi)
             s = np.eye(rows.shape[0]) / phi + rows @ w
-            capacitance = SpdFactor(0.5 * (s + s.T), check=False)
-            cached = self._rows[phi] = (rows, w, capacitance)
-        _, w, capacitance = cached
+            entry[2] = (rows, w, SpdFactor(0.5 * (s + s.T), check=False))
+        _, w, capacitance = entry[2]
         return base - w @ capacitance.solve(rows @ base)
 
 

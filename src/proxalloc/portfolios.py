@@ -510,12 +510,24 @@ def _equal_weights(upper):
     return _gate(np.full(n, 1.0 / n))
 
 
-def _admm_failure(what, y, report):
-    """The typed error of an ADMM solve that ended neither converged nor polished."""
+def _run_split(what, problem, x0, cfg):
+    """Run a model's ADMM split from x0 (y at K x0); returns (answer, report).
+
+    The answer is the polished point when the polish hook ended the
+    solve, otherwise the first block's y once ADMM has converged.  A
+    diverged solve raises Diverged and any other unconverged end
+    MaxIterExceeded, both with that y as ``last``.
+    """
+    x, y, report = admm_solve(problem, x0, cfg=cfg)
+    if report.polished:
+        return x, report
+    y = y[:x.size]
     if report.status == DIVERGED:
-        return Diverged(f"{what} diverged after {report.iterations} iterations",
-                        last=y, report=report)
-    return MaxIterExceeded(f"{what} did not converge", last=y, report=report)
+        raise Diverged(f"{what} diverged after {report.iterations} iterations",
+                       last=y, report=report)
+    if not report.converged:
+        raise MaxIterExceeded(f"{what} did not converge", last=y, report=report)
+    return y, report
 
 
 def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, polish=None):
@@ -533,19 +545,14 @@ def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, po
     """
     n = universe.n
     cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
-                            eps=1e-11, eps_prime=1e-11, max_iter=100000)
+                            eps=1e-11, max_iter=100000)
     quad = PenaltyFactor(universe.cov)
     a = np.ones(n) if plane is None else plane
     problem = consensus_problem(
         lambda v, rho: quad.solve_on_plane(linear + rho * v, rho, a, 1.0), blocks, n)
     problem.polish = polish
-    x0 = np.full(n, 1.0 / a.sum()) if start is None else as_vector(start)
-    x, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
-    if report.polished:
-        return x
-    if not report.converged:
-        raise _admm_failure("minimum-variance ADMM", y[:n], report)
-    return y[:n]
+    x0 = np.full(n, 1.0 / a.sum()) if start is None else start
+    return _run_split("minimum-variance ADMM", problem, x0, cfg)[0]
 
 
 def _herfindahl_polish(cov, upper, radius, accepted):
@@ -903,21 +910,14 @@ def risk_contributions(w, universe, measure=Volatility()):
 
 
 def erc(universe, cfg=None, return_report=False):
-    """Equal-risk-contribution portfolio via cyclic coordinate descent.
+    """Equal-risk-contribution portfolio: risk budgeting with equal budgets.
 
     Runs the volatility-measure coordinate update (the zero-excess-return
     special case of the stdev risk measure), whose built-in sigma
     normalization converges in single-digit cycles; the variance-form
     update ccd_erc reaches the same rescaled weights more slowly.
     """
-    n = universe.n
-    x0 = np.full(n, 1.0 / n)
-    lam = float(np.sqrt(x0 @ universe.cov @ x0))
-    x, report = ccd_rb_stdev(np.zeros(n), 0.0, 1.0, universe.cov,
-                             np.full(n, 1.0 / n), lam=lam, x0=x0,
-                             cfg=cfg or CdConfig(), return_report=True)
-    w = _gate(x / x.sum())
-    return (w, report) if return_report else w
+    return risk_budgeting(universe, np.ones(universe.n), cfg=cfg, return_report=return_report)
 
 
 def rebalance(universe, context, cost_scale=1.0, upper=None, cfg=None):
@@ -984,12 +984,9 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     def y_prox(phi):
         return lambda v: 0.5 * (v + np.sqrt(v * v + 4.0 * lam / phi * budgets))
 
-    cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, eps_prime=tol, max_iter=max_iter)
-    x0 = np.full(n, 1.0 / n)
-    _, y, report = admm_solve(AdmmProblem(x_update=x_update, y_prox=y_prox), x0, x0, cfg)
-    if not report.converged:
-        raise _admm_failure("risk-budgeting ADMM", y, report)
-    return y, report
+    cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, max_iter=max_iter)
+    return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox),
+                      np.full(n, 1.0 / n), cfg)
 
 
 def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
@@ -1144,7 +1141,8 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     long-only portfolio meets raise InfeasibleTargets before any solve,
     with the portfolio that certifies it as ``last``: the asset of largest
     expected return, or the minimum-volatility portfolio (on the
-    long-only frontier at the return target when one binds).
+    long-only frontier at the return target when one binds).  A split
+    that ends unconverged raises Diverged or MaxIterExceeded.
     """
     n = universe.n
     reference = as_vector(reference)
@@ -1178,15 +1176,10 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     # lam (1/ref - 1) cancels that term, leaving the prox of
     # lam * sum x ln(x / ref), whose minimum sits at the reference
     shift = 1.0 / reference - 1.0
-    cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, eps_prime=1e-10, max_iter=100000)
+    cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, max_iter=100000)
     problem = consensus_problem(
         lambda v, rho: prox_kl(v + shift / rho, 1.0 / rho, reference), blocks, n)
-    x0 = reference / reference.sum()
-    _, y, report = admm_solve(problem, x0, np.tile(x0, len(blocks)), cfg)
-    if not report.converged:
-        raise InfeasibleTargets("KL portfolio targets look unreachable",
-                                last=y[:n], report=report)
-    w = _gate(y[:n])
+    w = _gate(_run_split("KL portfolio ADMM", problem, reference / reference.sum(), cfg)[0])
     s = stats(w, universe)
     if target_return is not None and s.expected_return < target_return - 1e-6:
         raise InfeasibleTargets(f"return target missed by {target_return - s.expected_return:.2e}")
@@ -1223,8 +1216,7 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
     last_error = None
     for inflation in (1.0, 4.0, 16.0, 64.0):
         phi = floor * inflation
-        run_cfg = cfg or AdmmConfig(phi0=phi, adaptive=False, eps=1e-10,
-                                    eps_prime=1e-10, max_iter=200000)
+        run_cfg = cfg or AdmmConfig(phi0=phi, adaptive=False, eps=1e-10, max_iter=200000)
         problem = QpProblem(q=d, r=np.zeros(n), a=np.ones((1, n)), b=np.ones(1),
                             lower=lower_vec, upper=upper_vec)
         try:
@@ -1307,7 +1299,7 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
         raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
                                   last=exc.last) from exc
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
-                                      eps=1e-9, eps_prime=1e-9, max_iter=50000)
+                                      eps=1e-9, max_iter=50000)
     budgets = None
     if cfg.barrier > 0:
         budgets = as_vector(cfg.risk_budgets)
@@ -1343,12 +1335,8 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
 
         blocks += [_projection(s, n) for s in (Hyperplane(ones, 1.0), *sets)]
 
-    x, _, report = admm_solve(consensus_problem(x_prox, blocks, n), x0,
-                              np.tile(x0, len(blocks)), admm_cfg)
-    if not report.converged:
-        raise MaxIterExceeded(f"robo {formulation} did not converge",
-                              last=x, report=report)
-    return x
+    return _run_split(f"robo {formulation}", consensus_problem(x_prox, blocks, n), x0,
+                      admm_cfg)[0]
 
 
 def robo_advisor(universe, cfg, admm_cfg=None):

@@ -311,14 +311,14 @@ def _active_set_point(problem, split, at_lo, at_hi):
 def default_qp_config(problem=None):
     """ADMM settings for the QP bridge: phi0 = mean diagonal of Q.
 
-    eps and eps_prime stop the solves whose every polish is rejected
+    eps stops the solves whose every polish is rejected
     (a singular or indefinite reduced Q, a degenerate vertex).
     """
     phi0 = 1.0
     if problem is not None:
         q = problem.q
         phi0 = max(float(np.mean(q if q.ndim == 1 else np.diag(q))), 1e-8)
-    return AdmmConfig(phi0=phi0, eps=1e-11, eps_prime=1e-11, max_iter=200000)
+    return AdmmConfig(phi0=phi0, eps=1e-11, max_iter=200000)
 
 
 class _Bridge:
@@ -345,8 +345,7 @@ class _Bridge:
         self.admm = AdmmProblem(x_update=x_update, y_prox=lambda phi: split.clip,
                                 apply=split.apply, adjoint=split.adjoint,
                                 infeasible=split.infeasible,
-                                polish=lambda x, z, dual: _polish(problem, split, z, dual),
-                                objective=lambda x, z: problem.objective(x))
+                                polish=lambda x, z, dual: _polish(problem, split, z, dual))
 
     def set_upper(self, upper):
         """Replace the upper bounds of x (a length-n float array)."""
@@ -359,7 +358,8 @@ class _Bridge:
         ``guess`` is a point whose rows at or beyond a bound are taken as
         the active set: when _settle accepts the exact optimum on it, that
         ends the solve with no ADMM iteration.  Otherwise ADMM starts x at
-        x0 and z at K y0 (both zero by default).  Raises as qp_solve.
+        x0 (zero by default) and z at K y0 (K x0 by default).  Raises as
+        qp_solve.
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
@@ -379,8 +379,8 @@ class _Bridge:
             if x is not None:
                 return x, SolverReport(polished=True)
 
-        start_x = np.zeros(problem.n) if x0 is None else as_vector(x0)
-        start_z = split.apply(start_x if y0 is None else as_vector(y0))
+        start_x = np.zeros(problem.n) if x0 is None else x0
+        start_z = None if y0 is None else split.apply(as_vector(y0))
         with np.errstate(over="ignore", invalid="ignore"):
             x, z, report = admm_solve(self.admm, start_x, start_z, self.cfg)
         if report.polished:
@@ -405,12 +405,12 @@ def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
 
     ADMM runs on the clipped split until a polish is accepted or the
     residuals meet cfg's tolerances; the answer is then the polished
-    point (report.polished) or the box block of z.  x0 starts x and y0
-    starts z at K y0 (both default to zero).  Raises MaxIterExceeded when
-    ADMM hits its iteration cap and InfeasibleSuspected when the dual
-    iterates certify an empty feasible set or the iterates diverge.  Every
-    returned answer's report carries ``stationarity_residual``, NaN when
-    its projection did not settle.
+    point (report.polished) or the box block of z.  x0 starts x (zero by
+    default) and y0 starts z at K y0 (K x0 by default).  Raises
+    MaxIterExceeded when ADMM hits its iteration cap and
+    InfeasibleSuspected when the dual iterates certify an empty feasible
+    set or the iterates diverge.  Every returned answer's report carries
+    ``stationarity_residual``, NaN when its projection did not settle.
     """
     x, report = _Bridge(problem, cfg).solve(x0, y0)
     try:

@@ -28,7 +28,6 @@ class SolverReport:
     iterations: int = 0
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
-    objective_trace: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
     polished: bool = False
     stationarity_residual: Optional[float] = None

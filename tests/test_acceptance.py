@@ -78,7 +78,7 @@ class TestAcceptance:
         beta_cd, report = cd_lasso(x, y, lam, x0=beta0, cfg=CdConfig(tol=1e-12),
                                    return_report=True, record_iterates=True)
         beta_admm = admm_lasso_lambda(
-            x, y, lam, AdmmConfig(eps=1e-12, eps_prime=1e-12, max_iter=100000))
+            x, y, lam, AdmmConfig(eps=1e-12, max_iter=100000))
         gram = x.T @ x
         xty = x.T @ y
         q = np.block([[gram, -gram], [-gram, gram]])
@@ -140,7 +140,7 @@ class TestAcceptance:
         t_dykstra = time.time() - start
         problem = QpProblem(q=np.ones(n), r=v, c=c, d=d)
         cfg = default_qp_config(problem)
-        cfg.eps = cfg.eps_prime = 1e-8
+        cfg.eps = 1e-8
         start = time.time()
         qp_solve(problem, cfg=cfg)
         t_qp = time.time() - start

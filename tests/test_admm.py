@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from proxalloc.admm import (
+    MU,
+    TAU_DOWN,
+    TAU_UP,
     AdmmConfig,
     AdmmProblem,
     admm_lasso_lambda,
@@ -17,7 +20,7 @@ from proxalloc.linalg import SpdFactor
 from proxalloc.prox import Box, Hyperplane, LpBall, project
 from proxalloc.qp import QpProblem, qp_solve
 
-FAST = AdmmConfig(eps=1e-12, eps_prime=1e-12, max_iter=50000)
+FAST = AdmmConfig(eps=1e-12, max_iter=50000)
 
 
 class TestDriver:
@@ -63,7 +66,7 @@ class TestDriver:
             x_update=lambda y, u, phi: (np.ones(2) + phi * (y - u)) / (1.0 + phi),
             y_prox=lambda phi: (lambda v: v),
         )
-        cfg = AdmmConfig(eps=1e-15, eps_prime=1e-15, max_iter=3, adaptive=False)
+        cfg = AdmmConfig(eps=1e-15, max_iter=3, adaptive=False)
         x, y, report = admm_solve(problem, np.zeros(2), np.zeros(2), cfg)
         assert report.status == "max_iter"
         assert report.iterations == 3
@@ -83,8 +86,7 @@ class TestDriver:
                 x_update=lambda y, u, phi, f=factor: f.solve(r + phi * (y - u)),
                 y_prox=lambda phi: (lambda v: project(box, v)),
             )
-            cfg = AdmmConfig(phi0=phi0, adaptive=False, eps=1e-12, eps_prime=1e-12,
-                             max_iter=200000)
+            cfg = AdmmConfig(phi0=phi0, adaptive=False, eps=1e-12, max_iter=200000)
             _, y, report = admm_solve(problem, np.zeros(n), np.zeros(n), cfg)
             assert report.converged
             outputs.append(y)
@@ -114,6 +116,16 @@ class TestConsensusProblem:
             assert report.converged
             assert np.max(np.abs(x - expected)) <= 1e-8
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_default_start_puts_every_block_at_x0(self, m):
+        problem = consensus_problem(lambda w, rho: w, [lambda phi: (lambda t: t)] * m, 3)
+        first_y = []
+        x_update = problem.x_update
+        problem.x_update = lambda y, u, phi: first_y.append(y.copy()) or x_update(y, u, phi)
+        x0 = np.array([0.2, 0.3, 0.5])
+        admm_solve(problem, x0, cfg=AdmmConfig(max_iter=1))
+        assert np.array_equal(first_y[0], np.tile(x0, m))
+
     def test_single_block_is_the_plain_split(self):
         block = lambda phi: (lambda t: t)
         problem = consensus_problem(lambda w, rho: w, [block], 3)
@@ -122,28 +134,23 @@ class TestConsensusProblem:
 
 class TestPenaltyUpdate:
     def test_balanced_unchanged(self):
-        cfg = AdmmConfig()
-        assert penalty_update(1.5, 1.0, 1.0, cfg) == 1.5
+        assert penalty_update(1.5, 1.0, 1.0) == 1.5
+        # squared norms within a factor MU of each other leave phi alone
+        ratio = 0.9 * np.sqrt(MU)
+        assert penalty_update(1.5, ratio, 1.0) == penalty_update(1.5, 1.0, ratio) == 1.5
 
     def test_primal_dominates(self):
-        cfg = AdmmConfig(mu=1e3, tau=2.0)
-        assert penalty_update(3.0, 100.0, 1.0, cfg) == 6.0
+        assert penalty_update(3.0, 100.0, 1.0) == 3.0 * TAU_UP
 
     def test_dual_dominates(self):
-        cfg = AdmmConfig(mu=1e3, tau_prime=2.0)
-        assert penalty_update(3.0, 1.0, 100.0, cfg) == 1.5
-
-    def test_constant_mode(self):
-        cfg = AdmmConfig(tau=1.0, tau_prime=1.0)
-        for r, s in [(100.0, 1.0), (1.0, 100.0), (1.0, 1.0)]:
-            assert penalty_update(2.0, r, s, cfg) == 2.0
+        assert penalty_update(3.0, 1.0, 100.0) == 3.0 / TAU_DOWN
 
     def test_unscaled_dual_preserved_across_change(self):
-        cfg = AdmmConfig(mu=1e3, tau=2.0)
         phi = 1.0
         u = np.array([0.3, -0.8])
         lam = phi * u
-        phi_new = penalty_update(phi, 100.0, 1.0, cfg)
+        phi_new = penalty_update(phi, 100.0, 1.0)
+        assert phi_new != phi
         u_new = u * (phi / phi_new)
         assert np.max(np.abs(phi_new * u_new - lam)) <= 1e-12
 
@@ -158,8 +165,8 @@ class TestPenaltyCap:
         # "one way" only searches for the scale and is never held.
         from proxalloc import admm
 
-        steps = {"turn back": lambda phi, r, s, cfg: 2.0 * phi if phi <= 1.0 else 0.5 * phi,
-                 "one way": lambda phi, r, s, cfg: 0.5 * phi}
+        steps = {"turn back": lambda phi, r, s: 2.0 * phi if phi <= 1.0 else 0.5 * phi,
+                 "one way": lambda phi, r, s: 0.5 * phi}
         monkeypatch.setattr(admm, "penalty_update", steps[rule])
         a = np.array([3.0, -4.0, 0.0])
         built = []
@@ -172,7 +179,7 @@ class TestPenaltyCap:
                               y_prox=y_prox)
         # zero tolerances: every one of the 300 iterations may ask for a change
         _, y, report = admm_solve(problem, np.zeros(3), np.zeros(3),
-                                  AdmmConfig(eps=0.0, eps_prime=0.0, max_iter=300))
+                                  AdmmConfig(eps=0.0, max_iter=300))
         assert report.iterations == 300
         # the first change turns nothing back
         assert len(built) - 1 == (admm.MAX_PHI_REVERSALS + 1 if rule == "turn back" else 300)
@@ -227,7 +234,7 @@ class TestLassoSolvers:
         from proxalloc.admm import _lasso_problem
 
         problem = _lasso_problem(self.x[:, :4], self.y,
-                                 lambda phi: (lambda t: project(ball, t)), None)
+                                 lambda phi: (lambda t: project(ball, t)))
         assert np.allclose(problem.y_prox(0.5)(v), problem.y_prox(2.0)(v))
 
     def test_l1_norm_at_most_tau(self):
@@ -247,8 +254,7 @@ class TestSyntheticFixture:
         x, y, _ = lasso_synthetic(n=1500, p=15, seed=6)
         lam = 90.0
         ols = cd_ols(x, y, cfg=CdConfig(tol=1e-12))
-        cfg = AdmmConfig(phi0=lam, adaptive=False, eps=1e-10, eps_prime=1e-10,
-                         max_iter=100000)
+        cfg = AdmmConfig(phi0=lam, adaptive=False, eps=1e-10, max_iter=100000)
         beta, report = admm_lasso_lambda(x, y, lam, cfg, beta0=ols,
                                          return_report=True)
         assert report.converged

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from proxalloc import data
+from proxalloc.admm import AdmmConfig
 from proxalloc.cd import CdConfig
 from proxalloc.errors import (
     BadK,
@@ -483,6 +484,24 @@ class TestMvoCosts:
         w = mvo_costs(u, 0.0, EW8, 0.0, 0.0)
         plain = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
         assert np.max(np.abs(w.w - plain.w)) <= 1e-5
+
+    def test_penalty_factors_hold_at_most_four_penalty_values(self, monkeypatch):
+        from proxalloc import linalg
+
+        made = []
+        init = linalg.PenaltyFactor.__init__
+
+        def recording_init(factor, q):
+            init(factor, q)
+            made.append(factor)
+
+        monkeypatch.setattr(linalg.PenaltyFactor, "__init__", recording_init)
+        mvo_costs(SET1.universe, 0.0, EW8, 0.0, 0.0)
+        assert made
+        for factor in made:
+            # every per-penalty cache entry, whatever dict holds it
+            held = sum(len(v) for v in vars(factor).values() if isinstance(v, dict))
+            assert held <= 4
 
     def test_prohibitive_costs_freeze(self):
         w = mvo_costs(SET1.universe, 0.1, EW8, 1e3, 1e3)
@@ -1215,6 +1234,15 @@ class TestKlPortfolio:
         with pytest.raises(InfeasibleTargets):
             kl_portfolio(SET1.universe, EW8, max_volatility=0.05)
 
+    def test_stalled_split_is_not_called_infeasible(self):
+        # the pre-checks pass (the cap of test_binding_cap_dominates_random_feasible
+        # is reachable), so a split stopped at its cap says only that
+        u = SET1.universe
+        with pytest.raises(MaxIterExceeded) as err:
+            kl_portfolio(u, erc(u).w, target_return=0.0, max_volatility=0.12,
+                         cfg=AdmmConfig(max_iter=3))
+        assert err.value.report.iterations == 3 and err.value.last.size == 8
+
     @staticmethod
     def tilt_residual(w, reference, mu):
         """ln(w / ref) = lam mu + c: the least-squares lam and the worst residual."""
@@ -1446,6 +1474,13 @@ class TestDivergence:
         # infinite budgets send the barrier prox, the y-block, to infinity
         with pytest.raises(Diverged) as err:
             _rb_admm(SET1.universe, np.full(8, np.inf), Volatility())
+        assert err.value.report.status == "diverged" and err.value.last.size == 8
+
+    def test_robo_split(self):
+        # an infinite barrier weight sends the barrier prox, a y-block, to infinity
+        cfg = RoboConfig(current=EW8, barrier=np.inf, risk_budgets=EW8)
+        with pytest.raises(Diverged) as err:
+            robo_advisor(SET1.universe, cfg)
         assert err.value.report.status == "diverged" and err.value.last.size == 8
 
 

@@ -167,7 +167,6 @@ class TestQpSolve:
         _, report = qp_solve(p, return_report=True)
         assert len(report.primal_residuals) == report.iterations
         assert len(report.dual_residuals) == report.iterations
-        assert len(report.objective_trace) == report.iterations
 
     def test_problem_rejects_asymmetric_and_nonfinite_q(self):
         with pytest.raises(ValueError, match="symmetric"):
