@@ -122,10 +122,6 @@ class InfeasibleSuspected(IterationError):
     pass
 
 
-class IndefiniteUnhandled(IterationError):
-    pass
-
-
 class FormulationDisagreement(IterationError):
     pass
 

@@ -1,12 +1,12 @@
 """Allocation models assembled from the CCD / ADMM / Dykstra engines.
 
-Mean-variance, its cost/tracking variants and the floor-free
-most-diversified portfolio stay quadratic programs; turnover-capped
-mean-variance, minimum variance and the most-diversified portfolio
-under diversification floors, risk budgeting, KL and Rao-entropy
-portfolios, and the composite managed-account objective are solved by
-splitting: a smooth x-subproblem (a closed-form prox or CCD)
-against one y-block per constraint set or nonsmooth term, each a
+Mean-variance, its cost/tracking variants, the floor-free
+most-diversified portfolio and the Rao-entropy maximum stay quadratic
+programs; turnover-capped mean-variance, minimum variance and the
+most-diversified portfolio under diversification floors, risk
+budgeting, KL portfolios and the composite managed-account objective
+are solved by splitting: a smooth x-subproblem (a closed-form prox or
+CCD) against one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
 and ball), joined by consensus ADMM.  The box-and-ball split ends with a
@@ -33,10 +33,10 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     FormulationDisagreement,
-    IndefiniteUnhandled,
     InfeasibleSuspected,
     InfeasibleTargets,
     MaxIterExceeded,
+    NotPositiveDefinite,
     OutOfDomain,
     TargetUnreachable,
     UnreachableDiversification,
@@ -49,6 +49,7 @@ from .prox import (
     Halfspace,
     Hyperplane,
     LpBall,
+    _bound,
     projector,
     prox_bid_ask,
     prox_kl,
@@ -676,8 +677,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     if method != "admm":
         raise ValueError(f"unknown method {method!r}: the Herfindahl split is the one solver")
     n = universe.n
-    upper_vec = np.ones(n) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (n,))
+    upper_vec = _bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     if min_bets > n + 1e-9:
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
@@ -822,8 +822,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
     below 1/n at such a floor, raise InfeasibleTargets.
     """
     n = universe.n
-    upper_vec = np.ones(n) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (n,))
+    upper_vec = _bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     if constraint is None:
         w = _solve_budget_qp(universe.cov, np.zeros(n), lower=np.zeros(n),
@@ -870,8 +869,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg)
     on the budget plane with a box block [0, upper], the l1 turnover ball
     around ``current`` (when a cap is given) and the ``costs`` blocks."""
     n = universe.n
-    upper_vec = np.ones(n) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (n,))
+    upper_vec = _bound(upper, 1.0, n, "upper")
     if turnover_cap is not None and turnover_cap <= 0:
         return _gate(current)
     blocks = [_projection(Box(np.zeros(n), upper_vec), n)]
@@ -1040,8 +1038,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
                               "diversification ratio has no maximum on the budget plane")
         return PortfolioWeights(z / z.sum())
 
-    upper_vec = np.ones(n) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (n,))
+    upper_vec = _bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     caps = (np.eye(n) - upper_vec[:, None])[upper_vec < 1]  # the rows e_i' - u_i 1'
     if constraint is None:
@@ -1189,13 +1186,17 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
 
 
 def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
-    """Stationary point of 0.5 w'Dw on the long-only budget set.
+    """Maximum of Rao's quadratic entropy 0.5 w'Dw on the budget set.
 
-    D is a nonnegative symmetric dissimilarity with zero diagonal and is
-    generally indefinite (its trace is zero), so the splitting penalty is
-    floored at 1.1 |lambda_min(D)| + 1e-6 and inflated until the
-    iteration settles; a deterministic asymmetric start breaks the
-    symmetry ties of the saddle at equal weights.
+    D is a symmetric nonnegative dissimilarity with zero diagonal, and the
+    budget set 1'w = 1, lower <= w <= upper (default [0, 1]); after
+    Carmichael, Koumou & Moran (2018).  With P = I - 11'/n, w = Pw + 1/n on the plane, so
+    the maximum is min 0.5 w'Qw - r'w, Q = -PDP + 11'/n, r = PD1/n: one
+    polished QP-bridge solve (``cfg`` its AdmmConfig), convex exactly when
+    D is conditionally negative definite (PDP <= 0, as for D = 1 - rho).
+    The 11'/n term is constant on the plane and makes Q definite along 1.
+    Any other D raises NotPositiveDefinite (the maximum is nonconvex); caps
+    summing below 1 raise InfeasibleTargets; D = 0 gives equal weights.
     """
     d = as_matrix(dissimilarity)
     n = d.shape[0]
@@ -1203,29 +1204,22 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
         raise ValueError("dissimilarity must be symmetric and nonnegative")
     if np.max(np.abs(np.diag(d))) > 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
-    lower_vec = np.zeros(n) if lower is None else np.broadcast_to(
-        np.asarray(lower, dtype=float), (n,))
-    upper_vec = np.ones(n) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (n,))
+    lower_vec = _bound(lower, 0.0, n, "lower")
+    upper_vec = _bound(upper, 1.0, n, "upper")
+    _check_caps(upper_vec)
     if not np.any(d):
         return _gate(np.full(n, 1.0 / n))
 
-    floor = 1.1 * abs(float(np.linalg.eigvalsh(d)[0])) + 1e-6
-    start = np.full(n, 1.0 / n) * (1.0 + 1e-3 * np.arange(n, 0, -1) / n)
-    start /= start.sum()
-    last_error = None
-    for inflation in (1.0, 4.0, 16.0, 64.0):
-        phi = floor * inflation
-        run_cfg = cfg or AdmmConfig(phi0=phi, adaptive=False, eps=1e-10, max_iter=200000)
-        problem = QpProblem(q=d, r=np.zeros(n), a=np.ones((1, n)), b=np.ones(1),
-                            lower=lower_vec, upper=upper_vec)
-        try:
-            x = qp_solve(problem, cfg=run_cfg, x0=start, y0=start)
-            return _gate(x)
-        except (MaxIterExceeded, InfeasibleSuspected) as exc:
-            last_error = exc  # divergence from indefiniteness: inflate and retry
-    raise IndefiniteUnhandled("penalty inflation failed on the indefinite objective",
-                              last=getattr(last_error, "last", None))
+    means = d.mean(axis=0)
+    centered = d - means[:, None] - means[None, :] + means.mean()  # PDP
+    eig = np.linalg.eigvalsh(centered)
+    if eig[-1] > 1e-12 * max(-eig[0], eig[-1]):
+        raise NotPositiveDefinite(f"PDP has eigenvalue {eig[-1]:.3g} > 0: D is not "
+                                  "conditionally negative definite, so the RQE maximum "
+                                  "is nonconvex")
+    problem = QpProblem(q=1.0 / n - centered, r=means - means.mean(), a=np.ones((1, n)),
+                        b=np.ones(1), lower=lower_vec, upper=upper_vec)
+    return _gate(_Bridge(problem, cfg).solve()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1283,8 +1277,8 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
     if formulation not in ("admm_qp", "admm_ccd"):
         raise ValueError(f"unknown formulation {formulation!r}")
     q, r = _robo_quadratic(universe, cfg)
-    lower = np.broadcast_to(np.asarray(cfg.lower, dtype=float), (n,))
-    upper = np.broadcast_to(np.asarray(cfg.upper, dtype=float), (n,))
+    lower = _bound(cfg.lower, 0.0, n, "lower")
+    upper = _bound(cfg.upper, 1.0, n, "upper")
     if not all(isinstance(s, Halfspace) for s in cfg.linear_sets):
         raise TypeError("linear_sets accepts Halfspace descriptors")
     c_rows = d_vals = None

@@ -147,11 +147,12 @@ def projector(set_, n):
 
     The set's parameters are checked against n here, once: a zero normal,
     a radius at or below zero or bets outside (0, n] raise DegenerateSet,
-    a box with lower above upper InvertedBounds, a ball norm without a
-    closed form UnsupportedNorm, and a shape that does not match n
-    DimensionMismatch.  The closure does no checking, so an engine
-    builds it once per solve and calls it inside its loop on float vectors
-    of length n; it may return v itself when v lies in the set.
+    a box with lower above upper InvertedBounds and a NaN bound
+    ValueError, a ball norm without a closed form UnsupportedNorm, and a
+    shape that does not match n DimensionMismatch.  The closure does no
+    checking, so an engine builds it once per solve and calls it inside its
+    loop on float vectors of length n; it may return v itself when v lies in
+    the set.
     """
     raise TypeError(f"no projection registered for {type(set_).__name__}")
 
@@ -168,6 +169,15 @@ def _fit(x, n, name):
         return np.broadcast_to(np.asarray(x, dtype=float), (n,))
     except ValueError:
         raise DimensionMismatch(f"{name} does not match length {n}") from None
+
+
+def _bound(value, fill, n, name):
+    """value broadcast to length n, or ``fill`` when None; +-inf is an absent
+    bound, NaN raises ValueError."""
+    bound = np.full(n, fill) if value is None else _fit(value, n, name)
+    if np.isnan(bound).any():
+        raise ValueError(f"{name} contains NaN")
+    return bound
 
 
 def _normal(c, n, name):
@@ -212,8 +222,8 @@ def _(set_: AffineSet, n):
 
 @projector.register
 def _(set_: Box, n):
-    lo = _fit(-np.inf if set_.lower is None else set_.lower, n, "lower bound")
-    hi = _fit(np.inf if set_.upper is None else set_.upper, n, "upper bound")
+    lo = _bound(set_.lower, -np.inf, n, "lower bound")
+    hi = _bound(set_.upper, np.inf, n, "upper bound")
     if np.any(lo > hi):
         raise InvertedBounds("lower bound exceeds upper bound")
     return lambda v: np.minimum(np.maximum(v, lo), hi)

@@ -51,7 +51,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .linalg import PenaltyFactor, as_matrix, as_vector, cholesky_lower
-from .prox import Box, projector
+from .prox import Box, _bound, projector
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
 
 EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = B
@@ -158,11 +158,6 @@ def _row_norms(rows):
     return norms
 
 
-def _bound(value, fill, n):
-    return np.full(n, fill) if value is None else np.broadcast_to(
-        np.asarray(value, dtype=float), (n,))
-
-
 class _ClippedSplit:
     """The rows K = [K_d; I] of the split K x = z and their bounds [l, u].
 
@@ -183,8 +178,8 @@ class _ClippedSplit:
             rows.append(w[:, None] * problem.c)
             lo.append(np.full(problem.d.size, -np.inf))
             hi.append(w * problem.d)
-        lo.append(_bound(problem.lower, -np.inf, n))
-        hi.append(_bound(problem.upper, np.inf, n))
+        lo.append(_bound(problem.lower, -np.inf, n, "lower bound"))
+        hi.append(_bound(problem.upper, np.inf, n, "upper bound"))
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
         self.rows = np.vstack(rows) if rows else np.zeros((0, n))
@@ -428,8 +423,8 @@ def linear_projection(a, b, c, d, lower, upper, v):
     dual certificate rather than running a sweep to its cycle cap.
     """
     v = as_vector(v)
-    return qp_solve(QpProblem(q=np.ones(v.size), r=v, a=a, b=b, c=c, d=d,
-                              lower=lower, upper=upper))
+    return _Bridge(QpProblem(q=np.ones(v.size), r=v, a=a, b=b, c=c, d=d,
+                             lower=lower, upper=upper)).solve()[0]
 
 
 def qp_dual(q, r, s, t):

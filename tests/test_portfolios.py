@@ -19,6 +19,7 @@ from proxalloc.errors import (
     InfeasibleSuspected,
     InfeasibleTargets,
     MaxIterExceeded,
+    NotPositiveDefinite,
     OutOfDomain,
     ProxallocError,
     TargetUnreachable,
@@ -1484,36 +1485,107 @@ class TestDivergence:
         assert err.value.report.status == "diverged" and err.value.last.size == 8
 
 
+def assert_rqe_maximum(d, w, upper=1.0):
+    """The exact KKT conditions of max 0.5 w'Dw on 1'w = 1, 0 <= w <= upper:
+    with g = Dw and nu its mean over the free names, g = nu on the free
+    names, g <= nu at zero and g >= nu at a cap, all to 1e-9."""
+    g = d @ w
+    zero, cap = w <= 1e-12, w >= upper - 1e-12
+    free = ~(zero | cap)
+    assert free.any()
+    nu = g[free].mean()
+    assert np.max(np.abs(g[free] - nu)) <= 1e-9
+    assert np.all(g[zero] <= nu + 1e-9)
+    assert np.all(g[cap] >= nu - 1e-9)
+
+
 class TestRqePortfolio:
     def test_zero_dissimilarity_returns_equal_weights(self):
         w = rqe_portfolio(np.zeros((4, 4)))
         assert np.allclose(w.w, 0.25)
 
-    def test_two_asset_corner(self):
+    def test_two_asset_midpoint(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         w = rqe_portfolio(d)
-        assert 0.5 * w.w @ d @ w.w <= 1e-8  # x (1 - x) minimized at a corner
-        assert np.max(w.w) >= 1.0 - 1e-6
+        assert np.max(np.abs(w.w - 0.5)) <= 1e-12  # x (1 - x) maximized at 1/2
+        assert abs(0.5 * w.w @ d @ w.w - 0.25) <= 1e-12
 
     def test_correlation_dissimilarity_stationary(self):
-        u = SET1.universe
-        d = 1.0 - u.rho
+        d = 1.0 - SET1.universe.rho
         w = rqe_portfolio(d)
         assert abs(w.w.sum() - 1.0) <= 1e-10
-        assert np.all(w.w >= -1e-10)
-        # projected-gradient stationarity on the simplex
-        from proxalloc.dykstra import project_general_linear
+        assert np.all(w.w >= 0.0)
+        assert_rqe_maximum(d, w.w)
+        assert abs(0.5 * w.w @ d @ w.w - 0.1594) <= 5e-5
 
-        g = d @ w.w
-        stepped = project_general_linear(np.ones((1, 8)), np.ones(1), None, None,
-                                         0.0, 1.0, w.w - 0.1 * g)
-        assert np.max(np.abs(stepped - w.w)) <= 1e-6
+    def test_capped_maximum(self):
+        d = 1.0 - SET1.universe.rho
+        w = rqe_portfolio(d, upper=0.2)
+        assert np.max(w.w) <= 0.2 + 1e-12
+        assert_rqe_maximum(d, w.w, upper=0.2)
+        assert abs(0.5 * w.w @ d @ w.w - 0.1543) <= 5e-5
+
+    def test_factor_universe_maximum(self):
+        d = 1.0 - factor_universe(np.random.default_rng(0), 100).rho
+        w = rqe_portfolio(d)
+        assert_rqe_maximum(d, w.w)
+        assert abs(0.5 * w.w @ d @ w.w - 0.3662) <= 5e-5
+
+    def test_one_polished_bridge_solve(self, monkeypatch):
+        from proxalloc import qp
+
+        reports = []
+        real_solve = qp._Bridge.solve
+
+        def spy(self, *args, **kwargs):
+            x, report = real_solve(self, *args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        monkeypatch.setattr(qp._Bridge, "solve", spy)
+        rqe_portfolio(1.0 - SET1.universe.rho)
+        assert len(reports) == 1 and reports[0].polished
+
+    def test_correlation_dissimilarity_is_minimum_correlation_qp(self):
+        # on the budget plane 0.5 w'(1 - rho)w = 0.5 - 0.5 w'rho w
+        rho = SET1.universe.rho
+        w = rqe_portfolio(1.0 - rho)
+        problem = QpProblem(q=rho, r=np.zeros(8), a=np.ones((1, 8)), b=np.ones(1),
+                            lower=np.zeros(8), upper=np.ones(8))
+        assert np.max(np.abs(w.w - qp_solve(problem))) <= 1e-9
+
+    def test_not_conditionally_negative_definite(self):
+        d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite, match="nonconvex"):
+            rqe_portfolio(d)
+
+    def test_caps_below_budget(self):
+        with pytest.raises(InfeasibleTargets):
+            rqe_portfolio(1.0 - SET1.universe.rho, upper=0.1)
 
     def test_invalid_dissimilarity(self):
         with pytest.raises(ValueError):
             rqe_portfolio(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(ValueError):
             rqe_portfolio(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+class TestBounds:
+    def test_wrong_length_cap(self):
+        u = SET1.universe
+        for model in (gmv_herfindahl, mdp, gmv_diversified):
+            with pytest.raises(DimensionMismatch):
+                model(u, upper=[0.5] * 3)
+        with pytest.raises(DimensionMismatch):
+            rqe_portfolio(1.0 - u.rho, lower=[0.0] * 3)
+
+    def test_nan_cap(self):
+        with pytest.raises(ValueError, match="NaN"):
+            gmv_diversified(SET1.universe, upper=[np.nan] * 8)
+
+    def test_infinite_cap_is_no_cap(self):
+        u = SET1.universe
+        assert np.array_equal(mdp(u, upper=np.inf).w, mdp(u).w)
 
 
 class TestRoboAdvisor:

@@ -194,6 +194,7 @@ INVALID_SETS = {
     "affine_rows": (AffineSet(np.ones((1, 3)), np.ones(2)), DimensionMismatch),
     "polyhedron_rows": (Polyhedron(np.ones((2, 3)), np.ones(3)), DimensionMismatch),
     "box_bounds": (Box(np.zeros(2), 1.0), DimensionMismatch),
+    "box_nan_bound": (Box(0.0, np.array([1.0, np.nan, 1.0])), ValueError),
     "ball_center": (LpBall(2, np.zeros(2), 1.0), DimensionMismatch),
     "ball_norm": (LpBall(3, np.zeros(3), 1.0), UnsupportedNorm),
 }

@@ -252,6 +252,17 @@ class TestClippedSplit:
         # the projection onto the simplex: v - s clipped at zero, s = 0.2
         assert np.max(np.abs(x - [0.7, 0.3, 0.0, 0.0])) <= 1e-10
 
+    def test_linear_projection_runs_no_certificate_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a projection ran the stationarity sweep")
+
+        monkeypatch.setattr(qp, "stationarity_residual", sweep)
+        v = np.array([0.9, 0.5, -0.2, 0.1])
+        x = linear_projection(np.ones((1, 4)), np.ones(1), None, None, 0.0, 1.0, v)
+        assert np.max(np.abs(x - [0.7, 0.3, 0.0, 0.0])) <= 1e-10
+        with pytest.raises(InfeasibleSuspected):  # caps of 0.2 cannot sum to 1
+            linear_projection(np.ones((1, 4)), np.ones(1), None, None, 0.0, 0.2, v)
+
 
 class TestQpDual:
     def test_identity(self):
