@@ -19,8 +19,10 @@ problem is infeasible, the other polishes the iterate into an exact
 answer on the active set it shows, at every power-of-two iteration from
 the first and on convergence, so a split whose active set shows early
 ends early while a polish that keeps failing costs O(log iterations)
-tries.  The QP bridge uses both hooks; the Herfindahl split of the
-diversified minimum-variance models polishes too.
+tries.  The QP bridge uses both hooks; the model splits of
+``portfolios`` whose constraint is a ball or smooth (the Herfindahl
+ball, the entropy floors, the effective-bets cone, the KL volatility
+cap) polish too.
 """
 
 from dataclasses import dataclass

@@ -3,7 +3,8 @@
 Everything downstream (proximal operators, the splitting engines, the
 portfolio models) funnels its numeric work through this module: SPD
 factorizations, the Moore-Penrose pseudo-inverse, a bracketing root
-finder, the Lambert W function and the piecewise-linear threshold
+finder, a damped Newton solve of a KKT system, the Lambert W function
+and the piecewise-linear threshold
 equation sum_i (v_i - s)_+ = target that shows up in simplex/l1-ball
 projections.
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     DimensionMismatch,
@@ -256,6 +258,57 @@ def bisect(f, bracket):
         newest_hi = to_hi
     raise MaxIterExceeded(f"root find did not meet tol={tol} in {bracket.max_iter} steps",
                           last=s)
+
+
+NEWTON_STEPS = 12  # Newton steps a KKT solve may take
+NEWTON_MIN_STEP = 1e-4  # shortest backtracked step before a KKT solve gives up
+ARMIJO = 1e-4  # sufficient decrease of ||F||^2, as a share of the Newton prediction
+
+
+def _newton_kkt(residual, jacobian, z, tol):
+    """A root of the KKT residual F by damped Newton, or None.
+
+    Each step factors J(z) once, takes the Newton correction
+    d = -J(z)^-1 F(z) and halves t from 1 until the trial point z + t d
+    passes one of two sufficient-decrease tests: Armijo's on the residual,
+    ||F(z + t d)||^2 <= (1 - 2 ARMIJO t) ||F(z)||^2, or Deuflhard's
+    restricted monotonicity test on the Newton-scaled residual,
+    ||J(z)^-1 F(z + t d)|| <= (1 - t/4) ||d|| (Deuflhard 2004, NLEQ-ERR).
+    The second does not change when the rows of F are rescaled, so it
+    passes the long steps a KKT system needs when its stationarity and
+    constraint rows differ in scale; the first passes the steps that
+    leave a poor start.  A trial point whose residual is not finite lies
+    outside the residual's domain and is backtracked from too.  Returns z
+    once max|F(z)| <= tol, and None after NEWTON_STEPS steps, when t falls
+    below NEWTON_MIN_STEP or when J is singular, so a start too far from
+    the root costs at most NEWTON_STEPS factorizations.
+    """
+    with np.errstate(all="ignore"):  # non-finite values are tested for below
+        f = residual(z)
+        if not np.all(np.isfinite(f)):
+            return None
+        for _ in range(NEWTON_STEPS):
+            if np.max(np.abs(f)) <= tol:
+                return z
+            lu, piv, info = dgetrf(jacobian(z))
+            d = dgetrs(lu, piv, -f)[0]
+            if info != 0 or not np.all(np.isfinite(d)):  # J singular or not finite
+                return None
+            merit, size = float(f @ f), float(np.linalg.norm(d))
+            t = 1.0
+            while True:
+                trial = z + t * d
+                f_trial = residual(trial)
+                if np.all(np.isfinite(f_trial)) and (
+                        float(f_trial @ f_trial) <= (1.0 - 2.0 * ARMIJO * t) * merit
+                        or float(np.linalg.norm(dgetrs(lu, piv, f_trial)[0]))
+                        <= (1.0 - 0.25 * t) * size):
+                    break
+                t *= 0.5
+                if t < NEWTON_MIN_STEP:
+                    return None
+            z, f = trial, f_trial
+        return z if np.max(np.abs(f)) <= tol else None
 
 
 def lambert_w(x):

@@ -9,9 +9,12 @@ are solved by splitting: a smooth x-subproblem (a closed-form prox or
 CCD) against one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
-and ball), joined by consensus ADMM.  The box-and-ball split ends with a
-polish: the exact optimum on the active set its y-block shows.  Inputs
-whose constraint sets are empty are caught before the ADMM loop starts.
+and ball), joined by consensus ADMM.  The box-and-ball split and the
+splits whose constraint is smooth (the entropy floors, the effective-bets
+cone, the KL volatility cap) end with a polish: the exact optimum on the
+active set its y-blocks show, by a ridge root or by Newton on the KKT
+system.  Inputs whose constraint sets are empty are caught before the
+ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -41,7 +44,7 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import (PenaltyFactor, RootBracket, as_matrix, as_vector, bisect,
+from .linalg import (PenaltyFactor, RootBracket, _newton_kkt, as_matrix, as_vector, bisect,
                      lambert_w_exp, threshold_sum_root)
 from .prox import (
     Box,
@@ -655,6 +658,120 @@ def _herfindahl_polish(cov, upper, radius, accepted):
     return polish
 
 
+def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
+    """The polish hook of a split whose one smooth convex constraint is g(x) <= 0.
+
+    The problem is min f(x) s.t. g(x) <= 0, E x = e (``plane``, the pair
+    (E, e)), ``rows`` x <= ``rhs`` and, with ``orthant``, x >= 0; without
+    it a log term keeps x > 0, and Newton runs on ln x, where those terms
+    are nearly linear.  ``parts(x)`` returns (grad f, g, grad g) and
+    ``hessian(x, kappa)`` the n x n Hessian of f + kappa g.  The hook
+    takes a start point, its support S (x = 0 elsewhere) and the mask of
+    active rows, and solves the KKT system with g taken as binding,
+        grad f + kappa grad g + E'nu + R'm = 0 on S,  g(x) = 0,
+        E x = e,  R x = r  (R, r the active rows),
+    by ``_newton_kkt`` from the start, its multipliers fitted by least
+    squares (OSQP's solution polishing, Stellato et al. 2020, sec. 4,
+    carried to a smooth constraint).  Newton stops once the residual is
+    at most POLISH_TOL max(1, ||grad f||_inf).  The point is kept when
+    kappa >= 0, m >= 0, x_S >= 0, g and the inactive rows hold, and the
+    reduced gradient grad f + kappa grad g + E'nu + R'm is >= 0 on the
+    zeros, all to that tolerance.  When Newton converged but one of these
+    fails, what breaks them moves and the solve repeats, at most
+    POLISH_ROUNDS times (a primal-dual active-set step, Hintermueller, Ito
+    & Kunisch 2003): names below 0 leave S and zeros with a negative
+    reduced gradient join it, violated rows join the active set and rows
+    with a negative multiplier leave it, g among them.  Returns None
+    otherwise, and ADMM goes on.
+    """
+    e_rows, e_rhs = plane
+    n, n_eq = e_rows.shape[1], e_rhs.size
+
+    def solve(x, support, active, bound):
+        """(point, kappa, g, row multipliers m, reduced gradient, tol), or None."""
+        lin = np.vstack([e_rows, rows[active]])
+        target = np.concatenate([e_rhs, rhs[active]])
+        sub = lin[:, support]
+        s, c = int(support.sum()), int(bound)  # c: the column of kappa, if any
+
+        def full(z):
+            if not orthant:
+                return np.exp(z[:s])  # the support is every name
+            out = np.zeros(n)
+            out[support] = z[:s]
+            return out
+
+        def system(point):
+            """(grad f, constraint gradients on S, constraint values) at a point."""
+            grad_f, g, grad_g = parts(point)
+            values = sub @ point[support] - target
+            if bound:
+                return grad_f, np.vstack([grad_g[support], sub]), np.append(g, values)
+            return grad_f, sub, values
+
+        def residual(z):
+            grad_f, grads, values = system(full(z))
+            return np.concatenate([grad_f[support] + grads.T @ z[s:], values])
+
+        def jacobian(z):
+            point = full(z)
+            grads = system(point)[1]
+            h = hessian(point, z[s] if bound else 0.0)
+            jac = np.zeros((z.size,) * 2)
+            jac[:s, :s] = h if support.all() else h[np.ix_(support, support)]
+            jac[:s, s:] = grads.T
+            jac[s:, :s] = grads
+            if not orthant:
+                jac[:, :s] *= point  # d x / d ln x
+            return jac
+
+        grad_f, grads, _ = system(x)
+        fit, *_ = np.linalg.lstsq(grads.T, -grad_f[support], rcond=None)
+        tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad_f))))
+        start = x[support] if orthant else np.log(x)
+        z = _newton_kkt(residual, jacobian, np.concatenate([start, fit]), tol)
+        if z is None:
+            return None
+        x = full(z)
+        grad_f, g, grad_g = parts(x)
+        kappa = z[s] if bound else 0.0
+        grad = grad_f + kappa * grad_g + lin.T @ z[s + c:]
+        return x, kappa, g, z[s + c + n_eq:], grad, tol
+
+    def polish(start, support, active):
+        if not support.any() or not (orthant or (support.all() and np.all(start > 0.0))):
+            return None
+        x, bound = np.where(support, start, 0.0), True
+        for _ in range(1 + POLISH_ROUNDS):
+            solved = solve(x, support, active, bound)
+            if solved is None:
+                return None
+            x, kappa, g, mult, grad, tol = solved
+            low = support & (x < -POLISH_TOL)
+            high = ~active & (rows @ x > rhs + POLISH_TOL)
+            release = np.zeros_like(active)
+            release[np.flatnonzero(active)[mult < -tol]] = True
+            free = ~support & (grad < -tol)
+            flip = kappa < -tol if bound else g > tol  # g leaves or joins
+            if not (low.any() or high.any() or release.any() or free.any() or flip):
+                return x
+            support = (support & ~low) | free
+            active = (active | high) & ~release
+            bound ^= flip
+            x = np.where(support, x, 0.0)
+        return None
+
+    return polish
+
+
+def _active_rows(rows, duals):
+    """The half-space rows c_i'x <= d_i guessed active from the duals of their
+    consensus blocks (stacked in ``duals``): at a solution a block's dual is
+    its multiplier times c_i, so the rows with c_i'dual_i > 0 bind."""
+    products = np.einsum("ij,ij->i", rows, duals.reshape(rows.shape))
+    return products > POLISH_TOL * np.max(np.abs(duals), initial=0.0)
+
+
 def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     """Long-only minimum variance with an effective-bets floor.
 
@@ -817,9 +934,12 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
 
     EffectiveBets floors reuse the Herfindahl ball split and its polish;
     Shannon-entropy floors put the entropy super-level set into the
-    y-update next to the box.  A floor of n bets or ln n admits equal
-    weights only, which it returns directly.  Caps summing below 1, or
-    below 1/n at such a floor, raise InfeasibleTargets.
+    y-update next to the box, and ``_smooth_polish`` ends the split: on
+    the caps the y-block shows, Newton on Sigma w + theta (ln w + 1) -
+    nu 1 = 0, 1'w = 1, H(w) = h, with theta >= 0 and the caps held at u.
+    A floor of n bets or ln n admits equal weights only, which it returns
+    directly.  Caps summing below 1, or below 1/n at such a floor, raise
+    InfeasibleTargets.
     """
     n = universe.n
     upper_vec = _bound(upper, 1.0, n, "upper")
@@ -841,7 +961,17 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         def projection(t):
             return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec, last)
 
-        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg))
+        cov, capped = universe.cov, upper_vec < 1.0
+
+        def parts(x):  # g = floor - H(x)
+            log_x = np.log(x)
+            return cov @ x, floor + x @ log_x, log_x + 1.0
+
+        smooth = _smooth_polish(parts, lambda x, theta: cov + np.diag(theta / x),
+                                (np.ones((1, n)), np.ones(1)), np.eye(n)[capped],
+                                upper_vec[capped])
+        polish = lambda x, y, dual: smooth(y, y > 0.0, y[capped] >= upper_vec[capped])
+        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg, polish=polish))
     raise TypeError(f"unknown diversification constraint {constraint!r}")
 
 
@@ -1024,8 +1154,13 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     and y-blocks for the orthant and an effective-bets floor N (the cone
     sqrt(N) ||y|| <= 1'y), or for an entropy floor h the one cone
     {y >= 0 : H(y / 1'y) >= h} (``_entropy_cone_projection``), which lies
-    in the orthant already.  A floor of n bets or ln n returns equal
-    weights directly, and raises InfeasibleTargets when a cap is below 1/n.
+    in the orthant already.  The floor's split ends through
+    ``_smooth_polish``: Newton on Sigma y + kappa grad g = nu sigma,
+    sigma'y = 1, g(y) = 0 on the support of the first block, with the cap
+    rows whose blocks carry a multiplier as equalities; g is the cone
+    sqrt(N) ||y|| - 1'y or sum y ln(y / 1'y) + h 1'y.  A floor of n bets or
+    ln n returns equal weights directly, and raises InfeasibleTargets when
+    a cap is below 1/n.
     """
     n = universe.n
     cov, sigma = universe.cov, universe.sigma
@@ -1047,20 +1182,42 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
         y, _ = _Bridge(problem, cfg).solve()
         return _gate(y / y.sum())
     if isinstance(constraint, ShannonEntropyFloor):
-        if _equal_weight_entropy(constraint.minimum, n):
+        floor = constraint.minimum
+        if _equal_weight_entropy(floor, n):
             return _equal_weights(upper_vec)
         last = [None, 1.0]  # the last root theta, which brackets the next one
-        cone = lambda v: _entropy_cone_projection(v, constraint.minimum, last)
+        cone = lambda v: _entropy_cone_projection(v, floor, last)
         blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
+
+        def parts(y):  # g = sum y ln(y / s) + floor s, s = 1'y
+            log_share = np.log(y / y.sum())
+            return cov @ y, y @ log_share + floor * y.sum(), log_share + floor
+
+        hessian = lambda y, kappa: cov + kappa * (np.diag(1.0 / y) - 1.0 / y.sum())
     elif isinstance(constraint, EffectiveBets):
+        floor = constraint.minimum
         blocks = [_projection(Box(0.0, np.inf), n),
-                  _projection(EffectiveBetsCone(constraint.minimum), n)]
-        if constraint.minimum >= n - 1e-9:  # the cone has checked bets <= n
+                  _projection(EffectiveBetsCone(floor), n)]
+        if floor >= n - 1e-9:  # the cone has checked bets <= n
             return _equal_weights(upper_vec)
+
+        root_n = np.sqrt(floor)
+
+        def parts(y):  # g = sqrt(N) ||y|| - 1'y, convex
+            norm = np.sqrt(y @ y)
+            return cov @ y, root_n * norm - y.sum(), root_n * y / norm - 1.0
+
+        def hessian(y, kappa):
+            norm = np.sqrt(y @ y)
+            return cov + kappa * root_n / norm * (np.eye(n) - np.outer(y, y) / (norm * norm))
     else:
         raise TypeError(f"unknown diversification constraint {constraint!r}")
+    lead = len(blocks) * n  # the cap blocks follow the floor's blocks
     blocks += [_projection(Halfspace(row, 0.0), n) for row in caps]
-    y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma)
+    smooth = _smooth_polish(parts, hessian, (sigma[None, :], np.ones(1)), caps,
+                            np.zeros(len(caps)), orthant=isinstance(constraint, EffectiveBets))
+    polish = lambda x, y, dual: smooth(y[:n], y[:n] > 0.0, _active_rows(caps, dual[lead:]))
+    y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma, polish=polish)
     return _gate(y / y.sum())
 
 
@@ -1134,7 +1291,10 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     cap it is consensus ADMM: the x-update is the KL prox, and the budget
     plane, the return half-space and the volatility ellipsoid get one
     y-block each.  The long-only box needs no block: the KL prox returns
-    positive weights, and the plane caps their sum at 1.  Targets that no
+    positive weights, and the plane caps their sum at 1.  ``_smooth_polish``
+    ends the split: Newton on ln(w / ref) + 1 + kappa cov w / v^2 - nu 1
+    (- rho mu, when the return row's block carries a multiplier) = 0,
+    1'w = 1, w'cov w = v^2 (and mu'w = target), v the cap.  Targets that no
     long-only portfolio meets raise InfeasibleTargets before any solve,
     with the portfolio that certifies it as ``last``: the asset of largest
     expected return, or the minimum-volatility portfolio (on the
@@ -1154,9 +1314,11 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     if max_volatility is None:
         return _gate(_kl_tilt(universe.mu, reference, target_return))
     blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
+    rows, rhs = np.zeros((0, n)), np.zeros(0)  # the return row, when it can bind
     # at or below the smallest expected return the target is vacuous
     if target_return is not None and target_return > np.min(universe.mu):
-        blocks.append(_projection(Halfspace(-universe.mu, -float(target_return)), n))
+        rows, rhs = -universe.mu[None, :], np.array([-float(target_return)])
+        blocks.append(_projection(Halfspace(rows[0], rhs[0]), n))
     floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
     if target_return is not None and floor @ universe.mu < target_return:
         # the return target binds: trace the long-only frontier to it
@@ -1176,6 +1338,16 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, max_iter=100000)
     problem = consensus_problem(
         lambda v, rho: prox_kl(v + shift / rho, 1.0 / rho, reference), blocks, n)
+    cov, v2 = universe.cov, float(max_volatility) ** 2
+
+    def parts(x):  # f = KL(x | reference), g = (x'cov x / cap^2 - 1) / 2
+        cov_x = cov @ x / v2
+        return np.log(x / reference) + 1.0, 0.5 * (x @ cov_x - 1.0), cov_x
+
+    smooth = _smooth_polish(parts, lambda x, kappa: np.diag(1.0 / x) + kappa / v2 * cov,
+                            (np.ones((1, n)), np.ones(1)), rows, rhs)
+    problem.polish = lambda x, y, dual: smooth(x, x > 0.0,
+                                               _active_rows(rows, dual[n:n + rows.size]))
     w = _gate(_run_split("KL portfolio ADMM", problem, reference / reference.sum(), cfg)[0])
     s = stats(w, universe)
     if target_return is not None and s.expected_return < target_return - 1e-6:
@@ -1196,7 +1368,8 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
     D is conditionally negative definite (PDP <= 0, as for D = 1 - rho).
     The 11'/n term is constant on the plane and makes Q definite along 1.
     Any other D raises NotPositiveDefinite (the maximum is nonconvex); caps
-    summing below 1 raise InfeasibleTargets; D = 0 gives equal weights.
+    summing below 1 raise InfeasibleTargets; D = 0 gives equal weights.  A
+    negative ``lower`` allows short positions, which the gate then keeps.
     """
     d = as_matrix(dissimilarity)
     n = d.shape[0]
@@ -1219,7 +1392,7 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
                                   "is nonconvex")
     problem = QpProblem(q=1.0 / n - centered, r=means - means.mean(), a=np.ones((1, n)),
                         b=np.ones(1), lower=lower_vec, upper=upper_vec)
-    return _gate(_Bridge(problem, cfg).solve()[0])
+    return _gate(_Bridge(problem, cfg).solve()[0], long_only=bool(np.all(lower_vec >= 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .dykstra import DykstraConfig, project_general_linear
 from .errors import (
     EmptySetSuspected,
     InfeasibleSuspected,
+    InvertedBounds,
     MaxCyclesExceeded,
     MaxIterExceeded,
     NotPositiveDefinite,
@@ -187,9 +188,14 @@ class _ClippedSplit:
         self.clip = projector(Box(self.lo, self.hi), self.m + n)
 
     def set_upper(self, upper):
-        """Replace the upper bounds of the box rows and rebuild the clip."""
+        """Replace the upper bounds of the box rows, checked as the Box
+        projector checks them.  The clip holds views of ``lo`` and ``hi``
+        (``_bound`` broadcasts a float array of the right length without a
+        copy), so the bounds change in place and the clip is not rebuilt."""
+        upper = _bound(upper, np.inf, self.hi.size - self.m, "upper bound")
+        if np.any(self.lo[self.m:] > upper):
+            raise InvertedBounds("lower bound exceeds upper bound")
         self.hi[self.m:] = upper
-        self.clip = projector(Box(self.lo, self.hi), self.hi.size)
 
     def apply(self, x):
         return np.concatenate((self.rows @ x, x))

@@ -235,6 +235,75 @@ class TestBisect:
             RootBracket(2.0, 1.0)
 
 
+class TestNewtonKkt:
+    @staticmethod
+    def circle():
+        """min x1 + x2 s.t. x1^2 + x2^2 = 1: the KKT residual in (x1, x2, lam),
+        its Jacobian, and the root (-1, -1, 1) / sqrt(2)."""
+        def residual(z):
+            x, lam = z[:2], z[2]
+            return np.append(1.0 + 2.0 * lam * x, x @ x - 1.0)
+
+        def jacobian(z):
+            x, lam = z[:2], z[2]
+            return np.array([[2.0 * lam, 0.0, 2.0 * x[0]],
+                             [0.0, 2.0 * lam, 2.0 * x[1]],
+                             [2.0 * x[0], 2.0 * x[1], 0.0]])
+
+        return residual, jacobian, np.array([-1.0, -1.0, 1.0]) / np.sqrt(2.0)
+
+    def test_quadratic_convergence_on_a_toy_kkt_system(self):
+        residual, jacobian, root = self.circle()
+        sizes = []  # max|F| at every iterate Newton steps from
+
+        def recorded(z):
+            sizes.append(np.max(np.abs(residual(z))))
+            return jacobian(z)
+
+        z = linalg._newton_kkt(residual, recorded, np.array([-0.6, -0.9, 0.9]), 1e-14)
+        assert np.max(np.abs(z - root)) <= 1e-14
+        assert len(sizes) <= 6
+        # quadratic: each residual at most a constant times the square of the last
+        assert sizes[-1] <= 1e-5
+        for before, after in zip(sizes[-3:], sizes[-2:]):
+            assert after <= 10.0 * before**2
+
+    def test_no_root_returns_none(self):
+        # F(z) = z^2 + 1 has no real root: the steps stall where J vanishes
+        calls = []
+
+        def residual(z):
+            calls.append(z)
+            return z * z + 1.0
+
+        assert linalg._newton_kkt(residual, lambda z: np.diag(2.0 * z), np.array([3.0]),
+                                  1e-12) is None
+        # each step backtracks at most log2(1 / NEWTON_MIN_STEP) times
+        halvings = int(np.ceil(np.log2(1.0 / linalg.NEWTON_MIN_STEP)))
+        assert len(calls) <= 1 + linalg.NEWTON_STEPS * (halvings + 1)
+
+    def test_singular_jacobian_returns_none(self):
+        assert linalg._newton_kkt(lambda z: z - 1.0, lambda z: np.zeros((2, 2)),
+                                  np.zeros(2), 1e-12) is None
+
+    def test_non_finite_start_returns_none(self):
+        assert linalg._newton_kkt(lambda z: np.full(1, np.nan), lambda z: np.eye(1),
+                                  np.zeros(1), 1e-12) is None
+
+    def test_domain_guard(self):
+        # ln z - 1 from z = 10: the full Newton step lands at z = -3.0, outside
+        # the domain, where the residual is NaN; the step is halved back inside
+        jacobian_points = []
+
+        def jacobian(z):
+            jacobian_points.append(float(z[0]))
+            return np.diag(1.0 / z)
+
+        z = linalg._newton_kkt(lambda z: np.log(z) - 1.0, jacobian, np.array([10.0]), 1e-14)
+        assert abs(z[0] - np.e) <= 1e-13
+        assert min(jacobian_points) > 0.0
+
+
 class TestLambertW:
     def test_anchors(self):
         assert lambert_w(0.0) == 0.0

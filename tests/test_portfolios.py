@@ -93,13 +93,40 @@ def assert_same_sampling(w, expected):
     assert np.max(np.abs(w - expected)) <= 1e-8
 
 
-def factor_universe(rng, n):
-    """The benchmark's seeded factor-model universe, from perfbench/universe.py."""
+def perfbench_universe():
+    """The benchmark's universe module, perfbench/universe.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "universe.py"
     spec = importlib.util.spec_from_file_location("perfbench_universe", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.factor_universe(rng, n)
+    return module
+
+
+def factor_universe(rng, n):
+    """The benchmark's seeded factor-model universe."""
+    return perfbench_universe().factor_universe(rng, n)
+
+
+def assert_polished_kkt(report, grad_f, normals, support=None):
+    """A split ended by its polish within 64 iterations, at a KKT point.
+
+    ``normals`` holds the gradient of the smooth constraint, then the
+    normals of the linear rows, as columns.  With the multipliers fitted
+    by least squares on the support, grad_f + normals @ m vanishes there
+    to POLISH_TOL max(1, ||grad_f||_inf) and is >= 0 on the zeros; the
+    smooth constraint's multiplier m[0] is >= 0.
+    """
+    from proxalloc.qp import POLISH_TOL
+
+    assert report.polished and report.iterations <= 64
+    support = np.ones(grad_f.size, dtype=bool) if support is None else support
+    m, *_ = np.linalg.lstsq(normals[support], -grad_f[support], rcond=None)
+    reduced = grad_f + normals @ m
+    tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad_f))))
+    assert np.max(np.abs(reduced[support])) <= tol
+    assert np.all(reduced[~support] >= -tol)
+    assert m[0] >= -tol
+    return m
 
 
 def tilted_universe():
@@ -160,6 +187,11 @@ def duplicated_asset_universe():
     idx = list(range(8)) + [6]
     return AssetUniverse(names=[f"a{i}" for i in range(9)], mu=u.mu[idx],
                          sigma=u.sigma[idx], rho=u.rho[np.ix_(idx, idx)])
+
+
+def no_polish(*args, **kwargs):
+    """A stand-in for portfolios._smooth_polish whose hook never polishes."""
+    return lambda *hook_args: None
 
 
 @pytest.fixture
@@ -742,6 +774,29 @@ class TestGmvDiversified:
         with pytest.raises(UnreachableDiversification):
             model(SET1.universe, constraint=ShannonEntropyFloor(np.log(8.0) + 0.1))
 
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_seeded_entropy_floors_end_polished(self, admm_reports, n):
+        # the benchmark's entropy cases: floors halfway from the long-only GMV's
+        # entropy to ln n, where Sigma w + theta (ln w + 1) - nu 1 = 0 binds
+        bench = perfbench_universe()
+        u = bench.factor_universe(np.random.default_rng([1, 5, n]), n)
+        h0 = bench.shannon_entropy(bench.long_only_gmv(u))
+        floor = h0 + 0.5 * (np.log(n) - h0)
+        w = gmv_diversified(u, constraint=ShannonEntropyFloor(floor)).w
+        assert_polished_kkt(admm_reports[-1], u.cov @ w,
+                            np.column_stack([np.log(w) + 1.0, np.ones(n)]))
+        assert abs(shannon_entropy(w) - floor) <= 1e-9  # binds, to POLISH_TOL
+
+    def test_capped_entropy_floor_ends_polished(self, admm_reports):
+        # caps of 0.2 bind at the floor 1.9: a cap multiplier joins the budget's
+        u = SET1.universe
+        w = gmv_diversified(u, upper=0.2, constraint=ShannonEntropyFloor(1.9)).w
+        capped = w >= 0.2 - 1e-12
+        assert capped.any() and np.max(w) <= 0.2 + 1e-12
+        normals = np.column_stack([np.log(w) + 1.0, np.ones(8), np.eye(8)[:, capped]])
+        m = assert_polished_kkt(admm_reports[-1], u.cov @ w, normals)
+        assert np.all(m[2:] >= 0.0)
+
     def test_warm_entropy_roots_match_cold_ones(self, monkeypatch):
         from proxalloc import portfolios
 
@@ -805,6 +860,8 @@ class TestGmvDiversified:
             if name.startswith("proxalloc") and getattr(module, "as_vector", None) is as_vector:
                 monkeypatch.setattr(module, "as_vector", counted)
         monkeypatch.setattr(portfolios, "admm_solve", reported)
+        # without the polish, ADMM runs to convergence: the count is per iteration
+        monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
         u = factor_universe(np.random.default_rng(0), 8)
         h0 = stats(gmv_diversified(u), u).shannon_entropy
         calls["as_vector"] = 0
@@ -1106,6 +1163,38 @@ class TestMdp:
             assert kappa >= 0
             assert abs(np.sqrt(bets) * np.linalg.norm(y) - y.sum()) <= 1e-9  # binds
 
+    @pytest.mark.parametrize("bets", data.MDP_GRID_BETS[2:])
+    def test_table5_floors_end_polished(self, admm_reports, bets):
+        # the cone sqrt(N) ||y|| <= 1'y binds on the support of y
+        u = data.mdp_table_universe()
+        y = self.homogeneous(mdp(u, long_only=True, constraint=EffectiveBets(bets)).w, u)
+        grad_g = np.sqrt(bets) * y / np.linalg.norm(y) - 1.0
+        assert_polished_kkt(admm_reports[-1], u.cov @ y, np.column_stack([grad_g, -u.sigma]),
+                            support=y > 0.0)
+        assert abs(np.sqrt(bets) * np.linalg.norm(y) - y.sum()) <= 1e-9  # binds
+
+    @pytest.mark.parametrize("case", ["table 1.2", "table 1.9", "factor n=100"])
+    def test_entropy_floors_end_polished(self, admm_reports, case):
+        if case == "factor n=100":
+            u, floor = factor_universe(np.random.default_rng(0), 100), np.log(100 / 3)
+        else:
+            u, floor = data.mdp_table_universe(), float(case.split()[1])
+        y = self.homogeneous(mdp(u, long_only=True, constraint=ShannonEntropyFloor(floor)).w, u)
+        grad_g = np.log(y / y.sum()) + floor
+        assert_polished_kkt(admm_reports[-1], u.cov @ y, np.column_stack([grad_g, -u.sigma]))
+
+    def test_capped_bets_floor_is_slack_and_ends_polished(self, admm_reports):
+        # caps of 0.25 leave 5.5 bets: the polish drops the slack cone and keeps
+        # the cap rows y_i - 0.25 1'y <= 0 as equalities
+        u = data.mdp_table_universe()
+        y = self.homogeneous(mdp(u, long_only=True, upper=0.25, constraint=EffectiveBets(5.0)).w, u)
+        capped = y >= 0.25 * y.sum() - 1e-12
+        assert capped.any() and effective_bets(y / y.sum()) > 5.0
+        rows = (np.eye(8) - 0.25)[capped]
+        normals = np.column_stack([rows.T, -u.sigma])  # the cap multipliers first
+        m = assert_polished_kkt(admm_reports[-1], u.cov @ y, normals)
+        assert np.all(m[:-1] >= 0.0)
+
     @pytest.mark.parametrize("case", ["table 1.2", "table 1.9", "factor n=100"])
     def test_entropy_floors_meet_the_cone_kkt_conditions(self, case):
         # min y'Cy s.t. sigma'y = 1, g(y) = sum y ln(y / 1'y) + h 1'y <= 0:
@@ -1174,6 +1263,8 @@ class TestMdp:
 
         monkeypatch.setattr(prox, "as_vector", counted)
         monkeypatch.setattr(portfolios, "admm_solve", reported)
+        # without the polish, ADMM runs to convergence: the count is per iteration
+        monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
         mdp(data.mdp_table_universe(), long_only=True, constraint=EffectiveBets(3.0))
         assert sum(r.iterations for r in reports) >= 100
         assert calls["as_vector"] <= 10
@@ -1235,14 +1326,40 @@ class TestKlPortfolio:
         with pytest.raises(InfeasibleTargets):
             kl_portfolio(SET1.universe, EW8, max_volatility=0.05)
 
-    def test_stalled_split_is_not_called_infeasible(self):
+    def test_stalled_split_is_not_called_infeasible(self, monkeypatch):
         # the pre-checks pass (the cap of test_binding_cap_dominates_random_feasible
-        # is reachable), so a split stopped at its cap says only that
+        # is reachable), so a split stopped at its cap says only that; the polish
+        # would end this split at iteration 1, so it is switched off
+        from proxalloc import portfolios
+
+        monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
         u = SET1.universe
         with pytest.raises(MaxIterExceeded) as err:
             kl_portfolio(u, erc(u).w, target_return=0.0, max_volatility=0.12,
                          cfg=AdmmConfig(max_iter=3))
         assert err.value.report.iterations == 3 and err.value.last.size == 8
+
+    @pytest.mark.parametrize("reference", ["erc", "equal"])
+    def test_volatility_cap_ends_polished(self, admm_reports, reference):
+        # ln(w / ref) + 1 + kappa cov w - nu 1 = 0 with kappa >= 0 and the cap binding
+        u = SET1.universe
+        if reference == "erc":
+            ref, cap = erc(u).w, 0.12
+        else:
+            gmv = gmv_diversified(u).w
+            ref, cap = EW8, 1.2 * np.sqrt(gmv @ u.cov @ gmv)
+        w = kl_portfolio(u, ref, target_return=0.0, max_volatility=cap).w
+        assert_polished_kkt(admm_reports[-1], np.log(w / ref) + 1.0,
+                            np.column_stack([u.cov @ w, np.ones(8)]))
+        assert abs(np.sqrt(w @ u.cov @ w) - cap) <= 1e-9  # binds
+
+    def test_volatility_cap_and_return_row_end_polished(self, admm_reports):
+        u = tilted_universe()
+        w = kl_portfolio(u, EW8, target_return=0.07, max_volatility=0.16).w
+        m = assert_polished_kkt(admm_reports[-1], np.log(w / EW8) + 1.0,
+                                np.column_stack([u.cov @ w, np.ones(8), -u.mu]))
+        assert m[2] > 0.0  # the return row binds, with the multiplier's sign
+        assert abs(w @ u.mu - 0.07) <= 1e-9
 
     @staticmethod
     def tilt_residual(w, reference, mu):
@@ -1485,12 +1602,12 @@ class TestDivergence:
         assert err.value.report.status == "diverged" and err.value.last.size == 8
 
 
-def assert_rqe_maximum(d, w, upper=1.0):
-    """The exact KKT conditions of max 0.5 w'Dw on 1'w = 1, 0 <= w <= upper:
+def assert_rqe_maximum(d, w, upper=1.0, lower=0.0):
+    """The exact KKT conditions of max 0.5 w'Dw on 1'w = 1, lower <= w <= upper:
     with g = Dw and nu its mean over the free names, g = nu on the free
-    names, g <= nu at zero and g >= nu at a cap, all to 1e-9."""
+    names, g <= nu at the floor and g >= nu at a cap, all to 1e-9."""
     g = d @ w
-    zero, cap = w <= 1e-12, w >= upper - 1e-12
+    zero, cap = w <= lower + 1e-12, w >= upper - 1e-12
     free = ~(zero | cap)
     assert free.any()
     nu = g[free].mean()
@@ -1530,6 +1647,15 @@ class TestRqePortfolio:
         w = rqe_portfolio(d)
         assert_rqe_maximum(d, w.w)
         assert abs(0.5 * w.w @ d @ w.w - 0.3662) <= 5e-5
+
+    def test_short_positions_keep_the_maximum(self):
+        # a floor of -0.2 allows shorts: the gate keeps the polished optimum
+        d = 1.0 - SET1.universe.rho
+        w = rqe_portfolio(d, lower=-0.2)
+        assert abs(w.w.sum() - 1.0) <= 1e-12
+        assert np.min(w.w) >= -0.2 - 1e-12 and np.min(w.w) < 0.0
+        assert_rqe_maximum(d, w.w, lower=-0.2)
+        assert 0.5 * w.w @ d @ w.w > 0.5 * rqe_portfolio(d).w @ d @ rqe_portfolio(d).w
 
     def test_one_polished_bridge_solve(self, monkeypatch):
         from proxalloc import qp
