@@ -272,26 +272,18 @@ def ccd_qp_logbarrier(q, r, lam_vec, x0, cfg=None, return_report=False):
 def ccd_erc(cov, lam, x0, cfg=None, return_report=False):
     """Unscaled equal-risk-contribution weights for a covariance matrix.
 
-    Minimizes 0.5 x' cov x - lam * sum ln x_i coordinate-wise; each step
-    is the positive root x_i = (-v_i + sqrt(v_i^2 + 4 lam s_i^2)) / (2 s_i^2)
+    Minimizes 0.5 x' cov x - lam * sum ln x_i coordinate-wise: the
+    log-barrier QP of ``ccd_qp_logbarrier`` with R = 0, whose step is the
+    positive root x_i = (-v_i + sqrt(v_i^2 + 4 lam s_i^2)) / (2 s_i^2)
     with v_i the off-diagonal part of (cov x)_i.  Callers rescale the
     output to their budget.
     """
-    cfg = cfg or CdConfig()
     cov = as_matrix(cov)
-    variances = np.diag(cov).copy()
-    if np.any(variances <= 0):
+    if np.any(np.diag(cov) <= 0):
         raise NonPositiveVariance("covariance needs a positive diagonal")
-    x0 = as_vector(x0)
-    if np.any(x0 <= 0):
+    if np.any(as_vector(x0) <= 0):
         raise NonPositiveStart("starting point must be strictly positive")
-
-    def update(i, xx):
-        v = cov[i] @ xx - variances[i] * xx[i]
-        return (-v + np.sqrt(v * v + 4.0 * lam * variances[i])) / (2.0 * variances[i])
-
-    x, report = _run_cycles(update, x0, cfg, constants=variances, name="ccd_erc")
-    return (x, report) if return_report else x
+    return ccd_qp_logbarrier(cov, np.zeros(cov.shape[0]), lam, x0, cfg, return_report)
 
 
 def _check_stdev_scale(excess, xi, variances):

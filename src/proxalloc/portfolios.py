@@ -71,6 +71,10 @@ from .reports import DIVERGED
 
 # slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
 CAP_SLACK = 1e-12
+# mvo_target: the trade-off weight at the top of the frontier, and the
+# tolerance of its targets and of its volatility bisection
+GAMMA_MAX = 1e6
+TARGET_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +360,12 @@ def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
 
 
 def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
-               upper=None, ineq=None, gamma_max=1e6, tol=1e-8):
+               upper=None, ineq=None):
     """The frontier portfolio at a return or volatility target.
 
     A return target above the minimum-variance return is one QP, the
     minimum variance under the extra row -mu'x <= -target_return.  A
-    target above the return at gamma_max raises TargetUnreachable before
+    target above the return at GAMMA_MAX raises TargetUnreachable before
     that QP runs, and one that other constraints cut off is certified
     infeasible by the QP bridge.
     A volatility target bisects the trade-off weight gamma, since the
@@ -378,15 +382,15 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
 
     target = target_return if target_return is not None else target_volatility
     low_val = achieved(0.0)
-    if target <= low_val + tol:
+    if target <= low_val + TARGET_TOL:
         if target < low_val - 1e-6:
             raise TargetUnreachable(f"target {target} below the minimum {low_val:.6g}")
         return mvo_gamma(universe, 0.0, lower, upper, ineq)
     if target_return is not None:
-        # the gamma_max end of the frontier bounds the reachable return, to
+        # the GAMMA_MAX end of the frontier bounds the reachable return, to
         # the polish accuracy of its QP; past it the QP's dual certificate
         # can take its whole iteration budget to settle
-        top = mvo_gamma(universe, gamma_max, lower, upper, ineq)
+        top = mvo_gamma(universe, GAMMA_MAX, lower, upper, ineq)
         top_val = stats(top, universe).expected_return
         if target > top_val + POLISH_TOL:
             raise TargetUnreachable(f"target {target} above the maximum {top_val:.6g}")
@@ -402,12 +406,12 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
     hi = 1.0
     hi_val = achieved(hi)
-    while hi_val < target and hi < gamma_max:
+    while hi_val < target and hi < GAMMA_MAX:
         hi *= 4.0
         hi_val = achieved(hi)
     if hi_val < target - 1e-6:
         raise TargetUnreachable(f"target {target} above the maximum {hi_val:.6g}")
-    gamma = bisect(lambda g: achieved(g) - target, RootBracket(0.0, hi, tol=tol))
+    gamma = bisect(lambda g: achieved(g) - target, RootBracket(0.0, hi, tol=TARGET_TOL))
     return mvo_gamma(universe, gamma, lower, upper, ineq)
 
 
@@ -1254,8 +1258,12 @@ def _kl_tilt(mu, reference, target):
     w(lam) = softmax(ln ref + lam (mu - max mu)), with lam = 0 when the
     target does not bind and otherwise the root of mu'w(lam) = target,
     which increases in lam.  The root is found in units of the spread of
-    mu on an expanding bracket.  A target at max mu has no finite root:
-    its answer is the limit, the best assets in proportion to ref.
+    mu on an expanding bracket, as the root of ln gap(lam) = ln gap(target),
+    gap = (max mu - mu'w) / spread: near the top return mu'w saturates as
+    the tilt piles onto the best assets, and regula falsi on it stalls,
+    while ln gap stays nearly linear in lam.  A target at max mu has no
+    finite root: its answer is the limit, the best assets in proportion
+    to ref.
     """
     w = reference / reference.sum()
     top = float(np.max(mu))
@@ -1265,19 +1273,20 @@ def _kl_tilt(mu, reference, target):
     if target >= top:
         best = np.where(mu == top, reference, 0.0)
         return best / best.sum()
-    d = (mu - top) / spread
-    goal = (target - top) / spread
+    d = (top - mu) / spread
+    goal = (top - target) / spread
+    log_goal = np.log(goal)
     log_ref = np.log(reference)
 
     def tilt(lam):
-        z = log_ref + lam * d
+        z = log_ref - lam * d
         e = np.exp(z - z.max())
         return e / e.sum()
 
     lam_hi = 1.0
-    while tilt(lam_hi) @ d < goal:
+    while tilt(lam_hi) @ d > goal:
         lam_hi *= 4.0
-    lam = bisect(lambda t: tilt(t) @ d - goal, RootBracket(0.0, lam_hi, tol=1e-14))
+    lam = bisect(lambda t: log_goal - np.log(tilt(t) @ d), RootBracket(0.0, lam_hi, tol=1e-14))
     return tilt(lam)
 
 
@@ -1285,21 +1294,24 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
                  cfg=None):
     """Minimize KL(w | reference) under the budget and return/vol targets.
 
-    Without a volatility cap the answer is closed form: the exponential
-    tilt of the reference toward mu (``_kl_tilt``), one scalar root when
-    the return target binds, and ``cfg`` is unused.  Under a volatility
-    cap it is consensus ADMM: the x-update is the KL prox, and the budget
-    plane, the return half-space and the volatility ellipsoid get one
-    y-block each.  The long-only box needs no block: the KL prox returns
-    positive weights, and the plane caps their sum at 1.  ``_smooth_polish``
-    ends the split: Newton on ln(w / ref) + 1 + kappa cov w / v^2 - nu 1
-    (- rho mu, when the return row's block carries a multiplier) = 0,
-    1'w = 1, w'cov w = v^2 (and mu'w = target), v the cap.  Targets that no
-    long-only portfolio meets raise InfeasibleTargets before any solve,
-    with the portfolio that certifies it as ``last``: the asset of largest
-    expected return, or the minimum-volatility portfolio (on the
-    long-only frontier at the return target when one binds).  A split
-    that ends unconverged raises Diverged or MaxIterExceeded.
+    The answer starts as the closed-form exponential tilt of the reference
+    toward mu (``_kl_tilt``), one scalar root when the return target
+    binds.  Without a volatility cap, or with one that the tilt meets, the
+    tilt is the answer, since it solves the problem without the cap, and
+    ``cfg`` is unused.  A return target above the largest expected return
+    raises InfeasibleTargets with that asset as ``last``.  A cap that the
+    tilt breaks is checked against its floor, the minimum variance over
+    the long-only budget set and the return row, one QP on the bridge; a
+    cap below it raises InfeasibleTargets with that portfolio as
+    ``last``.  Otherwise the cap binds and the split is consensus ADMM:
+    the x-update is the KL prox, and the budget plane, the return
+    half-space and the volatility ellipsoid get one y-block each.  The
+    long-only box needs no block: the KL prox returns positive weights,
+    and the plane caps their sum at 1.  ``_smooth_polish`` ends the split:
+    Newton on ln(w / ref) + 1 + kappa cov w / v^2 - nu 1 (- rho mu, when
+    the return row's block carries a multiplier) = 0, 1'w = 1,
+    w'cov w = v^2 (and mu'w = target), v the cap.  A split that ends
+    unconverged raises Diverged or MaxIterExceeded.
     """
     n = universe.n
     reference = as_vector(reference)
@@ -1311,19 +1323,18 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
             raise InfeasibleTargets(f"return target {target_return} above the largest "
                                     f"expected return {universe.mu[best]:.6g}",
                                     last=np.eye(n)[best])
-    if max_volatility is None:
-        return _gate(_kl_tilt(universe.mu, reference, target_return))
+    tilt = _kl_tilt(universe.mu, reference, target_return)
+    if max_volatility is None or np.sqrt(tilt @ universe.cov @ tilt) <= max_volatility:
+        return _gate(tilt)
     blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
     rows, rhs = np.zeros((0, n)), np.zeros(0)  # the return row, when it can bind
     # at or below the smallest expected return the target is vacuous
     if target_return is not None and target_return > np.min(universe.mu):
         rows, rhs = -universe.mu[None, :], np.array([-float(target_return)])
         blocks.append(_projection(Halfspace(rows[0], rhs[0]), n))
-    floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n))
-    if target_return is not None and floor @ universe.mu < target_return:
-        # the return target binds: trace the long-only frontier to it
-        floor = mvo_target(universe, target_return=target_return,
-                           lower=np.zeros(n), upper=np.ones(n)).w
+    floor, _ = _Bridge(QpProblem(q=universe.cov, r=np.zeros(n), a=np.ones((1, n)),
+                                 b=np.ones(1), c=rows, d=rhs, lower=np.zeros(n),
+                                 upper=np.ones(n))).solve()
     floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
     if max_volatility < floor_vol - 1e-6:
         raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "

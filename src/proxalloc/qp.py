@@ -353,14 +353,13 @@ class _Bridge:
         self.problem.upper = upper
         self.split.set_upper(upper)
 
-    def solve(self, x0=None, y0=None, guess=None):
+    def solve(self, x0=None, guess=None):
         """The optimum as (x, report), without the stationarity check.
 
         ``guess`` is a point whose rows at or beyond a bound are taken as
         the active set: when _settle accepts the exact optimum on it, that
         ends the solve with no ADMM iteration.  Otherwise ADMM starts x at
-        x0 (zero by default) and z at K y0 (K x0 by default).  Raises as
-        qp_solve.
+        x0 (zero by default) and z at K x0.  Raises as qp_solve.
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
@@ -381,9 +380,8 @@ class _Bridge:
                 return x, SolverReport(polished=True)
 
         start_x = np.zeros(problem.n) if x0 is None else x0
-        start_z = None if y0 is None else split.apply(as_vector(y0))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, z, report = admm_solve(self.admm, start_x, start_z, self.cfg)
+            x, z, report = admm_solve(self.admm, start_x, cfg=self.cfg)
         if report.polished:
             return x, report
         if report.status == INFEASIBLE:
@@ -401,19 +399,18 @@ class _Bridge:
         return z[split.m:], report
 
 
-def qp_solve(problem, cfg=None, x0=None, y0=None, return_report=False):
+def qp_solve(problem, cfg=None, return_report=False):
     """Solve a QpProblem; returns the weights (and a report on request).
 
-    ADMM runs on the clipped split until a polish is accepted or the
-    residuals meet cfg's tolerances; the answer is then the polished
-    point (report.polished) or the box block of z.  x0 starts x (zero by
-    default) and y0 starts z at K y0 (K x0 by default).  Raises
+    ADMM runs on the clipped split from x = 0 until a polish is accepted
+    or the residuals meet cfg's tolerances; the answer is then the
+    polished point (report.polished) or the box block of z.  Raises
     MaxIterExceeded when ADMM hits its iteration cap and
     InfeasibleSuspected when the dual iterates certify an empty feasible
     set or the iterates diverge.  Every returned answer's report carries
     ``stationarity_residual``, NaN when its projection did not settle.
     """
-    x, report = _Bridge(problem, cfg).solve(x0, y0)
+    x, report = _Bridge(problem, cfg).solve()
     try:
         report.stationarity_residual = stationarity_residual(problem, x, cfg=CERTIFICATE_CFG)
     except (MaxCyclesExceeded, EmptySetSuspected):
@@ -450,14 +447,13 @@ def qp_dual(q, r, s, t):
     return qbar, rbar
 
 
-def stationarity_residual(problem, x, grad_step=1.0, cfg=None):
-    """||P_Omega(x - t grad f(x)) - x||_inf, a projected-gradient KKT measure.
+def stationarity_residual(problem, x, cfg=None):
+    """||P_Omega(x - grad f(x)) - x||_inf, a projected-gradient KKT measure.
 
     The projection is a Dykstra sweep (``cfg``, a DykstraConfig), which
     raises MaxCyclesExceeded when it does not settle.
     """
     g = PenaltyFactor(problem.q).matvec(x) - problem.r
-    stepped = x - grad_step * g
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
-                                  problem.lower, problem.upper, stepped, cfg)
+                                  problem.lower, problem.upper, x - g, cfg)
     return float(np.max(np.abs(proj - x)))

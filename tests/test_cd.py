@@ -198,7 +198,7 @@ class TestLogBarrierQp:
         x_lb = ccd_qp_logbarrier(cov, np.zeros(8), lam, np.full(8, 0.5),
                                  cfg=CdConfig(tol=1e-12))
         x_erc = ccd_erc(cov, lam, np.full(8, 0.5), cfg=CdConfig(tol=1e-12))
-        assert np.max(np.abs(x_lb - x_erc)) <= 1e-9
+        assert np.array_equal(x_lb, x_erc)
 
     def test_positive_start_required(self):
         with pytest.raises(NonPositiveStart):

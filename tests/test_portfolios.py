@@ -136,6 +136,12 @@ def tilted_universe():
     return AssetUniverse(names=u.names, mu=mu, sigma=u.sigma, rho=u.rho)
 
 
+def kl_universe():
+    """Set #1 with a Sharpe ratio of 0.3 per asset, the benchmark's KL universe."""
+    u = SET1.universe
+    return AssetUniverse(names=u.names, mu=0.3 * u.sigma, sigma=u.sigma, rho=u.rho)
+
+
 def herfindahl_oracle(u, bets, upper=1.0):
     """min x'cov x on the long-only budget set with 1/||x||^2 >= bets, by SLSQP.
 
@@ -1432,6 +1438,71 @@ class TestKlPortfolio:
             w = kl_portfolio(u, EW8, target_return=target).w
             assert abs(w.sum() - 1.0) <= 1e-12
             assert target is None or w @ u.mu >= target - 1e-12
+
+    def test_top_target_under_a_slack_cap_is_the_top_asset(self):
+        u = kl_universe()
+        start = time.perf_counter()
+        w = kl_portfolio(u, EW8, target_return=u.mu.max(), max_volatility=0.5).w
+        assert time.perf_counter() - start < 0.1
+        assert np.array_equal(w, np.eye(8)[np.argmax(u.mu)])
+
+    @pytest.mark.parametrize("cap", [None, 0.5])
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-11])
+    def test_targets_just_below_the_top_return(self, gap, cap):
+        # mu'w saturates near the top return; the tilt's root must still land
+        u = kl_universe()
+        target = u.mu.max() - gap
+        w = kl_portfolio(u, EW8, target_return=target, max_volatility=cap).w
+        assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= 0.0)
+        assert abs(w @ u.mu - target) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["tilted", "n=100"])
+    def test_slack_cap_returns_the_tilt_with_no_solve(self, monkeypatch, case):
+        from proxalloc import portfolios
+
+        if case == "tilted":
+            u, reference, target, cap = tilted_universe(), EW8, 0.06, 0.5
+        else:
+            u = factor_universe(np.random.default_rng(0), 100)
+            reference = np.full(100, 0.01)
+            gmv = mvo_gamma(u, 0.0, lower=np.zeros(100), upper=np.ones(100)).w
+            target, cap = np.quantile(u.mu, 0.7), 1.5 * stats(gmv, u).volatility
+        tilt = kl_portfolio(u, reference, target_return=target).w
+        assert stats(tilt, u).volatility <= cap
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(portfolios, "admm_solve", fail)
+        monkeypatch.setattr(portfolios._Bridge, "solve", fail)
+        w = kl_portfolio(u, reference, target_return=target, max_volatility=cap).w
+        assert np.array_equal(w, tilt)
+
+    def test_volatility_floor_is_one_bridge_solve(self, monkeypatch):
+        from proxalloc import portfolios
+
+        u, target = tilted_universe(), 0.085
+        gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8)).w
+        assert gmv @ u.mu < target  # the return row binds at the floor
+        floor = mvo_target(u, target_return=target, lower=np.zeros(8), upper=np.ones(8)).w
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a nested model solve ran")
+
+        for name in ("mvo_target", "mvo_gamma", "qp_solve"):
+            monkeypatch.setattr(portfolios, name, fail)
+        solves = []
+        solve = portfolios._Bridge.solve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(portfolios._Bridge, "solve", counted)
+        with pytest.raises(InfeasibleTargets, match="volatility cap 0.1 below the minimum") as err:
+            kl_portfolio(u, EW8, target_return=target, max_volatility=0.10)
+        assert len(solves) == 1
+        assert np.max(np.abs(err.value.last - floor)) <= 1e-8
 
     def test_volatility_ball_projection_matches_bisection(self):
         from proxalloc.portfolios import _volatility_ball_projection
