@@ -15,7 +15,7 @@ Vectors and matrices are plain float64 ndarrays; ``as_vector`` /
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, solve_triangular
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
@@ -117,6 +117,63 @@ class SpdFactor:
             return dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
         y = solve_triangular(self.lower, b, lower=True, check_finite=False)
         return solve_triangular(self.lower.T, y, lower=False, check_finite=False)
+
+
+class SupportFactor:
+    """Upper Cholesky factor R'R = M_FF of a fixed SPD matrix M on a changing support F.
+
+    ``support`` lists the indices of F in the factor's column order.  A
+    name that leaves F is a column delete, put back in triangular form by
+    Givens rotations (scipy's compiled ``qr_delete``); a name that joins
+    is a bordered append, s = R^-T M_Fj and d = sqrt(M_jj - s's).  Both
+    cost O(k^2) against a refactorization's O(k^3) (Gill, Golub, Murray &
+    Saunders 1974).  M is factored once, on the first support; an append
+    whose pivot d^2 falls to cholesky_lower's floor raises
+    NotPositiveDefinite and leaves the factor as it was.
+    """
+
+    def __init__(self, m, support):
+        self.m = m
+        self.support = np.asarray(support)
+        block = m[np.ix_(self.support, self.support)]
+        self.upper = np.asfortranarray(cholesky_lower(block, check=False).T)
+
+    def solve(self, b):
+        """M_FF^-1 b for b in the support's order."""
+        y = dtrsv(self.upper, b, lower=0, trans=1)
+        return dtrsv(self.upper, y, lower=0, overwrite_x=1)
+
+    def remove(self, drop):
+        """Drop the names of F where the boolean mask ``drop`` (in the support's order) is set.
+
+        Deleting column p leaves the rows from p on in Hessenberg form, so
+        only the trailing block R[p:, p:] is rotated.
+        """
+        for p in np.flatnonzero(drop)[::-1]:
+            r = self.upper
+            k = r.shape[0]
+            upper = np.empty((k - 1, k - 1), order="F")
+            upper[:, :p] = r[:k - 1, :p]
+            upper[:p, p:] = r[:p, p + 1:]
+            if p < k - 1:
+                upper[p:, p:] = qr_delete(np.eye(k - p, order="F"), r[p:, p:], 0, which="col",
+                                          check_finite=False)[1][:-1]
+            self.upper = upper
+        self.support = self.support[~drop]
+
+    def append(self, j):
+        """Add name j at the end of F."""
+        k = self.support.size
+        s = dtrsv(self.upper, self.m[self.support, j], lower=0, trans=1)
+        pivot = self.m[j, j] - float(s @ s)
+        if pivot <= 1e-14 * max(self.m[j, j], float(np.max(np.diag(self.m)[self.support]))):
+            raise NotPositiveDefinite("pivot below 1e-14 * max diagonal")
+        upper = np.zeros((k + 1, k + 1), order="F")
+        upper[:k, :k] = self.upper
+        upper[:k, k] = s
+        upper[k, k] = np.sqrt(pivot)
+        self.upper = upper
+        self.support = np.append(self.support, j)
 
 
 class PenaltyFactor:

@@ -44,8 +44,8 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import (PenaltyFactor, RootBracket, _newton_kkt, as_matrix, as_vector, bisect,
-                     lambert_w_exp, threshold_sum_root)
+from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_matrix,
+                     as_vector, bisect, lambert_w_exp, threshold_sum_root)
 from .prox import (
     Box,
     EffectiveBetsCone,
@@ -418,18 +418,29 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
 def index_sampling(universe, benchmark, n_assets, cfg=None):
     """Replicate a benchmark with a fixed number of holdings.
 
-    Repeatedly solves the long-only tracking QP and knocks out the asset
-    with the smallest nonzero weight (the lowest index on ties) until
-    exactly n_assets names remain invested.  Weights tie when equal in a
-    polished (exact) answer and within POLISH_TOL in one ADMM ended, whose
-    split of tied weights (duplicated assets, a singular Q) is rounding.
-    A knocked-out asset gets an upper bound of 0, so every round solves
-    one QP split, factored once.  After the first round, each round tries
-    the exact optimum on the last support, with the zero weights and the
-    knocked-out asset pinned at 0, and runs ADMM from the last weights
-    only when qp_solve's polish tests reject it.  Raises BadK unless
-    n_assets is an integer in [1, n] and DimensionMismatch unless the
-    benchmark has n entries.
+    Repeatedly solves the long-only tracking QP, min 0.5 x'Cx - x'Cb
+    s.t. 1'x = 1, 0 <= x <= u, and knocks out the asset with the smallest
+    nonzero weight until exactly n_assets names remain invested.  A
+    knocked-out asset gets u_i = 0 for the rounds that follow.  Weights
+    within POLISH_TOL of the smallest tie, and ties go to the lowest
+    index, so the names kept do not depend on round-off (an equal-weight
+    benchmark ties every name in the first round).
+
+    Each round runs a primal-dual active-set loop on the support F
+    (Hintermueller, Ito & Kunisch 2003) against one Cholesky factor of
+    C_FF, held across the rounds (linalg.SupportFactor): x_F = a + nu e
+    with a = C_FF^-1 (Cb)_F, e = C_FF^-1 1 and nu = (1 - 1'a) / 1'e;
+    names with x_F below zero leave F, and when none do, names held at
+    zero whose reduced gradient (Cx - Cb - nu)_i is below zero join it,
+    with qp._settle's tests and slack.  Round 1 starts from every name;
+    each later one from the last support less its zeros and the
+    knocked-out name.  Since u <= 1 never binds under the budget, this
+    is the exact optimum of the round.  A round whose support block is
+    singular (a duplicated asset) or that takes more than
+    1 + POLISH_ROUNDS steps is solved by one cold QP-bridge solve with
+    ``cfg``, and the next round factors its support afresh.  Raises BadK
+    unless n_assets is an integer in [1, n] and DimensionMismatch unless
+    the benchmark has n entries.
     """
     n = universe.n
     if not isinstance(n_assets, numbers.Integral) or not 1 <= n_assets <= n:
@@ -437,22 +448,64 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     b = as_vector(benchmark, "benchmark")
     if b.size != n:
         raise DimensionMismatch(f"benchmark has {b.size} entries for {n} assets")
+    cov = universe.cov
+    r = cov @ b
     upper = np.ones(n)
-    bridge = _Bridge(QpProblem(q=universe.cov, r=universe.cov @ b, a=np.ones((1, n)),
-                               b=np.ones(1), lower=np.zeros(n), upper=upper), cfg)
     live_tol = 1e-7
-    w = None
+    held, keep = None, np.ones(n, dtype=bool)
     while True:
-        x, report = bridge.solve(x0=w, guess=w)
+        x = None
+        try:
+            if held is None:
+                held = SupportFactor(cov, np.flatnonzero(keep))
+            else:
+                held.remove(~keep[held.support])
+            x = _tracking_optimum(cov, r, upper, held)
+        except NotPositiveDefinite:
+            pass
+        if x is None:
+            held = None
+            x, _ = _Bridge(QpProblem(q=cov, r=r, a=np.ones((1, n)), b=np.ones(1),
+                                     lower=np.zeros(n), upper=upper.copy()), cfg).solve()
         w = np.where(x < live_tol, 0.0, x)
         active = np.flatnonzero(w > 0)
         if active.size <= n_assets:
             break
-        # that rounding depends on the ADMM start, so ties there are loose
-        tie = 0.0 if report.polished else POLISH_TOL
-        upper[active[w[active] <= np.min(w[active]) + tie][0]] = 0.0
-        bridge.set_upper(upper)
+        out = active[w[active] <= np.min(w[active]) + POLISH_TOL][0]
+        upper[out] = 0.0
+        keep = w > 0
+        keep[out] = False
     return _gate(w)
+
+
+def _tracking_optimum(cov, r, upper, held):
+    """The optimum of one index_sampling round on ``held``'s support, or None.
+
+    Moves ``held`` to the optimum's support; None after 1 + POLISH_ROUNDS
+    steps.  Raises NotPositiveDefinite when a joining name makes the
+    support block singular.
+    """
+    for _ in range(1 + POLISH_ROUNDS):
+        f = held.support
+        a, e = held.solve(r[f]), held.solve(np.ones(f.size))
+        nu = (1.0 - a.sum()) / e.sum()
+        x_f = a + nu * e
+        leave = x_f < -POLISH_TOL * (1.0 + np.abs(x_f))
+        if np.any(leave):
+            held.remove(leave)
+            continue
+        x = np.zeros(r.size)
+        x[f] = x_f
+        cx = cov @ x
+        tol = POLISH_TOL * (1.0 + float(np.max(np.abs(cx))) + float(np.max(np.abs(r))))
+        grad = cx - r - nu
+        grad[f] = 0.0
+        join = np.flatnonzero((upper > 0) & (grad < -tol))
+        if join.size == 0:
+            return x
+        for j in join:
+            held.append(j)
+    return None
 
 
 def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):

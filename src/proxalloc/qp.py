@@ -24,13 +24,8 @@ An empty feasible set is certified from the change of the dual (Banjac,
 Goulart, Stellato & Boyd 2019), and every returned answer is checked by
 ``stationarity_residual``, which the report keeps.  The same solver
 doubles as the numeric oracle the other engines are cross-checked
-against.
-
-A caller that solves one QP under changing upper bounds keeps one
-``_Bridge``, whose split and factors are built once; each solve may first
-try a guessed active set, such as the last answer's, through the polish
-tests before it runs ADMM (OSQP's warm start, Stellato et al. 2020, sec. 5).
-Q is checked in QpProblem, not again by the polish's factorizations.
+against.  Q is checked in QpProblem, not again by the polish's
+factorizations.
 
 Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
@@ -46,7 +41,6 @@ from .dykstra import DykstraConfig, project_general_linear
 from .errors import (
     EmptySetSuspected,
     InfeasibleSuspected,
-    InvertedBounds,
     MaxCyclesExceeded,
     MaxIterExceeded,
     NotPositiveDefinite,
@@ -187,16 +181,6 @@ class _ClippedSplit:
         self.m = self.rows.shape[0]
         self.clip = projector(Box(self.lo, self.hi), self.m + n)
 
-    def set_upper(self, upper):
-        """Replace the upper bounds of the box rows, checked as the Box
-        projector checks them.  The clip holds views of ``lo`` and ``hi``
-        (``_bound`` broadcasts a float array of the right length without a
-        copy), so the bounds change in place and the clip is not rebuilt."""
-        upper = _bound(upper, np.inf, self.hi.size - self.m, "upper bound")
-        if np.any(self.lo[self.m:] > upper):
-            raise InvertedBounds("lower bound exceeds upper bound")
-        self.hi[self.m:] = upper
-
     def apply(self, x):
         return np.concatenate((self.rows @ x, x))
 
@@ -326,10 +310,8 @@ class _Bridge:
     """One QP on the bridge: the problem, its clipped split, the penalty
     factor of Q and the ADMM settings.
 
-    Only the upper bounds change between solves (``set_upper``), so the
-    factors of Q + phi I and of the capacitance, kept per penalty value,
-    serve every solve.  ``solve`` returns an uncertified (x, report);
-    qp_solve is one solve and the stationarity check of its answer.
+    ``solve`` returns an uncertified (x, report); qp_solve is one solve
+    and the stationarity check of its answer.
     """
 
     def __init__(self, problem, cfg=None):
@@ -348,18 +330,10 @@ class _Bridge:
                                 infeasible=split.infeasible,
                                 polish=lambda x, z, dual: _polish(problem, split, z, dual))
 
-    def set_upper(self, upper):
-        """Replace the upper bounds of x (a length-n float array)."""
-        self.problem.upper = upper
-        self.split.set_upper(upper)
-
-    def solve(self, x0=None, guess=None):
+    def solve(self):
         """The optimum as (x, report), without the stationarity check.
 
-        ``guess`` is a point whose rows at or beyond a bound are taken as
-        the active set: when _settle accepts the exact optimum on it, that
-        ends the solve with no ADMM iteration.  Otherwise ADMM starts x at
-        x0 (zero by default) and z at K x0.  Raises as qp_solve.
+        ADMM starts from x = 0.  Raises as qp_solve.
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
@@ -373,15 +347,8 @@ class _Bridge:
             except (NotPositiveDefinite, np.linalg.LinAlgError):
                 pass  # singular Q: fall through to the regularized ADMM path
 
-        if guess is not None:
-            kx = split.apply(guess)
-            x = _settle(problem, split, kx <= split.lo, kx >= split.hi)
-            if x is not None:
-                return x, SolverReport(polished=True)
-
-        start_x = np.zeros(problem.n) if x0 is None else x0
         with np.errstate(over="ignore", invalid="ignore"):
-            x, z, report = admm_solve(self.admm, start_x, cfg=self.cfg)
+            x, z, report = admm_solve(self.admm, np.zeros(problem.n), cfg=self.cfg)
         if report.polished:
             return x, report
         if report.status == INFEASIBLE:

@@ -6,6 +6,7 @@ from proxalloc import linalg
 from proxalloc.linalg import (
     PenaltyFactor,
     RootBracket,
+    SupportFactor,
     bisect,
     cholesky_lower,
     lambert_w,
@@ -67,6 +68,33 @@ class TestCholesky:
         # the unchecked factorization reads the lower triangle only
         lower = cholesky_lower(asymmetric, check=False)
         assert np.allclose(lower @ lower.T, np.tril(asymmetric) + np.tril(asymmetric, -1).T)
+
+
+class TestSupportFactor:
+    def test_deletes_and_appends_match_a_fresh_factor(self):
+        rng = np.random.default_rng(9)
+        m = random_spd(rng, 12)
+        held = SupportFactor(m, np.arange(12))
+        for drop in ([0], [11], [3, 4, 8], [5]):
+            held.remove(np.isin(held.support, drop))
+        for j in (8, 0):
+            held.append(j)
+        support = held.support
+        assert sorted(support) == [0, 1, 2, 6, 7, 8, 9, 10]
+        block = m[np.ix_(support, support)]
+        assert np.max(np.abs(held.upper.T @ held.upper - block)) <= 1e-12 * np.max(m)
+        assert np.allclose(np.triu(held.upper), held.upper)
+        b = rng.standard_normal(support.size)
+        assert np.allclose(block @ held.solve(b), b)
+
+    def test_singular_append_leaves_the_factor(self):
+        copy = [0, 1, 0]  # asset 2 copies asset 0
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])[np.ix_(copy, copy)]
+        held = SupportFactor(m, [0, 1])
+        upper = held.upper.copy()
+        with pytest.raises(NotPositiveDefinite):
+            held.append(2)
+        assert np.array_equal(held.support, [0, 1]) and np.array_equal(held.upper, upper)
 
 
 class TestSolveSpd:

@@ -70,8 +70,8 @@ def duplicate_asset(u, i):
 def cold_index_sampling(u, b, k):
     """index_sampling as one cold qp_solve per knock-out round, the oracle.
 
-    Ties are exact on a polished answer and within POLISH_TOL on one ADMM
-    ended, as in index_sampling.
+    Weights within POLISH_TOL of the smallest tie, and ties go to the
+    lowest index, as in index_sampling.
     """
     from proxalloc.qp import POLISH_TOL
 
@@ -79,13 +79,12 @@ def cold_index_sampling(u, b, k):
     while True:
         problem = QpProblem(q=u.cov, r=u.cov @ b, a=np.ones((1, n)), b=np.ones(1),
                             lower=np.zeros(n), upper=upper.copy())
-        x, report = qp_solve(problem, return_report=True)
+        x = qp_solve(problem)
         w = np.where(x < 1e-7, 0.0, x)
         active = np.flatnonzero(w > 0)
         if active.size <= k:
             return np.maximum(w, 0.0) / w.sum()
-        tie = 0.0 if report.polished else POLISH_TOL
-        upper[active[w[active] <= w[active].min() + tie][0]] = 0.0
+        upper[active[w[active] <= w[active].min() + POLISH_TOL][0]] = 0.0
 
 
 def assert_same_sampling(w, expected):
@@ -378,14 +377,38 @@ class TestIndexSampling:
 
     def test_duplicated_asset_tie_knocks_out_the_lower_index(self):
         # asset 0 and its copy (index 12) have the same row of the covariance,
-        # so Q is singular, no round polishes while both are held, and the
-        # pair's split is rounding: an exact tie rule keeps asset 0 here
+        # so the support block is singular while both are held, the bridge
+        # solves those rounds, and the pair's split is rounding: the tie rule
+        # (within POLISH_TOL, lowest index) knocks out asset 0
         rng = np.random.default_rng(0)
         u = duplicate_asset(factor_universe(rng, 12), 0)
         b = rng.dirichlet(np.ones(13))
         w = index_sampling(u, b, 3).w
         assert_same_sampling(w, cold_index_sampling(u, b, 3))
         assert w[0] == 0 and w[12] > 0
+
+    def test_equal_weight_ties_knock_out_asset_0(self):
+        # an equal-weight benchmark is round 1's optimum, so all 500 weights
+        # tie to round-off; the rule drops the lowest index
+        n = 500
+        u = factor_universe(np.random.default_rng(0), n)
+        w = index_sampling(u, np.full(n, 1.0 / n), n - 1).w
+        assert np.array_equal(np.flatnonzero(w == 0), [0])
+
+    def test_certified_at_n_200(self):
+        # past the sizes of the oracle cases: k names, the budget and the box
+        # hold, and the answer is stationary on the final pinned problem
+        n, k = 200, 50
+        rng = np.random.default_rng(200)
+        u = factor_universe(rng, n)
+        b = rng.dirichlet(np.ones(n))
+        w = index_sampling(u, b, k).w
+        held = w > 0
+        assert np.count_nonzero(held) == k
+        assert abs(w.sum() - 1.0) <= 1e-12 and np.all((w >= 0) & (w <= 1))
+        problem = QpProblem(q=u.cov, r=u.cov @ b, a=np.ones((1, n)), b=np.ones(1),
+                            lower=np.zeros(n), upper=held.astype(float))
+        assert stationarity_residual(problem, w) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 9), share=st.floats(0.0, 1.0),
@@ -399,66 +422,47 @@ class TestIndexSampling:
         k = 1 + int(share * (u.n - 1))
         assert_same_sampling(index_sampling(u, b, k).w, cold_index_sampling(u, b, k))
 
-    def test_rejected_warm_guess_runs_admm_again(self, monkeypatch):
-        from proxalloc import qp
-
-        rng = np.random.default_rng(21)
-        u = factor_universe(rng, 12)
-        b = rng.dirichlet(np.ones(12))
-        runs = []
-        real_admm = qp.admm_solve
-
-        def counting_admm(*args, **kwargs):
-            result = real_admm(*args, **kwargs)
-            runs.append(result[2].iterations)
-            return result
-
-        monkeypatch.setattr(qp, "admm_solve", counting_admm)
-        expected = index_sampling(u, b, 4).w
-        assert len(runs) == 1  # every later round keeps its warm guess
-
-        runs.clear()
-        real_settle = qp._settle
-        rejected = []
-
-        def reject_second_round(*args):
-            # the first call after the first ADMM run is the second round's guess
-            if len(runs) == 1 and not rejected:
-                rejected.append(args)
-                return None
-            return real_settle(*args)
-
-        monkeypatch.setattr(qp, "_settle", reject_second_round)
-        w = index_sampling(u, b, 4).w
-        assert len(rejected) == 1 and len(runs) == 2
-        assert_same_sampling(w, expected)
-
-    def test_factors_once_for_every_round(self, monkeypatch):
+    def test_no_admm_and_one_factorization(self, monkeypatch):
         from proxalloc import linalg, qp
 
         rng = np.random.default_rng(30)
         u = factor_universe(rng, 30)
         b = rng.dirichlet(np.ones(30))
-        factorizations, rounds = [], []
+        admm_runs, factorizations = [], []
+        real_admm, real_cholesky = qp.admm_solve, linalg.cholesky_lower
 
-        class CountingFactor(linalg.SpdFactor):
-            def __init__(self, m, check=True):
-                factorizations.append(m.shape[0])
-                super().__init__(m, check)
+        def counting_admm(*args, **kwargs):
+            admm_runs.append(1)
+            return real_admm(*args, **kwargs)
 
+        def counting_cholesky(m, check=True):
+            factorizations.append(m.shape[0])
+            return real_cholesky(m, check)
+
+        monkeypatch.setattr(qp, "admm_solve", counting_admm)
+        monkeypatch.setattr(linalg, "cholesky_lower", counting_cholesky)
+        w = index_sampling(u, b, 7).w
+        # every round updates the factor of the first support, all 30 names
+        assert admm_runs == [] and factorizations == [30]
+        assert_same_sampling(w, cold_index_sampling(u, b, 7))
+
+    def test_singular_support_falls_back_to_the_bridge(self, monkeypatch):
+        from proxalloc import qp
+
+        rng = np.random.default_rng(21)
+        u = duplicate_asset(factor_universe(rng, 12), 3)
+        b = rng.dirichlet(np.ones(13))
+        solves = []
         real_solve = qp._Bridge.solve
 
-        def counting_solve(self, *args, **kwargs):
-            result = real_solve(self, *args, **kwargs)
-            rounds.append(len(factorizations))
-            return result
+        def counting_solve(self):
+            solves.append(1)
+            return real_solve(self)
 
-        monkeypatch.setattr(linalg, "SpdFactor", CountingFactor)
         monkeypatch.setattr(qp._Bridge, "solve", counting_solve)
-        index_sampling(u, b, 7)
-        assert len(rounds) >= 20
-        # Q + phi I and the capacitance are factored in the first round only
-        assert 0 < rounds[0] == rounds[-1] < len(rounds)
+        w = index_sampling(u, b, 4).w
+        assert solves  # the rounds that hold both copies of asset 3
+        assert_same_sampling(w, cold_index_sampling(u, b, 4))
 
     def test_typed_input_errors(self):
         u = factor_universe(np.random.default_rng(0), 6)

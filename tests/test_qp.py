@@ -3,9 +3,7 @@ import pytest
 
 from proxalloc import data, qp
 from proxalloc.errors import (
-    DimensionMismatch,
     InfeasibleSuspected,
-    InvertedBounds,
     MaxCyclesExceeded,
     NotPositiveDefinite,
 )
@@ -235,27 +233,6 @@ class TestClippedSplit:
         assert np.max(np.abs(x_diag - x_dense)) <= 1e-8
         assert np.max(c @ x_diag - d) <= 1e-9
         assert rep.stationarity_residual <= 1e-8
-
-    def test_set_upper_moves_the_clip_in_place(self):
-        split = qp._ClippedSplit(QpProblem(q=np.eye(3), r=np.zeros(3), a=np.ones((1, 3)),
-                                           b=np.ones(1), lower=np.zeros(3), upper=np.ones(3)))
-        clip = split.clip
-        split.set_upper(np.array([0.5, 0.0, 2.0]))
-        assert split.clip is clip  # not rebuilt
-        v = np.array([9.0, 0.7, 0.7, 0.7])  # the budget row, then the box rows
-        assert np.array_equal(clip(v), [split.lo[0], 0.5, 0.0, 0.7])
-
-    @pytest.mark.parametrize("upper, error", [
-        (np.array([0.5, np.nan, 1.0]), ValueError),
-        (np.array([0.5, -0.1, 1.0]), InvertedBounds),
-        (np.ones(4), DimensionMismatch),
-    ], ids=["nan", "inverted", "wrong length"])
-    def test_set_upper_checks_the_bounds(self, upper, error):
-        split = qp._ClippedSplit(QpProblem(q=np.eye(3), r=np.zeros(3), lower=np.zeros(3),
-                                           upper=np.ones(3)))
-        with pytest.raises(error):
-            split.set_upper(upper)
-        assert np.array_equal(split.hi, np.ones(3))  # unchanged
 
     def test_report_carries_stationarity_residual(self):
         rng = np.random.default_rng(12)
