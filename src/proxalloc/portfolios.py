@@ -11,10 +11,11 @@ closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
 and ball), joined by consensus ADMM.  The box-and-ball split and the
 splits whose constraint is smooth (the entropy floors, the effective-bets
-cone, the KL volatility cap) end with a polish: the exact optimum on the
-active set its y-blocks show, by a ridge root or by Newton on the KKT
-system.  Inputs whose constraint sets are empty are caught before the
-ADMM loop starts.
+cone, the KL volatility cap) and the rebalancing split (turnover cap and
+bid/ask costs) end with a polish: the exact optimum on the active set or
+trade pattern its y-blocks show, by a ridge root, by Newton on the KKT
+system or by one equality QP.  Inputs whose constraint sets are empty are
+caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -64,6 +65,7 @@ from .qp import (
     POLISH_TOL,
     QpProblem,
     _Bridge,
+    _solve_equality_qp,
     linear_projection,
     qp_solve,
 )
@@ -329,9 +331,11 @@ def _secular_root(a, c):
 
 
 def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None):
+    """min 0.5 x'qx - r'x on the budget plane, the box and the rows c x <= d:
+    one QP-bridge solve, without qp_solve's stationarity sweep."""
     problem = QpProblem(q=q, r=r, a=np.ones((1, len(r))), b=np.ones(1), c=c, d=d,
                         lower=lower, upper=upper)
-    return qp_solve(problem, cfg=cfg)
+    return _Bridge(problem, cfg).solve()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +517,13 @@ def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
     s.t. 1'x = 1, 0 <= x <= 1, ||x - current||_1 <= turnover_cap.
 
     The consensus split of rebalance_penalized (box and l1-ball blocks,
-    the same InfeasibleTargets check) with gamma mu in the x-update.
+    the same InfeasibleTargets check) with gamma mu in the x-update, ended
+    by the same trade-pattern polish.
     """
     if turnover_cap < 0:
         raise ValueError("turnover_cap must be nonnegative")
-    return _rebalance_split(universe, as_vector(current), turnover_cap, None, [],
-                           gamma * universe.mu, cfg)
+    return _rebalance_split(universe, as_vector(current), turnover_cap, None,
+                            gamma * universe.mu, cfg)
 
 
 def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
@@ -1036,25 +1041,28 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
                         ask_cost=0.0, turnover_cap=None, upper=None, cfg=None):
     """Minimum variance shaped by trading frictions around current holdings.
 
-    Consensus ADMM with one y-block per term: the long-only box, the
+    min 0.5 x'Cx + cost_scale sum_i (bid_i (c_i - x_i)_+ + ask_i (x_i - c_i)_+)
+    s.t. 1'x = 1, 0 <= x <= upper, ||x - c||_1 <= turnover_cap, for the
+    holdings c.  Consensus ADMM with one y-block per term: the box, the
     l1-ball of the turnover cap centered at the holdings, and the bid/ask
-    prox of the costs (a no-trade band around the holdings).  A turnover
-    cap below the l1 distance from the holdings c to the long-only budget
-    set, sum |c - clip(c)| + |1 - sum clip(c)| with clip into [0, upper],
-    raises InfeasibleTargets before the loop, with clip(c) as ``last``.
+    prox of the costs (a no-trade band around the holdings); the split
+    ends at the polish of ``_trade_polish`` once the trade pattern shows.
+    A turnover cap below the l1 distance from the holdings c to the
+    long-only budget set, sum |c - clip(c)| + |1 - sum clip(c)| with clip
+    into [0, upper], raises InfeasibleTargets before the loop, with
+    clip(c) as ``last``.
     """
-    current = as_vector(current)
-    costs = []
-    if cost_scale > 0:
-        costs.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
-                                                        ask_cost, current))
-    return _rebalance_split(universe, current, turnover_cap, upper, costs, 0.0, cfg)
+    return _rebalance_split(universe, as_vector(current), turnover_cap, upper, 0.0, cfg,
+                            cost_scale, bid_cost, ask_cost)
 
 
-def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg):
+def _rebalance_split(universe, current, turnover_cap, upper, linear, cfg, cost_scale=0.0,
+                     bid_cost=0.0, ask_cost=0.0):
     """Body of rebalance_penalized and mvo_turnover: min 0.5 x'Cx - linear'x
-    on the budget plane with a box block [0, upper], the l1 turnover ball
-    around ``current`` (when a cap is given) and the ``costs`` blocks."""
+    plus the bid/ask costs (when cost_scale > 0) on the budget plane, with
+    a box block [0, upper], the l1 turnover ball around ``current`` (when
+    a cap is given) and the bid/ask block, in that order, ended by
+    ``_trade_polish``."""
     n = universe.n
     upper_vec = _bound(upper, 1.0, n, "upper")
     if turnover_cap is not None and turnover_cap <= 0:
@@ -1068,8 +1076,156 @@ def _rebalance_split(universe, current, turnover_cap, upper, costs, linear, cfg)
                                     "needed to reach a long-only budget portfolio",
                                     last=clipped)
         blocks.append(_projection(LpBall(1, current, float(turnover_cap)), n))
-    blocks += costs
-    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear))
+    bid = ask = np.zeros(n)
+    if cost_scale > 0:
+        blocks.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
+                                                         ask_cost, current))
+        bid = cost_scale * np.broadcast_to(np.asarray(bid_cost, dtype=float), (n,))
+        ask = cost_scale * np.broadcast_to(np.asarray(ask_cost, dtype=float), (n,))
+    linear = np.broadcast_to(np.asarray(linear, dtype=float), (n,))
+    polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
+    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear,
+                           polish=polish))
+
+
+def _trade_polish(cov, linear, current, upper, cap, bid, ask):
+    """Polish hook of the rebalancing split: the exact optimum of
+    min 0.5 x'cov x - linear'x + sum_i (bid_i (c_i - x_i)_+ + ask_i (x_i - c_i)_+)
+    s.t. 1'x = 1, 0 <= x <= upper, ||x - c||_1 <= cap (no cap when None),
+    for the holdings c = ``current`` and the scaled costs ``bid``, ``ask``.
+
+    Each name's trade pattern is read from the y-blocks' exact outputs:
+    held at c where the l1-ball or bid/ask block returns c (to round-off),
+    else zero or cap from the box clip, else bought (s = 1) or sold
+    (s = -1) by the sign of the box block's y - c.  The cap binds when the
+    ball block's y lies on its sphere.  With the pinned names P at their
+    values, the KKT conditions on the traded names T are an equality QP,
+    solved by qp._solve_equality_qp (OSQP's solution polishing, Stellato
+    et al. 2020, sec. 4, carried to the trade pattern):
+        cov_TT x_T - nu 1 + theta s_T = linear_T - cov_TP x_P - cost_T,
+        1'x_T = 1 - 1'x_P,  s_T'(x_T - c_T) = cap - ||x_P - c_P||_1,
+    cost_T being ask on buys and -bid on sells, and the turnover row, with
+    its multiplier theta >= 0, only while the cap binds.  When every
+    traded name trades one way the row is s times the budget row: it is
+    dropped, the pattern fixes the turnover, and theta is the least value
+    >= 0 the pinned names admit.  The point is kept once, to POLISH_TOL
+    (relative to 1 + ||cov x||_inf + ||linear||_inf on the gradient),
+    every trade keeps its sign and stays in the box, the turnover is at
+    most cap, theta >= 0, and on every pinned name the reduced gradient
+    g = cov x - linear - nu 1 lies in the interval its value admits:
+    [-ask_i - theta, bid_i + theta] when held, >= bid_i + theta at a zero
+    sold out, <= -ask_i - theta at a cap bought up to.  Otherwise the
+    solve repeats, at most POLISH_ROUNDS times (a primal-dual active-set
+    step, Hintermueller, Ito & Kunisch 2003).  A point that breaks the
+    primal tests moves only those names: a trade that crosses c is held,
+    one that leaves the box is pinned at its bound, and a broken cap binds.
+    While the cap binds, every trade shares one turnover, so only the
+    names that block first on the segment from the last point that met
+    them are pinned.  A point that meets them moves the pinned names whose
+    g leaves its interval to trade the way g points, and drops the row
+    when theta < 0; one way, a pattern over the cap frees the name whose
+    bound on theta is lowest, and one under it with theta > 0 the name
+    whose bound is highest.  Returns None otherwise, and ADMM goes on.
+    """
+    n = current.size
+    holdable = (current >= 0.0) & (current <= upper)
+
+    def solve(pin, value, sign, bind):
+        """(point, g, theta, one-way sign or 0, tol) on the traded names ~pin, or None."""
+        free = ~pin
+        if not free.any():
+            return None  # a vertex leaves the multipliers to ADMM
+        x = np.where(pin, value, 0.0)
+        s = sign[free]
+        one_way = bool(bind and np.all(s == s[0]))
+        rows, rhs = np.ones((1, s.size)), [1.0 - x[pin].sum()]
+        if bind and not one_way:
+            rows = np.vstack([rows, s])
+            rhs.append(cap - np.abs(x[pin] - current[pin]).sum() + s @ current[free])
+        cov_rows = cov[free]
+        r = linear[free] - cov_rows[:, pin] @ x[pin] - np.where(s > 0, ask[free], -bid[free])
+        try:
+            x[free], nu = _solve_equality_qp(cov_rows[:, free], r, rows, np.array(rhs))
+        except (NotPositiveDefinite, np.linalg.LinAlgError):
+            return None
+        if not np.all(np.isfinite(x)):
+            return None
+        cx = cov @ x
+        tol = POLISH_TOL * (1.0 + float(np.max(np.abs(cx))) + float(np.max(np.abs(linear))))
+        theta = -nu[1] if nu.size == 2 else 0.0
+        return x, cx - linear - nu[0], theta, s[0] if one_way else 0.0, tol
+
+    def polish(x, y, dual):
+        y = y.reshape(-1, n)
+        # the ball's anchors v - (v - c) carry the round-off of v
+        held = np.any(np.abs(y[1:] - current) <= 1e-14, axis=0)
+        zero = (y[0] <= 0.0) & ~held
+        top = (y[0] >= upper) & ~(zero | held)
+        pin = held | zero | top
+        value = np.where(zero, 0.0, np.where(top, upper, current))
+        sign = np.where(y[0] > current, 1.0, -1.0)
+        bind = cap is not None and np.abs(y[1] - current).sum() >= cap * (1.0 - POLISH_TOL)
+        last = None  # the last point that met the primal tests
+        for _ in range(1 + POLISH_ROUNDS):
+            solved = solve(pin, value, sign, bind)
+            if solved is None:
+                return None
+            point, grad, theta, way, tol = solved
+            free = ~pin
+            cross = free & holdable & (sign * (point - current) < -POLISH_TOL)
+            low = free & ~cross & (point < -POLISH_TOL)
+            high = free & ~cross & (point > upper + POLISH_TOL)
+            spare = np.inf if cap is None else cap - np.abs(point - current).sum()
+            blocked = cross | low | high
+            if bind and blocked.any() and last is not None:
+                # pin only the names that block first on the way from the last point
+                edge = np.where(cross, current, np.where(low, 0.0, upper))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = np.where(blocked, (edge - last) / (point - last), np.inf)
+                blocked &= step <= np.min(step) + POLISH_TOL
+                cross, low, high = cross & blocked, low & blocked, high & blocked
+            # the pinned names' intervals as c0 + c1 theta >= 0, for g = grad - way theta:
+            # g >= lo -/+ theta (row 0) and g <= hi +/- theta (row 1)
+            below, above = value < current, value > current
+            lo = np.where(value >= upper, -np.inf, np.where(below, bid, -ask))
+            hi = np.where(value <= 0.0, np.inf, np.where(above, -ask, bid))
+            c0 = np.where(pin, np.vstack([grad - lo, hi - grad]), np.inf)
+            c1 = np.vstack([-way - np.where(below, 1.0, -1.0), way + np.where(above, -1.0, 1.0)])
+            moves = np.zeros((2, n), dtype=bool)  # pinned names that go up / down
+            if cross.any() or low.any() or high.any() or spare < -POLISH_TOL:
+                if way and spare < -POLISH_TOL:
+                    # one way over the cap: free the name whose bound on theta
+                    # (c1 < 0) is tightest
+                    ceilings = np.where(c1 < 0.0, c0 / np.where(c1 < 0.0, -c1, 1.0), np.inf)
+                    if not np.isfinite(ceilings).any():
+                        return None
+                    moves.flat[np.argmin(ceilings)] = True
+                bind = bind or spare < -POLISH_TOL
+            else:
+                last = point
+                if way:
+                    floors = np.where(c1 > 0.0, -c0 / np.where(c1 > 0.0, c1, 1.0), -np.inf)
+                    theta = max(0.0, float(np.max(floors)))
+                    if spare > POLISH_TOL and theta > tol:
+                        # one way under the cap with theta > 0: free the name
+                        # whose bound on theta (c1 > 0) is highest
+                        moves.flat[np.argmax(floors)] = True
+                    elif spare > POLISH_TOL:
+                        bind = False
+                if not moves.any():
+                    moves = c0 + c1 * theta < -tol
+                drop = bind and not way and theta < -tol
+                if not (moves.any() or drop):
+                    return point
+                bind = bind and not drop
+            up, down = moves
+            sign = np.where(up, np.where(value >= current, 1.0, -1.0),
+                            np.where(down, np.where(value <= current, -1.0, 1.0), sign))
+            pin = (pin | cross | low | high) & ~(up | down)
+            value = np.where(cross, current, np.where(low, 0.0, np.where(high, upper, value)))
+        return None
+
+    return polish
 
 
 # ---------------------------------------------------------------------------

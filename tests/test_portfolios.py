@@ -216,6 +216,86 @@ def admm_reports(monkeypatch):
     return reports
 
 
+def rebalance_account(seed, n):
+    """A seeded account: universe, holdings, bid and ask costs."""
+    rng = np.random.default_rng([22, seed, n])
+    u = factor_universe(rng, n)
+    return (u, rng.dirichlet(np.ones(n)), rng.uniform(0.001, 0.004, n),
+            rng.uniform(0.001, 0.004, n))
+
+
+def trade_variable_qp(u, current, cap, bid, ask, linear):
+    """The rebalancing model as a QP in (x, buys, sells) with x = current +
+    buys - sells, its turnover 1'(buys + sells) <= cap and its costs linear."""
+    n = u.n
+    q = np.zeros((3 * n, 3 * n))
+    q[:n, :n] = u.cov
+    q[n:, n:] = 1e-10 * np.eye(2 * n)
+    a = np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]),
+                   np.hstack([np.eye(n), -np.eye(n), np.eye(n)])])
+    problem = QpProblem(q=q, r=np.concatenate([linear, -ask, -bid]), a=a,
+                        b=np.concatenate([[1.0], current]),
+                        c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
+                        d=np.array([cap]), lower=np.zeros(3 * n), upper=np.ones(3 * n))
+    return qp_solve(problem)[:n]
+
+
+def assert_trade_kkt(u, w, current, cap, bid, ask, linear):
+    """w meets the KKT conditions of min 0.5 w'Cw - linear'w plus the costs
+    bid'(c - w)_+ + ask'(w - c)_+ on the long-only budget set with
+    ||w - c||_1 <= cap, to POLISH_TOL relative to 1 + ||Cw||_inf + ||linear||_inf.
+
+    Names within 1e-12 of 0, 1 or c are pinned there; the rest trade, and
+    with the budget multiplier nu and the turnover multiplier theta,
+    g = Cw - linear - nu is -ask - theta on buys and bid + theta on sells.
+    theta >= 0, and it is 0 unless the cap binds.  g lies in
+    [-ask - theta, bid + theta] on held names, is >= bid + theta at a zero
+    sold out (>= -ask - theta at a zero held) and <= -ask - theta at a cap
+    bought up to.  When the cap binds and every trade goes one way s, the
+    traded names fix nu - s theta only, and some theta >= 0 must pass.
+    """
+    from proxalloc.qp import POLISH_TOL
+
+    cw = u.cov @ w
+    tol = POLISH_TOL * (1.0 + np.max(np.abs(cw)) + np.max(np.abs(linear)))
+    zero, top = w <= 1e-12, w >= 1.0 - 1e-12
+    held = ~zero & ~top & (np.abs(w - current) <= 1e-12)
+    buy = ~(zero | top | held) & (w > current)
+    sell = ~(zero | top | held) & (w < current)
+    assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= 0.0) and np.all(w <= 1.0)
+    turnover = np.abs(w - current).sum()
+    assert turnover <= cap + 1e-12
+    traded = buy | sell
+    rhs = (cw - linear + np.where(buy, ask, -bid))[traded]  # nu - s theta
+    s, theta = 0.0, 0.0  # g = h - s theta with theta still free when s != 0
+    if turnover < cap - 1e-12:
+        nu = rhs.mean()
+    elif buy.any() and sell.any():
+        normals = np.column_stack([np.ones(traded.sum()), np.where(buy, -1.0, 1.0)[traded]])
+        (nu, theta), *_ = np.linalg.lstsq(normals, rhs, rcond=None)
+    else:
+        s, nu = (1.0 if buy.any() else -1.0), rhs.mean()
+    assert np.max(np.abs(rhs - nu + np.where(buy, 1.0, -1.0)[traded] * theta)) <= tol
+    h = cw - linear - nu
+    sold_out, zero_held = zero & (current > 0.0), zero & (current <= 0.0)
+    # every test reads a + b theta >= 0
+    a = np.concatenate([h[held] + ask[held], bid[held] - h[held], h[sold_out] - bid[sold_out],
+                        h[zero_held] + ask[zero_held], -ask[top] - h[top]])
+    b = np.repeat([1.0 - s, 1.0 + s, -1.0 - s, 1.0 - s, s - 1.0],
+                  [held.sum(), held.sum(), sold_out.sum(), zero_held.sum(), top.sum()])
+    if s:
+        theta = max(0.0, np.max(-a[b > 0] / b[b > 0], initial=0.0))
+    assert theta >= -tol
+    assert np.all(a + b * theta >= -tol)
+
+
+def one_way_account():
+    """An equal-weight account whose optimum under 20 bp costs and a
+    turnover cap of 0.5 sells five names out and buys two: the cap binds
+    with theta > 0, and its row s'(x - c) is the budget row, one way."""
+    return factor_universe(np.random.default_rng([9, 0, 20]), 20), np.full(20, 0.05), 0.5
+
+
 class TestStats:
     def test_equal_weight(self):
         s = stats(EW8, SET1.universe)
@@ -260,6 +340,25 @@ class TestMvoGamma:
         expected = np.zeros(8)
         expected[6] = 1.0
         assert np.max(np.abs(w.w - expected)) <= 1e-6
+
+
+    def test_no_stationarity_sweep_and_the_qp_solve_weights(self, monkeypatch):
+        from proxalloc import qp
+        from proxalloc.portfolios import _gate
+
+        u, caps = factor_universe(np.random.default_rng(0), 30), np.full(30, 0.08)
+        sectors = np.vstack([np.arange(30) % 3 == k for k in range(3)]).astype(float)
+        ineq = (sectors, np.full(3, 0.4))
+        problem = QpProblem(q=u.cov, r=0.2 * u.mu, a=np.ones((1, 30)), b=np.ones(1),
+                            c=ineq[0], d=ineq[1], lower=np.zeros(30), upper=caps)
+        expected = _gate(qp_solve(problem)).w
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stationarity_residual called")
+
+        monkeypatch.setattr(qp, "stationarity_residual", fail)
+        w = mvo_gamma(u, 0.2, lower=np.zeros(30), upper=caps, ineq=ineq)
+        assert np.array_equal(w.w, expected)
 
 
 class TestMvoTarget:
@@ -503,19 +602,8 @@ class TestMvoTurnover:
         assert var >= gmv.w @ u.cov @ gmv.w - 1e-12
 
     def test_matches_the_trade_variable_qp(self):
-        # the same model as a QP in (x, buys, sells) with x = current + buys - sells
-        u, gamma, cap, n = tilted_universe(), 1.0, 0.3, 8
-        q = np.zeros((3 * n, 3 * n))
-        q[:n, :n] = u.cov
-        q[n:, n:] = 1e-10 * np.eye(2 * n)
-        a = np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]),
-                       np.hstack([np.eye(n), np.eye(n), -np.eye(n)])])
-        problem = QpProblem(q=q, r=np.concatenate([gamma * u.mu, np.zeros(2 * n)]), a=a,
-                            b=np.concatenate([[1.0], EW8]),
-                            c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
-                            d=np.array([cap]), lower=np.zeros(3 * n),
-                            upper=np.ones(3 * n))
-        expected = qp_solve(problem)[:n]
+        u, gamma, cap = tilted_universe(), 1.0, 0.3
+        expected = trade_variable_qp(u, EW8, cap, np.zeros(8), np.zeros(8), gamma * u.mu)
         w = mvo_turnover(u, gamma, EW8, cap)
         assert abs(np.sum(np.abs(expected - EW8)) - cap) <= 1e-8  # the cap binds
         assert np.max(np.abs(w.w - expected)) <= 1e-8
@@ -907,6 +995,123 @@ class TestRebalancePenalized:
 
         assert objective(w.w) <= objective(gmv.w) + 1e-9
         assert 0.5 * w.w @ u.cov @ w.w >= 0.5 * gmv.w @ u.cov @ gmv.w - 1e-12
+
+
+class TestTradePolish:
+    """The rebalancing split ends at the polish of its trade pattern."""
+
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    def test_rebalance_matches_the_trade_variable_qp(self, admm_reports, n):
+        u, current, bid, ask = rebalance_account(0, n)
+        cap = 0.2
+        expected = trade_variable_qp(u, current, cap, bid, ask, np.zeros(n))
+        assert abs(np.abs(expected - current).sum() - cap) <= 1e-8  # the cap binds
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid, ask_cost=ask,
+                                turnover_cap=cap)
+        assert admm_reports[-1].polished
+        assert np.max(np.abs(w.w - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    def test_turnover_matches_the_split_run_to_1e12(self, monkeypatch, admm_reports, n):
+        from proxalloc import portfolios
+
+        u, current, _, _ = rebalance_account(1, n)
+        w = mvo_turnover(u, 0.5, current, 0.2)
+        assert admm_reports[-1].polished
+        monkeypatch.setattr(portfolios, "_trade_polish", no_polish)
+        cfg = AdmmConfig(phi0=float(np.mean(np.diag(u.cov))), eps=1e-12, max_iter=100000)
+        expected = mvo_turnover(u, 0.5, current, 0.2, cfg=cfg)
+        assert admm_reports[-1].converged and not admm_reports[-1].polished
+        assert np.max(np.abs(w.w - expected.w)) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    def test_polished_answers_meet_their_kkt_conditions(self, admm_reports, seed, n):
+        u, current, bid, ask = rebalance_account(seed, n)
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid, ask_cost=ask,
+                                turnover_cap=0.2)
+        assert admm_reports[-1].polished
+        assert_trade_kkt(u, w.w, current, 0.2, bid, ask, np.zeros(n))
+        w = mvo_turnover(u, 0.5, current, 0.2)
+        assert admm_reports[-1].polished
+        zero = np.zeros(n)
+        assert_trade_kkt(u, w.w, current, 0.2, zero, zero, 0.5 * u.mu)
+
+    @pytest.mark.parametrize("n, most", [(100, 32), (500, 128)])
+    def test_equal_weight_rows_end_polished(self, admm_reports, n, most):
+        # equal-weight holdings, a cap of 0.3; 20 bp each side, or gamma = 0.1
+        u = factor_universe(np.random.default_rng(0), n)
+        current, cost, zero = np.full(n, 1.0 / n), np.full(n, 0.002), np.zeros(n)
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=cost, ask_cost=cost,
+                                turnover_cap=0.3)
+        assert admm_reports[-1].polished and admm_reports[-1].iterations <= most
+        assert_trade_kkt(u, w.w, current, 0.3, cost, cost, zero)
+        w = mvo_turnover(u, 0.1, current, 0.3)
+        assert admm_reports[-1].polished and admm_reports[-1].iterations <= most
+        assert_trade_kkt(u, w.w, current, 0.3, zero, zero, 0.1 * u.mu)
+
+    def test_benchmark_account_ends_polished_by_iteration_32(self, admm_reports):
+        # the 40-asset rebalancing account of perfbench's admm_split (book seed 1)
+        book = np.random.default_rng([1, 4, 40])
+        u = factor_universe(book, 40)
+        current, cap = book.dirichlet(np.ones(40)), book.uniform(0.2, 0.4)
+        bid, ask = book.uniform(0.001, 0.004, 40), book.uniform(0.001, 0.004, 40)
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid, ask_cost=ask,
+                                turnover_cap=cap)
+        assert [(r.polished, r.iterations <= 32) for r in admm_reports] == [(True, True)]
+        assert_trade_kkt(u, w.w, current, cap, bid, ask, np.zeros(40))
+
+    @pytest.mark.parametrize("model", ["rebalance", "turnover", "one_way"])
+    @pytest.mark.parametrize("hook", ["none", "no_rounds"])
+    def test_unpolished_admm_goes_on_to_the_same_answer(self, monkeypatch, admm_reports,
+                                                        model, hook):
+        from proxalloc import portfolios
+
+        if model == "one_way":
+            u, current, cap = one_way_account()
+            bid = ask = np.full(u.n, 0.002)
+        else:
+            (u, current, bid, ask), cap = rebalance_account(2, 20), 0.2
+        if model == "turnover":
+            solve = lambda: mvo_turnover(u, 0.5, current, cap)
+        else:
+            solve = lambda: rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid,
+                                                ask_cost=ask, turnover_cap=cap)
+        expected = solve()
+        assert admm_reports[-1].polished
+        if hook == "none":
+            monkeypatch.setattr(portfolios, "_trade_polish", no_polish)
+        else:
+            monkeypatch.setattr(portfolios, "POLISH_ROUNDS", 0)  # the y-blocks' guess only
+        w = solve()
+        assert admm_reports[-1].converged
+        assert hook == "no_rounds" or not admm_reports[-1].polished
+        assert np.max(np.abs(w.w - expected.w)) <= 1e-8
+
+    def test_one_way_pattern_drops_the_parallel_turnover_row(self, monkeypatch):
+        from proxalloc import portfolios
+
+        u, current, cap = one_way_account()
+        cost = np.full(u.n, 0.002)
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=cost, ask_cost=cost,
+                                turnover_cap=cap).w
+        assert abs(np.abs(w - current).sum() - cap) <= 1e-12
+        assert np.all((w >= current - 1e-12) | (w == 0.0))  # buys and sell-outs only
+        rows = []
+        solve = portfolios._solve_equality_qp
+
+        def recorded(q, r, a, b):
+            rows.append(a)
+            return solve(q, r, a, b)
+
+        monkeypatch.setattr(portfolios, "_solve_equality_qp", recorded)
+        polish = portfolios._trade_polish(u.cov, np.zeros(u.n), current, np.ones(u.n), cap,
+                                          cost, cost)
+        x = polish(None, np.concatenate([w] * 3), None)
+        # the budget row alone, and the least theta >= 0 the held names admit
+        # accepts the exact pattern at the first solve
+        assert [a.shape[0] for a in rows] == [1]
+        assert np.max(np.abs(x - w)) <= 1e-12
 
 
 class TestErc:
