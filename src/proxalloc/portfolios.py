@@ -522,8 +522,9 @@ def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
     """
     if turnover_cap < 0:
         raise ValueError("turnover_cap must be nonnegative")
+    zero = np.zeros(universe.n)
     return _rebalance_split(universe, as_vector(current), turnover_cap, None,
-                            gamma * universe.mu, cfg)
+                            gamma * universe.mu, zero, zero, cfg)
 
 
 def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
@@ -1050,19 +1051,21 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
     A turnover cap below the l1 distance from the holdings c to the
     long-only budget set, sum |c - clip(c)| + |1 - sum clip(c)| with clip
     into [0, upper], raises InfeasibleTargets before the loop, with
-    clip(c) as ``last``.
+    clip(c) as ``last``.  A cost_scale <= 0 charges no costs.
     """
-    return _rebalance_split(universe, as_vector(current), turnover_cap, upper, 0.0, cfg,
-                            cost_scale, bid_cost, ask_cost)
+    current = as_vector(current)
+    scale = max(cost_scale, 0.0)
+    bid = scale * np.broadcast_to(np.asarray(bid_cost, dtype=float), current.shape)
+    ask = scale * np.broadcast_to(np.asarray(ask_cost, dtype=float), current.shape)
+    return _rebalance_split(universe, current, turnover_cap, upper, 0.0, bid, ask, cfg)
 
 
-def _rebalance_split(universe, current, turnover_cap, upper, linear, cfg, cost_scale=0.0,
-                     bid_cost=0.0, ask_cost=0.0):
+def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, cfg):
     """Body of rebalance_penalized and mvo_turnover: min 0.5 x'Cx - linear'x
-    plus the bid/ask costs (when cost_scale > 0) on the budget plane, with
-    a box block [0, upper], the l1 turnover ball around ``current`` (when
-    a cap is given) and the bid/ask block, in that order, ended by
-    ``_trade_polish``."""
+    plus the scaled costs bid'(c - x)_+ + ask'(x - c)_+ on the budget plane,
+    with a box block [0, upper], the l1 turnover ball around ``current``
+    (when a cap is given) and the bid/ask block (when a cost is nonzero),
+    in that order, ended by ``_trade_polish``."""
     n = universe.n
     upper_vec = _bound(upper, 1.0, n, "upper")
     if turnover_cap is not None and turnover_cap <= 0:
@@ -1076,12 +1079,8 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, cfg, cost_s
                                     "needed to reach a long-only budget portfolio",
                                     last=clipped)
         blocks.append(_projection(LpBall(1, current, float(turnover_cap)), n))
-    bid = ask = np.zeros(n)
-    if cost_scale > 0:
-        blocks.append(lambda phi: lambda t: prox_bid_ask(t, cost_scale / phi, bid_cost,
-                                                         ask_cost, current))
-        bid = cost_scale * np.broadcast_to(np.asarray(bid_cost, dtype=float), (n,))
-        ask = cost_scale * np.broadcast_to(np.asarray(ask_cost, dtype=float), (n,))
+    if np.any(bid) or np.any(ask):
+        blocks.append(lambda phi: lambda t: prox_bid_ask(t, 1.0 / phi, bid, ask, current))
     linear = np.broadcast_to(np.asarray(linear, dtype=float), (n,))
     polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
     return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear,
@@ -1095,10 +1094,11 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
     for the holdings c = ``current`` and the scaled costs ``bid``, ``ask``.
 
     Each name's trade pattern is read from the y-blocks' exact outputs:
-    held at c where the l1-ball or bid/ask block returns c (to round-off),
-    else zero or cap from the box clip, else bought (s = 1) or sold
-    (s = -1) by the sign of the box block's y - c.  The cap binds when the
-    ball block's y lies on its sphere.  With the pinned names P at their
+    held at c where the l1-ball or bid/ask block returns c (to round-off)
+    and c lies in the box, else zero or cap from the box clip, else bought
+    (s = 1) or sold (s = -1) by the sign of the box block's y - c.  The
+    cap binds when the ball block's y lies on its sphere.  With the pinned
+    names P at their
     values, the KKT conditions on the traded names T are an equality QP,
     solved by qp._solve_equality_qp (OSQP's solution polishing, Stellato
     et al. 2020, sec. 4, carried to the trade pattern):
@@ -1114,11 +1114,13 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
     most cap, theta >= 0, and on every pinned name the reduced gradient
     g = cov x - linear - nu 1 lies in the interval its value admits:
     [-ask_i - theta, bid_i + theta] when held, >= bid_i + theta at a zero
-    sold out, <= -ask_i - theta at a cap bought up to.  Otherwise the
-    solve repeats, at most POLISH_ROUNDS times (a primal-dual active-set
-    step, Hintermueller, Ito & Kunisch 2003).  A point that breaks the
-    primal tests moves only those names: a trade that crosses c is held,
-    one that leaves the box is pinned at its bound, and a broken cap binds.
+    sold out, <= -ask_i - theta at a cap bought up to (<= bid_i + theta at
+    one sold down to).  Otherwise the solve repeats, at most POLISH_ROUNDS
+    times (a primal-dual active-set step, Hintermueller, Ito & Kunisch
+    2003).  A point that breaks the primal tests moves only those names: a
+    trade that crosses c is held where c is a kink (a cost on the name, or
+    the cap binding; elsewhere the sign follows the point), one that
+    leaves the box is pinned at its bound, and a broken cap binds.
     While the cap binds, every trade shares one turnover, so only the
     names that block first on the segment from the last point that met
     them are pinned.  A point that meets them moves the pinned names whose
@@ -1157,8 +1159,9 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
 
     def polish(x, y, dual):
         y = y.reshape(-1, n)
-        # the ball's anchors v - (v - c) carry the round-off of v
-        held = np.any(np.abs(y[1:] - current) <= 1e-14, axis=0)
+        # the ball's anchors v - (v - c) carry the round-off of v; a holding
+        # outside the box is read from the box clip
+        held = holdable & np.any(np.abs(y[1:] - current) <= 1e-14, axis=0)
         zero = (y[0] <= 0.0) & ~held
         top = (y[0] >= upper) & ~(zero | held)
         pin = held | zero | top
@@ -1172,7 +1175,11 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
                 return None
             point, grad, theta, way, tol = solved
             free = ~pin
-            cross = free & holdable & (sign * (point - current) < -POLISH_TOL)
+            # c is a kink only under a cost or a binding cap; elsewhere the
+            # sign follows the point
+            kink = bind | (bid + ask > 0.0)
+            cross = free & holdable & kink & (sign * (point - current) < -POLISH_TOL)
+            sign = np.where(free & ~kink, np.where(point > current, 1.0, -1.0), sign)
             low = free & ~cross & (point < -POLISH_TOL)
             high = free & ~cross & (point > upper + POLISH_TOL)
             spare = np.inf if cap is None else cap - np.abs(point - current).sum()

@@ -224,9 +224,10 @@ def rebalance_account(seed, n):
             rng.uniform(0.001, 0.004, n))
 
 
-def trade_variable_qp(u, current, cap, bid, ask, linear):
+def trade_variable_qp(u, current, cap, bid, ask, linear, upper=1.0):
     """The rebalancing model as a QP in (x, buys, sells) with x = current +
-    buys - sells, its turnover 1'(buys + sells) <= cap and its costs linear."""
+    buys - sells in [0, upper], its turnover 1'(buys + sells) <= cap and its
+    costs linear."""
     n = u.n
     q = np.zeros((3 * n, 3 * n))
     q[:n, :n] = u.cov
@@ -236,33 +237,36 @@ def trade_variable_qp(u, current, cap, bid, ask, linear):
     problem = QpProblem(q=q, r=np.concatenate([linear, -ask, -bid]), a=a,
                         b=np.concatenate([[1.0], current]),
                         c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
-                        d=np.array([cap]), lower=np.zeros(3 * n), upper=np.ones(3 * n))
+                        d=np.array([cap]), lower=np.zeros(3 * n),
+                        upper=np.concatenate([np.broadcast_to(upper, (n,)), np.ones(2 * n)]))
     return qp_solve(problem)[:n]
 
 
-def assert_trade_kkt(u, w, current, cap, bid, ask, linear):
+def assert_trade_kkt(u, w, current, cap, bid, ask, linear, upper=1.0):
     """w meets the KKT conditions of min 0.5 w'Cw - linear'w plus the costs
-    bid'(c - w)_+ + ask'(w - c)_+ on the long-only budget set with
+    bid'(c - w)_+ + ask'(w - c)_+ on the budget set in [0, upper] with
     ||w - c||_1 <= cap, to POLISH_TOL relative to 1 + ||Cw||_inf + ||linear||_inf.
 
-    Names within 1e-12 of 0, 1 or c are pinned there; the rest trade, and
+    Names within 1e-12 of 0, upper or c are pinned there; the rest trade, and
     with the budget multiplier nu and the turnover multiplier theta,
     g = Cw - linear - nu is -ask - theta on buys and bid + theta on sells.
     theta >= 0, and it is 0 unless the cap binds.  g lies in
     [-ask - theta, bid + theta] on held names, is >= bid + theta at a zero
-    sold out (>= -ask - theta at a zero held) and <= -ask - theta at a cap
-    bought up to.  When the cap binds and every trade goes one way s, the
+    sold out (>= -ask - theta at a zero held or bought up to) and
+    <= -ask - theta at a cap bought up to (<= bid + theta at a cap held or
+    sold down to).  When the cap binds and every trade goes one way s, the
     traded names fix nu - s theta only, and some theta >= 0 must pass.
     """
     from proxalloc.qp import POLISH_TOL
 
     cw = u.cov @ w
     tol = POLISH_TOL * (1.0 + np.max(np.abs(cw)) + np.max(np.abs(linear)))
-    zero, top = w <= 1e-12, w >= 1.0 - 1e-12
+    zero, top = w <= 1e-12, w >= upper - 1e-12
     held = ~zero & ~top & (np.abs(w - current) <= 1e-12)
     buy = ~(zero | top | held) & (w > current)
     sell = ~(zero | top | held) & (w < current)
-    assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= 0.0) and np.all(w <= 1.0)
+    assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= 0.0)
+    assert np.all(w <= upper + 1e-12)  # the gate's renormalization rounds off
     turnover = np.abs(w - current).sum()
     assert turnover <= cap + 1e-12
     traded = buy | sell
@@ -278,11 +282,14 @@ def assert_trade_kkt(u, w, current, cap, bid, ask, linear):
     assert np.max(np.abs(rhs - nu + np.where(buy, 1.0, -1.0)[traded] * theta)) <= tol
     h = cw - linear - nu
     sold_out, zero_held = zero & (current > 0.0), zero & (current <= 0.0)
+    bought_up, top_held = top & (current < upper), top & (current >= upper)
     # every test reads a + b theta >= 0
     a = np.concatenate([h[held] + ask[held], bid[held] - h[held], h[sold_out] - bid[sold_out],
-                        h[zero_held] + ask[zero_held], -ask[top] - h[top]])
-    b = np.repeat([1.0 - s, 1.0 + s, -1.0 - s, 1.0 - s, s - 1.0],
-                  [held.sum(), held.sum(), sold_out.sum(), zero_held.sum(), top.sum()])
+                        h[zero_held] + ask[zero_held], -ask[bought_up] - h[bought_up],
+                        bid[top_held] - h[top_held]])
+    b = np.repeat([1.0 - s, 1.0 + s, -1.0 - s, 1.0 - s, s - 1.0, 1.0 + s],
+                  [held.sum(), held.sum(), sold_out.sum(), zero_held.sum(), bought_up.sum(),
+                   top_held.sum()])
     if s:
         theta = max(0.0, np.max(-a[b > 0] / b[b > 0], initial=0.0))
     assert theta >= -tol
@@ -1049,6 +1056,31 @@ class TestTradePolish:
         w = mvo_turnover(u, 0.1, current, 0.3)
         assert admm_reports[-1].polished and admm_reports[-1].iterations <= most
         assert_trade_kkt(u, w.w, current, 0.3, zero, zero, 0.1 * u.mu)
+
+    @pytest.mark.parametrize("seed, n, cap", [(0, 20, 0.3), (8, 20, 0.3), (2, 20, 0.6),
+                                              (4, 40, 0.3), (10, 20, None)])
+    def test_holdings_outside_the_box_end_inside_it(self, admm_reports, seed, n, cap):
+        # a holding over the upper bound of 0.1 and a short one
+        u, current, bid, ask = rebalance_account(seed, n)
+        current[0], current[1] = 0.2, -0.02
+        current[2:] *= 0.82 / current[2:].sum()
+        w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid, ask_cost=ask,
+                                turnover_cap=cap, upper=0.1).w
+        assert admm_reports[-1].polished
+        assert np.all(w <= 0.1 + 1e-12)
+        cap = 3.0 if cap is None else cap  # above any turnover from current
+        expected = trade_variable_qp(u, current, cap, bid, ask, np.zeros(n), upper=0.1)
+        assert np.max(np.abs(w - expected)) <= 1e-8
+        assert_trade_kkt(u, w, current, cap, bid, ask, np.zeros(n), upper=0.1)
+
+    @pytest.mark.parametrize("cap", [None, 5.0])
+    def test_zero_cost_gmv_ends_polished(self, admm_reports, cap):
+        # no cost and no binding cap: no name has a kink at its holding
+        u = SET1.universe
+        w = rebalance_penalized(u, EW8, turnover_cap=cap)
+        assert admm_reports[-1].polished
+        gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
+        assert np.max(np.abs(w.w - gmv.w)) <= 1e-8
 
     def test_benchmark_account_ends_polished_by_iteration_32(self, admm_reports):
         # the 40-asset rebalancing account of perfbench's admm_split (book seed 1)
