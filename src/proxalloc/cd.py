@@ -9,13 +9,22 @@ the risk-budgeting updates built on the same positive-root trick.
 
 A "cycle" is one full sweep over the n coordinates; convergence is
 declared when the largest coordinate move within a cycle drops to tol.
-Every selection rule makes exactly n moves a cycle.
+Every selection rule makes exactly n moves a cycle.  The shared cycle
+loop calls one ``sweep(x, order)`` a cycle, which moves x in place and
+returns its largest move; the solvers with a plain per-coordinate
+update wrap it in ``_coordinate_sweep``.
 
 A move of a specialized solver reads one row (or column) of its matrix.
 The risk-budgeting update also needs the volatility sqrt(x' cov x); it
 and cov x change by a rank-one amount when one coordinate moves, so
-``ccd_rb_stdev`` carries both through the sweep and recomputes them
-exactly once a cycle: O(n) a move and O(n^2) a cycle.
+``ccd_rb_stdev``'s sweep computes both afresh at its start and carries
+them through the cycle: O(n) a move and O(n^2) a cycle.
+
+The loop can end early through a polish hook, on the schedule of the
+ADMM polish: after cycles 1, 2, 4, ... and at convergence, it may return
+a finished point in place of the iterate.  ``risk_budgeting`` ends its
+cycles so through a Newton-CG solve of the barrier form (``_rb_newton``),
+kept only once it certifies its risk contributions.
 """
 
 import math
@@ -36,6 +45,13 @@ from .errors import (
 from .linalg import as_matrix, as_vector
 from .prox import projector, soft_threshold
 from .reports import CONVERGED, MAX_ITER, SolverReport
+
+# the Newton-CG polish of risk budgeting (``_rb_newton``)
+RB_POLISH_TOL = 1e-10  # certificate max_i |RC_i / b_i - lam| <= tol lam
+RB_NEWTON_STEPS = 20
+ARMIJO = 1e-4  # sufficient decrease of F, as a fraction of the slope
+F_ROUNDING = 1e-15  # relative rounding error allowed in F's decrease
+MIN_STEP = 2.0 ** -30  # a shorter backtracked step ends the polish try
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +130,22 @@ class CdConfig:
             raise ValueError("tol must be positive")
 
 
-def _run_cycles(update_coordinate, x0, cfg, constants=None, record_iterates=False,
-                name="ccd"):
-    """Shared cycle loop: sweep, measure max move, stop or raise."""
+def _run_cycles(sweep, x0, cfg, constants=None, record_iterates=False, name="ccd",
+                polish=None):
+    """Shared cycle loop: sweep, measure max move, polish, stop or raise.
+
+    ``sweep(x, order)`` runs one cycle in place over the coordinates of
+    ``order`` and returns the largest move.  ``polish(x)``, when given,
+    is tried after cycles 1, 2, 4, ... and at convergence; a point it
+    returns ends the solve as converged, with report.polished set.
+    """
     x = as_vector(x0).copy()
     order = _Order(cfg.rule, x.size, constants)
     report = SolverReport(status=MAX_ITER)
     if record_iterates:
         report.iterates.append(x.copy())
     for cycle in range(1, cfg.max_cycles + 1):
-        delta = 0.0
-        for i in order().tolist():
-            old = x.item(i)
-            x[i] = update_coordinate(i, x)
-            move = abs(x.item(i) - old)
-            if move > delta:
-                delta = move
+        delta = sweep(x, order())
         report.iterations = cycle
         report.primal_residuals.append(delta)
         if record_iterates:
@@ -138,11 +154,33 @@ def _run_cycles(update_coordinate, x0, cfg, constants=None, record_iterates=Fals
         if not np.all(np.isfinite(x)):
             raise InfeasibleSuspected(f"{name}: cycle {cycle} left non-finite coordinates",
                                       last=x, report=report)
-        if delta <= cfg.tol:
+        converged = delta <= cfg.tol
+        if polish is not None and (converged or cycle & (cycle - 1) == 0):
+            finished = polish(x)
+            if finished is not None:
+                report.status = CONVERGED
+                report.polished = True
+                return finished, report
+        if converged:
             report.status = CONVERGED
             return x, report
     raise MaxCyclesExceeded(f"{name}: no convergence in {cfg.max_cycles} cycles",
                             last=x, report=report)
+
+
+def _coordinate_sweep(update):
+    """The sweep that sets x_i = update(i, x) for each i of the order in turn."""
+    def sweep(x, order):
+        delta = 0.0
+        for i in order.tolist():
+            old = x.item(i)
+            x[i] = update(i, x)
+            move = abs(x.item(i) - old)
+            if move > delta:
+                delta = move
+        return delta
+
+    return sweep
 
 
 def ccd_generic(coord_min, x0, cfg=None, record_iterates=False):
@@ -152,7 +190,7 @@ def ccd_generic(coord_min, x0, cfg=None, record_iterates=False):
     other coordinates frozen at their current values in x.
     """
     cfg = cfg or CdConfig()
-    return _run_cycles(coord_min, x0, cfg, record_iterates=record_iterates)
+    return _run_cycles(_coordinate_sweep(coord_min), x0, cfg, record_iterates=record_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +237,8 @@ def cd_lasso(x_mat, y, lam, x0=None, cfg=None, return_report=False,
             state["resid"] = r + x_mat[:, j] * (b[j] - new)
         return new
 
-    beta, report = _run_cycles(update, beta, cfg, record_iterates=record_iterates,
-                               name="cd_lasso")
+    beta, report = _run_cycles(_coordinate_sweep(update), beta, cfg,
+                               record_iterates=record_iterates, name="cd_lasso")
     return (beta, report) if return_report else beta
 
 
@@ -232,7 +270,7 @@ def ccd_qp_box(q, r, lower, upper, x0=None, cfg=None, return_report=False,
         partial = qs[i] @ xx - diag[i] * xx[i]
         return min(max((r[i] - partial) / diag[i], lo[i]), hi[i])
 
-    x, report = _run_cycles(update, x, cfg, constants=diag,
+    x, report = _run_cycles(_coordinate_sweep(update), x, cfg, constants=diag,
                             record_iterates=record_iterates, name="ccd_qp_box")
     return (x, report) if return_report else x
 
@@ -261,7 +299,8 @@ def ccd_qp_logbarrier(q, r, lam_vec, x0, cfg=None, return_report=False):
         half_b = partial - r[i]
         return (-half_b + np.sqrt(half_b * half_b + 4.0 * lam_vec[i] * diag[i])) / (2.0 * diag[i])
 
-    x, report = _run_cycles(update, x0, cfg, constants=diag, name="ccd_qp_logbarrier")
+    x, report = _run_cycles(_coordinate_sweep(update), x0, cfg, constants=diag,
+                            name="ccd_qp_logbarrier")
     return (x, report) if return_report else x
 
 
@@ -305,8 +344,108 @@ def _check_stdev_scale(excess, xi, variances):
                           f"Sharpe ratio {sharpe:.6g}; the objective is unbounded below")
 
 
+def _pcg(hess_vec, rhs, precond, force, max_steps):
+    """Diagonally preconditioned CG for H dx = rhs, from dx = 0.
+
+    Stops once r'D^-1 r <= force^2 rhs'D^-1 rhs for the residual r and
+    D = ``precond``, on a zero residual or on a direction of nonpositive
+    curvature p'Hp <= 0, so it never divides by zero.
+    """
+    dx = np.zeros(rhs.size)
+    r = rhs.copy()
+    z = r / precond
+    p = z
+    rz = float(r @ z)
+    tol = force * force * rz
+    for _ in range(max_steps):
+        if rz <= tol:  # or a zero residual
+            break
+        hp = hess_vec(p)
+        curv = float(p @ hp)
+        if not curv > 0.0:
+            break
+        alpha = rz / curv
+        daxpy(p, dx, a=alpha)
+        daxpy(hp, r, a=-alpha)
+        z = r / precond
+        rz, rz_old = float(r @ z), rz
+        p = daxpy(p, z, a=rz / rz_old)  # z + beta p, in z
+    return dx
+
+
+def _rb_newton(excess, xi, cov, budgets):
+    """Newton-CG polish hook for ccd_rb_stdev (budgets summing to 1).
+
+    Minimizes the convex barrier form F(x) = -excess'x + xi s -
+    lam b'ln x, s = sqrt(x'cov x), whose minimizer has RC_i = lam b_i
+    (Spinu 2013), with lam = R(x) = -excess'x + xi s at the iterate, so
+    the answer keeps the iterate's scale.  Each step solves H dx = -grad F,
+    H = (xi/s) cov - (xi/s^3) g g' + diag(lam b / x^2) with g = cov x, by
+    diagonally preconditioned CG, which needs only H-vector products; the
+    step is cut to keep x positive (fraction to the boundary) and
+    backtracked on F (Armijo).  The point is returned once
+    max_i |RC_i / b_i - lam| <= RB_POLISH_TOL lam, and None when the
+    steps stall, when R(x) <= 0 (the iterate's Sharpe ratio reached xi,
+    which the next sweep certifies) or after RB_NEWTON_STEPS steps.
+    """
+    diag = np.diag(cov)
+
+    def risk(x):
+        g = cov @ x
+        quad = float(x @ g)
+        if not quad > 0.0:
+            return g, math.nan, math.nan
+        s = math.sqrt(quad)
+        return g, s, xi * s - float(excess @ x)
+
+    def polish(x):
+        g, s, lam = risk(x)
+        if not lam > 0.0:
+            return None
+        lam_b = lam * budgets
+        tol = RB_POLISH_TOL * lam
+        f = lam - float(lam_b @ np.log(x))
+        for _ in range(RB_NEWTON_STEPS):
+            a = xi / s
+            grad = a * g - excess - lam_b / x
+            gap = float(np.abs(x * grad / budgets).max())  # max_i |RC_i / b_i - lam|
+            if gap <= tol:
+                return x
+            curv = lam_b / (x * x)
+            c = a / (s * s)
+
+            def hess_vec(v):
+                hv = cov @ v
+                hv *= a
+                hv += curv * v
+                return daxpy(g, hv, a=-c * float(g @ v))
+
+            dx = _pcg(hess_vec, -grad, a * diag - c * g * g + curv, min(0.1, gap / lam), x.size)
+            # the largest step that keeps 1% of every coordinate
+            shrink = float((dx / x).min())
+            step = min(1.0, -0.99 / shrink) if shrink < 0.0 else 1.0
+            slope = float(grad @ dx)
+            # near the minimizer F changes by less than its own rounding
+            noise = F_ROUNDING * (xi * s + abs(f))
+            while True:
+                trial = x + step * dx
+                g_t, s_t, r_t = risk(trial)
+                f_t = r_t - float(lam_b @ np.log(trial))
+                if f_t <= f + ARMIJO * step * slope + noise:
+                    break
+                step *= 0.5
+                if step < MIN_STEP:
+                    return None
+            if not r_t > 0.0:
+                return None
+            x, g, s, f = trial, g_t, s_t, f_t
+        return None
+
+    return polish
+
+
 def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
-                 return_report=False):
+                 return_report=False, polish=False):
     """Unscaled risk-budgeting weights for -x'(mu - r) + xi * sqrt(x' cov x).
 
     The portfolio volatility entering each coordinate quadratic is frozen
@@ -317,11 +456,15 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     A move d on coordinate i adds d cov[i] to cov x and
     d (2 (cov x)_i + d cov_ii) to x'cov x, so both are carried through
     the sweep: a move costs O(n) and a cycle O(n^2).  They are recomputed
-    exactly at every cycle boundary (every n-th move, whatever the
-    coordinate rule), so rounding cannot drift across cycles.
+    exactly at the start of every sweep, whatever the coordinate rule, so
+    rounding cannot drift across cycles.
+
+    With ``polish`` the cycles end through the Newton-CG polish of
+    ``_rb_newton`` once it certifies a point; its answer has the scale
+    of the iterate it started from rather than of ``lam``.
 
     Raises OutOfDomain, before any sweep, when xi is not above the best
-    single-asset Sharpe ratio, and at a cycle boundary, carrying the
+    single-asset Sharpe ratio, and at the start of a sweep, carrying the
     iterate as ``last``, once the iterate's Sharpe ratio
     excess'x / sqrt(x'cov x) reaches xi: the objective then falls without
     bound along t x.
@@ -348,34 +491,35 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
     var = variances.tolist()
     ex = excess.tolist()
     bud = budgets.tolist()
-    cov_x = None
-    quad = 0.0  # x' cov x
-    moves = 0
 
-    def update(i, xx):
-        nonlocal cov_x, quad, moves
-        if moves % n == 0:
-            cov_x = cov @ xx
-            quad = float(xx @ cov_x)
-            if quad > 0.0 and float(excess @ xx) >= xi * math.sqrt(quad):
-                raise OutOfDomain(f"ccd_rb_stdev: the iterate's Sharpe ratio reached the "
-                                  f"stdev scale {xi:.6g}; the objective is unbounded below",
-                                  last=xx.copy())
-        moves += 1
-        x_i = xx.item(i)
-        cov_x_i = cov_x.item(i)
-        # an indefinite cov can drive x'cov x negative; NaN reaches the sweep check
-        vol = math.sqrt(quad) if quad > 0.0 else math.nan
-        a = xi * var[i]
-        b = xi * (cov_x_i - var[i] * x_i) - ex[i] * vol
-        c = -lam * vol * bud[i]
-        new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        d = new - x_i
-        cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
-        quad += d * (2.0 * cov_x_i + d * var[i])
-        return new
+    def sweep(x, order):
+        cov_x = cov @ x
+        quad = float(x @ cov_x)  # x' cov x
+        if quad > 0.0 and float(excess @ x) >= xi * math.sqrt(quad):
+            raise OutOfDomain(f"ccd_rb_stdev: the iterate's Sharpe ratio reached the "
+                              f"stdev scale {xi:.6g}; the objective is unbounded below",
+                              last=x.copy())
+        delta = 0.0
+        for i in order.tolist():
+            x_i = x.item(i)
+            cov_x_i = cov_x.item(i)
+            # an indefinite cov can drive x'cov x negative; NaN reaches the cycle check
+            vol = math.sqrt(quad) if quad > 0.0 else math.nan
+            a = xi * var[i]
+            b = xi * (cov_x_i - var[i] * x_i) - ex[i] * vol
+            c = -lam * vol * bud[i]
+            new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+            x[i] = new
+            d = new - x_i
+            cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
+            quad += d * (2.0 * cov_x_i + d * var[i])
+            move = abs(d)
+            if move > delta:
+                delta = move
+        return delta
 
-    x, report = _run_cycles(update, x0, cfg, constants=variances, name="ccd_rb_stdev")
+    x, report = _run_cycles(sweep, x0, cfg, constants=variances, name="ccd_rb_stdev",
+                            polish=_rb_newton(excess, xi, cov, budgets) if polish else None)
     return (x, report) if return_report else x
 
 
@@ -403,5 +547,5 @@ def projected_cd(grad, sets, eta, x0, cfg=None, return_report=False):
         g = as_vector(grad(xx))
         return ops[i](np.atleast_1d(xx[i] - eta * g[i]))[0]
 
-    x, report = _run_cycles(update, x0, cfg, name="projected_cd")
+    x, report = _run_cycles(_coordinate_sweep(update), x0, cfg, name="projected_cd")
     return (x, report) if return_report else x

@@ -232,13 +232,20 @@ def _universe_from_payload(payload):
     return data.universe_from_dict(payload["universe"]), None
 
 
+def _rb_fields(report):
+    """What a risk-budgeting solve did: cycles (ADMM iterations for that
+    engine), whether the polish ended it, and its relative RC spread."""
+    return {"cycles": report.iterations, "polished": report.polished,
+            "rc_spread": report.stationarity_residual}
+
+
 def _cmd_allocate(payload, args):
     model = payload.get("model")
     universe, benchmark = _universe_from_payload(payload)
     report_fields = {}
     if model == "erc":
         w, rep = portfolios.erc(universe, return_report=True)
-        report_fields = {"cycles": rep.iterations}
+        report_fields = _rb_fields(rep)
     elif model == "gmv":
         w, lam = portfolios.gmv_herfindahl(universe, payload.get("upper"),
                                            float(payload.get("min_bets", 1.0)))
@@ -254,8 +261,10 @@ def _cmd_allocate(payload, args):
         w = portfolios.mdp(universe, long_only=payload.get("long_only", True),
                            constraint=constraint, upper=payload.get("upper"))
     elif model == "rb":
-        w = portfolios.risk_budgeting(universe, _vec(payload, "budgets"),
-                                      engine=payload.get("engine", "ccd"))
+        w, rep = portfolios.risk_budgeting(universe, _vec(payload, "budgets"),
+                                           engine=payload.get("engine", "ccd"),
+                                           return_report=True)
+        report_fields = _rb_fields(rep)
     elif model == "kl":
         reference = _vec(payload, "reference", required=False)
         if reference is None:
@@ -369,7 +378,7 @@ def _cmd_reproduce(args):
         result = {"header": ["asset", "weight_pct"],
                   "rows": [[f"x{i + 1}", f"{val:.2f}"]
                            for i, val in enumerate(w.as_percent())],
-                  "max_abs_diff": diff, "cycles": rep.iterations}
+                  "max_abs_diff": diff, **_rb_fields(rep)}
         ok = diff <= tol_cells
     elif table == "lasso_trace":
         x, y, _ = data.lasso_synthetic(seed=args.seed or 0)

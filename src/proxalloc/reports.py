@@ -19,9 +19,11 @@ class SolverReport:
     residual traces have one entry per iteration; ``primal_residuals``
     holds ||r||_2 for ADMM and the per-cycle max coordinate change for
     the cyclic engines.  ``iterates`` is only populated when a solve is
-    asked to record its trajectory.  ``polished`` marks an ADMM answer
-    finished by its polish step; a QP solve keeps the
-    ``stationarity_residual`` that certifies its answer.
+    asked to record its trajectory.  ``polished`` marks an ADMM or CCD
+    answer finished by its polish step.  ``stationarity_residual`` is the
+    certificate of the answer where a solve keeps one: the KKT residual
+    of a QP solve, and the relative spread (max - min) / |mean| of
+    RC_i / b_i of a ``risk_budgeting`` answer.
     """
 
     status: str = CONVERGED

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +10,7 @@ from proxalloc.cd import (
     LipschitzWeighted,
     UniformRandom,
     _Order,
+    _pcg,
     ccd_erc,
     ccd_generic,
     ccd_qp_box,
@@ -308,6 +311,27 @@ def rb_stdev_reference(excess, xi, cov, budgets, cfg):
     return ccd_generic(update, x0, cfg)
 
 
+def asset_universe(mu, cov):
+    """An AssetUniverse with returns mu and covariance cov."""
+    from proxalloc.portfolios import AssetUniverse
+
+    sigma = np.sqrt(np.diag(cov))
+    rho = cov / np.outer(sigma, sigma)
+    rho = 0.5 * (rho + rho.T)
+    np.fill_diagonal(rho, 1.0)
+    return AssetUniverse(names=[f"a{i}" for i in range(mu.size)], mu=mu, sigma=sigma,
+                         rho=rho)
+
+
+def sharpe_above_scale_case(seed):
+    """(mu, universe, xi) with xi between the best single-asset and the
+    long-only maximum Sharpe ratio, where risk budgeting is unbounded."""
+    mu, cov = factor_cov(np.random.default_rng(seed), 50)
+    universe = asset_universe(mu, cov)
+    best_single = float(np.max(mu / universe.sigma))
+    return mu, universe, 0.5 * (best_single + long_only_max_sharpe(mu, universe.cov))
+
+
 class TestRbStdevRunningProducts:
     @pytest.mark.parametrize("rule", [Cyclic(), UniformRandom(seed=4),
                                       LipschitzWeighted(alpha=1.0, seed=5)])
@@ -347,23 +371,69 @@ class TestRbStdevRunningProducts:
     def test_admm_engine_certifies_portfolio_sharpe_above_scale(self, seed):
         # the risk-budgeting ADMM checks the same certificate on its y
         # iterate, so it stops instead of running to its iteration cap
-        from proxalloc.portfolios import AssetUniverse, StdevRisk, risk_budgeting
+        from proxalloc.portfolios import StdevRisk, risk_budgeting
 
-        mu, cov = factor_cov(np.random.default_rng(seed), 50)
-        sigma = np.sqrt(np.diag(cov))
-        rho = cov / np.outer(sigma, sigma)
-        rho = 0.5 * (rho + rho.T)
-        np.fill_diagonal(rho, 1.0)
-        universe = AssetUniverse(names=[f"a{i}" for i in range(50)], mu=mu,
-                                 sigma=sigma, rho=rho)
-        best_single = float(np.max(mu / sigma))
-        xi = 0.5 * (best_single + long_only_max_sharpe(mu, universe.cov))
+        mu, universe, xi = sharpe_above_scale_case(seed)
         with pytest.raises(OutOfDomain) as info:
             risk_budgeting(universe, np.ones(50), StdevRisk(xi), engine="admm",
                            max_iter=5000)
         last = info.value.last
         assert np.all(last > 0)
         assert mu @ last >= xi * np.sqrt(last @ universe.cov @ last)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ccd_engine_certifies_portfolio_sharpe_above_scale(self, seed):
+        # the Newton polish finds no minimizer to certify there, so the
+        # sweep's check still ends the solve, without a numpy warning
+        from proxalloc.portfolios import StdevRisk, risk_budgeting
+
+        mu, universe, xi = sharpe_above_scale_case(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain) as info:
+                risk_budgeting(universe, np.ones(50), StdevRisk(xi),
+                               cfg=CdConfig(max_cycles=50))
+        last = info.value.last
+        assert np.all(last > 0)
+        assert mu @ last >= xi * np.sqrt(last @ universe.cov @ last)
+
+    def test_polish_only_through_risk_budgeting(self, monkeypatch):
+        # a direct call runs plain CCD: the same iterates as the per-move
+        # reference, whose weights the cycles returned before the polish
+        from proxalloc import cd
+        from proxalloc.portfolios import risk_budgeting
+
+        built = []
+        real = cd._rb_newton
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cd, "_rb_newton", spy)
+        rng = np.random.default_rng(21)
+        _, cov = factor_cov(rng, 30)
+        budgets = rng.uniform(0.2, 1.0, size=30)
+        cfg = CdConfig(tol=1e-10)
+        x, report = ccd_rb_stdev(np.zeros(30), 0.0, 1.0, cov, budgets, cfg=cfg,
+                                 return_report=True)
+        x_ref, report_ref = rb_stdev_reference(np.zeros(30), 1.0, cov, budgets, cfg)
+        assert not built and not report.polished
+        assert np.max(np.abs(x - x_ref)) <= 1e-12
+        assert report.iterations == report_ref.iterations
+        w, report = risk_budgeting(asset_universe(np.zeros(30), cov), budgets, cfg=cfg,
+                                   return_report=True)
+        assert len(built) == 1 and report.polished
+        assert np.max(np.abs(w.w - x / x.sum())) <= 1e-9
+
+    def test_newton_cg_stops_on_zero_residual_and_nonpositive_curvature(self):
+        # a step that solves the system exactly (n = 1) leaves r = 0 and
+        # then p = 0; CG must stop there rather than divide 0 / 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _pcg(lambda v: 2.0 * v, np.array([4.0]), np.array([2.0]), 0.0, 5) == [2.0]
+            assert not np.any(_pcg(lambda v: v, np.zeros(3), np.ones(3), 0.1, 3))
+            assert not np.any(_pcg(lambda v: -v, np.ones(2), np.ones(2), 0.1, 2))
 
     def test_indefinite_cov_raises_typed_error(self):
         # x'cov x < 0 has no volatility; the sweep reports it, not math.sqrt

@@ -96,6 +96,17 @@ class TestAllocateCommand:
         weights = 100 * np.asarray(result["weights"])
         assert np.max(np.abs(weights - ERC_WEIGHTS_SET1)) <= 0.005
 
+    @pytest.mark.parametrize("payload", [{"model": "erc", "set": 1},
+                                         {"model": "rb", "set": 1,
+                                          "budgets": [1, 2, 1, 2, 1, 2, 1, 2]}])
+    def test_risk_budgeting_reports_its_certificate(self, tmp_path, payload):
+        inp = write_payload(tmp_path, payload)
+        out = tmp_path / "out.json"
+        assert main(["allocate", "--input", inp, "--output", str(out)]) == EXIT_OK
+        result = read_json(out)
+        assert result["cycles"] >= 1 and result["polished"] is True
+        assert result["rc_spread"] <= 1e-8
+
     def test_gmv_full_diversification(self, tmp_path):
         inp = write_payload(tmp_path, {"model": "gmv", "set": 1, "min_bets": 8})
         out = tmp_path / "out.json"
@@ -155,6 +166,10 @@ class TestReproduceCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("asset")
         assert len(lines) == 9
+        out = tmp_path / "erc.json"
+        assert main(["reproduce", "erc", "--format", "json", "--output", str(out)]) == EXIT_OK
+        result = read_json(out)
+        assert result["polished"] is True and result["rc_spread"] <= 1e-8
 
     def test_box_qp_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
