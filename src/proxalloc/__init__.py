@@ -17,7 +17,6 @@ from .portfolios import (
     AssetUniverse,
     EffectiveBets,
     PortfolioWeights,
-    RebalanceContext,
     RoboConfig,
     ShannonEntropyFloor,
     StdevRisk,
@@ -34,7 +33,6 @@ from .portfolios import (
     mvo_gamma,
     mvo_target,
     mvo_turnover,
-    rebalance,
     rebalance_penalized,
     risk_budgeting,
     risk_contributions,

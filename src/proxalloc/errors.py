@@ -122,10 +122,6 @@ class InfeasibleSuspected(IterationError):
     pass
 
 
-class FormulationDisagreement(IterationError):
-    pass
-
-
 class InfeasibleTargets(IterationError):
     """Return/volatility targets or turnover caps that no admissible
     portfolio satisfies; ``last`` is the portfolio that certifies it."""

@@ -5,8 +5,8 @@ most-diversified portfolio and the Rao-entropy maximum stay quadratic
 programs; turnover-capped mean-variance, minimum variance and the
 most-diversified portfolio under diversification floors, risk
 budgeting, KL portfolios and the composite managed-account objective
-are solved by splitting: a smooth x-subproblem (a closed-form prox or
-CCD) against one y-block per constraint set or nonsmooth term, each a
+are solved by splitting: a smooth x-subproblem in closed form against
+one y-block per constraint set or nonsmooth term, each a
 closed-form prox from the operator catalogue, an exact projection by
 scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
 and ball), joined by consensus ADMM.  The box-and-ball split and the
@@ -30,13 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
-from .cd import CdConfig, _check_stdev_scale, ccd_qp_logbarrier, ccd_rb_stdev
+from .cd import _check_stdev_scale, ccd_rb_stdev
 from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
     BadK,
     DimensionMismatch,
     Diverged,
-    FormulationDisagreement,
     InfeasibleSuspected,
     InfeasibleTargets,
     MaxIterExceeded,
@@ -132,21 +131,6 @@ class PortfolioWeights:
         return 100.0 * self.w
 
 
-@dataclass
-class RebalanceContext:
-    """Current holdings plus trading frictions and a turnover cap."""
-
-    current: object
-    bid_cost: object = 0.0
-    ask_cost: object = 0.0
-    turnover_cap: Optional[float] = None
-
-    def __post_init__(self):
-        self.current = as_vector(self.current, "current")
-        if np.any(np.asarray(self.bid_cost) < 0) or np.any(np.asarray(self.ask_cost) < 0):
-            raise ValueError("transaction costs must be nonnegative")
-
-
 @dataclass(frozen=True)
 class EffectiveBets:
     """Require 1 / sum(w^2) >= minimum."""
@@ -199,12 +183,7 @@ class RoboConfig:
     vectors are per-asset scales (diagonal matrices); l2 shaping may be a
     full matrix.  ``linear_sets`` holds Halfspace descriptors and
     ``nonlinear_sets`` any catalogued set; both must hold at the answer.
-    ``formulation`` picks the split, each a consensus ADMM with one
-    y-block per l1 pull, nonlinear set, linear set and the box:
-    "admm_qp" keeps the quadratic and the budget plane in a closed-form
-    ridge x-update and gives the barrier a y-block; "admm_ccd" keeps the
-    quadratic and barrier in a coordinate-descent x-update and gives the
-    budget plane a y-block.  "both" runs the two and cross-checks.
+    ``robo_advisor`` solves it by one consensus ADMM split.
     """
 
     benchmark: object = None
@@ -225,7 +204,6 @@ class RoboConfig:
     nonlinear_sets: list = field(default_factory=list)
     lower: object = 0.0
     upper: object = 1.0
-    formulation: str = "admm_qp"
 
     def __post_init__(self):
         for name in ("gamma", "l1_current", "l2_current", "l1_reference",
@@ -1270,21 +1248,6 @@ def erc(universe, cfg=None, return_report=False):
     return risk_budgeting(universe, np.ones(universe.n), cfg=cfg, return_report=return_report)
 
 
-def rebalance(universe, context, cost_scale=1.0, upper=None, cfg=None):
-    """Rebalance current holdings per a RebalanceContext.
-
-    A turnover cap takes priority as a hard constraint; otherwise the
-    bid/ask costs enter as a penalty scaled by ``cost_scale``.
-    """
-    if context.turnover_cap is not None:
-        return rebalance_penalized(universe, context.current,
-                                   turnover_cap=context.turnover_cap,
-                                   upper=upper, cfg=cfg)
-    return rebalance_penalized(universe, context.current, cost_scale=cost_scale,
-                               bid_cost=context.bid_cost, ask_cost=context.ask_cost,
-                               upper=upper, cfg=cfg)
-
-
 def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
              max_iter=100000):
     """ADMM split for the risk-budgeting barrier problem (unscaled).
@@ -1689,10 +1652,16 @@ def _soft_pull(weight, scale, anchor):
     return build
 
 
-def _robo_solve(universe, cfg, formulation, admm_cfg=None):
+def robo_advisor(universe, cfg, admm_cfg=None):
+    """Solve the managed-account objective of a RoboConfig.
+
+    One consensus ADMM split: the quadratic and the budget plane stay in
+    a closed-form ridge x-update on the plane, and each l1 pull, the
+    barrier, each nonlinear set, each linear set and the box get a
+    closed-form y-block.  Budget, box and linear sets that look disjoint
+    raise InfeasibleSuspected before the loop starts.
+    """
     n = universe.n
-    if formulation not in ("admm_qp", "admm_ccd"):
-        raise ValueError(f"unknown formulation {formulation!r}")
     q, r = _robo_quadratic(universe, cfg)
     lower = _bound(cfg.lower, 0.0, n, "lower")
     upper = _bound(cfg.upper, 1.0, n, "upper")
@@ -1719,49 +1688,14 @@ def _robo_solve(universe, cfg, formulation, admm_cfg=None):
              (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
     blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
               for weight, shape, anchor in pulls if weight > 0]
-    blocks += [_projection(s, n) for s in cfg.nonlinear_sets]
-    sets = [*cfg.linear_sets, Box(lower, upper)]
+    blocks += [_projection(s, n) for s in (*cfg.nonlinear_sets, *cfg.linear_sets,
+                                           Box(lower, upper))]
+    if budgets is not None:
+        blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi, budgets))
     quad = PenaltyFactor(q)
 
-    if formulation == "admm_qp":
-        def x_prox(v, rho):
-            return quad.solve_on_plane(r + rho * v, rho, ones, 1.0)
+    def x_prox(v, rho):
+        return quad.solve_on_plane(r + rho * v, rho, ones, 1.0)
 
-        blocks += [_projection(s, n) for s in sets]
-        if budgets is not None:
-            blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi,
-                                                                 budgets))
-    else:
-        state = {"x": x0}
-
-        def x_prox(v, rho):
-            rhs = r + rho * v
-            if budgets is not None:
-                state["x"] = ccd_qp_logbarrier(q + rho * np.eye(n), rhs,
-                                               cfg.barrier * budgets, state["x"],
-                                               CdConfig(tol=1e-12))
-            else:
-                state["x"] = quad.solve(rhs, rho)
-            return state["x"]
-
-        blocks += [_projection(s, n) for s in (Hyperplane(ones, 1.0), *sets)]
-
-    return _run_split(f"robo {formulation}", consensus_problem(x_prox, blocks, n), x0,
-                      admm_cfg)[0]
-
-
-def robo_advisor(universe, cfg, admm_cfg=None):
-    """Solve the managed-account objective under the configured split.
-
-    formulation="both" runs the QP and CCD splits and raises
-    FormulationDisagreement beyond a 1e-3 gap (diagnostic for a bad
-    configuration); otherwise the requested split runs alone.
-    """
-    if cfg.formulation == "both":
-        w_qp = _robo_solve(universe, cfg, "admm_qp", admm_cfg)
-        w_ccd = _robo_solve(universe, cfg, "admm_ccd", admm_cfg)
-        gap = float(np.max(np.abs(w_qp - w_ccd)))
-        if gap > 1e-3:
-            raise FormulationDisagreement(f"splits disagree by {gap:.2e}", last=w_qp)
-        return _gate(w_qp)
-    return _gate(_robo_solve(universe, cfg, cfg.formulation, admm_cfg))
+    return _gate(_run_split("robo_advisor", consensus_problem(x_prox, blocks, n), x0,
+                            admm_cfg)[0])

@@ -19,6 +19,7 @@ from proxalloc.errors import (
     InfeasibleSuspected,
     InfeasibleTargets,
     MaxIterExceeded,
+    NegativeCost,
     NotPositiveDefinite,
     OutOfDomain,
     ProxallocError,
@@ -294,6 +295,66 @@ def assert_trade_kkt(u, w, current, cap, bid, ask, linear, upper=1.0):
         theta = max(0.0, np.max(-a[b > 0] / b[b > 0], initial=0.0))
     assert theta >= -tol
     assert np.all(a + b * theta >= -tol)
+
+
+def robo_ccd_reference(universe, cfg, admm_cfg=None):
+    """The managed-account objective by a second split, the oracle for robo_advisor.
+
+    The same consensus ADMM with the blocks moved: the x-update keeps the
+    quadratic and the barrier in one ccd_qp_logbarrier solve at q + rho I,
+    warm-started from the last one (a ridge solve when there is no
+    barrier), and the budget plane gets a y-block next to the l1 pulls,
+    the nonlinear sets, the linear sets and the box.  robo_advisor keeps
+    the plane in its x-update and gives the barrier a y-block.
+    """
+    from proxalloc.admm import consensus_problem
+    from proxalloc.cd import ccd_qp_logbarrier
+    from proxalloc.linalg import PenaltyFactor, as_vector
+    from proxalloc.portfolios import (_as_diag, _gate, _projection, _robo_quadratic,
+                                      _run_split, _soft_pull)
+    from proxalloc.prox import Box, Hyperplane, _bound
+
+    n = universe.n
+    q, r = _robo_quadratic(universe, cfg)
+    lower = _bound(cfg.lower, 0.0, n, "lower")
+    upper = _bound(cfg.upper, 1.0, n, "upper")
+    ones = np.ones(n)
+    x0 = ones / n
+    admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
+                                      eps=1e-9, max_iter=50000)
+    budgets = None
+    if cfg.barrier > 0:
+        budgets = as_vector(cfg.risk_budgets)
+        budgets = budgets / budgets.sum()
+    pulls = ((cfg.l1_current, cfg.shape_l1_current, cfg.current),
+             (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
+    blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
+              for weight, shape, anchor in pulls if weight > 0]
+    blocks += [_projection(s, n) for s in cfg.nonlinear_sets]
+    quad = PenaltyFactor(q)
+    state = {"x": x0}
+
+    def x_prox(v, rho):
+        rhs = r + rho * v
+        if budgets is not None:
+            state["x"] = ccd_qp_logbarrier(q + rho * np.eye(n), rhs,
+                                           cfg.barrier * budgets, state["x"],
+                                           CdConfig(tol=1e-12))
+        else:
+            state["x"] = quad.solve(rhs, rho)
+        return state["x"]
+
+    blocks += [_projection(s, n) for s in (Hyperplane(ones, 1.0), *cfg.linear_sets,
+                                           Box(lower, upper))]
+    return _gate(_run_split("robo CCD reference", consensus_problem(x_prox, blocks, n), x0,
+                            admm_cfg)[0])
+
+
+def loaded_robo_config():
+    """Demo 07's loaded managed account on parameter set 1."""
+    current = np.array([0.18, 0.12, 0.08, 0.14, 0.06, 0.12, 0.22, 0.08])
+    return RoboConfig(benchmark=SET1.benchmark, reference=EW8, current=current, gamma=0.1,
+                      l1_current=0.002, l2_reference=0.3, barrier=0.01, risk_budgets=EW8)
 
 
 def one_way_account():
@@ -989,6 +1050,10 @@ class TestRebalancePenalized:
     def test_turnover_cap_respected(self):
         w = rebalance_penalized(SET1.universe, EW8, turnover_cap=0.4)
         assert np.sum(np.abs(w.w - EW8)) <= 0.4 + 1e-7
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(NegativeCost):
+            rebalance_penalized(SET1.universe, EW8, cost_scale=1.0, bid_cost=-0.01)
 
     def test_cost_sandwich(self):
         u = SET1.universe
@@ -1873,12 +1938,11 @@ class TestFailFastBeforeAdmm:
     def test_robo_ccd_disjoint_linear_sets(self):
         from proxalloc.prox import Halfspace
 
-        for formulation in ("admm_qp", "admm_ccd"):
-            cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)],
-                             formulation=formulation)
-            with pytest.raises(InfeasibleSuspected) as err:
-                robo_advisor(SET1.universe, cfg)
-            assert err.value.last is not None
+        cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)])
+        with pytest.raises(InfeasibleSuspected) as err:
+            robo_advisor(SET1.universe, cfg)
+        assert err.value.last is not None
+        assert err.value.last.shape == (8,) and np.all(np.isfinite(err.value.last))
 
     def test_robo_disjoint_sets_certified_within_1000_iterations(self):
         from proxalloc.prox import Halfspace
@@ -1886,6 +1950,7 @@ class TestFailFastBeforeAdmm:
         cfg = RoboConfig(current=EW8, linear_sets=[Halfspace(np.ones(8), 0.5)])
         with pytest.raises(InfeasibleSuspected) as err:
             robo_advisor(SET1.universe, cfg)
+        assert err.value.last is not None
         certificate = err.value.__cause__.report
         assert certificate.status == "infeasible" and certificate.iterations <= 1000
 
@@ -2070,8 +2135,9 @@ class TestBounds:
 class TestRoboAdvisor:
     def test_reduces_to_mvo(self):
         u = SET1.universe
-        cfg = RoboConfig(current=EW8, formulation="both")
+        cfg = RoboConfig(current=EW8)
         w = robo_advisor(u, cfg)
+        assert np.max(np.abs(w.w - robo_ccd_reference(u, cfg).w)) <= 1e-3
         gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
         assert np.max(np.abs(w.w - gmv.w)) <= 1e-5
 
@@ -2079,17 +2145,17 @@ class TestRoboAdvisor:
         u = SET1.universe
         target = erc(u)
         lam = float(target.w @ u.cov @ target.w)
-        cfg = RoboConfig(current=EW8, barrier=lam, risk_budgets=EW8,
-                         formulation="both")
+        cfg = RoboConfig(current=EW8, barrier=lam, risk_budgets=EW8)
         w = robo_advisor(u, cfg)
+        assert np.max(np.abs(w.w - robo_ccd_reference(u, cfg).w)) <= 1e-3
         assert np.max(np.abs(w.w - target.w)) <= 1e-5
 
-    def test_ccd_split_factors_once_per_penalty(self, monkeypatch):
+    def test_split_factors_once_per_penalty(self, monkeypatch):
         from proxalloc import linalg, portfolios
 
         u = SET1.universe
         cfg = RoboConfig(current=EW8, reference=EW8, gamma=0.1, l1_current=0.01,
-                         l2_reference=0.2, formulation="admm_ccd")
+                         l2_reference=0.2)
         factorizations = []
         real_cholesky = linalg.cholesky_lower
         monkeypatch.setattr(linalg, "cholesky_lower",
@@ -2108,27 +2174,33 @@ class TestRoboAdvisor:
         assert 1 <= len(factorizations) <= reports[0].iterations // 10
 
     def test_qp_split_runs_no_nested_qp(self, monkeypatch):
-        from proxalloc import portfolios
+        from proxalloc import cd, portfolios
         from proxalloc.prox import Halfspace, LpBall
 
-        def fail(*args, **kwargs):
-            raise AssertionError("qp_solve called")
-
-        monkeypatch.setattr(portfolios, "qp_solve", fail)
         pair = np.zeros(8)
         pair[[0, 1]] = 1.0
         cfg = RoboConfig(current=EW8, reference=EW8, gamma=0.05, l1_current=0.005,
                          l2_reference=0.1, barrier=0.01, risk_budgets=EW8,
                          linear_sets=[Halfspace(pair, 0.25)],
-                         nonlinear_sets=[LpBall(2, EW8, 0.1)], formulation="both")
-        w = robo_advisor(SET1.universe, cfg)  # "both" asserts <= 1e-3 internally
+                         nonlinear_sets=[LpBall(2, EW8, 0.1)])
+        reference = robo_ccd_reference(SET1.universe, cfg)
+
+        def fail(what):
+            def raise_(*args, **kwargs):
+                raise AssertionError(f"{what} called inside robo_advisor")
+            return raise_
+
+        monkeypatch.setattr(portfolios, "qp_solve", fail("qp_solve"))
+        monkeypatch.setattr(cd, "_run_cycles", fail("a CD cycle"))
+        w = robo_advisor(SET1.universe, cfg)
+        assert np.max(np.abs(w.w - reference.w)) <= 1e-3
         assert pair @ w.w <= 0.25 + 1e-7
         assert np.linalg.norm(w.w - EW8) <= 0.1 + 1e-7
 
     def test_dominant_l1_freezes_current(self):
         u = SET1.universe
         current = np.array([0.2, 0.1, 0.1, 0.15, 0.05, 0.1, 0.2, 0.1])
-        cfg = RoboConfig(current=current, l1_current=50.0, formulation="admm_qp")
+        cfg = RoboConfig(current=current, l1_current=50.0)
         w = robo_advisor(u, cfg)
         assert np.max(np.abs(w.w - current)) <= 1e-6
 
@@ -2149,12 +2221,10 @@ class TestRoboAdvisor:
                 l2_reference=float(rng.uniform(0, 0.5)),
                 barrier=float(rng.uniform(0.001, 0.05)),
                 risk_budgets=rng.uniform(0.5, 2.0, 8),
-                formulation="both",
             )
-            w = robo_advisor(u, cfg)  # "both" asserts <= 1e-3 internally
-            w_qp = robo_advisor(u, RoboConfig(**{**vars(cfg), "formulation": "admm_qp"}))
-            w_ccd = robo_advisor(u, RoboConfig(**{**vars(cfg), "formulation": "admm_ccd"}))
-            assert np.max(np.abs(w_qp.w - w_ccd.w)) <= 1e-4, trial
+            w = robo_advisor(u, cfg)
+            w_ccd = robo_ccd_reference(u, cfg)
+            assert np.max(np.abs(w.w - w_ccd.w)) <= 1e-4, trial
             assert abs(w.w.sum() - 1.0) <= 1e-8
             assert np.all(w.w >= -1e-9)
 
@@ -2171,8 +2241,8 @@ class TestRoboAdvisor:
         free = robo_advisor(u, RoboConfig(**{**base, "linear_sets": [],
                                              "nonlinear_sets": []})).w
         assert pair @ free > 0.25 and np.linalg.norm(free - EW8) > 0.1  # both bind
-        weights = [robo_advisor(u, RoboConfig(**base, formulation=f)).w
-                   for f in ("admm_qp", "admm_ccd")]
+        cfg = RoboConfig(**base)
+        weights = [robo_advisor(u, cfg).w, robo_ccd_reference(u, cfg).w]
         assert np.max(np.abs(weights[0] - weights[1])) <= 1e-4
         for w in weights:
             assert pair @ w <= 0.25 + 1e-7
@@ -2184,41 +2254,24 @@ class TestBudgetInvariant:
         u = SET1.universe
         outputs = [
             mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8)),
+            mvo_benchmark(u, SET1.benchmark, 0.1),
             gmv_herfindahl(u, min_bets=4.0)[0],
+            gmv_diversified(u, constraint=ShannonEntropyFloor(1.5)),
             erc(u),
             risk_budgeting(u, EW8, engine="admm"),
             mdp(data.mdp_table_universe(), long_only=True,
                 constraint=EffectiveBets(5.0)),
             kl_portfolio(u, EW8),
             rebalance_penalized(u, EW8, turnover_cap=0.3),
+            robo_advisor(u, loaded_robo_config()),
+            mvo_target(tilted_universe(), target_return=0.085, lower=np.zeros(8),
+                       upper=np.ones(8)),
+            mvo_turnover(tilted_universe(), 0.5, EW8, 0.3),
+            index_sampling(u, SET1.benchmark, 3),
+            rqe_portfolio(1.0 - u.rho),
         ]
         for w in outputs:
             assert abs(w.w.sum() - 1.0) <= 1e-8
             assert np.all(w.w >= -1e-8)
             assert np.all(w.w <= 1.0 + 1e-8)
 
-
-class TestRebalanceContext:
-    def test_turnover_context(self):
-        from proxalloc.portfolios import RebalanceContext, rebalance
-
-        u = SET1.universe
-        ctx = RebalanceContext(current=EW8, turnover_cap=0.4)
-        w = rebalance(u, ctx)
-        assert np.sum(np.abs(w.w - EW8)) <= 0.4 + 1e-7
-
-    def test_cost_context(self):
-        from proxalloc.portfolios import RebalanceContext, rebalance
-
-        u = SET1.universe
-        ctx = RebalanceContext(current=EW8, bid_cost=0.01, ask_cost=0.01)
-        w = rebalance(u, ctx, cost_scale=0.01)
-        reference = rebalance_penalized(u, EW8, cost_scale=0.01, bid_cost=0.01,
-                                        ask_cost=0.01)
-        assert np.max(np.abs(w.w - reference.w)) <= 1e-10
-
-    def test_negative_cost_rejected(self):
-        from proxalloc.portfolios import RebalanceContext
-
-        with pytest.raises(ValueError):
-            RebalanceContext(current=EW8, bid_cost=-0.01)
