@@ -21,9 +21,9 @@ the first and on convergence, so a split whose active set shows early
 ends early while a polish that keeps failing costs O(log iterations)
 tries.  The QP bridge uses both hooks; the model splits of
 ``portfolios`` whose constraint is a ball or smooth (the Herfindahl
-ball, the entropy floors, the effective-bets cone, the KL volatility
-cap) polish too, and so does the rebalancing split, on its trade
-pattern.
+ball, the entropy floors, the effective-bets cone, the volatility
+ellipsoid of the KL cap and of ``mvo_target``) polish too, and so does
+the rebalancing split, on its trade pattern.
 """
 
 from dataclasses import dataclass

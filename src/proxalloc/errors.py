@@ -84,8 +84,8 @@ class BadDims(ProxallocError, ValueError):
     pass
 
 
-class TargetUnreachable(ProxallocError, ValueError):
-    pass
+class TargetUnreachable(OutOfDomain):
+    """A frontier target past an end of the frontier; ``last`` is that end."""
 
 
 class UnreachableDiversification(ProxallocError, ValueError):

@@ -1,21 +1,22 @@
 """Allocation models assembled from the CCD / ADMM / Dykstra engines.
 
-Mean-variance, its cost/tracking variants, the floor-free
-most-diversified portfolio and the Rao-entropy maximum stay quadratic
-programs; turnover-capped mean-variance, minimum variance and the
-most-diversified portfolio under diversification floors, risk
-budgeting, KL portfolios and the composite managed-account objective
-are solved by splitting: a smooth x-subproblem in closed form against
-one y-block per constraint set or nonsmooth term, each a
-closed-form prox from the operator catalogue, an exact projection by
-scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep (box
-and ball), joined by consensus ADMM.  The box-and-ball split and the
+Mean-variance, its cost/tracking variants and return targets, the
+floor-free most-diversified portfolio and the Rao-entropy maximum stay
+quadratic programs; turnover-capped mean-variance, volatility-targeted
+mean-variance, minimum variance and the most-diversified portfolio under
+diversification floors, risk budgeting, KL portfolios and the composite
+managed-account objective are solved by splitting: a smooth x-subproblem
+in closed form against one y-block per constraint set or nonsmooth term,
+each a closed-form prox from the operator catalogue, an exact projection
+by scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep
+(box and ball), joined by consensus ADMM.  The box-and-ball split, the
 splits whose constraint is smooth (the entropy floors, the effective-bets
-cone, the KL volatility cap) and the rebalancing split (turnover cap and
-bid/ask costs) end with a polish: the exact optimum on the active set or
-trade pattern its y-blocks show, by a ridge root, by Newton on the KKT
-system or by one equality QP.  Inputs whose constraint sets are empty are
-caught before the ADMM loop starts.
+cone, the volatility ellipsoid of the KL cap and of the volatility
+target) and the rebalancing split (turnover cap and bid/ask costs) end
+with a polish: the exact optimum on the active set or trade pattern its
+y-blocks show, by a ridge root, by Newton on the KKT system, by the
+closed-form frontier point or by one equality QP.  Inputs whose
+constraint sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -72,10 +73,6 @@ from .reports import DIVERGED
 
 # slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
 CAP_SLACK = 1e-12
-# mvo_target: the trade-off weight at the top of the frontier, and the
-# tolerance of its targets and of its volatility bisection
-GAMMA_MAX = 1e6
-TARGET_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -341,60 +338,153 @@ def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
     return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
 
 
+def _max_return_face(mu, lower, upper):
+    """The face of the budget set {1'x = 1, lower <= x <= upper} where mu'x peaks.
+
+    Returns (top, vertex, low, high): the top return, a point of the face
+    and the bounds that cut the face out of the box; top is inf, the rest
+    None, when a capless name has a larger mu than a floorless one.
+    Otherwise no infinite bound binds, and each is clipped past the
+    budget's reach.  With the names in order of decreasing mu, the first k
+    at their caps and the rest at their floors leave b(k) = 1 - sum u[:k]
+    - sum l[k:], which falls in k; the last name with b(k) >= 0 takes what
+    is left, and the names tied with it are free on the face.  Raises
+    InfeasibleTargets when the box holds no budget portfolio.
+    """
+    capless, floorless = np.isinf(upper), np.isinf(lower)
+    if capless.any() and floorless.any() and mu[capless].max() > mu[floorless].min():
+        return np.inf, None, None, None
+    reach = 2.0 + np.abs(lower[~floorless]).sum() + np.abs(upper[~capless]).sum()
+    order = np.argsort(-mu, kind="stable")
+    l, u = np.maximum(lower, -reach)[order], np.minimum(upper, reach)[order]
+    caps = np.concatenate([[0.0], np.cumsum(u)])
+    floors = np.concatenate([np.cumsum(l[::-1])[::-1], [0.0]])
+    left = 1.0 - caps - floors
+    if left[0] < -CAP_SLACK or left[-1] > CAP_SLACK:
+        raise InfeasibleTargets("no portfolio in the box meets the budget")
+    k = min(int(np.flatnonzero(left >= -CAP_SLACK)[-1]), mu.size - 1)
+    vertex = np.empty(mu.size)
+    vertex[order] = np.concatenate([u[:k], [1.0 - caps[k] - floors[k + 1]], l[k + 1:]])
+    edge = mu[order[k]]
+    return float(mu @ vertex), vertex, np.where(mu > edge, upper, lower), \
+        np.where(mu < edge, lower, upper)
+
+
 def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
-               upper=None, ineq=None):
+               upper=None):
     """The frontier portfolio at a return or volatility target.
 
-    A return target above the minimum-variance return is one QP, the
-    minimum variance under the extra row -mu'x <= -target_return.  A
-    target above the return at GAMMA_MAX raises TargetUnreachable before
-    that QP runs, and one that other constraints cut off is certified
-    infeasible by the QP bridge.
-    A volatility target bisects the trade-off weight gamma, since the
-    achieved volatility increases with it.  A target outside the
-    reachable band raises TargetUnreachable.
+    The frontier runs from the minimum variance (GMV) to its top, the least
+    variance on the face where mu'x peaks (``_max_return_face``: its
+    vertex, or one bridge solve when names tie there).  A target past an
+    end raises TargetUnreachable with that end as ``last`` (the vertex,
+    for a return above the top); one at an end returns it.  A return
+    target is one QP, the minimum variance under the row
+    -mu'x <= -target_return (left out when nothing in the box returns
+    less); a row left slack by 1e-6 puts the target below the GMV.  A
+    volatility target v maximizes mu'x on the budget plane, the box and
+    x'cov x <= v^2 by a consensus split from the GMV: the x-update is
+    t + mu / rho projected onto the plane, the y-blocks are the box and
+    the ellipsoid.  Its polish is the two-fund frontier point at v of the
+    names the box block's dual leaves free, the rest at their bounds, kept
+    once its KKT conditions hold; names out of the box are pinned and
+    pinned names whose reduced gradient has the wrong sign freed, at most
+    POLISH_ROUNDS times, as in ``_smooth_polish``.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
-
-    def achieved(gamma):
-        w = mvo_gamma(universe, gamma, lower, upper, ineq)
-        s = stats(w, universe)
-        return s.expected_return if target_return is not None else s.volatility
-
-    target = target_return if target_return is not None else target_volatility
-    low_val = achieved(0.0)
-    if target <= low_val + TARGET_TOL:
-        if target < low_val - 1e-6:
-            raise TargetUnreachable(f"target {target} below the minimum {low_val:.6g}")
-        return mvo_gamma(universe, 0.0, lower, upper, ineq)
+    n, cov, mu = universe.n, universe.cov, universe.mu
+    long_only = lower is not None and np.all(np.asarray(lower) >= 0)
+    low, high = _bound(lower, -np.inf, n, "lower"), _bound(upper, np.inf, n, "upper")
+    top, vertex, face_low, face_high = _max_return_face(mu, low, high)
+    if np.isfinite(top) and np.sum(face_low < face_high) > 1:
+        top_w = lambda: _gate(_solve_budget_qp(cov, np.zeros(n), face_low, face_high), long_only)
+    else:
+        top_w = lambda: _gate(vertex, long_only)  # the face is one point
     if target_return is not None:
-        # the GAMMA_MAX end of the frontier bounds the reachable return, to
-        # the polish accuracy of its QP; past it the QP's dual certificate
-        # can take its whole iteration budget to settle
-        top = mvo_gamma(universe, GAMMA_MAX, lower, upper, ineq)
-        top_val = stats(top, universe).expected_return
-        if target > top_val + POLISH_TOL:
-            raise TargetUnreachable(f"target {target} above the maximum {top_val:.6g}")
-        if target >= top_val:
-            return top
-        c, d = ineq if ineq is not None else (np.zeros((0, universe.n)), np.zeros(0))
+        if target_return > top + POLISH_TOL:
+            raise TargetUnreachable(f"target {target_return} above the maximum {top:.6g}",
+                                    last=vertex)
+        if target_return >= top:
+            return top_w()
+        row = (-mu[None, :], np.array([-float(target_return)]))
+        if target_return <= -_max_return_face(-mu, low, high)[0]:
+            row = (None, None)  # it cannot bind, and a constant mu makes it degenerate
         try:
-            w = _solve_budget_qp(universe.cov, np.zeros(universe.n), lower, upper,
-                                 np.vstack([c, -universe.mu]),
-                                 np.append(d, -float(target_return)))
+            w = _gate(_solve_budget_qp(cov, np.zeros(n), lower, upper, *row), long_only)
         except InfeasibleSuspected as exc:
-            raise TargetUnreachable(f"target {target} above the reachable return") from exc
-        return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
-    hi = 1.0
-    hi_val = achieved(hi)
-    while hi_val < target and hi < GAMMA_MAX:
-        hi *= 4.0
-        hi_val = achieved(hi)
-    if hi_val < target - 1e-6:
-        raise TargetUnreachable(f"target {target} above the maximum {hi_val:.6g}")
-    gamma = bisect(lambda g: achieved(g) - target, RootBracket(0.0, hi, tol=TARGET_TOL))
-    return mvo_gamma(universe, gamma, lower, upper, ineq)
+            raise TargetUnreachable(f"target {target_return} above the reachable return",
+                                    last=vertex) from exc
+        if w.w @ mu > target_return + 1e-6:
+            raise TargetUnreachable(f"target {target_return} below the minimum "
+                                    f"{w.w @ mu:.6g}", last=w.w)
+        return w
+    target = float(target_volatility)
+    if np.isfinite(top):
+        peak = top_w()
+        vol = stats(peak, universe).volatility
+        if target > vol + 1e-6:
+            raise TargetUnreachable(f"target {target} above the maximum {vol:.6g}", last=peak.w)
+        if target >= vol:
+            return peak
+    gmv = _gate(_solve_budget_qp(cov, np.zeros(n), lower, upper), long_only)
+    vol = stats(gmv, universe).volatility
+    if target < vol - 1e-6:
+        raise TargetUnreachable(f"target {target} below the minimum {vol:.6g}", last=gmv.w)
+    if target <= vol:
+        return gmv
+    held = gmv.w > low
+
+    def frontier_point(free, pinned):
+        """(x, t): x = base + t step, the most return at volatility v; or None."""
+        fixed = np.where(free, 0.0, pinned)
+        with np.errstate(all="ignore"):  # no free name or a singular block: no point
+            try:
+                a, e, d = np.linalg.solve(cov[np.ix_(free, free)], np.column_stack(
+                    [mu[free], np.ones(free.sum()), (cov @ fixed)[free]])).T
+            except np.linalg.LinAlgError:
+                return None
+            base, step = fixed.copy(), np.zeros(n)  # 1'x = 1 for every t
+            base[free] = (1.0 - fixed.sum() + d.sum()) / e.sum() * e - d
+            step[free] = a - a.sum() / e.sum() * e
+            cov_step, cov_base = cov @ step, cov @ base
+            a2, a1, a0 = step @ cov_step, step @ cov_base, base @ cov_base - target**2
+            t = (np.sqrt(a1 * a1 - a2 * a0) - a1) / a2
+        return (base + t * step, t) if a2 > 0.0 and t > 0.0 and np.isfinite(t) else None
+
+    def polish(x, y, dual):
+        y, dual = y[:n], dual[:n]
+        at_low, at_high = y - low < -dual, high - y < dual  # OSQP's guess, from the box dual
+        for _ in range(1 + POLISH_ROUNDS):
+            free = ~(at_low | at_high)
+            solved = frontier_point(free, np.where(at_low, low, high))
+            if solved is None:  # too few names reach v: free the GMV's names too
+                if not (at_low & held).any():
+                    return None
+                at_low &= ~held
+                continue
+            point, t = solved
+            grad = cov @ point / t - mu  # of -mu'x + kappa g, g = x'cov x / 2
+            tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad))))
+            grad -= grad[free].mean()  # + nu 1
+            if np.max(np.abs(grad[free])) > tol:
+                return None  # not a stationary point: a singular block
+            out_low = free & (point < low - POLISH_TOL)
+            out_high = free & (point > high + POLISH_TOL)
+            wrong_low, wrong_high = at_low & (grad < -tol), at_high & (grad > tol)
+            if not (out_low | out_high | wrong_low | wrong_high).any():
+                return point
+            at_low, at_high = (at_low & ~wrong_low) | out_low, (at_high & ~wrong_high) | out_high
+        return None
+
+    ball = _volatility_ball_projection(cov, target)
+    problem = consensus_problem(
+        lambda t, rho: t + mu / rho + (1.0 - t.sum() - mu.sum() / rho) / n,
+        [_projection(Box(low, high), n), lambda phi: ball], n)
+    problem.polish = polish
+    # the ball's multiplier is about the spread of mu: rho of that scale
+    cfg = AdmmConfig(phi0=3.0 * float(np.ptp(mu)), eps=1e-11, max_iter=100000)
+    return _gate(_run_split("frontier ADMM", problem, gmv.w, cfg)[0], long_only)
 
 
 def index_sampling(universe, benchmark, n_assets, cfg=None):
@@ -699,31 +789,33 @@ def _herfindahl_polish(cov, upper, radius, accepted):
     return polish
 
 
-def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
+def _smooth_polish(parts, hessian, plane, rows, rhs, lower=None):
     """The polish hook of a split whose one smooth convex constraint is g(x) <= 0.
 
     The problem is min f(x) s.t. g(x) <= 0, E x = e (``plane``, the pair
-    (E, e)), ``rows`` x <= ``rhs`` and, with ``orthant``, x >= 0; without
-    it a log term keeps x > 0, and Newton runs on ln x, where those terms
-    are nearly linear.  ``parts(x)`` returns (grad f, g, grad g) and
+    (E, e)), ``rows`` x <= ``rhs`` and x >= ``lower``, a vector whose
+    -inf entries leave their names unbounded below.  With ``lower`` None a
+    log term keeps x > 0, and Newton runs on ln x, where those terms are
+    nearly linear.  ``parts(x)`` returns (grad f, g, grad g) and
     ``hessian(x, kappa)`` the n x n Hessian of f + kappa g.  The hook
-    takes a start point, its support S (x = 0 elsewhere) and the mask of
-    active rows, and solves the KKT system with g taken as binding,
+    takes a start point, its support S (x pinned at ``lower`` elsewhere,
+    so S holds every name whose bound is -inf) and the mask of active
+    rows, and solves the KKT system with g taken as binding,
         grad f + kappa grad g + E'nu + R'm = 0 on S,  g(x) = 0,
         E x = e,  R x = r  (R, r the active rows),
     by ``_newton_kkt`` from the start, its multipliers fitted by least
     squares (OSQP's solution polishing, Stellato et al. 2020, sec. 4,
     carried to a smooth constraint).  Newton stops once the residual is
     at most POLISH_TOL max(1, ||grad f||_inf).  The point is kept when
-    kappa >= 0, m >= 0, x_S >= 0, g and the inactive rows hold, and the
-    reduced gradient grad f + kappa grad g + E'nu + R'm is >= 0 on the
-    zeros, all to that tolerance.  When Newton converged but one of these
-    fails, what breaks them moves and the solve repeats, at most
+    kappa >= 0, m >= 0, x_S >= lower_S, g and the inactive rows hold, and
+    the reduced gradient grad f + kappa grad g + E'nu + R'm is >= 0 on the
+    pinned names, all to that tolerance.  When Newton converged but one of
+    these fails, what breaks them moves and the solve repeats, at most
     POLISH_ROUNDS times (a primal-dual active-set step, Hintermueller, Ito
-    & Kunisch 2003): names below 0 leave S and zeros with a negative
-    reduced gradient join it, violated rows join the active set and rows
-    with a negative multiplier leave it, g among them.  Returns None
-    otherwise, and ADMM goes on.
+    & Kunisch 2003): names below their bound leave S and pinned names
+    with a negative reduced gradient join it, violated rows join the
+    active set and rows with a negative multiplier leave it, g among them.
+    Returns None otherwise, and ADMM goes on.
     """
     e_rows, e_rhs = plane
     n, n_eq = e_rows.shape[1], e_rhs.size
@@ -731,14 +823,15 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
     def solve(x, support, active, bound):
         """(point, kappa, g, row multipliers m, reduced gradient, tol), or None."""
         lin = np.vstack([e_rows, rows[active]])
-        target = np.concatenate([e_rhs, rhs[active]])
+        # the pinned names' share of the rows, 0 when the bound is 0
+        target = np.concatenate([e_rhs, rhs[active]]) - lin[:, ~support] @ x[~support]
         sub = lin[:, support]
         s, c = int(support.sum()), int(bound)  # c: the column of kappa, if any
 
         def full(z):
-            if not orthant:
+            if lower is None:
                 return np.exp(z[:s])  # the support is every name
-            out = np.zeros(n)
+            out = lower.copy()
             out[support] = z[:s]
             return out
 
@@ -762,14 +855,14 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
             jac[:s, :s] = h if support.all() else h[np.ix_(support, support)]
             jac[:s, s:] = grads.T
             jac[s:, :s] = grads
-            if not orthant:
+            if lower is None:
                 jac[:, :s] *= point  # d x / d ln x
             return jac
 
         grad_f, grads, _ = system(x)
         fit, *_ = np.linalg.lstsq(grads.T, -grad_f[support], rcond=None)
         tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad_f))))
-        start = x[support] if orthant else np.log(x)
+        start = np.log(x) if lower is None else x[support]
         z = _newton_kkt(residual, jacobian, np.concatenate([start, fit]), tol)
         if z is None:
             return None
@@ -780,15 +873,16 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
         return x, kappa, g, z[s + c + n_eq:], grad, tol
 
     def polish(start, support, active):
-        if not support.any() or not (orthant or (support.all() and np.all(start > 0.0))):
+        if not support.any() or lower is None and not (support.all() and np.all(start > 0.0)):
             return None
-        x, bound = np.where(support, start, 0.0), True
+        floor = 0.0 if lower is None else lower
+        x, bound = np.where(support, start, floor), True
         for _ in range(1 + POLISH_ROUNDS):
             solved = solve(x, support, active, bound)
             if solved is None:
                 return None
             x, kappa, g, mult, grad, tol = solved
-            low = support & (x < -POLISH_TOL)
+            low = support & (x < floor - POLISH_TOL)
             high = ~active & (rows @ x > rhs + POLISH_TOL)
             release = np.zeros_like(active)
             release[np.flatnonzero(active)[mult < -tol]] = True
@@ -799,7 +893,7 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, orthant=False):
             support = (support & ~low) | free
             active = (active | high) & ~release
             bound ^= flip
-            x = np.where(support, x, 0.0)
+            x = np.where(support, x, floor)
         return None
 
     return polish
@@ -1415,7 +1509,8 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     lead = len(blocks) * n  # the cap blocks follow the floor's blocks
     blocks += [_projection(Halfspace(row, 0.0), n) for row in caps]
     smooth = _smooth_polish(parts, hessian, (sigma[None, :], np.ones(1)), caps,
-                            np.zeros(len(caps)), orthant=isinstance(constraint, EffectiveBets))
+                            np.zeros(len(caps)),
+                            np.zeros(n) if isinstance(constraint, EffectiveBets) else None)
     polish = lambda x, y, dual: smooth(y[:n], y[:n] > 0.0, _active_rows(caps, dual[lead:]))
     y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma, polish=polish)
     return _gate(y / y.sum())
@@ -1528,9 +1623,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     if target_return is not None and target_return > np.min(universe.mu):
         rows, rhs = -universe.mu[None, :], np.array([-float(target_return)])
         blocks.append(_projection(Halfspace(rows[0], rhs[0]), n))
-    floor, _ = _Bridge(QpProblem(q=universe.cov, r=np.zeros(n), a=np.ones((1, n)),
-                                 b=np.ones(1), c=rows, d=rhs, lower=np.zeros(n),
-                                 upper=np.ones(n))).solve()
+    floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n), rows, rhs)
     floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
     if max_volatility < floor_vol - 1e-6:
         raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "

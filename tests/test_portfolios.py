@@ -481,6 +481,155 @@ class TestMvoTarget:
             mvo_target(u, target_return=stats(gmv, u).expected_return - 1e-3,
                        lower=np.zeros(8), upper=np.ones(8))
 
+    def test_unreachable_targets_carry_the_end_they_passed(self):
+        u, box = tilted_universe(), dict(lower=np.zeros(8), upper=np.ones(8))
+        gmv = mvo_gamma(u, 0.0, **box)
+        cases = [(dict(target_return=stats(gmv, u).expected_return - 1e-3), gmv.w),
+                 (dict(target_volatility=stats(gmv, u).volatility - 1e-3), gmv.w),
+                 (dict(target_return=0.0900001), np.eye(8)[7]),  # the top: mu_7 = 0.09
+                 (dict(target_volatility=0.5), np.eye(8)[7])]
+        for target, end in cases:
+            with pytest.raises(TargetUnreachable) as err:
+                mvo_target(u, **target, **box)
+            assert np.max(np.abs(err.value.last - end)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [8, 100])
+    @pytest.mark.parametrize("factor", [1.1, 1.3, 2.0])
+    def test_volatility_target_is_the_frontier_point(self, n, factor):
+        u, box = factor_universe(np.random.default_rng(0), n), dict(lower=np.zeros(n),
+                                                                     upper=np.ones(n))
+        gmv = mvo_gamma(u, 0.0, **box).w
+        target = factor * np.sqrt(gmv @ u.cov @ gmv)
+        w = mvo_target(u, target_volatility=target, **box).w
+        assert abs(np.sqrt(w @ u.cov @ w) - target) <= 1e-10
+        same = mvo_target(u, target_return=float(w @ u.mu), **box).w
+        assert np.max(np.abs(w - same)) <= 1e-9
+
+    def test_long_short_targets_meet_the_two_fund_frontier(self):
+        # Merton (1972): on the budget plane alone the frontier portfolio of
+        # return r is ((c - r b) C^-1 1 + (r a - b) C^-1 mu) / d
+        u = factor_universe(np.random.default_rng(0), 20)
+        inv_1, inv_mu = np.linalg.solve(u.cov, np.column_stack([np.ones(20), u.mu])).T
+        a, b, c = inv_1.sum(), inv_mu.sum(), u.mu @ inv_mu
+        d = a * c - b * b
+        frontier = lambda r: ((c - r * b) * inv_1 + (r * a - b) * inv_mu) / d
+        target = b / a + 0.03
+        w = mvo_target(u, target_return=target).w
+        assert np.max(np.abs(w - frontier(target))) <= 1e-8
+        vol = 1.3 / np.sqrt(a)  # 1.3 x the GMV volatility, sqrt(1 / a)
+        w = mvo_target(u, target_volatility=vol).w
+        assert np.max(np.abs(w - frontier((b + np.sqrt(d * (a * vol * vol - 1.0))) / a))) <= 1e-8
+        assert abs(np.sqrt(w @ u.cov @ w) - vol) <= 1e-10
+
+    @pytest.mark.parametrize("factor", [1.1, 1.5])
+    def test_short_floor_matches_the_return_target(self, factor):
+        n = 100
+        u, box = factor_universe(np.random.default_rng(0), n), dict(lower=np.full(n, -0.1),
+                                                                     upper=np.ones(n))
+        gmv = mvo_gamma(u, 0.0, **box).w
+        target = factor * np.sqrt(gmv @ u.cov @ gmv)
+        w = mvo_target(u, target_volatility=target, **box).w
+        assert np.min(w) >= -0.1 - 1e-12 and np.any(w <= -0.1 + 1e-12)  # the floor binds
+        assert abs(np.sqrt(w @ u.cov @ w) - target) <= 1e-10
+        same = mvo_target(u, target_return=float(w @ u.mu), **box).w
+        assert np.max(np.abs(w - same)) <= 1e-9
+
+    def test_each_target_is_one_solve(self, monkeypatch):
+        from proxalloc import portfolios
+
+        n = 100
+        u, box = factor_universe(np.random.default_rng(0), n), dict(lower=np.zeros(n),
+                                                                     upper=np.ones(n))
+        gmv = mvo_gamma(u, 0.0, **box).w
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a nested solve ran")
+
+        for name in ("mvo_gamma", "qp_solve", "bisect"):
+            monkeypatch.setattr(portfolios, name, fail)
+        bridges, splits = [], []
+        solve, split = portfolios._Bridge.solve, portfolios.admm_solve
+
+        def counted_bridge(*args, **kwargs):
+            bridges.append(1)
+            return solve(*args, **kwargs)
+
+        def counted_split(*args, **kwargs):
+            splits.append(1)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(portfolios._Bridge, "solve", counted_bridge)
+        monkeypatch.setattr(portfolios, "admm_solve", counted_split)
+        mvo_target(u, target_return=float(np.quantile(u.mu, 0.7)), **box)
+        assert (len(bridges), len(splits)) == (1, 0)
+        bridges.clear()
+        mvo_target(u, target_volatility=1.3 * np.sqrt(gmv @ u.cov @ gmv), **box)
+        assert (len(bridges), len(splits)) == (1, 1)
+
+    @pytest.mark.parametrize("level", [0.0, 0.05])
+    @pytest.mark.parametrize("bounds", [{}, dict(lower=np.zeros(8), upper=np.ones(8))])
+    def test_constant_mu_targets_are_the_gmv(self, level, bounds):
+        # set 1's mu is 0: every budget portfolio returns `level`, so the
+        # return row is zero or parallel to the budget row and cannot bind
+        u = SET1.universe
+        u = AssetUniverse(names=u.names, mu=np.full(8, level), sigma=u.sigma, rho=u.rho)
+        gmv = mvo_gamma(u, 0.0, **bounds)
+        w = mvo_target(u, target_return=level, **bounds)
+        assert np.max(np.abs(w.w - gmv.w)) <= 1e-10
+        for target in (dict(target_return=level - 0.01),
+                       dict(target_volatility=1.5 * stats(gmv, u).volatility)):
+            with pytest.raises(TargetUnreachable) as err:
+                mvo_target(u, **target, **bounds)
+            assert np.max(np.abs(err.value.last - gmv.w)) <= 1e-10
+
+    def test_return_below_the_box_minimum_is_the_gmv(self):
+        u, box = tilted_universe(), dict(lower=np.zeros(8), upper=np.ones(8))
+        gmv = mvo_gamma(u, 0.0, **box)
+        with pytest.raises(TargetUnreachable) as err:
+            mvo_target(u, target_return=float(u.mu.min()), **box)
+        assert np.max(np.abs(err.value.last - gmv.w)) <= 1e-10
+
+
+class TestFrontierTop:
+    """The top of the long-only frontier at n = 100: the best name alone."""
+
+    n = 100
+    box = dict(lower=np.zeros(100), upper=np.ones(100))
+
+    def test_just_above_the_top_is_refused_at_once(self):
+        u = factor_universe(np.random.default_rng(0), self.n)
+        start = time.perf_counter()
+        with pytest.raises(TargetUnreachable) as err:
+            mvo_target(u, target_return=u.mu.max() + 1e-7, **self.box)
+        assert time.perf_counter() - start < 0.1
+        assert np.array_equal(err.value.last, np.eye(self.n)[np.argmax(u.mu)])
+
+    def test_just_below_the_top_is_one_row_qp(self):
+        u = factor_universe(np.random.default_rng(0), self.n)
+        target = u.mu.max() - 1e-9
+        w = mvo_target(u, target_return=target, **self.box).w
+        assert w @ u.mu >= target - 1e-12
+        assert np.max(np.abs(w - np.eye(self.n)[np.argmax(u.mu)])) <= 1e-6
+
+    def test_the_top_is_the_max_return_vertex(self):
+        u = factor_universe(np.random.default_rng(0), self.n)
+        w = mvo_target(u, target_return=u.mu.max(), **self.box).w
+        assert np.array_equal(w, np.eye(self.n)[np.argmax(u.mu)])
+
+    def test_a_tied_top_is_the_least_variance_mix_of_the_pair(self):
+        u = factor_universe(np.random.default_rng(0), self.n)
+        second, best = np.argsort(u.mu)[-2:]
+        mu = u.mu.copy()
+        mu[second] = mu[best]
+        tied = AssetUniverse(names=u.names, mu=mu, sigma=u.sigma, rho=u.rho)
+        pair = tied.cov[np.ix_([best, second], [best, second])]
+        share = (pair[1, 1] - pair[0, 1]) / (pair[0, 0] + pair[1, 1] - 2.0 * pair[0, 1])
+        assert 0.0 < share < 1.0  # the mix is interior
+        w = mvo_target(tied, target_return=mu[best], **self.box).w
+        expected = np.zeros(self.n)
+        expected[[best, second]] = share, 1.0 - share
+        assert np.max(np.abs(w - expected)) <= 1e-10
+
 
 class TestMvoBenchmark:
     def test_zero_alpha_returns_benchmark(self):
