@@ -14,8 +14,11 @@ splits whose constraint is smooth (the entropy floors, the effective-bets
 cone, the volatility ellipsoid of the KL cap and of the volatility
 target) and the rebalancing split (turnover cap and bid/ask costs) end
 with a polish: the exact optimum on the active set or trade pattern its
-y-blocks show, by a ridge root, by Newton on the KKT system, by the
-closed-form frontier point or by one equality QP.  Inputs whose
+y-blocks show.  The active-set polishes, and index sampling's rounds,
+hand qp._settle a point solver (a ridge root, Newton on the KKT system,
+the closed-form frontier point, a held Cholesky factor) and let its one
+primal-dual loop correct the guess; the trade pattern's polish solves one
+equality QP per round of its own.  Inputs whose
 constraint sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
@@ -65,6 +68,7 @@ from .qp import (
     POLISH_TOL,
     QpProblem,
     _Bridge,
+    _settle,
     _solve_equality_qp,
     linear_projection,
     qp_solve,
@@ -385,11 +389,10 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     volatility target v maximizes mu'x on the budget plane, the box and
     x'cov x <= v^2 by a consensus split from the GMV: the x-update is
     t + mu / rho projected onto the plane, the y-blocks are the box and
-    the ellipsoid.  Its polish is the two-fund frontier point at v of the
-    names the box block's dual leaves free, the rest at their bounds, kept
-    once its KKT conditions hold; names out of the box are pinned and
-    pinned names whose reduced gradient has the wrong sign freed, at most
-    POLISH_ROUNDS times, as in ``_smooth_polish``.
+    the ellipsoid.  Its polish settles the box block's guess on the
+    two-fund frontier point at v of the free names, the rest at their
+    bounds; when too few names reach v, the point solver reports the GMV's
+    pinned names as wrong-signed, so the next round frees them.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
@@ -435,9 +438,8 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         return gmv
     held = gmv.w > low
 
-    def frontier_point(free, pinned):
+    def frontier_point(free, fixed):
         """(x, t): x = base + t step, the most return at volatility v; or None."""
-        fixed = np.where(free, 0.0, pinned)
         with np.errstate(all="ignore"):  # no free name or a singular block: no point
             try:
                 a, e, d = np.linalg.solve(cov[np.ix_(free, free)], np.column_stack(
@@ -452,30 +454,24 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
             t = (np.sqrt(a1 * a1 - a2 * a0) - a1) / a2
         return (base + t * step, t) if a2 > 0.0 and t > 0.0 and np.isfinite(t) else None
 
+    def solve(at_low, at_high):
+        free = ~(at_low | at_high)
+        fixed = np.where(at_low, low, np.where(at_high, high, 0.0))
+        solved = frontier_point(free, fixed)
+        if solved is None:  # too few names reach v: the GMV's pinned names take a wrong sign
+            wrong = at_low & held
+            return (None, np.clip(fixed, low, high), -1.0 * wrong, 0.0) if wrong.any() else None
+        point, t = solved
+        grad = cov @ point / t - mu  # of -mu'x + kappa g, g = x'cov x / 2
+        tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad))))
+        grad -= grad[free].mean()  # + nu 1
+        if np.max(np.abs(grad[free])) > tol:
+            return None  # not a stationary point: a singular block
+        return point, point, grad, tol
+
     def polish(x, y, dual):
         y, dual = y[:n], dual[:n]
-        at_low, at_high = y - low < -dual, high - y < dual  # OSQP's guess, from the box dual
-        for _ in range(1 + POLISH_ROUNDS):
-            free = ~(at_low | at_high)
-            solved = frontier_point(free, np.where(at_low, low, high))
-            if solved is None:  # too few names reach v: free the GMV's names too
-                if not (at_low & held).any():
-                    return None
-                at_low &= ~held
-                continue
-            point, t = solved
-            grad = cov @ point / t - mu  # of -mu'x + kappa g, g = x'cov x / 2
-            tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad))))
-            grad -= grad[free].mean()  # + nu 1
-            if np.max(np.abs(grad[free])) > tol:
-                return None  # not a stationary point: a singular block
-            out_low = free & (point < low - POLISH_TOL)
-            out_high = free & (point > high + POLISH_TOL)
-            wrong_low, wrong_high = at_low & (grad < -tol), at_high & (grad > tol)
-            if not (out_low | out_high | wrong_low | wrong_high).any():
-                return point
-            at_low, at_high = (at_low & ~wrong_low) | out_low, (at_high & ~wrong_high) | out_high
-        return None
+        return _settle(solve, low, high, y - low < -dual, high - y < dual)  # OSQP's guess
 
     ball = _volatility_ball_projection(cov, target)
     problem = consensus_problem(
@@ -498,18 +494,15 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     index, so the names kept do not depend on round-off (an equal-weight
     benchmark ties every name in the first round).
 
-    Each round runs a primal-dual active-set loop on the support F
-    (Hintermueller, Ito & Kunisch 2003) against one Cholesky factor of
-    C_FF, held across the rounds (linalg.SupportFactor): x_F = a + nu e
-    with a = C_FF^-1 (Cb)_F, e = C_FF^-1 1 and nu = (1 - 1'a) / 1'e;
-    names with x_F below zero leave F, and when none do, names held at
-    zero whose reduced gradient (Cx - Cb - nu)_i is below zero join it,
-    with qp._settle's tests and slack.  Round 1 starts from every name;
-    each later one from the last support less its zeros and the
-    knocked-out name.  Since u <= 1 never binds under the budget, this
-    is the exact optimum of the round.  A round whose support block is
-    singular (a duplicated asset) or that takes more than
-    1 + POLISH_ROUNDS steps is solved by one cold QP-bridge solve with
+    Each round is qp._settle over the coordinates, from the support F of
+    the last round less its zeros and the knocked-out name (every name in
+    round 1).  Its point solver holds one Cholesky factor of C_FF across
+    the rounds (linalg.SupportFactor): x_F = a + nu e with
+    a = C_FF^-1 (Cb)_F, e = C_FF^-1 1 and nu = (1 - 1'a) / 1'e, and the
+    zeros' multipliers are their reduced gradient (Cx - Cb - nu)_i.  Since
+    u <= 1 never binds under the budget, this is the exact optimum of the
+    round.  A round whose support block is singular (a duplicated asset)
+    or that runs out of rounds is solved by one cold QP-bridge solve with
     ``cfg``, and the next round factors its support afresh.  Raises BadK
     unless n_assets is an integer in [1, n] and DimensionMismatch unless
     the benchmark has n entries.
@@ -522,7 +515,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
         raise DimensionMismatch(f"benchmark has {b.size} entries for {n} assets")
     cov = universe.cov
     r = cov @ b
-    upper = np.ones(n)
+    cap = np.full(n, np.inf)  # u = 1 never binds under the budget; a knocked-out u is 0
     live_tol = 1e-7
     held, keep = None, np.ones(n, dtype=bool)
     while True:
@@ -530,54 +523,50 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
         try:
             if held is None:
                 held = SupportFactor(cov, np.flatnonzero(keep))
-            else:
-                held.remove(~keep[held.support])
-            x = _tracking_optimum(cov, r, upper, held)
+            x = _tracking_optimum(cov, r, cap, held, keep)
         except NotPositiveDefinite:
             pass
         if x is None:
             held = None
             x, _ = _Bridge(QpProblem(q=cov, r=r, a=np.ones((1, n)), b=np.ones(1),
-                                     lower=np.zeros(n), upper=upper.copy()), cfg).solve()
+                                     lower=np.zeros(n), upper=np.minimum(cap, 1.0)), cfg).solve()
         w = np.where(x < live_tol, 0.0, x)
         active = np.flatnonzero(w > 0)
         if active.size <= n_assets:
             break
         out = active[w[active] <= np.min(w[active]) + POLISH_TOL][0]
-        upper[out] = 0.0
+        cap[out] = 0.0
         keep = w > 0
         keep[out] = False
     return _gate(w)
 
 
-def _tracking_optimum(cov, r, upper, held):
-    """The optimum of one index_sampling round on ``held``'s support, or None.
+def _tracking_optimum(cov, r, cap, held, support):
+    """The optimum of one index_sampling round from the guess ``support``, or None.
 
-    Moves ``held`` to the optimum's support; None after 1 + POLISH_ROUNDS
-    steps.  Raises NotPositiveDefinite when a joining name makes the
-    support block singular.
+    ``cap`` is inf, or 0 for a knocked-out name.  Moves ``held`` to each
+    support solved; raises NotPositiveDefinite when a joining name makes
+    the support block singular.
     """
-    for _ in range(1 + POLISH_ROUNDS):
+    n, r_max = r.size, np.abs(r).max()
+
+    def solve(zero, _):
+        drop = zero[held.support]
+        if np.count_nonzero(drop):
+            held.remove(drop)
+        if held.support.size + np.count_nonzero(zero) < n:  # names join
+            for j in np.setdiff1d(np.flatnonzero(~zero), held.support):
+                held.append(j)
         f = held.support
         a, e = held.solve(r[f]), held.solve(np.ones(f.size))
         nu = (1.0 - a.sum()) / e.sum()
-        x_f = a + nu * e
-        leave = x_f < -POLISH_TOL * (1.0 + np.abs(x_f))
-        if np.any(leave):
-            held.remove(leave)
-            continue
-        x = np.zeros(r.size)
-        x[f] = x_f
-        cx = cov @ x
-        tol = POLISH_TOL * (1.0 + float(np.max(np.abs(cx))) + float(np.max(np.abs(r))))
-        grad = cx - r - nu
-        grad[f] = 0.0
-        join = np.flatnonzero((upper > 0) & (grad < -tol))
-        if join.size == 0:
-            return x
-        for j in join:
-            held.append(j)
-    return None
+        x = np.zeros(n)
+        x[f] = a + nu * e
+        cx = cov @ x  # one BLAS pass beats gathering the zeros' rows or the support's
+        tol = POLISH_TOL * (1.0 + np.abs(cx).max() + r_max)
+        return x, x, cx - r - nu, tol  # the reduced gradient, read on the zeros
+
+    return _settle(solve, 0.0, cap, ~support, np.zeros(n, dtype=bool))
 
 
 def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
@@ -692,35 +681,25 @@ def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, po
 
 def _herfindahl_polish(cov, upper, radius, accepted):
     """Polish hook of the Herfindahl split: min x'cov x on 1'x = 1,
-    0 <= x <= upper, ||x|| <= radius, solved exactly on a guessed active set.
+    0 <= x <= upper, ||x|| <= radius, settled from the box-and-ball block.
 
-    The box-and-ball y-block ends in the box clip, so its output holds
-    exact zeros Z and exact caps C; the rest F is free.  With x_Z = 0 and
-    x_C = u_C, the KKT conditions on F are (cov_FF + lam I) x_F =
-    nu 1 - cov_FC u_C and 1'x_F = 1 - 1'u_C, for the budget multiplier nu
-    and a ball multiplier lam >= 0.  In cov_FF's eigenbasis both are
-    explicit in lam: lam = lam0 when that point lies in the ball, and
-    otherwise the root of ||x(lam)|| = radius, found by ``bisect``, as the
-    ridge path's norm falls in lam; lam0 is 0, or 1e-12 eig_max when
-    cov_FF is singular (cov_FF + lam I is definite for any lam > 0).  The
-    point is kept, and its lam written to ``accepted[0]``, once it holds
-    to POLISH_TOL: 0 <= x_F <= u_F, ||x|| <= radius, and the reduced
-    gradient g = cov x + lam x - nu 1 is >= 0 on Z and <= 0 on C.
-    Otherwise the names that break these tests move and the solve
-    repeats, at most POLISH_ROUNDS times (a primal-dual active-set step,
-    Hintermueller, Ito & Kunisch 2003): free names below 0 join Z, free
-    names above their cap join C, and names of Z or C whose reduced
-    gradient has the wrong sign go free.  A free set too small to meet
-    the ball, budget^2 / |F| >= radius^2 - ||u_C||^2, is the limit
-    lam -> inf, where x_F is the equal share s of the budget and g / lam
-    is x - s: every zero and every cap above s goes free.  When the
-    rounds run out the hook returns None and ADMM goes on.
+    The block ends in the box clip, so its exact zeros Z and caps C are
+    qp._settle's first guess over the coordinates; the rest F is free.
+    The point solver's KKT conditions on F are (cov_FF + lam I) x_F =
+    nu 1 - cov_FC u_C and 1'x_F = 1 - 1'u_C, both explicit in the ball
+    multiplier lam >= 0 in cov_FF's eigenbasis: lam = lam0 (0, or
+    1e-12 eig_max for a singular cov_FF) when that point lies in the ball,
+    else the root of ||x(lam)|| = radius by ``bisect``.  The multipliers
+    are cov x + lam x - nu 1.  A free set too small to meet the ball,
+    budget^2 / |F| >= radius^2 - ||u_C||^2, is the limit lam -> inf: x_F is
+    the equal share s of the budget, and the multipliers over lam are x - s.
+    A settled point in the ball is kept and its lam written to
+    ``accepted[0]``; otherwise the hook returns None and ADMM goes on.
     """
     r2 = radius * radius
-    movable = upper > 0.0  # a zero with no room under its cap stays at 0
+    lam_of = [None]  # the ball multiplier of the last point solved
 
     def solve(zero, cap):
-        """(point, reduced gradient, sign slack, lam) on the set (zero, cap), or None."""
         free = ~(zero | cap)
         if not free.any():
             return None  # a vertex of the box leaves the multipliers to ADMM
@@ -746,9 +725,10 @@ def _herfindahl_polish(cov, upper, radius, accepted):
         if excess(lam0) > 0.0:
             # as lam grows, x_F tends to the equal share of the budget
             share = budget / free.sum()
-            if budget * share >= room:  # the limit lam -> inf, where g / lam = x - share
+            if budget * share >= room:  # the limit lam -> inf
+                lam_of[0] = np.inf
                 point = np.where(cap, upper, np.where(free, share, 0.0))
-                return point, point - share, 0.0, np.inf
+                return point, point, point - share, 0.0
             hi = eig[-1]
             while excess(hi) > 0.0:
                 hi *= 4.0
@@ -759,32 +739,18 @@ def _herfindahl_polish(cov, upper, radius, accepted):
             except MaxIterExceeded:
                 return None
         nu, z = ridge(lam)
+        lam_of[0] = lam
         point = np.where(cap, upper, 0.0)
         point[free] = vecs @ z
         grad = cov @ point + lam * point
-        tol = POLISH_TOL * float(np.max(np.abs(grad)))
-        return point, grad - nu, tol, lam
+        return point, point, grad - nu, POLISH_TOL * float(np.max(np.abs(grad)))
 
     def polish(x, y, dual):
-        zero = y <= 0.0
-        cap = (y >= upper) & ~zero
-        for _ in range(1 + POLISH_ROUNDS):
-            solved = solve(zero, cap)
-            if solved is None:
-                return None
-            point, grad, tol, lam = solved
-            free = ~(zero | cap)
-            low = free & (point < -POLISH_TOL)
-            high = free & (point > upper + POLISH_TOL)
-            release = (zero & movable & (grad < -tol)) | (cap & (grad > tol))
-            if not (low.any() or high.any() or release.any()):
-                if point @ point > r2 * (1.0 + POLISH_TOL):
-                    return None
-                accepted[0] = lam
-                return point
-            zero = (zero | low) & ~release
-            cap = (cap | high) & ~release
-        return None
+        point = _settle(solve, np.zeros_like(upper), upper, y <= 0.0, y >= upper)
+        if point is None or point @ point > r2 * (1.0 + POLISH_TOL):
+            return None
+        accepted[0] = lam_of[0]
+        return point
 
     return polish
 
@@ -800,33 +766,31 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, lower=None):
     ``hessian(x, kappa)`` the n x n Hessian of f + kappa g.  The hook
     takes a start point, its support S (x pinned at ``lower`` elsewhere,
     so S holds every name whose bound is -inf) and the mask of active
-    rows, and solves the KKT system with g taken as binding,
-        grad f + kappa grad g + E'nu + R'm = 0 on S,  g(x) = 0,
+    rows, qp._settle's first guess over [E x; R x; g; x] with g binding.
+    The point solver is ``_newton_kkt`` on the guess's KKT system,
+        grad f + kappa grad g + E'nu + R'm = 0 on S,  g(x) = 0 if g binds,
         E x = e,  R x = r  (R, r the active rows),
-    by ``_newton_kkt`` from the start, its multipliers fitted by least
-    squares (OSQP's solution polishing, Stellato et al. 2020, sec. 4,
-    carried to a smooth constraint).  Newton stops once the residual is
-    at most POLISH_TOL max(1, ||grad f||_inf).  The point is kept when
-    kappa >= 0, m >= 0, x_S >= lower_S, g and the inactive rows hold, and
-    the reduced gradient grad f + kappa grad g + E'nu + R'm is >= 0 on the
-    pinned names, all to that tolerance.  When Newton converged but one of
-    these fails, what breaks them moves and the solve repeats, at most
-    POLISH_ROUNDS times (a primal-dual active-set step, Hintermueller, Ito
-    & Kunisch 2003): names below their bound leave S and pinned names
-    with a negative reduced gradient join it, violated rows join the
-    active set and rows with a negative multiplier leave it, g among them.
-    Returns None otherwise, and ADMM goes on.
+    from the last Newton point and least-squares multipliers (OSQP's
+    solution polishing, Stellato et al. 2020, sec. 4, carried to a smooth
+    constraint), to the residual POLISH_TOL max(1, ||grad f||_inf), which
+    is also the sign slack.  None, when Newton fails or the rounds run
+    out, lets ADMM go on.
     """
     e_rows, e_rhs = plane
-    n, n_eq = e_rows.shape[1], e_rhs.size
+    n, n_eq, k = e_rows.shape[1], e_rhs.size, rhs.size
+    floor = np.full(n, -np.inf) if lower is None else lower
+    lo = np.concatenate([e_rhs, np.full(k + 1, -np.inf), floor])
+    hi = np.concatenate([e_rhs, rhs, [0.0], np.full(n, np.inf)])
+    last = [None]  # the last Newton point, where the next solve starts
 
-    def solve(x, support, active, bound):
-        """(point, kappa, g, row multipliers m, reduced gradient, tol), or None."""
+    def solve(at_lo, at_hi):
+        support, active, bound = ~at_lo[-n:], at_hi[n_eq:n_eq + k], at_hi[n_eq + k]
+        x = np.where(support, last[0], floor)
         lin = np.vstack([e_rows, rows[active]])
         # the pinned names' share of the rows, 0 when the bound is 0
         target = np.concatenate([e_rhs, rhs[active]]) - lin[:, ~support] @ x[~support]
         sub = lin[:, support]
-        s, c = int(support.sum()), int(bound)  # c: the column of kappa, if any
+        s = int(support.sum())
 
         def full(z):
             if lower is None:
@@ -840,7 +804,7 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, lower=None):
             grad_f, g, grad_g = parts(point)
             values = sub @ point[support] - target
             if bound:
-                return grad_f, np.vstack([grad_g[support], sub]), np.append(g, values)
+                return grad_f, np.vstack([sub, grad_g[support]]), np.append(values, g)
             return grad_f, sub, values
 
         def residual(z):
@@ -850,7 +814,7 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, lower=None):
         def jacobian(z):
             point = full(z)
             grads = system(point)[1]
-            h = hessian(point, z[s] if bound else 0.0)
+            h = hessian(point, z[-1] if bound else 0.0)
             jac = np.zeros((z.size,) * 2)
             jac[:s, :s] = h if support.all() else h[np.ix_(support, support)]
             jac[:s, s:] = grads.T
@@ -866,35 +830,22 @@ def _smooth_polish(parts, hessian, plane, rows, rhs, lower=None):
         z = _newton_kkt(residual, jacobian, np.concatenate([start, fit]), tol)
         if z is None:
             return None
-        x = full(z)
+        x = last[0] = full(z)
         grad_f, g, grad_g = parts(x)
-        kappa = z[s] if bound else 0.0
-        grad = grad_f + kappa * grad_g + lin.T @ z[s + c:]
-        return x, kappa, g, z[s + c + n_eq:], grad, tol
+        kappa = z[-1] if bound else 0.0
+        mult = np.zeros(lo.size)  # z[s:] = (nu, m, kappa) on the active [E; R; g]
+        mult[:-n][(at_lo | at_hi)[:-n]] = -z[s:]
+        mult[-n:] = grad_f + kappa * grad_g + lin.T @ z[s:s + lin.shape[0]]
+        return x, np.concatenate([e_rows @ x, rows @ x, [g], x]), mult, tol
 
     def polish(start, support, active):
         if not support.any() or lower is None and not (support.all() and np.all(start > 0.0)):
             return None
-        floor = 0.0 if lower is None else lower
-        x, bound = np.where(support, start, floor), True
-        for _ in range(1 + POLISH_ROUNDS):
-            solved = solve(x, support, active, bound)
-            if solved is None:
-                return None
-            x, kappa, g, mult, grad, tol = solved
-            low = support & (x < floor - POLISH_TOL)
-            high = ~active & (rows @ x > rhs + POLISH_TOL)
-            release = np.zeros_like(active)
-            release[np.flatnonzero(active)[mult < -tol]] = True
-            free = ~support & (grad < -tol)
-            flip = kappa < -tol if bound else g > tol  # g leaves or joins
-            if not (low.any() or high.any() or release.any() or free.any() or flip):
-                return x
-            support = (support & ~low) | free
-            active = (active | high) & ~release
-            bound ^= flip
-            x = np.where(support, x, floor)
-        return None
+        last[0] = start
+        at_lo = np.concatenate([np.zeros(n_eq + k + 1, dtype=bool), ~support])
+        at_hi = np.concatenate([np.zeros(n_eq, dtype=bool), active, [True],  # g binds
+                                np.zeros(n, dtype=bool)])
+        return _settle(solve, lo, hi, at_lo, at_hi)
 
     return polish
 

@@ -20,6 +20,8 @@ At every power-of-two iteration (1, 2, 4, ...) and on convergence
 the active set is guessed from z and the dual, and the point is
 polished: an equality QP on the free coordinates, kept only if it is
 feasible and its multipliers have the right signs, which ends the solve.
+``_settle``, the primal-dual active-set loop of every polish in the
+package, corrects the guess.
 An empty feasible set is certified from the change of the dual (Banjac,
 Goulart, Stellato & Boyd 2019), and every returned answer is checked by
 ``stationarity_residual``, which the report keeps.  The same solver
@@ -31,6 +33,7 @@ Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -204,66 +207,58 @@ class _ClippedSplit:
 
 
 def _polish(problem, split, z, dual):
-    """The exact optimum on the active set guessed from z and the dual, or None.
+    """The exact optimum from the active set guessed from z and the dual, or None.
 
-    A row of K is taken as active at its lower bound when z - l < -dual
-    and at its upper bound when u - z < dual (OSQP's guess); _settle
-    decides whether the guess is kept.
+    A row of K is guessed active at l when z - l < -dual and at u when
+    u - z < dual (OSQP's guess), and _settle corrects the guess.
     """
-    return _settle(problem, split, z - split.lo < -dual, split.hi - z < dual)
+    return _settle(functools.partial(_active_set_point, problem, split), split.lo, split.hi,
+                   z - split.lo < -dual, split.hi - z < dual)
 
 
-def _settle(problem, split, at_lo, at_hi):
-    """The exact optimum on the active rows at_lo / at_hi (masks over K), or None.
+def _settle(solve, lo, hi, at_lo, at_hi):
+    """The primal-dual active-set loop of every polish: a KKT point, or None.
 
-    Rows with l = u (equalities, pinned coordinates) are always active,
-    at their lower bound.  Active box rows fix their coordinates, active
-    dense rows become equalities, and the equality QP on the free
-    coordinates is solved by _solve_equality_qp.  The point is kept once
-    every row holds to POLISH_TOL and every inequality multiplier has the
-    sign the KKT conditions need; rows with l = u take multipliers of
-    either sign.  Otherwise the active set is corrected and the solve
-    repeats, at most POLISH_ROUNDS times (a primal-dual active-set step,
-    Hintermueller, Ito & Kunisch 2003): rows the point violates join it,
-    or, when it violates none, the rows whose multiplier has the wrong
-    sign leave it.  This settles the ties of a nearly flat objective and
-    an active set guessed one row off.
+    The constraints are entries c(x) in [lo, hi], ordered [rows; g;
+    coordinates] by the caller, and at_lo / at_hi mask the entries guessed
+    at a bound; entries with lo = hi are always active, at lo.
+    ``solve(at_lo, at_hi)`` returns the optimum with the active entries at
+    their bounds as (x, c(x), mult, tol), mult holding one multiplier per
+    entry (grad f = sum_active mult_i grad c_i) and tol their sign slack;
+    or None.  The point is kept once every free entry holds to
+    POLISH_TOL (1 + |c|) and every multiplier has its KKT sign, >= -tol at
+    lo and <= tol at hi (either where lo = hi).  Otherwise one primal-dual
+    active-set step (Hintermueller, Ito & Kunisch 2003) pins the free
+    entries the point breaks and frees the active ones with a wrong-signed
+    multiplier, in the same round, at most POLISH_ROUNDS times.  Solvers
+    keep their own warm state.
     """
-    m, lo, hi = split.m, split.lo, split.hi
-    equal = lo == hi
-    at_lo = at_lo | equal
+    movable = lo != hi
+    at_lo = at_lo | ~movable
     at_hi = at_hi & ~at_lo
     for _ in range(1 + POLISH_ROUNDS):
-        point = _active_set_point(problem, split, at_lo, at_hi)
-        if point is None:
-            return None
-        x, nu, grad, tol = point
-        kx = split.apply(x)
-        slack = POLISH_TOL * (1.0 + np.abs(kx))
-        below, above = kx < lo - slack, kx > hi + slack
-        if np.any(below) or np.any(above):
-            at_lo = at_lo | below
-            at_hi = (at_hi | above) & ~at_lo
-            continue
-        # only C rows sit at an upper bound; the multipliers of A's rows
-        # take either sign
-        dense = np.flatnonzero((at_lo | at_hi)[:m])
-        release = np.zeros_like(at_lo)
-        release[dense[at_hi[dense] & (nu > tol)]] = True
-        release[m:] = (at_lo[m:] & ~equal[m:] & (grad < -tol)) | (at_hi[m:] & (grad > tol))
-        if not np.any(release):
+        solved = solve(at_lo, at_hi)
+        if solved is None or not np.isfinite(solved[1]).all():
+            return None  # no point, or a singular system's
+        x, values, mult, tol = solved
+        slack = POLISH_TOL * (1.0 + np.abs(values))
+        free = ~(at_lo | at_hi)
+        below, above = free & (values < lo - slack), free & (values > hi + slack)
+        release = movable & ((at_lo & (mult < -tol)) | (at_hi & (mult > tol)))
+        if not np.count_nonzero(below | above | release):  # .any() costs 3x on short masks
             return x
-        at_lo, at_hi = at_lo & ~release, at_hi & ~release
+        at_lo, at_hi = (at_lo & ~release) | below, (at_hi & ~release) | above
     return None
 
 
 def _active_set_point(problem, split, at_lo, at_hi):
-    """Solve the equality QP of one active set.
+    """The bridge's point solver for _settle: the equality QP of one active set.
 
-    Returns (x, nu, grad, tol): the point, the multipliers of the active
-    dense rows (Q x - R = K_act'nu on the free coordinates), the reduced
-    gradient Q x - R - K_act'nu whose sign the fixed coordinates check,
-    and the multiplier-sign slack; None when the QP is singular.
+    Active box rows fix their coordinates, active dense rows become
+    equalities for _solve_equality_qp on the free coordinates.  The
+    multipliers are nu on the dense rows (Q x - R = K_act'nu on the free
+    coordinates) and Q x - R - K_act'nu on the coordinates; None when the
+    QP is singular or its point misses the active rows.
     """
     m, lo, hi = split.m, split.lo, split.hi
     fix_lo, fix_hi = at_lo[m:], at_hi[m:]
@@ -286,11 +281,13 @@ def _active_set_point(problem, split, at_lo, at_hi):
                                          target - rows[:, ~free] @ x[~free])
     except (NotPositiveDefinite, np.linalg.LinAlgError):
         return None
-    if not np.all(np.isfinite(x)):
-        return None
+    if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
+        return None  # inconsistent active rows: a nearly singular system
     qx = PenaltyFactor(q).matvec(x)
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
-    return x, nu, qx - r - rows.T @ nu, tol
+    mult = np.concatenate([np.zeros(m), qx - r - rows.T @ nu])
+    mult[:m][active] = nu
+    return x, split.apply(x), mult, tol
 
 
 def default_qp_config(problem=None):

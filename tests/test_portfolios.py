@@ -683,6 +683,26 @@ class TestIndexSampling:
         again = index_sampling(SET1.universe, SET1.benchmark, 4)
         assert np.array_equal(w.w, again.w)
 
+    def test_a_round_where_one_name_leaves_and_one_joins_matches_a_cold_solve(self):
+        from proxalloc.linalg import SupportFactor
+        from proxalloc.portfolios import _tracking_optimum
+        from proxalloc.qp import _Bridge
+
+        cov, n = SET1.universe.cov, 8
+        b = np.array([0.4, 0.3, -0.1, 0.2, 0.3, -0.2, 0.1, 0.0])  # outside the box
+        r = cov @ b
+        cold, _ = _Bridge(QpProblem(q=cov, r=r, a=np.ones((1, n)), b=np.ones(1),
+                                    lower=np.zeros(n), upper=np.ones(n))).solve()
+        assert list(np.flatnonzero(cold > 1e-12)) == [0, 1, 4, 6]
+        guess = np.isin(np.arange(n), [1, 4, 5, 6])  # 0 must join and 5 leave
+        held = SupportFactor(cov, np.flatnonzero(guess))
+        solve, solves = held.solve, []
+        held.solve = lambda rhs: solves.append(1) or solve(rhs)
+        x = _tracking_optimum(cov, r, np.full(n, np.inf), held, guess)
+        assert len(solves) == 4  # two triangular pairs: the guess and one correction
+        assert np.max(np.abs(x - cold)) <= 1e-10
+        assert sorted(held.support) == [0, 1, 4, 6] == list(np.flatnonzero(x > 0))
+
     @pytest.mark.parametrize("n", [8, 12, 30, 60])
     def test_matches_a_cold_qp_per_round(self, n):
         rng = np.random.default_rng(n)
@@ -1028,15 +1048,19 @@ class TestGmvHerfindahl:
 
     def test_polish_out_of_rounds_returns_none_and_admm_goes_on(self, monkeypatch,
                                                                  admm_reports):
-        from proxalloc import portfolios
+        from proxalloc import portfolios, qp
 
         u, caps = SET1.universe, np.full(8, 0.3)
         accepted = [None]
         polish = portfolios._herfindahl_polish(u.cov, caps, 0.5, accepted)
         # this guess needs one correction more than POLISH_ROUNDS allows
         assert polish(None, 0.15 * np.eye(8)[0], None) is None and accepted == [None]
+        rounds = qp.POLISH_ROUNDS
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", rounds + 1)  # and exactly one more
+        assert polish(None, 0.15 * np.eye(8)[0], None) is not None
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", rounds)
         expected, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
-        monkeypatch.setattr(portfolios, "POLISH_ROUNDS", 0)  # the sweep's guess only
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", 0)  # the sweep's guess only
         w, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
         assert admm_reports[0].iterations == 1 < admm_reports[1].iterations
         assert admm_reports[1].polished

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxalloc import data, qp
 from proxalloc.errors import (
@@ -9,7 +13,9 @@ from proxalloc.errors import (
 )
 from proxalloc.linalg import solve_spd
 from proxalloc.qp import (
+    POLISH_TOL,
     QpProblem,
+    _Bridge,
     canonicalize,
     linear_projection,
     qp_dual,
@@ -162,7 +168,8 @@ class TestQpSolve:
         split = qp._ClippedSplit(p)
         at_lo = np.zeros(split.m + 3, dtype=bool)
         at_lo[-1] = True  # x_3 guessed at 0, where the reduced gradient is -0.15
-        x = qp._settle(p, split, at_lo, np.zeros_like(at_lo))
+        x = qp._settle(functools.partial(qp._active_set_point, p, split), split.lo, split.hi,
+                       at_lo, np.zeros_like(at_lo))
         assert x is not None and np.max(np.abs(x - p.r)) <= 1e-14
 
     def test_report_traces_align_with_iterations(self):
@@ -187,6 +194,98 @@ class TestQpSolve:
                       lower=1000.0, upper=2000.0)
         with pytest.raises(InfeasibleSuspected):
             qp_solve(p)
+
+
+def budget_box_settle(q, r, lower, upper, at_lo, at_hi):
+    """qp._settle on min 0.5 x'qx - r'x s.t. 1'x = 1, lower <= x <= upper,
+    from a guess over the coordinates; returns (x, number of point solves)."""
+    n = len(r)
+    p = QpProblem(q=q, r=r, a=np.ones((1, n)), b=[1.0], lower=lower, upper=upper)
+    split = qp._ClippedSplit(p)
+    calls = []
+
+    def solve(lo_mask, hi_mask):
+        calls.append(1)
+        return qp._active_set_point(p, split, lo_mask, hi_mask)
+
+    pad = np.zeros(split.m, dtype=bool)
+    x = qp._settle(solve, split.lo, split.hi, np.concatenate([pad, at_lo]),
+                   np.concatenate([pad, at_hi]))
+    return x, len(calls)
+
+
+def budget_box_kkt_gap(q, r, upper, x):
+    """How far x misses the KKT conditions of min 0.5 x'qx - r'x on 1'x = 1,
+    0 <= x <= upper, less the sign slack of qp._active_set_point; <= 0 when
+    they hold."""
+    g = q @ x - r
+    tol = POLISH_TOL * (1.0 + np.max(np.abs(q @ x)) + np.max(np.abs(r)))
+    slack = POLISH_TOL * (1.0 + np.abs(x))
+    at_lo, at_hi = x <= slack, x >= upper - slack
+    # a budget multiplier nu with g_i >= nu at 0, g_i <= nu at the cap, g_i = nu between
+    below = g[~at_lo]  # nu >= g_i - tol on these
+    above = g[~at_hi]  # nu <= g_i + tol on these
+    sign = max(below.max(initial=-np.inf) - above.min(initial=np.inf) - 2.0 * tol, 0.0)
+    box = max(np.max(-x - slack), np.max(x - upper - slack), 0.0)
+    return max(sign, box, abs(x.sum() - 1.0) - 2.0 * POLISH_TOL)
+
+
+class TestSettle:
+    """The one primal-dual active-set loop, on hand-built budget-and-box QPs."""
+
+    Q, R = np.eye(3), np.array([0.8, 0.6, -0.4])  # optimum (0.6, 0.4, 0), nu = -0.2
+
+    def test_a_guess_wrong_both_ways_settles_in_one_round(self, monkeypatch):
+        # x_2 pinned at 0 with reduced gradient -0.9, and on that guess the free
+        # x_3 falls to -0.1: both move in the first correction, where pinning
+        # first and releasing after would take a second one
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", 1)
+        x, solves = budget_box_settle(self.Q, self.R, 0.0, np.inf, np.array([0, 1, 0], bool),
+                                      np.zeros(3, bool))
+        assert solves == 2 and np.max(np.abs(x - [0.6, 0.4, 0.0])) <= 1e-14
+
+    def test_a_guess_that_needs_more_rounds_than_allowed_returns_none(self, monkeypatch):
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", 0)
+        x, solves = budget_box_settle(self.Q, self.R, 0.0, np.inf, np.array([0, 1, 0], bool),
+                                      np.zeros(3, bool))
+        assert x is None and solves == 1
+
+    @pytest.mark.parametrize("guess", ["lower", "upper", "free"])
+    def test_an_entry_with_equal_bounds_is_never_released(self, guess):
+        # x_3 is fixed at 0.5, where its reduced gradient -0.5 would free a lower bound
+        at_lo, at_hi = np.zeros(3, bool), np.zeros(3, bool)
+        {"lower": at_lo, "upper": at_hi, "free": np.zeros(3, bool)}[guess][2] = True
+        x, solves = budget_box_settle(np.eye(3), np.array([0.2, 0.1, 0.9]), [0.0, 0.0, 0.5],
+                                      [1.0, 1.0, 0.5], at_lo, at_hi)
+        assert solves == 1 and np.max(np.abs(x - [0.3, 0.2, 0.5])) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), caps_sum_to_one=st.booleans(),
+           duplicate=st.booleans(), flips=st.floats(0.0, 0.5))
+    def test_settle_returns_none_or_the_bridge_optimum(self, seed, n, caps_sum_to_one, duplicate,
+                                                       flips):
+        rng = np.random.default_rng(seed)
+        distinct = n - 1 if duplicate and n > 1 else n
+        f = rng.standard_normal((distinct, 2))
+        q = 0.05 * f @ f.T + np.diag(rng.uniform(1e-3, 0.05, distinct))
+        idx = list(range(distinct)) + [distinct - 1] * (n - distinct)
+        q = q[np.ix_(idx, idx)]  # a duplicated asset makes q singular
+        r = rng.normal(scale=0.05, size=n)  # its own r keeps the optimum unique
+        if caps_sum_to_one:  # multiples of 1/64, so the sum is exactly 1
+            upper = (rng.multinomial(64 - n, np.full(n, 1.0 / n)) + 1) / 64.0
+        else:
+            upper = rng.uniform(min(1.5 / n, 1.0), 1.0, n)
+        p = QpProblem(q=q, r=r, a=np.ones((1, n)), b=[1.0], lower=np.zeros(n), upper=upper)
+        best = _Bridge(p).solve()[0]
+        # the optimum's active set with a random share of its entries flipped
+        flip = rng.random(n) < flips
+        at_lo = (best <= 1e-12) != (flip & (rng.random(n) < 0.5))
+        at_hi = ((best >= upper - 1e-12) != (flip & (rng.random(n) < 0.5))) & ~at_lo
+        x, _ = budget_box_settle(q, r, np.zeros(n), upper, at_lo, at_hi)
+        if x is not None:
+            assert np.all(np.isfinite(x))
+            assert budget_box_kkt_gap(q, r, upper, x) <= 0.0
+            assert np.max(np.abs(x - best)) <= 1e-9
 
 
 def return_floor_qp(floor):
