@@ -23,8 +23,8 @@ tries.  The QP bridge uses both hooks; the model splits of
 ``portfolios`` whose constraint is a ball or smooth (the Herfindahl
 ball, the entropy floors, the effective-bets cone, the volatility
 ellipsoid of the KL cap and of ``mvo_target``) polish too, and so does
-the rebalancing split, on its trade pattern.  Every active-set polish
-runs its rounds in ``qp._settle``.
+the rebalancing split, on its trade pattern.  Every polish runs its
+rounds in ``qp._settle``; the trade pattern's is its sixth point solver.
 """
 
 from dataclasses import dataclass

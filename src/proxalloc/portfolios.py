@@ -14,12 +14,11 @@ splits whose constraint is smooth (the entropy floors, the effective-bets
 cone, the volatility ellipsoid of the KL cap and of the volatility
 target) and the rebalancing split (turnover cap and bid/ask costs) end
 with a polish: the exact optimum on the active set or trade pattern its
-y-blocks show.  The active-set polishes, and index sampling's rounds,
-hand qp._settle a point solver (a ridge root, Newton on the KKT system,
-the closed-form frontier point, a held Cholesky factor) and let its one
-primal-dual loop correct the guess; the trade pattern's polish solves one
-equality QP per round of its own.  Inputs whose
-constraint sets are empty are caught before the ADMM loop starts.
+y-blocks show.  Every polish, and index sampling's rounds, hands
+qp._settle a point solver (a ridge root, Newton on the KKT system, the
+closed-form frontier point, a held Cholesky factor, an equality QP in
+trade variables) and lets its one primal-dual loop correct the guess.
+Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
 normalization gate (tiny negative clips, budget rescale), so solver
@@ -64,7 +63,6 @@ from .prox import (
     soft_threshold,
 )
 from .qp import (
-    POLISH_ROUNDS,
     POLISH_TOL,
     QpProblem,
     _Bridge,
@@ -573,12 +571,9 @@ def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
     """MVO with the sum of buys and sells capped: min 0.5 x'Cx - gamma mu'x
     s.t. 1'x = 1, 0 <= x <= 1, ||x - current||_1 <= turnover_cap.
 
-    The consensus split of rebalance_penalized (box and l1-ball blocks,
-    the same InfeasibleTargets check) with gamma mu in the x-update, ended
-    by the same trade-pattern polish.
+    The split, checks of the cap and trade-pattern polish of
+    rebalance_penalized, with gamma mu in the x-update.
     """
-    if turnover_cap < 0:
-        raise ValueError("turnover_cap must be nonnegative")
     zero = np.zeros(universe.n)
     return _rebalance_split(universe, as_vector(current), turnover_cap, None,
                             gamma * universe.mu, zero, zero, cfg)
@@ -1067,20 +1062,20 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
 
     min 0.5 x'Cx + cost_scale sum_i (bid_i (c_i - x_i)_+ + ask_i (x_i - c_i)_+)
     s.t. 1'x = 1, 0 <= x <= upper, ||x - c||_1 <= turnover_cap, for the
-    holdings c.  Consensus ADMM with one y-block per term: the box, the
-    l1-ball of the turnover cap centered at the holdings, and the bid/ask
-    prox of the costs (a no-trade band around the holdings); the split
-    ends at the polish of ``_trade_polish`` once the trade pattern shows.
-    A turnover cap below the l1 distance from the holdings c to the
-    long-only budget set, sum |c - clip(c)| + |1 - sum clip(c)| with clip
-    into [0, upper], raises InfeasibleTargets before the loop, with
-    clip(c) as ``last``.  A cost_scale <= 0 charges no costs.
+    holdings c.  Consensus ADMM with one y-block per term (the box, the
+    l1-ball of the cap around c, the bid/ask prox of the costs: a no-trade
+    band around c), ended by the trade-pattern polish ``_trade_polish``.
+    A negative cap raises ValueError, and one below the l1 distance from c
+    to the long-only budget set, sum |c - clip(c)| + |1 - sum clip(c)| with
+    clip into [0, upper], raises InfeasibleTargets before the loop, with
+    clip(c) as ``last``; a cap of 0 that meets it returns the holdings.
+    A cost_scale <= 0 charges no costs.
     """
     current = as_vector(current)
     scale = max(cost_scale, 0.0)
     bid = scale * np.broadcast_to(np.asarray(bid_cost, dtype=float), current.shape)
     ask = scale * np.broadcast_to(np.asarray(ask_cost, dtype=float), current.shape)
-    return _rebalance_split(universe, current, turnover_cap, upper, 0.0, bid, ask, cfg)
+    return _rebalance_split(universe, current, turnover_cap, upper, 0.0 * current, bid, ask, cfg)
 
 
 def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, cfg):
@@ -1091,12 +1086,14 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
     in that order, ended by ``_trade_polish``."""
     n = universe.n
     upper_vec = _bound(upper, 1.0, n, "upper")
-    if turnover_cap is not None and turnover_cap <= 0:
-        return _gate(current)
     blocks = [_projection(Box(np.zeros(n), upper_vec), n)]
     if turnover_cap is not None:
+        if turnover_cap < 0:
+            raise ValueError("turnover_cap must be nonnegative")
         clipped = np.clip(current, 0.0, upper_vec)
         needed = float(np.sum(np.abs(current - clipped)) + abs(1.0 - clipped.sum()))
+        if turnover_cap == 0 and needed <= CAP_SLACK:
+            return _gate(current)  # nothing trades, and the holdings meet the box and budget
         if turnover_cap < needed:
             raise InfeasibleTargets(f"turnover cap {turnover_cap} below the {needed:.6g} "
                                     "needed to reach a long-only budget portfolio",
@@ -1104,7 +1101,6 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
         blocks.append(_projection(LpBall(1, current, float(turnover_cap)), n))
     if np.any(bid) or np.any(ask):
         blocks.append(lambda phi: lambda t: prox_bid_ask(t, 1.0 / phi, bid, ask, current))
-    linear = np.broadcast_to(np.asarray(linear, dtype=float), (n,))
     polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
     return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear,
                            polish=polish))
@@ -1116,69 +1112,94 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
     s.t. 1'x = 1, 0 <= x <= upper, ||x - c||_1 <= cap (no cap when None),
     for the holdings c = ``current`` and the scaled costs ``bid``, ``ask``.
 
-    Each name's trade pattern is read from the y-blocks' exact outputs:
-    held at c where the l1-ball or bid/ask block returns c (to round-off)
-    and c lies in the box, else zero or cap from the box clip, else bought
-    (s = 1) or sold (s = -1) by the sign of the box block's y - c.  The
-    cap binds when the ball block's y lies on its sphere.  With the pinned
-    names P at their
-    values, the KKT conditions on the traded names T are an equality QP,
-    solved by qp._solve_equality_qp (OSQP's solution polishing, Stellato
-    et al. 2020, sec. 4, carried to the trade pattern):
+    In trade variables x = c + b - s, buys b >= 0 and sells s >= 0, the
+    kinks at c are bounds, and qp._settle settles the entries [budget row
+    1'x = 1; turnover row 1'(b + s) <= cap, when a cap is given; x in
+    [0, upper]; b >= 0; s >= 0] from the guess of the y-blocks' exact
+    outputs: held (b = s = 0) where the ball or bid/ask block returns c
+    and c is in the box, else zero or cap from the box clip, else bought
+    or sold by the sign of the box block's y - c; the row binds when the
+    ball block's y lies on its sphere.  The point solver pins x at an
+    active bound, holds a name whose b and s are active, and trades the
+    rest the way its free trade variable points (the guess's way when
+    both are); a name without a cost, while the row is inactive, trades
+    freely.  The traded names T solve one equality QP
+    (qp._solve_equality_qp; OSQP's solution polishing, Stellato et al.
+    2020, sec. 4):
         cov_TT x_T - nu 1 + theta s_T = linear_T - cov_TP x_P - cost_T,
         1'x_T = 1 - 1'x_P,  s_T'(x_T - c_T) = cap - ||x_P - c_P||_1,
-    cost_T being ask on buys and -bid on sells, and the turnover row, with
-    its multiplier theta >= 0, only while the cap binds.  When every
-    traded name trades one way the row is s times the budget row: it is
-    dropped, the pattern fixes the turnover, and theta is the least value
-    >= 0 the pinned names admit.  The point is kept once, to POLISH_TOL
-    (relative to 1 + ||cov x||_inf + ||linear||_inf on the gradient),
-    every trade keeps its sign and stays in the box, the turnover is at
-    most cap, theta >= 0, and on every pinned name the reduced gradient
-    g = cov x - linear - nu 1 lies in the interval its value admits:
-    [-ask_i - theta, bid_i + theta] when held, >= bid_i + theta at a zero
-    sold out, <= -ask_i - theta at a cap bought up to (<= bid_i + theta at
-    one sold down to).  Otherwise the solve repeats, at most POLISH_ROUNDS
-    times (a primal-dual active-set step, Hintermueller, Ito & Kunisch
-    2003).  A point that breaks the primal tests moves only those names: a
-    trade that crosses c is held where c is a kink (a cost on the name, or
-    the cap binding; elsewhere the sign follows the point), one that
-    leaves the box is pinned at its bound, and a broken cap binds.
-    While the cap binds, every trade shares one turnover, so only the
-    names that block first on the segment from the last point that met
-    them are pinned.  A point that meets them moves the pinned names whose
-    g leaves its interval to trade the way g points, and drops the row
-    when theta < 0; one way, a pattern over the cap frees the name whose
-    bound on theta is lowest, and one under it with theta > 0 the name
-    whose bound is highest.  Returns None otherwise, and ADMM goes on.
+    s_T the ways, cost_T ask on buys and -bid on sells, and the turnover
+    row only while it binds.  b and s are read from the point; a trade
+    that crosses c reads as held on x.  With h = cov x - linear - nu the
+    multipliers are nu and -theta on the rows, mu_b = h + ask + theta - mu_x
+    and mu_s = bid + theta - h + mu_x, mu_x being 0 on a free x and, at a
+    bound, h - bid - theta where the name sold to it or holds its cap,
+    else h + ask + theta.  When every traded name trades one way s, the
+    turnover row is s times the budget row: it is dropped, and theta is
+    the least value >= 0 the active signs admit; over the cap, or under it
+    with that theta > 0, the sign that blocks theta first is reported
+    wrong.  None when no name trades or the polish fails: ADMM goes on.
     """
-    n = current.size
-    holdable = (current >= 0.0) & (current <= upper)
+    n, rows = current.size, 1 if cap is None else 2  # the budget row, then the turnover row
+    lo = np.concatenate([[1.0, -np.inf][:rows], np.zeros(3 * n)])
+    hi = np.concatenate([[1.0, cap][:rows], upper, np.full(2 * n, np.inf)])
+    holdable, cost = (current >= 0.0) & (current <= upper), bid + ask > 0.0
 
-    def solve(pin, value, sign, bind):
-        """(point, g, theta, one-way sign or 0, tol) on the traded names ~pin, or None."""
-        free = ~pin
+    def solve(guess, at_lo, at_hi):
+        """(x, entries, multipliers, tol) of the pattern at_lo / at_hi, or None."""
+        bind, top = rows == 2 and at_hi[1], at_hi[rows:rows + n]
+        x_lo, b_lo, s_lo = at_lo[rows:].reshape(3, n)
+        pinned, kink = x_lo | top, cost | bind
+        free = ~pinned & ~(kink & b_lo & s_lo)
         if not free.any():
             return None  # a vertex leaves the multipliers to ADMM
-        x = np.where(pin, value, 0.0)
-        s = sign[free]
+        # the way each name trades: 1 buys, -1 sells, 0 with no kink
+        way = np.where(kink & free, np.where(b_lo == s_lo, guess, np.where(b_lo, -1.0, 1.0)), 0.0)
+        x, s = np.where(top, upper, np.where(pinned, 0.0, current)), way[free]
         one_way = bool(bind and np.all(s == s[0]))
-        rows, rhs = np.ones((1, s.size)), [1.0 - x[pin].sum()]
+        a, rhs = np.ones((1, s.size)), [1.0 - x[~free].sum()]
         if bind and not one_way:
-            rows = np.vstack([rows, s])
-            rhs.append(cap - np.abs(x[pin] - current[pin]).sum() + s @ current[free])
+            a = np.vstack([a, s])
+            rhs.append(cap - np.abs(x[~free] - current[~free]).sum() + s @ current[free])
         cov_rows = cov[free]
-        r = linear[free] - cov_rows[:, pin] @ x[pin] - np.where(s > 0, ask[free], -bid[free])
+        r = (linear[free] - cov_rows[:, ~free] @ x[~free]
+             - np.where(way > 0, ask, -bid)[free] * abs(s))  # ask on buys, -bid on sells
         try:
-            x[free], nu = _solve_equality_qp(cov_rows[:, free], r, rows, np.array(rhs))
+            x[free], nu = _solve_equality_qp(cov_rows[:, free], r, a, np.array(rhs))
         except (NotPositiveDefinite, np.linalg.LinAlgError):
-            return None
-        if not np.all(np.isfinite(x)):
             return None
         cx = cov @ x
         tol = POLISH_TOL * (1.0 + float(np.max(np.abs(cx))) + float(np.max(np.abs(linear))))
-        theta = -nu[1] if nu.size == 2 else 0.0
-        return x, cx - linear - nu[0], theta, s[0] if one_way else 0.0, tol
+        h, trade = cx - linear - nu[0], x - current
+        buys = np.where(way > 0, trade, np.where(way < 0, 0.0, np.maximum(trade, 0.0)))
+        sells = buys - trade
+        reads = np.where(np.minimum(buys, sells) < 0.0, current, x)  # a crossing reads held
+        entries = np.concatenate([[x.sum(), (buys + sells).sum()][:rows], reads, buys, sells])
+        sold = (trade < 0.0) | ((trade == 0.0) & top)
+        side = s[0] if one_way else 0.0  # nu = nu[0] + side theta
+
+        def mult(theta):
+            buy, sell = h + ask + (1.0 - side) * theta, bid - h + (1.0 + side) * theta
+            mu_x = np.where(pinned, np.where(sold, -sell, buy), 0.0)
+            return np.concatenate([[nu[0] + side * theta, -theta][:rows], mu_x, buy - mu_x,
+                                   sell + mu_x])
+
+        if not one_way:
+            return x, entries, mult(-nu[1] if bind else 0.0), tol
+        # the active sign tests read base + slope theta >= 0
+        sign = np.where(at_lo, 1.0, -1.0) * ((at_lo | at_hi) & (lo != hi))
+        base = sign * mult(0.0)
+        slope = sign * mult(1.0) - base
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = -base / slope
+        floors = np.where(slope > 0.0, bound, 0.0)  # the row's test is theta >= 0
+        theta, spare = np.max(floors), cap - entries[1]
+        if abs(spare) <= POLISH_TOL or (spare > 0.0 and theta <= tol):
+            return x, entries, mult(theta), tol
+        # over the cap the first sign to block a larger theta, under it the one needing most
+        j = np.argmin(np.where(slope < 0.0, bound, np.inf)) if spare < 0.0 else np.argmax(floors)
+        wrong = np.where(np.arange(sign.size) == j, -sign, 0.0)
+        return (x, entries, wrong, tol) if np.isfinite(bound[j]) else None
 
     def polish(x, y, dual):
         y = y.reshape(-1, n)
@@ -1187,73 +1208,11 @@ def _trade_polish(cov, linear, current, upper, cap, bid, ask):
         held = holdable & np.any(np.abs(y[1:] - current) <= 1e-14, axis=0)
         zero = (y[0] <= 0.0) & ~held
         top = (y[0] >= upper) & ~(zero | held)
-        pin = held | zero | top
-        value = np.where(zero, 0.0, np.where(top, upper, current))
-        sign = np.where(y[0] > current, 1.0, -1.0)
+        guess = np.where(y[0] > current, 1.0, -1.0)
         bind = cap is not None and np.abs(y[1] - current).sum() >= cap * (1.0 - POLISH_TOL)
-        last = None  # the last point that met the primal tests
-        for _ in range(1 + POLISH_ROUNDS):
-            solved = solve(pin, value, sign, bind)
-            if solved is None:
-                return None
-            point, grad, theta, way, tol = solved
-            free = ~pin
-            # c is a kink only under a cost or a binding cap; elsewhere the
-            # sign follows the point
-            kink = bind | (bid + ask > 0.0)
-            cross = free & holdable & kink & (sign * (point - current) < -POLISH_TOL)
-            sign = np.where(free & ~kink, np.where(point > current, 1.0, -1.0), sign)
-            low = free & ~cross & (point < -POLISH_TOL)
-            high = free & ~cross & (point > upper + POLISH_TOL)
-            spare = np.inf if cap is None else cap - np.abs(point - current).sum()
-            blocked = cross | low | high
-            if bind and blocked.any() and last is not None:
-                # pin only the names that block first on the way from the last point
-                edge = np.where(cross, current, np.where(low, 0.0, upper))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = np.where(blocked, (edge - last) / (point - last), np.inf)
-                blocked &= step <= np.min(step) + POLISH_TOL
-                cross, low, high = cross & blocked, low & blocked, high & blocked
-            # the pinned names' intervals as c0 + c1 theta >= 0, for g = grad - way theta:
-            # g >= lo -/+ theta (row 0) and g <= hi +/- theta (row 1)
-            below, above = value < current, value > current
-            lo = np.where(value >= upper, -np.inf, np.where(below, bid, -ask))
-            hi = np.where(value <= 0.0, np.inf, np.where(above, -ask, bid))
-            c0 = np.where(pin, np.vstack([grad - lo, hi - grad]), np.inf)
-            c1 = np.vstack([-way - np.where(below, 1.0, -1.0), way + np.where(above, -1.0, 1.0)])
-            moves = np.zeros((2, n), dtype=bool)  # pinned names that go up / down
-            if cross.any() or low.any() or high.any() or spare < -POLISH_TOL:
-                if way and spare < -POLISH_TOL:
-                    # one way over the cap: free the name whose bound on theta
-                    # (c1 < 0) is tightest
-                    ceilings = np.where(c1 < 0.0, c0 / np.where(c1 < 0.0, -c1, 1.0), np.inf)
-                    if not np.isfinite(ceilings).any():
-                        return None
-                    moves.flat[np.argmin(ceilings)] = True
-                bind = bind or spare < -POLISH_TOL
-            else:
-                last = point
-                if way:
-                    floors = np.where(c1 > 0.0, -c0 / np.where(c1 > 0.0, c1, 1.0), -np.inf)
-                    theta = max(0.0, float(np.max(floors)))
-                    if spare > POLISH_TOL and theta > tol:
-                        # one way under the cap with theta > 0: free the name
-                        # whose bound on theta (c1 > 0) is highest
-                        moves.flat[np.argmax(floors)] = True
-                    elif spare > POLISH_TOL:
-                        bind = False
-                if not moves.any():
-                    moves = c0 + c1 * theta < -tol
-                drop = bind and not way and theta < -tol
-                if not (moves.any() or drop):
-                    return point
-                bind = bind and not drop
-            up, down = moves
-            sign = np.where(up, np.where(value >= current, 1.0, -1.0),
-                            np.where(down, np.where(value <= current, -1.0, 1.0), sign))
-            pin = (pin | cross | low | high) & ~(up | down)
-            value = np.where(cross, current, np.where(low, 0.0, np.where(high, upper, value)))
-        return None
+        at_lo = np.concatenate([[True, False][:rows], zero, held | (guess < 0), held | (guess > 0)])
+        at_hi = np.concatenate([[False, bind][:rows], top, np.zeros(2 * n, dtype=bool)])
+        return _settle(functools.partial(solve, guess), lo, hi, at_lo, at_hi)
 
     return polish
 

@@ -220,8 +220,9 @@ def _settle(solve, lo, hi, at_lo, at_hi):
     """The primal-dual active-set loop of every polish: a KKT point, or None.
 
     The constraints are entries c(x) in [lo, hi], ordered [rows; g;
-    coordinates] by the caller, and at_lo / at_hi mask the entries guessed
-    at a bound; entries with lo = hi are always active, at lo.
+    coordinates] by the caller (the trade pattern's, the sixth point
+    solver, adds buys and sells), and at_lo / at_hi mask the entries
+    guessed at a bound; entries with lo = hi are always active, at lo.
     ``solve(at_lo, at_hi)`` returns the optimum with the active entries at
     their bounds as (x, c(x), mult, tol), mult holding one multiplier per
     entry (grad f = sum_active mult_i grad c_i) and tol their sign slack;

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -1220,6 +1220,26 @@ class TestRebalancePenalized:
         w = rebalance_penalized(SET1.universe, EW8, turnover_cap=0.0)
         assert np.array_equal(w.w, EW8)
 
+    def test_zero_cap_on_holdings_above_the_box_is_infeasible(self):
+        current = np.concatenate([[0.2], np.full(7, 0.8 / 7)])
+        with pytest.raises(InfeasibleTargets) as err:
+            rebalance_penalized(SET1.universe, current, turnover_cap=0.0, upper=0.15)
+        assert np.array_equal(err.value.last, np.minimum(current, 0.15))
+
+    def test_zero_cap_on_a_short_holding_is_infeasible(self):
+        current = np.concatenate([[-0.05], np.full(7, 0.15)])
+        with pytest.raises(InfeasibleTargets) as err:
+            rebalance_penalized(SET1.universe, current, turnover_cap=0.0)
+        assert np.array_equal(err.value.last, np.maximum(current, 0.0))
+
+    @pytest.mark.parametrize("model", ["rebalance", "turnover"])
+    def test_negative_cap_rejected(self, model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            if model == "rebalance":
+                rebalance_penalized(SET1.universe, EW8, turnover_cap=-0.1)
+            else:
+                mvo_turnover(SET1.universe, 0.5, EW8, -0.1)
+
     def test_turnover_cap_respected(self):
         w = rebalance_penalized(SET1.universe, EW8, turnover_cap=0.4)
         assert np.sum(np.abs(w.w - EW8)) <= 0.4 + 1e-7
@@ -1335,7 +1355,7 @@ class TestTradePolish:
     @pytest.mark.parametrize("hook", ["none", "no_rounds"])
     def test_unpolished_admm_goes_on_to_the_same_answer(self, monkeypatch, admm_reports,
                                                         model, hook):
-        from proxalloc import portfolios
+        from proxalloc import portfolios, qp
 
         if model == "one_way":
             u, current, cap = one_way_account()
@@ -1352,7 +1372,7 @@ class TestTradePolish:
         if hook == "none":
             monkeypatch.setattr(portfolios, "_trade_polish", no_polish)
         else:
-            monkeypatch.setattr(portfolios, "POLISH_ROUNDS", 0)  # the y-blocks' guess only
+            monkeypatch.setattr(qp, "POLISH_ROUNDS", 0)  # the y-blocks' guess only
         w = solve()
         assert admm_reports[-1].converged
         assert hook == "no_rounds" or not admm_reports[-1].polished
@@ -1382,6 +1402,86 @@ class TestTradePolish:
         # accepts the exact pattern at the first solve
         assert [a.shape[0] for a in rows] == [1]
         assert np.max(np.abs(x - w)) <= 1e-12
+
+    def test_a_guess_wrong_both_ways_settles_in_two_solves(self, monkeypatch):
+        # optimum (0.46, 0.3, 0.24) under 1% costs: the first name buys, the
+        # second is held and the third sells.  The guess holds the third,
+        # whose h = 0.0374 > bid, and buys the second, whose point 0.185
+        # crosses its holding: one round frees the third's sell and holds
+        # the second
+        from proxalloc import portfolios, qp
+
+        u = AssetUniverse(names=list("abc"), mu=np.zeros(3), sigma=np.array([0.2, 0.3, 0.4]),
+                          rho=np.eye(3))
+        current, cost, zero = np.array([0.3, 0.3, 0.4]), np.full(3, 0.01), np.zeros(3)
+        solves = []
+        solve = portfolios._solve_equality_qp
+
+        def recorded(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(portfolios, "_solve_equality_qp", recorded)
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", 1)
+        polish = portfolios._trade_polish(u.cov, zero, current, np.ones(3), None, cost, cost)
+        box, band = np.array([0.5, 0.35, 0.3]), np.array([0.5, 0.35, 0.4])  # the y-blocks
+        x = polish(None, np.concatenate([box, band]), None)
+        assert len(solves) == 2 and np.max(np.abs(x - [0.46, 0.3, 0.24])) <= 1e-12
+        expected = trade_variable_qp(u, current, 3.0, cost, cost, zero)
+        assert np.max(np.abs(x - expected)) <= 1e-8
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 12), turnover=st.booleans(),
+           holdings=st.sampled_from(["dirichlet", "equal", "outside"]),
+           cap=st.sampled_from(["none", "slack", "binding", "one_way"]),
+           costless=st.floats(0.0, 1.0), box=st.floats(0.0, 1.0))
+    def test_polished_answers_match_the_trade_variable_qp_property(self, admm_reports, seed, n,
+                                                                   turnover, holdings, cap,
+                                                                   costless, box):
+        """Random accounts: costs zero on a share of the names, caps absent,
+        slack, binding or one-way (equal weights, 20 bp costs and a cap of
+        2k/n, as in one_way_account), holdings outside a box whose caps are
+        below 1.  A polished answer is the trade-variable QP's, and meets
+        assert_trade_kkt when a name trades inside the box."""
+        admm_reports.clear()  # the fixture spans every example
+        rng = np.random.default_rng([27, seed, n])
+        u = factor_universe(rng, n)
+        # caps of at least 1.5 / n: at 1 / n the box is one point, where
+        # trade_variable_qp's bridge solve runs to its iteration cap
+        upper = min(1.5 / n + box * (1.0 - 1.5 / n), 1.0)
+        current = np.full(n, 1.0 / n) if holdings == "equal" else rng.dirichlet(np.ones(n))
+        if holdings == "outside" and n >= 3:  # one name over its cap, one short
+            upper = min(upper, 0.8)
+            current[0], current[1] = upper + 0.05, -0.02
+            current[2:] *= (0.97 - upper) / current[2:].sum()
+        bid, ask = rng.uniform(0.001, 0.004, (2, n)) * (rng.random(n) >= costless)
+        if cap == "one_way":
+            upper, current, bid = 1.0, np.full(n, 1.0 / n), np.full(n, 0.002)
+            ask = bid
+        linear = np.zeros(n)
+        if turnover:  # mvo_turnover: no costs and no box below 1
+            upper, bid, ask, linear = 1.0, np.zeros(n), np.zeros(n), 0.5 * u.mu
+        clipped = np.clip(current, 0.0, upper)
+        needed = np.abs(current - clipped).sum() + abs(1.0 - clipped.sum())
+        limit = {"none": None, "slack": 3.0}.get(cap)
+        if cap == "one_way":  # k names sold out, k / n bought
+            limit = 2.0 * (1 + rng.integers(max(n // 2, 1))) / n
+        elif cap == "binding":  # between the least turnover and the uncapped optimum's
+            free = trade_variable_qp(u, current, 3.0, bid, ask, linear, upper)
+            limit = needed + rng.uniform(0.1, 0.9) * max(np.abs(free - current).sum() - needed, 0.0)
+        if turnover:
+            w = mvo_turnover(u, 0.5, current, limit).w
+        else:
+            w = rebalance_penalized(u, current, cost_scale=1.0, bid_cost=bid, ask_cost=ask,
+                                    turnover_cap=limit, upper=upper).w
+        if not (admm_reports and admm_reports[-1].polished):
+            return
+        limit = 3.0 if limit is None else limit
+        expected = trade_variable_qp(u, current, limit, bid, ask, linear, upper)
+        assert np.max(np.abs(w - expected)) <= 1e-8
+        if np.any((np.abs(w - current) > 1e-12) & (w > 1e-12) & (w < upper - 1e-12)):
+            assert_trade_kkt(u, w, current, limit, bid, ask, linear, upper)
 
 
 class TestErc:
