@@ -2,15 +2,19 @@
 
 The x-update is whatever subproblem solver the caller supplies (closed
 form for quadratics, CCD for quadratics with barriers, a Newton solve, ...);
-the y-update is a prox evaluated at v_y = K x + u.  A sum of several
+the y-update is a prox evaluated at v_y = x_hat + u.  A sum of several
 y-terms is split by ``consensus_problem``, one copy y_j = x per term, so
 each y-update stays a closed-form prox; the QP bridge stacks its
-constraint rows in K and clips y into their bounds.  The scaled dual
-u accumulates the primal residual, and y starts at K x0 unless the
-caller gives y0.  An optional adaptive scheme (Boyd et al. 2011,
-3.4.1) keeps the squared primal and dual residual norms within a factor
-MU of each other by multiplying the penalty by TAU_UP or dividing it by
-TAU_DOWN, rescaling u so the unscaled dual phi*u is preserved across
+constraint rows in K and clips y into their bounds.  The loop is
+over-relaxed from its second iteration on (Boyd et al. 2011, 3.4.3):
+x_hat = RELAXATION K x + (1 - RELAXATION) y, where the first iteration
+takes x_hat = K x, so a polish that succeeds there sees the plain step.
+The scaled dual u accumulates x_hat - y+, while the residuals keep
+their meaning, r = K x - y+ and s = phi K'(y+ - y).  y starts at K x0
+unless the caller gives y0.  An optional adaptive scheme (Boyd et al.
+2011, 3.4.1) keeps the squared primal and dual residual norms within a
+factor MU of each other by multiplying the penalty by TAU_UP or dividing
+it by TAU_DOWN, rescaling u so the unscaled dual phi*u is preserved across
 penalty changes, until the penalty has turned back MAX_PHI_REVERSALS
 times.  Every quadratic x-update solves through linalg.PenaltyFactor,
 which factors Q + phi I once per penalty value.  Two optional hooks let
@@ -27,6 +31,7 @@ the rebalancing split, on its trade pattern.  Every polish runs its
 rounds in ``qp._settle``; the trade pattern's is its sixth point solver.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +42,8 @@ from .prox import LpBall, projector, soft_threshold
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
+# over-relaxation alpha of Boyd et al. 2011, 3.4.3, at OSQP's value (Stellato et al. 2020)
+RELAXATION = 1.6
 # residual balancing: mu, tau and tau' of Boyd et al. 2011, eq. 3.13
 MU = 1e3  # bound on the ratio of the squared residual norms
 TAU_UP = 2.0  # factor of a penalty increase
@@ -75,13 +82,14 @@ class AdmmProblem:
     prox of f_y / phi (projections may ignore phi).  K is given as the
     pair ``apply`` (x -> K x) and ``adjoint`` (v -> K'v), never as a
     dense matrix the loop reads; both None is the split x = y.
-    ``infeasible(r)``, when given, is asked every CERTIFY_EVERY
-    iterations whether the last change of the scaled dual, r = K x - y,
-    certifies that no K x lies in the domain of f_y; the solve then stops
-    with status "infeasible".  ``polish(x, y, dual)``, when given, runs
-    at every power-of-two iteration (1, 2, 4, 8, ...) and on
-    convergence, with the unscaled dual phi u; a point it returns
-    ends the solve as converged, in place of x, with report.polished set.
+    ``infeasible(du)``, when given, is asked every CERTIFY_EVERY
+    iterations whether the last change of the scaled dual,
+    du = x_hat - y+, certifies that no K x lies in the domain of f_y;
+    the solve then stops with status "infeasible".  ``polish(x, y,
+    dual)``, when given, runs at every power-of-two iteration (1, 2, 4,
+    8, ...) and on convergence, with the unscaled dual phi u; a point it
+    returns ends the solve as converged, in place of x, with
+    report.polished set.
     """
 
     x_update: Callable
@@ -134,12 +142,14 @@ def consensus_problem(x_prox, blocks, n):
 
 
 def admm_solve(problem, x0, y0=None, cfg=None):
-    """Run ADMM from x0 until both residual norms meet cfg.eps.
+    """Run over-relaxed ADMM from x0 until both residual norms meet cfg.eps.
 
-    y starts at y0, or at K x0 when y0 is None.  Returns (x, y, report);
-    on hitting max_iter the last iterate is returned with report.status
-    = "max_iter" rather than raising, so callers can inspect how far the
-    solve got.
+    y starts at y0, or at K x0 when y0 is None.  Iteration 1 is the plain
+    step; every later one relaxes K x to x_hat = RELAXATION K x +
+    (1 - RELAXATION) y before the y-prox and the dual update.  Returns
+    (x, y, report); on hitting max_iter the last iterate is returned with
+    report.status = "max_iter" rather than raising, so callers can
+    inspect how far the solve got.
     """
     cfg = cfg or AdmmConfig()
     apply, adjoint = problem.apply, problem.adjoint
@@ -158,7 +168,9 @@ def admm_solve(problem, x0, y0=None, cfg=None):
     for iteration in range(1, cfg.max_iter + 1):
         x = problem.x_update(y, u, phi)
         kx = x if apply is None else apply(x)
-        v_y = kx + u
+        # iteration 1 stays plain, so the first polish guess reads the plain step
+        kx_hat = kx if iteration == 1 else RELAXATION * kx + (1.0 - RELAXATION) * y
+        v_y = kx_hat + u
         if not np.all(np.isfinite(v_y)):
             # count only completed iterations so traces stay aligned
             report.status = DIVERGED
@@ -168,15 +180,16 @@ def admm_solve(problem, x0, y0=None, cfg=None):
         r = kx - y_new
         dy = y_new - y
         s = phi * (dy if adjoint is None else adjoint(dy))
+        du = kx_hat - y_new
         y = y_new
-        u = u + r
+        u = u + du
 
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(s))
+        r_norm = math.sqrt(float(r @ r))
+        s_norm = math.sqrt(float(s @ s))
         report.iterations = iteration
         report.primal_residuals.append(r_norm)
         report.dual_residuals.append(s_norm)
-        if not np.isfinite(r_norm) or not np.isfinite(s_norm):
+        if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             report.status = DIVERGED
             return x, y, report
         converged = r_norm <= cfg.eps and s_norm <= cfg.eps
@@ -189,7 +202,7 @@ def admm_solve(problem, x0, y0=None, cfg=None):
         if converged:
             report.status = CONVERGED
             return x, y, report
-        if infeasible is not None and iteration % CERTIFY_EVERY == 0 and infeasible(r):
+        if infeasible is not None and iteration % CERTIFY_EVERY == 0 and infeasible(du):
             report.status = INFEASIBLE
             return x, y, report
 

@@ -899,7 +899,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     dykstra_cfg = DykstraConfig(tol=1e-12)
     ops = [projector(LpBall(2, np.zeros(n), radius), n),
            projector(Box(np.zeros(n), upper_vec), n)]
-    # v is the ADMM iterate K x + u, which admm_solve has found finite
+    # v is the ADMM iterate x_hat + u, which admm_solve has found finite
     projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
     accepted = [np.nan]  # the ball multiplier of the polished point
     polish = _herfindahl_polish(universe.cov, upper_vec, radius, accepted)
@@ -1265,8 +1265,10 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     sum_{l_k > 0} l_k w_k^2 / (phi s + xi l_k)^2 = 1 (the trust-region
     secular equation of More & Sorensen 1983), or 0 when that sum is at
     most 1 at s = 0.  The y-update is the closed-form prox of the barrier
-    -lam sum_i b_i ln y_i.  The penalty stays at phi, and the solve stops
-    once the primal residual ||x - y|| and the dual residual
+    -lam sum_i b_i ln y_i, whose shift 4 lam b / phi is formed once per
+    penalty value.  The penalty stays at phi (no residual balancing), the
+    loop is ``admm_solve``'s over-relaxed one, and the solve stops once
+    the primal residual ||x - y|| and the dual residual
     phi ||y - y_prev|| are both at most tol.
 
     Raises OutOfDomain with ``last`` = y once y's Sharpe ratio
@@ -1299,7 +1301,8 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
             return vecs @ z
 
     def y_prox(phi):
-        return lambda v: 0.5 * (v + np.sqrt(v * v + 4.0 * lam / phi * budgets))
+        shift = 4.0 * lam / phi * budgets
+        return lambda v: 0.5 * (v + np.sqrt(v * v + shift))
 
     cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, max_iter=max_iter)
     return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox),

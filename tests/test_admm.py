@@ -3,6 +3,7 @@ import pytest
 
 from proxalloc.admm import (
     MU,
+    RELAXATION,
     TAU_DOWN,
     TAU_UP,
     AdmmConfig,
@@ -91,6 +92,33 @@ class TestDriver:
             assert report.converged
             outputs.append(y)
         assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-6
+
+
+class TestOverRelaxation:
+    def test_first_iteration_is_plain_and_the_second_relaxed(self):
+        # f_x = 0.5||x - a||^2, K = [I; 1'], f_y the indicator of [-0.2, 0.3]^3
+        k = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a = np.array([1.0, -0.5])
+        system = np.eye(2) + k.T @ k  # phi = 1 throughout
+        clip = lambda v: np.clip(v, -0.2, 0.3)
+        seen, polished = [], []
+
+        def x_update(y, u, phi):
+            seen.append(u.copy())
+            return np.linalg.solve(system, a + k.T @ (y - u))
+
+        problem = AdmmProblem(x_update=x_update, y_prox=lambda phi: clip,
+                              apply=lambda x: k @ x, adjoint=lambda v: k.T @ v,
+                              polish=lambda x, y, dual: polished.append((x, y)))
+        admm_solve(problem, np.zeros(2), cfg=AdmmConfig(max_iter=3, adaptive=False))
+        (x1, y1), (x2, y2) = polished
+        u1, u2 = seen[1], seen[2]
+        assert np.array_equal(y1, clip(k @ x1))
+        assert np.array_equal(u1, k @ x1 - y1)
+        relaxed = RELAXATION * (k @ x2) + (1.0 - RELAXATION) * y1
+        assert np.array_equal(y2, clip(relaxed + u1))
+        assert not np.array_equal(y2, clip(k @ x2 + u1))  # the relaxation shows
+        assert np.array_equal(u2, u1 + (relaxed - y2))
 
 
 class TestConsensusProblem:

@@ -853,6 +853,26 @@ class TestMvoCosts:
         plain = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
         assert np.max(np.abs(w.w - plain.w)) <= 1e-5
 
+    def test_zero_costs_polish_at_the_first_iteration_without_a_penalty_change(
+            self, monkeypatch):
+        from proxalloc import qp
+
+        solves, built = [], []
+        admm_solve = qp.admm_solve
+
+        def spy(problem, x0, y0=None, cfg=None):
+            y_prox = problem.y_prox
+            problem.y_prox = lambda phi: built.append(phi) or y_prox(phi)
+            x, y, report = admm_solve(problem, x0, y0, cfg)
+            solves.append(report)
+            return x, y, report
+
+        monkeypatch.setattr(qp, "admm_solve", spy)
+        mvo_costs(SET1.universe, 0.0, EW8, 0.0, 0.0)
+        assert len(solves) == 1
+        assert solves[0].polished and solves[0].iterations == 1
+        assert len(built) == 1  # the first penalty's prox only
+
     def test_penalty_factors_hold_at_most_four_penalty_values(self, monkeypatch):
         from proxalloc import linalg
 
@@ -1508,6 +1528,20 @@ class TestErc:
 
 
 class TestRiskBudgeting:
+    # the ADMM engine's iteration guards hold the over-relaxed loop's gain:
+    # the plain loop needs 482 and 90 iterations
+    def test_admm_criterion_9_call_within_its_iteration_guard(self):
+        _, report = risk_budgeting(SET1.universe, EW8, engine="admm", return_report=True,
+                                   lam=1.0, phi=1.0, tol=1e-8)
+        assert report.converged and report.iterations <= 340
+
+    def test_admm_stdev_measure_at_n_100_within_its_iteration_guard(self):
+        u = factor_universe(np.random.default_rng(0), 100)
+        measure = StdevRisk(1.5 * perfbench_universe().tangency_sharpe(u))
+        _, report = risk_budgeting(u, np.full(100, 0.01), measure, engine="admm",
+                                   return_report=True)
+        assert report.converged and report.iterations <= 60
+
     def test_uniform_budgets_equal_erc(self):
         u = SET1.universe
         w = risk_budgeting(u, EW8)
@@ -1528,7 +1562,7 @@ class TestRiskBudgeting:
             budgets = rng.uniform(0.5, 2.0, 8)
             w_ccd = risk_budgeting(u, budgets, engine="ccd")
             w_admm = risk_budgeting(u, budgets, engine="admm")
-            assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-5
+            assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-8
 
     def test_euler_decomposition_both_measures(self):
         u = tilted_universe()
@@ -1555,7 +1589,7 @@ class TestRiskBudgeting:
         measure = StdevRisk(scale=2.0, rate=0.0)
         w_ccd = risk_budgeting(u, EW8, measure=measure, engine="ccd")
         w_admm = risk_budgeting(u, EW8, measure=measure, engine="admm")
-        assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-5
+        assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-8
 
     def test_stdev_engines_agree_on_a_singular_covariance(self):
         # a duplicated asset (correlation 1 with asset 0) makes cov singular;

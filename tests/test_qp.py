@@ -297,6 +297,14 @@ def return_floor_qp(floor):
                      d=[-floor], lower=np.zeros(8), upper=np.ones(8))
 
 
+INFEASIBLE_ROWS = [
+    return_floor_qp(0.5),  # above the largest expected return
+    # a half-space parallel to the budget plane, on its far side
+    QpProblem(q=np.eye(8), r=np.full(8, 0.125), a=np.ones((1, 8)), b=[1.0],
+              c=np.ones((1, 8)), d=[0.5], lower=np.zeros(8), upper=np.ones(8)),
+]
+
+
 class TestClippedSplit:
     @pytest.mark.parametrize("floor, tail", [(0.085, (0.5, 0.5)), (0.089, (0.1, 0.9))])
     def test_return_floor_vertex(self, floor, tail):
@@ -306,18 +314,21 @@ class TestClippedSplit:
         assert np.max(np.abs(x - expected)) <= 1e-8
         assert report.converged and report.iterations <= 1000
 
-    @pytest.mark.parametrize("problem", [
-        return_floor_qp(0.5),  # above the largest expected return
-        # a half-space parallel to the budget plane, on its far side
-        QpProblem(q=np.eye(8), r=np.full(8, 0.125), a=np.ones((1, 8)), b=[1.0],
-                  c=np.ones((1, 8)), d=[0.5], lower=np.zeros(8), upper=np.ones(8)),
-    ])
+    @pytest.mark.parametrize("problem", INFEASIBLE_ROWS)
     def test_infeasible_rows_are_certified(self, problem):
         with pytest.raises(InfeasibleSuspected) as err:
             qp_solve(problem)
         assert err.value.report.status == "infeasible"
         assert err.value.report.iterations <= 1000
         assert err.value.last is not None
+
+    @pytest.mark.parametrize("problem, iterations", list(zip(INFEASIBLE_ROWS, (200, 40))))
+    def test_infeasible_rows_certify_at_a_fixed_iteration(self, problem, iterations):
+        # the certificate reads the relaxed change of the dual; the plain
+        # loop certified these at iterations 120 and 10
+        with pytest.raises(InfeasibleSuspected) as err:
+            qp_solve(problem)
+        assert err.value.report.iterations == iterations
 
     def test_diagonal_and_dense_q_agree_at_n_300(self):
         rng = np.random.default_rng(11)
