@@ -7,12 +7,12 @@ projection), box-constrained quadratics (truncated Newton coordinate),
 quadratics with a log barrier (positive root of a scalar quadratic), and
 the risk-budgeting updates built on the same positive-root trick.
 
-A "cycle" is one full sweep over the n coordinates; convergence is
-declared when the largest coordinate move within a cycle drops to tol.
-Every selection rule makes exactly n moves a cycle.  The shared cycle
-loop calls one ``sweep(x, order)`` a cycle, which moves x in place and
-returns its largest move; the solvers with a plain per-coordinate
-update wrap it in ``_coordinate_sweep``.
+A "cycle" is n coordinate moves, usually one full sweep over the n
+coordinates; convergence is declared when the largest coordinate move
+within a cycle drops to tol.  Every selection rule makes exactly n moves
+a cycle.  The shared cycle loop calls one ``sweep(x, order)`` a cycle,
+which moves x in place and returns its largest move; the solvers with a
+plain per-coordinate update wrap it in ``_coordinate_sweep``.
 
 A move of a specialized solver reads one row (or column) of its matrix.
 The risk-budgeting update also needs the volatility sqrt(x' cov x); it
@@ -24,7 +24,12 @@ The loop can end early through a polish hook, on the schedule of the
 ADMM polish: after cycles 1, 2, 4, ... and at convergence, it may return
 a finished point in place of the iterate.  ``risk_budgeting`` ends its
 cycles so through a Newton-CG solve of the barrier form (``_rb_newton``),
-kept only once it certifies its risk contributions.
+kept only once it certifies its risk contributions.  Its first cycle
+only gives the polish a start, so it is a simultaneous (Jacobi) update:
+every coordinate takes its positive-root step from the same cov x and
+volatility, one mat-vec and a few vector operations with no Python loop
+over the coordinates.  Should the polish fail, cycles 2, 3, ... are the
+cyclic sweep.
 """
 
 import math
@@ -461,10 +466,13 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
 
     With ``polish`` the cycles end through the Newton-CG polish of
     ``_rb_newton`` once it certifies a point; its answer has the scale
-    of the iterate it started from rather than of ``lam``.
+    of the iterate it started from rather than of ``lam``.  Cycle 1 then
+    moves every coordinate at once from the cov x and volatility of the
+    start, ignoring ``cfg.rule``; cycles 2, 3, ... are sweeps in the
+    rule's order, so an unpolished solve keeps their convergence.
 
-    Raises OutOfDomain, before any sweep, when xi is not above the best
-    single-asset Sharpe ratio, and at the start of a sweep, carrying the
+    Raises OutOfDomain, before any cycle, when xi is not above the best
+    single-asset Sharpe ratio, and at the start of a cycle, carrying the
     iterate as ``last``, once the iterate's Sharpe ratio
     excess'x / sqrt(x'cov x) reaches xi: the objective then falls without
     bound along t x.
@@ -487,18 +495,30 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
         raise NonPositiveStart("starting point must be strictly positive")
     lam = float(np.sqrt(x0 @ cov @ x0) if lam is None else lam)
     xi = float(xi)
-    rows = list(cov)
-    var = variances.tolist()
-    ex = excess.tolist()
-    bud = budgets.tolist()
+    simultaneous = polish
+    lists = None  # the cyclic sweep's Python copies, built on its first cycle
 
     def sweep(x, order):
+        nonlocal simultaneous, lists
         cov_x = cov @ x
         quad = float(x @ cov_x)  # x' cov x
         if quad > 0.0 and float(excess @ x) >= xi * math.sqrt(quad):
             raise OutOfDomain(f"ccd_rb_stdev: the iterate's Sharpe ratio reached the "
                               f"stdev scale {xi:.6g}; the objective is unbounded below",
                               last=x.copy())
+        if simultaneous:
+            # every coordinate's step from the same cov x and volatility
+            simultaneous = False
+            vol = math.sqrt(quad) if quad > 0.0 else math.nan
+            a = xi * variances
+            b = xi * (cov_x - variances * x) - excess * vol
+            new = (-b + np.sqrt(b * b + 4.0 * a * (lam * vol) * budgets)) / (2.0 * a)
+            delta = float(np.abs(new - x).max())
+            x[:] = new
+            return delta
+        if lists is None:
+            lists = list(cov), variances.tolist(), excess.tolist(), budgets.tolist()
+        rows, var, ex, bud = lists
         delta = 0.0
         for i in order.tolist():
             x_i = x.item(i)

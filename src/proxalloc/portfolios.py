@@ -1244,10 +1244,11 @@ def erc(universe, cfg=None, return_report=False):
 
     Runs the volatility-measure coordinate update (the zero-excess-return
     special case of the stdev risk measure) through ``risk_budgeting``:
-    one coordinate cycle, then the Newton-CG polish certifies equal risk
-    contributions to 1e-10 relative; the largest-move stop of the cycles
-    (single-digit cycles at tol 1e-8) is the fallback.  The variance-form
-    update ccd_erc reaches the same rescaled weights more slowly.
+    one simultaneous update of every coordinate, then the Newton-CG polish
+    certifies equal risk contributions to 1e-10 relative.  Cyclic sweeps
+    with their largest-move stop (single-digit cycles at tol 1e-8) are the
+    fallback.  The variance-form update ccd_erc reaches the same rescaled
+    weights more slowly.
     """
     return risk_budgeting(universe, np.ones(universe.n), cfg=cfg, return_report=return_report)
 
@@ -1316,9 +1317,13 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     The "ccd" engine runs ``ccd_rb_stdev`` (Griveau-Billion, Richard &
     Roncalli 2013) and tries its Newton-CG polish on the barrier form
     (Spinu 2013) after cycles 1, 2, 4, ... and at convergence; a polished
-    answer meets RC_i / b_i = lam to 1e-10 relative in every asset, and
-    usually ends the solve after one cycle.  The "admm" engine runs the
-    split of ``_rb_admm`` (``admm_kwargs`` are its options).  Either way
+    answer meets RC_i / b_i = lam to 1e-10 relative in every asset.  The
+    first cycle moves every coordinate at once and the polish usually
+    ends the solve from there, so most solves run no per-coordinate
+    sweep.  The "admm" engine runs the split of ``_rb_admm``
+    (``admm_kwargs`` are its options).  ``cfg`` goes to the ccd engine
+    and ``admm_kwargs`` to the admm engine only: an option the chosen
+    engine does not take raises TypeError.  Either way
     ``report.stationarity_residual`` is the relative spread
     (max - min) / |mean| of RC_i / b_i at the returned weights.  Below
     the long-only maximum Sharpe ratio the stdev objective is unbounded
@@ -1330,10 +1335,15 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
         raise ValueError("risk budgets must be positive")
     budgets = budgets / budgets.sum()
     if engine == "ccd":
+        if admm_kwargs:
+            raise TypeError(f"risk_budgeting: the ccd engine takes no option "
+                            f"{next(iter(admm_kwargs))!r}")
         excess, xi = _excess_and_scale(universe, measure)
         x, report = ccd_rb_stdev(excess, 0.0, xi, universe.cov, budgets, cfg=cfg,
                                  return_report=True, polish=True)
     elif engine == "admm":
+        if cfg is not None:
+            raise TypeError("risk_budgeting: the admm engine takes no option 'cfg'")
         x, report = _rb_admm(universe, budgets, measure, **admm_kwargs)
     else:
         raise ValueError(f"unknown engine {engine!r}")

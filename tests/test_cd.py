@@ -426,6 +426,66 @@ class TestRbStdevRunningProducts:
         assert len(built) == 1 and report.polished
         assert np.max(np.abs(w.w - x / x.sum())) <= 1e-9
 
+    @pytest.mark.parametrize("stdev", [False, True])
+    def test_polish_starts_from_one_simultaneous_update(self, monkeypatch, stdev):
+        # cycle 1 of a polished solve moves every coordinate at once, each
+        # by its positive root at the start's cov x and volatility
+        from proxalloc import cd
+
+        handed = []
+        real = cd._rb_newton
+
+        def spy(*args):
+            hook = real(*args)
+
+            def polish(x):
+                handed.append(x.copy())
+                return hook(x)
+
+            return polish
+
+        monkeypatch.setattr(cd, "_rb_newton", spy)
+        rng = np.random.default_rng(22)
+        n = 40
+        mu, cov = factor_cov(rng, n)
+        budgets = rng.uniform(0.2, 1.0, size=n)
+        excess = mu if stdev else np.zeros(n)
+        xi = 1.5 * float(np.sqrt(mu @ np.linalg.solve(cov, mu))) if stdev else 1.0
+        x, report = ccd_rb_stdev(excess, 0.0, xi, cov, budgets, return_report=True,
+                                 polish=True)
+        assert report.polished and report.iterations == 1
+        x0 = np.full(n, 1.0 / n)
+        cov_x = cov @ x0
+        vol = float(np.sqrt(x0 @ cov_x))
+        lam = float(np.sqrt(x0 @ cov @ x0))
+        var = np.diag(cov)
+        a = xi * var
+        b = xi * (cov_x - var * x0) - excess * vol
+        c = lam * vol * (budgets / budgets.sum())
+        expected = (-b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+        assert len(handed) == 1
+        assert np.max(np.abs(handed[0] / expected - 1.0)) <= 1e-15
+        assert report.primal_residuals == [float(np.max(np.abs(expected - x0)))]
+
+    def test_failed_polish_falls_back_to_cyclic_sweeps(self, monkeypatch):
+        # a polish that never certifies leaves cycles 2, 3, ... to the
+        # cyclic sweep, which reaches the plain solver's fixed point
+        from proxalloc import cd
+
+        monkeypatch.setattr(cd, "RB_NEWTON_STEPS", 0)
+        rng = np.random.default_rng(23)
+        n = 30
+        mu, cov = factor_cov(rng, n)
+        budgets = rng.uniform(0.2, 1.0, size=n)
+        xi = 1.5 * float(np.sqrt(mu @ np.linalg.solve(cov, mu)))
+        cfg = CdConfig(tol=1e-12)
+        x, report = ccd_rb_stdev(mu, 0.0, xi, cov, budgets, cfg=cfg, return_report=True,
+                                 polish=True)
+        x_ref = ccd_rb_stdev(mu, 0.0, xi, cov, budgets, cfg=cfg)
+        assert report.converged and not report.polished
+        assert report.iterations > 1
+        assert np.max(np.abs(x - x_ref)) <= 1e-9
+
     def test_newton_cg_stops_on_zero_residual_and_nonpositive_curvature(self):
         # a step that solves the system exactly (n = 1) leaves r = 0 and
         # then p = 0; CG must stop there rather than divide 0 / 0

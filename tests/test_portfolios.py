@@ -1608,6 +1608,18 @@ class TestRiskBudgeting:
         w_admm = risk_budgeting(dup, budgets, measure=measure, engine="admm")
         assert np.max(np.abs(w_ccd.w - w_admm.w)) <= 1e-6
 
+    def test_ccd_engine_rejects_an_admm_option(self):
+        # an option only the other engine reads is a mistake, not a no-op
+        u = tilted_universe()
+        with pytest.raises(TypeError, match="bogus"):
+            risk_budgeting(u, EW8, bogus=1)
+        with pytest.raises(TypeError, match="phi"):
+            risk_budgeting(u, EW8, engine="ccd", phi=5.0)
+
+    def test_admm_engine_rejects_a_cd_config(self):
+        with pytest.raises(TypeError, match="cfg"):
+            risk_budgeting(tilted_universe(), EW8, engine="admm", cfg=CdConfig(tol=1e-3))
+
     def test_stdev_scale_below_best_sharpe_raises_typed_error(self):
         # with the scale below the best single-asset Sharpe ratio the
         # objective is unbounded below; both engines refuse it before
@@ -1636,6 +1648,8 @@ class TestRiskBudgeting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, report = risk_budgeting(u, budgets, measure, return_report=True)
+        # the polish certifies from the simultaneous first cycle
+        assert report.iterations == 1 and report.polished
         assert np.all(np.isfinite(w.w)) and np.all(w.w > 0.0)
         assert abs(w.w.sum() - 1.0) <= 1e-12
         rc = risk_contributions(w, u, measure)
