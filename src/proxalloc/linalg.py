@@ -278,8 +278,9 @@ def bisect(f, bracket):
     |f(s)| <= tol or with the bracket narrowed to tol; MaxIterExceeded
     carries the last point evaluated, which lies in the bracket.
 
-    This is the library's one root finder.  It keeps the name ``bisect``
-    because the benchmark's tracer counts calls to it as root finds.
+    It serves the KL tilt and the entropy floors, roots with no Newton
+    form here, and keeps the name ``bisect`` because the benchmark's
+    tracer counts calls to it as root finds.
     """
     lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
     flo = float(f(lo))

@@ -15,9 +15,9 @@ cone, the volatility ellipsoid of the KL cap and of the volatility
 target) and the rebalancing split (turnover cap and bid/ask costs) end
 with a polish: the exact optimum on the active set or trade pattern its
 y-blocks show.  Every polish, and index sampling's rounds, hands
-qp._settle a point solver (a ridge root, Newton on the KKT system, the
-closed-form frontier point, a held Cholesky factor, an equality QP in
-trade variables) and lets its one primal-dual loop correct the guess.
+qp._settle a point solver (a secular root, Newton on the KKT system,
+the closed-form frontier point, a held Cholesky factor, an equality QP
+in trade variables) and lets its one primal-dual loop correct the guess.
 Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
 Every model returns PortfolioWeights whose vector has passed one common
@@ -75,6 +75,7 @@ from .reports import DIVERGED
 
 # slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
 CAP_SLACK = 1e-12
+SECULAR_STEPS = 100  # Newton steps a secular root may take
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def _secular_root(a, c):
     """
     theta = 0.0
     ac = a * c
-    for _ in range(100):
+    for _ in range(SECULAR_STEPS):
         t = 1.0 / (1.0 + theta * c)
         t2 = t * t
         g = float(a @ t2)
@@ -679,66 +680,59 @@ def _herfindahl_polish(cov, upper, radius, accepted):
     0 <= x <= upper, ||x|| <= radius, settled from the box-and-ball block.
 
     The block ends in the box clip, so its exact zeros Z and caps C are
-    qp._settle's first guess over the coordinates; the rest F is free.
-    The point solver's KKT conditions on F are (cov_FF + lam I) x_F =
-    nu 1 - cov_FC u_C and 1'x_F = 1 - 1'u_C, both explicit in the ball
-    multiplier lam >= 0 in cov_FF's eigenbasis: lam = lam0 (0, or
-    1e-12 eig_max for a singular cov_FF) when that point lies in the ball,
-    else the root of ||x(lam)|| = radius by ``bisect``.  The multipliers
-    are cov x + lam x - nu 1.  A free set too small to meet the ball,
-    budget^2 / |F| >= radius^2 - ||u_C||^2, is the limit lam -> inf: x_F is
-    the equal share s of the budget, and the multipliers over lam are x - s.
-    A settled point in the ball is kept and its lam written to
-    ``accepted[0]``; otherwise the hook returns None and ADMM goes on.
+    qp._settle's first guess over the coordinates; the k names F left are
+    free and hold b = 1 - 1'u_C.  The point solver puts x_F = s 1 - H [0; y]
+    on the budget plane, s = b / k and H the Householder reflection taking
+    1 to -sqrt(k) e_1, so ||x_F||^2 = b s + ||y||^2 and y solves a plain
+    ridge (M + lam I) y = z, M the trailing block of H cov_FF H.  The ball
+    multiplier lam >= 0 is lam0 (0, or 1e-12 max diag cov_FF for a singular
+    M) plus the root ``_secular_root`` finds in M's eigenbasis, or inf when
+    b s alone fills the ball: x_F is then the equal share, and the
+    multipliers over lam are x - s.  Otherwise they are cov x + lam x - nu 1,
+    nu the mean of cov x + lam x over F.  A settled point in the ball is
+    kept and its lam written to ``accepted[0]``; otherwise the hook returns
+    None and ADMM goes on.
     """
     r2 = radius * radius
     lam_of = [None]  # the ball multiplier of the last point solved
 
     def solve(zero, cap):
         free = ~(zero | cap)
-        if not free.any():
+        k = np.count_nonzero(free)
+        if not k:
             return None  # a vertex of the box leaves the multipliers to ADMM
         u_cap = upper[cap]
         budget = 1.0 - u_cap.sum()
-        room = r2 - u_cap @ u_cap  # what the ball leaves to ||x_F||^2
-        eig, vecs = np.linalg.eigh(cov[np.ix_(free, free)])
-        lam0 = 0.0 if eig[0] > 1e-12 * eig[-1] else 1e-12 * eig[-1]
-        ones = vecs.sum(axis=0)  # V'1
-        shift = vecs.T @ (cov[np.ix_(free, cap)] @ u_cap)
-
-        def ridge(lam):
-            """(nu, V'x_F) at the ball multiplier lam."""
-            d = 1.0 / (eig + lam)
-            nu = (budget + ones @ (shift * d)) / (ones @ (ones * d))
-            return nu, (nu * ones - shift) * d
-
-        def excess(lam):
-            z = ridge(lam)[1]
-            return z @ z - room
-
-        lam = lam0
-        if excess(lam0) > 0.0:
-            # as lam grows, x_F tends to the equal share of the budget
-            share = budget / free.sum()
-            if budget * share >= room:  # the limit lam -> inf
-                lam_of[0] = np.inf
-                point = np.where(cap, upper, np.where(free, share, 0.0))
-                return point, point, point - share, 0.0
-            hi = eig[-1]
-            while excess(hi) > 0.0:
-                hi *= 4.0
-                if hi > 1e12 * eig[-1]:
-                    return None
-            try:
-                lam = bisect(excess, RootBracket(lam0, hi, tol=1e-14 * room))
-            except MaxIterExceeded:
-                return None
-        nu, z = ridge(lam)
+        share = budget / k
+        point = np.where(cap, upper, np.where(free, share, 0.0))
+        # what the ball leaves to y once the equal share holds the budget
+        room = r2 - u_cap @ u_cap - budget * share
+        if room <= 0.0:  # only the equal share, the limit lam -> inf, meets the ball
+            lam_of[0] = np.inf
+            return point, point, point - share, 0.0
+        # x_F = share 1 - H [0; y], H = I - beta v v' the reflection with
+        # v = 1 + sqrt(k) e_1 that maps 1 to -sqrt(k) e_1; v's tail is 1
+        v = np.ones(k)
+        v[0] += np.sqrt(k)
+        beta = 2.0 / (v @ v)
+        c_ff = cov[np.ix_(free, free)]
+        p = c_ff @ v
+        t = beta * p[1:] - 0.5 * beta * beta * (v @ p)  # H c_ff H = c_ff - v t' - t v'
+        reduced = c_ff[1:, 1:] - t
+        reduced -= t[:, None]
+        q = (cov @ point)[free]  # the free names' gradient at the equal share
+        eig, vecs = np.linalg.eigh(reduced)
+        scale = c_ff.diagonal().max()
+        lam0 = 0.0 if np.all(eig > 1e-12 * scale) else 1e-12 * scale
+        # (reduced + lam I) y = the tail of H q, ||y||^2 = room where the ball binds
+        w = vecs.T @ (q[1:] - beta * (v @ q))
+        d = 1.0 / (eig + lam0)
+        lam = lam0 + _secular_root(w * w * d * d / room, d)
         lam_of[0] = lam
-        point = np.where(cap, upper, 0.0)
-        point[free] = vecs @ z
+        y = np.concatenate(([0.0], vecs @ (w / (eig + lam))))  # [0; y]
+        point[free] = share - y + beta * y.sum() * v  # share 1 - H [0; y]
         grad = cov @ point + lam * point
-        return point, point, grad - nu, POLISH_TOL * float(np.max(np.abs(grad)))
+        return point, point, grad - grad[free].sum() / k, POLISH_TOL * float(np.max(np.abs(grad)))
 
     def polish(x, y, dual):
         point = _settle(solve, np.zeros_like(upper), upper, y <= 0.0, y >= upper)
@@ -863,7 +857,8 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     ``_herfindahl_polish`` (OSQP's solution polishing, Stellato et al.
     2020), which reports lam: 0 where the floor is slack, as a floor of
     at most 1 bet is (||x||_2 <= ||x||_1 = 1); NaN if ADMM ends
-    unpolished.  The most bets the caps admit is 1/||x||^2 at
+    unpolished.  Caps above 1, inf included, are 1, the most a long-only
+    budget portfolio holds.  The most bets the caps admit is 1/||x||^2 at
     x = min(upper, t), the budget portfolio nearest 0: a floor above it
     raises InfeasibleTargets with x as ``last``, and one within 1e-9
     returns x with lam = inf, as a floor of n bets returns equal weights.
@@ -875,7 +870,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     if method != "admm":
         raise ValueError(f"unknown method {method!r}: the Herfindahl split is the one solver")
     n = universe.n
-    upper_vec = _bound(upper, 1.0, n, "upper")
+    upper_vec = np.minimum(_bound(upper, 1.0, n, "upper"), 1.0)
     _check_caps(upper_vec)
     if min_bets > n + 1e-9:
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")

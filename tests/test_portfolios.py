@@ -1099,6 +1099,123 @@ class TestGmvHerfindahl:
             assert bets >= previous - 1e-9
             previous = bets
 
+    def test_infinite_caps_mixed_with_finite_ones_read_as_one(self, admm_reports):
+        u, inf = SET1.universe, np.inf
+        mixed, ones = [inf] * 7 + [0.05], [1.0] * 7 + [0.05]
+        expected, expected_lam = gmv_herfindahl(u, upper=ones, min_bets=3.0)
+        w, lam = gmv_herfindahl(u, upper=mixed, min_bets=3.0)
+        assert admm_reports[-1].polished
+        assert np.array_equal(w.w, expected.w) and lam == expected_lam
+        diversified = gmv_diversified(u, upper=mixed, constraint=EffectiveBets(3.0))
+        assert np.array_equal(diversified.w, expected.w)
+        for solve in (lambda caps: gmv_herfindahl(u, upper=caps, min_bets=7.9),
+                      lambda caps: gmv_diversified(u, upper=caps, constraint=EffectiveBets(7.9))):
+            for caps in (mixed, ones):
+                with pytest.raises(InfeasibleTargets, match="at most 7.608695652"):
+                    solve(caps)
+
+    @pytest.mark.parametrize("bets", [1.5, 4.5])
+    def test_identical_names_polish_at_the_first_iteration(self, admm_reports, bets):
+        # cov = 0.04 11' is singular, and its reduced block on the budget plane is 0
+        u = AssetUniverse(names=list("abcde"), mu=np.zeros(5), sigma=np.full(5, 0.2),
+                          rho=np.ones((5, 5)))
+        w, lam = gmv_herfindahl(u, min_bets=bets)
+        assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
+        assert 0.0 <= lam < np.inf
+        assert effective_bets(w.w) >= bets - 1e-9
+
+    @pytest.mark.parametrize("bets, lam", [(3.0, 0.0), (4.0, np.inf)])
+    def test_one_free_name_takes_what_the_caps_leave(self, monkeypatch, bets, lam):
+        from proxalloc import portfolios
+
+        points, settle = [], portfolios._settle
+
+        def first_point(solve, *args):
+            points.append(solve(*args[2:]))
+            return points[-1][0]
+
+        monkeypatch.setattr(portfolios, "_settle", first_point)
+        u, caps = SET1.universe, np.full(8, 0.3)
+        accepted = [None]
+        polish = portfolios._herfindahl_polish(u.cov, caps, np.sqrt(1.0 / bets), accepted)
+        # names 0-2 at their caps, name 3 free, the rest at 0
+        guess = np.array([0.3, 0.3, 0.3, 0.05, 0.0, 0.0, 0.0, 0.0])
+        point = polish(None, guess, None)
+        x, _, mult, tol = points[0]
+        assert np.max(np.abs(x - [0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0])) <= 1e-15
+        assert mult[3] == 0.0
+        # ||x||^2 = 0.28 lies inside the ball of 3 bets (1/3) and outside
+        # that of 4 (1/4), where the one free name makes x the limit lam -> inf
+        if lam == np.inf:
+            assert tol == 0.0 and point is None and accepted == [None]
+        else:
+            assert point is x and accepted == [0.0]
+            monkeypatch.setattr(portfolios, "_settle", settle)
+            w = polish(None, guess, None)
+            assert_ridge_certificate(u, w, accepted[0], bets, 0.3)
+
+    def test_never_bisects(self, monkeypatch):
+        from proxalloc import portfolios
+
+        def fail(*args):
+            raise AssertionError("bisect called")
+
+        monkeypatch.setattr(portfolios, "bisect", fail)
+        u = SET1.universe
+        for bets in data.MINVAR_GRID_BETS:
+            gmv_herfindahl(u, min_bets=bets)
+        gmv_herfindahl(u, upper=0.3, min_bets=4.0)
+        gmv_herfindahl(duplicated_asset_universe(), min_bets=5.0)
+        gmv_diversified(u, upper=0.4, constraint=EffectiveBets(4.0))
+
+
+class TestSecularRoot:
+    @staticmethod
+    def draws(seed):
+        """(a, c) with sum(a) in (1, 6], a_0 > 0, and a few later entries
+        a_k = c_k = 0 or a_k = 0 < c_k."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 12))
+        a, c = rng.exponential(size=size), rng.exponential(size=size) * 10.0 ** rng.uniform(-3, 3)
+        a[1:][rng.random(size - 1) < 0.2] = 0.0
+        c[(a == 0.0) & (rng.random(size) < 0.5)] = 0.0
+        return a * (1.0 + 5.0 * rng.uniform(1e-3, 1.0)) / a.sum(), c
+
+    @staticmethod
+    def g(a, c, theta):
+        return float(a @ (1.0 / (1.0 + theta * c)) ** 2)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brentq(self, seed):
+        from scipy.optimize import brentq
+
+        from proxalloc.portfolios import _secular_root
+
+        a, c = self.draws(seed)
+        hi = 2.0 * np.sqrt(np.sum(a[a > 0] / c[a > 0] ** 2))
+        expected = brentq(lambda t: self.g(a, c, t) - 1.0, 0.0, hi, xtol=1e-300, rtol=1e-15)
+        assert abs(_secular_root(a, c) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("a", [[0.5, 0.5], [0.3, 0.0, 0.2], [0.0, 0.0]])
+    def test_inside_the_ball_is_zero(self, a):
+        from proxalloc.portfolios import _secular_root
+
+        assert _secular_root(np.array(a), np.array([1.0, 0.0, 2.0][:len(a)])) == 0.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_iterates_rise_to_the_root_without_overshooting(self, monkeypatch, seed):
+        from proxalloc import portfolios
+
+        a, c = self.draws(seed)
+        root = portfolios._secular_root(a, c)
+        iterates = []
+        for steps in range(1, 8):
+            monkeypatch.setattr(portfolios, "SECULAR_STEPS", steps)
+            iterates.append(portfolios._secular_root(a, c))
+        assert 0.0 < iterates[0]
+        assert all(lo <= hi <= root for lo, hi in zip(iterates, iterates[1:]))
+        assert all(self.g(a, c, theta) >= 1.0 - 1e-15 for theta in iterates)
+
 
 class TestGmvDiversified:
     def test_effective_bets_path_matches_herfindahl(self):
