@@ -449,14 +449,15 @@ def _rb_newton(excess, xi, cov, budgets):
     return polish
 
 
-def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
-                 return_report=False, polish=False):
+def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, polish=False):
     """Unscaled risk-budgeting weights for -x'(mu - r) + xi * sqrt(x' cov x).
 
     The portfolio volatility entering each coordinate quadratic is frozen
     at the current iterate (it moves slowly between coordinate updates),
     which turns the stationarity condition into a scalar quadratic with a
-    single positive root.  ``cov`` is symmetric.
+    single positive root.  ``cov`` is symmetric.  The cycles start at
+    x = 1/n, and the barrier weight lam of the scalar quadratics is the
+    volatility sqrt(x'cov x) of that start, which sets the answer's scale.
 
     A move d on coordinate i adds d cov[i] to cov x and
     d (2 (cov x)_i + d cov_ii) to x'cov x, so both are carried through
@@ -466,7 +467,7 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
 
     With ``polish`` the cycles end through the Newton-CG polish of
     ``_rb_newton`` once it certifies a point; its answer has the scale
-    of the iterate it started from rather than of ``lam``.  Cycle 1 then
+    of the iterate it started from rather than of lam.  Cycle 1 then
     moves every coordinate at once from the cov x and volatility of the
     start, ignoring ``cfg.rule``; cycles 2, 3, ... are sweeps in the
     rule's order, so an unpolished solve keeps their convergence.
@@ -490,10 +491,8 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, lam=None, x0=None, cfg=None,
         raise NonPositiveVariance("covariance needs a positive diagonal")
     excess = mu - rate
     _check_stdev_scale(excess, xi, variances)
-    x0 = np.full(n, 1.0 / n) if x0 is None else as_vector(x0).copy()
-    if np.any(x0 <= 0):
-        raise NonPositiveStart("starting point must be strictly positive")
-    lam = float(np.sqrt(x0 @ cov @ x0) if lam is None else lam)
+    x0 = np.full(n, 1.0 / n)
+    lam = float(np.sqrt(x0 @ cov @ x0))
     xi = float(xi)
     simultaneous = polish
     lists = None  # the cyclic sweep's Python copies, built on its first cycle

@@ -51,9 +51,9 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-def is_symmetric(m, tol=SYMMETRY_TOL):
+def is_symmetric(m):
     m = np.asarray(m, dtype=float)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= tol
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= SYMMETRY_TOL
 
 
 @dataclass

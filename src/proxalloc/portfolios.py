@@ -386,12 +386,14 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     -mu'x <= -target_return (left out when nothing in the box returns
     less); a row left slack by 1e-6 puts the target below the GMV.  A
     volatility target v maximizes mu'x on the budget plane, the box and
-    x'cov x <= v^2 by a consensus split from the GMV: the x-update is
-    t + mu / rho projected onto the plane, the y-blocks are the box and
-    the ellipsoid.  Its polish settles the box block's guess on the
-    two-fund frontier point at v of the free names, the rest at their
-    bounds; when too few names reach v, the point solver reports the GMV's
-    pinned names as wrong-signed, so the next round frees them.
+    x'cov x <= v^2 by ``_plane_admm`` from the GMV, with Q = 0 and the
+    linear term mu: the x-update is t + mu / rho projected onto the
+    plane, the y-blocks are the box and the ellipsoid, and the penalty
+    starts at 3 times the spread of mu.  Its polish settles the box
+    block's guess on the two-fund frontier point at v of the free names,
+    the rest at their bounds; when too few names reach v, the point solver
+    reports the GMV's pinned names as wrong-signed, so the next round
+    frees them.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
@@ -473,13 +475,11 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         return _settle(solve, low, high, y - low < -dual, high - y < dual)  # OSQP's guess
 
     ball = _volatility_ball_projection(cov, target)
-    problem = consensus_problem(
-        lambda t, rho: t + mu / rho + (1.0 - t.sum() - mu.sum() / rho) / n,
-        [_projection(Box(low, high), n), lambda phi: ball], n)
-    problem.polish = polish
     # the ball's multiplier is about the spread of mu: rho of that scale
     cfg = AdmmConfig(phi0=3.0 * float(np.ptp(mu)), eps=1e-11, max_iter=100000)
-    return _gate(_run_split("frontier ADMM", problem, gmv.w, cfg)[0], long_only)
+    blocks = [_projection(Box(low, high), n), lambda phi: ball]
+    return _gate(_plane_admm("frontier ADMM", np.zeros(n), blocks, start=gmv.w, cfg=cfg,
+                             linear=mu, polish=polish), long_only)
 
 
 def index_sampling(universe, benchmark, n_assets, cfg=None):
@@ -650,29 +650,32 @@ def _run_split(what, problem, x0, cfg):
     return y, report
 
 
-def _gmv_admm(universe, blocks, start=None, cfg=None, plane=None, linear=0.0, polish=None):
-    """Minimum variance on the plane a'x = 1 plus one y-block per term.
+def _plane_admm(what, q, blocks, start=None, cfg=None, plane=None, linear=0.0, polish=None):
+    """min 0.5 x'Qx - linear'x on the plane a'x = 1 plus one y-block per term.
 
-    The x-prox is the ridge solve
-    argmin 0.5 x'(cov + rho I)x - (linear + rho v)'x s.t. a'x = 1, with
+    ``q`` is Q, a matrix or a 1-d diagonal (solved elementwise by
+    PenaltyFactor).  The x-prox is the ridge solve
+    argmin 0.5 x'(Q + rho I)x - (linear + rho v)'x s.t. a'x = 1, with
     a = ``plane`` (the budget normal 1 by default); ``blocks`` are the
-    y-prox builders of the remaining terms, joined by consensus_problem.
-    Starts at ``start`` (the equal point 1 / 1'a on the plane by default)
-    and returns the first block's y, or the point of ``polish`` (the
-    AdmmProblem hook, given the stacked y) when it ends the solve.
-    Raises Diverged when the iterates turn non-finite and MaxIterExceeded
-    at the iteration cap, both with the first block's y as ``last``.
+    y-prox builders of the remaining terms, joined by consensus_problem
+    (Boyd et al. 2011, sec. 7.1).  ``cfg`` defaults to a penalty at the
+    mean of Q's diagonal.  Starts at ``start`` (the equal point 1 / 1'a on
+    the plane by default) and returns the first block's y, or the point
+    of ``polish`` (the AdmmProblem hook, given the stacked y) when it ends
+    the solve.  Raises Diverged when the iterates turn non-finite and
+    MaxIterExceeded at the iteration cap, both naming the model ``what``
+    and with the first block's y as ``last``.  A 1-d Q needs a ``cfg``.
     """
-    n = universe.n
-    cfg = cfg or AdmmConfig(phi0=float(np.mean(np.diag(universe.cov))),
-                            eps=1e-11, max_iter=100000)
-    quad = PenaltyFactor(universe.cov)
+    quad = PenaltyFactor(q)
+    n = quad.q.shape[0]
+    cfg = cfg or AdmmConfig(phi0=float(np.mean(quad.q.diagonal())), eps=1e-11,
+                            max_iter=100000)
     a = np.ones(n) if plane is None else plane
     problem = consensus_problem(
         lambda v, rho: quad.solve_on_plane(linear + rho * v, rho, a, 1.0), blocks, n)
     problem.polish = polish
     x0 = np.full(n, 1.0 / a.sum()) if start is None else start
-    return _run_split("minimum-variance ADMM", problem, x0, cfg)[0]
+    return _run_split(what, problem, x0, cfg)[0]
 
 
 def _herfindahl_polish(cov, upper, radius, accepted):
@@ -684,14 +687,15 @@ def _herfindahl_polish(cov, upper, radius, accepted):
     free and hold b = 1 - 1'u_C.  The point solver puts x_F = s 1 - H [0; y]
     on the budget plane, s = b / k and H the Householder reflection taking
     1 to -sqrt(k) e_1, so ||x_F||^2 = b s + ||y||^2 and y solves a plain
-    ridge (M + lam I) y = z, M the trailing block of H cov_FF H.  The ball
-    multiplier lam >= 0 is lam0 (0, or 1e-12 max diag cov_FF for a singular
-    M) plus the root ``_secular_root`` finds in M's eigenbasis, or inf when
-    b s alone fills the ball: x_F is then the equal share, and the
-    multipliers over lam are x - s.  Otherwise they are cov x + lam x - nu 1,
-    nu the mean of cov x + lam x over F.  A settled point in the ball is
-    kept and its lam written to ``accepted[0]``; otherwise the hook returns
-    None and ADMM goes on.
+    ridge (M + lam I) y = z, M the trailing block of H cov_FF H, on M's
+    range: y has no part along an eigenvector whose eigenvalue is at most
+    1e-12 max diag cov_FF (z has none there, as cov is PSD).  The ball
+    multiplier lam >= 0 is the root ``_secular_root`` finds in M's
+    eigenbasis, or inf when b s alone fills the ball: x_F is then the
+    equal share, and the multipliers over lam are x - s.  Otherwise they
+    are cov x + lam x - nu 1, nu the mean of cov x + lam x over F.  A
+    settled point in the ball is kept and its lam written to
+    ``accepted[0]``; otherwise the hook returns None and ADMM goes on.
     """
     r2 = radius * radius
     lam_of = [None]  # the ball multiplier of the last point solved
@@ -722,14 +726,14 @@ def _herfindahl_polish(cov, upper, radius, accepted):
         reduced -= t[:, None]
         q = (cov @ point)[free]  # the free names' gradient at the equal share
         eig, vecs = np.linalg.eigh(reduced)
-        scale = c_ff.diagonal().max()
-        lam0 = 0.0 if np.all(eig > 1e-12 * scale) else 1e-12 * scale
+        keep = eig > 1e-12 * c_ff.diagonal().max()  # y has no part along a null direction
         # (reduced + lam I) y = the tail of H q, ||y||^2 = room where the ball binds
         w = vecs.T @ (q[1:] - beta * (v @ q))
-        d = 1.0 / (eig + lam0)
-        lam = lam0 + _secular_root(w * w * d * d / room, d)
+        d = np.divide(1.0, eig, out=np.zeros_like(eig), where=keep)
+        lam = _secular_root(w * w * d * d / room, d)
         lam_of[0] = lam
-        y = np.concatenate(([0.0], vecs @ (w / (eig + lam))))  # [0; y]
+        y = np.concatenate(([0.0], vecs @ np.divide(w, eig + lam, out=np.zeros_like(w),
+                                                    where=keep)))  # [0; y]
         point[free] = share - y + beta * y.sum() * v  # share 1 - H [0; y]
         grad = cov @ point + lam * point
         return point, point, grad - grad[free].sum() / k, POLISH_TOL * float(np.max(np.abs(grad)))
@@ -898,7 +902,8 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
     accepted = [np.nan]  # the ball multiplier of the polished point
     polish = _herfindahl_polish(universe.cov, upper_vec, radius, accepted)
-    w = _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg, polish=polish))
+    w = _gate(_plane_admm("gmv_herfindahl ADMM", universe.cov, [lambda phi: projection],
+                          cfg=cfg, polish=polish))
     return w, 0.0 if min_bets <= 1.0 else accepted[0]
 
 
@@ -1047,7 +1052,8 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
                                 (np.ones((1, n)), np.ones(1)), np.eye(n)[capped],
                                 upper_vec[capped])
         polish = lambda x, y, dual: smooth(y, y > 0.0, y[capped] >= upper_vec[capped])
-        return _gate(_gmv_admm(universe, [lambda phi: projection], cfg=cfg, polish=polish))
+        return _gate(_plane_admm("gmv_diversified ADMM", universe.cov, [lambda phi: projection],
+                                 cfg=cfg, polish=polish))
     raise TypeError(f"unknown diversification constraint {constraint!r}")
 
 
@@ -1097,8 +1103,8 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
     if np.any(bid) or np.any(ask):
         blocks.append(lambda phi: lambda t: prox_bid_ask(t, 1.0 / phi, bid, ask, current))
     polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
-    return _gate(_gmv_admm(universe, blocks, start=current, cfg=cfg, linear=linear,
-                           polish=polish))
+    return _gate(_plane_admm("rebalancing ADMM", universe.cov, blocks, start=current, cfg=cfg,
+                             linear=linear, polish=polish))
 
 
 def _trade_polish(cov, linear, current, upper, cap, bid, ask):
@@ -1430,7 +1436,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
                             np.zeros(len(caps)),
                             np.zeros(n) if isinstance(constraint, EffectiveBets) else None)
     polish = lambda x, y, dual: smooth(y[:n], y[:n] > 0.0, _active_rows(caps, dual[lead:]))
-    y = _gmv_admm(universe, blocks, cfg=cfg, plane=sigma, polish=polish)
+    y = _plane_admm("mdp ADMM", universe.cov, blocks, cfg=cfg, plane=sigma, polish=polish)
     return _gate(y / y.sum())
 
 
@@ -1666,11 +1672,13 @@ def _soft_pull(weight, scale, anchor):
 def robo_advisor(universe, cfg, admm_cfg=None):
     """Solve the managed-account objective of a RoboConfig.
 
-    One consensus ADMM split: the quadratic and the budget plane stay in
-    a closed-form ridge x-update on the plane, and each l1 pull, the
-    barrier, each nonlinear set, each linear set and the box get a
-    closed-form y-block.  Budget, box and linear sets that look disjoint
-    raise InfeasibleSuspected before the loop starts.
+    One ``_plane_admm`` split: the quadratic 0.5 x'Qx - r'x of
+    ``_robo_quadratic`` and the budget plane stay in its closed-form ridge
+    x-update, and each l1 pull, each nonlinear set, each linear set, the
+    box and the barrier get a closed-form y-block, in that order.  The
+    penalty starts at the mean of Q's diagonal (at least 1e-3) unless
+    ``admm_cfg`` says otherwise.  Budget, box and linear sets that look
+    disjoint raise InfeasibleSuspected before the loop starts.
     """
     n = universe.n
     q, r = _robo_quadratic(universe, cfg)
@@ -1682,31 +1690,22 @@ def robo_advisor(universe, cfg, admm_cfg=None):
     if cfg.linear_sets:
         c_rows = np.vstack([as_vector(s.c) for s in cfg.linear_sets])
         d_vals = np.array([float(s.d) for s in cfg.linear_sets])
-    ones = np.ones(n)
-    x0 = ones / n
     try:
-        linear_projection(ones[None, :], np.ones(1), c_rows, d_vals, lower, upper, x0)
+        linear_projection(np.ones((1, n)), np.ones(1), c_rows, d_vals, lower, upper,
+                          np.full(n, 1.0 / n))
     except InfeasibleSuspected as exc:
         raise InfeasibleSuspected("the budget, box and linear sets look disjoint",
                                   last=exc.last) from exc
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
                                       eps=1e-9, max_iter=50000)
-    budgets = None
-    if cfg.barrier > 0:
-        budgets = as_vector(cfg.risk_budgets)
-        budgets = budgets / budgets.sum()
     pulls = ((cfg.l1_current, cfg.shape_l1_current, cfg.current),
              (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
     blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
               for weight, shape, anchor in pulls if weight > 0]
     blocks += [_projection(s, n) for s in (*cfg.nonlinear_sets, *cfg.linear_sets,
                                            Box(lower, upper))]
-    if budgets is not None:
+    if cfg.barrier > 0:
+        budgets = as_vector(cfg.risk_budgets)
+        budgets = budgets / budgets.sum()
         blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi, budgets))
-    quad = PenaltyFactor(q)
-
-    def x_prox(v, rho):
-        return quad.solve_on_plane(r + rho * v, rho, ones, 1.0)
-
-    return _gate(_run_split("robo_advisor", consensus_problem(x_prox, blocks, n), x0,
-                            admm_cfg)[0])
+    return _gate(_plane_admm("robo_advisor", q, blocks, cfg=admm_cfg, linear=r))

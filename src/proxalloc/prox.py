@@ -406,7 +406,7 @@ def prox_bid_ask(v, lam, bid_cost, ask_cost, anchor):
     return anchor + soft_threshold_two_sided(v - anchor, lam * bid, lam * ask)
 
 
-def prox_sum_k_largest(v, lam, k, tol=1e-12):
+def prox_sum_k_largest(v, lam, k):
     """prox of lam * (sum of the k largest components of x).
 
     Computed as v - lam * P(v / lam) where P projects onto
@@ -422,7 +422,7 @@ def prox_sum_k_largest(v, lam, k, tol=1e-12):
         raise BadK(f"k must lie in [1, {v.size}], got {k}")
     proj, _ = dykstra_two(projector(Box(0.0, 1.0), v.size),
                           projector(Hyperplane(np.ones(v.size), float(k)), v.size),
-                          v / lam, DykstraConfig(tol=tol))
+                          v / lam, DykstraConfig(tol=1e-12))
     return v - lam * proj
 
 

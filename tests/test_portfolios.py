@@ -1116,13 +1116,14 @@ class TestGmvHerfindahl:
 
     @pytest.mark.parametrize("bets", [1.5, 4.5])
     def test_identical_names_polish_at_the_first_iteration(self, admm_reports, bets):
-        # cov = 0.04 11' is singular, and its reduced block on the budget plane is 0
+        # cov = 0.04 11' is singular, and its reduced block on the budget plane is 0:
+        # every budget portfolio has variance 0.04, the answer nearest 0 is equal
+        # weights, inside every ball, and y takes no null direction
         u = AssetUniverse(names=list("abcde"), mu=np.zeros(5), sigma=np.full(5, 0.2),
                           rho=np.ones((5, 5)))
         w, lam = gmv_herfindahl(u, min_bets=bets)
         assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
-        assert 0.0 <= lam < np.inf
-        assert effective_bets(w.w) >= bets - 1e-9
+        assert np.array_equal(w.w, np.full(5, 0.2)) and lam == 0.0
 
     @pytest.mark.parametrize("bets, lam", [(3.0, 0.0), (4.0, np.inf)])
     def test_one_free_name_takes_what_the_caps_leave(self, monkeypatch, bets, lam):
@@ -1928,7 +1929,7 @@ class TestMdp:
         def fail(*args, **kwargs):
             raise AssertionError("a floor-free mdp ran the consensus split")
 
-        monkeypatch.setattr(portfolios, "_gmv_admm", fail)
+        monkeypatch.setattr(portfolios, "_plane_admm", fail)
         w = mdp(universe, long_only=True, upper=cap)
         assert abs(w.w.sum() - 1.0) <= 1e-12
 
@@ -2435,10 +2436,11 @@ class TestDivergence:
     """ADMM iterates that turn non-finite raise Diverged with the last iterate and report."""
 
     def test_minimum_variance_split(self):
-        from proxalloc.portfolios import _gmv_admm
+        from proxalloc.portfolios import _plane_admm
 
-        with pytest.raises(Diverged) as err:
-            _gmv_admm(SET1.universe, [lambda phi: lambda v: np.full_like(v, np.nan)])
+        with pytest.raises(Diverged, match="^test ADMM diverged") as err:
+            _plane_admm("test ADMM", SET1.universe.cov,
+                        [lambda phi: lambda v: np.full_like(v, np.nan)])
         assert err.value.report.status == "diverged" and err.value.last.size == 8
         assert not isinstance(err.value, MaxIterExceeded)
 
@@ -2685,6 +2687,72 @@ class TestRoboAdvisor:
         for w in weights:
             assert pair @ w <= 0.25 + 1e-7
             assert np.linalg.norm(w - EW8) <= 0.1 + 1e-7
+
+
+class TestRoboShaping:
+    """RoboConfig's l1 shapes are per-asset scales, its l2 shapes the G of G'G."""
+
+    SCALES = np.array([0.5, 1.0, 1.5, 2.0, 0.8, 1.2, 0.6, 1.4])
+
+    def config(self, **shapes):
+        current = np.array([0.18, 0.12, 0.08, 0.14, 0.06, 0.12, 0.22, 0.08])
+        return RoboConfig(benchmark=SET1.benchmark, reference=EW8, current=current,
+                          gamma=0.1, l1_current=0.004, l1_reference=0.003, l2_current=0.2,
+                          l2_reference=0.3, **shapes)
+
+    def test_shaped_pulls_agree_with_the_second_split(self):
+        mixing = np.eye(8) + np.random.default_rng(3).normal(size=(8, 8)) / 4.0
+        cfg = self.config(shape_l1_current=self.SCALES,
+                          shape_l1_reference=np.diag(self.SCALES[::-1]),
+                          shape_l2_current=self.SCALES, shape_l2_reference=mixing)
+        w = robo_advisor(SET1.universe, cfg).w
+        assert np.max(np.abs(w - robo_ccd_reference(SET1.universe, cfg).w)) <= 1e-4
+        assert np.max(np.abs(w - robo_advisor(SET1.universe, self.config()).w)) > 1e-3
+
+    def test_a_vector_shape_is_its_diagonal_matrix(self):
+        vectors = self.config(shape_l1_current=self.SCALES, shape_l2_reference=self.SCALES)
+        matrices = self.config(shape_l1_current=np.diag(self.SCALES),
+                               shape_l2_reference=np.diag(self.SCALES))
+        assert np.array_equal(robo_advisor(SET1.universe, vectors).w,
+                              robo_advisor(SET1.universe, matrices).w)
+
+    def test_a_non_diagonal_l1_shape_raises(self):
+        shape = np.eye(8)
+        shape[0, 1] = 0.1
+        with pytest.raises(ValueError, match="l1 shaping must be diagonal"):
+            robo_advisor(SET1.universe, self.config(shape_l1_reference=shape))
+
+
+class TestOnePlaneSplit:
+    """robo_advisor and a volatility-target mvo_target each run one _plane_admm
+    split and build no consensus problem of their own."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from proxalloc import portfolios
+
+        calls = []
+
+        def spy(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("_plane_admm", "consensus_problem"):
+            monkeypatch.setattr(portfolios, name, spy(name, getattr(portfolios, name)))
+        return calls
+
+    def test_robo_advisor(self, calls):
+        robo_advisor(SET1.universe, loaded_robo_config())
+        assert calls == ["_plane_admm", "consensus_problem"]
+
+    def test_volatility_target(self, calls):
+        u, box = tilted_universe(), dict(lower=np.zeros(8), upper=np.ones(8))
+        vol = stats(mvo_gamma(u, 0.0, **box), u).volatility
+        mvo_target(u, target_volatility=1.1 * vol, **box)
+        assert calls == ["_plane_admm", "consensus_problem"]
+
+    def test_errors_name_the_model(self):
+        with pytest.raises(MaxIterExceeded, match="^robo_advisor did not converge"):
+            robo_advisor(SET1.universe, loaded_robo_config(), AdmmConfig(max_iter=1))
 
 
 class TestBudgetInvariant:

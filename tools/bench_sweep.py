@@ -1,0 +1,216 @@
+"""Wall time, ADMM iterations and polish flags of every portfolios model, by size.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_sweep.py [--sizes 8 100 500]
+        [--label LABEL] [--out DIR]
+
+Each case solves one model on perfbench/universe.py's seeded
+factor_universe(default_rng(0), n), imported read-only.  "GMV" is the
+long-only minimum variance and "EW" equal weights, used as benchmark,
+reference, holdings or budgets.  A case's time is the best of REPEAT (3)
+runs; its ADMM solves are read from a spy on admm_solve in portfolios and
+qp, one (iterations, polished) pair per solve in call order, and its
+weights are kept as a SHA-256 of their bytes, so two files show
+bit-identical answers.  A case that raises is recorded with its error,
+never dropped.  The file also holds the time of `import proxalloc` in a
+fresh interpreter (best of 3), each `proxalloc reproduce` table's time
+after import, the machine facts and the BLAS thread settings.  It is
+written to DIR/BENCH_<LABEL>.json (the repository root and the source
+tree's short commit hash by default).
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from proxalloc import cli, portfolios, qp  # noqa: E402
+from proxalloc.portfolios import (  # noqa: E402
+    EffectiveBets,
+    RoboConfig,
+    ShannonEntropyFloor,
+    StdevRisk,
+    effective_bets,
+    stats,
+)
+
+TABLES = ("table4", "table5", "erc", "lasso_trace", "box_qp_trace")
+REPEAT = 3
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _universe_module():
+    spec = importlib.util.spec_from_file_location("perfbench_universe",
+                                                  ROOT / "perfbench" / "universe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(universe_module, n):
+    """{name: zero-argument solve} of the sweep at size n."""
+    u = universe_module.factor_universe(np.random.default_rng(0), n)
+    ew = np.full(n, 1.0 / n)
+    box = dict(lower=np.zeros(n), upper=np.ones(n))
+    gmv = portfolios.mvo_gamma(u, 0.0, **box)
+    vol = stats(gmv, u).volatility
+    log_third = np.log(n / 3.0)
+    robo = RoboConfig(benchmark=ew, reference=ew, current=ew, gamma=0.1, l1_current=0.002,
+                      l2_reference=0.3, barrier=0.01, risk_budgets=ew)
+    xi = universe_module.well_posed_xi(u)
+    return {
+        "risk_budgeting stdev admm": lambda: portfolios.risk_budgeting(
+            u, np.ones(n), StdevRisk(xi), engine="admm"),
+        **{f"mvo_target vol {k}x gmv": (lambda k=k: portfolios.mvo_target(
+            u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
+        "index_sampling n/4 ew": lambda: portfolios.index_sampling(u, ew, max(1, n // 4)),
+        "gmv_herfindahl halfway": lambda: portfolios.gmv_herfindahl(
+            u, min_bets=0.5 * (effective_bets(gmv.w) + n)),
+        "kl_portfolio cap 1.2x gmv": lambda: portfolios.kl_portfolio(
+            u, ew, max_volatility=1.2 * vol),
+        "kl_portfolio return p70 cap 1.5x gmv": lambda: portfolios.kl_portfolio(
+            u, ew, target_return=float(np.percentile(u.mu, 70)), max_volatility=1.5 * vol),
+        "gmv_diversified entropy ln(n/3)": lambda: portfolios.gmv_diversified(
+            u, constraint=ShannonEntropyFloor(log_third)),
+        "mdp entropy ln(n/3)": lambda: portfolios.mdp(
+            u, constraint=ShannonEntropyFloor(log_third)),
+        # caps of 0.05 leave no budget portfolio below n = 20
+        "mdp caps max(0.05, 2/n)": lambda: portfolios.mdp(u, upper=max(0.05, 2.0 / n)),
+        "rqe_portfolio 1-rho": lambda: portfolios.rqe_portfolio(1.0 - u.rho),
+        "robo_advisor loaded": lambda: portfolios.robo_advisor(u, robo),
+        "mvo_turnover cap 0.3": lambda: portfolios.mvo_turnover(u, 0.1, ew, 0.3),
+        "mdp bets n/3": lambda: portfolios.mdp(u, constraint=EffectiveBets(n / 3.0)),
+        "mdp no floor": lambda: portfolios.mdp(u),
+        "mvo_target return p70": lambda: portfolios.mvo_target(
+            u, target_return=float(np.percentile(u.mu, 70)), **box),
+        "gmv": lambda: portfolios.mvo_gamma(u, 0.0, **box),
+        "rebalance_penalized 20bp cap 0.3": lambda: portfolios.rebalance_penalized(
+            u, ew, cost_scale=1.0, bid_cost=0.002, ask_cost=0.002, turnover_cap=0.3),
+        "erc": lambda: portfolios.erc(u),
+        "mvo_costs 10bp": lambda: portfolios.mvo_costs(u, 0.1, ew, 0.001, 0.001),
+    }
+
+
+class AdmmSpy:
+    """Records (iterations, polished) of every admm_solve that portfolios and qp run."""
+
+    def __init__(self):
+        self.solves = []
+        self._real = portfolios.admm_solve
+
+    def __enter__(self):
+        def spy(*args, **kwargs):
+            x, y, report = self._real(*args, **kwargs)
+            self.solves.append([report.iterations, bool(report.polished)])
+            return x, y, report
+
+        portfolios.admm_solve = qp.admm_solve = spy
+        return self
+
+    def __exit__(self, *exc):
+        portfolios.admm_solve = qp.admm_solve = self._real
+
+
+def run_case(solve):
+    """{wall_s, admm, weights_sha256} of one case, or {error} when it raises."""
+    best = np.inf
+    for _ in range(REPEAT):
+        with AdmmSpy() as spy:
+            start = time.perf_counter()
+            try:
+                answer = solve()
+            except Exception as exc:  # recorded, so a failing case stays in the file
+                return {"error": f"{type(exc).__name__}: {exc}"}
+            best = min(best, time.perf_counter() - start)
+    w = answer[0] if isinstance(answer, tuple) else answer
+    digest = hashlib.sha256(np.ascontiguousarray(w.w).tobytes()).hexdigest()
+    return {"wall_s": best, "admm": spy.solves, "weights_sha256": digest}
+
+
+def import_seconds():
+    """Best of 3 times of `import proxalloc` in a fresh interpreter."""
+    code = ("import time; t = time.perf_counter(); import proxalloc; "
+            "print(time.perf_counter() - t)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return min(float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+               for _ in range(3))
+
+
+def reproduce_seconds():
+    """{table: {seconds, exit_code}} of each `proxalloc reproduce` table, after import."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for table in TABLES:
+            start = time.perf_counter()
+            code = cli.main(["reproduce", table, "--output", os.path.join(tmp, table)])
+            out[table] = {"seconds": time.perf_counter() - start, "exit_code": code}
+    return out
+
+
+def machine():
+    facts = {"platform": platform.platform(), "machine": platform.machine(),
+             "processor": platform.processor(), "cpu_count": os.cpu_count(),
+             "python": platform.python_version(), "numpy": np.__version__,
+             "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+    try:  # the model name, where the platform reports one
+        with open("/proc/cpuinfo") as fh:
+            facts["cpu"] = next(line.split(":", 1)[1].strip() for line in fh
+                                if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        facts["blas"] = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # numpy before 1.26 has no dict mode
+        pass
+    return facts
+
+
+def git_label():
+    try:
+        return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "local"
+
+
+def sweep(sizes):
+    module = _universe_module()
+    rows = []
+    for n in sizes:
+        for name, solve in cases(module, n).items():
+            rows.append({"case": name, "n": n, **run_case(solve)})
+    return rows
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 100, 500])
+    parser.add_argument("--label", default=None)
+    parser.add_argument("--out", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    label = args.label or git_label()
+    result = {"label": label, "machine": machine(), "import_s": import_seconds(),
+              "reproduce": reproduce_seconds(), "repeat": REPEAT,
+              "cases": sweep(args.sizes)}
+    path = args.out / f"BENCH_{label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
