@@ -10,9 +10,9 @@ over-relaxed from its second iteration on (Boyd et al. 2011, 3.4.3):
 x_hat = RELAXATION K x + (1 - RELAXATION) y, where the first iteration
 takes x_hat = K x, so a polish that succeeds there sees the plain step.
 The scaled dual u accumulates x_hat - y+, while the residuals keep
-their meaning, r = K x - y+ and s = phi K'(y+ - y).  y starts at K x0
-unless the caller gives y0.  An optional adaptive scheme (Boyd et al.
-2011, 3.4.1) keeps the squared primal and dual residual norms within a
+their meaning, r = K x - y+ and s = phi K'(y+ - y).  y starts at
+K x0.  An optional adaptive scheme (Boyd et al. 2011, 3.4.1) keeps the
+squared primal and dual residual norms within a
 factor MU of each other by multiplying the penalty by TAU_UP or dividing
 it by TAU_DOWN, rescaling u so the unscaled dual phi*u is preserved across
 penalty changes, until the penalty has turned back MAX_PHI_REVERSALS
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import PenaltyFactor, as_vector
-from .prox import LpBall, projector, soft_threshold
+from .prox import LpBall, _soft_threshold, projector
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, MAX_ITER, SolverReport
 
 CERTIFY_EVERY = 10  # iterations between infeasibility checks
@@ -141,12 +141,12 @@ def consensus_problem(x_prox, blocks, n):
         adjoint=lambda v: v.reshape(m, -1).sum(axis=0))
 
 
-def admm_solve(problem, x0, y0=None, cfg=None):
+def admm_solve(problem, x0, cfg=None):
     """Run over-relaxed ADMM from x0 until both residual norms meet cfg.eps.
 
-    y starts at y0, or at K x0 when y0 is None.  Iteration 1 is the plain
-    step; every later one relaxes K x to x_hat = RELAXATION K x +
-    (1 - RELAXATION) y before the y-prox and the dual update.  Returns
+    y starts at K x0.  Iteration 1 is the plain step; every later one
+    relaxes K x to x_hat = RELAXATION K x + (1 - RELAXATION) y before the
+    y-prox and the dual update.  Returns
     (x, y, report); on hitting max_iter the last iterate is returned with
     report.status = "max_iter" rather than raising, so callers can
     inspect how far the solve got.
@@ -155,10 +155,7 @@ def admm_solve(problem, x0, y0=None, cfg=None):
     apply, adjoint = problem.apply, problem.adjoint
     infeasible, polish = problem.infeasible, problem.polish
     x = as_vector(x0).copy()
-    if y0 is None:
-        y = x if apply is None else apply(x)
-    else:
-        y = as_vector(y0).copy()
+    y = x if apply is None else apply(x)
     u = np.zeros(y.size)
     phi = cfg.phi0
     prox = problem.y_prox(phi)
@@ -248,7 +245,7 @@ def admm_lasso_lambda(x_mat, y, lam, cfg=None, beta0=None, return_report=False):
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    return _lasso(x_mat, y, lambda phi: (lambda v: soft_threshold(v, lam / phi)),
+    return _lasso(x_mat, y, lambda phi: (lambda v: _soft_threshold(v, lam / phi)),
                   cfg, beta0, return_report)
 
 

@@ -48,7 +48,7 @@ from .errors import (
     ZeroColumn,
 )
 from .linalg import as_matrix, as_vector
-from .prox import projector, soft_threshold
+from .prox import _soft_threshold, projector
 from .reports import CONVERGED, MAX_ITER, SolverReport
 
 # the Newton-CG polish of risk budgeting (``_rb_newton``)
@@ -237,7 +237,7 @@ def cd_lasso(x_mat, y, lam, x0=None, cfg=None, return_report=False,
     def update(j, b):
         r = state["resid"]
         rho = x_mat[:, j] @ r + norms[j] * b[j]
-        new = soft_threshold(np.atleast_1d(rho), lam)[0] / norms[j]
+        new = _soft_threshold(rho, lam) / norms[j]
         if new != b[j]:
             state["resid"] = r + x_mat[:, j] * (b[j] - new)
         return new

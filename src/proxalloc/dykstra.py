@@ -11,7 +11,9 @@ There is one cycle loop, ``dykstra_cycle``; every other function here
 builds a list of catalogue projectors (``prox.projector``) and hands it
 to that loop.  Each projector checks its set once, when it is built, so
 the loop itself runs bare numpy closures; a caller that sweeps many
-vectors builds the list once and calls ``dykstra_cycle`` itself.
+vectors builds the list once and calls ``dykstra_cycle`` itself.  The
+``project_*`` functions check v once and call the loop with
+``check=False``.
 
 Cycle counting follows the convention that "cycle 0" is the constant
 input v, so convergence is checked from the first cycle onward by
@@ -129,7 +131,7 @@ def project_polyhedron(c, d, v, cfg=None):
     """
     v = as_vector(v)
     ops = _halfspaces(c, d, v.size)
-    return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
+    return dykstra_cycle(ops, v, cfg, check=False)[0] if ops else v.copy()
 
 
 def project_general_linear(a, b, c, d, lower, upper, v, cfg=None):
@@ -148,11 +150,11 @@ def project_general_linear(a, b, c, d, lower, upper, v, cfg=None):
         ops += _halfspaces(c, d, v.size)
     if lower is not None or upper is not None:
         ops.append(projector(Box(lower, upper), v.size))
-    return dykstra_cycle(ops, v, cfg)[0] if ops else v.copy()
+    return dykstra_cycle(ops, v, cfg, check=False)[0] if ops else v.copy()
 
 
 def project_box_ball(v, lower, upper, center, radius, cfg=None):
     """Projection onto Box[lower, upper] intersect l2-ball(center, radius)."""
     v = as_vector(v)
     ops = [projector(LpBall(2, center, radius), v.size), projector(Box(lower, upper), v.size)]
-    return dykstra_cycle(ops, v, cfg)[0]
+    return dykstra_cycle(ops, v, cfg, check=False)[0]

@@ -420,6 +420,10 @@ def threshold_sum_root(v, target):
     v = as_vector(v)
     if target <= 0:
         raise ValueError("target must be positive")
+    return _threshold_sum_root(v, target)
+
+
+def _threshold_sum_root(v, target):
     u = np.sort(v)[::-1]
     cumsum = np.cumsum(u)
     k = np.arange(1, u.size + 1)

@@ -20,14 +20,17 @@ the closed-form frontier point, a held Cholesky factor, an equality QP
 in trade variables) and lets its one primal-dual loop correct the guess.
 Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
-Every model returns PortfolioWeights whose vector has passed one common
-normalization gate (tiny negative clips, budget rescale), so solver
-slack never leaks into downstream statistics.
+Each model checks its per-asset vectors once, where it takes them
+(``_asset_vector``: finite, 1-d, n entries), and its loops call the
+catalogue's unchecked kernels.  Every model returns PortfolioWeights
+whose vector has passed one common normalization gate (tiny negative
+clips, budget rescale), so solver slack never leaks into downstream
+statistics.
 """
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,6 +45,9 @@ from .errors import (
     InfeasibleSuspected,
     InfeasibleTargets,
     MaxIterExceeded,
+    NegativeCost,
+    NegativeLambda,
+    NonPositiveWeight,
     NotPositiveDefinite,
     OutOfDomain,
     TargetUnreachable,
@@ -56,11 +62,12 @@ from .prox import (
     Hyperplane,
     LpBall,
     _bound,
+    _fit,
+    _prox_bid_ask,
+    _prox_kl,
+    _prox_log_barrier,
+    _soft_threshold,
     projector,
-    prox_bid_ask,
-    prox_kl,
-    prox_log_barrier,
-    soft_threshold,
 )
 from .qp import (
     POLISH_TOL,
@@ -212,6 +219,9 @@ class RoboConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.barrier > 0 and self.risk_budgets is None:
             raise ValueError("a positive barrier needs risk budgets")
+        for name in ("l1_current", "l2_current", "l1_reference", "l2_reference"):
+            if getattr(self, name) > 0 and getattr(self, name[3:]) is None:
+                raise ValueError(f"a positive {name} needs {name[3:]}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +239,18 @@ def _gate(w, long_only=True):
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"budget off by {total - 1.0:.2e}")
     return PortfolioWeights(w / total)
+
+
+def _asset_vector(x, n, name):
+    """x as a finite 1-d float array of exactly n entries: the entry check of
+    every per-asset vector a model or statistic takes.  A wrong length raises
+    DimensionMismatch, and NaN, Inf or a second axis raise as in as_vector;
+    the vector of a PortfolioWeights, checked when it was made, only has its
+    length checked."""
+    v = x.w if isinstance(x, PortfolioWeights) else as_vector(x, name)
+    if v.size != n:
+        raise DimensionMismatch(f"{name}: {v.size} entries for {n} assets")
+    return v
 
 
 def herfindahl(w):
@@ -252,28 +274,26 @@ def _entropy(w):
 
 def stats(w, universe, benchmark=None, reference=None, current=None):
     """Portfolio statistics; comparison fields need their comparand."""
-    w = w.w if isinstance(w, PortfolioWeights) else as_vector(w)
-    if w.size != universe.n:
-        raise ValueError("weights do not match the universe")
-    vol = float(np.sqrt(w @ universe.cov @ w))
+    w = _asset_vector(w, universe.n, "weights")
+    vol, h = float(np.sqrt(w @ universe.cov @ w)), float(w @ w)
     out = PortfolioStats(
         expected_return=float(w @ universe.mu),
         volatility=vol,
-        herfindahl=herfindahl(w),
-        effective_bets=effective_bets(w),
+        herfindahl=h,
+        effective_bets=1.0 / h,
         diversification_ratio=float(w @ universe.sigma) / vol,
-        shannon_entropy=shannon_entropy(w),
+        shannon_entropy=_entropy(w),
         leverage=float(np.sum(np.abs(w))),
         net_exposure=float(abs(np.sum(w))),
     )
     if current is not None:
-        out.turnover = float(np.sum(np.abs(w - as_vector(current))))
+        out.turnover = float(np.sum(np.abs(w - _asset_vector(current, universe.n, "current"))))
     if benchmark is not None:
-        b = as_vector(benchmark)
+        b = _asset_vector(benchmark, universe.n, "benchmark")
         out.active_share = 0.5 * float(np.sum(np.abs(w - b)))
         out.tracking_error = float(np.sqrt((w - b) @ universe.cov @ (w - b)))
     if reference is not None:
-        ref = as_vector(reference)
+        ref = _asset_vector(reference, universe.n, "reference")
         pos = w > 0
         out.kl_divergence = float(np.sum(w[pos] * np.log(w[pos] / ref[pos])))
     return out
@@ -334,7 +354,7 @@ def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
     """Tracking-error MVO: same QP with returns tilted by cov @ benchmark."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    b = as_vector(benchmark)
+    b = _asset_vector(benchmark, universe.n, "benchmark")
     c, d = ineq if ineq is not None else (None, None)
     r = gamma * universe.mu + universe.cov @ b
     w = _solve_budget_qp(universe.cov, r, lower, upper, c, d, cfg)
@@ -509,9 +529,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     n = universe.n
     if not isinstance(n_assets, numbers.Integral) or not 1 <= n_assets <= n:
         raise BadK(f"n_assets must be an integer in [1, {n}], got {n_assets!r}")
-    b = as_vector(benchmark, "benchmark")
-    if b.size != n:
-        raise DimensionMismatch(f"benchmark has {b.size} entries for {n} assets")
+    b = _asset_vector(benchmark, n, "benchmark")
     cov = universe.cov
     r = cov @ b
     cap = np.full(n, np.inf)  # u = 1 never binds under the budget; a knocked-out u is 0
@@ -576,8 +594,8 @@ def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):
     rebalance_penalized, with gamma mu in the x-update.
     """
     zero = np.zeros(universe.n)
-    return _rebalance_split(universe, as_vector(current), turnover_cap, None,
-                            gamma * universe.mu, zero, zero, cfg)
+    return _rebalance_split(universe, _asset_vector(current, universe.n, "current"),
+                            turnover_cap, None, gamma * universe.mu, zero, zero, cfg)
 
 
 def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
@@ -588,9 +606,8 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
     plain budget row.
     """
     n = universe.n
-    current = as_vector(current)
-    bid = np.broadcast_to(np.asarray(bid_cost, dtype=float), (n,))
-    ask = np.broadcast_to(np.asarray(ask_cost, dtype=float), (n,))
+    current = _asset_vector(current, n, "current")
+    bid, ask = _fit(bid_cost, n, "bid cost"), _fit(ask_cost, n, "ask cost")
     if np.any(bid < 0) or np.any(ask < 0):
         raise ValueError("costs must be nonnegative")
     q = np.zeros((3 * n, 3 * n))
@@ -1070,12 +1087,15 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
     to the long-only budget set, sum |c - clip(c)| + |1 - sum clip(c)| with
     clip into [0, upper], raises InfeasibleTargets before the loop, with
     clip(c) as ``last``; a cap of 0 that meets it returns the holdings.
-    A cost_scale <= 0 charges no costs.
+    A cost_scale <= 0 charges no costs; a negative scaled cost raises
+    NegativeCost.
     """
-    current = as_vector(current)
+    n = universe.n
+    current = _asset_vector(current, n, "current")
     scale = max(cost_scale, 0.0)
-    bid = scale * np.broadcast_to(np.asarray(bid_cost, dtype=float), current.shape)
-    ask = scale * np.broadcast_to(np.asarray(ask_cost, dtype=float), current.shape)
+    bid, ask = scale * _fit(bid_cost, n, "bid cost"), scale * _fit(ask_cost, n, "ask cost")
+    if np.any(bid < 0) or np.any(ask < 0):
+        raise NegativeCost("transaction costs must be nonnegative")
     return _rebalance_split(universe, current, turnover_cap, upper, 0.0 * current, bid, ask, cfg)
 
 
@@ -1101,7 +1121,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
                                     last=clipped)
         blocks.append(_projection(LpBall(1, current, float(turnover_cap)), n))
     if np.any(bid) or np.any(ask):
-        blocks.append(lambda phi: lambda t: prox_bid_ask(t, 1.0 / phi, bid, ask, current))
+        blocks.append(lambda phi: lambda t: _prox_bid_ask(t, 1.0 / phi, bid, ask, current))
     polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
     return _gate(_plane_admm("rebalancing ADMM", universe.cov, blocks, start=current, cfg=cfg,
                              linear=linear, polish=polish))
@@ -1234,7 +1254,7 @@ def _excess_and_scale(universe, measure):
 
 def risk_contributions(w, universe, measure=Volatility()):
     """Per-asset risk contributions w_i * d risk / d w_i."""
-    w = w.w if isinstance(w, PortfolioWeights) else as_vector(w)
+    w = _asset_vector(w, universe.n, "weights")
     excess, xi = _excess_and_scale(universe, measure)
     cov_w = universe.cov @ w
     return -w * excess + xi * w * cov_w / np.sqrt(w @ cov_w)
@@ -1266,12 +1286,14 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     z_k = w_k / phi where l_k = 0.  s = sqrt(x'cov x) is the root of
     sum_{l_k > 0} l_k w_k^2 / (phi s + xi l_k)^2 = 1 (the trust-region
     secular equation of More & Sorensen 1983), or 0 when that sum is at
-    most 1 at s = 0.  The y-update is the closed-form prox of the barrier
-    -lam sum_i b_i ln y_i, whose shift 4 lam b / phi is formed once per
-    penalty value.  The penalty stays at phi (no residual balancing), the
-    loop is ``admm_solve``'s over-relaxed one, and the solve stops once
-    the primal residual ||x - y|| and the dual residual
-    phi ||y - y_prev|| are both at most tol.
+    most 1 at s = 0.  The y-update is the catalogue's prox of the barrier
+    -lam sum_i b_i ln y_i, called as its unchecked kernel
+    ``prox._prox_log_barrier`` on the budgets ``risk_budgeting`` checked,
+    with its shift 4 lam b / phi formed once per penalty value.  The
+    penalty stays at phi (no residual balancing), the loop is
+    ``admm_solve``'s over-relaxed one, and the solve stops once the primal
+    residual ||x - y|| and the dual residual phi ||y - y_prev|| are both
+    at most tol.
 
     Raises OutOfDomain with ``last`` = y once y's Sharpe ratio
     excess'y / sqrt(y'cov y) reaches xi: the objective then falls
@@ -1304,7 +1326,7 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
 
     def y_prox(phi):
         shift = 4.0 * lam / phi * budgets
-        return lambda v: 0.5 * (v + np.sqrt(v * v + shift))
+        return lambda v: _prox_log_barrier(v, shift)
 
     cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, max_iter=max_iter)
     return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox),
@@ -1331,7 +1353,7 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     below, and both engines raise OutOfDomain once the scale is under the
     best single-asset ratio or an iterate's Sharpe ratio reaches it.
     """
-    budgets = as_vector(budgets)
+    budgets = _asset_vector(budgets, universe.n, "budgets")
     if np.any(budgets <= 0):
         raise ValueError("risk budgets must be positive")
     budgets = budgets / budgets.sum()
@@ -1529,7 +1551,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     unconverged raises Diverged or MaxIterExceeded.
     """
     n = universe.n
-    reference = as_vector(reference)
+    reference = _asset_vector(reference, n, "reference")
     if np.any(reference <= 0):
         raise ValueError("reference weights must be positive")
     if target_return is not None:
@@ -1561,7 +1583,7 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     shift = 1.0 / reference - 1.0
     cfg = cfg or AdmmConfig(phi0=1.0, eps=1e-10, max_iter=100000)
     problem = consensus_problem(
-        lambda v, rho: prox_kl(v + shift / rho, 1.0 / rho, reference), blocks, n)
+        lambda v, rho: _prox_kl(v + shift / rho, 1.0 / rho, reference), blocks, n)
     cov, v2 = universe.cov, float(max_volatility) ** 2
 
     def parts(x):  # f = KL(x | reference), g = (x'cov x / cap^2 - 1) / 2
@@ -1624,39 +1646,32 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
 # ---------------------------------------------------------------------------
 
 def _as_diag(shape, n):
-    if shape is None:
-        return np.ones(n)
-    shape = np.asarray(shape, dtype=float)
+    shape = np.asarray(1.0 if shape is None else shape, dtype=float)
     if shape.ndim == 2:
         if np.max(np.abs(shape - np.diag(np.diag(shape)))) > 0:
             raise ValueError("l1 shaping must be diagonal")
-        return np.diag(shape).copy()
-    return np.broadcast_to(shape, (n,)).copy()
+        shape = np.diag(shape)
+    if np.any(shape < 0):
+        raise NegativeLambda("l1 shaping must be nonnegative")
+    return _fit(shape, n, "l1 shaping")
 
 
 def _as_full(shape, n):
-    if shape is None:
-        return np.eye(n)
-    shape = np.asarray(shape, dtype=float)
-    return np.diag(np.broadcast_to(shape, (n,))) if shape.ndim == 1 else shape
+    shape = np.asarray(1.0 if shape is None else shape, dtype=float)
+    return shape if shape.ndim == 2 else np.diag(_fit(shape, n, "l2 shaping"))
 
 
 def _robo_quadratic(universe, cfg):
-    n = universe.n
     q = universe.cov.copy()
     r = cfg.gamma * universe.mu.copy()
     if cfg.benchmark is not None:
-        r = r + universe.cov @ as_vector(cfg.benchmark)
-    if cfg.l2_current > 0:
-        g2 = _as_full(cfg.shape_l2_current, n)
-        gtg = cfg.l2_current * g2.T @ g2
-        q = q + gtg
-        r = r + gtg @ as_vector(cfg.current)
-    if cfg.l2_reference > 0:
-        g2 = _as_full(cfg.shape_l2_reference, n)
-        gtg = cfg.l2_reference * g2.T @ g2
-        q = q + gtg
-        r = r + gtg @ as_vector(cfg.reference)
+        r = r + universe.cov @ cfg.benchmark
+    for weight, shape, anchor in ((cfg.l2_current, cfg.shape_l2_current, cfg.current),
+                                  (cfg.l2_reference, cfg.shape_l2_reference, cfg.reference)):
+        if weight > 0:
+            g2 = _as_full(shape, universe.n)
+            gtg = weight * g2.T @ g2
+            q, r = q + gtg, r + gtg @ anchor
     return q, r
 
 
@@ -1664,7 +1679,7 @@ def _soft_pull(weight, scale, anchor):
     """y-block of the l1 pull weight * ||diag(scale) (x - anchor)||_1."""
     def build(phi):
         lam = weight / phi * scale
-        return lambda t: anchor + soft_threshold(t - anchor, lam)
+        return lambda t: anchor + _soft_threshold(t - anchor, lam)
 
     return build
 
@@ -1678,9 +1693,17 @@ def robo_advisor(universe, cfg, admm_cfg=None):
     box and the barrier get a closed-form y-block, in that order.  The
     penalty starts at the mean of Q's diagonal (at least 1e-3) unless
     ``admm_cfg`` says otherwise.  Budget, box and linear sets that look
-    disjoint raise InfeasibleSuspected before the loop starts.
+    disjoint raise InfeasibleSuspected before the loop starts.  The
+    config's vectors are checked here, once, against the universe (a
+    wrong length raises DimensionMismatch, a negative l1 shape
+    NegativeLambda, a non-positive budget NonPositiveWeight), so the l1
+    pulls and the barrier call the unchecked kernels ``_soft_threshold``
+    and ``_prox_log_barrier`` inside the loop.
     """
     n = universe.n
+    cfg = replace(cfg, **{name: _asset_vector(getattr(cfg, name), n, name) for name in
+                          ("benchmark", "reference", "current", "risk_budgets")
+                          if getattr(cfg, name) is not None})
     q, r = _robo_quadratic(universe, cfg)
     lower = _bound(cfg.lower, 0.0, n, "lower")
     upper = _bound(cfg.upper, 1.0, n, "upper")
@@ -1700,12 +1723,14 @@ def robo_advisor(universe, cfg, admm_cfg=None):
                                       eps=1e-9, max_iter=50000)
     pulls = ((cfg.l1_current, cfg.shape_l1_current, cfg.current),
              (cfg.l1_reference, cfg.shape_l1_reference, cfg.reference))
-    blocks = [_soft_pull(weight, _as_diag(shape, n), as_vector(anchor))
+    blocks = [_soft_pull(weight, _as_diag(shape, n), anchor)
               for weight, shape, anchor in pulls if weight > 0]
     blocks += [_projection(s, n) for s in (*cfg.nonlinear_sets, *cfg.linear_sets,
                                            Box(lower, upper))]
     if cfg.barrier > 0:
-        budgets = as_vector(cfg.risk_budgets)
-        budgets = budgets / budgets.sum()
-        blocks.append(lambda phi: lambda t: prox_log_barrier(t, cfg.barrier / phi, budgets))
+        budgets = cfg.risk_budgets / cfg.risk_budgets.sum()
+        if np.any(budgets <= 0):
+            raise NonPositiveWeight("log-barrier weights must be positive")
+        blocks.append(lambda phi: functools.partial(
+            _prox_log_barrier, shift=4.0 * (cfg.barrier / phi) * budgets))
     return _gate(_plane_admm("robo_advisor", q, blocks, cfg=admm_cfg, linear=r))

@@ -13,7 +13,14 @@ A "prox-fn" in engine signatures is any callable v -> x of matching
 length.  ``projector(set_, n)`` checks a set's parameters once and
 returns its projection as such a callable, which an engine builds once
 per solve so its loop runs no validation; ``project`` is the one-shot
-form.
+form.  The other proxes keep the same rule by a kernel: ``soft_threshold``,
+``soft_threshold_two_sided``, ``prox_log_barrier``, ``prox_kl`` and
+``prox_bid_ask`` check their inputs and call a private kernel of the same
+name with a leading underscore, which does the arithmetic only.  A model
+or engine checks its parameters once per solve and calls the kernel
+inside its loop, on float arrays that already match v; the public
+functions that call one another (``prox_lp_norm``, ``prox_bid_ask``) call
+the kernels too, and so do the projectors (``linalg._threshold_sum_root``).
 """
 
 from dataclasses import dataclass
@@ -32,13 +39,7 @@ from .errors import (
     UnsupportedNorm,
     ZeroScale,
 )
-from .linalg import (
-    as_vector,
-    lambert_w_exp,
-    pseudo_inverse,
-    solve_spd,
-    threshold_sum_root,
-)
+from .linalg import _threshold_sum_root, as_vector, lambert_w_exp, pseudo_inverse, solve_spd
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,10 @@ def soft_threshold(v, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise NegativeLambda("soft_threshold needs lam >= 0")
+    return _soft_threshold(v, lam)
+
+
+def _soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
@@ -61,6 +66,10 @@ def soft_threshold_two_sided(v, lam_minus, lam_plus):
     lam_plus = np.asarray(lam_plus, dtype=float)
     if np.any(lam_minus < 0) or np.any(lam_plus < 0):
         raise NegativeLambda("two-sided soft_threshold needs nonnegative thresholds")
+    return _soft_threshold_two_sided(v, lam_minus, lam_plus)
+
+
+def _soft_threshold_two_sided(v, lam_minus, lam_plus):
     return np.maximum(v - lam_plus, 0.0) - np.maximum(-(v + lam_minus), 0.0)
 
 
@@ -250,7 +259,7 @@ def _(set_: LpBall, n):
             w = v - center
             if np.sum(np.abs(w)) <= r:
                 return v.copy()
-            s = threshold_sum_root(np.abs(w), r)
+            s = _threshold_sum_root(np.abs(w), r)
             return v - np.sign(w) * np.minimum(np.abs(w), s)
     else:
         raise UnsupportedNorm(f"no l{set_.p} ball projection")
@@ -285,7 +294,7 @@ def _(set_: LpBallComplement, n):
 
 @projector.register
 def _(set_: Simplex, n):
-    return lambda v: np.maximum(v - threshold_sum_root(v, 1.0), 0.0)
+    return lambda v: np.maximum(v - _threshold_sum_root(v, 1.0), 0.0)
 
 
 @projector.register
@@ -316,7 +325,7 @@ def _(set_: Polyhedron, n):
     from .dykstra import _halfspaces, dykstra_cycle
 
     ops = _halfspaces(set_.c, set_.d, n)
-    return lambda v: dykstra_cycle(ops, v)[0] if ops else v.copy()
+    return lambda v: dykstra_cycle(ops, v, check=False)[0] if ops else v.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +339,7 @@ def prox_max(v, lam):
         raise NegativeLambda("prox_max needs lam >= 0")
     if lam == 0:
         return v.copy()
-    return np.minimum(v, threshold_sum_root(v, lam))
+    return np.minimum(v, _threshold_sum_root(v, lam))
 
 
 def prox_lp_norm(v, lam, p):
@@ -339,7 +348,7 @@ def prox_lp_norm(v, lam, p):
     if lam < 0:
         raise NegativeLambda("prox_lp_norm needs lam >= 0")
     if p == 1:
-        return soft_threshold(v, lam)
+        return _soft_threshold(v, lam)
     if p == 2:
         nrm = float(np.linalg.norm(v))
         return (1.0 - lam / max(lam, nrm)) * v if nrm > 0 else v * 0.0
@@ -356,7 +365,12 @@ def prox_log_barrier(v, lam, weights=1.0):
     w = np.broadcast_to(np.asarray(weights, dtype=float), v.shape)
     if np.any(w <= 0):
         raise NonPositiveWeight("log-barrier weights must be positive")
-    return 0.5 * (v + np.sqrt(v * v + 4.0 * lam * w))
+    return _prox_log_barrier(v, 4.0 * lam * w)
+
+
+def _prox_log_barrier(v, shift):
+    """The log-barrier prox at the shift 4 lam w, which a loop forms once per lam."""
+    return 0.5 * (v + np.sqrt(v * v + shift))
 
 
 def prox_quadratic(v, q, r):
@@ -382,6 +396,10 @@ def prox_kl(v, lam, reference):
     ref = np.broadcast_to(np.asarray(reference, dtype=float), v.shape)
     if np.any(ref <= 0):
         raise NonPositiveWeight("KL reference must be positive")
+    return _prox_kl(v, lam, ref)
+
+
+def _prox_kl(v, lam, ref):
     # lam * W(ref/lam * exp(v/lam - 1/ref)), evaluated in log space so a
     # small lam cannot overflow the exponential
     return lam * lambert_w_exp(np.log(ref / lam) + v / lam - 1.0 / ref)
@@ -403,7 +421,11 @@ def prox_bid_ask(v, lam, bid_cost, ask_cost, anchor):
     if np.any(bid < 0) or np.any(ask < 0):
         raise NegativeCost("transaction costs must be nonnegative")
     anchor = np.broadcast_to(np.asarray(anchor, dtype=float), v.shape)
-    return anchor + soft_threshold_two_sided(v - anchor, lam * bid, lam * ask)
+    return _prox_bid_ask(v, lam, bid, ask, anchor)
+
+
+def _prox_bid_ask(v, lam, bid, ask, anchor):
+    return anchor + _soft_threshold_two_sided(v - anchor, lam * bid, lam * ask)
 
 
 def prox_sum_k_largest(v, lam, k):

@@ -32,7 +32,7 @@ class TestDriver:
             x_update=lambda y, u, phi: (a + phi * (y - u)) / (1.0 + phi),
             y_prox=lambda phi: (lambda v: v),
         )
-        x, y, report = admm_solve(problem, np.zeros(3), np.zeros(3), FAST)
+        x, y, report = admm_solve(problem, np.zeros(3), cfg=FAST)
         assert report.converged
         assert np.max(np.abs(x - a)) <= 1e-10
         assert np.max(np.abs(y - a)) <= 1e-10
@@ -57,7 +57,7 @@ class TestDriver:
             problem = AdmmProblem(x_update=x_update,
                                   y_prox=lambda phi: (lambda v: project(box, v)))
             solver.clear()
-            _, y, report = admm_solve(problem, np.zeros(n), np.zeros(n), FAST)
+            _, y, report = admm_solve(problem, np.zeros(n), cfg=FAST)
             expected = qp_solve(QpProblem(q=q, r=r, lower=lo, upper=hi))
             assert report.converged
             assert np.max(np.abs(y - expected)) <= 1e-6
@@ -68,7 +68,7 @@ class TestDriver:
             y_prox=lambda phi: (lambda v: v),
         )
         cfg = AdmmConfig(eps=1e-15, max_iter=3, adaptive=False)
-        x, y, report = admm_solve(problem, np.zeros(2), np.zeros(2), cfg)
+        x, y, report = admm_solve(problem, np.zeros(2), cfg=cfg)
         assert report.status == "max_iter"
         assert report.iterations == 3
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
@@ -88,7 +88,7 @@ class TestDriver:
                 y_prox=lambda phi: (lambda v: project(box, v)),
             )
             cfg = AdmmConfig(phi0=phi0, adaptive=False, eps=1e-12, max_iter=200000)
-            _, y, report = admm_solve(problem, np.zeros(n), np.zeros(n), cfg)
+            _, y, report = admm_solve(problem, np.zeros(n), cfg=cfg)
             assert report.converged
             outputs.append(y)
         assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-6
@@ -138,7 +138,7 @@ class TestConsensusProblem:
                                         [lambda phi, s=s: lambda t: project(s, t)
                                          for s in sets], n)
             x0 = np.full(n, 1.0 / n)
-            x, _, report = admm_solve(problem, x0, np.tile(x0, len(sets)), FAST)
+            x, _, report = admm_solve(problem, x0, cfg=FAST)
             expected, _ = dykstra_cycle([lambda t, s=s: project(s, t) for s in sets], v,
                                         DykstraConfig(tol=1e-13))
             assert report.converged
@@ -206,8 +206,7 @@ class TestPenaltyCap:
         problem = AdmmProblem(x_update=lambda y, u, phi: (a + phi * (y - u)) / (1.0 + phi),
                               y_prox=y_prox)
         # zero tolerances: every one of the 300 iterations may ask for a change
-        _, y, report = admm_solve(problem, np.zeros(3), np.zeros(3),
-                                  AdmmConfig(eps=0.0, max_iter=300))
+        _, y, report = admm_solve(problem, np.zeros(3), cfg=AdmmConfig(eps=0.0, max_iter=300))
         assert report.iterations == 300
         # the first change turns nothing back
         assert len(built) - 1 == (admm.MAX_PHI_REVERSALS + 1 if rule == "turn back" else 300)

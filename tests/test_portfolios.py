@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import time
 import warnings
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from proxalloc import data
-from proxalloc.admm import AdmmConfig
-from proxalloc.cd import CdConfig
+from proxalloc.admm import AdmmConfig, admm_lasso_lambda
+from proxalloc.cd import CdConfig, cd_lasso
 from proxalloc.errors import (
     BadK,
     DimensionMismatch,
     Diverged,
     InfeasibleSuspected,
     InfeasibleTargets,
+    MaxCyclesExceeded,
     MaxIterExceeded,
     NegativeCost,
+    NegativeLambda,
     NotPositiveDefinite,
     OutOfDomain,
     ProxallocError,
@@ -215,6 +218,26 @@ def admm_reports(monkeypatch):
 
     monkeypatch.setattr(portfolios, "admm_solve", reported)
     return reports
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """{"as_vector": count, "as_matrix": count} of the calls every proxalloc
+    module makes to the two entry checks; clear() restarts the count."""
+    import sys
+
+    from proxalloc import linalg
+
+    calls = collections.Counter()
+    for check in (linalg.as_vector, linalg.as_matrix):
+        def counted(*args, check=check, **kwargs):
+            calls[check.__name__] += 1
+            return check(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("proxalloc") and getattr(module, check.__name__, None) is check:
+                monkeypatch.setattr(module, check.__name__, counted)
+    return calls
 
 
 def rebalance_account(seed, n):
@@ -860,10 +883,10 @@ class TestMvoCosts:
         solves, built = [], []
         admm_solve = qp.admm_solve
 
-        def spy(problem, x0, y0=None, cfg=None):
+        def spy(problem, x0, cfg=None):
             y_prox = problem.y_prox
             problem.y_prox = lambda phi: built.append(phi) or y_prox(phi)
-            x, y, report = admm_solve(problem, x0, y0, cfg)
+            x, y, report = admm_solve(problem, x0, cfg)
             solves.append(report)
             return x, y, report
 
@@ -1314,37 +1337,18 @@ class TestGmvDiversified:
             assert warm_cold_starts == 2  # the first projection and the jump
             assert warm_calls < cold_calls
 
-    def test_entropy_floor_validates_nothing_per_iteration(self, monkeypatch):
-        import sys
+    def test_entropy_floor_validates_nothing_per_iteration(self, monkeypatch, checks,
+                                                          admm_reports):
+        from proxalloc import portfolios
 
-        from proxalloc import linalg, portfolios
-
-        calls = {"as_vector": 0}
-        reports = []
-        as_vector, admm_solve = linalg.as_vector, portfolios.admm_solve
-
-        def counted(*args, **kwargs):
-            calls["as_vector"] += 1
-            return as_vector(*args, **kwargs)
-
-        def reported(*args, **kwargs):
-            result = admm_solve(*args, **kwargs)
-            reports.append(result[2])
-            return result
-
-        # every module that binds linalg.as_vector
-        for name, module in list(sys.modules.items()):
-            if name.startswith("proxalloc") and getattr(module, "as_vector", None) is as_vector:
-                monkeypatch.setattr(module, "as_vector", counted)
-        monkeypatch.setattr(portfolios, "admm_solve", reported)
         # without the polish, ADMM runs to convergence: the count is per iteration
         monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
         u = factor_universe(np.random.default_rng(0), 8)
         h0 = stats(gmv_diversified(u), u).shannon_entropy
-        calls["as_vector"] = 0
+        checks.clear()
         gmv_diversified(u, constraint=ShannonEntropyFloor(h0 + 0.5 * (np.log(8.0) - h0)))
-        assert sum(r.iterations for r in reports) >= 50
-        assert calls["as_vector"] <= 10
+        assert sum(r.iterations for r in admm_reports) >= 50
+        assert checks["as_vector"] <= 10
 
 
 class TestRebalancePenalized:
@@ -2037,29 +2041,14 @@ class TestMdp:
             assert np.max(np.abs(w - oracle.x)) <= 1e-6
             assert neg_ratio(w) <= neg_ratio(oracle.x) + 1e-12
 
-    def test_sets_are_validated_once_per_solve(self, monkeypatch):
-        from proxalloc import portfolios, prox
+    def test_sets_are_validated_once_per_solve(self, monkeypatch, checks, admm_reports):
+        from proxalloc import portfolios
 
-        calls = {"as_vector": 0}
-        reports = []
-        as_vector, admm_solve = prox.as_vector, portfolios.admm_solve
-
-        def counted(*args, **kwargs):
-            calls["as_vector"] += 1
-            return as_vector(*args, **kwargs)
-
-        def reported(*args, **kwargs):
-            result = admm_solve(*args, **kwargs)
-            reports.append(result[2])
-            return result
-
-        monkeypatch.setattr(prox, "as_vector", counted)
-        monkeypatch.setattr(portfolios, "admm_solve", reported)
         # without the polish, ADMM runs to convergence: the count is per iteration
         monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
         mdp(data.mdp_table_universe(), long_only=True, constraint=EffectiveBets(3.0))
-        assert sum(r.iterations for r in reports) >= 100
-        assert calls["as_vector"] <= 10
+        assert sum(r.iterations for r in admm_reports) >= 100
+        assert checks["as_vector"] <= 10
 
     def test_single_asset_universe(self):
         u = AssetUniverse(names=["only"], mu=np.zeros(1), sigma=[0.2],
@@ -2781,3 +2770,101 @@ class TestBudgetInvariant:
             assert np.all(w.w >= -1e-8)
             assert np.all(w.w <= 1.0 + 1e-8)
 
+
+
+THREE = np.full(3, 1.0 / 3.0)  # a per-asset vector of the wrong length for SET1
+
+WRONG_LENGTH = {
+    "stats weights": lambda u: stats(THREE, u),
+    "stats benchmark": lambda u: stats(EW8, u, benchmark=THREE),
+    "stats reference": lambda u: stats(EW8, u, reference=THREE),
+    "stats current": lambda u: stats(EW8, u, current=THREE),
+    "risk_contributions": lambda u: risk_contributions(THREE, u),
+    "mvo_benchmark": lambda u: mvo_benchmark(u, THREE, 0.1),
+    "index_sampling": lambda u: index_sampling(u, THREE, 2),
+    "mvo_turnover": lambda u: mvo_turnover(u, 0.1, THREE, 0.3),
+    "rebalance_penalized": lambda u: rebalance_penalized(u, THREE, turnover_cap=0.3),
+    "rebalance_penalized bid": lambda u: rebalance_penalized(u, EW8, 1.0, bid_cost=THREE),
+    "mvo_costs": lambda u: mvo_costs(u, 0.1, THREE, 0.001, 0.001),
+    "mvo_costs ask": lambda u: mvo_costs(u, 0.1, EW8, 0.001, THREE),
+    "risk_budgeting ccd": lambda u: risk_budgeting(u, THREE),
+    "risk_budgeting admm": lambda u: risk_budgeting(u, THREE, engine="admm"),
+    "kl_portfolio": lambda u: kl_portfolio(u, THREE),
+    "robo_advisor benchmark": lambda u: robo_advisor(u, RoboConfig(benchmark=THREE)),
+    "robo_advisor risk_budgets": lambda u: robo_advisor(
+        u, RoboConfig(barrier=0.01, risk_budgets=THREE)),
+    "robo_advisor current": lambda u: robo_advisor(u, RoboConfig(current=THREE,
+                                                                 l1_current=0.01)),
+    "robo_advisor reference": lambda u: robo_advisor(u, RoboConfig(reference=THREE,
+                                                                   l2_reference=0.1)),
+    "robo_advisor l1 shape": lambda u: robo_advisor(u, RoboConfig(
+        current=EW8, l1_current=0.01, shape_l1_current=THREE)),
+}
+
+
+def capped_kl(cap):
+    """kl_portfolio on SET1 with a volatility cap halfway from the GMV to the
+    reference's, which binds, and ``cap`` ADMM iterations."""
+    u = SET1.universe
+    gmv = mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8))
+    vol = 0.5 * (stats(gmv, u).volatility + stats(EW8, u).volatility)
+    return kl_portfolio(u, EW8, max_volatility=vol, cfg=AdmmConfig(eps=1e-15, max_iter=cap))
+
+
+def lasso_data():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((30, 10)), rng.standard_normal(30)
+
+
+CAPPED = {  # each solve at an iteration (or cycle) cap, with its polish switched off
+    "robo_advisor": lambda cap: robo_advisor(SET1.universe, loaded_robo_config(),
+                                             AdmmConfig(eps=1e-15, max_iter=cap)),
+    "rebalance_penalized": lambda cap: rebalance_penalized(
+        SET1.universe, loaded_robo_config().current, cost_scale=1.0, bid_cost=0.002,
+        ask_cost=0.002, turnover_cap=0.1, cfg=AdmmConfig(eps=1e-15, max_iter=cap)),
+    "kl_portfolio": capped_kl,
+    "admm_lasso_lambda": lambda cap: admm_lasso_lambda(
+        *lasso_data(), 0.5, cfg=AdmmConfig(eps=0.0, max_iter=cap), return_report=True),
+    "cd_lasso": lambda cap: cd_lasso(*lasso_data(), 0.5, return_report=True,
+                                     cfg=CdConfig(tol=1e-300, max_cycles=cap)),
+}
+
+
+class TestValidateOnce:
+    """Per-asset vectors are checked, length included, where a model or statistic
+    takes them, and no solver loop re-checks anything."""
+
+    @pytest.mark.parametrize("case", WRONG_LENGTH)
+    def test_wrong_length_vector_raises_dimension_mismatch(self, case):
+        with pytest.raises(DimensionMismatch):
+            WRONG_LENGTH[case](SET1.universe)
+
+    @pytest.mark.parametrize("case", CAPPED)
+    def test_checks_do_not_grow_with_iterations(self, case, monkeypatch, checks):
+        from proxalloc import portfolios
+
+        monkeypatch.setattr(portfolios, "_smooth_polish", no_polish)
+        monkeypatch.setattr(portfolios, "_trade_polish", no_polish)
+        counts = []
+        for cap in (5, 10):
+            checks.clear()
+            try:
+                iterations = CAPPED[case](cap)[1].iterations
+            except (MaxIterExceeded, MaxCyclesExceeded) as err:
+                iterations = err.report.iterations
+            assert iterations == cap
+            counts.append(dict(checks))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("pull", ["l1_current", "l2_current", "l1_reference",
+                                      "l2_reference"])
+    def test_a_pull_needs_its_anchor(self, pull):
+        anchor = pull.split("_")[1]
+        with pytest.raises(ValueError, match=f"{pull} needs {anchor}"):
+            RoboConfig(**{pull: 0.1})
+        RoboConfig(**{pull: 0.1, anchor: EW8})
+
+    def test_negative_l1_shape_raises(self):
+        with pytest.raises(NegativeLambda):
+            robo_advisor(SET1.universe, RoboConfig(current=EW8, l1_current=0.01,
+                                                   shape_l1_current=-np.ones(8)))
