@@ -27,9 +27,11 @@ cycles so through a Newton-CG solve of the barrier form (``_rb_newton``),
 kept only once it certifies its risk contributions.  Its first cycle
 only gives the polish a start, so it is a simultaneous (Jacobi) update:
 every coordinate takes its positive-root step from the same cov x and
-volatility, one mat-vec and a few vector operations with no Python loop
-over the coordinates.  Should the polish fail, cycles 2, 3, ... are the
-cyclic sweep.
+volatility (``_rb_simultaneous``), one mat-vec and a few vector
+operations with no Python loop over the coordinates.  Should the polish
+fail, cycles 2, 3, ... are the cyclic sweep.  The ADMM risk-budgeting
+engine of ``portfolios`` ends through the same two functions, applied
+to its iterate y.
 """
 
 import math
@@ -379,7 +381,7 @@ def _pcg(hess_vec, rhs, precond, force, max_steps):
 
 
 def _rb_newton(excess, xi, cov, budgets):
-    """Newton-CG polish hook for ccd_rb_stdev (budgets summing to 1).
+    """Newton-CG polish hook of both risk-budgeting engines (budgets summing to 1).
 
     Minimizes the convex barrier form F(x) = -excess'x + xi s -
     lam b'ln x, s = sqrt(x'cov x), whose minimizer has RC_i = lam b_i
@@ -449,6 +451,20 @@ def _rb_newton(excess, xi, cov, budgets):
     return polish
 
 
+def _rb_simultaneous(x, cov_x, quad, excess, xi, variances, budgets, lam):
+    """ccd_rb_stdev's positive-root step of every coordinate at once.
+
+    Each coordinate solves its scalar quadratic at barrier weight lam from
+    the same cov_x = cov x and quad = x'cov x (a Jacobi update), so the
+    step costs a few vector operations and no Python loop.  It is the
+    polish start of both risk-budgeting engines.
+    """
+    vol = math.sqrt(quad) if quad > 0.0 else math.nan
+    a = xi * variances
+    b = xi * (cov_x - variances * x) - excess * vol
+    return (-b + np.sqrt(b * b + 4.0 * a * (lam * vol) * budgets)) / (2.0 * a)
+
+
 def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, polish=False):
     """Unscaled risk-budgeting weights for -x'(mu - r) + xi * sqrt(x' cov x).
 
@@ -506,12 +522,8 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, poli
                               f"stdev scale {xi:.6g}; the objective is unbounded below",
                               last=x.copy())
         if simultaneous:
-            # every coordinate's step from the same cov x and volatility
             simultaneous = False
-            vol = math.sqrt(quad) if quad > 0.0 else math.nan
-            a = xi * variances
-            b = xi * (cov_x - variances * x) - excess * vol
-            new = (-b + np.sqrt(b * b + 4.0 * a * (lam * vol) * budgets)) / (2.0 * a)
+            new = _rb_simultaneous(x, cov_x, quad, excess, xi, variances, budgets, lam)
             delta = float(np.abs(new - x).max())
             x[:] = new
             return delta

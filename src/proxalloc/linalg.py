@@ -56,6 +56,14 @@ def is_symmetric(m):
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= SYMMETRY_TOL
 
 
+def as_symmetric(m):
+    """Coerce to a finite 2-d float array symmetric to 1e-12, else ValueError."""
+    m = as_matrix(m)
+    if not is_symmetric(m):
+        raise ValueError("matrix is not symmetric to 1e-12")
+    return m
+
+
 @dataclass
 class RootBracket:
     """Root-finding interval with tolerance and iteration cap."""
@@ -82,9 +90,7 @@ def cholesky_lower(m, check=True):
     (Q + phi I, a block of Q, a symmetrized capacitance) turn it off.
     """
     if check:
-        m = as_matrix(m)
-        if not is_symmetric(m):
-            raise ValueError("matrix is not symmetric to 1e-12")
+        m = as_symmetric(m)
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -185,15 +191,16 @@ class PenaltyFactor:
     Q + phi I, and for ``solve_on_plane`` and ``solve_with_rows`` the
     solves against the normal or the rows last passed.  A 1-d ``q``
     means diag(q) and is solved elementwise, so no n x n matrix is
-    built.  The first factorization checks that Q is finite and
-    symmetric; Q + phi I differs from Q on the diagonal only, so later
-    ones skip the check.
+    built.  A matrix Q is checked to be finite and symmetric once, here;
+    Q + phi I differs from Q on the diagonal only, so no factorization
+    checks it again.
     """
 
     def __init__(self, q):
         self.q = np.asarray(q, dtype=float)
         self.diagonal = self.q.ndim == 1
-        self._checked = False
+        if not self.diagonal:
+            self.q = as_symmetric(self.q)
         self._cache = {}  # phi -> [factor, plane, rows]
 
     def _entry(self, phi):
@@ -201,9 +208,7 @@ class PenaltyFactor:
         if entry is None:
             factor = None
             if not self.diagonal:
-                factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]),
-                                   check=not self._checked)
-                self._checked = True
+                factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]), check=False)
             entry = self._cache[phi] = [factor, None, None]
             if len(self._cache) > 4:
                 self._cache.pop(next(iter(self._cache)))

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
-from .cd import _check_stdev_scale, ccd_rb_stdev
+from .cd import _check_stdev_scale, _rb_newton, _rb_simultaneous, ccd_rb_stdev
 from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
     BadK,
@@ -1274,7 +1274,7 @@ def erc(universe, cfg=None, return_report=False):
     return risk_budgeting(universe, np.ones(universe.n), cfg=cfg, return_report=return_report)
 
 
-def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
+def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
              max_iter=100000):
     """ADMM split for the risk-budgeting barrier problem (unscaled).
 
@@ -1290,10 +1290,19 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     -lam sum_i b_i ln y_i, called as its unchecked kernel
     ``prox._prox_log_barrier`` on the budgets ``risk_budgeting`` checked,
     with its shift 4 lam b / phi formed once per penalty value.  The
-    penalty stays at phi (no residual balancing), the loop is
-    ``admm_solve``'s over-relaxed one, and the solve stops once the primal
-    residual ||x - y|| and the dual residual phi ||y - y_prev|| are both
-    at most tol.
+    penalty stays at phi (no residual balancing) and the loop is
+    ``admm_solve``'s over-relaxed one.
+
+    With phi left at None (read as 1) the split ends through the CCD
+    engine's polish, as OSQP polishes its iterates (Stellato et al. 2020,
+    sec. 4): at iterations 1, 2, 4, ... and on convergence, y takes
+    ``cd._rb_simultaneous``'s update at barrier weight lam, the step
+    ``ccd_rb_stdev`` makes as its cycle 1, and ``cd._rb_newton`` polishes
+    that point; a point it certifies, to 1e-10 relative in every
+    RC_i / b_i, ends the solve with report.polished set.  From ADMM's
+    first y the polish usually certifies at iteration 1.  An explicit phi
+    runs the plain split, which stops once the primal residual ||x - y||
+    and the dual residual phi ||y - y_prev|| are both at most tol.
 
     Raises OutOfDomain with ``last`` = y once y's Sharpe ratio
     excess'y / sqrt(y'cov y) reaches xi: the objective then falls
@@ -1301,12 +1310,13 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
     """
     n = universe.n
     cov = universe.cov
+    variances = np.diag(cov)
+    excess, xi = _excess_and_scale(universe, measure)
     if isinstance(measure, Volatility):
         quad = PenaltyFactor(cov)
         x_update = lambda y, u, phi: quad.solve(phi * (y - u), phi)
     else:
-        excess, xi = _excess_and_scale(universe, measure)
-        _check_stdev_scale(excess, xi, np.diag(cov))
+        _check_stdev_scale(excess, xi, variances)
         eig, vecs = np.linalg.eigh(cov)
         pos = eig > 1e-12 * eig[-1]  # below this, eigh's rounding decides the sign
         eig = eig[pos]
@@ -1328,8 +1338,18 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=1.0, tol=1e-10,
         shift = 4.0 * lam / phi * budgets
         return lambda v: _prox_log_barrier(v, shift)
 
-    cfg = AdmmConfig(phi0=phi, adaptive=False, eps=tol, max_iter=max_iter)
-    return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox),
+    polish = None
+    if phi is None:
+        newton = _rb_newton(excess, xi, cov, budgets)
+
+        def polish(x, y, dual):
+            cov_y = cov @ y
+            return newton(_rb_simultaneous(y, cov_y, float(y @ cov_y), excess, xi, variances,
+                                           budgets, lam))
+
+    cfg = AdmmConfig(phi0=1.0 if phi is None else phi, adaptive=False, eps=tol, max_iter=max_iter)
+    return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox,
+                                                         polish=polish),
                       np.full(n, 1.0 / n), cfg)
 
 
@@ -1344,9 +1364,12 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     first cycle moves every coordinate at once and the polish usually
     ends the solve from there, so most solves run no per-coordinate
     sweep.  The "admm" engine runs the split of ``_rb_admm``
-    (``admm_kwargs`` are its options).  ``cfg`` goes to the ccd engine
-    and ``admm_kwargs`` to the admm engine only: an option the chosen
-    engine does not take raises TypeError.  Either way
+    (``admm_kwargs`` are its options).  At its default penalty it ends
+    through the same polish, started from the same simultaneous update
+    of its iterate y, and usually at iteration 1; an explicit ``phi``
+    runs the plain split to its residual tolerance.  ``cfg`` goes to the
+    ccd engine and ``admm_kwargs`` to the admm engine only: an option the
+    chosen engine does not take raises TypeError.  Either way
     ``report.stationarity_residual`` is the relative spread
     (max - min) / |mean| of RC_i / b_i at the returned weights.  Below
     the long-only maximum Sharpe ratio the stdev objective is unbounded

@@ -14,13 +14,15 @@ length.  ``projector(set_, n)`` checks a set's parameters once and
 returns its projection as such a callable, which an engine builds once
 per solve so its loop runs no validation; ``project`` is the one-shot
 form.  The other proxes keep the same rule by a kernel: ``soft_threshold``,
-``soft_threshold_two_sided``, ``prox_log_barrier``, ``prox_kl`` and
-``prox_bid_ask`` check their inputs and call a private kernel of the same
-name with a leading underscore, which does the arithmetic only.  A model
-or engine checks its parameters once per solve and calls the kernel
-inside its loop, on float arrays that already match v; the public
-functions that call one another (``prox_lp_norm``, ``prox_bid_ask``) call
-the kernels too, and so do the projectors (``linalg._threshold_sum_root``).
+``soft_threshold_two_sided``, ``prox_max``, ``prox_log_barrier``,
+``prox_kl`` and ``prox_bid_ask`` check their inputs and call a private
+kernel of the same name with a leading underscore, which does the
+arithmetic only.  A model or engine checks its parameters once per solve
+and calls the kernel inside its loop, on float arrays that already match
+v; the public functions that build on one another (``prox_lp_norm``,
+``prox_bid_ask``) call the kernels too, and so do the projectors
+(``linalg._threshold_sum_root``), while ``prox_sum_k_largest`` runs
+``dykstra_cycle`` with its check off.
 """
 
 from dataclasses import dataclass
@@ -337,9 +339,11 @@ def prox_max(v, lam):
     v = as_vector(v)
     if lam < 0:
         raise NegativeLambda("prox_max needs lam >= 0")
-    if lam == 0:
-        return v.copy()
-    return np.minimum(v, _threshold_sum_root(v, lam))
+    return _prox_max(v, lam)
+
+
+def _prox_max(v, lam):
+    return v.copy() if lam == 0 else np.minimum(v, _threshold_sum_root(v, lam))
 
 
 def prox_lp_norm(v, lam, p):
@@ -353,7 +357,7 @@ def prox_lp_norm(v, lam, p):
         nrm = float(np.linalg.norm(v))
         return (1.0 - lam / max(lam, nrm)) * v if nrm > 0 else v * 0.0
     if p in (np.inf, "inf"):
-        return np.sign(v) * prox_max(np.abs(v), lam)
+        return np.sign(v) * _prox_max(np.abs(v), lam)
     raise UnsupportedNorm(f"no l{p} norm prox")
 
 
@@ -435,16 +439,16 @@ def prox_sum_k_largest(v, lam, k):
     Box[0,1] intersect {sum x = k}; that intersection is resolved by
     Dykstra's algorithm from the dykstra module.
     """
-    from .dykstra import DykstraConfig, dykstra_two
+    from .dykstra import DykstraConfig, dykstra_cycle
 
     v = as_vector(v)
     if lam <= 0:
         raise NegativeLambda("prox_sum_k_largest needs lam > 0")
     if not 1 <= k <= v.size:
         raise BadK(f"k must lie in [1, {v.size}], got {k}")
-    proj, _ = dykstra_two(projector(Box(0.0, 1.0), v.size),
-                          projector(Hyperplane(np.ones(v.size), float(k)), v.size),
-                          v / lam, DykstraConfig(tol=1e-12))
+    proj, _ = dykstra_cycle([projector(Box(0.0, 1.0), v.size),
+                             projector(Hyperplane(np.ones(v.size), float(k)), v.size)],
+                            v / lam, DykstraConfig(tol=1e-12), check=False)
     return v - lam * proj
 
 

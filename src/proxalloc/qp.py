@@ -87,9 +87,11 @@ class QpProblem:
     def n(self):
         return self.r.size
 
+    def matvec(self, x):
+        return self.q * x if self.q.ndim == 1 else self.q @ x
+
     def objective(self, x):
-        qx = self.q * x if self.q.ndim == 1 else self.q @ x
-        return 0.5 * float(x @ qx) - float(x @ self.r)
+        return 0.5 * float(x @ self.matvec(x)) - float(x @ self.r)
 
     def has_constraints(self):
         return any(blk is not None for blk in (self.a, self.c, self.lower, self.upper))
@@ -284,7 +286,7 @@ def _active_set_point(problem, split, at_lo, at_hi):
         return None
     if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
         return None  # inconsistent active rows: a nearly singular system
-    qx = PenaltyFactor(q).matvec(x)
+    qx = problem.matvec(x)
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
     mult = np.concatenate([np.zeros(m), qx - r - rows.T @ nu])
     mult[:m][active] = nu
@@ -418,7 +420,7 @@ def stationarity_residual(problem, x, cfg=None):
     The projection is a Dykstra sweep (``cfg``, a DykstraConfig), which
     raises MaxCyclesExceeded when it does not settle.
     """
-    g = PenaltyFactor(problem.q).matvec(x) - problem.r
+    g = problem.matvec(x) - problem.r
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
                                   problem.lower, problem.upper, x - g, cfg)
     return float(np.max(np.abs(proj - x)))

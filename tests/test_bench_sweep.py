@@ -26,7 +26,7 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     assert 0.0 < result["import_s"] < 60.0
     assert {row["exit_code"] for row in result["reproduce"].values()} == {0}
     cases = {row["case"]: row for row in result["cases"]}
-    assert len(cases) == 21 and {row["n"] for row in cases.values()} == {8}
+    assert len(cases) == 22 and {row["n"] for row in cases.values()} == {8}
     for name, row in cases.items():
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64

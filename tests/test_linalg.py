@@ -141,12 +141,13 @@ class TestPenaltyFactor:
             assert np.max(np.abs(factor.solve(rhs, phi) - expected)) <= 1e-10
         assert len(factorizations) == 7
 
-    def test_checks_q_on_its_first_factorization_only(self, monkeypatch):
+    def test_checks_q_once_when_built(self, monkeypatch):
         rng = np.random.default_rng(9)
-        factor = PenaltyFactor(random_spd(rng, 5))
         checks = []
         real = linalg.is_symmetric
         monkeypatch.setattr(linalg, "is_symmetric", lambda m: checks.append(1) or real(m))
+        factor = PenaltyFactor(random_spd(rng, 5))
+        assert len(checks) == 1
         for phi in self.PHIS:
             factor.solve(rng.standard_normal(5), phi)
         factor.solve_with_rows(rng.standard_normal(5), 1.0, rng.standard_normal((2, 5)))

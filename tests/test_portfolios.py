@@ -1787,7 +1787,12 @@ class TestRiskBudgeting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w_admm = risk_budgeting(u, budgets, measure, engine="admm", phi=phi)
+            # at its default phi the ADMM engine ends through the same polish
+            w_default, polished = risk_budgeting(u, budgets, measure, engine="admm",
+                                                 return_report=True)
         assert np.max(np.abs(w.w - w_admm.w)) <= 1e-6
+        assert polished.polished and polished.iterations == 1
+        assert np.max(np.abs(w.w - w_default.w)) <= 1e-8
 
     def test_ccd_polish_certifies_erc_at_n_1000(self):
         # the largest-move stop alone left a relative spread of 3.5e-7 here
@@ -1799,16 +1804,48 @@ class TestRiskBudgeting:
         assert (rc.max() - rc.min()) / rc.mean() <= 1e-8
 
     def test_admm_engine_stops_on_residuals(self):
+        # an explicit phi runs the plain split, which no polish ends
         u = tilted_universe()
         tol = 1e-9
         for measure in (Volatility(), StdevRisk(scale=2.0, rate=0.0)):
             _, report = risk_budgeting(u, EW8, measure=measure, engine="admm",
-                                       return_report=True, tol=tol)
+                                       return_report=True, tol=tol, phi=1.0)
             assert report.converged
             assert len(report.primal_residuals) == report.iterations
             assert len(report.dual_residuals) == report.iterations
             assert report.primal_residuals[-1] <= tol
             assert report.dual_residuals[-1] <= tol
+
+    def test_default_admm_engine_ends_polished_at_iteration_1(self):
+        # the Newton polish from one simultaneous update of ADMM's first y
+        u = tilted_universe()
+        for measure in (Volatility(), StdevRisk(scale=2.0, rate=0.0)):
+            _, report = risk_budgeting(u, EW8, measure=measure, engine="admm",
+                                       return_report=True)
+            assert report.converged and report.polished and report.iterations == 1
+            assert report.stationarity_residual <= 1e-10
+
+    def test_default_admm_engine_polishes_a_tiny_budget_on_a_duplicated_pair(self):
+        # an asset and its copy with budgets 0.776 and 0.00097, at 1.023 times
+        # the tangency Sharpe ratio: the plain split hits max_iter=5000 here
+        u = duplicate_asset(factor_universe(np.random.default_rng(1), 1), 0)
+        budgets = np.array([0.776, 0.00097])
+        measure = StdevRisk(1.023 * perfbench_universe().tangency_sharpe(u))
+        w, report = risk_budgeting(u, budgets, measure, engine="admm", return_report=True,
+                                   max_iter=5000)
+        assert report.polished and report.iterations == 1
+        assert report.stationarity_residual <= 1e-10
+        assert np.max(np.abs(w.w - risk_budgeting(u, budgets, measure).w)) <= 1e-8
+
+    def test_default_admm_engine_polishes_near_the_long_only_max_sharpe(self):
+        # xi = 0.685 against a long-only maximum Sharpe ratio of 0.672: the
+        # plain split takes 4,384 iterations here
+        u = factor_universe(np.random.default_rng(3), 50)
+        measure = StdevRisk(0.685)
+        w, report = risk_budgeting(u, np.ones(50), measure, engine="admm", return_report=True)
+        assert report.polished and report.iterations == 1
+        assert report.stationarity_residual <= 1e-10
+        assert np.max(np.abs(w.w - risk_budgeting(u, np.ones(50), measure).w)) <= 1e-8
 
 
 class TestEntropyConeProjection:

@@ -72,6 +72,9 @@ def cases(universe_module, n):
     return {
         "risk_budgeting stdev admm": lambda: portfolios.risk_budgeting(
             u, np.ones(n), StdevRisk(xi), engine="admm"),
+        # the volatility-measure ADMM engine, as in rb_ccd's rb_admm slot
+        "risk_budgeting vol admm": lambda: portfolios.risk_budgeting(
+            u, np.ones(n), engine="admm"),
         **{f"mvo_target vol {k}x gmv": (lambda k=k: portfolios.mvo_target(
             u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
         "index_sampling n/4 ew": lambda: portfolios.index_sampling(u, ew, max(1, n // 4)),
