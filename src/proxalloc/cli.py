@@ -39,7 +39,7 @@ from .prox import (
     soft_threshold_two_sided,
     truncate,
 )
-from .qp import QpProblem, qp_solve
+from .qp import QpProblem, default_qp_config, qp_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -191,20 +191,15 @@ def _cmd_project(payload, args):
 
 
 def _cmd_qp(payload, args):
-    def block(key):
-        return None if payload.get(key) is None else np.asarray(payload[key], float)
-
-    problem = QpProblem(
-        q=np.asarray(payload["Q"], dtype=float),
+    problem = QpProblem(  # the problem checks its blocks
+        q=payload["Q"],
         r=_vec(payload, "R"),
-        a=block("A"), b=block("B"), c=block("C"), d=block("D"),
+        a=payload.get("A"), b=payload.get("B"), c=payload.get("C"), d=payload.get("D"),
         lower=_vec(payload, "lower", required=False),
         upper=_vec(payload, "upper", required=False),
     )
     cfg = None
     if args.tol or args.phi or args.max_iter:
-        from .qp import default_qp_config
-
         cfg = default_qp_config(problem)
         if args.tol:
             cfg.eps = args.tol

@@ -27,7 +27,7 @@ from .errors import (
     OutOfDomain,
 )
 
-SYMMETRY_TOL = 1e-12
+SYMMETRY_TOL = 1e-10  # the library's one symmetry rule: max |m - m'| at most this
 _INV_E = np.exp(-1.0)
 
 
@@ -52,15 +52,21 @@ def as_matrix(m, name="matrix"):
 
 
 def is_symmetric(m):
-    m = np.asarray(m, dtype=float)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= SYMMETRY_TOL
+    """The library's one symmetry rule, for a square float array."""
+    return np.max(np.abs(m - m.T)) <= SYMMETRY_TOL
 
 
-def as_symmetric(m):
-    """Coerce to a finite 2-d float array symmetric to 1e-12, else ValueError."""
-    m = as_matrix(m)
+def as_symmetric(m, name="matrix"):
+    """Coerce to a finite square 2-d float array symmetric to SYMMETRY_TOL.
+
+    A shape that is not square raises DimensionMismatch, an asymmetric
+    matrix ValueError.
+    """
+    m = as_matrix(m, name)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     if not is_symmetric(m):
-        raise ValueError("matrix is not symmetric to 1e-12")
+        raise ValueError(f"{name} is not symmetric to {SYMMETRY_TOL:g}")
     return m
 
 
@@ -191,16 +197,14 @@ class PenaltyFactor:
     Q + phi I, and for ``solve_on_plane`` and ``solve_with_rows`` the
     solves against the normal or the rows last passed.  A 1-d ``q``
     means diag(q) and is solved elementwise, so no n x n matrix is
-    built.  A matrix Q is checked to be finite and symmetric once, here;
-    Q + phi I differs from Q on the diagonal only, so no factorization
-    checks it again.
+    built.  Q is checked once, here, in either form: a finite vector, or
+    a finite square matrix symmetric to SYMMETRY_TOL.  Q + phi I differs
+    from Q on the diagonal only, so no factorization checks it again.
     """
 
     def __init__(self, q):
-        self.q = np.asarray(q, dtype=float)
-        self.diagonal = self.q.ndim == 1
-        if not self.diagonal:
-            self.q = as_symmetric(self.q)
+        self.diagonal = np.ndim(q) == 1
+        self.q = as_vector(q, "Q") if self.diagonal else as_symmetric(q, "Q")
         self._cache = {}  # phi -> [factor, plane, rows]
 
     def _entry(self, phi):

@@ -53,7 +53,7 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_matrix,
+from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_symmetric,
                      as_vector, bisect, lambert_w_exp, threshold_sum_root)
 from .prox import (
     Box,
@@ -93,7 +93,8 @@ SECULAR_STEPS = 100  # Newton steps a secular root may take
 class AssetUniverse:
     """Expected returns, volatilities and correlations of the asset set.
 
-    The covariance is derived as cov_ij = rho_ij * sigma_i * sigma_j and
+    rho must be symmetric under linalg's rule (as_symmetric).  The
+    covariance is derived as cov_ij = rho_ij * sigma_i * sigma_j and
     checked positive semidefinite (smallest eigenvalue >= -1e-10).
     """
 
@@ -106,12 +107,10 @@ class AssetUniverse:
     def __post_init__(self):
         self.mu = as_vector(self.mu, "mu")
         self.sigma = as_vector(self.sigma, "sigma")
-        self.rho = as_matrix(self.rho, "rho")
+        self.rho = as_symmetric(self.rho, "rho")
         n = self.sigma.size
         if len(self.names) != n or self.mu.size != n or self.rho.shape != (n, n):
             raise ValueError("universe fields disagree on the number of assets")
-        if np.max(np.abs(self.rho - self.rho.T)) > 1e-12:
-            raise ValueError("correlation matrix is not symmetric")
         if np.max(np.abs(np.diag(self.rho) - 1.0)) > 1e-12:
             raise ValueError("correlation diagonal must be 1")
         if np.max(np.abs(self.rho)) > 1.0 + 1e-12:
@@ -229,16 +228,21 @@ class RoboConfig:
 # ---------------------------------------------------------------------------
 
 def _gate(w, long_only=True):
-    """Normalization gate: clip solver residue, restore the budget."""
-    w = as_vector(w).copy()
+    """Normalization gate: clip solver residue, restore the budget.
+
+    The answer is checked once, by the PortfolioWeights built on a float
+    copy of it, whose vector is then clipped and rescaled in place.
+    """
+    gated = PortfolioWeights(np.array(w, dtype=float))
     if long_only:
-        if np.min(w) < -1e-6:
-            raise ValueError(f"long-only violated by {np.min(w):.2e}")
-        w = np.maximum(w, 0.0)
-    total = w.sum()
+        if np.min(gated.w) < -1e-6:
+            raise ValueError(f"long-only violated by {np.min(gated.w):.2e}")
+        np.maximum(gated.w, 0.0, out=gated.w)
+    total = gated.w.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"budget off by {total - 1.0:.2e}")
-    return PortfolioWeights(w / total)
+    gated.w /= total
+    return gated
 
 
 def _asset_vector(x, n, name):
@@ -1640,10 +1644,10 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
     summing below 1 raise InfeasibleTargets; D = 0 gives equal weights.  A
     negative ``lower`` allows short positions, which the gate then keeps.
     """
-    d = as_matrix(dissimilarity)
+    d = as_symmetric(dissimilarity, "dissimilarity")
     n = d.shape[0]
-    if np.max(np.abs(d - d.T)) > 1e-10 or np.any(d < -1e-12):
-        raise ValueError("dissimilarity must be symmetric and nonnegative")
+    if np.any(d < -1e-12):
+        raise ValueError("dissimilarity must be nonnegative")
     if np.max(np.abs(np.diag(d))) > 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
     lower_vec = _bound(lower, 0.0, n, "lower")

@@ -26,8 +26,9 @@ An empty feasible set is certified from the change of the dual (Banjac,
 Goulart, Stellato & Boyd 2019), and every returned answer is checked by
 ``stationarity_residual``, which the report keeps.  The same solver
 doubles as the numeric oracle the other engines are cross-checked
-against.  Q is checked in QpProblem, not again by the polish's
-factorizations.
+against.  Building a QpProblem is the one check of its blocks: Q
+through its PenaltyFactor, which the bridge then solves with, and A, B,
+C, D and the bounds against R's length; nothing below it checks again.
 
 Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
@@ -42,6 +43,7 @@ import numpy as np
 from .admm import AdmmConfig, AdmmProblem, admm_solve
 from .dykstra import DykstraConfig, project_general_linear
 from .errors import (
+    DimensionMismatch,
     EmptySetSuspected,
     InfeasibleSuspected,
     MaxCyclesExceeded,
@@ -62,6 +64,25 @@ CERTIFICATE_CFG = DykstraConfig(max_cycles=1000)
 
 @dataclass
 class QpProblem:
+    """min 0.5 x'Qx - x'R s.t. A x = B, C x <= D, lower <= x <= upper.
+
+    Building the problem is the one check of its blocks, each kept in the
+    form the solver reads:
+
+    * R: finite and 1-d; its length is n.
+    * Q: checked by building its PenaltyFactor, kept as ``factor``: a
+      finite vector of n entries (diag(Q)), or a finite n x n matrix
+      symmetric under linalg's rule.
+    * A with B, C with D: finite, n columns, one right-hand side value per
+      row and no zero row; a 1-d A or C is one row.
+    * lower, upper: None when absent, else broadcast to n entries; +-inf
+      is an absent bound.
+
+    A wrong shape or length, or a block given without its partner, raises
+    DimensionMismatch; NaN or Inf, a zero row or an asymmetric Q raise
+    ValueError.  Every message names the block.
+    """
+
     q: object
     r: object
     a: Optional[object] = None
@@ -72,29 +93,43 @@ class QpProblem:
     upper: Optional[object] = None
 
     def __post_init__(self):
-        self.r = as_vector(self.r)
-        self.q = as_vector(self.q, "Q") if np.ndim(self.q) == 1 else as_matrix(self.q, "Q")
-        if self.q.ndim == 2 and np.max(np.abs(self.q - self.q.T)) > 1e-10:
-            raise ValueError("Q must be symmetric")
-        if self.a is not None:
-            self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-            self.b = as_vector(self.b)
-        if self.c is not None:
-            self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
-            self.d = as_vector(self.d)
+        self.r = as_vector(self.r, "R")
+        n = self.r.size
+        self.factor = PenaltyFactor(self.q)
+        self.q = self.factor.q
+        if self.q.shape[0] != n:
+            raise DimensionMismatch(f"Q has shape {self.q.shape} for {n} entries of R")
+        self.a, self.b = _rows(self.a, self.b, n, "A", "B")
+        self.c, self.d = _rows(self.c, self.d, n, "C", "D")
+        if self.lower is not None:
+            self.lower = _bound(self.lower, -np.inf, n, "lower bound")
+        if self.upper is not None:
+            self.upper = _bound(self.upper, np.inf, n, "upper bound")
 
     @property
     def n(self):
         return self.r.size
 
-    def matvec(self, x):
-        return self.q * x if self.q.ndim == 1 else self.q @ x
-
     def objective(self, x):
-        return 0.5 * float(x @ self.matvec(x)) - float(x @ self.r)
+        return 0.5 * float(x @ self.factor.matvec(x)) - float(x @ self.r)
 
     def has_constraints(self):
         return any(blk is not None for blk in (self.a, self.c, self.lower, self.upper))
+
+
+def _rows(rows, rhs, n, name, rhs_name):
+    """A block of constraint rows and its right-hand side, checked; (None,
+    None) when both are absent."""
+    if (rows is None) != (rhs is None):
+        raise DimensionMismatch(f"{name} and {rhs_name} must be given together")
+    if rows is None:
+        return None, None
+    rows, rhs = as_matrix(np.atleast_2d(rows), name), as_vector(rhs, rhs_name)
+    if rows.shape != (rhs.size, n):
+        raise DimensionMismatch(f"{name} is {rows.shape} for {rhs.size} {rhs_name} and n = {n}")
+    if not np.all(np.einsum("ij,ij->i", rows, rows)):
+        raise ValueError(f"{name} has a zero row")
+    return rows, rhs
 
 
 def canonicalize(problem):
@@ -113,13 +148,11 @@ def canonicalize(problem):
         t_rows.append(problem.d)
     eye = np.eye(n)
     if problem.lower is not None:
-        lo = np.broadcast_to(np.asarray(problem.lower, dtype=float), (n,))
         s_rows.append(-eye)
-        t_rows.append(-lo)
+        t_rows.append(-problem.lower)
     if problem.upper is not None:
-        hi = np.broadcast_to(np.asarray(problem.upper, dtype=float), (n,))
         s_rows.append(eye)
-        t_rows.append(hi)
+        t_rows.append(problem.upper)
     if not s_rows:
         return np.zeros((0, n)), np.zeros(0)
     return np.vstack(s_rows), np.concatenate(t_rows)
@@ -151,13 +184,6 @@ def _solve_equality_qp(q, r, a, b):
     return sol[:n], sol[n:]
 
 
-def _row_norms(rows):
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if np.any(norms == 0):
-        raise ValueError("zero constraint row")
-    return norms
-
-
 class _ClippedSplit:
     """The rows K = [K_d; I] of the split K x = z and their bounds [l, u].
 
@@ -169,17 +195,17 @@ class _ClippedSplit:
         n = problem.n
         rows, lo, hi = [], [], []
         if problem.a is not None:
-            w = EQUALITY_WEIGHT / _row_norms(problem.a)
+            w = EQUALITY_WEIGHT / np.sqrt(np.einsum("ij,ij->i", problem.a, problem.a))
             rows.append(w[:, None] * problem.a)
             lo.append(w * problem.b)
             hi.append(w * problem.b)
         if problem.c is not None:
-            w = 1.0 / _row_norms(problem.c)
+            w = 1.0 / np.sqrt(np.einsum("ij,ij->i", problem.c, problem.c))
             rows.append(w[:, None] * problem.c)
             lo.append(np.full(problem.d.size, -np.inf))
             hi.append(w * problem.d)
-        lo.append(_bound(problem.lower, -np.inf, n, "lower bound"))
-        hi.append(_bound(problem.upper, np.inf, n, "upper bound"))
+        lo.append(np.full(n, -np.inf) if problem.lower is None else problem.lower)
+        hi.append(np.full(n, np.inf) if problem.upper is None else problem.upper)
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
         self.rows = np.vstack(rows) if rows else np.zeros((0, n))
@@ -286,29 +312,27 @@ def _active_set_point(problem, split, at_lo, at_hi):
         return None
     if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
         return None  # inconsistent active rows: a nearly singular system
-    qx = problem.matvec(x)
+    qx = problem.factor.matvec(x)
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
     mult = np.concatenate([np.zeros(m), qx - r - rows.T @ nu])
     mult[:m][active] = nu
     return x, split.apply(x), mult, tol
 
 
-def default_qp_config(problem=None):
+def default_qp_config(problem):
     """ADMM settings for the QP bridge: phi0 = mean diagonal of Q.
 
     eps stops the solves whose every polish is rejected
     (a singular or indefinite reduced Q, a degenerate vertex).
     """
-    phi0 = 1.0
-    if problem is not None:
-        q = problem.q
-        phi0 = max(float(np.mean(q if q.ndim == 1 else np.diag(q))), 1e-8)
+    q = problem.q
+    phi0 = max(float(np.mean(q if q.ndim == 1 else np.diag(q))), 1e-8)
     return AdmmConfig(phi0=phi0, eps=1e-11, max_iter=200000)
 
 
 class _Bridge:
-    """One QP on the bridge: the problem, its clipped split, the penalty
-    factor of Q and the ADMM settings.
+    """One QP on the bridge: the problem, its clipped split, the problem's
+    penalty factor of Q and the ADMM settings.
 
     ``solve`` returns an uncertified (x, report); qp_solve is one solve
     and the stationarity check of its answer.
@@ -317,9 +341,8 @@ class _Bridge:
     def __init__(self, problem, cfg=None):
         self.problem = problem
         self.split = _ClippedSplit(problem)
-        self.quad = PenaltyFactor(problem.q)
         self.cfg = cfg or default_qp_config(problem)
-        split, quad, r = self.split, self.quad, problem.r
+        split, quad, r = self.split, problem.factor, problem.r
 
         def x_update(y, u, phi):
             rhs = r + phi * split.adjoint(y - u)
@@ -337,7 +360,7 @@ class _Bridge:
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
-            return self.quad.solve(problem.r), SolverReport(iterations=0)
+            return problem.factor.solve(problem.r), SolverReport(iterations=0)
 
         if problem.a is not None and problem.c is None and problem.lower is None \
                 and problem.upper is None:
@@ -392,8 +415,7 @@ def linear_projection(a, b, c, d, lower, upper, v):
     block may be None.  An empty set raises InfeasibleSuspected with the
     dual certificate rather than running a sweep to its cycle cap.
     """
-    v = as_vector(v)
-    return _Bridge(QpProblem(q=np.ones(v.size), r=v, a=a, b=b, c=c, d=d,
+    return _Bridge(QpProblem(q=np.ones(np.size(v)), r=v, a=a, b=b, c=c, d=d,
                              lower=lower, upper=upper)).solve()[0]
 
 
@@ -404,7 +426,6 @@ def qp_dual(q, r, s, t):
     the dual is min 0.5 l'Qbar l - l'Rbar over l >= 0, and the primal
     optimum is recovered as x = Q^-1 (R - S'l).
     """
-    q = np.asarray(q, dtype=float)
     s = np.atleast_2d(np.asarray(s, dtype=float))
     r = as_vector(r)
     t = as_vector(t)
@@ -418,9 +439,13 @@ def stationarity_residual(problem, x, cfg=None):
     """||P_Omega(x - grad f(x)) - x||_inf, a projected-gradient KKT measure.
 
     The projection is a Dykstra sweep (``cfg``, a DykstraConfig), which
-    raises MaxCyclesExceeded when it does not settle.
+    raises MaxCyclesExceeded when it does not settle.  x is checked here:
+    NaN or Inf raise ValueError, a length other than n DimensionMismatch.
     """
-    g = problem.matvec(x) - problem.r
+    x = as_vector(x, "x")
+    if x.size != problem.n:
+        raise DimensionMismatch(f"x has {x.size} entries for {problem.n} unknowns")
+    g = problem.factor.matvec(x) - problem.r
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
                                   problem.lower, problem.upper, x - g, cfg)
     return float(np.max(np.abs(proj - x)))

@@ -84,6 +84,12 @@ class TestQpCommand:
         result = read_json(out)
         assert np.allclose(result["solution"], [0.5, 0.5])
 
+    def test_mis_shaped_block_is_a_one_line_domain_error(self, tmp_path, capsys):
+        inp = write_payload(tmp_path, {"Q": np.eye(3).tolist(), "R": [1.0, 1.0]})
+        assert main(["qp", "--input", inp]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: Q") and err.count("\n") == 1
+
 
 class TestAllocateCommand:
     def test_erc_weights(self, tmp_path):

@@ -223,7 +223,8 @@ def admm_reports(monkeypatch):
 @pytest.fixture
 def checks(monkeypatch):
     """{"as_vector": count, "as_matrix": count} of the calls every proxalloc
-    module makes to the two entry checks; clear() restarts the count."""
+    module makes to the two entry checks, and the same counts per argument
+    shape under the keys (name, shape); clear() restarts the count."""
     import sys
 
     from proxalloc import linalg
@@ -232,6 +233,7 @@ def checks(monkeypatch):
     for check in (linalg.as_vector, linalg.as_matrix):
         def counted(*args, check=check, **kwargs):
             calls[check.__name__] += 1
+            calls[check.__name__, np.shape(args[0])] += 1
             return check(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -450,6 +452,23 @@ class TestMvoGamma:
         monkeypatch.setattr(qp, "stationarity_residual", fail)
         w = mvo_gamma(u, 0.2, lower=np.zeros(30), upper=caps, ineq=ineq)
         assert np.array_equal(w.w, expected)
+
+    def test_nan_sector_row_names_c(self):
+        sectors = np.vstack([np.ones(8), np.full(8, np.nan)])
+        with pytest.raises(ValueError, match="C contains NaN"):
+            mvo_gamma(SET1.universe, 0.2, lower=np.zeros(8), ineq=(sectors, np.ones(2)))
+
+    def test_one_check_of_the_covariance_per_qp(self, checks):
+        u, n = factor_universe(np.random.default_rng(0), 30), 30
+        sectors = np.vstack([np.arange(n) % 3 == k for k in range(3)]).astype(float)
+        checks.clear()
+        qp_solve(QpProblem(q=u.cov, r=0.2 * u.mu, a=np.ones((1, n)), b=np.ones(1),
+                           c=sectors, d=np.full(3, 0.4), lower=np.zeros(n)))
+        assert checks["as_matrix", (n, n)] == 1
+        checks.clear()
+        mvo_gamma(u, 0.2, lower=np.zeros(n), upper=np.full(n, 0.08),
+                  ineq=(sectors, np.full(3, 0.4)))
+        assert checks["as_matrix", (n, n)] == 1
 
 
 class TestMvoTarget:
@@ -2573,6 +2592,12 @@ class TestRqePortfolio:
         with pytest.raises(InfeasibleTargets):
             rqe_portfolio(1.0 - SET1.universe.rho, upper=0.1)
 
+    def test_skew_within_the_symmetry_rule_is_accepted(self):
+        d = 1.0 - SET1.universe.rho
+        d[0, 1] += 5e-11
+        w = rqe_portfolio(d)
+        assert np.max(np.abs(w.w - rqe_portfolio(1.0 - SET1.universe.rho).w)) <= 1e-8
+
     def test_invalid_dissimilarity(self):
         with pytest.raises(ValueError):
             rqe_portfolio(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -2892,6 +2917,20 @@ class TestValidateOnce:
             assert iterations == cap
             counts.append(dict(checks))
         assert counts[0] == counts[1]
+
+    def test_gate_checks_the_answer_once(self, checks):
+        from proxalloc.portfolios import _gate
+
+        answer = np.array([0.6, 0.4 + 1e-9, -1e-9])
+        checks.clear()
+        w = _gate(answer)
+        assert checks["as_vector"] == 1
+        assert np.array_equal(answer, [0.6, 0.4 + 1e-9, -1e-9])  # a copy is gated
+        assert np.min(w.w) == 0.0 and abs(w.w.sum() - 1.0) <= 1e-15
+        with pytest.raises(DimensionMismatch):
+            _gate(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="NaN"):
+            _gate([0.5, np.nan, 0.5])
 
     @pytest.mark.parametrize("pull", ["l1_current", "l2_current", "l1_reference",
                                       "l2_reference"])

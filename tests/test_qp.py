@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from proxalloc import data, qp
 from proxalloc.errors import (
+    DimensionMismatch,
     InfeasibleSuspected,
     MaxCyclesExceeded,
     NotPositiveDefinite,
@@ -61,6 +62,67 @@ class TestCanonicalize:
         # stacked in the order [-A; A; C; -I; I]
         assert np.allclose(s[0], -np.ones(n))
         assert np.allclose(s[2], [1.0, 0.0, 0.0])
+
+
+class TestProblemGate:
+    """Building a QpProblem checks every block once, and a bad block raises
+    there, with an error naming it."""
+
+    Q3 = np.eye(3)
+
+    def test_r_shorter_than_q(self):
+        with pytest.raises(DimensionMismatch, match="Q has shape .* of R"):
+            QpProblem(q=self.Q3, r=np.ones(2))
+
+    def test_non_square_q(self):
+        with pytest.raises(DimensionMismatch, match="Q must be square"):
+            QpProblem(q=np.ones((3, 2)), r=np.ones(3))
+
+    def test_a_of_the_wrong_width(self):
+        with pytest.raises(DimensionMismatch, match=r"A is \(1, 2\)"):
+            QpProblem(q=self.Q3, r=np.ones(3), a=np.ones((1, 2)), b=[1.0])
+
+    def test_b_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatch, match="for 2 B"):
+            QpProblem(q=self.Q3, r=np.ones(3), a=np.ones((1, 3)), b=[1.0, 2.0],
+                      lower=0.0)
+
+    def test_a_without_b(self):
+        with pytest.raises(DimensionMismatch, match="A and B must be given together"):
+            QpProblem(q=self.Q3, r=np.ones(3), a=np.ones((1, 3)))
+
+    @pytest.mark.parametrize("block", ["a", "c"])
+    def test_nan_in_a_row_block(self, block):
+        rows = np.array([[1.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match=f"{block.upper()} contains NaN"):
+            QpProblem(q=self.Q3, r=np.ones(3), lower=0.0, upper=1.0,
+                      **{block: rows, "b" if block == "a" else "d": [1.0]})
+
+    @pytest.mark.parametrize("block", ["a", "c"])
+    def test_zero_row(self, block):
+        rows = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"{block.upper()} has a zero row"):
+            QpProblem(q=self.Q3, r=np.ones(3),
+                      **{block: rows, "b" if block == "a" else "d": [1.0, 0.0]})
+
+    def test_nan_bound(self):
+        with pytest.raises(ValueError, match="upper bound contains NaN"):
+            QpProblem(q=self.Q3, r=np.ones(3), upper=[1.0, np.nan, 1.0])
+
+    def test_bounds_are_kept_absent_or_broadcast(self):
+        p = QpProblem(q=self.Q3, r=np.ones(3), lower=0.0)
+        assert p.upper is None and np.array_equal(p.lower, np.zeros(3))
+
+    def test_q_asymmetric_within_the_rule_solves(self):
+        p = QpProblem(q=[[2.0, 0.5], [0.5 + 5e-11, 2.0]], r=[1.0, 1.0], lower=[0.0, 0.0])
+        assert np.max(np.abs(qp_solve(p) - 0.4)) <= 1e-9  # the 5e-11 skew moves it
+
+    def test_stationarity_residual_checks_x(self):
+        p = random_box_qp(np.random.default_rng(3), 4)
+        with pytest.raises(DimensionMismatch, match="x"):
+            stationarity_residual(p, np.zeros(3))
+        with pytest.raises(ValueError, match="x contains NaN"):
+            stationarity_residual(p, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
 class TestQpSolve:
