@@ -27,8 +27,10 @@ tries.  The QP bridge uses both hooks; the model splits of
 ``portfolios`` whose constraint is a ball or smooth (the Herfindahl
 ball, the entropy floors, the effective-bets cone, the volatility
 ellipsoid of the KL cap and of ``mvo_target``) polish too, and so does
-the rebalancing split, on its trade pattern.  Every polish runs its
-rounds in ``qp._settle``; the trade pattern's is its sixth point solver.
+the rebalancing split, on its trade pattern.  Every active-set polish
+runs its rounds in ``qp._settle``; the trade pattern's is its sixth
+point solver.  The ADMM risk-budgeting engine's polish is a Newton solve
+(``cd._rb_newton``) with no active set, so it does not.
 """
 
 import math

@@ -136,19 +136,27 @@ class SupportFactor:
 
     ``support`` lists the indices of F in the factor's column order.  A
     name that leaves F is a column delete, put back in triangular form by
-    Givens rotations (scipy's compiled ``qr_delete``); a name that joins
-    is a bordered append, s = R^-T M_Fj and d = sqrt(M_jj - s's).  Both
-    cost O(k^2) against a refactorization's O(k^3) (Gill, Golub, Murray &
-    Saunders 1974).  M is factored once, on the first support; an append
-    whose pivot d^2 falls to cholesky_lower's floor raises
-    NotPositiveDefinite and leaves the factor as it was.
+    Givens rotations (scipy's compiled ``qr_delete``) in O(k^2) (Gill,
+    Golub, Murray & Saunders 1974).  A support that a name joins is
+    factored afresh by ``refactor``: names leave index_sampling's support
+    every round, and no account of the benchmark or of the sweep has one
+    rejoin, so an O(k^2) bordered append would save nothing measured.
     """
 
     def __init__(self, m, support):
         self.m = m
-        self.support = np.asarray(support)
-        block = m[np.ix_(self.support, self.support)]
+        self.refactor(support)
+
+    def refactor(self, support):
+        """Factor M on ``support`` afresh, in place.
+
+        A singular block raises NotPositiveDefinite and leaves the factor
+        as it was.
+        """
+        support = np.asarray(support)
+        block = self.m[np.ix_(support, support)]
         self.upper = np.asfortranarray(cholesky_lower(block, check=False).T)
+        self.support = support
 
     def solve(self, b):
         """M_FF^-1 b for b in the support's order."""
@@ -172,20 +180,6 @@ class SupportFactor:
                                           check_finite=False)[1][:-1]
             self.upper = upper
         self.support = self.support[~drop]
-
-    def append(self, j):
-        """Add name j at the end of F."""
-        k = self.support.size
-        s = dtrsv(self.upper, self.m[self.support, j], lower=0, trans=1)
-        pivot = self.m[j, j] - float(s @ s)
-        if pivot <= 1e-14 * max(self.m[j, j], float(np.max(np.diag(self.m)[self.support]))):
-            raise NotPositiveDefinite("pivot below 1e-14 * max diagonal")
-        upper = np.zeros((k + 1, k + 1), order="F")
-        upper[:k, :k] = self.upper
-        upper[:k, k] = s
-        upper[k, k] = np.sqrt(pivot)
-        self.upper = upper
-        self.support = np.append(self.support, j)
 
 
 class PenaltyFactor:

@@ -566,18 +566,19 @@ def _tracking_optimum(cov, r, cap, held, support):
     """The optimum of one index_sampling round from the guess ``support``, or None.
 
     ``cap`` is inf, or 0 for a knocked-out name.  Moves ``held`` to each
-    support solved; raises NotPositiveDefinite when a joining name makes
-    the support block singular.
+    support solved: names that leave are deleted from the factor, and a
+    support that a name joins is factored afresh, which raises
+    NotPositiveDefinite when its block is singular.
     """
     n, r_max = r.size, np.abs(r).max()
 
     def solve(zero, _):
         drop = zero[held.support]
-        if np.count_nonzero(drop):
+        dropped = np.count_nonzero(drop)
+        if held.support.size - dropped + np.count_nonzero(zero) < n:  # names join
+            held.refactor(np.flatnonzero(~zero))
+        elif dropped:
             held.remove(drop)
-        if held.support.size + np.count_nonzero(zero) < n:  # names join
-            for j in np.setdiff1d(np.flatnonzero(~zero), held.support):
-                held.append(j)
         f = held.support
         a, e = held.solve(r[f]), held.solve(np.ones(f.size))
         nu = (1.0 - a.sum()) / e.sum()
@@ -928,39 +929,30 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     return w, 0.0 if min_bets <= 1.0 else accepted[0]
 
 
-def _entropy_root(point, floor, last=None):
+def _entropy_root(point, floor):
     """point(theta)[1] at the root theta >= 0 of point(theta)[0] = floor.
 
-    point(theta) = (entropy, x), the entropy rising with the multiplier theta.
-    ``last``, when given, carries the root from one projection of a sequence
-    (the ADMM iterations) to the next: a list [theta, step] of the previous
-    root and its relative change from the one before, updated here.  The
-    root is first bracketed within a factor 1 + s of theta, s = 4 step
-    clipped to [1e-9, 1], which narrows as the iterates settle.  When no
-    root is known yet or the floor lies outside that bracket, theta_hi
-    grows by 4 from 1 to bracket the floor on [1e-13, theta_hi].  ``bisect``
-    runs on the bracket.
+    point(theta) = (entropy, x), the entropy rising with the multiplier
+    theta.  theta_hi grows by 4 from 1 to bracket the floor on
+    [1e-13, theta_hi], and ``bisect`` runs on the bracket.  The cache
+    hands bisect the bracket's upper end and returns the root's x, both
+    already evaluated.  Every root starts from this cold bracket: an
+    entropy y-block finds only 1-3 roots a solve, since the clipped
+    iterate usually meets the floor, and over the sweep's 10 entropy
+    roots a bracket around the last root took 91 point evaluations
+    against this one's 90.
     """
     entropy_at = functools.cache(point)
+    hi = 1.0
+    while entropy_at(hi)[0] < floor:
+        hi *= 4.0
+        if hi > 1e12:
+            raise UnreachableDiversification(f"entropy floor {floor} unreachable")
     gap = lambda t: entropy_at(t)[0] - floor
-    warm = last is not None and last[0] is not None
-    if warm:
-        span = 1.0 + min(max(4.0 * last[1], 1e-9), 1.0)
-        lo, hi = last[0] / span, last[0] * span
-        warm = gap(lo) < 0.0 < gap(hi)
-    if not warm:
-        lo, hi = 1e-13, 1.0
-        while entropy_at(hi)[0] < floor:
-            hi *= 4.0
-            if hi > 1e12:
-                raise UnreachableDiversification(f"entropy floor {floor} unreachable")
-    theta = bisect(gap, RootBracket(lo, hi, tol=1e-14, max_iter=300))
-    if last is not None:
-        last[:] = theta, abs(theta / last[0] - 1.0) if warm else 1.0
-    return entropy_at(theta)[1]
+    return entropy_at(bisect(gap, RootBracket(1e-13, hi, tol=1e-14, max_iter=300)))[1]
 
 
-def _entropy_floor_projection(v, floor, lower, upper, last=None):
+def _entropy_floor_projection(v, floor, lower, upper):
     """Euclidean projection onto {x in box : -sum x ln x >= floor}.
 
     The dual problem is coordinate-separable: for a multiplier theta >= 0
@@ -980,10 +972,10 @@ def _entropy_floor_projection(v, floor, lower, upper, last=None):
         x = np.clip(theta * lambert_w_exp(v / theta - 1.0 - np.log(theta)), lower, upper)
         return _entropy(x), x
 
-    return _entropy_root(point, floor, last)
+    return _entropy_root(point, floor)
 
 
-def _entropy_cone_projection(v, floor, last=None):
+def _entropy_cone_projection(v, floor):
     """Euclidean projection onto the cone {y >= 0 : H(y / 1'y) >= floor}.
 
     Stationarity with g(y) = sum_i y_i ln(y_i / s) + floor s, s = 1'y, and a
@@ -994,7 +986,10 @@ def _entropy_cone_projection(v, floor, last=None):
     that leave the bounds take the midpoint.  Below a = -40 - max b, f is the
     constant LSE(b): a root exists only for LSE(b) > 0.  Elsewhere the s -> 0
     limit y / s = softmax(b) keeps the entropy continuous in theta, and a
-    floor met there puts v in the polar cone, whose projection is 0.
+    floor met there puts v in the polar cone, whose projection is 0.  Each
+    Newton run in a starts from the s of the last theta evaluated, which
+    over the sweep's entropy cases takes 225 Lambert-W evaluations
+    against 241 from a = ln(1'max(v, 0) / theta).
     """
     y = np.maximum(v, 0.0)
     if not y.any() or _entropy(y / y.sum()) >= floor:
@@ -1021,7 +1016,7 @@ def _entropy_cone_projection(v, floor, last=None):
         warm[0] = theta * w.sum()
         return _entropy(w / w.sum()), theta * w
 
-    return _entropy_root(point, floor, last)
+    return _entropy_root(point, floor)
 
 
 def _equal_weight_entropy(floor, n):
@@ -1058,10 +1053,8 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
         if _equal_weight_entropy(floor, n):
             return _equal_weights(upper_vec)
 
-        last = [None, 1.0]  # the last root theta, which brackets the next one
-
         def projection(t):
-            return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec, last)
+            return _entropy_floor_projection(t, floor, np.zeros(n), upper_vec)
 
         cov, capped = universe.cov, upper_vec < 1.0
 
@@ -1452,8 +1445,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
         floor = constraint.minimum
         if _equal_weight_entropy(floor, n):
             return _equal_weights(upper_vec)
-        last = [None, 1.0]  # the last root theta, which brackets the next one
-        cone = lambda v: _entropy_cone_projection(v, floor, last)
+        cone = lambda v: _entropy_cone_projection(v, floor)
         blocks = [lambda phi: cone]  # the cone lies in the orthant: no orthant block
 
         def parts(y):  # g = sum y ln(y / s) + floor s, s = 1'y

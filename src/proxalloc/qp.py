@@ -2,8 +2,8 @@
 
 min 0.5 x'Qx - x'R  s.t.  A x = B, C x <= D, lower <= x <= upper
 
-Unconstrained and equality-only problems are solved in closed form.
-Everything else runs ADMM on the single split K x = z, l <= z <= u, of
+An unconstrained problem is one solve against Q.  Everything else runs
+ADMM on the single split K x = z, l <= z <= u, of
 OSQP (Stellato et al. 2020, arXiv 1711.08013), with every constraint row
 stacked in K = [w A; C; I]:
 
@@ -20,13 +20,17 @@ At every power-of-two iteration (1, 2, 4, ...) and on convergence
 the active set is guessed from z and the dual, and the point is
 polished: an equality QP on the free coordinates, kept only if it is
 feasible and its multipliers have the right signs, which ends the solve.
-``_settle``, the primal-dual active-set loop of every polish in the
-package, corrects the guess.
+An equality-only problem ends at iteration 1: the guess holds every row
+active and every coordinate free, so the polish is the KKT solve.
+``_settle``, the primal-dual active-set loop of every active-set polish
+in the package (the ADMM risk-budgeting engine's Newton polish has
+none), corrects the guess.
 An empty feasible set is certified from the change of the dual (Banjac,
-Goulart, Stellato & Boyd 2019), and every returned answer is checked by
-``stationarity_residual``, which the report keeps.  The same solver
-doubles as the numeric oracle the other engines are cross-checked
-against.  Building a QpProblem is the one check of its blocks: Q
+Goulart, Stellato & Boyd 2019), and every answer of ``qp_solve`` is
+checked by ``stationarity_residual``, which the report keeps; the
+models that solve on the bridge directly (``_Bridge.solve``) skip that
+check.  The same solver doubles as the numeric oracle the other
+engines are cross-checked against.  Building a QpProblem is the one check of its blocks: Q
 through its PenaltyFactor, which the bridge then solves with, and A, B,
 C, D and the bounds against R's length; nothing below it checks again.
 
@@ -287,7 +291,12 @@ def _active_set_point(problem, split, at_lo, at_hi):
     equalities for _solve_equality_qp on the free coordinates.  The
     multipliers are nu on the dense rows (Q x - R = K_act'nu on the free
     coordinates) and Q x - R - K_act'nu on the coordinates; None when the
-    QP is singular or its point misses the active rows.
+    QP is singular or its point misses the active rows.  An active row
+    with no free entry (a budget row whose names are all pinned) would
+    make the QP singular, so it is left out of it and only checked at
+    the point.  Its multiplier moves only the pinned coordinates'
+    multipliers, and a lone such row takes the one nearest 0 that its
+    own sign and theirs admit; two or more such rows return None.
     """
     m, lo, hi = split.m, split.lo, split.hi
     fix_lo, fix_hi = at_lo[m:], at_hi[m:]
@@ -298,6 +307,11 @@ def _active_set_point(problem, split, at_lo, at_hi):
     active = (at_lo | at_hi)[:m]
     rows = split.rows[active]
     target = np.where(at_lo, lo, hi)[:m][active]
+    rows_free = rows[:, free]
+    pinned = ~rows_free.any(axis=1)  # rows with no free entry
+    lone = np.count_nonzero(pinned)
+    if lone > 1:
+        return None
     q, r = problem.q, problem.r
     if q.ndim == 1:
         q_free, r_free = q[free], r[free]
@@ -305,9 +319,10 @@ def _active_set_point(problem, split, at_lo, at_hi):
         q_rows = q[free]  # one gather of the free rows, then two column blocks
         q_free = q_rows[:, free]
         r_free = r[free] - q_rows[:, ~free] @ x[~free]
+    nu = np.zeros(rows.shape[0])
     try:
-        x[free], nu = _solve_equality_qp(q_free, r_free, rows[:, free],
-                                         target - rows[:, ~free] @ x[~free])
+        x[free], nu[~pinned] = _solve_equality_qp(
+            q_free, r_free, rows_free[~pinned], (target - rows[:, ~free] @ x[~free])[~pinned])
     except (NotPositiveDefinite, np.linalg.LinAlgError):
         return None
     if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
@@ -316,6 +331,16 @@ def _active_set_point(problem, split, at_lo, at_hi):
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
     mult = np.concatenate([np.zeros(m), qx - r - rows.T @ nu])
     mult[:m][active] = nu
+    if lone:
+        # mult + t slope keeps Q x - R = K_act'nu for every t, and the KKT
+        # sign of each active movable entry bounds t from one side
+        slope = np.concatenate([np.zeros(m), -rows[pinned][0]])
+        slope[:m][active] = pinned
+        side = np.where(at_lo, 1.0, np.where(at_hi, -1.0, 0.0)) * (lo != hi) * slope
+        limit = -mult / np.where(side != 0, slope, 1.0)
+        t_lo = np.max(limit[side > 0], initial=-np.inf)
+        t_hi = np.min(limit[side < 0], initial=np.inf)
+        mult += min(max(t_lo, 0.0), t_hi) * slope
     return x, split.apply(x), mult, tol
 
 
@@ -356,20 +381,14 @@ class _Bridge:
     def solve(self):
         """The optimum as (x, report), without the stationarity check.
 
-        ADMM starts from x = 0.  Raises as qp_solve.
+        With no constraint it is one solve against Q, which raises
+        NotPositiveDefinite on a singular Q.  Otherwise ADMM starts from
+        x = 0; on an equality-only problem its iteration-1 polish is the
+        KKT solve, which ends it.  Raises as qp_solve.
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
             return problem.factor.solve(problem.r), SolverReport(iterations=0)
-
-        if problem.a is not None and problem.c is None and problem.lower is None \
-                and problem.upper is None:
-            try:
-                x, _ = _solve_equality_qp(problem.q, problem.r, problem.a, problem.b)
-                return x, SolverReport(iterations=0)
-            except (NotPositiveDefinite, np.linalg.LinAlgError):
-                pass  # singular Q: fall through to the regularized ADMM path
-
         with np.errstate(over="ignore", invalid="ignore"):
             x, z, report = admm_solve(self.admm, np.zeros(problem.n), cfg=self.cfg)
         if report.polished:

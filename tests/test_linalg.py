@@ -71,29 +71,33 @@ class TestCholesky:
 
 
 class TestSupportFactor:
-    def test_deletes_and_appends_match_a_fresh_factor(self):
+    def test_deletes_and_a_join_match_a_fresh_factor(self):
         rng = np.random.default_rng(9)
         m = random_spd(rng, 12)
         held = SupportFactor(m, np.arange(12))
+
+        def assert_fresh():
+            block = m[np.ix_(held.support, held.support)]
+            assert np.max(np.abs(held.upper.T @ held.upper - block)) <= 1e-12 * np.max(m)
+            assert np.allclose(np.triu(held.upper), held.upper)
+            b = rng.standard_normal(held.support.size)
+            assert np.allclose(block @ held.solve(b), b)
+
         for drop in ([0], [11], [3, 4, 8], [5]):
             held.remove(np.isin(held.support, drop))
-        for j in (8, 0):
-            held.append(j)
-        support = held.support
-        assert sorted(support) == [0, 1, 2, 6, 7, 8, 9, 10]
-        block = m[np.ix_(support, support)]
-        assert np.max(np.abs(held.upper.T @ held.upper - block)) <= 1e-12 * np.max(m)
-        assert np.allclose(np.triu(held.upper), held.upper)
-        b = rng.standard_normal(support.size)
-        assert np.allclose(block @ held.solve(b), b)
+        assert list(held.support) == [1, 2, 6, 7, 9, 10]
+        assert_fresh()
+        held.refactor(np.append(held.support, [8, 0]))  # 8 and 0 join
+        assert sorted(held.support) == [0, 1, 2, 6, 7, 8, 9, 10]
+        assert_fresh()
 
-    def test_singular_append_leaves_the_factor(self):
+    def test_singular_join_leaves_the_factor(self):
         copy = [0, 1, 0]  # asset 2 copies asset 0
         m = np.array([[2.0, 1.0], [1.0, 2.0]])[np.ix_(copy, copy)]
         held = SupportFactor(m, [0, 1])
         upper = held.upper.copy()
         with pytest.raises(NotPositiveDefinite):
-            held.append(2)
+            held.refactor([0, 1, 2])
         assert np.array_equal(held.support, [0, 1]) and np.array_equal(held.upper, upper)
 
 

@@ -1,4 +1,7 @@
+import dataclasses
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,15 @@ from proxalloc.qp import (
     qp_solve,
     stationarity_residual,
 )
+
+
+def perfbench_universe():
+    """The benchmark's universe module, perfbench/universe.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "universe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_universe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_box_qp(rng, n):
@@ -151,6 +163,41 @@ class TestQpSolve:
         g = q @ x - r
         coeffs, *_ = np.linalg.lstsq(a.T, g, rcond=None)
         assert np.max(np.abs(a.T @ coeffs - g)) <= 1e-8
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_equality_only_ends_polished_at_iteration_1(self, diagonal):
+        rng = np.random.default_rng(11)
+        n = 6
+        m = rng.standard_normal((n, n))
+        q = rng.uniform(0.5, 3.0, n) if diagonal else m @ m.T + n * np.eye(n)
+        r, a, b = rng.standard_normal(n), rng.standard_normal((2, n)), rng.standard_normal(2)
+        x, report = qp_solve(QpProblem(q=q, r=r, a=a, b=b), return_report=True)
+        kkt = np.block([[np.diag(q) if diagonal else q, -a.T], [a, np.zeros((2, 2))]])
+        expected = np.linalg.solve(kkt, np.concatenate([r, b]))[:n]
+        assert report.polished and report.iterations == 1
+        assert np.max(np.abs(x - expected)) <= 1e-12
+
+    def test_a_budget_row_whose_names_are_all_pinned_polishes(self):
+        # mvo_turnover's account as a QP in (x, buys, sells): the optimum holds
+        # one name, so every x is pinned and the budget row has no free entry
+        n = 7
+        rng = np.random.default_rng([27, 16512, n])
+        u = perfbench_universe().factor_universe(rng, n)
+        current = rng.dirichlet(np.ones(n))
+        q = np.zeros((3 * n, 3 * n))
+        q[:n, :n] = u.cov
+        q[n:, n:] = 1e-10 * np.eye(2 * n)
+        p = QpProblem(q=q, r=np.concatenate([0.5 * u.mu, np.zeros(2 * n)]),
+                      a=np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]),
+                                   np.hstack([np.eye(n), -np.eye(n), np.eye(n)])]),
+                      b=np.concatenate([[1.0], current]),
+                      c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :], d=[3.0],
+                      lower=np.zeros(3 * n), upper=np.ones(3 * n))
+        cfg = dataclasses.replace(qp.default_qp_config(p), max_iter=64)
+        x, report = qp_solve(p, cfg, return_report=True)
+        assert report.polished and report.iterations <= 8
+        assert np.array_equal(x[:n], np.eye(n)[2])
+        assert report.stationarity_residual <= 1e-8
 
     def test_matches_box_ccd_on_published_example(self):
         from proxalloc.cd import CdConfig, ccd_qp_box
@@ -320,6 +367,27 @@ class TestSettle:
         x, solves = budget_box_settle(np.eye(3), np.array([0.2, 0.1, 0.9]), [0.0, 0.0, 0.5],
                                       [1.0, 1.0, 0.5], at_lo, at_hi)
         assert solves == 1 and np.max(np.abs(x - [0.3, 0.2, 0.5])) <= 1e-14
+
+    def test_a_row_with_no_free_entry_takes_the_multiplier_nearest_0(self):
+        # the budget row x_1 + x_2 = 1 with x_1 at its cap and x_2 at 0: the
+        # signs of their multipliers g - w nu (g = -1.5, -1.2; w the row's
+        # scale) admit w nu in [-1.5, -1.2], and x_3 alone is free
+        p = QpProblem(q=np.eye(3), r=np.array([2.5, 1.2, 0.3]), a=np.array([[1.0, 1.0, 0.0]]),
+                      b=[1.0], lower=0.0, upper=1.0)
+        split = qp._ClippedSplit(p)
+        x, values, mult, _ = qp._active_set_point(p, split, np.array([1, 0, 1, 0], bool),
+                                                   np.array([0, 1, 0, 0], bool))
+        w = split.rows[0, 0]
+        assert np.array_equal(x, [1.0, 0.0, 0.3]) and np.allclose(values, [w, 1.0, 0.0, 0.3])
+        assert np.allclose(mult, [-1.2 / w, -0.3, 0.0, 0.0], rtol=0.0, atol=1e-14)
+
+    def test_two_rows_with_no_free_entry_return_none(self):
+        p = QpProblem(q=np.eye(3), r=np.array([2.5, 1.2, 0.3]),
+                      a=np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]), b=[1.0, 1.0],
+                      lower=0.0, upper=1.0)
+        split = qp._ClippedSplit(p)
+        assert qp._active_set_point(p, split, np.array([1, 1, 0, 1, 0], bool),
+                                    np.array([0, 0, 1, 0, 0], bool)) is None
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), caps_sum_to_one=st.booleans(),
