@@ -2,7 +2,8 @@
 
 Mean-variance, its cost/tracking variants and return targets, the
 floor-free most-diversified portfolio and the Rao-entropy maximum stay
-quadratic programs; turnover-capped mean-variance, volatility-targeted
+quadratic programs, and a volatility target walks Markowitz's critical
+line up from the minimum variance, a finite method; turnover-capped
 mean-variance, minimum variance and the most-diversified portfolio under
 diversification floors, risk budgeting, KL portfolios and the composite
 managed-account objective are solved by splitting: a smooth x-subproblem
@@ -11,12 +12,11 @@ each a closed-form prox from the operator catalogue, an exact projection
 by scalar roots (the entropy floors, the ellipsoid) or a Dykstra sweep
 (box and ball), joined by consensus ADMM.  The box-and-ball split, the
 splits whose constraint is smooth (the entropy floors, the effective-bets
-cone, the volatility ellipsoid of the KL cap and of the volatility
-target) and the rebalancing split (turnover cap and bid/ask costs) end
-with a polish: the exact optimum on the active set or trade pattern its
-y-blocks show.  Every polish, and index sampling's rounds, hands
-qp._settle a point solver (a secular root, Newton on the KKT system,
-the closed-form frontier point, a held Cholesky factor, an equality QP
+cone, the volatility ellipsoid of the KL cap) and the rebalancing split
+(turnover cap and bid/ask costs) end with a polish: the exact optimum on
+the active set or trade pattern its y-blocks show.  Every polish, and
+index sampling's rounds, hands qp._settle a point solver (a secular
+root, Newton on the KKT system, a held Cholesky factor, an equality QP
 in trade variables) and lets its one primal-dual loop correct the guess.
 Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
@@ -54,7 +54,7 @@ from .errors import (
     UnreachableDiversification,
 )
 from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_symmetric,
-                     as_vector, bisect, lambert_w_exp, threshold_sum_root)
+                     as_vector, bisect, cholesky_lower, lambert_w_exp, threshold_sum_root)
 from .prox import (
     Box,
     EffectiveBetsCone,
@@ -397,6 +397,54 @@ def _max_return_face(mu, lower, upper):
         np.where(mu < edge, lower, upper)
 
 
+def _critical_line(cov, mu, low, high, start, target):
+    """The most return at volatility ``target`` on the budget set, walked up
+    Markowitz's critical line from ``start``, the minimum variance.
+
+    The optimum of min 0.5 x'cov x - t mu'x on the budget and the box is
+    piecewise linear in t (Markowitz 1956; Niedermayer & Niedermayer 2010):
+    x(t) = base + t step from one solve with the free block cov_FF (the
+    least-norm one when it is singular), until a free name reaches a bound
+    or a bound name's multiplier changes sign.  The walk stops on the piece
+    whose variance, quadratic in t, reaches target^2.  Names within 1e-12
+    (relative) of a bound start at it; at a vertex the capped name with the
+    largest (cov x)_i is freed.  Raises MaxIterExceeded after 4 n pieces.
+    """
+    n = mu.size
+    slack = 1e-12 * (1.0 + np.abs(start))
+    at_low, at_high = start <= low + slack, start >= high - slack
+    if (at_low | at_high).all():
+        at_high[np.argmax(np.where(at_high, cov @ start, -np.inf))] = False
+    for _ in range(4 * n):
+        free = ~(at_low | at_high)
+        fixed = np.where(at_low, low, np.where(at_high, high, 0.0))
+        block = cov[np.ix_(free, free)]
+        rhs = np.column_stack([mu[free], np.ones(free.sum()), (cov @ fixed)[free]])
+        try:
+            cholesky_lower(block, check=False)  # the pivot test of a singular block
+            a, e, d = np.linalg.solve(block, rhs).T
+        except NotPositiveDefinite:
+            a, e, d = np.linalg.lstsq(block, rhs, rcond=None)[0].T
+        nu, slope = (1.0 - fixed.sum() + d.sum()) / e.sum(), a.sum() / e.sum()
+        base, step = fixed.copy(), np.zeros(n)  # 1'x = 1 for every t
+        base[free] = nu * e - d
+        step[free] = a - slope * e
+        cov_step, cov_base = cov @ step, cov @ base
+        a2, a1, a0 = step @ cov_step, step @ cov_base, base @ cov_base - target**2
+        with np.errstate(all="ignore"):  # a step or multiplier slope of 0: no event
+            root = (np.sqrt(a1 * a1 - a2 * a0) - a1) / a2
+            hits = np.where(step < 0.0, low - base, high - base) / step
+            turn = cov_step - mu + slope  # d/dt of the multipliers (cov x)_i - t mu_i - nu
+            turns = (nu - cov_base) / turn
+        events = np.where(free & (step != 0.0), hits, np.where(
+            at_low & (turn < 0.0) | at_high & (turn > 0.0), turns, np.inf))
+        k = int(np.argmin(events))  # an event already passed is taken at once
+        if root <= events[k]:
+            return base + root * step
+        at_low[k], at_high[k] = free[k] and step[k] < 0.0, free[k] and step[k] > 0.0
+    raise MaxIterExceeded(f"mvo_target's critical line ran {4 * n} pieces below the target")
+
+
 def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
                upper=None):
     """The frontier portfolio at a return or volatility target.
@@ -409,15 +457,8 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     target is one QP, the minimum variance under the row
     -mu'x <= -target_return (left out when nothing in the box returns
     less); a row left slack by 1e-6 puts the target below the GMV.  A
-    volatility target v maximizes mu'x on the budget plane, the box and
-    x'cov x <= v^2 by ``_plane_admm`` from the GMV, with Q = 0 and the
-    linear term mu: the x-update is t + mu / rho projected onto the
-    plane, the y-blocks are the box and the ellipsoid, and the penalty
-    starts at 3 times the spread of mu.  Its polish settles the box
-    block's guess on the two-fund frontier point at v of the free names,
-    the rest at their bounds; when too few names reach v, the point solver
-    reports the GMV's pinned names as wrong-signed, so the next round
-    frees them.
+    volatility target v, max mu'x on the budget, the box and x'cov x <=
+    v^2, is one bridge solve for the GMV and one ``_critical_line`` walk.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
@@ -461,49 +502,7 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         raise TargetUnreachable(f"target {target} below the minimum {vol:.6g}", last=gmv.w)
     if target <= vol:
         return gmv
-    held = gmv.w > low
-
-    def frontier_point(free, fixed):
-        """(x, t): x = base + t step, the most return at volatility v; or None."""
-        with np.errstate(all="ignore"):  # no free name or a singular block: no point
-            try:
-                a, e, d = np.linalg.solve(cov[np.ix_(free, free)], np.column_stack(
-                    [mu[free], np.ones(free.sum()), (cov @ fixed)[free]])).T
-            except np.linalg.LinAlgError:
-                return None
-            base, step = fixed.copy(), np.zeros(n)  # 1'x = 1 for every t
-            base[free] = (1.0 - fixed.sum() + d.sum()) / e.sum() * e - d
-            step[free] = a - a.sum() / e.sum() * e
-            cov_step, cov_base = cov @ step, cov @ base
-            a2, a1, a0 = step @ cov_step, step @ cov_base, base @ cov_base - target**2
-            t = (np.sqrt(a1 * a1 - a2 * a0) - a1) / a2
-        return (base + t * step, t) if a2 > 0.0 and t > 0.0 and np.isfinite(t) else None
-
-    def solve(at_low, at_high):
-        free = ~(at_low | at_high)
-        fixed = np.where(at_low, low, np.where(at_high, high, 0.0))
-        solved = frontier_point(free, fixed)
-        if solved is None:  # too few names reach v: the GMV's pinned names take a wrong sign
-            wrong = at_low & held
-            return (None, np.clip(fixed, low, high), -1.0 * wrong, 0.0) if wrong.any() else None
-        point, t = solved
-        grad = cov @ point / t - mu  # of -mu'x + kappa g, g = x'cov x / 2
-        tol = POLISH_TOL * max(1.0, float(np.max(np.abs(grad))))
-        grad -= grad[free].mean()  # + nu 1
-        if np.max(np.abs(grad[free])) > tol:
-            return None  # not a stationary point: a singular block
-        return point, point, grad, tol
-
-    def polish(x, y, dual):
-        y, dual = y[:n], dual[:n]
-        return _settle(solve, low, high, y - low < -dual, high - y < dual)  # OSQP's guess
-
-    ball = _volatility_ball_projection(cov, target)
-    # the ball's multiplier is about the spread of mu: rho of that scale
-    cfg = AdmmConfig(phi0=3.0 * float(np.ptp(mu)), eps=1e-11, max_iter=100000)
-    blocks = [_projection(Box(low, high), n), lambda phi: ball]
-    return _gate(_plane_admm("frontier ADMM", np.zeros(n), blocks, start=gmv.w, cfg=cfg,
-                             linear=mu, polish=polish), long_only)
+    return _gate(_critical_line(cov, mu, low, high, gmv.w, target), long_only)
 
 
 def index_sampling(universe, benchmark, n_assets, cfg=None):

@@ -252,7 +252,7 @@ def _settle(solve, lo, hi, at_lo, at_hi):
     """The primal-dual active-set loop of every polish: a KKT point, or None.
 
     The constraints are entries c(x) in [lo, hi], ordered [rows; g;
-    coordinates] by the caller (the trade pattern's, the sixth point
+    coordinates] by the caller (the trade pattern's, the fifth point
     solver, adds buys and sells), and at_lo / at_hi mask the entries
     guessed at a bound; entries with lo = hi are always active, at lo.
     ``solve(at_lo, at_hi)`` returns the optimum with the active entries at

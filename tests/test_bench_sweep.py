@@ -31,6 +31,6 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64
         assert all(isinstance(it, int) and isinstance(done, bool) for it, done in row["admm"])
-    # the volatility target runs the GMV's bridge solve, then the frontier split
-    assert cases["mvo_target vol 1.1x gmv"]["admm"] == [[1, True], [1, True]]
+    # the volatility target runs the GMV's bridge solve, then walks the critical line
+    assert cases["mvo_target vol 1.1x gmv"]["admm"] == [[1, True]]
     assert cases["erc"]["admm"] == []  # coordinate descent: no ADMM solve

@@ -535,17 +535,31 @@ class TestMvoTarget:
                 mvo_target(u, **target, **box)
             assert np.max(np.abs(err.value.last - end)) <= 1e-8
 
-    @pytest.mark.parametrize("n", [8, 100])
-    @pytest.mark.parametrize("factor", [1.1, 1.3, 2.0])
-    def test_volatility_target_is_the_frontier_point(self, n, factor):
-        u, box = factor_universe(np.random.default_rng(0), n), dict(lower=np.zeros(n),
-                                                                     upper=np.ones(n))
+    @pytest.mark.parametrize("factor, n, inputs", [
+        *(pytest.param(f, n, None, id=f"{f}-{n}") for f in (1.1, 1.3, 2.0) for n in (8, 100)),
+        *(pytest.param(f, 20, kind, id=f"{f}-20-{kind}") for f in (1.05, 1.3)
+          for kind in ("best_copied", "fourth_copied", "mu_tied"))])
+    def test_volatility_target_is_the_frontier_point(self, factor, n, inputs):
+        # degenerate inputs under caps of 0.3: a copied name makes cov singular
+        # and its pair's split arbitrary; mu rounded to cents ties names
+        u, cap, pair = factor_universe(np.random.default_rng(0), n), 1.0, None
+        if inputs == "mu_tied":
+            u, cap = AssetUniverse(names=u.names, mu=np.round(u.mu, 2), sigma=u.sigma,
+                                   rho=u.rho), 0.3
+        elif inputs is not None:
+            copied = int(np.argsort(-u.mu)[0 if inputs == "best_copied" else 3])
+            u, cap, pair = duplicate_asset(u, copied), 0.3, [copied, n]
+        box = dict(lower=np.zeros(u.n), upper=np.full(u.n, cap))
         gmv = mvo_gamma(u, 0.0, **box).w
         target = factor * np.sqrt(gmv @ u.cov @ gmv)
         w = mvo_target(u, target_volatility=target, **box).w
         assert abs(np.sqrt(w @ u.cov @ w) - target) <= 1e-10
         same = mvo_target(u, target_return=float(w @ u.mu), **box).w
-        assert np.max(np.abs(w - same)) <= 1e-9
+        if pair is None:
+            assert np.max(np.abs(w - same)) <= 1e-9
+        else:
+            assert abs(np.sqrt(same @ u.cov @ same) - target) <= 1e-9
+            assert abs(w[pair].sum() - same[pair].sum()) <= 1e-9
 
     def test_long_short_targets_meet_the_two_fund_frontier(self):
         # Merton (1972): on the budget plane alone the frontier portfolio of
@@ -587,8 +601,9 @@ class TestMvoTarget:
         def fail(*args, **kwargs):
             raise AssertionError("a nested solve ran")
 
-        for name in ("mvo_gamma", "qp_solve", "bisect"):
+        for name in ("mvo_gamma", "qp_solve", "bisect", "_settle"):
             monkeypatch.setattr(portfolios, name, fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         bridges, splits = [], []
         solve, split = portfolios._Bridge.solve, portfolios.admm_solve
 
@@ -606,7 +621,7 @@ class TestMvoTarget:
         assert (len(bridges), len(splits)) == (1, 0)
         bridges.clear()
         mvo_target(u, target_volatility=1.3 * np.sqrt(gmv @ u.cov @ gmv), **box)
-        assert (len(bridges), len(splits)) == (1, 1)
+        assert (len(bridges), len(splits)) == (1, 0)  # the GMV, then the critical line
 
     @pytest.mark.parametrize("level", [0.0, 0.05])
     @pytest.mark.parametrize("bounds", [{}, dict(lower=np.zeros(8), upper=np.ones(8))])
@@ -2738,8 +2753,8 @@ class TestRoboShaping:
 
 
 class TestOnePlaneSplit:
-    """robo_advisor and a volatility-target mvo_target each run one _plane_admm
-    split and build no consensus problem of their own."""
+    """robo_advisor runs one _plane_admm split and builds no consensus problem
+    of its own."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -2756,12 +2771,6 @@ class TestOnePlaneSplit:
 
     def test_robo_advisor(self, calls):
         robo_advisor(SET1.universe, loaded_robo_config())
-        assert calls == ["_plane_admm", "consensus_problem"]
-
-    def test_volatility_target(self, calls):
-        u, box = tilted_universe(), dict(lower=np.zeros(8), upper=np.ones(8))
-        vol = stats(mvo_gamma(u, 0.0, **box), u).volatility
-        mvo_target(u, target_volatility=1.1 * vol, **box)
         assert calls == ["_plane_admm", "consensus_problem"]
 
     def test_errors_name_the_model(self):
