@@ -20,6 +20,11 @@ root, Newton on the KKT system, a held Cholesky factor, an equality QP
 in trade variables) and lets its one primal-dual loop correct the guess.
 Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
+Every model reads the covariance through its AssetUniverse, which checks
+it once when the universe is built and owns its one PenaltyFactor (the
+factors of cov + phi I that every QP and quadratic split on the universe
+shares) and its eigendecomposition, computed at most once, on first use.
+
 Each model checks its per-asset vectors once, where it takes them
 (``_asset_vector``: finite, 1-d, n entries), and its loops call the
 catalogue's unchecked kernels.  Every model returns PortfolioWeights
@@ -94,8 +99,26 @@ class AssetUniverse:
     """Expected returns, volatilities and correlations of the asset set.
 
     rho must be symmetric under linalg's rule (as_symmetric).  The
-    covariance is derived as cov_ij = rho_ij * sigma_i * sigma_j and
-    checked positive semidefinite (smallest eigenvalue >= -1e-10).
+    covariance is derived as cov_ij = rho_ij * sigma_i * sigma_j, and the
+    universe is the one owner of every decision about it:
+
+    * The PSD gate: cov must be positive semidefinite, smallest eigenvalue
+      >= -1e-10.  One Cholesky of cov + 1e-10 I decides it; only when that
+      fails does the eigvalsh test run, so the decision is the eigenvalue
+      test's.  The Cholesky factor is not kept.
+    * ``factor``: the one PenaltyFactor of cov, built here, which checks
+      cov once (finite, symmetric under linalg's rule).  Every QP and
+      quadratic split of a model on this universe solves through it, so a
+      second call at the same penalty reuses the factor of cov + phi I.
+      Its cache holds up to four n x n factors, one per recent penalty.
+    * ``spectrum``: cov's eigendecomposition (eigenvalues, eigenvectors),
+      computed on first use and kept; it serves the volatility ellipsoid
+      and the stdev ADMM x-update.  One more n x n array.
+
+    Both live as long as the universe, so a universe holds up to four
+    n x n factors and one eigenbasis besides rho and cov.  ``cov`` stays a
+    plain array; treat it as read-only, since the factor and the spectrum
+    were built from it.
     """
 
     names: list
@@ -118,12 +141,20 @@ class AssetUniverse:
         if np.any(self.sigma <= 0):
             raise ValueError("volatilities must be positive")
         self.cov = self.rho * np.outer(self.sigma, self.sigma)
-        if np.min(np.linalg.eigvalsh(self.cov)) < -1e-10:
-            raise ValueError("covariance is not positive semidefinite")
+        try:
+            cholesky_lower(self.cov + 1e-10 * np.eye(n), check=False)
+        except NotPositiveDefinite:
+            if np.min(np.linalg.eigvalsh(self.cov)) < -1e-10:
+                raise ValueError("covariance is not positive semidefinite") from None
+        self.factor = PenaltyFactor(self.cov)
 
     @property
     def n(self):
         return self.sigma.size
+
+    @functools.cached_property
+    def spectrum(self):
+        return np.linalg.eigh(self.cov)
 
 
 @dataclass
@@ -334,7 +365,8 @@ def _secular_root(a, c):
 
 def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None):
     """min 0.5 x'qx - r'x on the budget plane, the box and the rows c x <= d:
-    one QP-bridge solve, without qp_solve's stationarity sweep."""
+    one QP-bridge solve, without qp_solve's stationarity sweep.  q is a
+    universe's ``factor``, whose cached factors the solve reuses."""
     problem = QpProblem(q=q, r=r, a=np.ones((1, len(r))), b=np.ones(1), c=c, d=d,
                         lower=lower, upper=upper)
     return _Bridge(problem, cfg).solve()[0]
@@ -349,7 +381,7 @@ def mvo_gamma(universe, gamma, lower=None, upper=None, ineq=None, cfg=None):
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     c, d = ineq if ineq is not None else (None, None)
-    w = _solve_budget_qp(universe.cov, gamma * universe.mu, lower, upper, c, d, cfg)
+    w = _solve_budget_qp(universe.factor, gamma * universe.mu, lower, upper, c, d, cfg)
     return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
 
 
@@ -361,7 +393,7 @@ def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
     b = _asset_vector(benchmark, universe.n, "benchmark")
     c, d = ineq if ineq is not None else (None, None)
     r = gamma * universe.mu + universe.cov @ b
-    w = _solve_budget_qp(universe.cov, r, lower, upper, c, d, cfg)
+    w = _solve_budget_qp(universe.factor, r, lower, upper, c, d, cfg)
     return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
 
 
@@ -462,12 +494,12 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
-    n, cov, mu = universe.n, universe.cov, universe.mu
+    n, cov, mu, quad = universe.n, universe.cov, universe.mu, universe.factor
     long_only = lower is not None and np.all(np.asarray(lower) >= 0)
     low, high = _bound(lower, -np.inf, n, "lower"), _bound(upper, np.inf, n, "upper")
     top, vertex, face_low, face_high = _max_return_face(mu, low, high)
     if np.isfinite(top) and np.sum(face_low < face_high) > 1:
-        top_w = lambda: _gate(_solve_budget_qp(cov, np.zeros(n), face_low, face_high), long_only)
+        top_w = lambda: _gate(_solve_budget_qp(quad, np.zeros(n), face_low, face_high), long_only)
     else:
         top_w = lambda: _gate(vertex, long_only)  # the face is one point
     if target_return is not None:
@@ -480,7 +512,7 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
         if target_return <= -_max_return_face(-mu, low, high)[0]:
             row = (None, None)  # it cannot bind, and a constant mu makes it degenerate
         try:
-            w = _gate(_solve_budget_qp(cov, np.zeros(n), lower, upper, *row), long_only)
+            w = _gate(_solve_budget_qp(quad, np.zeros(n), lower, upper, *row), long_only)
         except InfeasibleSuspected as exc:
             raise TargetUnreachable(f"target {target_return} above the reachable return",
                                     last=vertex) from exc
@@ -496,7 +528,7 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
             raise TargetUnreachable(f"target {target} above the maximum {vol:.6g}", last=peak.w)
         if target >= vol:
             return peak
-    gmv = _gate(_solve_budget_qp(cov, np.zeros(n), lower, upper), long_only)
+    gmv = _gate(_solve_budget_qp(quad, np.zeros(n), lower, upper), long_only)
     vol = stats(gmv, universe).volatility
     if target < vol - 1e-6:
         raise TargetUnreachable(f"target {target} below the minimum {vol:.6g}", last=gmv.w)
@@ -548,7 +580,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
             pass
         if x is None:
             held = None
-            x, _ = _Bridge(QpProblem(q=cov, r=r, a=np.ones((1, n)), b=np.ones(1),
+            x, _ = _Bridge(QpProblem(q=universe.factor, r=r, a=np.ones((1, n)), b=np.ones(1),
                                      lower=np.zeros(n), upper=np.minimum(cap, 1.0)), cfg).solve()
         w = np.where(x < live_tol, 0.0, x)
         active = np.flatnonzero(w > 0)
@@ -671,11 +703,13 @@ def _run_split(what, problem, x0, cfg):
     return y, report
 
 
-def _plane_admm(what, q, blocks, start=None, cfg=None, plane=None, linear=0.0, polish=None):
+def _plane_admm(what, quad, blocks, start=None, cfg=None, plane=None, linear=0.0,
+                polish=None):
     """min 0.5 x'Qx - linear'x on the plane a'x = 1 plus one y-block per term.
 
-    ``q`` is Q, a matrix or a 1-d diagonal (solved elementwise by
-    PenaltyFactor).  The x-prox is the ridge solve
+    ``quad`` is the PenaltyFactor of Q, a matrix or a 1-d diagonal: a
+    universe's ``factor``, whose cached factors the split reuses, or one
+    built for a model's own Q.  The x-prox is the ridge solve
     argmin 0.5 x'(Q + rho I)x - (linear + rho v)'x s.t. a'x = 1, with
     a = ``plane`` (the budget normal 1 by default); ``blocks`` are the
     y-prox builders of the remaining terms, joined by consensus_problem
@@ -687,7 +721,6 @@ def _plane_admm(what, q, blocks, start=None, cfg=None, plane=None, linear=0.0, p
     MaxIterExceeded at the iteration cap, both naming the model ``what``
     and with the first block's y as ``last``.  A 1-d Q needs a ``cfg``.
     """
-    quad = PenaltyFactor(q)
     n = quad.q.shape[0]
     cfg = cfg or AdmmConfig(phi0=float(np.mean(quad.q.diagonal())), eps=1e-11,
                             max_iter=100000)
@@ -923,7 +956,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
     accepted = [np.nan]  # the ball multiplier of the polished point
     polish = _herfindahl_polish(universe.cov, upper_vec, radius, accepted)
-    w = _gate(_plane_admm("gmv_herfindahl ADMM", universe.cov, [lambda phi: projection],
+    w = _gate(_plane_admm("gmv_herfindahl ADMM", universe.factor, [lambda phi: projection],
                           cfg=cfg, polish=polish))
     return w, 0.0 if min_bets <= 1.0 else accepted[0]
 
@@ -1041,7 +1074,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
     upper_vec = _bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     if constraint is None:
-        w = _solve_budget_qp(universe.cov, np.zeros(n), lower=np.zeros(n),
+        w = _solve_budget_qp(universe.factor, np.zeros(n), lower=np.zeros(n),
                              upper=upper_vec, cfg=cfg)
         return _gate(w)
     if isinstance(constraint, EffectiveBets):
@@ -1065,7 +1098,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
                                 (np.ones((1, n)), np.ones(1)), np.eye(n)[capped],
                                 upper_vec[capped])
         polish = lambda x, y, dual: smooth(y, y > 0.0, y[capped] >= upper_vec[capped])
-        return _gate(_plane_admm("gmv_diversified ADMM", universe.cov, [lambda phi: projection],
+        return _gate(_plane_admm("gmv_diversified ADMM", universe.factor, [lambda phi: projection],
                                  cfg=cfg, polish=polish))
     raise TypeError(f"unknown diversification constraint {constraint!r}")
 
@@ -1119,7 +1152,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
     if np.any(bid) or np.any(ask):
         blocks.append(lambda phi: lambda t: _prox_bid_ask(t, 1.0 / phi, bid, ask, current))
     polish = _trade_polish(universe.cov, linear, current, upper_vec, turnover_cap, bid, ask)
-    return _gate(_plane_admm("rebalancing ADMM", universe.cov, blocks, start=current, cfg=cfg,
+    return _gate(_plane_admm("rebalancing ADMM", universe.factor, blocks, start=current, cfg=cfg,
                              linear=linear, polish=polish))
 
 
@@ -1274,11 +1307,12 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
              max_iter=100000):
     """ADMM split for the risk-budgeting barrier problem (unscaled).
 
-    The x-update is the prox of the risk term: a ridge solve for the
-    volatility measure, and for the stdev measure the prox of
-    -excess'x + xi sqrt(x'cov x), in closed form up to one scalar root.
-    With cov = V diag(l) V' (decomposed once) and w = V'(phi v + excess),
-    the prox at v is V z, z_k = w_k s / (phi s + xi l_k) where l_k > 0 and
+    The x-update is the prox of the risk term: a ridge solve through the
+    universe's ``factor`` for the volatility measure, and for the stdev
+    measure the prox of -excess'x + xi sqrt(x'cov x), in closed form up to
+    one scalar root.  With cov = V diag(l) V' (the universe's cached
+    ``spectrum``, decomposed at most once per universe) and
+    w = V'(phi v + excess), the prox at v is V z, z_k = w_k s / (phi s + xi l_k) where l_k > 0 and
     z_k = w_k / phi where l_k = 0.  s = sqrt(x'cov x) is the root of
     sum_{l_k > 0} l_k w_k^2 / (phi s + xi l_k)^2 = 1 (the trust-region
     secular equation of More & Sorensen 1983), or 0 when that sum is at
@@ -1309,11 +1343,10 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
     variances = np.diag(cov)
     excess, xi = _excess_and_scale(universe, measure)
     if isinstance(measure, Volatility):
-        quad = PenaltyFactor(cov)
-        x_update = lambda y, u, phi: quad.solve(phi * (y - u), phi)
+        x_update = lambda y, u, phi: universe.factor.solve(phi * (y - u), phi)
     else:
         _check_stdev_scale(excess, xi, variances)
-        eig, vecs = np.linalg.eigh(cov)
+        eig, vecs = universe.spectrum
         pos = eig > 1e-12 * eig[-1]  # below this, eigh's rounding decides the sign
         eig = eig[pos]
         inv_xi_eig = 1.0 / (xi * eig)
@@ -1426,7 +1459,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     if not long_only:
         if constraint is not None:
             raise ValueError("diversification floors need long_only=True")
-        z = PenaltyFactor(cov).solve(sigma)
+        z = universe.factor.solve(sigma)
         if z.sum() <= 0:
             raise OutOfDomain(f"1'cov^-1 sigma = {z.sum():.3g} <= 0: the long/short "
                               "diversification ratio has no maximum on the budget plane")
@@ -1436,7 +1469,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
     _check_caps(upper_vec)
     caps = (np.eye(n) - upper_vec[:, None])[upper_vec < 1]  # the rows e_i' - u_i 1'
     if constraint is None:
-        problem = QpProblem(q=cov, r=np.zeros(n), a=sigma[None, :], b=np.ones(1),
+        problem = QpProblem(q=universe.factor, r=np.zeros(n), a=sigma[None, :], b=np.ones(1),
                             c=caps, d=np.zeros(len(caps)), lower=np.zeros(n))
         y, _ = _Bridge(problem, cfg).solve()
         return _gate(y / y.sum())
@@ -1476,7 +1509,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
                             np.zeros(len(caps)),
                             np.zeros(n) if isinstance(constraint, EffectiveBets) else None)
     polish = lambda x, y, dual: smooth(y[:n], y[:n] > 0.0, _active_rows(caps, dual[lead:]))
-    y = _plane_admm("mdp ADMM", universe.cov, blocks, cfg=cfg, plane=sigma, polish=polish)
+    y = _plane_admm("mdp ADMM", universe.factor, blocks, cfg=cfg, plane=sigma, polish=polish)
     return _gate(y / y.sum())
 
 
@@ -1484,15 +1517,17 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
 # entropy portfolios
 # ---------------------------------------------------------------------------
 
-def _volatility_ball_projection(cov, radius):
+def _volatility_ball_projection(spectrum, radius):
     """Euclidean projection onto the ellipsoid {x : x' cov x <= radius^2}.
 
-    Returns the projection as a function of v.  With cov = V diag(lam) V'
-    and w = V'v, the projection of an outside v is V (w / (1 + theta lam))
-    at the root theta of sum_i lam_i w_i^2 / (1 + theta lam_i)^2 = radius^2,
-    found by ``_secular_root``.  cov is decomposed once, here.
+    Returns the projection as a function of v.  With ``spectrum`` the pair
+    (lam, V) of cov = V diag(lam) V' and w = V'v, the projection of an
+    outside v is V (w / (1 + theta lam)) at the root theta of
+    sum_i lam_i w_i^2 / (1 + theta lam_i)^2 = radius^2, found by
+    ``_secular_root``.  cov is not decomposed here: the caller passes its
+    universe's cached ``spectrum``.
     """
-    lam, vecs = np.linalg.eigh(cov)
+    lam, vecs = spectrum
     lam = np.maximum(lam, 0.0)
     r2 = float(radius) ** 2
 
@@ -1587,12 +1622,12 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     if target_return is not None and target_return > np.min(universe.mu):
         rows, rhs = -universe.mu[None, :], np.array([-float(target_return)])
         blocks.append(_projection(Halfspace(rows[0], rhs[0]), n))
-    floor = _solve_budget_qp(universe.cov, np.zeros(n), np.zeros(n), np.ones(n), rows, rhs)
+    floor = _solve_budget_qp(universe.factor, np.zeros(n), np.zeros(n), np.ones(n), rows, rhs)
     floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
     if max_volatility < floor_vol - 1e-6:
         raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
                                 f"{floor_vol:.6g}", last=floor)
-    ball = _volatility_ball_projection(universe.cov, max_volatility)
+    ball = _volatility_ball_projection(universe.spectrum, max_volatility)
     blocks.append(lambda phi: ball)
 
     # prox_kl carries the linear term x (1/ref - 1); shifting its input by
@@ -1751,4 +1786,4 @@ def robo_advisor(universe, cfg, admm_cfg=None):
             raise NonPositiveWeight("log-barrier weights must be positive")
         blocks.append(lambda phi: functools.partial(
             _prox_log_barrier, shift=4.0 * (cfg.barrier / phi) * budgets))
-    return _gate(_plane_admm("robo_advisor", q, blocks, cfg=admm_cfg, linear=r))
+    return _gate(_plane_admm("robo_advisor", PenaltyFactor(q), blocks, cfg=admm_cfg, linear=r))

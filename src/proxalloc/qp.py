@@ -31,8 +31,10 @@ checked by ``stationarity_residual``, which the report keeps; the
 models that solve on the bridge directly (``_Bridge.solve``) skip that
 check.  The same solver doubles as the numeric oracle the other
 engines are cross-checked against.  Building a QpProblem is the one check of its blocks: Q
-through its PenaltyFactor, which the bridge then solves with, and A, B,
-C, D and the bounds against R's length; nothing below it checks again.
+through its PenaltyFactor, which the bridge then solves with (a
+PenaltyFactor passed as Q, such as an AssetUniverse's, was checked when
+it was built), and A, B, C, D and the bounds against R's length; nothing
+below it checks again.
 
 Q may be passed as a 2-d dense array or as a 1-d array meaning diag(q),
 which keeps very large separable problems (n ~ 1e5) tractable.
@@ -76,7 +78,11 @@ class QpProblem:
     * R: finite and 1-d; its length is n.
     * Q: checked by building its PenaltyFactor, kept as ``factor``: a
       finite vector of n entries (diag(Q)), or a finite n x n matrix
-      symmetric under linalg's rule.
+      symmetric under linalg's rule.  A PenaltyFactor passed as Q (an
+      AssetUniverse's ``factor``) was checked when it was built: it is
+      kept as it is, not scanned again, and the solve shares its cached
+      factors with every other solve through it; only its size is
+      checked.
     * A with B, C with D: finite, n columns, one right-hand side value per
       row and no zero row; a 1-d A or C is one row.
     * lower, upper: None when absent, else broadcast to n entries; +-inf
@@ -99,7 +105,7 @@ class QpProblem:
     def __post_init__(self):
         self.r = as_vector(self.r, "R")
         n = self.r.size
-        self.factor = PenaltyFactor(self.q)
+        self.factor = self.q if isinstance(self.q, PenaltyFactor) else PenaltyFactor(self.q)
         self.q = self.factor.q
         if self.q.shape[0] != n:
             raise DimensionMismatch(f"Q has shape {self.q.shape} for {n} entries of R")

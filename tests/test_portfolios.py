@@ -253,7 +253,8 @@ def rebalance_account(seed, n):
 def trade_variable_qp(u, current, cap, bid, ask, linear, upper=1.0):
     """The rebalancing model as a QP in (x, buys, sells) with x = current +
     buys - sells in [0, upper], its turnover 1'(buys + sells) <= cap and its
-    costs linear."""
+    costs linear.  Trades are capped at 2: from a short holding a name may
+    need a buy above 1."""
     n = u.n
     q = np.zeros((3 * n, 3 * n))
     q[:n, :n] = u.cov
@@ -264,7 +265,7 @@ def trade_variable_qp(u, current, cap, bid, ask, linear, upper=1.0):
                         b=np.concatenate([[1.0], current]),
                         c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
                         d=np.array([cap]), lower=np.zeros(3 * n),
-                        upper=np.concatenate([np.broadcast_to(upper, (n,)), np.ones(2 * n)]))
+                        upper=np.concatenate([np.broadcast_to(upper, (n,)), np.full(2 * n, 2.0)]))
     return qp_solve(problem)[:n]
 
 
@@ -389,6 +390,80 @@ def one_way_account():
     return factor_universe(np.random.default_rng([9, 0, 20]), 20), np.full(20, 0.05), 0.5
 
 
+def equicorrelated(smallest):
+    """Three assets of unit volatility whose covariance's smallest eigenvalue,
+    1 + 2 rho, is ``smallest``; the other two are 1 - rho = 1.5 - smallest / 2."""
+    rho = np.full((3, 3), 0.5 * (smallest - 1.0))
+    np.fill_diagonal(rho, 1.0)
+    return dict(names=list("abc"), mu=np.zeros(3), sigma=np.ones(3), rho=rho)
+
+
+class TestAssetUniverse:
+    """The universe owns the covariance: one PSD gate, one penalty factor and
+    at most one eigendecomposition, shared by every model called on it."""
+
+    @pytest.mark.parametrize("inputs", ["indefinite within 1e-10", "duplicated asset"])
+    def test_gate_accepts_without_eigvalsh(self, monkeypatch, inputs):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        if inputs == "duplicated asset":  # singular, positive semidefinite
+            assert abs(duplicate_asset(SET1.universe, 6).spectrum[0][0]) <= 1e-15
+        else:
+            assert AssetUniverse(**equicorrelated(-0.5e-10)).spectrum[0][0] < 0.0
+
+    def test_gate_rejects_an_indefinite_cov_as_before(self):
+        with pytest.raises(ValueError, match="^covariance is not positive semidefinite$"):
+            AssetUniverse(**equicorrelated(-2e-10))
+
+    def test_one_check_factor_and_spectrum_across_every_model(self, monkeypatch, checks):
+        from proxalloc import linalg
+
+        n = 30
+        calls = collections.Counter()
+        penalties = []  # the phi of each factor of cov + phi I, in order
+        real = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        real_spd = linalg.SpdFactor
+
+        def spy(name):
+            def counted(m, *args, **kwargs):
+                calls[name, np.shape(m)] += 1
+                return real[name](m, *args, **kwargs)
+            return counted
+
+        def spd(m, check=True):
+            if m.shape == (n, n):
+                penalties.append(float(m[0, 0] - u.cov[0, 0]))
+            return real_spd(m, check)
+
+        for name in real:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        monkeypatch.setattr(linalg, "SpdFactor", spd)
+        u = factor_universe(np.random.default_rng(0), n)
+        assert calls["eigvalsh", (n, n)] == 0  # the gate's Cholesky decided
+        checks.clear()
+        box = dict(lower=np.zeros(n), upper=np.ones(n))
+        gmv = mvo_gamma(u, 0.0, **box)
+        vol = stats(gmv, u).volatility
+        mvo_target(u, target_volatility=1.1 * vol, **box)
+        mvo_target(u, target_return=float(np.quantile(u.mu, 0.7)), **box)
+        kl_portfolio(u, np.full(n, 1.0 / n), max_volatility=1.2 * vol)
+        kl_portfolio(u, np.full(n, 1.0 / n), max_volatility=1.5 * vol)
+        measure = StdevRisk(perfbench_universe().well_posed_xi(u))
+        for engine in ("ccd", "admm"):
+            risk_budgeting(u, np.ones(n), measure, engine=engine)
+        risk_budgeting(u, np.ones(n), engine="admm")
+        mdp(u)
+        gmv_herfindahl(u, min_bets=0.5 * (effective_bets(gmv.w) + n))
+        assert calls["eigh", (n, n)] == 1  # the spectrum, cached
+        assert calls["eigvalsh", (n, n)] == 0
+        assert checks["as_matrix", (n, n)] == 1  # ccd_rb_stdev's own check
+        # each penalty's factor is built once, however many models solve at it
+        assert len(penalties) >= 2 and len(penalties) == len(set(penalties))
+        assert len(u.factor._cache) <= 4
+
+
 class TestStats:
     def test_equal_weight(self):
         s = stats(EW8, SET1.universe)
@@ -468,7 +543,7 @@ class TestMvoGamma:
         checks.clear()
         mvo_gamma(u, 0.2, lower=np.zeros(n), upper=np.full(n, 0.08),
                   ineq=(sectors, np.full(3, 0.4)))
-        assert checks["as_matrix", (n, n)] == 1
+        assert checks["as_matrix", (n, n)] == 0  # the universe checked cov when it was built
 
 
 class TestMvoTarget:
@@ -670,8 +745,13 @@ class TestFrontierTop:
 
     def test_the_top_is_the_max_return_vertex(self):
         u = factor_universe(np.random.default_rng(0), self.n)
+        top = np.eye(self.n)[np.argmax(u.mu)]
         w = mvo_target(u, target_return=u.mu.max(), **self.box).w
-        assert np.array_equal(w, np.eye(self.n)[np.argmax(u.mu)])
+        assert np.array_equal(w, top)
+        # a volatility target at the top's volatility, or up to 1e-6 above it
+        vol = u.sigma[np.argmax(u.mu)]
+        for target in (vol, vol + 0.5e-6):
+            assert np.array_equal(mvo_target(u, target_volatility=target, **self.box).w, top)
 
     def test_a_tied_top_is_the_least_variance_mix_of_the_pair(self):
         u = factor_universe(np.random.default_rng(0), self.n)
@@ -686,6 +766,11 @@ class TestFrontierTop:
         expected = np.zeros(self.n)
         expected[[best, second]] = share, 1.0 - share
         assert np.max(np.abs(w - expected)) <= 1e-10
+        # a volatility target at the mix's volatility, or up to 1e-6 above it
+        vol = np.sqrt(expected @ tied.cov @ expected)
+        for target in (vol, vol + 0.5e-6):
+            w = mvo_target(tied, target_volatility=target, **self.box).w
+            assert np.max(np.abs(w - expected)) <= 1e-10
 
 
 class TestMvoBenchmark:
@@ -1575,6 +1660,9 @@ class TestTradePolish:
     # all weight on one name: trade_variable_qp's budget row has no free entry
     @example(seed=16512, n=7, turnover=True, holdings="dirichlet", cap="none", costless=0.0,
              box=0.0)
+    # the answer buys 1.02 of a name held short at -0.02
+    @example(seed=2792, n=6, turnover=True, holdings="outside", cap="none", costless=0.0,
+             box=0.0)
     def test_polished_answers_match_the_trade_variable_qp_property(self, admm_reports, seed, n,
                                                                    turnover, holdings, cap,
                                                                    costless, box):
@@ -2321,7 +2409,7 @@ class TestKlPortfolio:
             m = rng.standard_normal((n, n))
             cov = m @ m.T / n + 0.01 * np.eye(n)
             radius = 0.3
-            project_onto = _volatility_ball_projection(cov, radius)
+            project_onto = _volatility_ball_projection(np.linalg.eigh(cov), radius)
             for _ in range(20):
                 v = rng.standard_normal(n)
                 x = project_onto(v)
@@ -2462,7 +2550,7 @@ class TestDivergence:
         from proxalloc.portfolios import _plane_admm
 
         with pytest.raises(Diverged, match="^test ADMM diverged") as err:
-            _plane_admm("test ADMM", SET1.universe.cov,
+            _plane_admm("test ADMM", SET1.universe.factor,
                         [lambda phi: lambda v: np.full_like(v, np.nan)])
         assert err.value.report.status == "diverged" and err.value.last.size == 8
         assert not isinstance(err.value, MaxIterExceeded)

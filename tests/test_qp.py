@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxalloc import data, qp
+from proxalloc.admm import AdmmConfig
 from proxalloc.errors import (
     DimensionMismatch,
     InfeasibleSuspected,
     MaxCyclesExceeded,
+    MaxIterExceeded,
     NotPositiveDefinite,
 )
-from proxalloc.linalg import solve_spd
+from proxalloc.linalg import PenaltyFactor, solve_spd
 from proxalloc.qp import (
     POLISH_TOL,
     QpProblem,
@@ -129,6 +131,20 @@ class TestProblemGate:
         p = QpProblem(q=[[2.0, 0.5], [0.5 + 5e-11, 2.0]], r=[1.0, 1.0], lower=[0.0, 0.0])
         assert np.max(np.abs(qp_solve(p) - 0.4)) <= 1e-9  # the 5e-11 skew moves it
 
+    def test_a_penalty_factor_as_q_is_kept_unscanned(self, monkeypatch):
+        from proxalloc import linalg
+
+        quad = PenaltyFactor(np.diag([1.0, 2.0, 3.0]))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("Q scanned again")
+
+        monkeypatch.setattr(linalg, "as_matrix", fail)
+        p = QpProblem(q=quad, r=np.ones(3), a=np.ones(3), b=[1.0])
+        assert p.factor is quad and p.q is quad.q
+        with pytest.raises(DimensionMismatch, match="Q has shape"):
+            QpProblem(q=quad, r=np.ones(2))
+
     def test_stationarity_residual_checks_x(self):
         p = random_box_qp(np.random.default_rng(3), 4)
         with pytest.raises(DimensionMismatch, match="x"):
@@ -138,6 +154,16 @@ class TestProblemGate:
 
 
 class TestQpSolve:
+    def test_bridge_raises_at_its_iteration_cap(self):
+        # a box of one point leaves no free coordinate for the polish, and
+        # 50 iterations do not meet the default tolerance
+        third = np.full(3, 1.0 / 3.0)
+        problem = QpProblem(q=np.eye(3), r=np.zeros(3), a=np.ones((1, 3)), b=np.ones(1),
+                            lower=third, upper=third)
+        with pytest.raises(MaxIterExceeded) as err:
+            _Bridge(problem, AdmmConfig(max_iter=50)).solve()
+        assert err.value.last.size == 3 and err.value.report.iterations == 50
+
     def test_unconstrained(self):
         v = np.array([0.2, -1.3, 0.8])
         x = qp_solve(QpProblem(q=np.eye(3), r=v))

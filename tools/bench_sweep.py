@@ -6,11 +6,15 @@
 Each case solves one model on perfbench/universe.py's seeded
 factor_universe(default_rng(0), n), imported read-only.  "GMV" is the
 long-only minimum variance and "EW" equal weights, used as benchmark,
-reference, holdings or budgets.  A case's time is the best of REPEAT (3)
-runs; its ADMM solves are read from a spy on admm_solve in portfolios and
-qp, one (iterations, polished) pair per solve in call order, and its
-weights are kept as a SHA-256 of their bytes, so two files show
-bit-identical answers.  A case that raises is recorded with its error,
+reference, holdings or budgets.  A universe caches its penalty factors
+and its eigendecomposition, so every timed run is cold: it gets a fresh
+universe, built outside the timer, that no earlier run, case or input
+computation has touched, and the inputs (the GMV, its volatility, the
+stdev scale xi) are computed on a separate copy with the same seed.  A
+case's time is the best of REPEAT (3) runs; its ADMM solves are read
+from a spy on admm_solve in portfolios and qp, one (iterations,
+polished) pair per solve in call order, and its weights are kept as a
+SHA-256 of their bytes, so two files show bit-identical answers.  A case that raises is recorded with its error,
 never dropped.  The file also holds the time of `import proxalloc` in a
 fresh interpreter (best of 3), each `proxalloc reproduce` table's time
 after import, the machine facts and the BLAS thread settings.  It is
@@ -58,50 +62,56 @@ def _universe_module():
     return module
 
 
+def universe(universe_module, n):
+    """A fresh copy of the sweep's universe at size n, with nothing cached on it."""
+    return universe_module.factor_universe(np.random.default_rng(0), n)
+
+
 def cases(universe_module, n):
-    """{name: zero-argument solve} of the sweep at size n."""
-    u = universe_module.factor_universe(np.random.default_rng(0), n)
+    """{name: solve(universe)} of the sweep at size n; the inputs are
+    computed on a copy of the universe that no solve is given."""
+    inputs = universe(universe_module, n)
     ew = np.full(n, 1.0 / n)
     box = dict(lower=np.zeros(n), upper=np.ones(n))
-    gmv = portfolios.mvo_gamma(u, 0.0, **box)
-    vol = stats(gmv, u).volatility
+    gmv = portfolios.mvo_gamma(inputs, 0.0, **box)
+    vol = stats(gmv, inputs).volatility
     log_third = np.log(n / 3.0)
+    p70 = float(np.percentile(inputs.mu, 70))
     robo = RoboConfig(benchmark=ew, reference=ew, current=ew, gamma=0.1, l1_current=0.002,
                       l2_reference=0.3, barrier=0.01, risk_budgets=ew)
-    xi = universe_module.well_posed_xi(u)
+    xi = universe_module.well_posed_xi(inputs)
     return {
-        "risk_budgeting stdev admm": lambda: portfolios.risk_budgeting(
+        "risk_budgeting stdev admm": lambda u: portfolios.risk_budgeting(
             u, np.ones(n), StdevRisk(xi), engine="admm"),
         # the volatility-measure ADMM engine, as in rb_ccd's rb_admm slot
-        "risk_budgeting vol admm": lambda: portfolios.risk_budgeting(
+        "risk_budgeting vol admm": lambda u: portfolios.risk_budgeting(
             u, np.ones(n), engine="admm"),
-        **{f"mvo_target vol {k}x gmv": (lambda k=k: portfolios.mvo_target(
+        **{f"mvo_target vol {k}x gmv": (lambda u, k=k: portfolios.mvo_target(
             u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
-        "index_sampling n/4 ew": lambda: portfolios.index_sampling(u, ew, max(1, n // 4)),
-        "gmv_herfindahl halfway": lambda: portfolios.gmv_herfindahl(
+        "index_sampling n/4 ew": lambda u: portfolios.index_sampling(u, ew, max(1, n // 4)),
+        "gmv_herfindahl halfway": lambda u: portfolios.gmv_herfindahl(
             u, min_bets=0.5 * (effective_bets(gmv.w) + n)),
-        "kl_portfolio cap 1.2x gmv": lambda: portfolios.kl_portfolio(
+        "kl_portfolio cap 1.2x gmv": lambda u: portfolios.kl_portfolio(
             u, ew, max_volatility=1.2 * vol),
-        "kl_portfolio return p70 cap 1.5x gmv": lambda: portfolios.kl_portfolio(
-            u, ew, target_return=float(np.percentile(u.mu, 70)), max_volatility=1.5 * vol),
-        "gmv_diversified entropy ln(n/3)": lambda: portfolios.gmv_diversified(
+        "kl_portfolio return p70 cap 1.5x gmv": lambda u: portfolios.kl_portfolio(
+            u, ew, target_return=p70, max_volatility=1.5 * vol),
+        "gmv_diversified entropy ln(n/3)": lambda u: portfolios.gmv_diversified(
             u, constraint=ShannonEntropyFloor(log_third)),
-        "mdp entropy ln(n/3)": lambda: portfolios.mdp(
+        "mdp entropy ln(n/3)": lambda u: portfolios.mdp(
             u, constraint=ShannonEntropyFloor(log_third)),
         # caps of 0.05 leave no budget portfolio below n = 20
-        "mdp caps max(0.05, 2/n)": lambda: portfolios.mdp(u, upper=max(0.05, 2.0 / n)),
-        "rqe_portfolio 1-rho": lambda: portfolios.rqe_portfolio(1.0 - u.rho),
-        "robo_advisor loaded": lambda: portfolios.robo_advisor(u, robo),
-        "mvo_turnover cap 0.3": lambda: portfolios.mvo_turnover(u, 0.1, ew, 0.3),
-        "mdp bets n/3": lambda: portfolios.mdp(u, constraint=EffectiveBets(n / 3.0)),
-        "mdp no floor": lambda: portfolios.mdp(u),
-        "mvo_target return p70": lambda: portfolios.mvo_target(
-            u, target_return=float(np.percentile(u.mu, 70)), **box),
-        "gmv": lambda: portfolios.mvo_gamma(u, 0.0, **box),
-        "rebalance_penalized 20bp cap 0.3": lambda: portfolios.rebalance_penalized(
+        "mdp caps max(0.05, 2/n)": lambda u: portfolios.mdp(u, upper=max(0.05, 2.0 / n)),
+        "rqe_portfolio 1-rho": lambda u: portfolios.rqe_portfolio(1.0 - u.rho),
+        "robo_advisor loaded": lambda u: portfolios.robo_advisor(u, robo),
+        "mvo_turnover cap 0.3": lambda u: portfolios.mvo_turnover(u, 0.1, ew, 0.3),
+        "mdp bets n/3": lambda u: portfolios.mdp(u, constraint=EffectiveBets(n / 3.0)),
+        "mdp no floor": lambda u: portfolios.mdp(u),
+        "mvo_target return p70": lambda u: portfolios.mvo_target(u, target_return=p70, **box),
+        "gmv": lambda u: portfolios.mvo_gamma(u, 0.0, **box),
+        "rebalance_penalized 20bp cap 0.3": lambda u: portfolios.rebalance_penalized(
             u, ew, cost_scale=1.0, bid_cost=0.002, ask_cost=0.002, turnover_cap=0.3),
-        "erc": lambda: portfolios.erc(u),
-        "mvo_costs 10bp": lambda: portfolios.mvo_costs(u, 0.1, ew, 0.001, 0.001),
+        "erc": lambda u: portfolios.erc(u),
+        "mvo_costs 10bp": lambda u: portfolios.mvo_costs(u, 0.1, ew, 0.001, 0.001),
     }
 
 
@@ -125,14 +135,16 @@ class AdmmSpy:
         portfolios.admm_solve = qp.admm_solve = self._real
 
 
-def run_case(solve):
-    """{wall_s, admm, weights_sha256} of one case, or {error} when it raises."""
+def run_case(solve, fresh):
+    """{wall_s, admm, weights_sha256} of one case, or {error} when it raises;
+    each run solves on its own universe from ``fresh()``, built untimed."""
     best = np.inf
     for _ in range(REPEAT):
+        u = fresh()
         with AdmmSpy() as spy:
             start = time.perf_counter()
             try:
-                answer = solve()
+                answer = solve(u)
             except Exception as exc:  # recorded, so a failing case stays in the file
                 return {"error": f"{type(exc).__name__}: {exc}"}
             best = min(best, time.perf_counter() - start)
@@ -195,7 +207,8 @@ def sweep(sizes):
     rows = []
     for n in sizes:
         for name, solve in cases(module, n).items():
-            rows.append({"case": name, "n": n, **run_case(solve)})
+            rows.append({"case": name, "n": n,
+                         **run_case(solve, lambda n=n: universe(module, n))})
     return rows
 
 
