@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .errors import (
     InfeasibleSuspected,
@@ -356,27 +355,32 @@ def _pcg(hess_vec, rhs, precond, force, max_steps):
 
     Stops once r'D^-1 r <= force^2 rhs'D^-1 rhs for the residual r and
     D = ``precond``, on a zero residual or on a direction of nonpositive
-    curvature p'Hp <= 0, so it never divides by zero.
+    curvature p'Hp <= 0, so it never divides by zero.  The vectors are
+    updated in place through one held buffer, with no temporaries, and
+    the products are ndarray.dot: the same BLAS kernels as the @
+    operator, whose dispatch costs about twice as much on these sizes.
     """
     dx = np.zeros(rhs.size)
     r = rhs.copy()
     z = r / precond
-    p = z
-    rz = float(r @ z)
+    p = z.copy()
+    step = np.empty(rhs.size)
+    rz = float(r.dot(z))
     tol = force * force * rz
     for _ in range(max_steps):
         if rz <= tol:  # or a zero residual
             break
         hp = hess_vec(p)
-        curv = float(p @ hp)
+        curv = float(p.dot(hp))
         if not curv > 0.0:
             break
         alpha = rz / curv
-        daxpy(p, dx, a=alpha)
-        daxpy(hp, r, a=-alpha)
-        z = r / precond
-        rz, rz_old = float(r @ z), rz
-        p = daxpy(p, z, a=rz / rz_old)  # z + beta p, in z
+        dx += np.multiply(p, alpha, out=step)
+        r -= np.multiply(hp, alpha, out=step)
+        np.divide(r, precond, out=z)
+        rz, rz_old = float(r.dot(z)), rz
+        p *= rz / rz_old
+        p += z  # z + beta p
     return dx
 
 
@@ -396,14 +400,15 @@ def _rb_newton(excess, xi, cov, budgets):
     which the next sweep certifies) or after RB_NEWTON_STEPS steps.
     """
     diag = np.diag(cov)
+    term = np.empty(diag.size)  # hess_vec's buffer
 
     def risk(x):
-        g = cov @ x
-        quad = float(x @ g)
+        g = cov.dot(x)
+        quad = float(x.dot(g))
         if not quad > 0.0:
             return g, math.nan, math.nan
         s = math.sqrt(quad)
-        return g, s, xi * s - float(excess @ x)
+        return g, s, xi * s - float(excess.dot(x))
 
     def polish(x):
         g, s, lam = risk(x)
@@ -411,7 +416,7 @@ def _rb_newton(excess, xi, cov, budgets):
             return None
         lam_b = lam * budgets
         tol = RB_POLISH_TOL * lam
-        f = lam - float(lam_b @ np.log(x))
+        f = lam - float(lam_b.dot(np.log(x)))
         for _ in range(RB_NEWTON_STEPS):
             a = xi / s
             grad = a * g - excess - lam_b / x
@@ -422,22 +427,23 @@ def _rb_newton(excess, xi, cov, budgets):
             c = a / (s * s)
 
             def hess_vec(v):
-                hv = cov @ v
+                hv = cov.dot(v)
                 hv *= a
-                hv += curv * v
-                return daxpy(g, hv, a=-c * float(g @ v))
+                hv += np.multiply(curv, v, out=term)
+                hv -= np.multiply(g, c * float(g.dot(v)), out=term)
+                return hv
 
             dx = _pcg(hess_vec, -grad, a * diag - c * g * g + curv, min(0.1, gap / lam), x.size)
             # the largest step that keeps 1% of every coordinate
             shrink = float((dx / x).min())
             step = min(1.0, -0.99 / shrink) if shrink < 0.0 else 1.0
-            slope = float(grad @ dx)
+            slope = float(grad.dot(dx))
             # near the minimizer F changes by less than its own rounding
             noise = F_ROUNDING * (xi * s + abs(f))
             while True:
                 trial = x + step * dx
                 g_t, s_t, r_t = risk(trial)
-                f_t = r_t - float(lam_b @ np.log(trial))
+                f_t = r_t - float(lam_b.dot(np.log(trial)))
                 if f_t <= f + ARMIJO * step * slope + noise:
                     break
                 step *= 0.5
@@ -508,16 +514,17 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, poli
     excess = mu - rate
     _check_stdev_scale(excess, xi, variances)
     x0 = np.full(n, 1.0 / n)
-    lam = float(np.sqrt(x0 @ cov @ x0))
+    lam = float(np.sqrt(x0.dot(cov).dot(x0)))
     xi = float(xi)
     simultaneous = polish
     lists = None  # the cyclic sweep's Python copies, built on its first cycle
+    move_row = np.empty(n)  # d cov[i], the sweep's buffer
 
     def sweep(x, order):
         nonlocal simultaneous, lists
-        cov_x = cov @ x
-        quad = float(x @ cov_x)  # x' cov x
-        if quad > 0.0 and float(excess @ x) >= xi * math.sqrt(quad):
+        cov_x = cov.dot(x)
+        quad = float(x.dot(cov_x))  # x' cov x
+        if quad > 0.0 and float(excess.dot(x)) >= xi * math.sqrt(quad):
             raise OutOfDomain(f"ccd_rb_stdev: the iterate's Sharpe ratio reached the "
                               f"stdev scale {xi:.6g}; the objective is unbounded below",
                               last=x.copy())
@@ -542,7 +549,7 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, poli
             new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
             x[i] = new
             d = new - x_i
-            cov_x = daxpy(rows[i], cov_x, a=d)  # cov_x += d cov[i] in place
+            cov_x += np.multiply(rows[i], d, out=move_row)
             quad += d * (2.0 * cov_x_i + d * var[i])
             move = abs(d)
             if move > delta:

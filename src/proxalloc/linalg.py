@@ -10,14 +10,17 @@ projections.
 
 Vectors and matrices are plain float64 ndarrays; ``as_vector`` /
 ``as_matrix`` are the constructors that enforce finiteness.
+
+The module imports numpy only.  scipy's compiled kernels (BLAS dtrsv,
+LAPACK dgetrf / dgetrs, qr_delete, solve_triangular and lambertw) are
+bound by ``_scipy`` on first use: importing scipy.linalg costs more than
+the rest of the package's import, and risk budgeting never calls them.
 """
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_delete, solve_triangular
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     DimensionMismatch,
@@ -29,6 +32,31 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-10  # the library's one symmetry rule: max |m - m'| at most this
 _INV_E = np.exp(-1.0)
+
+
+# the scipy module of each compiled kernel the package calls
+_KERNEL_MODULES = {"dtrsv": "scipy.linalg.blas", "dgetrf": "scipy.linalg.lapack",
+                   "dgetrs": "scipy.linalg.lapack", "qr_delete": "scipy.linalg",
+                   "solve_triangular": "scipy.linalg", "lambertw": "scipy.special"}
+
+
+class _Kernels:
+    """scipy's compiled kernels, each imported on its first attribute read.
+
+    The first read of a kernel imports its module and keeps the kernel as
+    an instance attribute, so every later read is a plain attribute
+    lookup; a process that never needs scipy.special does not import it.
+    """
+
+    def __getattr__(self, name):
+        if name not in _KERNEL_MODULES:
+            raise AttributeError(name)
+        kernel = getattr(importlib.import_module(_KERNEL_MODULES[name]), name)
+        setattr(self, name, kernel)
+        return kernel
+
+
+_scipy = _Kernels()
 
 
 def as_vector(x, name="vector"):
@@ -112,7 +140,8 @@ class SpdFactor:
 
     The factor is stored once in Fortran order, so a 1-d solve is two
     BLAS triangular solves (dtrsv) with no wrapper checks or copies; 2-d
-    right-hand sides go through solve_triangular.  The splitting engines
+    right-hand sides go through solve_triangular.  Both are scipy's,
+    bound on the first solve of any factor.  The splitting engines
     keep one per penalty value in a PenaltyFactor, which refactors only
     when the penalty changes.
     """
@@ -125,10 +154,10 @@ class SpdFactor:
         # finite checks are skipped so solver loops can detect divergence
         # from the residuals instead of dying inside a triangular solve
         if b.ndim == 1:
-            y = dtrsv(self.lower, b, lower=1)
-            return dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
-        y = solve_triangular(self.lower, b, lower=True, check_finite=False)
-        return solve_triangular(self.lower.T, y, lower=False, check_finite=False)
+            y = _scipy.dtrsv(self.lower, b, lower=1)
+            return _scipy.dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
+        y = _scipy.solve_triangular(self.lower, b, lower=True, check_finite=False)
+        return _scipy.solve_triangular(self.lower.T, y, lower=False, check_finite=False)
 
 
 class SupportFactor:
@@ -141,6 +170,7 @@ class SupportFactor:
     factored afresh by ``refactor``: names leave index_sampling's support
     every round, and no account of the benchmark or of the sweep has one
     rejoin, so an O(k^2) bordered append would save nothing measured.
+    Its solves (dtrsv) and deletes bind scipy's kernels on first use.
     """
 
     def __init__(self, m, support):
@@ -160,8 +190,8 @@ class SupportFactor:
 
     def solve(self, b):
         """M_FF^-1 b for b in the support's order."""
-        y = dtrsv(self.upper, b, lower=0, trans=1)
-        return dtrsv(self.upper, y, lower=0, overwrite_x=1)
+        y = _scipy.dtrsv(self.upper, b, lower=0, trans=1)
+        return _scipy.dtrsv(self.upper, y, lower=0, overwrite_x=1)
 
     def remove(self, drop):
         """Drop the names of F where the boolean mask ``drop`` (in the support's order) is set.
@@ -176,8 +206,8 @@ class SupportFactor:
             upper[:, :p] = r[:k - 1, :p]
             upper[:p, p:] = r[:p, p + 1:]
             if p < k - 1:
-                upper[p:, p:] = qr_delete(np.eye(k - p, order="F"), r[p:, p:], 0, which="col",
-                                          check_finite=False)[1][:-1]
+                upper[p:, p:] = _scipy.qr_delete(np.eye(k - p, order="F"), r[p:, p:], 0,
+                                                 which="col", check_finite=False)[1][:-1]
             self.upper = upper
         self.support = self.support[~drop]
 
@@ -342,7 +372,8 @@ def _newton_kkt(residual, jacobian, z, tol):
     outside the residual's domain and is backtracked from too.  Returns z
     once max|F(z)| <= tol, and None after NEWTON_STEPS steps, when t falls
     below NEWTON_MIN_STEP or when J is singular, so a start too far from
-    the root costs at most NEWTON_STEPS factorizations.
+    the root costs at most NEWTON_STEPS factorizations.  J is factored by
+    LAPACK's dgetrf from scipy, bound on the first call.
     """
     with np.errstate(all="ignore"):  # non-finite values are tested for below
         f = residual(z)
@@ -351,8 +382,8 @@ def _newton_kkt(residual, jacobian, z, tol):
         for _ in range(NEWTON_STEPS):
             if np.max(np.abs(f)) <= tol:
                 return z
-            lu, piv, info = dgetrf(jacobian(z))
-            d = dgetrs(lu, piv, -f)[0]
+            lu, piv, info = _scipy.dgetrf(jacobian(z))
+            d = _scipy.dgetrs(lu, piv, -f)[0]
             if info != 0 or not np.all(np.isfinite(d)):  # J singular or not finite
                 return None
             merit, size = float(f @ f), float(np.linalg.norm(d))
@@ -362,7 +393,7 @@ def _newton_kkt(residual, jacobian, z, tol):
                 f_trial = residual(trial)
                 if np.all(np.isfinite(f_trial)) and (
                         float(f_trial @ f_trial) <= (1.0 - 2.0 * ARMIJO * t) * merit
-                        or float(np.linalg.norm(dgetrs(lu, piv, f_trial)[0]))
+                        or float(np.linalg.norm(_scipy.dgetrs(lu, piv, f_trial)[0]))
                         <= (1.0 - 0.25 * t) * size):
                     break
                 t *= 0.5
@@ -377,10 +408,6 @@ def lambert_w(x):
 
     scipy.special.lambertw, real part; accepts scalars or arrays.
     """
-    # imported here: scipy.special adds to the package import time, and
-    # only the entropy and KL models need it
-    from scipy.special import lambertw
-
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < -_INV_E - 1e-12):
@@ -388,7 +415,7 @@ def lambert_w(x):
     x = np.maximum(x, -_INV_E)
     # the double nearest -1/e lies just below the branch point, where
     # lambertw returns nan; W is -1 there
-    w = np.where(x > -_INV_E, lambertw(x).real, -1.0)
+    w = np.where(x > -_INV_E, _scipy.lambertw(x).real, -1.0)
     return float(w[0]) if scalar else w
 
 
@@ -399,12 +426,10 @@ def lambert_w_exp(z):
     of ``lambert_w`` never act; for large z, where exp overflows, the
     asymptotic seed z - ln z is polished by Newton on w + ln w = z.
     """
-    from scipy.special import lambertw
-
     scalar = np.isscalar(z) or np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
     big = z > 300.0
-    w = lambertw(np.exp(np.where(big, 0.0, z))).real.copy()
+    w = _scipy.lambertw(np.exp(np.where(big, 0.0, z))).real.copy()
     if big.any():
         zb = z[big]
         wb = zb - np.log(zb)

@@ -83,7 +83,7 @@ from .qp import (
     linear_projection,
     qp_solve,
 )
-from .reports import DIVERGED
+from .reports import DIVERGED, SolverReport
 
 # slack on the caps' sum: caps of 1/n each may sum to 1 - 1e-16
 CAP_SLACK = 1e-12
@@ -1311,7 +1311,8 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
     universe's ``factor`` for the volatility measure, and for the stdev
     measure the prox of -excess'x + xi sqrt(x'cov x), in closed form up to
     one scalar root.  With cov = V diag(l) V' (the universe's cached
-    ``spectrum``, decomposed at most once per universe) and
+    ``spectrum``, decomposed at most once per universe and read on the
+    first x-update) and
     w = V'(phi v + excess), the prox at v is V z, z_k = w_k s / (phi s + xi l_k) where l_k > 0 and
     z_k = w_k / phi where l_k = 0.  s = sqrt(x'cov x) is the root of
     sum_{l_k > 0} l_k w_k^2 / (phi s + xi l_k)^2 = 1 (the trust-region
@@ -1325,14 +1326,17 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
 
     With phi left at None (read as 1) the split ends through the CCD
     engine's polish, as OSQP polishes its iterates (Stellato et al. 2020,
-    sec. 4): at iterations 1, 2, 4, ... and on convergence, y takes
+    sec. 4): from the start y = 1/n before the first x-update, then at
+    iterations 1, 2, 4, ... and on convergence, y takes
     ``cd._rb_simultaneous``'s update at barrier weight lam, the step
     ``ccd_rb_stdev`` makes as its cycle 1, and ``cd._rb_newton`` polishes
     that point; a point it certifies, to 1e-10 relative in every
-    RC_i / b_i, ends the solve with report.polished set.  From ADMM's
-    first y the polish usually certifies at iteration 1.  An explicit phi
-    runs the plain split, which stops once the primal residual ||x - y||
-    and the dual residual phi ||y - y_prev|| are both at most tol.
+    RC_i / b_i, ends the solve with report.polished set.  The polish
+    usually certifies from the start, before the first x-update, with
+    report.iterations = 0: the solve then factors no cov + phi I and
+    decomposes no spectrum.  An explicit phi runs the plain split, which
+    stops once the primal residual ||x - y|| and the dual residual
+    phi ||y - y_prev|| are both at most tol.
 
     Raises OutOfDomain with ``last`` = y once y's Sharpe ratio
     excess'y / sqrt(y'cov y) reaches xi: the objective then falls
@@ -1346,16 +1350,19 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
         x_update = lambda y, u, phi: universe.factor.solve(phi * (y - u), phi)
     else:
         _check_stdev_scale(excess, xi, variances)
-        eig, vecs = universe.spectrum
-        pos = eig > 1e-12 * eig[-1]  # below this, eigh's rounding decides the sign
-        eig = eig[pos]
-        inv_xi_eig = 1.0 / (xi * eig)
+
+        @functools.cache
+        def positive_spectrum():  # read on the first x-update, not before
+            eig, vecs = universe.spectrum
+            pos = eig > 1e-12 * eig[-1]  # below this, eigh's rounding decides the sign
+            return eig[pos], vecs, pos, 1.0 / (xi * eig[pos])
 
         def x_update(y, u, phi):
             if float(excess @ y) >= xi * float(y @ cov @ y) ** 0.5:
                 raise OutOfDomain(f"risk-budgeting ADMM: the iterate's Sharpe ratio "
                                   f"reached the stdev scale {xi:.6g}; the objective is "
                                   "unbounded below", last=y.copy())
+            eig, vecs, pos, inv_xi_eig = positive_spectrum()
             w = vecs.T @ (phi * (y - u) + excess)
             w_pos = w[pos]
             s = _secular_root(w_pos * w_pos * inv_xi_eig / xi, phi * inv_xi_eig)
@@ -1367,19 +1374,25 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
         shift = 4.0 * lam / phi * budgets
         return lambda v: _prox_log_barrier(v, shift)
 
+    x0 = np.full(n, 1.0 / n)
     polish = None
     if phi is None:
         newton = _rb_newton(excess, xi, cov, budgets)
 
         def polish(x, y, dual):
             cov_y = cov @ y
-            return newton(_rb_simultaneous(y, cov_y, float(y @ cov_y), excess, xi, variances,
-                                           budgets, lam))
+            start = _rb_simultaneous(y, cov_y, float(y @ cov_y), excess, xi, variances,
+                                     budgets, lam)
+            # infinite budgets give a non-finite start; the split reports them as diverged
+            return newton(start) if np.all(np.isfinite(start)) else None
+
+        finished = polish(x0, x0, None)
+        if finished is not None:
+            return finished, SolverReport(polished=True)
 
     cfg = AdmmConfig(phi0=1.0 if phi is None else phi, adaptive=False, eps=tol, max_iter=max_iter)
     return _run_split("risk-budgeting ADMM", AdmmProblem(x_update=x_update, y_prox=y_prox,
-                                                         polish=polish),
-                      np.full(n, 1.0 / n), cfg)
+                                                         polish=polish), x0, cfg)
 
 
 def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
@@ -1395,10 +1408,10 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     sweep.  The "admm" engine runs the split of ``_rb_admm``
     (``admm_kwargs`` are its options).  At its default penalty it ends
     through the same polish, started from the same simultaneous update
-    of its iterate y, and usually at iteration 1; an explicit ``phi``
-    runs the plain split to its residual tolerance.  ``cfg`` goes to the
-    ccd engine and ``admm_kwargs`` to the admm engine only: an option the
-    chosen engine does not take raises TypeError.  Either way
+    of its iterate y, and usually before the first x-update; an explicit
+    ``phi`` runs the plain split to its residual tolerance.  ``cfg`` goes
+    to the ccd engine and ``admm_kwargs`` to the admm engine only: an
+    option the chosen engine does not take raises TypeError.  Either way
     ``report.stationarity_residual`` is the relative spread
     (max - min) / |mean| of RC_i / b_i at the returned weights.  Below
     the long-only maximum Sharpe ratio the stdev objective is unbounded

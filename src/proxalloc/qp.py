@@ -64,6 +64,9 @@ EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = 
 POLISH_TOL = 1e-9  # feasibility and multiplier-sign slack of a polished point
 POLISH_ROUNDS = 4  # re-solves a polish may spend on a corrected active set
 INFEASIBLE_EPS = 1e-6  # relative tolerance of the infeasibility certificate
+# a Gram eigenvalue of the active rows' free entries this far below the
+# largest is a dependent combination: singular values within 1e-10 of 0
+DEPENDENT_TOL = 1e-20
 # the stationarity check of an answer: default tolerance, at most 1000 cycles
 CERTIFICATE_CFG = DykstraConfig(max_cycles=1000)
 
@@ -297,12 +300,17 @@ def _active_set_point(problem, split, at_lo, at_hi):
     equalities for _solve_equality_qp on the free coordinates.  The
     multipliers are nu on the dense rows (Q x - R = K_act'nu on the free
     coordinates) and Q x - R - K_act'nu on the coordinates; None when the
-    QP is singular or its point misses the active rows.  An active row
-    with no free entry (a budget row whose names are all pinned) would
-    make the QP singular, so it is left out of it and only checked at
-    the point.  Its multiplier moves only the pinned coordinates'
-    multipliers, and a lone such row takes the one nearest 0 that its
-    own sign and theirs admit; two or more such rows return None.
+    QP is singular or its point misses the active rows.  A combination
+    v'K_act of the active rows with no free entry makes the QP singular:
+    a row with no free entry (a budget row whose names are all pinned),
+    or rows whose free entries are dependent (a held name's trade row and
+    a budget row whose other names are all pinned).  A row with no free
+    entry is found from its zeros; other combinations from the Gram
+    matrix of the free entries, once the QP has proved singular.  Of one
+    such combination the row of largest |v_i| is left out of the QP and
+    only checked at the point.  Adding t v to nu moves only the pinned
+    coordinates' multipliers, and t is the one nearest 0 that the rows'
+    signs and theirs admit; two or more such combinations return None.
     """
     m, lo, hi = split.m, split.lo, split.hi
     fix_lo, fix_hi = at_lo[m:], at_hi[m:]
@@ -314,9 +322,8 @@ def _active_set_point(problem, split, at_lo, at_hi):
     rows = split.rows[active]
     target = np.where(at_lo, lo, hi)[:m][active]
     rows_free = rows[:, free]
-    pinned = ~rows_free.any(axis=1)  # rows with no free entry
-    lone = np.count_nonzero(pinned)
-    if lone > 1:
+    combo = (~rows_free.any(axis=1)).astype(float)  # the rows with no free entry
+    if combo.sum() > 1:
         return None
     q, r = problem.q, problem.r
     if q.ndim == 1:
@@ -325,29 +332,50 @@ def _active_set_point(problem, split, at_lo, at_hi):
         q_rows = q[free]  # one gather of the free rows, then two column blocks
         q_free = q_rows[:, free]
         r_free = r[free] - q_rows[:, ~free] @ x[~free]
+    rhs = target - rows[:, ~free] @ x[~free]
     nu = np.zeros(rows.shape[0])
-    try:
-        x[free], nu[~pinned] = _solve_equality_qp(
-            q_free, r_free, rows_free[~pinned], (target - rows[:, ~free] @ x[~free])[~pinned])
-    except (NotPositiveDefinite, np.linalg.LinAlgError):
-        return None
+    while True:  # at most twice: a singular QP is solved again without a dependent row
+        kept = np.ones(combo.size, dtype=bool)
+        if combo.any():
+            kept[np.argmax(np.abs(combo))] = False
+        try:
+            x[free], nu[kept] = _solve_equality_qp(q_free, r_free, rows_free[kept], rhs[kept])
+            break
+        except NotPositiveDefinite:
+            return None
+        except np.linalg.LinAlgError:
+            if combo.any():
+                return None
+            combo = _dependent_combination(rows_free)
+            if combo is None:
+                return None
     if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
         return None  # inconsistent active rows: a nearly singular system
     qx = problem.factor.matvec(x)
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
     mult = np.concatenate([np.zeros(m), qx - r - rows.T @ nu])
     mult[:m][active] = nu
-    if lone:
+    if combo.any():
         # mult + t slope keeps Q x - R = K_act'nu for every t, and the KKT
         # sign of each active movable entry bounds t from one side
-        slope = np.concatenate([np.zeros(m), -rows[pinned][0]])
-        slope[:m][active] = pinned
+        slope = np.concatenate([np.zeros(m), -rows.T @ combo])
+        slope[:m][active] = combo
         side = np.where(at_lo, 1.0, np.where(at_hi, -1.0, 0.0)) * (lo != hi) * slope
         limit = -mult / np.where(side != 0, slope, 1.0)
         t_lo = np.max(limit[side > 0], initial=-np.inf)
         t_hi = np.min(limit[side < 0], initial=np.inf)
         mult += min(max(t_lo, 0.0), t_hi) * slope
     return x, split.apply(x), mult, tol
+
+
+def _dependent_combination(rows):
+    """The unit v with v'rows = 0 when the rows have exactly one such
+    direction, up to rounding, else None."""
+    if not rows.size:
+        return None
+    gram_eig, gram_vecs = np.linalg.eigh(rows @ rows.T)
+    null = gram_eig <= DEPENDENT_TOL * gram_eig[-1]
+    return gram_vecs[:, 0] if np.count_nonzero(null) == 1 else None
 
 
 def default_qp_config(problem):

@@ -16,7 +16,9 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     from proxalloc import portfolios, qp
 
     real = portfolios.admm_solve
-    assert bench_sweep().main(["--sizes", "8", "--label", "t", "--out", str(tmp_path)]) == 0
+    argv = ["--sizes", "8", "--extra", "12", "risk_budgeting * admm", "--label", "t",
+            "--out", str(tmp_path)]
+    assert bench_sweep().main(argv) == 0
     assert portfolios.admm_solve is real and qp.admm_solve is real  # the spy is undone
     path = tmp_path / "BENCH_t.json"
     assert capsys.readouterr().out.strip() == str(path)
@@ -24,13 +26,20 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     assert result["label"] == "t" and result["repeat"] == 3
     assert "OPENBLAS_NUM_THREADS" in result["machine"]["threads"]
     assert 0.0 < result["import_s"] < 60.0
-    assert {row["exit_code"] for row in result["reproduce"].values()} == {0}
-    cases = {row["case"]: row for row in result["cases"]}
-    assert len(cases) == 22 and {row["n"] for row in cases.values()} == {8}
+    for row in result["reproduce"].values():
+        assert row["exit_code"] == 0 and 0.0 < row["seconds"] < 60.0
+        assert 0.0 < row["fresh_s"] < 60.0  # import included
+    cases = {(row["case"], row["n"]): row for row in result["cases"]}
+    assert len(cases) == 24 and len([key for key in cases if key[1] == 8]) == 22
+    # --extra ran the two matching cases at n = 12, and nothing else
+    assert {key for key in cases if key[1] != 8} == {
+        ("risk_budgeting stdev admm", 12), ("risk_budgeting vol admm", 12)}
     for name, row in cases.items():
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64
         assert all(isinstance(it, int) and isinstance(done, bool) for it, done in row["admm"])
     # the volatility target runs the GMV's bridge solve, then walks the critical line
-    assert cases["mvo_target vol 1.1x gmv"]["admm"] == [[1, True]]
-    assert cases["erc"]["admm"] == []  # coordinate descent: no ADMM solve
+    assert cases["mvo_target vol 1.1x gmv", 8]["admm"] == [[1, True]]
+    assert cases["erc", 8]["admm"] == []  # coordinate descent: no ADMM solve
+    # the ADMM engine's polish certifies its start, before any ADMM iteration
+    assert cases["risk_budgeting vol admm", 12]["admm"] == []

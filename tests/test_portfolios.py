@@ -460,7 +460,8 @@ class TestAssetUniverse:
         assert calls["eigvalsh", (n, n)] == 0
         assert checks["as_matrix", (n, n)] == 1  # ccd_rb_stdev's own check
         # each penalty's factor is built once, however many models solve at it
-        assert len(penalties) >= 2 and len(penalties) == len(set(penalties))
+        # one penalty, the QPs': the risk-budgeting ADMM calls end polished at the start
+        assert len(penalties) == len(set(penalties)) == 1
         assert len(u.factor._cache) <= 4
 
 
@@ -1663,6 +1664,9 @@ class TestTradePolish:
     # the answer buys 1.02 of a name held short at -0.02
     @example(seed=2792, n=6, turnover=True, holdings="outside", cap="none", costless=0.0,
              box=0.0)
+    # the oracle's bridge solve ended at 200,000 iterations, its residual 5.2e-11
+    @example(seed=300, n=10, turnover=False, holdings="equal", cap="none", costless=0.5,
+             box=0.0)
     def test_polished_answers_match_the_trade_variable_qp_property(self, admm_reports, seed, n,
                                                                    turnover, holdings, cap,
                                                                    costless, box):
@@ -1876,7 +1880,7 @@ class TestRiskBudgeting:
             w_default, polished = risk_budgeting(u, budgets, measure, engine="admm",
                                                  return_report=True)
         assert np.max(np.abs(w.w - w_admm.w)) <= 1e-6
-        assert polished.polished and polished.iterations == 1
+        assert polished.polished and polished.iterations == 0
         assert np.max(np.abs(w.w - w_default.w)) <= 1e-8
 
     def test_ccd_polish_certifies_erc_at_n_1000(self):
@@ -1901,14 +1905,39 @@ class TestRiskBudgeting:
             assert report.primal_residuals[-1] <= tol
             assert report.dual_residuals[-1] <= tol
 
-    def test_default_admm_engine_ends_polished_at_iteration_1(self):
-        # the Newton polish from one simultaneous update of ADMM's first y
+    def test_default_admm_engine_ends_polished_at_the_start(self):
+        # the Newton polish from one simultaneous update of ADMM's start y
         u = tilted_universe()
         for measure in (Volatility(), StdevRisk(scale=2.0, rate=0.0)):
             _, report = risk_budgeting(u, EW8, measure=measure, engine="admm",
                                        return_report=True)
-            assert report.converged and report.polished and report.iterations == 1
+            assert report.converged and report.polished and report.iterations == 0
             assert report.stationarity_residual <= 1e-10
+
+    def test_a_cold_default_admm_call_decomposes_nothing(self, monkeypatch):
+        # polished at the start, the stdev measure runs no eigh and the
+        # volatility measure no Cholesky of cov + phi I
+        n = 40
+        rng = np.random.default_rng(5)
+        budgets = rng.uniform(0.2, 1.0, n)
+        stdev = factor_universe(rng, n)
+        measure = StdevRisk(perfbench_universe().well_posed_xi(stdev))
+        vol = factor_universe(rng, n)  # built before the spy: its gate runs a Cholesky
+
+        def fail(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} ran")
+            return spy
+
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, fail(name))
+        for u, m in ((stdev, measure), (vol, Volatility())):
+            w, report = risk_budgeting(u, budgets, m, engine="admm", return_report=True)
+            assert report.polished and report.iterations == 0
+            assert report.stationarity_residual <= 1e-10
+            assert "spectrum" not in vars(u) and not u.factor._cache
+        monkeypatch.undo()
+        assert np.max(np.abs(w.w - risk_budgeting(vol, budgets).w)) <= 1e-10
 
     def test_default_admm_engine_polishes_a_tiny_budget_on_a_duplicated_pair(self):
         # an asset and its copy with budgets 0.776 and 0.00097, at 1.023 times
@@ -1918,7 +1947,7 @@ class TestRiskBudgeting:
         measure = StdevRisk(1.023 * perfbench_universe().tangency_sharpe(u))
         w, report = risk_budgeting(u, budgets, measure, engine="admm", return_report=True,
                                    max_iter=5000)
-        assert report.polished and report.iterations == 1
+        assert report.polished and report.iterations == 0
         assert report.stationarity_residual <= 1e-10
         assert np.max(np.abs(w.w - risk_budgeting(u, budgets, measure).w)) <= 1e-8
 
@@ -1928,7 +1957,7 @@ class TestRiskBudgeting:
         u = factor_universe(np.random.default_rng(3), 50)
         measure = StdevRisk(0.685)
         w, report = risk_budgeting(u, np.ones(50), measure, engine="admm", return_report=True)
-        assert report.polished and report.iterations == 1
+        assert report.polished and report.iterations == 0
         assert report.stationarity_residual <= 1e-10
         assert np.max(np.abs(w.w - risk_budgeting(u, np.ones(50), measure).w)) <= 1e-8
 

@@ -225,6 +225,32 @@ class TestQpSolve:
         assert np.array_equal(x[:n], np.eye(n)[2])
         assert report.stationarity_residual <= 1e-8
 
+    def test_a_held_names_trade_row_parallel_to_the_budget_row_polishes(self):
+        # rebalance_penalized's account as a QP in (x, buys, sells), caps 0.15
+        # and equal holdings: the optimum pins every x but x_6, which is held,
+        # so the budget row and x_6's trade row share their one free entry
+        n = 10
+        rng = np.random.default_rng([27, 300, n])
+        u = perfbench_universe().factor_universe(rng, n)
+        current = np.full(n, 0.1)
+        bid, ask = rng.uniform(0.001, 0.004, (2, n)) * (rng.random(n) >= 0.5)
+        q = np.zeros((3 * n, 3 * n))
+        q[:n, :n] = u.cov
+        q[n:, n:] = 1e-10 * np.eye(2 * n)
+        p = QpProblem(q=q, r=np.concatenate([np.zeros(n), -ask, -bid]),
+                      a=np.vstack([np.concatenate([np.ones(n), np.zeros(2 * n)]),
+                                   np.hstack([np.eye(n), -np.eye(n), np.eye(n)])]),
+                      b=np.concatenate([[1.0], current]),
+                      c=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :], d=[3.0],
+                      lower=np.zeros(3 * n), upper=np.concatenate([np.full(n, 0.15),
+                                                                  np.full(2 * n, 2.0)]))
+        cfg = dataclasses.replace(qp.default_qp_config(p), max_iter=64)
+        x, report = qp_solve(p, cfg, return_report=True)
+        assert report.polished and report.iterations <= 8
+        assert np.allclose(x[:n], [0, 0, 0.15, 0.15, 0.15, 0.15, 0.1, 0, 0.15, 0.15],
+                           rtol=0.0, atol=1e-12)
+        assert report.stationarity_residual <= 1e-8
+
     def test_matches_box_ccd_on_published_example(self):
         from proxalloc.cd import CdConfig, ccd_qp_box
 

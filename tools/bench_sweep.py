@@ -1,7 +1,7 @@
 """Wall time, ADMM iterations and polish flags of every portfolios model, by size.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_sweep.py [--sizes 8 100 500]
-        [--label LABEL] [--out DIR]
+        [--extra N PATTERN] [--label LABEL] [--out DIR]
 
 Each case solves one model on perfbench/universe.py's seeded
 factor_universe(default_rng(0), n), imported read-only.  "GMV" is the
@@ -14,15 +14,23 @@ stdev scale xi) are computed on a separate copy with the same seed.  A
 case's time is the best of REPEAT (3) runs; its ADMM solves are read
 from a spy on admm_solve in portfolios and qp, one (iterations,
 polished) pair per solve in call order, and its weights are kept as a
-SHA-256 of their bytes, so two files show bit-identical answers.  A case that raises is recorded with its error,
-never dropped.  The file also holds the time of `import proxalloc` in a
-fresh interpreter (best of 3), each `proxalloc reproduce` table's time
-after import, the machine facts and the BLAS thread settings.  It is
-written to DIR/BENCH_<LABEL>.json (the repository root and the source
-tree's short commit hash by default).
+SHA-256 of their bytes, so two files show bit-identical answers.  A case
+that raises is recorded with its error, never dropped.  Every case runs
+at each of --sizes; each --extra N PATTERN also runs, at size N, the
+cases whose name matches the glob PATTERN (``--extra 2000
+"risk_budgeting * admm"``).  The file also holds the time of `import
+proxalloc` in a fresh interpreter (best of 3), each `proxalloc reproduce`
+table's time in a fresh interpreter with that import included (best of
+3) and after import in this process, the machine facts and the BLAS
+thread settings.  The package loads scipy's kernels on first use, so the
+first table here that factors a matrix pays for that import, and only
+the fresh time shows each table's whole cost.  It is written to
+DIR/BENCH_<LABEL>.json (the repository root and the source tree's short
+commit hash by default).
 """
 
 import argparse
+import fnmatch
 import hashlib
 import importlib.util
 import json
@@ -153,25 +161,41 @@ def run_case(solve, fresh):
     return {"wall_s": best, "admm": spy.solves, "weights_sha256": digest}
 
 
-def import_seconds():
-    """Best of 3 times of `import proxalloc` in a fresh interpreter."""
-    code = ("import time; t = time.perf_counter(); import proxalloc; "
-            "print(time.perf_counter() - t)")
+def fresh_seconds(code, *args):
+    """Best of 3 times that ``code``, run in a fresh interpreter on the source
+    tree with ``args`` as sys.argv[1:], prints as its last line of output."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    return min(float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                    capture_output=True, text=True).stdout)
+    return min(float(subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                                    capture_output=True, text=True).stdout.split()[-1])
                for _ in range(3))
 
 
+def import_seconds():
+    """Best of 3 times of `import proxalloc` in a fresh interpreter."""
+    return fresh_seconds("import time; t = time.perf_counter(); import proxalloc; "
+                         "print(time.perf_counter() - t)")
+
+
+# `proxalloc reproduce ...` from before `import proxalloc` to its exit code
+REPRODUCE = ("import sys, time; t = time.perf_counter(); from proxalloc import cli; "
+             "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
+
+
 def reproduce_seconds():
-    """{table: {seconds, exit_code}} of each `proxalloc reproduce` table, after import."""
+    """{table: {fresh_s, seconds, exit_code}} of each `proxalloc reproduce` table:
+    its time in a fresh interpreter, import included, and after import here."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for table in TABLES:
+            path = os.path.join(tmp, table)
             start = time.perf_counter()
-            code = cli.main(["reproduce", table, "--output", os.path.join(tmp, table)])
-            out[table] = {"seconds": time.perf_counter() - start, "exit_code": code}
+            code = cli.main(["reproduce", table, "--output", path])
+            seconds = time.perf_counter() - start
+            fresh = None  # a table that fails here is not run again
+            if code == 0:
+                fresh = fresh_seconds(REPRODUCE, "reproduce", table, "--output", path)
+            out[table] = {"fresh_s": fresh, "seconds": seconds, "exit_code": code}
     return out
 
 
@@ -202,26 +226,32 @@ def git_label():
         return "local"
 
 
-def sweep(sizes):
+def sweep(sizes, extra=()):
+    """The rows of every case at each of ``sizes``, then of the cases matching
+    each (n, pattern) of ``extra`` at n."""
     module = _universe_module()
     rows = []
-    for n in sizes:
+    for n, pattern in [(n, "*") for n in sizes] + [(int(n), p) for n, p in extra]:
         for name, solve in cases(module, n).items():
-            rows.append({"case": name, "n": n,
-                         **run_case(solve, lambda n=n: universe(module, n))})
+            if fnmatch.fnmatchcase(name, pattern):
+                rows.append({"case": name, "n": n,
+                             **run_case(solve, lambda n=n: universe(module, n))})
     return rows
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 100, 500])
+    parser.add_argument("--extra", nargs=2, action="append", default=[],
+                        metavar=("N", "PATTERN"),
+                        help="also run, at size N, the cases whose name matches PATTERN")
     parser.add_argument("--label", default=None)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     label = args.label or git_label()
     result = {"label": label, "machine": machine(), "import_s": import_seconds(),
               "reproduce": reproduce_seconds(), "repeat": REPEAT,
-              "cases": sweep(args.sizes)}
+              "cases": sweep(args.sizes, args.extra)}
     path = args.out / f"BENCH_{label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(path)
