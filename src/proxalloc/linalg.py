@@ -11,8 +11,8 @@ projections.
 Vectors and matrices are plain float64 ndarrays; ``as_vector`` /
 ``as_matrix`` are the constructors that enforce finiteness.
 
-The module imports numpy only.  scipy's compiled kernels (BLAS dtrsv,
-LAPACK dgetrf / dgetrs, qr_delete, solve_triangular and lambertw) are
+The module imports numpy only.  scipy's compiled kernels (BLAS dtrsv and
+dger, LAPACK dgetrf / dgetrs and dpotri, solve_triangular and lambertw) are
 bound by ``_scipy`` on first use: importing scipy.linalg costs more than
 the rest of the package's import, and risk budgeting never calls them.
 """
@@ -35,9 +35,10 @@ _INV_E = np.exp(-1.0)
 
 
 # the scipy module of each compiled kernel the package calls
-_KERNEL_MODULES = {"dtrsv": "scipy.linalg.blas", "dgetrf": "scipy.linalg.lapack",
-                   "dgetrs": "scipy.linalg.lapack", "qr_delete": "scipy.linalg",
-                   "solve_triangular": "scipy.linalg", "lambertw": "scipy.special"}
+_KERNEL_MODULES = {"dtrsv": "scipy.linalg.blas", "dger": "scipy.linalg.blas",
+                   "dgetrf": "scipy.linalg.lapack", "dgetrs": "scipy.linalg.lapack",
+                   "dpotri": "scipy.linalg.lapack", "solve_triangular": "scipy.linalg",
+                   "lambertw": "scipy.special"}
 
 
 class _Kernels:
@@ -161,55 +162,78 @@ class SpdFactor:
 
 
 class SupportFactor:
-    """Upper Cholesky factor R'R = M_FF of a fixed SPD matrix M on a changing support F.
+    """The inverse G = M_FF^-1 of a fixed SPD matrix M on a changing support F,
+    and G U_F for the columns of a fixed n x c matrix U (none by default).
 
-    ``support`` lists the indices of F in the factor's column order.  A
-    name that leaves F is a column delete, put back in triangular form by
-    Givens rotations (scipy's compiled ``qr_delete``) in O(k^2) (Gill,
-    Golub, Murray & Saunders 1974).  A support that a name joins is
-    factored afresh by ``refactor``: names leave index_sampling's support
-    every round, and no account of the benchmark or of the sweep has one
-    rejoin, so an O(k^2) bordered append would save nothing measured.
-    Its solves (dtrsv) and deletes bind scipy's kernels on first use.
+    ``support`` lists the indices of F in G's row order.  The first k = |F|
+    rows of the Fortran-ordered tableau ``t`` hold [G U_F, G], and
+    ``solved`` is G U_F.  ``refactor`` passes the block through the
+    Cholesky pivot gate and forms G from the factor (LAPACK dpotri).  A
+    name that leaves F is deleted in place by its Schur complement, the
+    SWEEP operator (Goodnight 1979): it is swapped to the tableau's last
+    row and G's last column c, and with d = c_last every row i of the
+    tableau loses c_i / d times the last row, so G becomes G - c c' / d and
+    G U_F its value on the names left.  That is one BLAS rank-one update
+    (dger), O(k (k + c)) with no copy of the tableau.  A support that a
+    name joins is inverted afresh by ``refactor``: names leave
+    index_sampling's support every round, and no account of the benchmark
+    or of the sweep has one rejoin, so an O(k^2) bordered append would
+    save nothing measured.  scipy's kernels bind on first use.
     """
 
-    def __init__(self, m, support):
+    def __init__(self, m, support, rhs=None):
         self.m = m
+        self.rhs = np.empty((m.shape[0], 0)) if rhs is None else rhs
         self.refactor(support)
 
     def refactor(self, support):
-        """Factor M on ``support`` afresh, in place.
+        """Invert M on ``support`` afresh, in place.
 
-        A singular block raises NotPositiveDefinite and leaves the factor
+        A singular block raises NotPositiveDefinite and leaves the object
         as it was.
         """
-        support = np.asarray(support)
-        block = self.m[np.ix_(support, support)]
-        self.upper = np.asfortranarray(cholesky_lower(block, check=False).T)
-        self.support = support
+        support = np.array(support)  # a copy: remove swaps its entries
+        k, c = support.size, self.rhs.shape[1]
+        upper = cholesky_lower(self.m[np.ix_(support, support)], check=False).T
+        t = np.empty((k, c + k), order="F")
+        g = t[:, c:]  # contiguous, so dpotri inverts it in place
+        g[...] = upper
+        _scipy.dpotri(g, overwrite_c=1)  # fills the upper triangle; the lower stays 0
+        g += g.T
+        g.ravel("K")[::k + 1] *= 0.5  # the diagonal, doubled by the line above
+        t[:, :c] = g.dot(self.rhs[support])
+        self.t, self.support = t, support
+
+    @property
+    def solved(self):
+        """G U_F, one column for each column of U."""
+        return self.t[:self.support.size, :self.rhs.shape[1]]
 
     def solve(self, b):
-        """M_FF^-1 b for b in the support's order."""
-        y = _scipy.dtrsv(self.upper, b, lower=0, trans=1)
-        return _scipy.dtrsv(self.upper, y, lower=0, overwrite_x=1)
+        """M_FF^-1 b = G b for b in the support's order."""
+        k, c = self.support.size, self.rhs.shape[1]
+        return self.t[:k, c:c + k].dot(b)
 
     def remove(self, drop):
         """Drop the names of F where the boolean mask ``drop`` (in the support's order) is set.
 
-        Deleting column p leaves the rows from p on in Hessenberg form, so
-        only the trailing block R[p:, p:] is rotated.
+        Deleting the names from the last position down keeps the position
+        of every name still to delete.
         """
-        for p in np.flatnonzero(drop)[::-1]:
-            r = self.upper
-            k = r.shape[0]
-            upper = np.empty((k - 1, k - 1), order="F")
-            upper[:, :p] = r[:k - 1, :p]
-            upper[:p, p:] = r[:p, p + 1:]
-            if p < k - 1:
-                upper[p:, p:] = _scipy.qr_delete(np.eye(k - p, order="F"), r[p:, p:], 0,
-                                                 which="col", check_finite=False)[1][:-1]
-            self.upper = upper
-        self.support = self.support[~drop]
+        t, support, c, k = self.t, self.support, self.rhs.shape[1], self.support.size
+        for p in drop.nonzero()[0][::-1]:
+            last = k - 1
+            if p != last:  # slices and scalar swaps cost a third of fancy indexing
+                t[p, :c + k], t[last, :c + k] = t[last, :c + k].copy(), t[p, :c + k].copy()
+                t[:k, c + p], t[:k, c + last] = t[:k, c + last].copy(), t[:k, c + p].copy()
+                support[p], support[last] = support[last], support[p]
+            if last:
+                col = t[:, c + last]  # contiguous; its rows from k on are deleted names'
+                scale = -1.0 / col[last]
+                col[last:] = 0.0  # so the update leaves the deleted rows as they are
+                _scipy.dger(scale, col, t[last, :c + last], a=t[:, :c + last], overwrite_a=1)
+            k = last
+        self.support = support[:k]
 
 
 class PenaltyFactor:
@@ -261,9 +285,9 @@ class PenaltyFactor:
         entry = self._entry(phi)
         if entry[1] is None or entry[1][0] is not a:
             k_a = self.solve(a, phi)
-            entry[1] = (a, k_a, a @ k_a)
+            entry[1] = (a, k_a, a.dot(k_a))
         _, k_a, a_k_a = entry[1]
-        nu = (b - a @ base) / a_k_a
+        nu = (b - a.dot(base)) / a_k_a  # ndarray.dot: half the call cost of @ on 1-d
         return base + nu * k_a
 
     def solve_with_rows(self, rhs, phi, rows):

@@ -548,18 +548,22 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     index, so the names kept do not depend on round-off (an equal-weight
     benchmark ties every name in the first round).
 
-    Each round is qp._settle over the coordinates, from the support F of
-    the last round less its zeros and the knocked-out name (every name in
-    round 1).  Its point solver holds one Cholesky factor of C_FF across
-    the rounds (linalg.SupportFactor): x_F = a + nu e with
-    a = C_FF^-1 (Cb)_F, e = C_FF^-1 1 and nu = (1 - 1'a) / 1'e, and the
-    zeros' multipliers are their reduced gradient (Cx - Cb - nu)_i.  Since
-    u <= 1 never binds under the budget, this is the exact optimum of the
-    round.  A round whose support block is singular (a duplicated asset)
-    or that runs out of rounds is solved by one cold QP-bridge solve with
-    ``cfg``, and the next round factors its support afresh.  Raises BadK
-    unless n_assets is an integer in [1, n] and DimensionMismatch unless
-    the benchmark has n entries.
+    Each round guesses the support F of the last round less its zeros and
+    the knocked-out name (every name in round 1).  One inverse
+    G = C_FF^-1 is held across the rounds (linalg.SupportFactor), and with
+    it a = G (Cb)_F and e = G 1, which the guess's Schur deletes downdate
+    in O(k) each.  The guess's point is x_F = a + nu e, nu = (1 - 1'a) / 1'e,
+    and the zeros' multipliers are their reduced gradient (Cx - Cb - nu)_i.
+    It is kept when it passes qp._settle's tests: x_F >= -POLISH_TOL
+    (1 + |x_F|), and every multiplier of a zero whose cap is not 0 is at
+    least -POLISH_TOL (1 + max |Cx| + max |Cb|).  Since u <= 1 never binds
+    under the budget, that point is the exact optimum of the round.
+    Otherwise _tracking_optimum runs _settle from the guess on the same G.
+    A round whose support block is singular (a duplicated asset) or that
+    runs out of rounds is solved by one cold QP-bridge solve with ``cfg``,
+    and the next round inverts its support afresh.  Raises BadK unless
+    n_assets is an integer in [1, n] and DimensionMismatch unless the
+    benchmark has n entries.
     """
     n = universe.n
     if not isinstance(n_assets, numbers.Integral) or not 1 <= n_assets <= n:
@@ -567,6 +571,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     b = _asset_vector(benchmark, n, "benchmark")
     cov = universe.cov
     r = cov @ b
+    r_max = np.abs(r).max()
     cap = np.full(n, np.inf)  # u = 1 never binds under the budget; a knocked-out u is 0
     live_tol = 1e-7
     held, keep = None, np.ones(n, dtype=bool)
@@ -574,31 +579,39 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
         x = None
         try:
             if held is None:
-                held = SupportFactor(cov, np.flatnonzero(keep))
-            x = _tracking_optimum(cov, r, cap, held, keep)
-        except NotPositiveDefinite:
-            pass
+                held = SupportFactor(cov, np.flatnonzero(keep), np.column_stack([r, np.ones(n)]))
+            held.remove(~keep[held.support])
+            a, e = held.solved.T
+            x, mult, tol = _tracking_point(cov, r, r_max, held.support, a, e)
+            if not ((x >= -POLISH_TOL * (1.0 + np.abs(x))).all()  # _settle's tests
+                    and ((mult >= -tol) | keep | (cap == 0)).all()):
+                x = _tracking_optimum(cov, r, cap, held, keep)
+        except NotPositiveDefinite:  # a singular join: x may hold the rejected guess
+            x = None
         if x is None:
             held = None
             x, _ = _Bridge(QpProblem(q=universe.factor, r=r, a=np.ones((1, n)), b=np.ones(1),
                                      lower=np.zeros(n), upper=np.minimum(cap, 1.0)), cfg).solve()
-        w = np.where(x < live_tol, 0.0, x)
-        active = np.flatnonzero(w > 0)
+        keep = x >= live_tol
+        active = keep.nonzero()[0]
         if active.size <= n_assets:
             break
-        out = active[w[active] <= np.min(w[active]) + POLISH_TOL][0]
+        live = x[active]
+        out = active[live <= live.min() + POLISH_TOL][0]
         cap[out] = 0.0
-        keep = w > 0
         keep[out] = False
-    return _gate(w)
+    return _gate(np.where(x < live_tol, 0.0, x))
 
 
 def _tracking_optimum(cov, r, cap, held, support):
     """The optimum of one index_sampling round from the guess ``support``, or None.
 
-    ``cap`` is inf, or 0 for a knocked-out name.  Moves ``held`` to each
-    support solved: names that leave are deleted from the factor, and a
-    support that a name joins is factored afresh, which raises
+    ``cap`` is inf, or 0 for a knocked-out name.  qp._settle's point
+    solver: x_F = a + nu e with a = G (Cb)_F and e = G 1 from the inverse
+    G = C_FF^-1 that ``held`` holds, nu = (1 - 1'a) / 1'e, and the zeros'
+    multipliers (Cx - Cb - nu)_i.  Moves ``held`` to each support solved:
+    names that leave are deleted from G by their Schur complements, and a
+    support that a name joins is inverted afresh, which raises
     NotPositiveDefinite when its block is singular.
     """
     n, r_max = r.size, np.abs(r).max()
@@ -611,15 +624,22 @@ def _tracking_optimum(cov, r, cap, held, support):
         elif dropped:
             held.remove(drop)
         f = held.support
-        a, e = held.solve(r[f]), held.solve(np.ones(f.size))
-        nu = (1.0 - a.sum()) / e.sum()
-        x = np.zeros(n)
-        x[f] = a + nu * e
-        cx = cov @ x  # one BLAS pass beats gathering the zeros' rows or the support's
-        tol = POLISH_TOL * (1.0 + np.abs(cx).max() + r_max)
-        return x, x, cx - r - nu, tol  # the reduced gradient, read on the zeros
+        x, mult, tol = _tracking_point(cov, r, r_max, f, held.solve(r[f]),
+                                       held.solve(np.ones(f.size)))
+        return x, x, mult, tol
 
     return _settle(solve, 0.0, cap, ~support, np.zeros(n, dtype=bool))
+
+
+def _tracking_point(cov, r, r_max, f, a, e):
+    """The point x_F = a + nu e of an index_sampling round on the support f,
+    its reduced gradient Cx - r - nu (the zeros' multipliers) and their sign
+    slack POLISH_TOL (1 + max |Cx| + r_max)."""
+    nu = (1.0 - a.sum()) / e.sum()
+    x = np.zeros(r.size)
+    x[f] = a + nu * e
+    cx = cov.dot(x)  # one BLAS pass beats gathering the zeros' rows or the support's
+    return x, cx - r - nu, POLISH_TOL * (1.0 + np.abs(cx).max() + r_max)
 
 
 def mvo_turnover(universe, gamma, current, turnover_cap, cfg=None):

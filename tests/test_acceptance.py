@@ -135,15 +135,20 @@ class TestAcceptance:
             gaps[n] = float(np.max(np.abs(out - x)))
         n = 100000
         v, c, d = make(n)
-        start = time.time()
-        project_polyhedron(c, d, v, DykstraConfig(tol=1e-10))
-        t_dykstra = time.time() - start
         problem = QpProblem(q=np.ones(n), r=v, c=c, d=d)
         cfg = default_qp_config(problem)
         cfg.eps = 1e-8
-        start = time.time()
-        qp_solve(problem, cfg=cfg)
-        t_qp = time.time() - start
+
+        def best_of_3(route):  # one busy moment cannot flip the comparison
+            times = []
+            for _ in range(3):
+                start = time.time()
+                route()
+                times.append(time.time() - start)
+            return min(times)
+
+        t_dykstra = best_of_3(lambda: project_polyhedron(c, d, v, DykstraConfig(tol=1e-10)))
+        t_qp = best_of_3(lambda: qp_solve(problem, cfg=cfg))
         ok = max(gaps.values()) <= 1e-6 and t_dykstra < t_qp
         record(7, ok, f"agreement gaps {[f'{g:.1e}' for g in gaps.values()]} for "
                       f"n in (10, 100, 1000); at n=1e5 Dykstra {t_dykstra:.2f}s vs "

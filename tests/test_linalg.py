@@ -74,31 +74,46 @@ class TestSupportFactor:
     def test_deletes_and_a_join_match_a_fresh_factor(self):
         rng = np.random.default_rng(9)
         m = random_spd(rng, 12)
-        held = SupportFactor(m, np.arange(12))
+        u = rng.standard_normal((12, 2))
+        held = SupportFactor(m, np.arange(12), u)  # carries G u_F through every delete
 
         def assert_fresh():
-            block = m[np.ix_(held.support, held.support)]
-            assert np.max(np.abs(held.upper.T @ held.upper - block)) <= 1e-12 * np.max(m)
-            assert np.allclose(np.triu(held.upper), held.upper)
-            b = rng.standard_normal(held.support.size)
-            assert np.allclose(block @ held.solve(b), b)
+            f = held.support
+            block = m[np.ix_(f, f)]
+            k = f.size
+            assert np.max(np.abs(held.solve(np.eye(k)) @ block - np.eye(k))) <= 1e-12
+            b = rng.standard_normal(k)
+            assert np.allclose(held.solve(b), np.linalg.solve(block, b), rtol=0, atol=1e-12)
+            assert np.allclose(held.solved, np.linalg.solve(block, u[f]), rtol=0, atol=1e-12)
 
         for drop in ([0], [11], [3, 4, 8], [5]):
             held.remove(np.isin(held.support, drop))
-        assert list(held.support) == [1, 2, 6, 7, 9, 10]
+        assert sorted(held.support) == [1, 2, 6, 7, 9, 10]
         assert_fresh()
         held.refactor(np.append(held.support, [8, 0]))  # 8 and 0 join
         assert sorted(held.support) == [0, 1, 2, 6, 7, 8, 9, 10]
         assert_fresh()
 
+    def test_deleting_every_name_leaves_an_empty_support(self):
+        m = random_spd(np.random.default_rng(3), 4)
+        held = SupportFactor(m, np.arange(4), np.ones((4, 1)))
+        held.remove(np.array([False, True, False, False]))
+        f = held.support
+        assert sorted(f) == [0, 2, 3]
+        assert np.allclose(held.solved[:, 0], np.linalg.solve(m[np.ix_(f, f)], np.ones(3)))
+        held.remove(np.ones(3, dtype=bool))
+        assert held.support.size == 0 and held.solved.shape == (0, 1)
+        assert held.solve(np.zeros(0)).size == 0
+
     def test_singular_join_leaves_the_factor(self):
         copy = [0, 1, 0]  # asset 2 copies asset 0
         m = np.array([[2.0, 1.0], [1.0, 2.0]])[np.ix_(copy, copy)]
         held = SupportFactor(m, [0, 1])
-        upper = held.upper.copy()
+        t = held.t.copy()
         with pytest.raises(NotPositiveDefinite):
             held.refactor([0, 1, 2])
-        assert np.array_equal(held.support, [0, 1]) and np.array_equal(held.upper, upper)
+        assert np.array_equal(held.support, [0, 1]) and np.array_equal(held.t, t)
+        assert np.allclose(held.solve(np.eye(2)) @ m[:2, :2], np.eye(2), rtol=0, atol=1e-15)
 
 
 class TestSolveSpd:

@@ -925,6 +925,75 @@ class TestIndexSampling:
         assert admm_runs == [] and factorizations == [30]
         assert_same_sampling(w, cold_index_sampling(u, b, 7))
 
+    def test_a_guess_that_fails_its_test_goes_through_settle_where_names_join(self, monkeypatch):
+        # the outside-the-box benchmark of the round test above: round 1's guess,
+        # every name, has negative weights, and the guesses {0, 4} and {0} of
+        # rounds 3 and 5 fail too; _settle lets names join from each of them
+        from proxalloc import portfolios
+        from proxalloc.linalg import SupportFactor
+
+        b = np.array([0.4, 0.3, -0.1, 0.2, 0.3, -0.2, 0.1, 0.0])
+        guesses, joins = [], []
+        real_tracking, real_refactor = portfolios._tracking_optimum, SupportFactor.refactor
+
+        def spy_tracking(cov, r, cap, held, support):
+            guesses.append(list(np.flatnonzero(support)))
+            return real_tracking(cov, r, cap, held, support)
+
+        def spy_refactor(held, support):
+            before = set(getattr(held, "support", support))
+            joins.extend(sorted(set(support) - before))
+            real_refactor(held, support)
+
+        monkeypatch.setattr(portfolios, "_tracking_optimum", spy_tracking)
+        monkeypatch.setattr(SupportFactor, "refactor", spy_refactor)
+        w = index_sampling(SET1.universe, b, 1).w
+        assert guesses == [list(range(8)), [0, 4], [0]]
+        assert joins == [2, 3, 5, 7, 2, 5, 7]
+        expected = cold_index_sampling(SET1.universe, b, 1)
+        assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
+        assert np.max(np.abs(w - expected)) <= 1e-10
+
+    def test_benchmark_accounts_never_call_settle(self, monkeypatch):
+        # the 12-asset accounts of perfbench's qp_bridge workload, at seeds 9
+        # and 13: every round's guess passes its test, so no round needs _settle
+        from proxalloc import portfolios
+
+        calls = []
+        real_settle = portfolios._settle
+        monkeypatch.setattr(portfolios, "_settle",
+                            lambda *args: calls.append(1) or real_settle(*args))
+        u = factor_universe(np.random.default_rng([1, 0]), 12)
+        for seed in (9, 13):
+            for i in range(36):
+                rng = np.random.default_rng([seed, 2, i])
+                b = rng.dirichlet(np.ones(12))
+                k = int(rng.integers(4, 7))
+                assert np.count_nonzero(index_sampling(u, b, k).w) == k
+        assert calls == []
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 30), share=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["dirichlet", "equal", "outside"]), copies=st.booleans())
+    def test_matches_the_cold_oracle_to_1e_10_property(self, seed, n, share, kind, copies):
+        rng = np.random.default_rng(seed)
+        u = factor_universe(rng, n)
+        if copies:
+            u = duplicate_asset(u, int(rng.integers(n)))
+        if kind == "equal":
+            b = np.full(u.n, 1.0 / u.n)
+        else:
+            b = rng.dirichlet(np.ones(u.n))
+            if kind == "outside":  # a long-short benchmark: 1'b = 1 with negative entries
+                tilt = rng.standard_normal(u.n)
+                b += tilt - tilt.mean()
+        k = 1 + int(share * (u.n - 1))
+        w = index_sampling(u, b, k).w
+        expected = cold_index_sampling(u, b, k)
+        assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
+        assert np.max(np.abs(w - expected)) <= 1e-10
+
     def test_singular_support_falls_back_to_the_bridge(self, monkeypatch):
         from proxalloc import qp
 
