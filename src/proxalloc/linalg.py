@@ -236,24 +236,41 @@ class SupportFactor:
         self.support = support[:k]
 
 
+CACHE_ENTRIES = 4  # entries of each PenaltyFactor cache; the oldest goes first
+
+
+def _keep(cache, key, value):
+    """cache[key] = value, dropping the oldest entry past CACHE_ENTRIES; returns value."""
+    cache[key] = value
+    if len(cache) > CACHE_ENTRIES:
+        cache.pop(next(iter(cache)))
+    return value
+
+
 class PenaltyFactor:
     """Solves against Q + phi I for a fixed Q, factoring once per phi.
 
     The ADMM x-updates solve against the same Q under a penalty that
     changes only now and then (Boyd et al. 2011, sec. 4.2), so one cache
-    keeps what the last four penalty values need: the factor of
+    keeps what the last CACHE_ENTRIES penalty values need: the factor of
     Q + phi I, and for ``solve_on_plane`` and ``solve_with_rows`` the
-    solves against the normal or the rows last passed.  A 1-d ``q``
-    means diag(q) and is solved elementwise, so no n x n matrix is
-    built.  Q is checked once, here, in either form: a finite vector, or
-    a finite square matrix symmetric to SYMMETRY_TOL.  Q + phi I differs
-    from Q on the diagonal only, so no factorization checks it again.
+    solves against the normal or the rows last passed.  A second cache,
+    ``active_sets``, keeps for the last CACHE_ENTRIES constraint
+    geometries of the QP bridge (a digest of the rows and bounds, see
+    ``qp._ClippedSplit.key``) the active set its last accepted polish
+    ended on, so the next QP on the same Q and rows starts from it.  A
+    1-d ``q`` means diag(q) and is solved elementwise, so no n x n matrix
+    is built.  Q is checked once, here, in either form: a finite vector,
+    or a finite square matrix symmetric to SYMMETRY_TOL.  Q + phi I
+    differs from Q on the diagonal only, so no factorization checks it
+    again.
     """
 
     def __init__(self, q):
         self.diagonal = np.ndim(q) == 1
         self.q = as_vector(q, "Q") if self.diagonal else as_symmetric(q, "Q")
         self._cache = {}  # phi -> [factor, plane, rows]
+        self.active_sets = {}  # geometry key -> (at_lo, at_hi) masks of its last polish
 
     def _entry(self, phi):
         entry = self._cache.get(phi)
@@ -261,10 +278,13 @@ class PenaltyFactor:
             factor = None
             if not self.diagonal:
                 factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]), check=False)
-            entry = self._cache[phi] = [factor, None, None]
-            if len(self._cache) > 4:
-                self._cache.pop(next(iter(self._cache)))
+            entry = _keep(self._cache, phi, [factor, None, None])
         return entry
+
+    def remember(self, key, masks):
+        """Keep ``masks`` as the active set of the geometry ``key``, its newest entry."""
+        self.active_sets.pop(key, None)
+        _keep(self.active_sets, key, masks)
 
     def matvec(self, x):
         return self.q * x if self.diagonal else self.q @ x

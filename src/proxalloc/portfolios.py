@@ -1378,7 +1378,8 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
             return eig[pos], vecs, pos, 1.0 / (xi * eig[pos])
 
         def x_update(y, u, phi):
-            if float(excess @ y) >= xi * float(y @ cov @ y) ** 0.5:
+            # ndarray.dot: half the call cost of @ on 1-d; y.dot(cov).dot(y) keeps @'s order
+            if float(excess.dot(y)) >= xi * float(y.dot(cov).dot(y)) ** 0.5:
                 raise OutOfDomain(f"risk-budgeting ADMM: the iterate's Sharpe ratio "
                                   f"reached the stdev scale {xi:.6g}; the objective is "
                                   "unbounded below", last=y.copy())
@@ -1400,8 +1401,8 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
         newton = _rb_newton(excess, xi, cov, budgets)
 
         def polish(x, y, dual):
-            cov_y = cov @ y
-            start = _rb_simultaneous(y, cov_y, float(y @ cov_y), excess, xi, variances,
+            cov_y = cov.dot(y)
+            start = _rb_simultaneous(y, cov_y, float(y.dot(cov_y)), excess, xi, variances,
                                      budgets, lam)
             # infinite budgets give a non-finite start; the split reports them as diverged
             return newton(start) if np.all(np.isfinite(start)) else None

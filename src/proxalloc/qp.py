@@ -24,7 +24,11 @@ An equality-only problem ends at iteration 1: the guess holds every row
 active and every coordinate free, so the polish is the KKT solve.
 ``_settle``, the primal-dual active-set loop of every active-set polish
 in the package (the ADMM risk-budgeting engine's Newton polish has
-none), corrects the guess.
+none), corrects the guess.  Every accepted polish leaves its active set
+on Q's PenaltyFactor, keyed by a digest of the split's rows and bounds;
+a later QP on the same factor and rows (the accounts of a book on one
+universe, R free to differ) polishes from that set first, with no ADMM
+iteration, and runs ADMM only when that polish fails.
 An empty feasible set is certified from the change of the dual (Banjac,
 Goulart, Stellato & Boyd 2019), and every answer of ``qp_solve`` is
 checked by ``stationarity_residual``, which the report keeps; the
@@ -201,7 +205,9 @@ class _ClippedSplit:
     """The rows K = [K_d; I] of the split K x = z and their bounds [l, u].
 
     K_d holds the rows of A, scaled to norm EQUALITY_WEIGHT, then the rows
-    of C, scaled to unit norm; l = u on the equality rows.
+    of C, scaled to unit norm; l = u on the equality rows.  ``key``
+    digests K_d, l and u: the geometry whose last active set Q's
+    PenaltyFactor keeps.
     """
 
     def __init__(self, problem):
@@ -223,7 +229,11 @@ class _ClippedSplit:
         self.hi = np.concatenate(hi)
         self.rows = np.vstack(rows) if rows else np.zeros((0, n))
         self.m = self.rows.shape[0]
-        self.clip = projector(Box(self.lo, self.hi), self.m + n)
+
+    @functools.cached_property
+    def key(self):
+        # a collision costs no correctness: _settle certifies whatever guess it is given
+        return self.rows.shape, hash((self.rows.tobytes(), self.lo.tobytes(), self.hi.tobytes()))
 
     def apply(self, x):
         return np.concatenate((self.rows @ x, x))
@@ -251,10 +261,27 @@ def _polish(problem, split, z, dual):
     """The exact optimum from the active set guessed from z and the dual, or None.
 
     A row of K is guessed active at l when z - l < -dual and at u when
-    u - z < dual (OSQP's guess), and _settle corrects the guess.
+    u - z < dual (OSQP's guess), and _settle_on corrects the guess.
     """
-    return _settle(functools.partial(_active_set_point, problem, split), split.lo, split.hi,
-                   z - split.lo < -dual, split.hi - z < dual)
+    return _settle_on(problem, split, z - split.lo < -dual, split.hi - z < dual)
+
+
+def _settle_on(problem, split, at_lo, at_hi):
+    """_settle with the bridge's point solver from the guess (at_lo, at_hi).
+
+    The masks of an accepted point, those of _settle's last point solve,
+    are kept on Q's PenaltyFactor as the active set of the split's key.
+    """
+    last = []
+
+    def solve(at_lo, at_hi):
+        last[:] = at_lo, at_hi
+        return _active_set_point(problem, split, at_lo, at_hi)
+
+    x = _settle(solve, split.lo, split.hi, at_lo, at_hi)
+    if x is not None:
+        problem.factor.remember(split.key, tuple(last))
+    return x
 
 
 def _settle(solve, lo, hi, at_lo, at_hi):
@@ -349,7 +376,7 @@ def _active_set_point(problem, split, at_lo, at_hi):
             combo = _dependent_combination(rows_free)
             if combo is None:
                 return None
-    if not np.allclose(rows @ x, target, rtol=POLISH_TOL, atol=POLISH_TOL):
+    if not np.all(np.abs(rows @ x - target) <= POLISH_TOL * (1.0 + np.abs(target))):
         return None  # inconsistent active rows: a nearly singular system
     qx = problem.factor.matvec(x)
     tol = POLISH_TOL * (1.0 + float(np.max(np.abs(qx))) + float(np.max(np.abs(r))))
@@ -390,41 +417,58 @@ def default_qp_config(problem):
 
 
 class _Bridge:
-    """One QP on the bridge: the problem, its clipped split, the problem's
-    penalty factor of Q and the ADMM settings.
+    """One QP on the bridge: the problem, its clipped split and the ADMM
+    settings (None: ``default_qp_config``).
 
-    ``solve`` returns an uncertified (x, report); qp_solve is one solve
-    and the stationarity check of its answer.
+    The problem's penalty factor of Q carries what solves share: the
+    factors of Q + phi I and the active set the last accepted polish on
+    the same rows and bounds ended on.  ``solve`` returns an uncertified
+    (x, report); qp_solve is one solve and the stationarity check of its
+    answer.
     """
 
     def __init__(self, problem, cfg=None):
         self.problem = problem
         self.split = _ClippedSplit(problem)
-        self.cfg = cfg or default_qp_config(problem)
-        split, quad, r = self.split, problem.factor, problem.r
+        self.cfg = cfg
+
+    def _admm(self):
+        """The split as an AdmmProblem: the y-update clips into [l, u], and
+        the polish hook is ``_polish``."""
+        problem, split = self.problem, self.split
+        quad, r = problem.factor, problem.r
+        clip = projector(Box(split.lo, split.hi), split.lo.size)
 
         def x_update(y, u, phi):
             rhs = r + phi * split.adjoint(y - u)
             return quad.solve_with_rows(rhs, phi, split.rows) if split.m else quad.solve(rhs, phi)
 
-        self.admm = AdmmProblem(x_update=x_update, y_prox=lambda phi: split.clip,
-                                apply=split.apply, adjoint=split.adjoint,
-                                infeasible=split.infeasible,
-                                polish=lambda x, z, dual: _polish(problem, split, z, dual))
+        return AdmmProblem(x_update=x_update, y_prox=lambda phi: clip,
+                           apply=split.apply, adjoint=split.adjoint,
+                           infeasible=split.infeasible,
+                           polish=lambda x, z, dual: _polish(problem, split, z, dual))
 
     def solve(self):
         """The optimum as (x, report), without the stationarity check.
 
         With no constraint it is one solve against Q, which raises
-        NotPositiveDefinite on a singular Q.  Otherwise ADMM starts from
-        x = 0; on an equality-only problem its iteration-1 polish is the
-        KKT solve, which ends it.  Raises as qp_solve.
+        NotPositiveDefinite on a singular Q.  Otherwise, when Q's factor
+        keeps an active set for the split's key, _settle runs from it
+        first: a point it accepts is the answer, with report.iterations =
+        0 and report.polished set.  Else ADMM starts from x = 0; on an
+        equality-only problem its iteration-1 polish is the KKT solve,
+        which ends it.  Raises as qp_solve.
         """
         problem, split = self.problem, self.split
         if not problem.has_constraints():
             return problem.factor.solve(problem.r), SolverReport(iterations=0)
+        guess = problem.factor.active_sets.get(split.key)
         with np.errstate(over="ignore", invalid="ignore"):
-            x, z, report = admm_solve(self.admm, np.zeros(problem.n), cfg=self.cfg)
+            x = None if guess is None else _settle_on(problem, split, *guess)
+            if x is not None:
+                return x, SolverReport(polished=True)
+            x, z, report = admm_solve(self._admm(), np.zeros(problem.n),
+                                      cfg=self.cfg or default_qp_config(problem))
         if report.polished:
             return x, report
         if report.status == INFEASIBLE:
@@ -445,9 +489,11 @@ class _Bridge:
 def qp_solve(problem, cfg=None, return_report=False):
     """Solve a QpProblem; returns the weights (and a report on request).
 
-    ADMM runs on the clipped split from x = 0 until a polish is accepted
-    or the residuals meet cfg's tolerances; the answer is then the
-    polished point (report.polished) or the box block of z.  Raises
+    A polish from the active set last accepted on the same Q and rows
+    comes first (report.iterations = 0).  Otherwise ADMM runs on the
+    clipped split from x = 0 until a polish is accepted or the residuals
+    meet cfg's tolerances; the answer is then the polished point
+    (report.polished) or the box block of z.  Raises
     MaxIterExceeded when ADMM hits its iteration cap and
     InfeasibleSuspected when the dual iterates certify an empty feasible
     set or the iterates diverge.  Every returned answer's report carries

@@ -30,7 +30,7 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
         assert row["exit_code"] == 0 and 0.0 < row["seconds"] < 60.0
         assert 0.0 < row["fresh_s"] < 60.0  # import included
     cases = {(row["case"], row["n"]): row for row in result["cases"]}
-    assert len(cases) == 24 and len([key for key in cases if key[1] == 8]) == 22
+    assert len(cases) == 25 and len([key for key in cases if key[1] == 8]) == 23
     # --extra ran the two matching cases at n = 12, and nothing else
     assert {key for key in cases if key[1] != 8} == {
         ("risk_budgeting stdev admm", 12), ("risk_budgeting vol admm", 12)}
@@ -41,5 +41,7 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     # the volatility target runs the GMV's bridge solve, then walks the critical line
     assert cases["mvo_target vol 1.1x gmv", 8]["admm"] == [[1, True]]
     assert cases["erc", 8]["admm"] == []  # coordinate descent: no ADMM solve
+    # a book's first account runs ADMM; the seven after it polish from its active set
+    assert [done for _, done in cases["mvo_gamma sector book x8", 8]["admm"]] == [True]
     # the ADMM engine's polish certifies its start, before any ADMM iteration
     assert cases["risk_budgeting vol admm", 12]["admm"] == []

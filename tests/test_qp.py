@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxalloc import data, qp
+from proxalloc import data, portfolios, qp
 from proxalloc.admm import AdmmConfig
 from proxalloc.errors import (
     DimensionMismatch,
@@ -17,7 +17,7 @@ from proxalloc.errors import (
     MaxIterExceeded,
     NotPositiveDefinite,
 )
-from proxalloc.linalg import PenaltyFactor, solve_spd
+from proxalloc.linalg import CACHE_ENTRIES, PenaltyFactor, solve_spd
 from proxalloc.qp import (
     POLISH_TOL,
     QpProblem,
@@ -468,6 +468,105 @@ class TestSettle:
             assert np.all(np.isfinite(x))
             assert budget_box_kkt_gap(q, r, upper, x) <= 0.0
             assert np.max(np.abs(x - best)) <= 1e-9
+
+
+def sector_book(n, seed=0):
+    """A universe and its sector-capped budget QP: k = 3 sectors of every
+    third asset, each capped at ``cap``, and asset caps of 0.25."""
+    universe = perfbench_universe().factor_universe(np.random.default_rng(seed), n)
+    sectors = np.vstack([np.arange(n) % 3 == k for k in range(3)]).astype(float)
+
+    def problem(gamma, cap=0.45):
+        return QpProblem(q=universe.factor, r=gamma * universe.mu, a=np.ones((1, n)), b=np.ones(1),
+                         c=sectors, d=np.full(3, cap), lower=np.zeros(n),
+                         upper=np.full(n, 0.25))
+
+    return universe, sectors, problem
+
+
+def cold_solve(n, gamma, cap=0.45, seed=0):
+    """The bridge's answer on a fresh copy of sector_book's universe."""
+    _, _, problem = sector_book(n, seed)
+    return _Bridge(problem(gamma, cap)).solve()[0]
+
+
+@pytest.fixture
+def admm_calls(monkeypatch):
+    """The reports of the bridge's ADMM solves, in call order."""
+    reports, real = [], qp.admm_solve
+
+    def spy(*args, **kwargs):
+        x, z, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, z, report
+
+    monkeypatch.setattr(qp, "admm_solve", spy)
+    return reports
+
+
+class TestWarmPolish:
+    """A bridge QP on a PenaltyFactor that keeps an active set for its rows
+    and bounds polishes from it before any ADMM iteration."""
+
+    def test_a_second_account_on_the_universe_runs_no_admm(self, admm_calls):
+        n = 12
+        cold = {gamma: cold_solve(n, gamma) for gamma in (0.2, 0.15)}
+        admm_calls.clear()
+        u, sectors, problem = sector_book(n)
+        box = dict(lower=np.zeros(n), upper=np.full(n, 0.25), ineq=(sectors, np.full(3, 0.45)))
+        portfolios.mvo_gamma(u, 0.1, **box)
+        assert len(admm_calls) == 1 and admm_calls[0].iterations >= 1  # the first is cold
+        w = portfolios.mvo_gamma(u, 0.2, **box).w
+        assert len(admm_calls) == 1  # the second ran no ADMM
+        assert np.max(np.abs(w - cold[0.2])) <= 1e-12
+        x, report = _Bridge(problem(0.15)).solve()
+        assert report.polished and report.iterations == 0 and len(admm_calls) == 1
+        assert np.max(np.abs(x - cold[0.15])) <= 1e-12
+
+    def test_a_guess_that_fails_falls_back_to_admm(self, admm_calls):
+        # at n = 30 the active set of gamma = 10 is more than POLISH_ROUNDS
+        # corrections away from that of gamma = 0
+        n = 30
+        u, _, problem = sector_book(n)
+        _Bridge(problem(10.0)).solve()
+        assert len(u.factor.active_sets) == 1
+        x, report = _Bridge(problem(0.0)).solve()
+        assert len(admm_calls) == 2 and report.iterations >= 1 and report.polished
+        assert np.array_equal(x, cold_solve(n, 0.0))
+
+    def test_other_caps_get_no_warm_try(self, monkeypatch, admm_calls):
+        n = 12
+        u, _, problem = sector_book(n)
+        _Bridge(problem(0.1)).solve()
+        tries, real = [], qp._settle_on
+        monkeypatch.setattr(qp, "_settle_on", lambda *args: tries.append(args) or real(*args))
+        x, report = _Bridge(problem(0.1, cap=0.4)).solve()
+        assert report.iterations >= 1 and len(admm_calls) == 2
+        # every _settle_on call came from ADMM's polish, none from an active set kept
+        assert len(tries) == report.iterations.bit_length()
+        assert np.array_equal(x, cold_solve(n, 0.1, cap=0.4))
+        assert len(u.factor.active_sets) == 2
+
+    def test_the_memo_stays_bounded(self):
+        n = 12
+        u, _, problem = sector_book(n)
+        caps = np.linspace(0.4, 0.6, CACHE_ENTRIES + 3)
+        for cap in caps:
+            _Bridge(problem(0.1, cap)).solve()
+        assert len(u.factor.active_sets) == CACHE_ENTRIES
+        newest = qp._ClippedSplit(problem(0.1, caps[-1])).key
+        oldest = qp._ClippedSplit(problem(0.1, caps[0])).key
+        assert list(u.factor.active_sets)[-1] == newest and oldest not in u.factor.active_sets
+
+    @settings(max_examples=15, deadline=None)
+    @given(accounts=st.lists(st.tuples(st.floats(0.0, 2.0), st.sampled_from([0.4, 0.45, 0.6])),
+                             min_size=2, max_size=6))
+    def test_a_book_matches_fresh_universe_cold_solves(self, accounts):
+        n = 12
+        _, _, problem = sector_book(n)
+        for gamma, cap in accounts:
+            x = _Bridge(problem(gamma, cap)).solve()[0]
+            assert np.max(np.abs(x - cold_solve(n, gamma, cap))) <= 1e-10
 
 
 def return_floor_qp(floor):

@@ -3,18 +3,20 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_sweep.py [--sizes 8 100 500]
         [--extra N PATTERN] [--label LABEL] [--out DIR]
 
-Each case solves one model on perfbench/universe.py's seeded
-factor_universe(default_rng(0), n), imported read-only.  "GMV" is the
-long-only minimum variance and "EW" equal weights, used as benchmark,
-reference, holdings or budgets.  A universe caches its penalty factors
-and its eigendecomposition, so every timed run is cold: it gets a fresh
+Each case solves one model (the book case, eight accounts of one model)
+on perfbench/universe.py's seeded factor_universe(default_rng(0), n),
+imported read-only.  "GMV" is the long-only minimum variance and "EW"
+equal weights, used as benchmark, reference, holdings or budgets.  A
+universe caches its penalty factors, its bridge active sets and its
+eigendecomposition, so every timed run is cold: it gets a fresh
 universe, built outside the timer, that no earlier run, case or input
 computation has touched, and the inputs (the GMV, its volatility, the
 stdev scale xi) are computed on a separate copy with the same seed.  A
 case's time is the best of REPEAT (3) runs; its ADMM solves are read
 from a spy on admm_solve in portfolios and qp, one (iterations,
 polished) pair per solve in call order, and its weights are kept as a
-SHA-256 of their bytes, so two files show bit-identical answers.  A case
+SHA-256 of their bytes (a book's weights concatenated), so two files
+show bit-identical answers.  A case
 that raises is recorded with its error, never dropped.  Every case runs
 at each of --sizes; each --extra N PATTERN also runs, at size N, the
 cases whose name matches the glob PATTERN (``--extra 2000
@@ -88,6 +90,9 @@ def cases(universe_module, n):
     robo = RoboConfig(benchmark=ew, reference=ew, current=ew, gamma=0.1, l1_current=0.002,
                       l2_reference=0.3, barrier=0.01, risk_budgets=ew)
     xi = universe_module.well_posed_xi(inputs)
+    k = max(2, n // 10)  # sectors of every k-th asset, each capped at 1.5 / k
+    sectors = (np.arange(n) % k == np.arange(k)[:, None]).astype(float)
+    book = dict(box, ineq=(sectors, np.full(k, 1.5 / k)))
     return {
         "risk_budgeting stdev admm": lambda u: portfolios.risk_budgeting(
             u, np.ones(n), StdevRisk(xi), engine="admm"),
@@ -120,6 +125,10 @@ def cases(universe_module, n):
             u, ew, cost_scale=1.0, bid_cost=0.002, ask_cost=0.002, turnover_cap=0.3),
         "erc": lambda u: portfolios.erc(u),
         "mvo_costs 10bp": lambda u: portfolios.mvo_costs(u, 0.1, ew, 0.001, 0.001),
+        # eight accounts on one universe and rows: the first solve runs ADMM, and
+        # each later one polishes first from the active set the last one ended on
+        "mvo_gamma sector book x8": lambda u: [portfolios.mvo_gamma(u, gamma, **book)
+                                               for gamma in np.linspace(0.1, 0.25, 8)],
     }
 
 
@@ -157,7 +166,8 @@ def run_case(solve, fresh):
                 return {"error": f"{type(exc).__name__}: {exc}"}
             best = min(best, time.perf_counter() - start)
     w = answer[0] if isinstance(answer, tuple) else answer
-    digest = hashlib.sha256(np.ascontiguousarray(w.w).tobytes()).hexdigest()
+    w = np.concatenate([p.w for p in w]) if isinstance(w, list) else w.w  # a book's accounts
+    digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
     return {"wall_s": best, "admm": spy.solves, "weights_sha256": digest}
 
 
