@@ -174,11 +174,13 @@ class SupportFactor:
     row and G's last column c, and with d = c_last every row i of the
     tableau loses c_i / d times the last row, so G becomes G - c c' / d and
     G U_F its value on the names left.  That is one BLAS rank-one update
-    (dger), O(k (k + c)) with no copy of the tableau.  A support that a
-    name joins is inverted afresh by ``refactor``: names leave
-    index_sampling's support every round, and no account of the benchmark
-    or of the sweep has one rejoin, so an O(k^2) bordered append would
-    save nothing measured.  scipy's kernels bind on first use.
+    (dger), O(k (k + c)) with no copy of the tableau.  ``join`` borders G
+    with one name j at the same cost: with g = G m_Fj and the Schur
+    complement s = m_jj - m_Fj'g, G gains g g' / s and the border -g / s,
+    1 / s, which the critical-line walk of portfolios takes at every name
+    whose multiplier turns.  index_sampling's supports only shrink between
+    rounds, and a round that frees names inverts afresh.  scipy's kernels
+    bind on first use.
     """
 
     def __init__(self, m, support, rhs=None):
@@ -234,6 +236,28 @@ class SupportFactor:
                 _scipy.dger(scale, col, t[last, :c + last], a=t[:, :c + last], overwrite_a=1)
             k = last
         self.support = support[:k]
+
+    def join(self, j):
+        """Add name j to F by bordering G, O(k (k + c)).
+
+        A Schur complement s at or below the Cholesky pivot gate (1e-14
+        times M's largest diagonal entry: j copies names of F) raises
+        NotPositiveDefinite and leaves the object as it was.
+        """
+        t, support, c, k = self.t, self.support, self.rhs.shape[1], self.support.size
+        col = self.m[support, j]
+        g = t[:k, c:c + k].dot(col)
+        s = self.m[j, j] - col.dot(g)
+        if s <= 1e-14 * self.m.diagonal().max():
+            raise NotPositiveDefinite(f"name {j} joins a singular block")
+        w = (self.rhs[j] - col.dot(t[:k, :c])) / s
+        if k == t.shape[0]:  # no spare row: double the tableau, in Fortran order for remove
+            grown = np.empty((2 * k + 1, c + 2 * k + 1), order="F")
+            grown[:k, :c + k] = t[:k, :c + k]
+            self.t = t = grown
+        t[:k, :c + k] += np.outer(g, np.concatenate([-w, g / s]))
+        t[k, :c], t[k, c:c + k], t[:k, c + k], t[k, c + k] = w, -g / s, -g / s, 1.0 / s
+        self.support = np.append(support, j)
 
 
 CACHE_ENTRIES = 4  # entries of each PenaltyFactor cache; the oldest goes first

@@ -1,9 +1,9 @@
 """Allocation models assembled from the CCD / ADMM / Dykstra engines.
 
-Mean-variance, its cost/tracking variants and return targets, the
-floor-free most-diversified portfolio and the Rao-entropy maximum stay
-quadratic programs, and a volatility target walks Markowitz's critical
-line up from the minimum variance, a finite method; turnover-capped
+Mean-variance, its cost/tracking variants, the floor-free
+most-diversified portfolio and the Rao-entropy maximum stay quadratic
+programs, and a return or volatility target walks Markowitz's critical
+line down from the frontier's top, a finite method; turnover-capped
 mean-variance, minimum variance and the most-diversified portfolio under
 diversification floors, risk budgeting, KL portfolios and the composite
 managed-account objective are solved by splitting: a smooth x-subproblem
@@ -429,52 +429,132 @@ def _max_return_face(mu, lower, upper):
         np.where(mu < edge, lower, upper)
 
 
-def _critical_line(cov, mu, low, high, start, target):
-    """The most return at volatility ``target`` on the budget set, walked up
-    Markowitz's critical line from ``start``, the minimum variance.
+def _frontier_top(quad, vertex, face_low, face_high):
+    """The top of the frontier: the least variance on the face where mu'x
+    peaks (``_max_return_face``), its vertex unless names tie there.  Then
+    it is the minimum variance on the face's bounds: ``_critical_line``
+    walked to t = 0 from the face's vertex under a return that unties it
+    (the names' order), or one bridge solve on ``quad`` when nothing
+    bounds the face from above and below."""
+    if np.sum(face_low < face_high) > 1:
+        untie = -np.arange(vertex.size, dtype=float)
+        start = _max_return_face(untie, face_low, face_high)[1]
+        if start is None:
+            return _solve_budget_qp(quad, np.zeros(vertex.size), face_low, face_high)
+        return _critical_line(quad.q, untie, face_low, face_high, start, False, {})[0]
+    return vertex
 
-    The optimum of min 0.5 x'cov x - t mu'x on the budget and the box is
-    piecewise linear in t (Markowitz 1956; Niedermayer & Niedermayer 2010):
-    x(t) = base + t step from one solve with the free block cov_FF (the
-    least-norm one when it is singular), until a free name reaches a bound
-    or a bound name's multiplier changes sign.  The walk stops on the piece
-    whose variance, quadratic in t, reaches target^2.  Names within 1e-12
-    (relative) of a bound start at it; at a vertex the capped name with the
-    largest (cov x)_i is freed.  Raises MaxIterExceeded after 4 n pieces.
+
+def _line_start(cov, mu, low, high, start, up):
+    """The inverse held on the free names at ``start``, the bound names'
+    values (0 for a free name) and their sides (1 at a floor, -1 at a cap,
+    0 free or fixed).
+
+    Names within 1e-12 (relative) of a bound start at it.  At a vertex the
+    capped name whose multiplier is largest as the walk starts is freed:
+    at t = 0 the one with the largest (cov x)_i, at t = inf the one with
+    the smallest mu_i, ties to the largest (cov x)_i; with no capped name,
+    the floored one whose multiplier is smallest.  A free name whose
+    join the pivot gate refuses copies free names: it keeps its start
+    value and never joins.  From a vertex, or from a face's minimum walked
+    by ``_frontier_top``, no copy starts free.
     """
-    n = mu.size
     slack = 1e-12 * (1.0 + np.abs(start))
     at_low, at_high = start <= low + slack, start >= high - slack
     if (at_low | at_high).all():
-        at_high[np.argmax(np.where(at_high, cov @ start, -np.inf))] = False
-    for _ in range(4 * n):
-        free = ~(at_low | at_high)
-        fixed = np.where(at_low, low, np.where(at_high, high, 0.0))
-        block = cov[np.ix_(free, free)]
-        rhs = np.column_stack([mu[free], np.ones(free.sum()), (cov @ fixed)[free]])
+        sign = np.where(at_high, 1.0, -1.0)
+        order = np.lexsort((-sign * cov.dot(start), sign * mu * (not up), ~at_high))
+        k = order[(at_low ^ at_high)[order]][0]  # not a fixed name
+        at_low[k] = at_high[k] = False
+    fixed = np.where(at_low, low, np.where(at_high, high, start))
+    names = np.flatnonzero(~(at_low | at_high))
+    held = SupportFactor(cov, names[:1], np.column_stack([mu, np.ones(mu.size)]))
+    for j in names[1:]:
         try:
-            cholesky_lower(block, check=False)  # the pivot test of a singular block
-            a, e, d = np.linalg.solve(block, rhs).T
-        except NotPositiveDefinite:
-            a, e, d = np.linalg.lstsq(block, rhs, rcond=None)[0].T
-        nu, slope = (1.0 - fixed.sum() + d.sum()) / e.sum(), a.sum() / e.sum()
-        base, step = fixed.copy(), np.zeros(n)  # 1'x = 1 for every t
-        base[free] = nu * e - d
-        step[free] = a - slope * e
-        cov_step, cov_base = cov @ step, cov @ base
-        a2, a1, a0 = step @ cov_step, step @ cov_base, base @ cov_base - target**2
-        with np.errstate(all="ignore"):  # a step or multiplier slope of 0: no event
-            root = (np.sqrt(a1 * a1 - a2 * a0) - a1) / a2
-            hits = np.where(step < 0.0, low - base, high - base) / step
-            turn = cov_step - mu + slope  # d/dt of the multipliers (cov x)_i - t mu_i - nu
-            turns = (nu - cov_base) / turn
-        events = np.where(free & (step != 0.0), hits, np.where(
-            at_low & (turn < 0.0) | at_high & (turn > 0.0), turns, np.inf))
-        k = int(np.argmin(events))  # an event already passed is taken at once
-        if root <= events[k]:
-            return base + root * step
-        at_low[k], at_high[k] = free[k] and step[k] < 0.0, free[k] and step[k] > 0.0
-    raise MaxIterExceeded(f"mvo_target's critical line ran {4 * n} pieces below the target")
+            held.join(j)
+        except NotPositiveDefinite:  # a copy: it keeps its start value
+            pass
+    fixed[held.support] = 0.0
+    return held, fixed, at_low - at_high * 1.0
+
+
+def _critical_line(cov, mu, low, high, start, up, targets):
+    """Walk Markowitz's critical line from ``start`` to its first stop: where
+    mu'x reaches ``targets["return"]``, where x'cov x reaches
+    ``targets["variance"]`` (either key may be absent), or at t = 0, the
+    minimum variance.
+
+    The optimum of min 0.5 x'cov x - t mu'x on the budget and the box is
+    piecewise linear in t (Markowitz 1956; Niedermayer & Niedermayer 2010).
+    ``start`` is the frontier's top (t = inf), walked down, or with ``up``
+    the minimum variance (t = 0), walked up; ``_line_start`` reads its
+    bounds.  On a piece x_F = t a + nu e - d on the free names F, with
+    a, e = G mu_F, G 1 held in a linalg.SupportFactor (G = cov_FF^-1),
+    d = G (cov x_B)_F for the bound names' values and nu from the budget.
+    A piece ends where a free name reaches a bound (a Schur delete) or a
+    bound name's multiplier (cov x)_i - t mu_i - nu changes sign (a
+    bordered join).  A multiplier slope within 1e-12 (relative) of 0 is no
+    event, and a join that the pivot gate refuses keeps the name at its
+    bound: a name that copies a free one has a multiplier of 0 all along.
+    Each target is checked at the piece's end (mu'x is linear in t, x'cov x
+    quadratic) and solved on the first piece that reaches it.  Returns
+    (x, stop), stop "return", "variance" or None at t = 0.  Raises
+    MaxIterExceeded after 4 n pieces.
+    """
+    n, way, end = mu.size, (1.0 if up else -1.0), (np.inf if up else 0.0)  # end: way t
+    with np.errstate(all="ignore"):  # a step or multiplier slope of 0: no event
+        held, fixed, side = _line_start(cov, mu, low, high, start, up)
+        cov_fixed, t_from, scale = cov.dot(fixed), (0.0 if up else np.inf), np.abs(mu).max()
+        for _ in range(4 * n):
+            f = held.support
+            a, e = held.solved.T
+            d = held.solve(cov_fixed[f])
+            nu, slope = (1.0 - fixed.sum() + d.sum()) / e.sum(), a.sum() / e.sum()
+            base, step = fixed.copy(), a - slope * e  # x = base + t step, step on F
+            base[f] = nu * e - d
+            rows = cov[f]
+            cov_base, cov_step = cov_fixed + base[f].dot(rows), step.dot(rows)
+            turn = way * (cov_step - mu + slope)  # the multipliers' slope along the walk
+            tau = np.where(side * turn < -1e-12 * (scale + abs(slope)), (nu - cov_base) / turn,
+                           np.inf)  # each event's way t
+            move = way * step
+            tau[f] = np.where(move != 0.0, (np.where(move < 0.0, low[f], high[f]) - base[f])
+                              / move, np.inf)
+            quads = {"variance": (step.dot(cov_step[f]), step.dot(cov_base[f]),  # (a, b, c):
+                                  base.dot(cov_base)),  # a t^2 + 2 b t + c
+                     "return": (0.0, 0.5 * mu[f].dot(step), mu.dot(base))}
+            while True:  # an event already passed is taken at once
+                k = int(np.argmin(tau))
+                t_to = way * min(tau[k], end)
+                lo, hi = sorted((t_to, t_from if np.isfinite(t_from) else t_to))
+                inside = lambda t: t_to if np.isnan(t) else min(max(t, lo), hi)
+                stops = []  # each target the piece reaches by its end, at the larger root
+                for stop, goal in targets.items():
+                    a2, a1, a0 = quads[stop]
+                    a0 -= goal
+                    if np.isinf(t_to) or way * (a0 + t_to * (2.0 * a1 + a2 * t_to)) >= 0.0:
+                        stops.append((inside(-a0 / (a1 + np.sqrt(a1 * a1 - a2 * a0))), stop))
+                if stops:  # the first target the piece reaches
+                    t, stop = min(stops, key=lambda item: way * item[0])
+                    base[f] += t * step
+                    return base, stop
+                if tau[k] >= end:
+                    return base, None
+                if side[k] == 0.0:  # a free name reaches a bound
+                    side[k], fixed[k] = (1.0, low[k]) if move[f == k][0] < 0.0 else (-1.0, high[k])
+                    cov_fixed += fixed[k] * cov[k]
+                    held.remove(f == k)
+                    break
+                try:
+                    held.join(k)
+                except NotPositiveDefinite:
+                    tau[k] = np.inf
+                    continue
+                cov_fixed -= fixed[k] * cov[k]
+                fixed[k], side[k] = 0.0, 0.0
+                break
+            t_from = t_to
+    raise MaxIterExceeded(f"the critical line ran {4 * n} pieces")
 
 
 def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
@@ -482,59 +562,48 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     """The frontier portfolio at a return or volatility target.
 
     The frontier runs from the minimum variance (GMV) to its top, the least
-    variance on the face where mu'x peaks (``_max_return_face``: its
-    vertex, or one bridge solve when names tie there).  A target past an
-    end raises TargetUnreachable with that end as ``last`` (the vertex,
-    for a return above the top); one at an end returns it.  A return
-    target is one QP, the minimum variance under the row
-    -mu'x <= -target_return (left out when nothing in the box returns
-    less); a row left slack by 1e-6 puts the target below the GMV.  A
-    volatility target v, max mu'x on the budget, the box and x'cov x <=
-    v^2, is one bridge solve for the GMV and one ``_critical_line`` walk.
+    variance on the face where mu'x peaks (``_frontier_top``: its vertex,
+    or a walk on the face when names tie there).  A target past an end
+    raises TargetUnreachable with that end as ``last`` (the vertex, for a
+    return above the top); one at an end, or past the GMV by at most 1e-6,
+    returns it.  Otherwise ``_critical_line`` walks down from the top to
+    where mu'x, or the variance, falls to the target, and ends at the GMV
+    for a target below the line.  With no top (a capless name returns more
+    than a floorless one) the GMV is one bridge solve, and the walk goes up
+    from it.
     """
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
-    n, cov, mu, quad = universe.n, universe.cov, universe.mu, universe.factor
+    n, cov, mu = universe.n, universe.cov, universe.mu
     long_only = lower is not None and np.all(np.asarray(lower) >= 0)
     low, high = _bound(lower, -np.inf, n, "lower"), _bound(upper, np.inf, n, "upper")
     top, vertex, face_low, face_high = _max_return_face(mu, low, high)
-    if np.isfinite(top) and np.sum(face_low < face_high) > 1:
-        top_w = lambda: _gate(_solve_budget_qp(quad, np.zeros(n), face_low, face_high), long_only)
-    else:
-        top_w = lambda: _gate(vertex, long_only)  # the face is one point
     if target_return is not None:
-        if target_return > top + POLISH_TOL:
-            raise TargetUnreachable(f"target {target_return} above the maximum {top:.6g}",
-                                    last=vertex)
-        if target_return >= top:
-            return top_w()
-        row = (-mu[None, :], np.array([-float(target_return)]))
-        if target_return <= -_max_return_face(-mu, low, high)[0]:
-            row = (None, None)  # it cannot bind, and a constant mu makes it degenerate
-        try:
-            w = _gate(_solve_budget_qp(quad, np.zeros(n), lower, upper, *row), long_only)
-        except InfeasibleSuspected as exc:
-            raise TargetUnreachable(f"target {target_return} above the reachable return",
-                                    last=vertex) from exc
-        if w.w @ mu > target_return + 1e-6:
-            raise TargetUnreachable(f"target {target_return} below the minimum "
-                                    f"{w.w @ mu:.6g}", last=w.w)
-        return w
-    target = float(target_volatility)
+        target = float(target_return)
+        targets, value = {"return": target}, lambda w: stats(w, universe).expected_return
+        if target > top + POLISH_TOL:
+            raise TargetUnreachable(f"target {target} above the maximum {top:.6g}", last=vertex)
+    else:
+        target = float(target_volatility)
+        targets, value = {"variance": target**2}, lambda w: stats(w, universe).volatility
     if np.isfinite(top):
-        peak = top_w()
-        vol = stats(peak, universe).volatility
-        if target > vol + 1e-6:
-            raise TargetUnreachable(f"target {target} above the maximum {vol:.6g}", last=peak.w)
-        if target >= vol:
+        start = _frontier_top(universe.factor, vertex, face_low, face_high)
+        peak = _gate(start, long_only)
+        most = value(peak)
+        if target > most + 1e-6:
+            raise TargetUnreachable(f"target {target} above the maximum {most:.6g}", last=peak.w)
+        if target >= most:
             return peak
-    gmv = _gate(_solve_budget_qp(quad, np.zeros(n), lower, upper), long_only)
-    vol = stats(gmv, universe).volatility
-    if target < vol - 1e-6:
-        raise TargetUnreachable(f"target {target} below the minimum {vol:.6g}", last=gmv.w)
-    if target <= vol:
-        return gmv
-    return _gate(_critical_line(cov, mu, low, high, gmv.w, target), long_only)
+        x, reached = _critical_line(cov, mu, low, high, start, False, targets)
+    else:
+        gmv = _gate(_solve_budget_qp(universe.factor, np.zeros(n), lower, upper), long_only)
+        x, reached = gmv.w, None
+        if value(gmv) < target:
+            x, reached = _critical_line(cov, mu, low, high, gmv.w, True, targets)
+    w = _gate(x, long_only)
+    if reached is None and target < value(w) - 1e-6:
+        raise TargetUnreachable(f"target {target} below the minimum {value(w):.6g}", last=w.w)
+    return w
 
 
 def index_sampling(universe, benchmark, n_assets, cfg=None):
@@ -659,13 +728,13 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
 
     A 3n-variable QP in (x, buys, sells) with x = current + buys - sells;
     the financing identity sum x + sells'bid + buys'ask = 1 replaces the
-    plain budget row.
+    plain budget row.  A negative bid or ask cost raises NegativeCost.
     """
     n = universe.n
     current = _asset_vector(current, n, "current")
     bid, ask = _fit(bid_cost, n, "bid cost"), _fit(ask_cost, n, "ask cost")
     if np.any(bid < 0) or np.any(ask < 0):
-        raise ValueError("costs must be nonnegative")
+        raise NegativeCost("transaction costs must be nonnegative")
     q = np.zeros((3 * n, 3 * n))
     q[:n, :n] = universe.cov
     # minimum-norm ridge on the trade blocks: selects the complementary
@@ -1624,10 +1693,13 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     tilt is the answer, since it solves the problem without the cap, and
     ``cfg`` is unused.  A return target above the largest expected return
     raises InfeasibleTargets with that asset as ``last``.  A cap that the
-    tilt breaks is checked against its floor, the minimum variance over
-    the long-only budget set and the return row, one QP on the bridge; a
-    cap below it raises InfeasibleTargets with that portfolio as
-    ``last``.  Otherwise the cap binds and the split is consensus ADMM:
+    tilt breaks is checked on the long-only critical line
+    (``_critical_line``), walked down from the top to the first of the
+    cap, the return row and the minimum variance: a cap the walk reaches
+    is met, and otherwise the walk ends at the floor, the minimum variance
+    over the long-only budget set and the return row; a cap below it
+    raises InfeasibleTargets with that portfolio as ``last``.  Otherwise
+    the cap binds and the split is consensus ADMM:
     the x-update is the KL prox, and the budget plane, the return
     half-space and the volatility ellipsoid get one y-block each.  The
     long-only box needs no block: the KL prox returns positive weights,
@@ -1650,17 +1722,21 @@ def kl_portfolio(universe, reference, target_return=None, max_volatility=None,
     tilt = _kl_tilt(universe.mu, reference, target_return)
     if max_volatility is None or np.sqrt(tilt @ universe.cov @ tilt) <= max_volatility:
         return _gate(tilt)
+    low, high = np.zeros(n), np.ones(n)
+    top = _frontier_top(universe.factor, *_max_return_face(universe.mu, low, high)[1:])
+    targets = {"variance": float(max_volatility) ** 2, "return": target_return}  # a tie: the cap
+    floor, stop = _critical_line(universe.cov, universe.mu, low, high, top, False,
+                                 {k: v for k, v in targets.items() if v is not None})
+    floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
+    if stop != "variance" and max_volatility < floor_vol - 1e-6:
+        raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
+                                f"{floor_vol:.6g}", last=floor)
     blocks = [_projection(Hyperplane(np.ones(n), 1.0), n)]
     rows, rhs = np.zeros((0, n)), np.zeros(0)  # the return row, when it can bind
     # at or below the smallest expected return the target is vacuous
     if target_return is not None and target_return > np.min(universe.mu):
         rows, rhs = -universe.mu[None, :], np.array([-float(target_return)])
         blocks.append(_projection(Halfspace(rows[0], rhs[0]), n))
-    floor = _solve_budget_qp(universe.factor, np.zeros(n), np.zeros(n), np.ones(n), rows, rhs)
-    floor_vol = float(np.sqrt(floor @ universe.cov @ floor))
-    if max_volatility < floor_vol - 1e-6:
-        raise InfeasibleTargets(f"volatility cap {max_volatility} below the minimum "
-                                f"{floor_vol:.6g}", last=floor)
     ball = _volatility_ball_projection(universe.spectrum, max_volatility)
     blocks.append(lambda phi: ball)
 

@@ -53,3 +53,28 @@ def test_equal_files_print_the_summary_alone(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "2 rows in both files: 0 differ in weights, 0 differ in ADMM solves, "
         "0 differ in error; 0 only in OLD, 0 only in NEW"]
+
+
+def test_reports_a_residual_that_passes_in_old_and_fails_in_new(tmp_path, capsys):
+    def checked(case, residual, **kwargs):
+        return {**row(case, 8, **kwargs), "kkt_residual": residual, "kkt_gate": 1e-9}
+
+    old = sweep_file(tmp_path / "old.json", [
+        checked("gmv", 1e-15), checked("mvo_target a", 1e-15), checked("mvo_target b", 1e-6),
+        checked("mvo_target c", 1e-15), row("erc", 8)])
+    new = sweep_file(tmp_path / "new.json", [
+        checked("gmv", 2e-9, sha="b" * 64),  # the hash moved too
+        checked("mvo_target a", 1e-12),  # still within its gate
+        checked("mvo_target b", 1e-5),  # failed in OLD already
+        {"case": "mvo_target c", "n": 8, "error": "TargetUnreachable: x"},
+        row("erc", 8)])
+    assert bench_diff().main([old, new]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"gmv n=8: weights {'a' * 64} -> {'b' * 64}",
+        "gmv n=8: KKT residual 1e-15 passes its gate 1e-09 in OLD, 2e-09 fails it in NEW",
+        f"mvo_target c n=8: weights {'a' * 64} -> None",
+        "mvo_target c n=8: ADMM solves [[1, True]] -> None",
+        "mvo_target c n=8: error None -> TargetUnreachable: x",
+        "mvo_target c n=8: KKT residual 1e-15 passes its gate 1e-09 in OLD, None fails it in NEW",
+        "5 rows in both files: 2 differ in weights, 1 differ in ADMM solves, "
+        "1 differ in error; 0 only in OLD, 0 only in NEW"]

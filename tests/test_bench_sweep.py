@@ -37,11 +37,33 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     for name, row in cases.items():
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64
+        assert row["scaled_s"] > 0.0 and row["budget_gap"] <= 1e-2 and row["box_gap"] <= 1e-9
+        # the gmv and mvo_target rows meet their KKT gate; no other row has one
+        if name[0] == "gmv" or name[0].startswith("mvo_target"):
+            assert row["kkt_residual"] <= row["kkt_gate"], (name, row)
+        else:
+            assert "kkt_residual" not in row
         assert all(isinstance(it, int) and isinstance(done, bool) for it, done in row["admm"])
-    # the volatility target runs the GMV's bridge solve, then walks the critical line
-    assert cases["mvo_target vol 1.1x gmv", 8]["admm"] == [[1, True]]
+    # the volatility target walks the critical line down from the frontier's top: no ADMM
+    assert cases["mvo_target vol 1.1x gmv", 8]["admm"] == []
     assert cases["erc", 8]["admm"] == []  # coordinate descent: no ADMM solve
     # a book's first account runs ADMM; the seven after it polish from its active set
     assert [done for _, done in cases["mvo_gamma sector book x8", 8]["admm"]] == [True]
     # the ADMM engine's polish certifies its start, before any ADMM iteration
     assert cases["risk_budgeting vol admm", 12]["admm"] == []
+
+
+def test_frontier_residual_passes_frontier_points_and_flags_others():
+    import numpy as np
+
+    from proxalloc import portfolios
+
+    tool = bench_sweep()
+    u = tool.universe(tool._perfbench("universe"), 30)
+    box = dict(lower=np.zeros(30), upper=np.ones(30))
+    gmv = portfolios.mvo_gamma(u, 0.0, **box).w
+    point = portfolios.mvo_target(u, target_return=float(np.percentile(u.mu, 70)), **box).w
+    assert tool.frontier_residual(u, gmv, fit_t=False) <= 1e-9
+    assert tool.frontier_residual(u, point, fit_t=True) <= 1e-9
+    assert tool.frontier_residual(u, point, fit_t=False) > 1e-4  # not the GMV: t > 0
+    assert tool.frontier_residual(u, np.full(30, 1.0 / 30), fit_t=True) > 1e-4

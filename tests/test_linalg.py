@@ -94,6 +94,32 @@ class TestSupportFactor:
         assert sorted(held.support) == [0, 1, 2, 6, 7, 8, 9, 10]
         assert_fresh()
 
+    def test_joins_mixed_with_deletes_match_a_fresh_inverse(self):
+        rng = np.random.default_rng(4)
+        m = random_spd(rng, 12)
+        u = rng.standard_normal((12, 2))
+        held = SupportFactor(m, [5], u)  # one name: the first joins grow the tableau
+        for name in (3, 9, 0, 9, 11, 5, 7, 2, 5, 3, 0, 10):  # joins, and deletes of members
+            if name in held.support:
+                held.remove(held.support == name)
+            else:
+                held.join(name)
+            f = held.support
+            block = m[np.ix_(f, f)]
+            assert np.max(np.abs(held.solve(np.eye(f.size)) @ block - np.eye(f.size))) <= 1e-12
+            assert np.allclose(held.solved, np.linalg.solve(block, u[f]), rtol=0, atol=1e-12)
+        assert sorted(held.support) == [2, 5, 7, 10, 11]
+
+    def test_refused_join_leaves_the_tableau(self):
+        copy = [0, 1, 2, 0]  # asset 3 copies asset 0
+        m = random_spd(np.random.default_rng(6), 3)[np.ix_(copy, copy)]
+        held = SupportFactor(m, [1, 0], np.ones((4, 1)))
+        held.join(2)
+        t, support = held.t.copy(), held.support.copy()
+        with pytest.raises(NotPositiveDefinite):
+            held.join(3)
+        assert np.array_equal(held.support, support) and np.array_equal(held.t, t)
+
     def test_deleting_every_name_leaves_an_empty_support(self):
         m = random_spd(np.random.default_rng(3), 4)
         held = SupportFactor(m, np.arange(4), np.ones((4, 1)))

@@ -71,6 +71,21 @@ def duplicate_asset(u, i):
                          sigma=u.sigma[keep], rho=u.rho[np.ix_(keep, keep)])
 
 
+def frontier_oracle(u, level, lower, upper):
+    """The minimum variance on the budget and the box, with mu'x = level
+    unless level is None: one qp_solve, the oracle of the critical-line walk.
+
+    At a level no lower than the GMV's return this is the minimum variance
+    with mu'x >= level.  The row is an equality because the polish takes
+    an inequality's slack up to POLISH_TOL as inactive, and near the top
+    of the line a slack of 1e-12 in return moves the weights by 1e-9.
+    """
+    n = u.n
+    a, b = (np.ones((1, n)), np.ones(1)) if level is None else (
+        np.vstack([np.ones(n), u.mu]), np.array([1.0, level]))
+    return qp_solve(QpProblem(q=u.cov, r=np.zeros(n), a=a, b=b, lower=lower, upper=upper))
+
+
 def cold_index_sampling(u, b, k):
     """index_sampling as one cold qp_solve per knock-out round, the oracle.
 
@@ -630,7 +645,7 @@ class TestMvoTarget:
         target = factor * np.sqrt(gmv @ u.cov @ gmv)
         w = mvo_target(u, target_volatility=target, **box).w
         assert abs(np.sqrt(w @ u.cov @ w) - target) <= 1e-10
-        same = mvo_target(u, target_return=float(w @ u.mu), **box).w
+        same = frontier_oracle(u, float(w @ u.mu), **box)
         if pair is None:
             assert np.max(np.abs(w - same)) <= 1e-9
         else:
@@ -694,10 +709,13 @@ class TestMvoTarget:
         monkeypatch.setattr(portfolios._Bridge, "solve", counted_bridge)
         monkeypatch.setattr(portfolios, "admm_solve", counted_split)
         mvo_target(u, target_return=float(np.quantile(u.mu, 0.7)), **box)
-        assert (len(bridges), len(splits)) == (1, 0)
-        bridges.clear()
+        assert (len(bridges), len(splits)) == (0, 0)  # the walk down from the vertex
         mvo_target(u, target_volatility=1.3 * np.sqrt(gmv @ u.cov @ gmv), **box)
-        assert (len(bridges), len(splits)) == (1, 0)  # the GMV, then the critical line
+        assert (len(bridges), len(splits)) == (0, 0)
+        # with no box nothing caps the best name: the GMV is one bridge solve,
+        # and the walk goes up from it
+        mvo_target(u, target_volatility=1.3 * np.sqrt(gmv @ u.cov @ gmv))
+        assert (len(bridges), len(splits)) == (1, 0)
 
     @pytest.mark.parametrize("level", [0.0, 0.05])
     @pytest.mark.parametrize("bounds", [{}, dict(lower=np.zeros(8), upper=np.ones(8))])
@@ -721,6 +739,43 @@ class TestMvoTarget:
         with pytest.raises(TargetUnreachable) as err:
             mvo_target(u, target_return=float(u.mu.min()), **box)
         assert np.max(np.abs(err.value.last - gmv.w)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 30), tied=st.booleans(),
+           copied=st.booleans(), cap=st.sampled_from([1.0, 0.5, 0.3]),
+           floor=st.sampled_from([0.0, -0.1]),
+           share=st.sampled_from([1e-7, 1e-3, 0.3, 0.7, 1.0 - 1e-3, 1.0 - 1e-7]))
+    def test_walked_targets_match_the_bridge_property(self, seed, n, tied, copied, cap,
+                                                       floor, share):
+        from proxalloc import portfolios
+
+        # the walk's answer at a return or volatility share of the way from the
+        # GMV to the top is the bridge's minimum variance at its return; a
+        # copied name's split is arbitrary, so the oracle holds the pair as
+        # one name with the two boxes summed, and the walk's pair is summed
+        rng = np.random.default_rng(seed)
+        u = factor_universe(rng, n)
+        if tied:  # returns rounded to cents: names tie, at the top too
+            u = AssetUniverse(names=u.names, mu=np.round(u.mu, 2), sigma=u.sigma, rho=u.rho)
+        m = n + copied
+        lower, upper = np.full(m, floor), np.full(m, max(cap, 1.5 / m))
+        walked, merge, oracle_box = u, (lambda x: x), dict(lower=lower, upper=upper)
+        if copied:
+            pair = int(rng.integers(n))
+            walked = duplicate_asset(u, pair)
+            merge = lambda x: np.bincount(np.append(np.arange(n), pair), weights=x)
+            oracle_box = dict(lower=merge(lower), upper=merge(upper))
+        box = dict(lower=lower, upper=upper)
+        gmv = frontier_oracle(u, None, **oracle_box)
+        top = portfolios._max_return_face(walked.mu, lower, upper)[0]
+        top = merge(mvo_target(walked, target_return=top, **box).w)
+        ends = [(float(x @ u.mu), np.sqrt(x @ u.cov @ x)) for x in (gmv, top)]
+        for i, key in enumerate(("target_return", "target_volatility")):
+            target = ends[0][i] + share * (ends[1][i] - ends[0][i])
+            w = merge(mvo_target(walked, **{key: target}, **box).w)
+            assert abs((w @ u.mu, np.sqrt(w @ u.cov @ w))[i] - target) <= 1e-9
+            oracle = frontier_oracle(u, float(w @ u.mu), **oracle_box)
+            assert np.max(np.abs(w - oracle)) <= 1e-9
 
 
 class TestFrontierTop:
@@ -1059,6 +1114,12 @@ class TestMvoTurnover:
 
 
 class TestMvoCosts:
+    @pytest.mark.parametrize("bid, ask", [(-0.001, 0.001), (0.001, -0.001)])
+    def test_negative_cost_is_typed(self, bid, ask):
+        # as in rebalance_penalized; NegativeCost is a ValueError too
+        with pytest.raises(NegativeCost, match="transaction costs must be nonnegative"):
+            mvo_costs(SET1.universe, 0.1, EW8, bid, ask)
+
     def test_zero_costs_plain_mvo(self):
         u = SET1.universe
         w = mvo_costs(u, 0.0, EW8, 0.0, 0.0)
@@ -2473,7 +2534,7 @@ class TestKlPortfolio:
         w = kl_portfolio(u, reference, target_return=target, max_volatility=cap).w
         assert np.array_equal(w, tilt)
 
-    def test_volatility_floor_is_one_bridge_solve(self, monkeypatch):
+    def test_volatility_floor_runs_no_bridge_solve(self, monkeypatch):
         from proxalloc import portfolios
 
         u, target = tilted_universe(), 0.085
@@ -2496,8 +2557,10 @@ class TestKlPortfolio:
         monkeypatch.setattr(portfolios._Bridge, "solve", counted)
         with pytest.raises(InfeasibleTargets, match="volatility cap 0.1 below the minimum") as err:
             kl_portfolio(u, EW8, target_return=target, max_volatility=0.10)
-        assert len(solves) == 1
         assert np.max(np.abs(err.value.last - floor)) <= 1e-8
+        cap = 1.2 * np.sqrt(gmv @ u.cov @ gmv)  # a cap that binds: the walk stops at it
+        assert stats(kl_portfolio(u, EW8, max_volatility=cap), u).volatility <= cap + 1e-9
+        assert len(solves) == 0
 
     def test_volatility_ball_projection_matches_bisection(self):
         from proxalloc.portfolios import _volatility_ball_projection

@@ -4,10 +4,11 @@
 
 A row is one (case, n).  One line is printed for each field that differs
 between the files: the weight hash, the ADMM (iterations, polished)
-pairs, or the error of a case that raised; and one for each row found in
-one file only.  Wall times are not compared, since they do not repeat
-from run to run.  A summary line follows.  The exit status is 1 when any
-row differs and 0 otherwise.
+pairs, or the error of a case that raised; one for each row whose KKT
+residual passes its gate in OLD but not in NEW, whether or not its hash
+moved; and one for each row found in one file only.  Wall times are not
+compared, since they do not repeat from run to run.  A summary line
+follows.  The exit status is 1 when any row differs and 0 otherwise.
 """
 
 import argparse
@@ -21,6 +22,12 @@ def rows(path):
     """{(case, n): row} of one sweep file, in the file's order."""
     with open(path) as f:
         return {(row["case"], row["n"]): row for row in json.load(f)["cases"]}
+
+
+def passes(row):
+    """Whether a row's KKT residual is recorded and within its gate."""
+    residual = row.get("kkt_residual")
+    return residual is not None and residual <= row["kkt_gate"]
 
 
 def diff(old, new):
@@ -38,6 +45,10 @@ def diff(old, new):
             if old[key].get(field) != new[key].get(field):
                 differ[label] += 1
                 lines.append(f"{name}: {label} {old[key].get(field)} -> {new[key].get(field)}")
+        if passes(old[key]) and not passes(new[key]):
+            lines.append(f"{name}: KKT residual {old[key]['kkt_residual']} passes its gate "
+                         f"{old[key]['kkt_gate']} in OLD, {new[key].get('kkt_residual')} "
+                         f"fails it in NEW")
     counts = ", ".join(f"{count} differ in {label}" for label, count in differ.items())
     lines.append(f"{len(old.keys() & new.keys())} rows in both files: {counts}; "
                  f"{only['OLD']} only in OLD, {only['NEW']} only in NEW")

@@ -16,7 +16,13 @@ case's time is the best of REPEAT (3) runs; its ADMM solves are read
 from a spy on admm_solve in portfolios and qp, one (iterations,
 polished) pair per solve in call order, and its weights are kept as a
 SHA-256 of their bytes (a book's weights concatenated), so two files
-show bit-identical answers.  A case
+show bit-identical answers.  perfbench/run.py's SpeedProbe, also
+imported read-only, runs before and after each timed run, and scaled_s
+is the best run's time at the probe's reference speed, so files from
+different sessions compare.  Each row also records its answer's budget
+and box gaps, and the gmv and mvo_target rows the KKT residual of
+min 0.5 x'cov x - t mu'x on the budget and the box at the answer, with
+its gate (``correctness``).  A case
 that raises is recorded with its error, never dropped.  Every case runs
 at each of --sizes; each --extra N PATTERN also runs, at size N, the
 cases whose name matches the glob PATTERN (``--extra 2000
@@ -64,11 +70,20 @@ REPEAT = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _universe_module():
-    spec = importlib.util.spec_from_file_location("perfbench_universe",
-                                                  ROOT / "perfbench" / "universe.py")
+def _perfbench(name):
+    """perfbench/<name>.py, loaded read-only.  Loading run.py sets the BLAS
+    thread variables; they are put back, so the file records the caller's
+    and the fresh interpreters inherit them."""
+    saved = {var: os.environ.get(var) for var in THREAD_VARS}
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
     return module
 
 
@@ -152,23 +167,67 @@ class AdmmSpy:
         portfolios.admm_solve = qp.admm_solve = self._real
 
 
-def run_case(solve, fresh):
-    """{wall_s, admm, weights_sha256} of one case, or {error} when it raises;
-    each run solves on its own universe from ``fresh()``, built untimed."""
-    best = np.inf
+def weights(answer):
+    """The weight vectors of a case's answer: one, or a book's accounts."""
+    w = answer[0] if isinstance(answer, tuple) else answer
+    return [p.w for p in w] if isinstance(w, list) else [w.w]
+
+
+def run_case(solve, fresh, probe, scale):
+    """{wall_s, scaled_s, admm, weights_sha256, weights} of one case, or
+    {error} when it raises; each run solves on its own universe from
+    ``fresh()``, built untimed, between two runs of the speed ``probe``.
+    scaled_s is the best run's time times ``scale`` over the sum of its two
+    probes: its time at the probe's reference speed."""
+    best = scaled = np.inf
     for _ in range(REPEAT):
         u = fresh()
         with AdmmSpy() as spy:
+            before = probe.time()
             start = time.perf_counter()
             try:
                 answer = solve(u)
             except Exception as exc:  # recorded, so a failing case stays in the file
                 return {"error": f"{type(exc).__name__}: {exc}"}
-            best = min(best, time.perf_counter() - start)
-    w = answer[0] if isinstance(answer, tuple) else answer
-    w = np.concatenate([p.w for p in w]) if isinstance(w, list) else w.w  # a book's accounts
-    digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
-    return {"wall_s": best, "admm": spy.solves, "weights_sha256": digest}
+            seconds = time.perf_counter() - start
+            best, scaled = min(best, seconds), min(scaled, seconds * scale / (before + probe.time()))
+    w = weights(answer)
+    digest = hashlib.sha256(np.ascontiguousarray(np.concatenate(w)).tobytes()).hexdigest()
+    return {"wall_s": best, "scaled_s": scaled, "admm": spy.solves, "weights_sha256": digest,
+            "weights": w}
+
+
+def frontier_residual(u, w, fit_t):
+    """The KKT residual of min 0.5 x'cov x - t mu'x on the budget and the
+    box [0, 1] at w, relative to 1 + max |cov w|.  t (0 unless ``fit_t``)
+    and nu come from least squares on the free names, where
+    (cov w)_i - t mu_i - nu must be 0; a name within 1e-10 of 0 needs it
+    >= 0 and one within 1e-10 of 1 <= 0, and t itself must be >= 0."""
+    g = u.cov @ w
+    at_low, at_high = w <= 1e-10, w >= 1.0 - 1e-10
+    free = ~(at_low | at_high)
+    cols = np.column_stack([u.mu[free], np.ones(free.sum())])[:, 0 if fit_t else 1:]
+    fit = np.linalg.lstsq(cols, g[free], rcond=None)[0]
+    t, nu = (fit if fit_t else (0.0, fit[0]))
+    lam = g - t * u.mu - nu
+    worst = max(np.abs(lam[free]).max(initial=0.0), -lam[at_low].min(initial=0.0),
+                lam[at_high].max(initial=0.0), -t)
+    return float(worst / (1.0 + np.abs(g).max()))
+
+
+def correctness(name, u, ws):
+    """{budget_gap, box_gap} of a row's weight vectors ``ws`` on its universe
+    u, and for the gmv and mvo_target rows {kkt_residual, kkt_gate}:
+    frontier_residual and its gate, qp.POLISH_TOL.  The box is [0, 1], or
+    [0, the cap] for the capped mdp row; mvo_costs' weights sum to 1 less
+    the costs it financed, so its budget gap is those costs."""
+    upper = max(0.05, 2.0 / u.n) if name == "mdp caps max(0.05, 2/n)" else 1.0
+    out = {"budget_gap": max(abs(float(w.sum()) - 1.0) for w in ws),
+           "box_gap": max(max(-float(w.min()), float(w.max()) - upper, 0.0) for w in ws)}
+    if name == "gmv" or name.startswith("mvo_target"):
+        out.update(kkt_residual=frontier_residual(u, ws[0], fit_t=name != "gmv"),
+                   kkt_gate=qp.POLISH_TOL)
+    return out
 
 
 def fresh_seconds(code, *args):
@@ -239,13 +298,17 @@ def git_label():
 def sweep(sizes, extra=()):
     """The rows of every case at each of ``sizes``, then of the cases matching
     each (n, pattern) of ``extra`` at n."""
-    module = _universe_module()
+    module, run = _perfbench("universe"), _perfbench("run")
+    probe, scale = run.SpeedProbe(), 2.0 * run.PROBE_REF_S
     rows = []
     for n, pattern in [(n, "*") for n in sizes] + [(int(n), p) for n, p in extra]:
         for name, solve in cases(module, n).items():
             if fnmatch.fnmatchcase(name, pattern):
-                rows.append({"case": name, "n": n,
-                             **run_case(solve, lambda n=n: universe(module, n))})
+                fresh = lambda n=n: universe(module, n)
+                row = {"case": name, "n": n, **run_case(solve, fresh, probe, scale)}
+                if "error" not in row:
+                    row.update(correctness(name, fresh(), row.pop("weights")))
+                rows.append(row)
     return rows
 
 
