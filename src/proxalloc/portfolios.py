@@ -353,10 +353,10 @@ def _secular_root(a, c):
     for _ in range(SECULAR_STEPS):
         t = 1.0 / (1.0 + theta * c)
         t2 = t * t
-        g = float(a @ t2)
+        g = float(a.dot(t2))  # ndarray.dot: half the call cost of @ on 1-d
         if g <= 1.0:
             break
-        step = g * (g**0.5 - 1.0) / float(ac @ (t2 * t))
+        step = g * (g**0.5 - 1.0) / float(ac.dot(t2 * t))
         theta += step
         if step <= 1e-15 * theta:
             break
@@ -792,6 +792,33 @@ def _run_split(what, problem, x0, cfg):
     return y, report
 
 
+def _mean_diagonal(quad):
+    """The mean of Q's diagonal, the first penalty of a model split whose Q
+    has the PenaltyFactor ``quad``."""
+    return float(np.mean(quad.q.diagonal()))
+
+
+def _polish_first(quad, cfg, prox, polish):
+    """The point ``polish`` certifies at the first iterate of the one-block
+    plane split of ``_plane_admm`` on ``quad``, ``cfg`` and the y-prox
+    ``prox``, before any split is built; None when it certifies none.
+
+    The iterate is admm_solve's iteration 1 from the equal point, the
+    ridge step x from 1/n at the first penalty phi0 and y = prox(x), built
+    with the split's own expressions, so the split's first polish reads
+    the same y bit for bit.  A non-finite x, or a cap of no iteration,
+    returns None untried: the split then raises as it would have.
+    """
+    if cfg is not None and cfg.max_iter < 1:
+        return None
+    n = quad.q.shape[0]
+    phi0 = _mean_diagonal(quad) if cfg is None else cfg.phi0
+    x = quad.solve_on_plane(phi0 * np.full(n, 1.0 / n), phi0, np.ones(n), 1.0)
+    if not np.all(np.isfinite(x)):
+        return None
+    return polish(x, prox(x), None)
+
+
 def _plane_admm(what, quad, blocks, start=None, cfg=None, plane=None, linear=0.0,
                 polish=None):
     """min 0.5 x'Qx - linear'x on the plane a'x = 1 plus one y-block per term.
@@ -811,8 +838,7 @@ def _plane_admm(what, quad, blocks, start=None, cfg=None, plane=None, linear=0.0
     and with the first block's y as ``last``.  A 1-d Q needs a ``cfg``.
     """
     n = quad.q.shape[0]
-    cfg = cfg or AdmmConfig(phi0=float(np.mean(quad.q.diagonal())), eps=1e-11,
-                            max_iter=100000)
+    cfg = cfg or AdmmConfig(phi0=_mean_diagonal(quad), eps=1e-11, max_iter=100000)
     a = np.ones(n) if plane is None else plane
     problem = consensus_problem(
         lambda v, rho: quad.solve_on_plane(linear + rho * v, rho, a, 1.0), blocks, n)
@@ -839,21 +865,29 @@ def _herfindahl_polish(cov, upper, radius, accepted):
     are cov x + lam x - nu 1, nu the mean of cov x + lam x over F.  A
     settled point in the ball is kept and its lam written to
     ``accepted[0]``; otherwise the hook returns None and ADMM goes on.
+    A settled point depends on the first guess alone, so the hook keeps
+    the guesses it rejected and returns None at once when one shows
+    again: the start ``gmv_herfindahl`` polishes before its split and
+    the split's iteration 1 read the same y.
     """
     r2 = radius * radius
     lam_of = [None]  # the ball multiplier of the last point solved
+    rejected = set()  # the first guesses that settled to no point in the ball
 
     def solve(zero, cap):
         free = ~(zero | cap)
-        k = np.count_nonzero(free)
+        idx = np.flatnonzero(free)
+        k = idx.size
         if not k:
             return None  # a vertex of the box leaves the multipliers to ADMM
         u_cap = upper[cap]
         budget = 1.0 - u_cap.sum()
         share = budget / k
-        point = np.where(cap, upper, np.where(free, share, 0.0))
+        point = np.zeros(upper.size)
+        point[cap] = u_cap
+        point[idx] = share
         # what the ball leaves to y once the equal share holds the budget
-        room = r2 - u_cap @ u_cap - budget * share
+        room = r2 - u_cap.dot(u_cap) - budget * share
         if room <= 0.0:  # only the equal share, the limit lam -> inf, meets the ball
             lam_of[0] = np.inf
             return point, point, point - share, 0.0
@@ -861,29 +895,34 @@ def _herfindahl_polish(cov, upper, radius, accepted):
         # v = 1 + sqrt(k) e_1 that maps 1 to -sqrt(k) e_1; v's tail is 1
         v = np.ones(k)
         v[0] += np.sqrt(k)
-        beta = 2.0 / (v @ v)
-        c_ff = cov[np.ix_(free, free)]
-        p = c_ff @ v
-        t = beta * p[1:] - 0.5 * beta * beta * (v @ p)  # H c_ff H = c_ff - v t' - t v'
+        beta = 2.0 / v.dot(v)
+        c_ff = cov.take(idx, 0).take(idx, 1)
+        p = c_ff.dot(v)
+        t = beta * p[1:] - 0.5 * beta * beta * v.dot(p)  # H c_ff H = c_ff - v t' - t v'
         reduced = c_ff[1:, 1:] - t
         reduced -= t[:, None]
-        q = (cov @ point)[free]  # the free names' gradient at the equal share
+        q = cov.dot(point)[idx]  # the free names' gradient at the equal share
         eig, vecs = np.linalg.eigh(reduced)
         keep = eig > 1e-12 * c_ff.diagonal().max()  # y has no part along a null direction
         # (reduced + lam I) y = the tail of H q, ||y||^2 = room where the ball binds
-        w = vecs.T @ (q[1:] - beta * (v @ q))
+        w = vecs.T.dot(q[1:] - beta * v.dot(q))
         d = np.divide(1.0, eig, out=np.zeros_like(eig), where=keep)
         lam = _secular_root(w * w * d * d / room, d)
         lam_of[0] = lam
-        y = np.concatenate(([0.0], vecs @ np.divide(w, eig + lam, out=np.zeros_like(w),
-                                                    where=keep)))  # [0; y]
-        point[free] = share - y + beta * y.sum() * v  # share 1 - H [0; y]
-        grad = cov @ point + lam * point
-        return point, point, grad - grad[free].sum() / k, POLISH_TOL * float(np.max(np.abs(grad)))
+        y = np.zeros(k)  # [0; y]
+        y[1:] = vecs.dot(np.divide(w, eig + lam, out=np.zeros_like(w), where=keep))
+        point[idx] = share - y + beta * y.sum() * v  # share 1 - H [0; y]
+        grad = cov.dot(point) + lam * point
+        return point, point, grad - grad[idx].sum() / k, POLISH_TOL * float(np.max(np.abs(grad)))
 
     def polish(x, y, dual):
-        point = _settle(solve, np.zeros_like(upper), upper, y <= 0.0, y >= upper)
-        if point is None or point @ point > r2 * (1.0 + POLISH_TOL):
+        zero, cap = y <= 0.0, y >= upper
+        guess = zero.tobytes() + cap.tobytes()
+        if guess in rejected:
+            return None  # settled from this guess before, to no point
+        point = _settle(solve, np.zeros_like(upper), upper, zero, cap)
+        if point is None or point.dot(point) > r2 * (1.0 + POLISH_TOL):
+            rejected.add(guess)
             return None
         accepted[0] = lam_of[0]
         return point
@@ -1004,8 +1043,10 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     ``_herfindahl_polish`` (OSQP's solution polishing, Stellato et al.
     2020), which reports lam: 0 where the floor is slack, as a floor of
     at most 1 bet is (||x||_2 <= ||x||_1 = 1); NaN if ADMM ends
-    unpolished.  Caps above 1, inf included, are 1, the most a long-only
-    budget portfolio holds.  The most bets the caps admit is 1/||x||^2 at
+    unpolished.  The polish runs first on the split's own first iterate
+    (``_polish_first``), and the split is built only when that fails.
+    Caps above 1, inf included, are 1, the most a long-only budget
+    portfolio holds.  The most bets the caps admit is 1/||x||^2 at
     x = min(upper, t), the budget portfolio nearest 0: a floor above it
     raises InfeasibleTargets with x as ``last``, and one within 1e-9
     returns x with lam = inf, as a floor of n bets returns equal weights.
@@ -1041,13 +1082,15 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     dykstra_cfg = DykstraConfig(tol=1e-12)
     ops = [projector(LpBall(2, np.zeros(n), radius), n),
            projector(Box(np.zeros(n), upper_vec), n)]
-    # v is the ADMM iterate x_hat + u, which admm_solve has found finite
+    # v is the first ridge step or the ADMM iterate x_hat + u, both found finite
     projection = lambda v: dykstra_cycle(ops, v, dykstra_cfg, check=False)[0]
     accepted = [np.nan]  # the ball multiplier of the polished point
     polish = _herfindahl_polish(universe.cov, upper_vec, radius, accepted)
-    w = _gate(_plane_admm("gmv_herfindahl ADMM", universe.factor, [lambda phi: projection],
-                          cfg=cfg, polish=polish))
-    return w, 0.0 if min_bets <= 1.0 else accepted[0]
+    w = _polish_first(universe.factor, cfg, projection, polish)
+    if w is None:
+        w = _plane_admm("gmv_herfindahl ADMM", universe.factor, [lambda phi: projection],
+                        cfg=cfg, polish=polish)
+    return _gate(w), 0.0 if min_bets <= 1.0 else accepted[0]
 
 
 def _entropy_root(point, floor):

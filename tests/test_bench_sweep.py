@@ -38,8 +38,9 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64
         assert row["scaled_s"] > 0.0 and row["budget_gap"] <= 1e-2 and row["box_gap"] <= 1e-9
-        # the gmv and mvo_target rows meet their KKT gate; no other row has one
-        if name[0] == "gmv" or name[0].startswith("mvo_target"):
+        # the gmv, mvo_target and gmv_herfindahl rows meet their KKT gate; no
+        # other row has one
+        if name[0] == "gmv" or name[0].startswith(("mvo_target", "gmv_herfindahl")):
             assert row["kkt_residual"] <= row["kkt_gate"], (name, row)
         else:
             assert "kkt_residual" not in row
@@ -51,6 +52,8 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     assert [done for _, done in cases["mvo_gamma sector book x8", 8]["admm"]] == [True]
     # the ADMM engine's polish certifies its start, before any ADMM iteration
     assert cases["risk_budgeting vol admm", 12]["admm"] == []
+    # and so does the Herfindahl polish, at the split's first iterate
+    assert cases["gmv_herfindahl halfway", 8]["admm"] == []
 
 
 def test_frontier_residual_passes_frontier_points_and_flags_others():
@@ -67,3 +70,24 @@ def test_frontier_residual_passes_frontier_points_and_flags_others():
     assert tool.frontier_residual(u, point, fit_t=True) <= 1e-9
     assert tool.frontier_residual(u, point, fit_t=False) > 1e-4  # not the GMV: t > 0
     assert tool.frontier_residual(u, np.full(30, 1.0 / 30), fit_t=True) > 1e-4
+
+
+def test_herfindahl_residual_passes_the_answer_at_n8_and_flags_others():
+    import numpy as np
+
+    from proxalloc import portfolios, qp
+
+    tool = bench_sweep()
+    u = tool.universe(tool._perfbench("universe"), 8)
+    gmv = portfolios.mvo_gamma(u, 0.0, lower=np.zeros(8), upper=np.ones(8)).w
+    bets = 0.5 * (portfolios.effective_bets(gmv) + 8)
+    w, lam = portfolios.gmv_herfindahl(u, min_bets=bets)
+    assert 0.0 < lam < np.inf
+    assert tool.herfindahl_residual(u, w.w, lam, bets) <= qp.POLISH_TOL
+    assert tool.herfindahl_residual(u, w.w, 2.0 * lam, bets) > 1e-4  # a wrong multiplier
+    assert tool.herfindahl_residual(u, w.w, 0.0, bets) > 1e-4  # the ridge dropped
+    assert tool.herfindahl_residual(u, gmv, 0.0, bets) > 1e-4  # outside the ball
+    # a looser floor: the same point, inside its ball, with the same lam
+    assert tool.herfindahl_residual(u, w.w, lam, bets - 0.5) > 1e-4
+    # the tighter floor's equal share, the limit lam = inf
+    assert tool.herfindahl_residual(u, np.full(8, 1.0 / 8), np.inf, 8.0) <= qp.POLISH_TOL

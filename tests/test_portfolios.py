@@ -236,6 +236,22 @@ def admm_reports(monkeypatch):
 
 
 @pytest.fixture
+def dykstra_sweeps(monkeypatch):
+    """The operator lists of every dykstra_cycle the models run, in call order."""
+    from proxalloc import portfolios
+
+    sweeps = []
+    cycle = portfolios.dykstra_cycle
+
+    def counted(ops, *args, **kwargs):
+        sweeps.append(ops)
+        return cycle(ops, *args, **kwargs)
+
+    monkeypatch.setattr(portfolios, "dykstra_cycle", counted)
+    return sweeps
+
+
+@pytest.fixture
 def checks(monkeypatch):
     """{"as_vector": count, "as_matrix": count} of the calls every proxalloc
     module makes to the two entry checks, and the same counts per argument
@@ -1215,7 +1231,7 @@ class TestGmvHerfindahl:
         # cov is singular, and so is cov_FF whenever both copies are free
         u = duplicated_asset_universe()
         w, lam = gmv_herfindahl(u, min_bets=bets)
-        assert admm_reports[-1].polished and admm_reports[-1].iterations <= 2
+        assert not admm_reports  # the polish certifies the split's first iterate
         assert 0.0 < lam < np.inf
         assert_ridge_certificate(u, w.w, lam, bets)
         assert abs(w.w[6] - w.w[8]) <= 1e-9  # the copies share their weight
@@ -1264,7 +1280,7 @@ class TestGmvHerfindahl:
         # SLSQP stalls about 5e-9 from the optimum at some BLAS thread counts;
         # the ridge certificate on the returned lam is exact
         w, lam = gmv_herfindahl(universe, upper=upper, min_bets=bets)
-        assert admm_reports[-1].polished
+        assert not admm_reports
         assert_ridge_certificate(universe, w.w, lam, bets, upper)
         assert (lam > 0.0) == ball_binds
         assert (effective_bets(w.w) <= bets + 1e-9) == ball_binds
@@ -1273,7 +1289,7 @@ class TestGmvHerfindahl:
     def test_diversified_effective_bets_path_is_polished(self, admm_reports):
         u = SET1.universe
         w = gmv_diversified(u, upper=0.3, constraint=EffectiveBets(4.0))
-        assert admm_reports[-1].polished
+        assert not admm_reports
         assert np.max(np.abs(w.w - herfindahl_oracle(u, 4.0, 0.3))) <= 1e-9
 
     def test_rejected_polish_lets_admm_go_on_to_the_same_answer(self, monkeypatch,
@@ -1285,45 +1301,137 @@ class TestGmvHerfindahl:
         build = portfolios._herfindahl_polish
         calls = []
 
-        def reject_first(*args):
+        def reject_twice(*args):
             polish = build(*args)
 
-            def once(x, y, dual):
+            def after_two(x, y, dual):
                 calls.append(x)
-                return None if len(calls) == 1 else polish(x, y, dual)
+                return None if len(calls) <= 2 else polish(x, y, dual)
 
-            return once
+            return after_two
 
-        monkeypatch.setattr(portfolios, "_herfindahl_polish", reject_first)
+        monkeypatch.setattr(portfolios, "_herfindahl_polish", reject_twice)
         w, lam = gmv_herfindahl(u, min_bets=5.0)
-        report = admm_reports[-1]
-        assert len(calls) >= 2 and report.polished
-        assert report.iterations > admm_reports[0].iterations
+        # the start and ADMM's iteration 1 are rejected, so the split goes on
+        (report,) = admm_reports
+        assert report.polished and report.iterations >= 2 and len(calls) >= 3
         assert np.max(np.abs(w.w - expected.w)) <= 1e-12
         assert abs(lam - expected_lam) <= 1e-12 * expected_lam
 
-    def test_table4_columns_end_polished_within_20_iterations(self, admm_reports):
+    def test_table4_columns_end_polished_within_20_iterations(self, admm_reports,
+                                                               dykstra_sweeps):
         u = SET1.universe
         for bets in data.MINVAR_GRID_BETS:
-            admm_reports.clear()
+            dykstra_sweeps.clear()
             gmv_herfindahl(u, min_bets=bets)
-            # the floor of 8 bets is met by equal weights alone, with no ADMM
-            assert all(r.polished and r.iterations <= 20 for r in admm_reports)
-            assert len(admm_reports) == (bets < 8)
+            # every column ends at the polish of the split's first iterate, one
+            # sweep, and the floor of 8 bets is met by equal weights alone
+            assert not admm_reports
+            assert len(dykstra_sweeps) == (bets < 8)
 
-    def test_table4_columns_end_polished_at_the_first_iteration(self, admm_reports):
+    def test_paper_solves_run_no_admm_and_one_sweep_each(self, admm_reports, dykstra_sweeps,
+                                                         tmp_path):
+        from proxalloc import cli
+
+        u = SET1.universe
+        gmv_diversified(u, upper=0.3, constraint=EffectiveBets(4.0))
+        gmv_diversified(u, constraint=EffectiveBets(5.0))
+        assert not admm_reports and len(dykstra_sweeps) == 2
+        dykstra_sweeps.clear()
+        assert cli.main(["reproduce", "table4", "--output", str(tmp_path / "table4")]) == 0
+        assert not admm_reports
+        # the nine columns but the last, which is equal weights
+        assert len(dykstra_sweeps) == len(data.MINVAR_GRID_BETS) - 1
+
+    def test_a_cap_of_no_iteration_still_raises_before_any_polish(self):
+        u = SET1.universe
+        with pytest.raises(MaxIterExceeded) as err:
+            gmv_herfindahl(u, min_bets=3.0, cfg=AdmmConfig(phi0=0.05, max_iter=0))
+        assert np.array_equal(err.value.last, np.full(8, 0.125))
+        w, lam = gmv_herfindahl(u, min_bets=3.0, cfg=AdmmConfig(phi0=0.05, max_iter=1))
+        assert_ridge_certificate(u, w.w, lam, 3.0)
+
+    def test_a_rejected_start_is_settled_once(self, monkeypatch, admm_reports):
+        from proxalloc import portfolios, qp
+
+        u, caps = SET1.universe, np.full(8, 0.3)
+        ys, guesses = [], []
+        build, settle = portfolios._herfindahl_polish, portfolios._settle
+
+        def recorded(*args):
+            polish = build(*args)
+
+            def hook(x, y, dual):
+                ys.append(y.copy())
+                return polish(x, y, dual)
+
+            return hook
+
+        def counted(solve, lo, hi, at_lo, at_hi):
+            guesses.append((at_lo.tobytes(), at_hi.tobytes()))
+            return settle(solve, lo, hi, at_lo, at_hi)
+
+        monkeypatch.setattr(portfolios, "_herfindahl_polish", recorded)
+        monkeypatch.setattr(portfolios, "_settle", counted)
+        monkeypatch.setattr(qp, "POLISH_ROUNDS", 0)  # the start's guess needs a correction
+        gmv_herfindahl(u, upper=caps, min_bets=4.0)
+        (report,) = admm_reports
+        assert report.polished and report.iterations > 1
+        # ADMM's iteration 1 polishes the start's y, bit for bit, and settles it
+        # no second time: each guess the iterates show is settled once
+        assert np.array_equal(ys[0], ys[1])
+        shown = [((y <= 0.0).tobytes(), (y >= caps).tobytes()) for y in ys]
+        assert guesses == list(dict.fromkeys(shown)) and len(guesses) < len(ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 30), cap=st.sampled_from([1.0, 0.3]),
+           copied=st.booleans(), share=st.floats(0.0, 1.0))
+    def test_the_start_matches_the_split_alone_bit_for_bit_property(self, seed, n, cap,
+                                                                   copied, share):
+        from proxalloc import portfolios
+
+        rng = np.random.default_rng(seed)
+        u = factor_universe(rng, n)
+        if copied:
+            u = duplicate_asset(u, int(rng.integers(n)))
+        upper = max(cap, 1.5 / u.n)
+        gmv_bets = effective_bets(gmv_diversified(u, upper=upper).w)
+        bets = gmv_bets + share * (u.n - gmv_bets)
+
+        def outcome():
+            try:
+                w, lam = gmv_herfindahl(u, upper=upper, min_bets=bets)
+            except Exception as err:  # both paths must raise alike
+                return type(err).__name__, str(err)
+            return w.w.tobytes(), lam
+
+        first = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(portfolios, "_polish_first", lambda *args: None)
+            assert outcome() == first
+
+    def test_table4_columns_end_polished_at_the_first_iteration(self, admm_reports,
+                                                                 monkeypatch):
+        from proxalloc import portfolios
+
         u = SET1.universe
         for bets in [b for b in data.MINVAR_GRID_BETS if b < 8]:
-            admm_reports.clear()
-            gmv_herfindahl(u, min_bets=bets)
+            expected, expected_lam = gmv_herfindahl(u, min_bets=bets)
+            assert not admm_reports
+            # the split alone polishes the same iterate at its iteration 1
+            with monkeypatch.context() as patch:
+                patch.setattr(portfolios, "_polish_first", lambda *args: None)
+                w, lam = gmv_herfindahl(u, min_bets=bets)
             assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
+            assert np.array_equal(w.w, expected.w) and lam == expected_lam
+            admm_reports.clear()
 
     def test_weakly_binding_cap_ends_polished_within_2_iterations(self, admm_reports):
         # one cap binds with a reduced gradient of about -1e-6, which the
         # sweep's early iterates leave free
         u = SET1.universe
         w, _ = gmv_herfindahl(u, upper=0.4, min_bets=4.0)
-        assert admm_reports[-1].polished and admm_reports[-1].iterations <= 2
+        assert not admm_reports
         assert np.max(np.abs(w.w - herfindahl_oracle(u, 4.0, 0.4))) <= 1e-9
 
     @pytest.mark.parametrize("bets, upper", [(3.0, 1.0), (6.0, 1.0), (7.5, 1.0), (4.0, 0.4)])
@@ -1348,15 +1456,19 @@ class TestGmvHerfindahl:
         polish = portfolios._herfindahl_polish(u.cov, caps, 0.5, accepted)
         # this guess needs one correction more than POLISH_ROUNDS allows
         assert polish(None, 0.15 * np.eye(8)[0], None) is None and accepted == [None]
+        # and a hook keeps the guesses it rejected, so it is asked anew
+        polish = portfolios._herfindahl_polish(u.cov, caps, 0.5, accepted)
         rounds = qp.POLISH_ROUNDS
         monkeypatch.setattr(qp, "POLISH_ROUNDS", rounds + 1)  # and exactly one more
         assert polish(None, 0.15 * np.eye(8)[0], None) is not None
         monkeypatch.setattr(qp, "POLISH_ROUNDS", rounds)
         expected, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
+        assert not admm_reports
         monkeypatch.setattr(qp, "POLISH_ROUNDS", 0)  # the sweep's guess only
         w, _ = gmv_herfindahl(u, upper=caps, min_bets=4.0)
-        assert admm_reports[0].iterations == 1 < admm_reports[1].iterations
-        assert admm_reports[1].polished
+        # the start is rejected, and ADMM goes on past its iteration 1
+        (report,) = admm_reports
+        assert report.polished and report.iterations > 1
         # a polished point depends on its active set alone
         assert np.array_equal(w.w, expected.w)
 
@@ -1377,7 +1489,7 @@ class TestGmvHerfindahl:
         mixed, ones = [inf] * 7 + [0.05], [1.0] * 7 + [0.05]
         expected, expected_lam = gmv_herfindahl(u, upper=ones, min_bets=3.0)
         w, lam = gmv_herfindahl(u, upper=mixed, min_bets=3.0)
-        assert admm_reports[-1].polished
+        assert not admm_reports
         assert np.array_equal(w.w, expected.w) and lam == expected_lam
         diversified = gmv_diversified(u, upper=mixed, constraint=EffectiveBets(3.0))
         assert np.array_equal(diversified.w, expected.w)
@@ -1395,7 +1507,7 @@ class TestGmvHerfindahl:
         u = AssetUniverse(names=list("abcde"), mu=np.zeros(5), sigma=np.full(5, 0.2),
                           rho=np.ones((5, 5)))
         w, lam = gmv_herfindahl(u, min_bets=bets)
-        assert [(r.polished, r.iterations) for r in admm_reports] == [(True, 1)]
+        assert not admm_reports
         assert np.array_equal(w.w, np.full(5, 0.2)) and lam == 0.0
 
     @pytest.mark.parametrize("bets, lam", [(3.0, 0.0), (4.0, np.inf)])

@@ -20,9 +20,11 @@ show bit-identical answers.  perfbench/run.py's SpeedProbe, also
 imported read-only, runs before and after each timed run, and scaled_s
 is the best run's time at the probe's reference speed, so files from
 different sessions compare.  Each row also records its answer's budget
-and box gaps, and the gmv and mvo_target rows the KKT residual of
-min 0.5 x'cov x - t mu'x on the budget and the box at the answer, with
-its gate (``correctness``).  A case
+and box gaps, the gmv and mvo_target rows the KKT residual of
+min 0.5 x'cov x - t mu'x on the budget and the box at the answer, and
+the gmv_herfindahl rows that of min x'cov x under the effective-bets
+floor with the multiplier the answer returns, each with its gate
+(``correctness``).  A case
 that raises is recorded with its error, never dropped.  Every case runs
 at each of --sizes; each --extra N PATTERN also runs, at size N, the
 cases whose name matches the glob PATTERN (``--extra 2000
@@ -93,7 +95,8 @@ def universe(universe_module, n):
 
 
 def cases(universe_module, n):
-    """{name: solve(universe)} of the sweep at size n; the inputs are
+    """({name: solve(universe)}, {name: effective-bets floor}) of the sweep
+    at size n, the floors those of the gmv_herfindahl rows; the inputs are
     computed on a copy of the universe that no solve is given."""
     inputs = universe(universe_module, n)
     ew = np.full(n, 1.0 / n)
@@ -108,6 +111,7 @@ def cases(universe_module, n):
     k = max(2, n // 10)  # sectors of every k-th asset, each capped at 1.5 / k
     sectors = (np.arange(n) % k == np.arange(k)[:, None]).astype(float)
     book = dict(box, ineq=(sectors, np.full(k, 1.5 / k)))
+    floors = {"gmv_herfindahl halfway": 0.5 * (effective_bets(gmv.w) + n)}
     return {
         "risk_budgeting stdev admm": lambda u: portfolios.risk_budgeting(
             u, np.ones(n), StdevRisk(xi), engine="admm"),
@@ -118,7 +122,7 @@ def cases(universe_module, n):
             u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
         "index_sampling n/4 ew": lambda u: portfolios.index_sampling(u, ew, max(1, n // 4)),
         "gmv_herfindahl halfway": lambda u: portfolios.gmv_herfindahl(
-            u, min_bets=0.5 * (effective_bets(gmv.w) + n)),
+            u, min_bets=floors["gmv_herfindahl halfway"]),
         "kl_portfolio cap 1.2x gmv": lambda u: portfolios.kl_portfolio(
             u, ew, max_volatility=1.2 * vol),
         "kl_portfolio return p70 cap 1.5x gmv": lambda u: portfolios.kl_portfolio(
@@ -144,7 +148,7 @@ def cases(universe_module, n):
         # each later one polishes first from the active set the last one ended on
         "mvo_gamma sector book x8": lambda u: [portfolios.mvo_gamma(u, gamma, **book)
                                                for gamma in np.linspace(0.1, 0.25, 8)],
-    }
+    }, floors
 
 
 class AdmmSpy:
@@ -174,8 +178,9 @@ def weights(answer):
 
 
 def run_case(solve, fresh, probe, scale):
-    """{wall_s, scaled_s, admm, weights_sha256, weights} of one case, or
-    {error} when it raises; each run solves on its own universe from
+    """{wall_s, scaled_s, admm, weights_sha256, weights, lam} of one case, lam
+    the multiplier a (weights, lam) answer returns or None, or {error} when
+    it raises; each run solves on its own universe from
     ``fresh()``, built untimed, between two runs of the speed ``probe``.
     scaled_s is the best run's time times ``scale`` over the sum of its two
     probes: its time at the probe's reference speed."""
@@ -194,7 +199,7 @@ def run_case(solve, fresh, probe, scale):
     w = weights(answer)
     digest = hashlib.sha256(np.ascontiguousarray(np.concatenate(w)).tobytes()).hexdigest()
     return {"wall_s": best, "scaled_s": scaled, "admm": spy.solves, "weights_sha256": digest,
-            "weights": w}
+            "weights": w, "lam": answer[1] if isinstance(answer, tuple) else None}
 
 
 def frontier_residual(u, w, fit_t):
@@ -215,17 +220,43 @@ def frontier_residual(u, w, fit_t):
     return float(worst / (1.0 + np.abs(g).max()))
 
 
-def correctness(name, u, ws):
+def herfindahl_residual(u, w, lam, bets):
+    """The KKT residual of min x'cov x on the budget, the box [0, 1] and
+    the ball ||x||^2 <= 1/bets at w, with the ball's multiplier lam as the
+    answer returned it, relative to 1 + max |g|, g = cov w + lam w.  nu is
+    the mean of g on the free names, where g_i - nu must be 0; a name
+    within 1e-10 of 0 needs it >= 0 and one within 1e-10 of 1 <= 0.  lam
+    must be >= 0, and lam (||w||^2 - 1/bets) = 0 and ||w||^2 <= 1/bets are
+    taken relative to 1/bets, the first also times lam / (1 + max |g|).
+    lam = inf is the limit of the equal share, g = w, the ball binding."""
+    g = u.cov @ w + lam * w if np.isfinite(lam) else w
+    at_low, at_high = w <= 1e-10, w >= 1.0 - 1e-10
+    free = ~(at_low | at_high)
+    scale = 1.0 + np.abs(g).max()
+    mult = g - g[free].mean()
+    gap = float(w @ w) * bets - 1.0  # the ball's slack, relative to 1/bets
+    slack = abs(gap) if not np.isfinite(lam) else lam * abs(gap) / scale
+    return float(max(np.abs(mult[free]).max(initial=0.0) / scale,
+                     -mult[at_low].min(initial=0.0) / scale,
+                     mult[at_high].max(initial=0.0) / scale, -lam, slack, gap))
+
+
+def correctness(name, u, ws, lam=None, bets=None):
     """{budget_gap, box_gap} of a row's weight vectors ``ws`` on its universe
-    u, and for the gmv and mvo_target rows {kkt_residual, kkt_gate}:
-    frontier_residual and its gate, qp.POLISH_TOL.  The box is [0, 1], or
-    [0, the cap] for the capped mdp row; mvo_costs' weights sum to 1 less
-    the costs it financed, so its budget gap is those costs."""
+    u, and {kkt_residual, kkt_gate} for the gmv and mvo_target rows
+    (frontier_residual) and the gmv_herfindahl rows (herfindahl_residual
+    with the answer's ``lam`` and the floor ``bets``), the gate
+    qp.POLISH_TOL.  The box is [0, 1], or [0, the cap] for the capped mdp
+    row; mvo_costs' weights sum to 1 less the costs it financed, so its
+    budget gap is those costs."""
     upper = max(0.05, 2.0 / u.n) if name == "mdp caps max(0.05, 2/n)" else 1.0
     out = {"budget_gap": max(abs(float(w.sum()) - 1.0) for w in ws),
            "box_gap": max(max(-float(w.min()), float(w.max()) - upper, 0.0) for w in ws)}
     if name == "gmv" or name.startswith("mvo_target"):
         out.update(kkt_residual=frontier_residual(u, ws[0], fit_t=name != "gmv"),
+                   kkt_gate=qp.POLISH_TOL)
+    elif name.startswith("gmv_herfindahl"):
+        out.update(kkt_residual=herfindahl_residual(u, ws[0], lam, bets),
                    kkt_gate=qp.POLISH_TOL)
     return out
 
@@ -302,12 +333,14 @@ def sweep(sizes, extra=()):
     probe, scale = run.SpeedProbe(), 2.0 * run.PROBE_REF_S
     rows = []
     for n, pattern in [(n, "*") for n in sizes] + [(int(n), p) for n, p in extra]:
-        for name, solve in cases(module, n).items():
+        solves, floors = cases(module, n)
+        for name, solve in solves.items():
             if fnmatch.fnmatchcase(name, pattern):
                 fresh = lambda n=n: universe(module, n)
                 row = {"case": name, "n": n, **run_case(solve, fresh, probe, scale)}
                 if "error" not in row:
-                    row.update(correctness(name, fresh(), row.pop("weights")))
+                    row.update(correctness(name, fresh(), row.pop("weights"), row.pop("lam"),
+                                           floors.get(name)))
                 rows.append(row)
     return rows
 
