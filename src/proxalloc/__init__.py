@@ -7,7 +7,7 @@ variance, risk budgeting, most-diversified, entropy and dissimilarity
 portfolios, and a composite managed-account objective.
 """
 
-from . import admm, cd, cli, data, dykstra, linalg, portfolios, prox, qp
+from . import admm, cd, data, dykstra, linalg, portfolios, prox, qp
 from .admm import AdmmConfig, AdmmProblem, admm_lasso_lambda, admm_lasso_tau, admm_solve, consensus_problem, penalty_update
 from .cd import CdConfig, Cyclic, LipschitzWeighted, UniformRandom, cd_lasso, cd_ols, ccd_erc, ccd_generic, ccd_qp_box, ccd_qp_logbarrier, ccd_rb_stdev, projected_cd
 from .data import ParameterSet, lasso_synthetic, parameter_set_1, parameter_set_2

@@ -9,6 +9,7 @@ mismatch.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -198,15 +199,9 @@ def _cmd_qp(payload, args):
         lower=_vec(payload, "lower", required=False),
         upper=_vec(payload, "upper", required=False),
     )
-    cfg = None
-    if args.tol or args.phi or args.max_iter:
-        cfg = default_qp_config(problem)
-        if args.tol:
-            cfg.eps = args.tol
-        if args.phi:
-            cfg.phi0 = args.phi
-        if args.max_iter:
-            cfg.max_iter = args.max_iter
+    options = {"eps": args.tol, "phi0": args.phi, "max_iter": args.max_iter}
+    options = {name: value for name, value in options.items() if value is not None}
+    cfg = dataclasses.replace(default_qp_config(problem), **options) if options else None
     x, report = qp_solve(problem, cfg=cfg, return_report=True)
     return {"solution": x, "objective": problem.objective(x),
             "iterations": report.iterations, "status": report.status}

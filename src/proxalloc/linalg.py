@@ -163,13 +163,14 @@ class SpdFactor:
 
 class SupportFactor:
     """The inverse G = M_FF^-1 of a fixed SPD matrix M on a changing support F,
-    and G U_F for the columns of a fixed n x c matrix U (none by default).
+    and G U_F for the columns of a fixed n x c matrix U.
 
     ``support`` lists the indices of F in G's row order.  The first k = |F|
     rows of the Fortran-ordered tableau ``t`` hold [G U_F, G], and
-    ``solved`` is G U_F.  ``refactor`` passes the block through the
-    Cholesky pivot gate and forms G from the factor (LAPACK dpotri).  A
-    name that leaves F is deleted in place by its Schur complement, the
+    ``solved`` is G U_F.  Construction passes the block through the
+    Cholesky pivot gate, raising NotPositiveDefinite when it is singular,
+    and forms G from the factor (LAPACK dpotri); it is the one inversion.
+    A name that leaves F is deleted in place by its Schur complement, the
     SWEEP operator (Goodnight 1979): it is swapped to the tableau's last
     row and G's last column c, and with d = c_last every row i of the
     tableau loses c_i / d times the last row, so G becomes G - c c' / d and
@@ -178,32 +179,22 @@ class SupportFactor:
     with one name j at the same cost: with g = G m_Fj and the Schur
     complement s = m_jj - m_Fj'g, G gains g g' / s and the border -g / s,
     1 / s, which the critical-line walk of portfolios takes at every name
-    whose multiplier turns.  index_sampling's supports only shrink between
-    rounds, and a round that frees names inverts afresh.  scipy's kernels
-    bind on first use.
+    whose multiplier turns, and index_sampling at every name its settle
+    rounds free.  scipy's kernels bind on first use.
     """
 
-    def __init__(self, m, support, rhs=None):
-        self.m = m
-        self.rhs = np.empty((m.shape[0], 0)) if rhs is None else rhs
-        self.refactor(support)
-
-    def refactor(self, support):
-        """Invert M on ``support`` afresh, in place.
-
-        A singular block raises NotPositiveDefinite and leaves the object
-        as it was.
-        """
+    def __init__(self, m, support, rhs):
+        self.m, self.rhs = m, rhs
         support = np.array(support)  # a copy: remove swaps its entries
-        k, c = support.size, self.rhs.shape[1]
-        upper = cholesky_lower(self.m[np.ix_(support, support)], check=False).T
+        k, c = support.size, rhs.shape[1]
+        upper = cholesky_lower(m[np.ix_(support, support)], check=False).T
         t = np.empty((k, c + k), order="F")
         g = t[:, c:]  # contiguous, so dpotri inverts it in place
         g[...] = upper
         _scipy.dpotri(g, overwrite_c=1)  # fills the upper triangle; the lower stays 0
         g += g.T
         g.ravel("K")[::k + 1] *= 0.5  # the diagonal, doubled by the line above
-        t[:, :c] = g.dot(self.rhs[support])
+        t[:, :c] = g.dot(rhs[support])
         self.t, self.support = t, support
 
     @property

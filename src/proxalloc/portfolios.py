@@ -16,8 +16,8 @@ cone, the volatility ellipsoid of the KL cap) and the rebalancing split
 (turnover cap and bid/ask costs) end with a polish: the exact optimum on
 the active set or trade pattern its y-blocks show.  Every polish, and
 index sampling's rounds, hands qp._settle a point solver (a secular
-root, Newton on the KKT system, a held Cholesky factor, an equality QP
-in trade variables) and lets its one primal-dual loop correct the guess.
+root, Newton on the KKT system, a held inverse, an equality QP in trade
+variables) and lets its one primal-dual loop correct the guess.
 Inputs whose constraint sets are empty are caught before the ADMM loop starts.
 
 Every model reads the covariance through its AssetUniverse, which checks
@@ -365,8 +365,8 @@ def _secular_root(a, c):
 
 def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None):
     """min 0.5 x'qx - r'x on the budget plane, the box and the rows c x <= d:
-    one QP-bridge solve, without qp_solve's stationarity sweep.  q is a
-    universe's ``factor``, whose cached factors the solve reuses."""
+    one QP-bridge solve, without qp_solve's stationarity sweep.  A
+    universe's ``factor`` as q lends the solve its cached factors."""
     problem = QpProblem(q=q, r=r, a=np.ones((1, len(r))), b=np.ones(1), c=c, d=d,
                         lower=lower, upper=upper)
     return _Bridge(problem, cfg).solve()[0]
@@ -376,25 +376,28 @@ def _solve_budget_qp(q, r, lower=None, upper=None, c=None, d=None, cfg=None):
 # mean-variance family
 # ---------------------------------------------------------------------------
 
-def mvo_gamma(universe, gamma, lower=None, upper=None, ineq=None, cfg=None):
-    """Budget-constrained mean-variance trade-off min 0.5 x'Cx - gamma x'mu."""
+def _mean_variance(universe, gamma, r, lower, upper, ineq, cfg):
+    """min 0.5 x'Cx - r'x on the budget, the box and the rows ``ineq`` = (c, d),
+    gated long-only when every lower bound is at least 0; raises
+    ValueError for a negative gamma, the weight of mu in r."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     c, d = ineq if ineq is not None else (None, None)
-    w = _solve_budget_qp(universe.factor, gamma * universe.mu, lower, upper, c, d, cfg)
+    w = _solve_budget_qp(universe.factor, r, lower, upper, c, d, cfg)
     return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
+
+
+def mvo_gamma(universe, gamma, lower=None, upper=None, ineq=None, cfg=None):
+    """Budget-constrained mean-variance trade-off min 0.5 x'Cx - gamma x'mu."""
+    return _mean_variance(universe, gamma, gamma * universe.mu, lower, upper, ineq, cfg)
 
 
 def mvo_benchmark(universe, benchmark, gamma, lower=None, upper=None, ineq=None,
                   cfg=None):
     """Tracking-error MVO: same QP with returns tilted by cov @ benchmark."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     b = _asset_vector(benchmark, universe.n, "benchmark")
-    c, d = ineq if ineq is not None else (None, None)
-    r = gamma * universe.mu + universe.cov @ b
-    w = _solve_budget_qp(universe.factor, r, lower, upper, c, d, cfg)
-    return _gate(w, long_only=lower is not None and np.all(np.asarray(lower) >= 0))
+    return _mean_variance(universe, gamma, gamma * universe.mu + universe.cov @ b, lower,
+                          upper, ineq, cfg)
 
 
 def _max_return_face(mu, lower, upper):
@@ -627,7 +630,8 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     (1 + |x_F|), and every multiplier of a zero whose cap is not 0 is at
     least -POLISH_TOL (1 + max |Cx| + max |Cb|).  Since u <= 1 never binds
     under the budget, that point is the exact optimum of the round.
-    Otherwise _tracking_optimum runs _settle from the guess on the same G.
+    Otherwise _tracking_optimum runs _settle from the guess on the same G,
+    which deletes the names _settle pins and borders the names it frees.
     A round whose support block is singular (a duplicated asset) or that
     runs out of rounds is solved by one cold QP-bridge solve with ``cfg``,
     and the next round inverts its support afresh.  Raises BadK unless
@@ -650,8 +654,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
             if held is None:
                 held = SupportFactor(cov, np.flatnonzero(keep), np.column_stack([r, np.ones(n)]))
             held.remove(~keep[held.support])
-            a, e = held.solved.T
-            x, mult, tol = _tracking_point(cov, r, r_max, held.support, a, e)
+            x, mult, tol = _tracking_point(cov, r, r_max, held)
             if not ((x >= -POLISH_TOL * (1.0 + np.abs(x))).all()  # _settle's tests
                     and ((mult >= -tol) | keep | (cap == 0)).all()):
                 x = _tracking_optimum(cov, r, cap, held, keep)
@@ -659,8 +662,7 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
             x = None
         if x is None:
             held = None
-            x, _ = _Bridge(QpProblem(q=universe.factor, r=r, a=np.ones((1, n)), b=np.ones(1),
-                                     lower=np.zeros(n), upper=np.minimum(cap, 1.0)), cfg).solve()
+            x = _solve_budget_qp(universe.factor, r, np.zeros(n), np.minimum(cap, 1.0), cfg=cfg)
         keep = x >= live_tol
         active = keep.nonzero()[0]
         if active.size <= n_assets:
@@ -676,37 +678,35 @@ def _tracking_optimum(cov, r, cap, held, support):
     """The optimum of one index_sampling round from the guess ``support``, or None.
 
     ``cap`` is inf, or 0 for a knocked-out name.  qp._settle's point
-    solver: x_F = a + nu e with a = G (Cb)_F and e = G 1 from the inverse
-    G = C_FF^-1 that ``held`` holds, nu = (1 - 1'a) / 1'e, and the zeros'
-    multipliers (Cx - Cb - nu)_i.  Moves ``held`` to each support solved:
-    names that leave are deleted from G by their Schur complements, and a
-    support that a name joins is inverted afresh, which raises
-    NotPositiveDefinite when its block is singular.
+    solver: _tracking_point on the inverse G = C_FF^-1 that ``held``
+    holds, with a = G (Cb)_F and e = G 1 its carried columns.  Moves
+    ``held`` to each support solved: names that leave are deleted from G
+    by their Schur complements, then each name that joins borders G,
+    which raises NotPositiveDefinite when the name copies held ones.
     """
     n, r_max = r.size, np.abs(r).max()
 
     def solve(zero, _):
-        drop = zero[held.support]
-        dropped = np.count_nonzero(drop)
-        if held.support.size - dropped + np.count_nonzero(zero) < n:  # names join
-            held.refactor(np.flatnonzero(~zero))
-        elif dropped:
-            held.remove(drop)
-        f = held.support
-        x, mult, tol = _tracking_point(cov, r, r_max, f, held.solve(r[f]),
-                                       held.solve(np.ones(f.size)))
+        held.remove(zero[held.support])
+        joining = ~zero
+        joining[held.support] = False
+        for j in joining.nonzero()[0]:
+            held.join(j)
+        x, mult, tol = _tracking_point(cov, r, r_max, held)
         return x, x, mult, tol
 
     return _settle(solve, 0.0, cap, ~support, np.zeros(n, dtype=bool))
 
 
-def _tracking_point(cov, r, r_max, f, a, e):
-    """The point x_F = a + nu e of an index_sampling round on the support f,
-    its reduced gradient Cx - r - nu (the zeros' multipliers) and their sign
-    slack POLISH_TOL (1 + max |Cx| + r_max)."""
+def _tracking_point(cov, r, r_max, held):
+    """The point x_F = a + nu e of an index_sampling round on the support F
+    of ``held``, whose carried columns are a = G (Cb)_F and e = G 1,
+    nu = (1 - 1'a) / 1'e; its reduced gradient Cx - r - nu (the zeros'
+    multipliers) and their sign slack POLISH_TOL (1 + max |Cx| + r_max)."""
+    a, e = held.solved.T
     nu = (1.0 - a.sum()) / e.sum()
     x = np.zeros(r.size)
-    x[f] = a + nu * e
+    x[held.support] = a + nu * e
     cx = cov.dot(x)  # one BLAS pass beats gathering the zeros' rows or the support's
     return x, cx - r - nu, POLISH_TOL * (1.0 + np.abs(cx).max() + r_max)
 
@@ -1842,9 +1842,8 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
         raise NotPositiveDefinite(f"PDP has eigenvalue {eig[-1]:.3g} > 0: D is not "
                                   "conditionally negative definite, so the RQE maximum "
                                   "is nonconvex")
-    problem = QpProblem(q=1.0 / n - centered, r=means - means.mean(), a=np.ones((1, n)),
-                        b=np.ones(1), lower=lower_vec, upper=upper_vec)
-    return _gate(_Bridge(problem, cfg).solve()[0], long_only=bool(np.all(lower_vec >= 0.0)))
+    w = _solve_budget_qp(1.0 / n - centered, means - means.mean(), lower_vec, upper_vec, cfg=cfg)
+    return _gate(w, long_only=bool(np.all(lower_vec >= 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,13 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
         assert "error" not in row, (name, row)
         assert row["wall_s"] > 0.0 and len(row["weights_sha256"]) == 64
         assert row["scaled_s"] > 0.0 and row["budget_gap"] <= 1e-2 and row["box_gap"] <= 1e-9
-        # the gmv, mvo_target and gmv_herfindahl rows meet their KKT gate; no
+        # the gmv, mvo_target, gmv_herfindahl and index_sampling rows meet their
+        # KKT gate and the erc and risk_budgeting rows their RC-spread gate; no
         # other row has one
-        if name[0] == "gmv" or name[0].startswith(("mvo_target", "gmv_herfindahl")):
-            assert row["kkt_residual"] <= row["kkt_gate"], (name, row)
+        if name[0] in ("gmv", "erc") or name[0].startswith(
+                ("mvo_target", "gmv_herfindahl", "index_sampling", "risk_budgeting")):
+            gate = 1e-8 if name[0] == "erc" or name[0].startswith("risk_budgeting") else 1e-9
+            assert row["kkt_gate"] == gate and row["kkt_residual"] <= gate, (name, row)
         else:
             assert "kkt_residual" not in row
         assert all(isinstance(it, int) and isinstance(done, bool) for it, done in row["admm"])
@@ -91,3 +94,24 @@ def test_herfindahl_residual_passes_the_answer_at_n8_and_flags_others():
     assert tool.herfindahl_residual(u, w.w, lam, bets - 0.5) > 1e-4
     # the tighter floor's equal share, the limit lam = inf
     assert tool.herfindahl_residual(u, np.full(8, 1.0 / 8), np.inf, 8.0) <= qp.POLISH_TOL
+
+
+def test_tracking_residual_and_rc_spread_pass_the_answers_and_flag_others():
+    import numpy as np
+
+    from proxalloc import portfolios
+    from proxalloc.portfolios import Volatility
+
+    tool = bench_sweep()
+    u = tool.universe(tool._perfbench("universe"), 12)
+    b = np.random.default_rng(3).dirichlet(np.ones(12))
+    w = portfolios.index_sampling(u, b, 4).w
+    assert tool.tracking_residual(u, w, b) <= 1e-9
+    assert tool.tracking_residual(u, w, np.full(12, 1.0 / 12)) > 1e-4  # another benchmark
+    held = np.flatnonzero(w)
+    moved = w.copy()
+    moved[held[:2]] += [1e-3, -1e-3]  # on the budget and the support, off the optimum
+    assert tool.tracking_residual(u, moved, b) > 1e-6
+    erc = portfolios.erc(u).w
+    assert tool.rc_spread(u, erc, Volatility()) <= 1e-8
+    assert tool.rc_spread(u, np.full(12, 1.0 / 12), Volatility()) > 1e-4

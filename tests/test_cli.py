@@ -1,9 +1,33 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proxalloc.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args):
+    """Run the interpreter on ``args`` in a fresh process with the source tree on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_import_proxalloc_leaves_the_cli_unloaded():
+    out = fresh_python("-c", "import sys, proxalloc; "
+                       "print([m for m in ('proxalloc.cli', 'argparse') if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    # run as a module, the CLI is not imported twice, so runpy has nothing to warn of
+    out = fresh_python("-W", "error::RuntimeWarning", "-m", "proxalloc.cli", "--help")
+    assert out.returncode == 0 and out.stdout.startswith("usage: proxalloc"), out.stderr
 
 
 def write_payload(tmp_path, payload, name="in.json"):
@@ -83,6 +107,30 @@ class TestQpCommand:
         assert main(["qp", "--input", inp, "--output", str(out)]) == EXIT_OK
         result = read_json(out)
         assert np.allclose(result["solution"], [0.5, 0.5])
+
+    def test_a_zero_phi_is_checked_not_ignored(self, tmp_path, capsys):
+        inp = write_payload(tmp_path, {"Q": np.eye(2).tolist(), "R": [0.0, 0.0],
+                                       "A": [[1.0, 1.0]], "B": [1.0], "lower": [0.0, 0.0]})
+        assert main(["qp", "--input", inp, "--phi", "0"]) == EXIT_DOMAIN
+        assert "phi0 must be positive" in capsys.readouterr().err
+
+    def test_a_zero_iteration_cap_runs_no_admm_iteration(self, tmp_path, monkeypatch, capsys):
+        from proxalloc import qp
+
+        iterations = []
+        real = qp.admm_solve
+
+        def spy(*args, **kwargs):
+            x, y, report = real(*args, **kwargs)
+            iterations.append(report.iterations)
+            return x, y, report
+
+        monkeypatch.setattr(qp, "admm_solve", spy)
+        inp = write_payload(tmp_path, {"Q": [[2.0, 0.5], [0.5, 1.0]], "R": [1.0, 0.0],
+                                       "A": [[1.0, 1.0]], "B": [1.0], "lower": [0.0, 0.0]})
+        assert main(["qp", "--input", inp, "--max-iter", "0"]) == EXIT_DOMAIN
+        assert iterations == [0]
+        assert "after 0 iterations" in capsys.readouterr().err
 
     def test_mis_shaped_block_is_a_one_line_domain_error(self, tmp_path, capsys):
         inp = write_payload(tmp_path, {"Q": np.eye(3).tolist(), "R": [1.0, 1.0]})

@@ -71,10 +71,17 @@ class TestCholesky:
 
 
 class TestSupportFactor:
-    def test_deletes_and_a_join_match_a_fresh_factor(self):
+    def test_deletes_and_a_join_match_a_fresh_factor(self, monkeypatch):
         rng = np.random.default_rng(9)
         m = random_spd(rng, 12)
         u = rng.standard_normal((12, 2))
+        factorizations, joins = [], []
+        real_cholesky, real_join = linalg.cholesky_lower, SupportFactor.join
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda block, *args, **kwargs: factorizations.append(block.shape[0])
+                            or real_cholesky(block, *args, **kwargs))
+        monkeypatch.setattr(SupportFactor, "join",
+                            lambda held, j: joins.append(j) or real_join(held, j))
         held = SupportFactor(m, np.arange(12), u)  # carries G u_F through every delete
 
         def assert_fresh():
@@ -90,9 +97,12 @@ class TestSupportFactor:
             held.remove(np.isin(held.support, drop))
         assert sorted(held.support) == [1, 2, 6, 7, 9, 10]
         assert_fresh()
-        held.refactor(np.append(held.support, [8, 0]))  # 8 and 0 join
+        held.join(8)
+        held.join(0)
         assert sorted(held.support) == [0, 1, 2, 6, 7, 8, 9, 10]
         assert_fresh()
+        # construction is the one inversion; the joins border it
+        assert factorizations == [12] and joins == [8, 0]
 
     def test_joins_mixed_with_deletes_match_a_fresh_inverse(self):
         rng = np.random.default_rng(4)
@@ -134,12 +144,16 @@ class TestSupportFactor:
     def test_singular_join_leaves_the_factor(self):
         copy = [0, 1, 0]  # asset 2 copies asset 0
         m = np.array([[2.0, 1.0], [1.0, 2.0]])[np.ix_(copy, copy)]
-        held = SupportFactor(m, [0, 1])
+        rhs = np.ones((3, 1))
+        with pytest.raises(NotPositiveDefinite):  # the constructor's pivot gate
+            SupportFactor(m, [0, 1, 2], rhs)
+        held = SupportFactor(m, [0, 1], rhs)
         t = held.t.copy()
         with pytest.raises(NotPositiveDefinite):
-            held.refactor([0, 1, 2])
+            held.join(2)
         assert np.array_equal(held.support, [0, 1]) and np.array_equal(held.t, t)
         assert np.allclose(held.solve(np.eye(2)) @ m[:2, :2], np.eye(2), rtol=0, atol=1e-15)
+        assert np.allclose(held.solved[:, 0], np.linalg.solve(m[:2, :2], np.ones(2)))
 
 
 class TestSolveSpd:

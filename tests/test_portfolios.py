@@ -897,7 +897,8 @@ class TestIndexSampling:
         again = index_sampling(SET1.universe, SET1.benchmark, 4)
         assert np.array_equal(w.w, again.w)
 
-    def test_a_round_where_one_name_leaves_and_one_joins_matches_a_cold_solve(self):
+    def test_a_round_where_one_name_leaves_and_one_joins_matches_a_cold_solve(self, monkeypatch):
+        from proxalloc import linalg, portfolios
         from proxalloc.linalg import SupportFactor
         from proxalloc.portfolios import _tracking_optimum
         from proxalloc.qp import _Bridge
@@ -909,11 +910,17 @@ class TestIndexSampling:
                                     lower=np.zeros(n), upper=np.ones(n))).solve()
         assert list(np.flatnonzero(cold > 1e-12)) == [0, 1, 4, 6]
         guess = np.isin(np.arange(n), [1, 4, 5, 6])  # 0 must join and 5 leave
-        held = SupportFactor(cov, np.flatnonzero(guess))
-        solve, solves = held.solve, []
-        held.solve = lambda rhs: solves.append(1) or solve(rhs)
+        held = SupportFactor(cov, np.flatnonzero(guess), np.column_stack([r, np.ones(n)]))
+        points, joins, factorizations = [], [], []
+        real_point, real_join = portfolios._tracking_point, held.join
+        monkeypatch.setattr(portfolios, "_tracking_point",
+                            lambda *args: points.append(1) or real_point(*args))
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m, *args, **kwargs: factorizations.append(m.shape[0]))
+        held.join = lambda j: joins.append(j) or real_join(j)
         x = _tracking_optimum(cov, r, np.full(n, np.inf), held, guess)
-        assert len(solves) == 4  # two triangular pairs: the guess and one correction
+        assert len(points) == 2  # the guess and one correction
+        assert joins == [0] and factorizations == []  # 0 borders G; nothing is inverted
         assert np.max(np.abs(x - cold)) <= 1e-10
         assert sorted(held.support) == [0, 1, 4, 6] == list(np.flatnonzero(x > 0))
 
@@ -1004,24 +1011,50 @@ class TestIndexSampling:
         from proxalloc.linalg import SupportFactor
 
         b = np.array([0.4, 0.3, -0.1, 0.2, 0.3, -0.2, 0.1, 0.0])
-        guesses, joins = [], []
-        real_tracking, real_refactor = portfolios._tracking_optimum, SupportFactor.refactor
+        guesses, joins, built = [], [], []
+        real_tracking, real_join = portfolios._tracking_optimum, SupportFactor.join
+        real_init = SupportFactor.__init__
 
         def spy_tracking(cov, r, cap, held, support):
             guesses.append(list(np.flatnonzero(support)))
             return real_tracking(cov, r, cap, held, support)
 
-        def spy_refactor(held, support):
-            before = set(getattr(held, "support", support))
-            joins.extend(sorted(set(support) - before))
-            real_refactor(held, support)
+        def spy_init(held, m, support, rhs):
+            built.append(list(support))
+            real_init(held, m, support, rhs)
 
         monkeypatch.setattr(portfolios, "_tracking_optimum", spy_tracking)
-        monkeypatch.setattr(SupportFactor, "refactor", spy_refactor)
+        monkeypatch.setattr(SupportFactor, "join", lambda held, j: joins.append(j)
+                            or real_join(held, j))
+        monkeypatch.setattr(SupportFactor, "__init__", spy_init)
         w = index_sampling(SET1.universe, b, 1).w
         assert guesses == [list(range(8)), [0, 4], [0]]
-        assert joins == [2, 3, 5, 7, 2, 5, 7]
+        # one inverse, of every name, which each freed name borders
+        assert built == [list(range(8))] and joins == [2, 3, 5, 7, 2, 5, 7]
         expected = cold_index_sampling(SET1.universe, b, 1)
+        assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
+        assert np.max(np.abs(w - expected)) <= 1e-10
+
+    def test_a_long_short_benchmark_inverts_its_support_once(self, monkeypatch):
+        # 1.6 Dir - 0.6 Dir: short names the early guesses hold go negative, so
+        # _settle pins them and frees others, each freed name a bordered join
+        from proxalloc import linalg
+        from proxalloc.linalg import SupportFactor
+
+        n, k = 60, 15
+        rng = np.random.default_rng(60)
+        u = factor_universe(rng, n)
+        b = 1.6 * rng.dirichlet(np.ones(n)) - 0.6 * rng.dirichlet(np.ones(n))
+        factorizations, joins = [], []
+        real_cholesky, real_join = linalg.cholesky_lower, SupportFactor.join
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m, *args, **kwargs: factorizations.append(m.shape[0])
+                            or real_cholesky(m, *args, **kwargs))
+        monkeypatch.setattr(SupportFactor, "join", lambda held, j: joins.append(j)
+                            or real_join(held, j))
+        w = index_sampling(u, b, k).w
+        assert factorizations == [n] and joins
+        expected = cold_index_sampling(u, b, k)
         assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
         assert np.max(np.abs(w - expected)) <= 1e-10
 

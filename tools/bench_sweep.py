@@ -21,10 +21,12 @@ imported read-only, runs before and after each timed run, and scaled_s
 is the best run's time at the probe's reference speed, so files from
 different sessions compare.  Each row also records its answer's budget
 and box gaps, the gmv and mvo_target rows the KKT residual of
-min 0.5 x'cov x - t mu'x on the budget and the box at the answer, and
-the gmv_herfindahl rows that of min x'cov x under the effective-bets
-floor with the multiplier the answer returns, each with its gate
-(``correctness``).  A case
+min 0.5 x'cov x - t mu'x on the budget and the box at the answer, the
+gmv_herfindahl rows that of min x'cov x under the effective-bets floor
+with the multiplier the answer returns, the index_sampling row the
+stationarity of its final pinned tracking QP, and the erc and
+risk_budgeting rows the relative spread of their risk contributions,
+each with its gate (``correctness``).  A case
 that raises is recorded with its error, never dropped.  Every case runs
 at each of --sizes; each --extra N PATTERN also runs, at size N, the
 cases whose name matches the glob PATTERN (``--extra 2000
@@ -63,12 +65,14 @@ from proxalloc.portfolios import (  # noqa: E402
     RoboConfig,
     ShannonEntropyFloor,
     StdevRisk,
+    Volatility,
     effective_bets,
     stats,
 )
 
 TABLES = ("table4", "table5", "erc", "lasso_trace", "box_qp_trace")
 REPEAT = 3
+RC_GATE = 1e-8  # relative spread of equal-budget risk contributions
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -95,9 +99,11 @@ def universe(universe_module, n):
 
 
 def cases(universe_module, n):
-    """({name: solve(universe)}, {name: effective-bets floor}) of the sweep
-    at size n, the floors those of the gmv_herfindahl rows; the inputs are
-    computed on a copy of the universe that no solve is given."""
+    """({name: solve(universe)}, {name: input}) of the sweep at size n, the
+    inputs those ``correctness`` checks a row against: the gmv_herfindahl
+    row's effective-bets floor, the index_sampling row's benchmark and the
+    erc and risk_budgeting rows' risk measures.  They are computed on a
+    copy of the universe that no solve is given."""
     inputs = universe(universe_module, n)
     ew = np.full(n, 1.0 / n)
     box = dict(lower=np.zeros(n), upper=np.ones(n))
@@ -111,10 +117,12 @@ def cases(universe_module, n):
     k = max(2, n // 10)  # sectors of every k-th asset, each capped at 1.5 / k
     sectors = (np.arange(n) % k == np.arange(k)[:, None]).astype(float)
     book = dict(box, ineq=(sectors, np.full(k, 1.5 / k)))
-    floors = {"gmv_herfindahl halfway": 0.5 * (effective_bets(gmv.w) + n)}
+    params = {"gmv_herfindahl halfway": 0.5 * (effective_bets(gmv.w) + n),
+              "index_sampling n/4 ew": ew, "erc": Volatility(),
+              "risk_budgeting stdev admm": StdevRisk(xi), "risk_budgeting vol admm": Volatility()}
     return {
         "risk_budgeting stdev admm": lambda u: portfolios.risk_budgeting(
-            u, np.ones(n), StdevRisk(xi), engine="admm"),
+            u, np.ones(n), params["risk_budgeting stdev admm"], engine="admm"),
         # the volatility-measure ADMM engine, as in rb_ccd's rb_admm slot
         "risk_budgeting vol admm": lambda u: portfolios.risk_budgeting(
             u, np.ones(n), engine="admm"),
@@ -122,7 +130,7 @@ def cases(universe_module, n):
             u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
         "index_sampling n/4 ew": lambda u: portfolios.index_sampling(u, ew, max(1, n // 4)),
         "gmv_herfindahl halfway": lambda u: portfolios.gmv_herfindahl(
-            u, min_bets=floors["gmv_herfindahl halfway"]),
+            u, min_bets=params["gmv_herfindahl halfway"]),
         "kl_portfolio cap 1.2x gmv": lambda u: portfolios.kl_portfolio(
             u, ew, max_volatility=1.2 * vol),
         "kl_portfolio return p70 cap 1.5x gmv": lambda u: portfolios.kl_portfolio(
@@ -148,7 +156,7 @@ def cases(universe_module, n):
         # each later one polishes first from the active set the last one ended on
         "mvo_gamma sector book x8": lambda u: [portfolios.mvo_gamma(u, gamma, **book)
                                                for gamma in np.linspace(0.1, 0.25, 8)],
-    }, floors
+    }, params
 
 
 class AdmmSpy:
@@ -241,14 +249,34 @@ def herfindahl_residual(u, w, lam, bets):
                      mult[at_high].max(initial=0.0) / scale, -lam, slack, gap))
 
 
-def correctness(name, u, ws, lam=None, bets=None):
+def tracking_residual(u, w, b):
+    """The stationarity of index_sampling's final pinned tracking QP,
+    min 0.5 x'cov x - x'cov b on the budget with the names off w's support
+    pinned at 0: cov w - cov b - nu on the support, nu its mean there,
+    relative to 1 + max |cov w| + max |cov b|."""
+    g, r = u.cov @ w, u.cov @ b
+    grad = (g - r)[w > 0]
+    return float(np.abs(grad - grad.mean()).max() / (1.0 + np.abs(g).max() + np.abs(r).max()))
+
+
+def rc_spread(u, w, measure):
+    """The relative spread (max - min) / |mean| of w's risk contributions
+    under ``measure``; every risk-budgeting row's budgets are equal."""
+    rc = portfolios.risk_contributions(w, u, measure)
+    return float((rc.max() - rc.min()) / abs(rc.mean()))
+
+
+def correctness(name, u, ws, lam=None, param=None):
     """{budget_gap, box_gap} of a row's weight vectors ``ws`` on its universe
     u, and {kkt_residual, kkt_gate} for the gmv and mvo_target rows
-    (frontier_residual) and the gmv_herfindahl rows (herfindahl_residual
-    with the answer's ``lam`` and the floor ``bets``), the gate
-    qp.POLISH_TOL.  The box is [0, 1], or [0, the cap] for the capped mdp
-    row; mvo_costs' weights sum to 1 less the costs it financed, so its
-    budget gap is those costs."""
+    (frontier_residual), the gmv_herfindahl rows (herfindahl_residual
+    with the answer's ``lam`` and the floor ``param``) and the
+    index_sampling row (tracking_residual with the benchmark ``param``),
+    the gate qp.POLISH_TOL, and for the erc and risk_budgeting rows
+    (rc_spread under the measure ``param``), the gate RC_GATE.  The box
+    is [0, 1], or [0, the cap] for the capped mdp row; mvo_costs' weights
+    sum to 1 less the costs it financed, so its budget gap is those
+    costs."""
     upper = max(0.05, 2.0 / u.n) if name == "mdp caps max(0.05, 2/n)" else 1.0
     out = {"budget_gap": max(abs(float(w.sum()) - 1.0) for w in ws),
            "box_gap": max(max(-float(w.min()), float(w.max()) - upper, 0.0) for w in ws)}
@@ -256,8 +284,12 @@ def correctness(name, u, ws, lam=None, bets=None):
         out.update(kkt_residual=frontier_residual(u, ws[0], fit_t=name != "gmv"),
                    kkt_gate=qp.POLISH_TOL)
     elif name.startswith("gmv_herfindahl"):
-        out.update(kkt_residual=herfindahl_residual(u, ws[0], lam, bets),
+        out.update(kkt_residual=herfindahl_residual(u, ws[0], lam, param),
                    kkt_gate=qp.POLISH_TOL)
+    elif name.startswith("index_sampling"):
+        out.update(kkt_residual=tracking_residual(u, ws[0], param), kkt_gate=qp.POLISH_TOL)
+    elif name == "erc" or name.startswith("risk_budgeting"):
+        out.update(kkt_residual=rc_spread(u, ws[0], param), kkt_gate=RC_GATE)
     return out
 
 
@@ -333,14 +365,14 @@ def sweep(sizes, extra=()):
     probe, scale = run.SpeedProbe(), 2.0 * run.PROBE_REF_S
     rows = []
     for n, pattern in [(n, "*") for n in sizes] + [(int(n), p) for n, p in extra]:
-        solves, floors = cases(module, n)
+        solves, params = cases(module, n)
         for name, solve in solves.items():
             if fnmatch.fnmatchcase(name, pattern):
                 fresh = lambda n=n: universe(module, n)
                 row = {"case": name, "n": n, **run_case(solve, fresh, probe, scale)}
                 if "error" not in row:
                     row.update(correctness(name, fresh(), row.pop("weights"), row.pop("lam"),
-                                           floors.get(name)))
+                                           params.get(name)))
                 rows.append(row)
     return rows
 
