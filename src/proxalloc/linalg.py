@@ -161,39 +161,51 @@ class SpdFactor:
         return _scipy.solve_triangular(self.lower.T, y, lower=False, check_finite=False)
 
 
+def _invert_upper(g, upper):
+    """G = M^-1 into the F-contiguous square ``g`` from M's upper Cholesky factor."""
+    g[...] = upper
+    _scipy.dpotri(g, overwrite_c=1)  # fills the upper triangle; the lower stays 0
+    g += g.T
+    g.ravel("K")[::g.shape[0] + 1] *= 0.5  # the diagonal, doubled by the line above
+    return g
+
+
 class SupportFactor:
     """The inverse G = M_FF^-1 of a fixed SPD matrix M on a changing support F,
     and G U_F for the columns of a fixed n x c matrix U.
 
     ``support`` lists the indices of F in G's row order.  The first k = |F|
     rows of the Fortran-ordered tableau ``t`` hold [G U_F, G], and
-    ``solved`` is G U_F.  Construction passes the block through the
-    Cholesky pivot gate, raising NotPositiveDefinite when it is singular,
-    and forms G from the factor (LAPACK dpotri); it is the one inversion.
-    A name that leaves F is deleted in place by its Schur complement, the
-    SWEEP operator (Goodnight 1979): it is swapped to the tableau's last
-    row and G's last column c, and with d = c_last every row i of the
-    tableau loses c_i / d times the last row, so G becomes G - c c' / d and
-    G U_F its value on the names left.  That is one BLAS rank-one update
-    (dger), O(k (k + c)) with no copy of the tableau.  ``join`` borders G
-    with one name j at the same cost: with g = G m_Fj and the Schur
-    complement s = m_jj - m_Fj'g, G gains g g' / s and the border -g / s,
-    1 / s, which the critical-line walk of portfolios takes at every name
-    whose multiplier turns, and index_sampling at every name its settle
-    rounds free.  scipy's kernels bind on first use.
+    ``solved`` is G U_F.  ``m`` is M, or the PenaltyFactor of M: then a
+    support of every name in order copies the factor's kept M^-1
+    (``PenaltyFactor.inverse``).  Otherwise construction passes the block
+    through the Cholesky pivot gate, raising NotPositiveDefinite when it
+    is singular, and forms G from the factor (LAPACK dpotri); it is the
+    one inversion.  A name that leaves F is deleted in place by its Schur
+    complement, the SWEEP operator (Goodnight 1979): with c its column of
+    G at position p and d = c_p, every other row i of the tableau loses
+    c_i / d times row p, so G becomes G - c c' / d and G U_F its value on
+    the names left, and then the last row and column move into position
+    p.  That is one BLAS rank-one update (dger), O(k (k + c)) with no copy
+    of the tableau.  ``join`` borders G with one name j by the same
+    update: with g = G m_Fj and the Schur complement s = m_jj - m_Fj'g, G
+    gains g g' / s and the border -g / s, 1 / s, which the critical-line
+    walk of portfolios takes at every name whose multiplier turns, and
+    index_sampling at every name its settle rounds free.  scipy's kernels
+    bind on first use.
     """
 
     def __init__(self, m, support, rhs):
-        self.m, self.rhs = m, rhs
-        support = np.array(support)  # a copy: remove swaps its entries
+        quad = m if isinstance(m, PenaltyFactor) else None
+        self.m, self.rhs = (m if quad is None else m.q), rhs
+        support = np.array(support)  # a copy: remove moves its entries
         k, c = support.size, rhs.shape[1]
-        upper = cholesky_lower(m[np.ix_(support, support)], check=False).T
         t = np.empty((k, c + k), order="F")
         g = t[:, c:]  # contiguous, so dpotri inverts it in place
-        g[...] = upper
-        _scipy.dpotri(g, overwrite_c=1)  # fills the upper triangle; the lower stays 0
-        g += g.T
-        g.ravel("K")[::k + 1] *= 0.5  # the diagonal, doubled by the line above
+        if quad is not None and k == self.m.shape[0] and (support == np.arange(k)).all():
+            g[...] = quad.inverse()
+        else:
+            _invert_upper(g, cholesky_lower(self.m[np.ix_(support, support)], check=False).T)
         t[:, :c] = g.dot(rhs[support])
         self.t, self.support = t, support
 
@@ -216,15 +228,18 @@ class SupportFactor:
         t, support, c, k = self.t, self.support, self.rhs.shape[1], self.support.size
         for p in drop.nonzero()[0][::-1]:
             last = k - 1
-            if p != last:  # slices and scalar swaps cost a third of fancy indexing
-                t[p, :c + k], t[last, :c + k] = t[last, :c + k].copy(), t[p, :c + k].copy()
-                t[:k, c + p], t[:k, c + last] = t[:k, c + last].copy(), t[:k, c + p].copy()
-                support[p], support[last] = support[last], support[p]
             if last:
-                col = t[:, c + last]  # contiguous; its rows from k on are deleted names'
-                scale = -1.0 / col[last]
-                col[last:] = 0.0  # so the update leaves the deleted rows as they are
-                _scipy.dger(scale, col, t[last, :c + last], a=t[:, :c + last], overwrite_a=1)
+                col = t[:, c + p]  # contiguous; its rows from k on are deleted names'
+                scale = -1.0 / col[p]
+                # with its pivot 0 the update leaves row p as it is, and adds 0 to
+                # column p, which is col itself; zeros from k on keep the deleted rows
+                col[p] = 0.0
+                col[k:] = 0.0
+                _scipy.dger(scale, col, t[p, :c + k], a=t[:, :c + k], overwrite_a=1)
+            if p != last:  # slices and scalar moves cost a third of fancy indexing
+                t[p, :c + k] = t[last, :c + k]
+                t[:k, c + p] = t[:k, c + last]
+                support[p] = support[last]
             k = last
         self.support = support[:k]
 
@@ -242,12 +257,15 @@ class SupportFactor:
         if s <= 1e-14 * self.m.diagonal().max():
             raise NotPositiveDefinite(f"name {j} joins a singular block")
         w = (self.rhs[j] - col.dot(t[:k, :c])) / s
-        if k == t.shape[0]:  # no spare row: double the tableau, in Fortran order for remove
+        if k == t.shape[0]:  # no spare row: double the tableau, in Fortran order for dger
             grown = np.empty((2 * k + 1, c + 2 * k + 1), order="F")
             grown[:k, :c + k] = t[:k, :c + k]
             self.t = t = grown
-        t[:k, :c + k] += np.outer(g, np.concatenate([-w, g / s]))
-        t[k, :c], t[k, c:c + k], t[:k, c + k], t[k, c + k] = w, -g / s, -g / s, 1.0 / s
+        border = t[:, c + k]  # contiguous: g on F, 0 below, so rows from k on keep their values
+        border[:k], border[k:] = g, 0.0
+        t[k, :c], t[k, c:c + k] = w, -g / s
+        _scipy.dger(-1.0, border, t[k, :c + k], a=t[:, :c + k], overwrite_a=1)
+        border[:k], border[k] = t[k, c:c + k], 1.0 / s
         self.support = np.append(support, j)
 
 
@@ -269,7 +287,9 @@ class PenaltyFactor:
     changes only now and then (Boyd et al. 2011, sec. 4.2), so one cache
     keeps what the last CACHE_ENTRIES penalty values need: the factor of
     Q + phi I, and for ``solve_on_plane`` and ``solve_with_rows`` the
-    solves against the normal or the rows last passed.  A second cache,
+    solves against the normal or the rows last passed; and for phi = 0,
+    once ``inverse`` is asked for, Q^-1: one n x n array more (32 MB at
+    n = 2000), evicted with its entry.  A second cache,
     ``active_sets``, keeps for the last CACHE_ENTRIES constraint
     geometries of the QP bridge (a digest of the rows and bounds, see
     ``qp._ClippedSplit.key``) the active set its last accepted polish
@@ -284,7 +304,7 @@ class PenaltyFactor:
     def __init__(self, q):
         self.diagonal = np.ndim(q) == 1
         self.q = as_vector(q, "Q") if self.diagonal else as_symmetric(q, "Q")
-        self._cache = {}  # phi -> [factor, plane, rows]
+        self._cache = {}  # phi -> [factor, plane, rows, inverse]
         self.active_sets = {}  # geometry key -> (at_lo, at_hi) masks of its last polish
 
     def _entry(self, phi):
@@ -293,8 +313,17 @@ class PenaltyFactor:
             factor = None
             if not self.diagonal:
                 factor = SpdFactor(self.q + phi * np.eye(self.q.shape[0]), check=False)
-            entry = _keep(self._cache, phi, [factor, None, None])
+            entry = _keep(self._cache, phi, [factor, None, None, None])
         return entry
+
+    def inverse(self):
+        """Q^-1 of a matrix Q, formed by dpotri from the phi = 0 entry's
+        Cholesky factor on first use and kept in that entry; read-only."""
+        entry = self._entry(0.0)
+        if entry[3] is None:
+            n = self.q.shape[0]
+            entry[3] = _invert_upper(np.empty((n, n), order="F"), entry[0].lower.T)
+        return entry[3]
 
     def remember(self, key, masks):
         """Keep ``masks`` as the active set of the geometry ``key``, its newest entry."""

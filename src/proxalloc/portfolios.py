@@ -110,15 +110,17 @@ class AssetUniverse:
       cov once (finite, symmetric under linalg's rule).  Every QP and
       quadratic split of a model on this universe solves through it, so a
       second call at the same penalty reuses the factor of cov + phi I.
-      Its cache holds up to four n x n factors, one per recent penalty.
+      Its cache holds up to four n x n factors, one per recent penalty,
+      and once index_sampling has run, cov^-1 beside the phi = 0 factor.
     * ``spectrum``: cov's eigendecomposition (eigenvalues, eigenvectors),
       computed on first use and kept; it serves the volatility ellipsoid
       and the stdev ADMM x-update.  One more n x n array.
 
     Both live as long as the universe, so a universe holds up to four
-    n x n factors and one eigenbasis besides rho and cov.  ``cov`` stays a
-    plain array; treat it as read-only, since the factor and the spectrum
-    were built from it.
+    n x n factors and one eigenbasis besides rho and cov, and one n x n
+    inverse more (32 MB at n = 2000) while index_sampling's is cached.
+    ``cov`` stays a plain array; treat it as read-only, since the factor
+    and the spectrum were built from it.
     """
 
     names: list
@@ -614,22 +616,26 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
 
     Repeatedly solves the long-only tracking QP, min 0.5 x'Cx - x'Cb
     s.t. 1'x = 1, 0 <= x <= u, and knocks out the asset with the smallest
-    nonzero weight until exactly n_assets names remain invested.  A
-    knocked-out asset gets u_i = 0 for the rounds that follow.  Weights
-    within POLISH_TOL of the smallest tie, and ties go to the lowest
-    index, so the names kept do not depend on round-off (an equal-weight
-    benchmark ties every name in the first round).
+    nonzero weight until at most n_assets names remain invested: fewer
+    when a round's optimum holds fewer (a benchmark with zero weights, or
+    a single name).  A knocked-out asset gets u_i = 0 for the rounds that
+    follow.  Weights within POLISH_TOL of the smallest tie, and ties go to
+    the lowest index, so the names kept do not depend on round-off (an
+    equal-weight benchmark ties every name in the first round).
 
     Each round guesses the support F of the last round less its zeros and
     the knocked-out name (every name in round 1).  One inverse
     G = C_FF^-1 is held across the rounds (linalg.SupportFactor), and with
     it a = G (Cb)_F and e = G 1, which the guess's Schur deletes downdate
-    in O(k) each.  The guess's point is x_F = a + nu e, nu = (1 - 1'a) / 1'e,
-    and the zeros' multipliers are their reduced gradient (Cx - Cb - nu)_i.
-    It is kept when it passes qp._settle's tests: x_F >= -POLISH_TOL
-    (1 + |x_F|), and every multiplier of a zero whose cap is not 0 is at
-    least -POLISH_TOL (1 + max |Cx| + max |Cb|).  Since u <= 1 never binds
-    under the budget, that point is the exact optimum of the round.
+    in O(k) each.  Round 1's G is a copy of C^-1, which the universe's
+    PenaltyFactor forms once and keeps for every later account.  The
+    guess's point is x_F = a + nu e, nu = (1 - 1'a) / 1'e, and the zeros'
+    multipliers are their reduced gradient (Cx - Cb - nu)_i.  It is kept
+    when it passes qp._settle's tests: x_F >= -POLISH_TOL (1 + |x_F|), and
+    every multiplier of a zero whose cap is not 0 is at least -POLISH_TOL
+    (1 + max |Cx| + max |Cb|).  When every zero was knocked out (cap 0),
+    the second test is vacuous and Cx is not formed.  Since u <= 1 never
+    binds under the budget, that point is the exact optimum of the round.
     Otherwise _tracking_optimum runs _settle from the guess on the same G,
     which deletes the names _settle pins and borders the names it frees.
     A round whose support block is singular (a duplicated asset) or that
@@ -651,12 +657,18 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     while True:
         x = None
         try:
-            if held is None:
-                held = SupportFactor(cov, np.flatnonzero(keep), np.column_stack([r, np.ones(n)]))
+            if held is None:  # in round 1, a copy of the universe's inverse
+                held = SupportFactor(universe.factor, np.flatnonzero(keep),
+                                     np.column_stack([r, np.ones(n)]))
             held.remove(~keep[held.support])
-            x, mult, tol = _tracking_point(cov, r, r_max, held)
-            if not ((x >= -POLISH_TOL * (1.0 + np.abs(x))).all()  # _settle's tests
-                    and ((mult >= -tol) | keep | (cap == 0)).all()):
+            free = ~(keep | (cap == 0))  # the zeros whose multipliers _settle tests
+            if free.any():
+                x, mult, tol = _tracking_point(cov, r, r_max, held)
+                signs = (mult[free] >= -tol).all()
+            else:  # x >= 0 is the whole test, so C x is not formed
+                x, signs = np.zeros(n), True
+                x[held.support] = _support_weights(held)[0]
+            if not (signs and (x >= -POLISH_TOL * (1.0 + np.abs(x))).all()):
                 x = _tracking_optimum(cov, r, cap, held, keep)
         except NotPositiveDefinite:  # a singular join: x may hold the rejected guess
             x = None
@@ -698,15 +710,21 @@ def _tracking_optimum(cov, r, cap, held, support):
     return _settle(solve, 0.0, cap, ~support, np.zeros(n, dtype=bool))
 
 
+def _support_weights(held):
+    """x_F = a + nu e and nu = (1 - 1'a) / 1'e from the carried columns
+    a = G (Cb)_F and e = G 1 of ``held``."""
+    a, e = held.solved.T
+    nu = (1.0 - a.sum()) / e.sum()
+    return a + nu * e, nu
+
+
 def _tracking_point(cov, r, r_max, held):
     """The point x_F = a + nu e of an index_sampling round on the support F
     of ``held``, whose carried columns are a = G (Cb)_F and e = G 1,
     nu = (1 - 1'a) / 1'e; its reduced gradient Cx - r - nu (the zeros'
     multipliers) and their sign slack POLISH_TOL (1 + max |Cx| + r_max)."""
-    a, e = held.solved.T
-    nu = (1.0 - a.sum()) / e.sum()
     x = np.zeros(r.size)
-    x[held.support] = a + nu * e
+    x[held.support], nu = _support_weights(held)
     cx = cov.dot(x)  # one BLAS pass beats gathering the zeros' rows or the support's
     return x, cx - r - nu, POLISH_TOL * (1.0 + np.abs(cx).max() + r_max)
 

@@ -30,7 +30,7 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
         assert row["exit_code"] == 0 and 0.0 < row["seconds"] < 60.0
         assert 0.0 < row["fresh_s"] < 60.0  # import included
     cases = {(row["case"], row["n"]): row for row in result["cases"]}
-    assert len(cases) == 25 and len([key for key in cases if key[1] == 8]) == 23
+    assert len(cases) == 26 and len([key for key in cases if key[1] == 8]) == 24
     # --extra ran the two matching cases at n = 12, and nothing else
     assert {key for key in cases if key[1] != 8} == {
         ("risk_budgeting stdev admm", 12), ("risk_budgeting vol admm", 12)}
@@ -53,6 +53,8 @@ def test_sweep_at_n8_writes_every_case(tmp_path, capsys):
     assert cases["erc", 8]["admm"] == []  # coordinate descent: no ADMM solve
     # a book's first account runs ADMM; the seven after it polish from its active set
     assert [done for _, done in cases["mvo_gamma sector book x8", 8]["admm"]] == [True]
+    # the index book's eight accounts each pass the gate, through the knock-out rounds
+    assert cases["index_sampling book x8", 8]["admm"] == []
     # the ADMM engine's polish certifies its start, before any ADMM iteration
     assert cases["risk_budgeting vol admm", 12]["admm"] == []
     # and so does the Herfindahl polish, at the split's first iterate
@@ -115,3 +117,28 @@ def test_tracking_residual_and_rc_spread_pass_the_answers_and_flag_others():
     erc = portfolios.erc(u).w
     assert tool.rc_spread(u, erc, Volatility()) <= 1e-8
     assert tool.rc_spread(u, np.full(12, 1.0 / 12), Volatility()) > 1e-4
+
+
+def test_index_book_checks_every_account(monkeypatch):
+    import numpy as np
+
+    from proxalloc import portfolios, qp
+
+    tool = bench_sweep()
+    module = tool._perfbench("universe")
+    solves, params = tool.cases(module, 12)
+    accounts = params["index_sampling book x8"]
+    assert len(accounts) == 8 and len({b.tobytes() for b in accounts}) == 8
+    calls = []
+    real = portfolios.index_sampling
+    monkeypatch.setattr(portfolios, "index_sampling",
+                        lambda u, b, k, cfg=None: calls.append((id(u), k)) or real(u, b, k, cfg))
+    u = tool.universe(module, 12)
+    ws = tool.weights(solves["index_sampling book x8"](u))
+    assert calls == [(id(u), 3)] * 8  # one universe, k = n / 4
+    row = tool.correctness("index_sampling book x8", u, ws, param=accounts)
+    assert row["kkt_residual"] <= row["kkt_gate"] == qp.POLISH_TOL
+    # an account answered for another benchmark fails the row, wherever it sits
+    swapped = ws[:7] + [ws[0]]
+    assert tool.correctness("index_sampling book x8", u, swapped,
+                            param=accounts)["kkt_residual"] > 1e-6

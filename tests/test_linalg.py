@@ -104,6 +104,49 @@ class TestSupportFactor:
         # construction is the one inversion; the joins border it
         assert factorizations == [12] and joins == [8, 0]
 
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_one_remove_of_the_first_a_middle_and_the_last_position(self, joined):
+        # each delete sweeps its position out in place and moves the last
+        # row and column into it; with ``joined`` the tableau has spare rows
+        rng = np.random.default_rng(11)
+        m = random_spd(rng, 9)
+        u = rng.standard_normal((9, 2))
+        held = SupportFactor(m, np.arange(6 if joined else 9), u)
+        for j in range(6, 9) if joined else ():
+            held.join(j)
+        assert held.t.shape[0] == (13 if joined else 9)
+        support = held.support.copy()
+        held.remove(np.isin(np.arange(9), [0, 4, 8]))
+        f = held.support
+        assert sorted(f) == [1, 2, 3, 5, 6, 7] and set(f) <= set(support)
+        fresh = SupportFactor(m, f, u)
+        assert np.max(np.abs(held.solve(np.eye(6)) - fresh.solve(np.eye(6)))) <= 1e-12
+        assert np.max(np.abs(held.solved - fresh.solved)) <= 1e-12
+        assert np.max(np.abs(held.solved - np.linalg.solve(m[np.ix_(f, f)], u[f]))) <= 1e-12
+
+    def test_the_full_support_of_a_penalty_factor_copies_its_inverse(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = random_spd(rng, 7)
+        u = rng.standard_normal((7, 2))
+        factor = PenaltyFactor(m)
+        held = SupportFactor(factor, np.arange(7), u)
+        factorizations = []
+        real = linalg.cholesky_lower
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda block, *args, **kwargs: factorizations.append(block.shape[0])
+                            or real(block, *args, **kwargs))
+        again = SupportFactor(factor, np.arange(7), u)  # the held inverse, copied
+        assert factorizations == []
+        plain = SupportFactor(m, np.arange(7), u)  # a matrix: its own factor, same bits
+        assert factorizations == [7]
+        for other in (again, plain):
+            assert other.t.tobytes() == held.t.tobytes()
+        held.remove(np.isin(np.arange(7), [2]))
+        assert np.array_equal(factor.inverse(), plain.t[:, 2:])  # the copy moved, G did not
+        SupportFactor(factor, [1, 0, 2, 3, 4, 5, 6], u)  # out of order: factored
+        SupportFactor(factor, np.arange(6), u)  # a part: factored
+        assert factorizations == [7, 7, 6]
+
     def test_joins_mixed_with_deletes_match_a_fresh_inverse(self):
         rng = np.random.default_rng(4)
         m = random_spd(rng, 12)
@@ -199,6 +242,24 @@ class TestPenaltyFactor:
             expected = np.linalg.solve(q + phi * np.eye(6), rhs)
             assert np.max(np.abs(factor.solve(rhs, phi) - expected)) <= 1e-10
         assert len(factorizations) == 7
+
+    def test_inverse_is_kept_in_the_phi_0_entry(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        q = random_spd(rng, 6)
+        factor = PenaltyFactor(q)
+        factorizations = []
+        real = linalg.cholesky_lower
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m, *args: factorizations.append(1) or real(m, *args))
+        g = factor.inverse()
+        assert np.max(np.abs(g @ q - np.eye(6))) <= 1e-12 and np.array_equal(g, g.T)
+        assert factor.inverse() is g and factorizations == [1]
+        factor.solve(rng.standard_normal(6))  # the same entry's factor
+        assert factorizations == [1]
+        for phi in self.PHIS[1:5]:  # four newer penalties evict phi = 0, and G with it
+            factor.solve(rng.standard_normal(6), phi)
+        again = factor.inverse()
+        assert again is not g and np.array_equal(again, g) and len(factorizations) == 6
 
     def test_checks_q_once_when_built(self, monkeypatch):
         rng = np.random.default_rng(9)

@@ -106,6 +106,18 @@ def cold_index_sampling(u, b, k):
         upper[active[w[active] <= w[active].min() + POLISH_TOL][0]] = 0.0
 
 
+def zeros_universe():
+    """factor_universe at seed 3 and n = 10."""
+    return factor_universe(np.random.default_rng(3), 10)
+
+
+def zeros_benchmark():
+    """A Dirichlet benchmark on 10 names with names 1, 4 and 7 at 0."""
+    b = np.random.default_rng(3).dirichlet(np.ones(10))
+    b[[1, 4, 7]] = 0.0
+    return b / b.sum()
+
+
 def assert_same_sampling(w, expected):
     assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
     assert np.max(np.abs(w - expected)) <= 1e-8
@@ -1057,6 +1069,80 @@ class TestIndexSampling:
         expected = cold_index_sampling(u, b, k)
         assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
         assert np.max(np.abs(w - expected)) <= 1e-10
+
+    def test_rounds_with_no_free_zero_form_no_multipliers(self, monkeypatch):
+        # a positive benchmark: every name off a round's support was knocked
+        # out, so x_F >= 0 is the whole test and no round forms C x
+        from proxalloc import portfolios
+
+        calls = []
+        real_point = portfolios._tracking_point
+        monkeypatch.setattr(portfolios, "_tracking_point",
+                            lambda *args: calls.append(1) or real_point(*args))
+        rng = np.random.default_rng(12)
+        u = factor_universe(rng, 12)
+        b = rng.dirichlet(np.ones(12))
+        w = index_sampling(u, b, 4).w
+        assert calls == []
+        assert_same_sampling(w, cold_index_sampling(u, b, 4))
+
+    def test_free_zeros_keep_the_multiplier_test(self, monkeypatch):
+        # the benchmark's zeros stay off the support from round 2 on with caps
+        # of 1, so their multipliers are tested, and they may join
+        from proxalloc import portfolios
+
+        calls = []
+        real_point = portfolios._tracking_point
+        monkeypatch.setattr(portfolios, "_tracking_point",
+                            lambda *args: calls.append(1) or real_point(*args))
+        u, b = zeros_universe(), zeros_benchmark()
+        w = index_sampling(u, b, 4).w
+        assert calls
+        expected = cold_index_sampling(u, b, 4)
+        assert np.array_equal(np.flatnonzero(w), np.flatnonzero(expected))
+        assert np.max(np.abs(w - expected)) <= 1e-10
+
+    def test_holds_at_most_n_assets_names(self):
+        # the tracking optimum of a benchmark with three zeros holds 7 names, and
+        # that of e_1 one, so no name is knocked out and fewer than n_assets remain
+        u = zeros_universe()
+        assert np.count_nonzero(index_sampling(u, zeros_benchmark(), 10).w) == 7
+        assert list(np.flatnonzero(index_sampling(u, np.eye(10)[0], 3).w)) == [0]
+
+    def test_a_second_account_reuses_the_universes_inverse(self, monkeypatch):
+        from proxalloc import linalg
+
+        u = factor_universe(np.random.default_rng(12), 12)
+        rng = np.random.default_rng([12, 1])
+        first, second = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
+        index_sampling(u, first, 4)
+        factorizations = []
+        real_cholesky = linalg.cholesky_lower
+        monkeypatch.setattr(linalg, "cholesky_lower",
+                            lambda m, *args, **kwargs: factorizations.append(m.shape[0])
+                            or real_cholesky(m, *args, **kwargs))
+        w = index_sampling(u, second, 5).w
+        assert factorizations == []
+        fresh = index_sampling(factor_universe(np.random.default_rng(12), 12), second, 5).w
+        assert factorizations == [12] and w.tobytes() == fresh.tobytes()
+
+    def test_a_duplicated_asset_sends_every_account_to_the_cold_bridge(self, monkeypatch):
+        # Sigma is singular, so no inverse is kept on the universe and each
+        # account's first round falls back to one cold bridge solve
+        from proxalloc import portfolios
+
+        rng = np.random.default_rng(0)
+        u = duplicate_asset(factor_universe(rng, 12), 0)
+        b = rng.dirichlet(np.ones(13))
+        cold = []
+        real_qp = portfolios._solve_budget_qp
+        monkeypatch.setattr(portfolios, "_solve_budget_qp",
+                            lambda *args, **kwargs: cold.append(1) or real_qp(*args, **kwargs))
+        expected = cold_index_sampling(u, b, 3)
+        for _ in range(2):
+            cold.clear()
+            assert_same_sampling(index_sampling(u, b, 3).w, expected)
+            assert cold
 
     def test_benchmark_accounts_never_call_settle(self, monkeypatch):
         # the 12-asset accounts of perfbench's qp_bridge workload, at seeds 9

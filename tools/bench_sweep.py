@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_sweep.py [--sizes 8 100 500]
         [--extra N PATTERN] [--label LABEL] [--out DIR]
 
-Each case solves one model (the book case, eight accounts of one model)
+Each case solves one model (a book case, eight accounts of one model)
 on perfbench/universe.py's seeded factor_universe(default_rng(0), n),
 imported read-only.  "GMV" is the long-only minimum variance and "EW"
 equal weights, used as benchmark, reference, holdings or budgets.  A
@@ -23,8 +23,8 @@ different sessions compare.  Each row also records its answer's budget
 and box gaps, the gmv and mvo_target rows the KKT residual of
 min 0.5 x'cov x - t mu'x on the budget and the box at the answer, the
 gmv_herfindahl rows that of min x'cov x under the effective-bets floor
-with the multiplier the answer returns, the index_sampling row the
-stationarity of its final pinned tracking QP, and the erc and
+with the multiplier the answer returns, the index_sampling rows the
+stationarity of each account's final pinned tracking QP, and the erc and
 risk_budgeting rows the relative spread of their risk contributions,
 each with its gate (``correctness``).  A case
 that raises is recorded with its error, never dropped.  Every case runs
@@ -101,9 +101,9 @@ def universe(universe_module, n):
 def cases(universe_module, n):
     """({name: solve(universe)}, {name: input}) of the sweep at size n, the
     inputs those ``correctness`` checks a row against: the gmv_herfindahl
-    row's effective-bets floor, the index_sampling row's benchmark and the
-    erc and risk_budgeting rows' risk measures.  They are computed on a
-    copy of the universe that no solve is given."""
+    row's effective-bets floor, the index_sampling rows' benchmarks (one
+    per account) and the erc and risk_budgeting rows' risk measures.  They
+    are computed on a copy of the universe that no solve is given."""
     inputs = universe(universe_module, n)
     ew = np.full(n, 1.0 / n)
     box = dict(lower=np.zeros(n), upper=np.ones(n))
@@ -117,8 +117,10 @@ def cases(universe_module, n):
     k = max(2, n // 10)  # sectors of every k-th asset, each capped at 1.5 / k
     sectors = (np.arange(n) % k == np.arange(k)[:, None]).astype(float)
     book = dict(box, ineq=(sectors, np.full(k, 1.5 / k)))
+    accounts = np.random.default_rng([n, 8]).dirichlet(np.ones(n), 8)
     params = {"gmv_herfindahl halfway": 0.5 * (effective_bets(gmv.w) + n),
-              "index_sampling n/4 ew": ew, "erc": Volatility(),
+              "index_sampling n/4 ew": [ew], "index_sampling book x8": list(accounts),
+              "erc": Volatility(),
               "risk_budgeting stdev admm": StdevRisk(xi), "risk_budgeting vol admm": Volatility()}
     return {
         "risk_budgeting stdev admm": lambda u: portfolios.risk_budgeting(
@@ -129,6 +131,10 @@ def cases(universe_module, n):
         **{f"mvo_target vol {k}x gmv": (lambda u, k=k: portfolios.mvo_target(
             u, target_volatility=k * vol, **box)) for k in (1.01, 1.1, 1.3)},
         "index_sampling n/4 ew": lambda u: portfolios.index_sampling(u, ew, max(1, n // 4)),
+        # eight Dirichlet-benchmark accounts on one universe: the first forms the
+        # universe's inverse of cov, and each later one starts from a copy of it
+        "index_sampling book x8": lambda u: [portfolios.index_sampling(u, b, max(1, n // 4))
+                                             for b in accounts],
         "gmv_herfindahl halfway": lambda u: portfolios.gmv_herfindahl(
             u, min_bets=params["gmv_herfindahl halfway"]),
         "kl_portfolio cap 1.2x gmv": lambda u: portfolios.kl_portfolio(
@@ -271,12 +277,12 @@ def correctness(name, u, ws, lam=None, param=None):
     u, and {kkt_residual, kkt_gate} for the gmv and mvo_target rows
     (frontier_residual), the gmv_herfindahl rows (herfindahl_residual
     with the answer's ``lam`` and the floor ``param``) and the
-    index_sampling row (tracking_residual with the benchmark ``param``),
-    the gate qp.POLISH_TOL, and for the erc and risk_budgeting rows
-    (rc_spread under the measure ``param``), the gate RC_GATE.  The box
-    is [0, 1], or [0, the cap] for the capped mdp row; mvo_costs' weights
-    sum to 1 less the costs it financed, so its budget gap is those
-    costs."""
+    index_sampling rows (the largest tracking_residual of an account with
+    its benchmark in ``param``), the gate qp.POLISH_TOL, and for the erc
+    and risk_budgeting rows (rc_spread under the measure ``param``), the
+    gate RC_GATE.  The box is [0, 1], or [0, the cap] for the capped mdp
+    row; mvo_costs' weights sum to 1 less the costs it financed, so its
+    budget gap is those costs."""
     upper = max(0.05, 2.0 / u.n) if name == "mdp caps max(0.05, 2/n)" else 1.0
     out = {"budget_gap": max(abs(float(w.sum()) - 1.0) for w in ws),
            "box_gap": max(max(-float(w.min()), float(w.max()) - upper, 0.0) for w in ws)}
@@ -287,7 +293,8 @@ def correctness(name, u, ws, lam=None, param=None):
         out.update(kkt_residual=herfindahl_residual(u, ws[0], lam, param),
                    kkt_gate=qp.POLISH_TOL)
     elif name.startswith("index_sampling"):
-        out.update(kkt_residual=tracking_residual(u, ws[0], param), kkt_gate=qp.POLISH_TOL)
+        residuals = [tracking_residual(u, w, b) for w, b in zip(ws, param, strict=True)]
+        out.update(kkt_residual=max(residuals), kkt_gate=qp.POLISH_TOL)
     elif name == "erc" or name.startswith("risk_budgeting"):
         out.update(kkt_residual=rc_spread(u, ws[0], param), kkt_gate=RC_GATE)
     return out
