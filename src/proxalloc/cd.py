@@ -31,7 +31,15 @@ volatility (``_rb_simultaneous``), one mat-vec and a few vector
 operations with no Python loop over the coordinates.  Should the polish
 fail, cycles 2, 3, ... are the cyclic sweep.  The ADMM risk-budgeting
 engine of ``portfolios`` ends through the same two functions, applied
-to its iterate y.
+to its iterate y.  The polish's CG solves with H / (xi/s), the Hessian of
+the barrier form scaled so that a product with it is one mat-vec.
+
+Each public solver checks its inputs at entry: finite arrays, and lengths
+that agree with its matrix (DimensionMismatch otherwise).  The cycle loop,
+the sweeps and the polish then take checked arrays.  ``ccd_rb_stdev``'s
+``check=False`` skips its entry checks for a caller that made them:
+``risk_budgeting`` hands it the universe's checked cov and its own checked,
+normalized budgets.
 """
 
 import math
@@ -40,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InfeasibleSuspected,
     MaxCyclesExceeded,
     NonPositiveDiagonal,
@@ -140,12 +149,13 @@ def _run_cycles(sweep, x0, cfg, constants=None, record_iterates=False, name="ccd
                 polish=None):
     """Shared cycle loop: sweep, measure max move, polish, stop or raise.
 
+    ``x0`` is a checked 1-d float array (the loop sweeps a copy of it).
     ``sweep(x, order)`` runs one cycle in place over the coordinates of
     ``order`` and returns the largest move.  ``polish(x)``, when given,
     is tried after cycles 1, 2, 4, ... and at convergence; a point it
     returns ends the solve as converged, with report.polished set.
     """
-    x = as_vector(x0).copy()
+    x = x0.copy()
     order = _Order(cfg.rule, x.size, constants)
     report = SolverReport(status=MAX_ITER)
     if record_iterates:
@@ -157,7 +167,7 @@ def _run_cycles(sweep, x0, cfg, constants=None, record_iterates=False, name="ccd
         if record_iterates:
             report.iterates.append(x.copy())
         # delta skips a NaN move, so a blown-up sweep would read as converged
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise InfeasibleSuspected(f"{name}: cycle {cycle} left non-finite coordinates",
                                       last=x, report=report)
         converged = delta <= cfg.tol
@@ -172,6 +182,23 @@ def _run_cycles(sweep, x0, cfg, constants=None, record_iterates=False, name="ccd
             return x, report
     raise MaxCyclesExceeded(f"{name}: no convergence in {cfg.max_cycles} cycles",
                             last=x, report=report)
+
+
+def _check_shapes(solver, n, **arrays):
+    """Raise DimensionMismatch unless each array is n long on every axis."""
+    for name, a in arrays.items():
+        if a.shape != (n,) * a.ndim:
+            raise DimensionMismatch(f"{solver}: {name} has shape {a.shape} for {n} coordinates")
+
+
+def _per_coordinate(solver, name, value, n):
+    """A scalar or n values as n floats; DimensionMismatch for any other shape."""
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, (n,))
+    except ValueError:
+        raise DimensionMismatch(f"{solver}: {name} has shape {value.shape} for {n} "
+                                "coordinates") from None
 
 
 def _coordinate_sweep(update):
@@ -196,7 +223,8 @@ def ccd_generic(coord_min, x0, cfg=None, record_iterates=False):
     other coordinates frozen at their current values in x.
     """
     cfg = cfg or CdConfig()
-    return _run_cycles(_coordinate_sweep(coord_min), x0, cfg, record_iterates=record_iterates)
+    return _run_cycles(_coordinate_sweep(coord_min), as_vector(x0), cfg,
+                       record_iterates=record_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +256,11 @@ def cd_lasso(x_mat, y, lam, x0=None, cfg=None, return_report=False,
     y = as_vector(y)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    _check_shapes("cd_lasso", x_mat.shape[0], y=y)
     norms = _check_columns(x_mat)
     p = x_mat.shape[1]
     beta = np.zeros(p) if x0 is None else as_vector(x0).copy()
+    _check_shapes("cd_lasso", p, x0=beta)
     resid = y - x_mat @ beta
 
     state = {"resid": resid}
@@ -264,13 +294,15 @@ def ccd_qp_box(q, r, lower, upper, x0=None, cfg=None, return_report=False,
     q = as_matrix(q)
     r = as_vector(r)
     n = r.size
+    _check_shapes("ccd_qp_box", n, Q=q)
     qs = 0.5 * (q + q.T)
     diag = np.diag(qs).copy()
     if np.any(diag <= 0):
         raise NonPositiveDiagonal("Q must have a positive diagonal")
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
+    lo = _per_coordinate("ccd_qp_box", "lower", lower, n)
+    hi = _per_coordinate("ccd_qp_box", "upper", upper, n)
     x = np.zeros(n) if x0 is None else as_vector(x0).copy()
+    _check_shapes("ccd_qp_box", n, x0=x)
 
     def update(i, xx):
         partial = qs[i] @ xx - diag[i] * xx[i]
@@ -290,13 +322,15 @@ def ccd_qp_logbarrier(q, r, lam_vec, x0, cfg=None, return_report=False):
     cfg = cfg or CdConfig()
     q = as_matrix(q)
     r = as_vector(r)
-    lam_vec = np.broadcast_to(np.asarray(lam_vec, dtype=float), r.shape)
+    _check_shapes("ccd_qp_logbarrier", r.size, Q=q)
+    lam_vec = _per_coordinate("ccd_qp_logbarrier", "lam_vec", lam_vec, r.size)
     if np.any(lam_vec <= 0):
         raise ValueError("barrier weights must be positive")
     diag = np.diag(q).copy()
     if np.any(diag <= 0):
         raise NonPositiveDiagonal("Q must have a positive diagonal")
     x0 = as_vector(x0)
+    _check_shapes("ccd_qp_logbarrier", r.size, x0=x0)
     if np.any(x0 <= 0):
         raise NonPositiveStart("starting point must be strictly positive")
 
@@ -344,7 +378,7 @@ def _check_stdev_scale(excess, xi, variances):
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
-    sharpe = float(np.max(excess / np.sqrt(variances)))
+    sharpe = float((excess / np.sqrt(variances)).max())
     if xi <= sharpe:
         raise OutOfDomain(f"stdev scale {xi:.6g} is not above the best single-asset "
                           f"Sharpe ratio {sharpe:.6g}; the objective is unbounded below")
@@ -355,13 +389,15 @@ def _pcg(hess_vec, rhs, precond, force, max_steps):
 
     Stops once r'D^-1 r <= force^2 rhs'D^-1 rhs for the residual r and
     D = ``precond``, on a zero residual or on a direction of nonpositive
-    curvature p'Hp <= 0, so it never divides by zero.  The vectors are
-    updated in place through one held buffer, with no temporaries, and
-    the products are ndarray.dot: the same BLAS kernels as the @
-    operator, whose dispatch costs about twice as much on these sizes.
+    curvature p'Hp <= 0, so it never divides by zero.  ``rhs`` becomes
+    the residual r: it is updated in place, so the caller passes a
+    temporary it does not read again.  The vectors are updated in place
+    through one held buffer, with no temporaries, and the products are
+    ndarray.dot: the same BLAS kernels as the @ operator, whose dispatch
+    costs about twice as much on these sizes.
     """
     dx = np.zeros(rhs.size)
-    r = rhs.copy()
+    r = rhs
     z = r / precond
     p = z.copy()
     step = np.empty(rhs.size)
@@ -392,9 +428,11 @@ def _rb_newton(excess, xi, cov, budgets):
     (Spinu 2013), with lam = R(x) = -excess'x + xi s at the iterate, so
     the answer keeps the iterate's scale.  Each step solves H dx = -grad F,
     H = (xi/s) cov - (xi/s^3) g g' + diag(lam b / x^2) with g = cov x, by
-    diagonally preconditioned CG, which needs only H-vector products; the
-    step is cut to keep x positive (fraction to the boundary) and
-    backtracked on F (Armijo).  The point is returned once
+    diagonally preconditioned CG, which needs only H-vector products.  CG
+    runs on H / a, a = xi/s: cov - g g'/s^2 + diag(lam b / (a x^2)) with
+    the right side -grad F / a, the same dx with no scaling of cov v in
+    each product.  The step is cut to keep x positive (fraction to the
+    boundary) and backtracked on F (Armijo).  The point is returned once
     max_i |RC_i / b_i - lam| <= RB_POLISH_TOL lam, and None when the
     steps stall, when R(x) <= 0 (the iterate's Sharpe ratio reached xi,
     which the next sweep certifies) or after RB_NEWTON_STEPS steps.
@@ -423,17 +461,16 @@ def _rb_newton(excess, xi, cov, budgets):
             gap = float(np.abs(x * grad / budgets).max())  # max_i |RC_i / b_i - lam|
             if gap <= tol:
                 return x
-            curv = lam_b / (x * x)
-            c = a / (s * s)
+            curv = lam_b / (a * x * x)
+            c = 1.0 / (s * s)
 
-            def hess_vec(v):
+            def hess_vec(v):  # H v / a
                 hv = cov.dot(v)
-                hv *= a
                 hv += np.multiply(curv, v, out=term)
                 hv -= np.multiply(g, c * float(g.dot(v)), out=term)
                 return hv
 
-            dx = _pcg(hess_vec, -grad, a * diag - c * g * g + curv, min(0.1, gap / lam), x.size)
+            dx = _pcg(hess_vec, grad / -a, diag - c * g * g + curv, min(0.1, gap / lam), x.size)
             # the largest step that keeps 1% of every coordinate
             shrink = float((dx / x).min())
             step = min(1.0, -0.99 / shrink) if shrink < 0.0 else 1.0
@@ -471,7 +508,8 @@ def _rb_simultaneous(x, cov_x, quad, excess, xi, variances, budgets, lam):
     return (-b + np.sqrt(b * b + 4.0 * a * (lam * vol) * budgets)) / (2.0 * a)
 
 
-def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, polish=False):
+def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, polish=False,
+                 check=True):
     """Unscaled risk-budgeting weights for -x'(mu - r) + xi * sqrt(x' cov x).
 
     The portfolio volatility entering each coordinate quadratic is frozen
@@ -499,18 +537,28 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, poli
     iterate as ``last``, once the iterate's Sharpe ratio
     excess'x / sqrt(x'cov x) reaches xi: the objective then falls without
     bound along t x.
+
+    With ``check`` the inputs are checked and the budgets normalized here:
+    mu and budgets finite vectors, cov a finite n x n matrix (DimensionMismatch
+    on a wrong shape), positive budgets and a positive diagonal of cov.
+    ``check=False`` is for a caller that did all of that already: mu and
+    budgets 1-d float arrays of n entries, budgets positive and summing to 1,
+    cov a finite n x n float array with a positive diagonal, as
+    ``risk_budgeting`` holds them.  The xi test above runs either way.
     """
     cfg = cfg or CdConfig()
-    cov = as_matrix(cov)
-    mu = as_vector(mu)
-    n = mu.size
-    budgets = as_vector(budgets)
-    if np.any(budgets <= 0):
-        raise ValueError("risk budgets must be positive")
-    budgets = budgets / budgets.sum()
-    variances = np.diag(cov).copy()
-    if np.any(variances <= 0):
+    if check:
+        cov = as_matrix(cov, "cov")
+        mu = as_vector(mu, "mu")
+        budgets = as_vector(budgets, "budgets")
+        _check_shapes("ccd_rb_stdev", mu.size, cov=cov, budgets=budgets)
+        if (budgets <= 0).any():
+            raise ValueError("risk budgets must be positive")
+        budgets = budgets / budgets.sum()
+    variances = cov.diagonal().copy()
+    if check and (variances <= 0).any():
         raise NonPositiveVariance("covariance needs a positive diagonal")
+    n = mu.size
     excess = mu - rate
     _check_stdev_scale(excess, xi, variances)
     x0 = np.full(n, 1.0 / n)

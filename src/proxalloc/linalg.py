@@ -61,11 +61,13 @@ _scipy = _Kernels()
 
 
 def as_vector(x, name="vector"):
-    """Coerce to a finite 1-d float array."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce to a finite 1-d float array; a scalar becomes one entry."""
+    v = np.asarray(x, dtype=float)
     if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+        if v.ndim:
+            raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
+        v = v.reshape(1)
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return v
 
@@ -75,7 +77,7 @@ def as_matrix(m, name="matrix"):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return a
 

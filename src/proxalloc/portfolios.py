@@ -268,8 +268,9 @@ def _gate(w, long_only=True):
     """
     gated = PortfolioWeights(np.array(w, dtype=float))
     if long_only:
-        if np.min(gated.w) < -1e-6:
-            raise ValueError(f"long-only violated by {np.min(gated.w):.2e}")
+        low = gated.w.min()
+        if low < -1e-6:
+            raise ValueError(f"long-only violated by {low:.2e}")
         np.maximum(gated.w, 0.0, out=gated.w)
     total = gated.w.sum()
     if abs(total - 1.0) > 1e-6:
@@ -1535,7 +1536,7 @@ def _rb_admm(universe, budgets, measure, lam=1.0, phi=None, tol=1e-10,
             start = _rb_simultaneous(y, cov_y, float(y.dot(cov_y)), excess, xi, variances,
                                      budgets, lam)
             # infinite budgets give a non-finite start; the split reports them as diverged
-            return newton(start) if np.all(np.isfinite(start)) else None
+            return newton(start) if np.isfinite(start).all() else None
 
         finished = polish(x0, x0, None)
         if finished is not None:
@@ -1570,16 +1571,19 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     best single-asset ratio or an iterate's Sharpe ratio reaches it.
     """
     budgets = _asset_vector(budgets, universe.n, "budgets")
-    if np.any(budgets <= 0):
+    if (budgets <= 0).any():
         raise ValueError("risk budgets must be positive")
     budgets = budgets / budgets.sum()
+    if not budgets.all():  # the sum overflowed, or a budget underflowed
+        raise ValueError("risk budgets must stay positive once normalized")
     if engine == "ccd":
         if admm_kwargs:
             raise TypeError(f"risk_budgeting: the ccd engine takes no option "
                             f"{next(iter(admm_kwargs))!r}")
         excess, xi = _excess_and_scale(universe, measure)
+        # the universe checked cov and its positive diagonal, and the lines above the budgets
         x, report = ccd_rb_stdev(excess, 0.0, xi, universe.cov, budgets, cfg=cfg,
-                                 return_report=True, polish=True)
+                                 return_report=True, polish=True, check=False)
     elif engine == "admm":
         if cfg is not None:
             raise TypeError("risk_budgeting: the admm engine takes no option 'cfg'")

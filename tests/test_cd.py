@@ -23,9 +23,11 @@ from proxalloc.cd import (
 )
 from proxalloc.data import parameter_set_1
 from proxalloc.errors import (
+    DimensionMismatch,
     InfeasibleSuspected,
     NonPositiveDiagonal,
     NonPositiveStart,
+    NonPositiveVariance,
     OutOfDomain,
     ZeroColumn,
 )
@@ -270,6 +272,25 @@ class TestRbStdev:
         ratios = rc / budgets
         assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-6
 
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_direct_call_checks_its_inputs(self, polish):
+        # risk_budgeting skips these checks on the universe's checked cov;
+        # a direct call keeps them
+        cov = parameter_set_1().universe.cov
+        nan_cov = cov.copy()
+        nan_cov[0, 1] = nan_cov[1, 0] = np.nan
+        zero_var = cov.copy()
+        zero_var[2] = zero_var[:, 2] = 0.0
+        budgets = np.full(8, 1 / 8)
+        with pytest.raises(ValueError, match="cov contains NaN"):
+            ccd_rb_stdev(np.zeros(8), 0.0, 1.0, nan_cov, budgets, polish=polish)
+        with pytest.raises(NonPositiveVariance):
+            ccd_rb_stdev(np.zeros(8), 0.0, 1.0, zero_var, budgets, polish=polish)
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                ccd_rb_stdev(np.zeros(8), 0.0, 1.0, cov, np.append(budgets[:7], bad),
+                             polish=polish)
+
 
 def factor_cov(rng, n, k=3):
     """Mean returns and covariance of a k-factor model with a market factor."""
@@ -495,6 +516,20 @@ class TestRbStdevRunningProducts:
             assert not np.any(_pcg(lambda v: v, np.zeros(3), np.ones(3), 0.1, 3))
             assert not np.any(_pcg(lambda v: -v, np.ones(2), np.ones(2), 0.1, 2))
 
+    def test_newton_cg_matches_a_dense_solve(self):
+        # on an SPD system CG at force 1e-12 reaches the direct solve; the
+        # right side it was handed ends as the residual rhs - H dx
+        rng = np.random.default_rng(24)
+        n = 40
+        a = rng.standard_normal((n, n))
+        h = a @ a.T + np.diag(rng.uniform(0.1, 10.0, n))
+        rhs = rng.standard_normal(n)
+        residual = rhs.copy()
+        dx = _pcg(h.dot, residual, np.diag(h).copy(), 1e-12, 5 * n)
+        expected = np.linalg.solve(h, rhs)
+        assert np.max(np.abs(dx - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(residual - (rhs - h @ dx))) <= 1e-10 * np.max(np.abs(rhs))
+
     def test_indefinite_cov_raises_typed_error(self):
         # x'cov x < 0 has no volatility; the sweep reports it, not math.sqrt
         cov = np.array([[1.0, -2.0], [-2.0, 1.0]])
@@ -564,3 +599,63 @@ class TestCoordinateRules:
         cfg = CdConfig(tol=1e-10, rule=UniformRandom(seed=3), max_cycles=100000)
         x = ccd_qp_box(q, r, -5.0, 5.0, cfg=cfg)
         assert np.max(np.abs(x - np.linalg.solve(q, r))) <= 1e-7
+
+
+class TestShapeErrors:
+    # a length that disagrees with the matrix is a typed error at the entry,
+    # not a numpy broadcast, matmul or index error from inside a sweep
+    Q = BOX_QP_Q[:4, :4]
+
+    @pytest.mark.parametrize("case", ["short r", "short x0", "non-square Q", "short lower"])
+    def test_ccd_qp_box(self, case):
+        q, r, x0, lower = self.Q, np.ones(4), np.zeros(4), -1.0
+        if case == "short r":
+            r = np.ones(3)
+        elif case == "short x0":
+            x0 = np.zeros(3)
+        elif case == "non-square Q":
+            q = BOX_QP_Q[:4]
+        else:
+            lower = -np.ones(3)
+        with pytest.raises(DimensionMismatch):
+            ccd_qp_box(q, r, lower, 1.0, x0=x0)
+
+    @pytest.mark.parametrize("case", ["short r", "short x0", "short lam_vec"])
+    def test_ccd_qp_logbarrier(self, case):
+        r, x0, lam_vec = np.ones(4), np.ones(4), 1.0
+        if case == "short r":
+            r = np.ones(3)
+        elif case == "short x0":
+            x0 = np.ones(3)
+        else:
+            lam_vec = np.ones(3)
+        with pytest.raises(DimensionMismatch):
+            ccd_qp_logbarrier(self.Q, r, lam_vec, x0)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_ccd_erc(self, size):
+        with pytest.raises(DimensionMismatch):
+            ccd_erc(self.Q, 0.2, np.full(size, 0.25))
+
+    @pytest.mark.parametrize("case", ["short y", "short x0"])
+    def test_cd_lasso(self, case):
+        x_mat, y, x0 = BOX_QP_Q[:, :4], np.ones(5), np.zeros(4)
+        if case == "short y":
+            y = np.ones(4)
+        else:
+            x0 = np.zeros(3)
+        with pytest.raises(DimensionMismatch):
+            cd_lasso(x_mat, y, 0.1, x0=x0)
+
+    @pytest.mark.parametrize("polish", [False, True])
+    @pytest.mark.parametrize("case", ["short budgets", "short mu", "non-square cov"])
+    def test_ccd_rb_stdev(self, case, polish):
+        cov, mu, budgets = self.Q, np.zeros(4), np.ones(4)
+        if case == "short budgets":
+            budgets = np.ones(3)
+        elif case == "short mu":
+            mu = np.zeros(3)
+        else:
+            cov = BOX_QP_Q[:4]
+        with pytest.raises(DimensionMismatch):
+            ccd_rb_stdev(mu, 0.0, 1.0, cov, budgets, polish=polish)

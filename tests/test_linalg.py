@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from proxalloc.errors import MaxIterExceeded, NoSignChange, NotPositiveDefinite, OutOfDomain
+from proxalloc.errors import (
+    DimensionMismatch,
+    MaxIterExceeded,
+    NoSignChange,
+    NotPositiveDefinite,
+    OutOfDomain,
+)
 from proxalloc import linalg
 from proxalloc.linalg import (
     PenaltyFactor,
@@ -15,6 +21,27 @@ from proxalloc.linalg import (
     solve_spd,
     threshold_sum_root,
 )
+
+
+class TestEntryChecks:
+    def test_as_vector_coerces(self):
+        v = linalg.as_vector(3)
+        assert v.shape == (1,) and v.dtype == np.float64 and v[0] == 3.0
+        v = linalg.as_vector([1, 2, 3])
+        assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0, 3.0]
+
+    def test_shapes_are_typed_errors(self):
+        with pytest.raises(DimensionMismatch, match="budgets must be 1-d"):
+            linalg.as_vector(np.ones((2, 2)), "budgets")
+        with pytest.raises(DimensionMismatch, match="cov must be 2-d"):
+            linalg.as_matrix(np.ones(3), "cov")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_name_the_argument(self, bad):
+        with pytest.raises(ValueError, match="mu contains NaN or Inf"):
+            linalg.as_vector([0.1, bad], "mu")
+        with pytest.raises(ValueError, match="cov contains NaN or Inf"):
+            linalg.as_matrix([[1.0, bad], [bad, 1.0]], "cov")
 
 
 def random_spd(rng, n):

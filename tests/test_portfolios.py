@@ -501,7 +501,7 @@ class TestAssetUniverse:
         gmv_herfindahl(u, min_bets=0.5 * (effective_bets(gmv.w) + n))
         assert calls["eigh", (n, n)] == 1  # the spectrum, cached
         assert calls["eigvalsh", (n, n)] == 0
-        assert checks["as_matrix", (n, n)] == 1  # ccd_rb_stdev's own check
+        assert checks["as_matrix", (n, n)] == 0  # the universe checked cov when it was built
         # each penalty's factor is built once, however many models solve at it
         # one penalty, the QPs': the risk-budgeting ADMM calls end polished at the start
         assert len(penalties) == len(set(penalties)) == 1
@@ -2187,6 +2187,24 @@ class TestRiskBudgeting:
             risk_budgeting(u, EW8, bogus=1)
         with pytest.raises(TypeError, match="phi"):
             risk_budgeting(u, EW8, engine="ccd", phi=5.0)
+
+    def test_each_engine_checks_its_inputs_once(self, checks):
+        # the budgets on entry and the answer at the gate: the ccd engine
+        # re-checks neither the universe's cov nor the budgets it is handed
+        u = factor_universe(np.random.default_rng(3), 30)
+        budgets = np.linspace(1.0, 2.0, 30)
+        for solve in (lambda: erc(u), lambda: risk_budgeting(u, budgets),
+                      lambda: risk_budgeting(u, budgets, engine="admm")):
+            checks.clear()
+            solve()
+            assert checks["as_matrix", (30, 30)] == 0
+            assert checks["as_vector"] == 2
+
+    @pytest.mark.parametrize("engine", ["ccd", "admm"])
+    def test_budgets_whose_sum_overflows_raise(self, engine):
+        # normalized by an infinite sum every budget reads 0
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive"):
+            risk_budgeting(tilted_universe(), np.full(8, 1e308), engine=engine)
 
     def test_admm_engine_rejects_a_cd_config(self):
         with pytest.raises(TypeError, match="cfg"):
