@@ -34,12 +34,16 @@ engine of ``portfolios`` ends through the same two functions, applied
 to its iterate y.  The polish's CG solves with H / (xi/s), the Hessian of
 the barrier form scaled so that a product with it is one mat-vec.
 
-Each public solver checks its inputs at entry: finite arrays, and lengths
-that agree with its matrix (DimensionMismatch otherwise).  The cycle loop,
-the sweeps and the polish then take checked arrays.  ``ccd_rb_stdev``'s
-``check=False`` skips its entry checks for a caller that made them:
-``risk_budgeting`` hands it the universe's checked cov and its own checked,
-normalized budgets.
+Each public solver checks its inputs at entry, through linalg, the one
+coercion owner: ``as_vector`` and ``as_matrix`` at the length its matrix
+or R sets, ``as_scalar`` for a scalar, and ``per_coordinate`` /
+``as_bound`` for a barrier weight or a bound that may be a scalar or one
+entry per coordinate.  NaN raises NonFiniteValue and a wrong shape
+DimensionMismatch.  The cycle loop, the sweeps and the polish then take
+checked arrays, and ``ccd_erc`` runs the log-barrier cycles on the
+arrays it checked.  ``ccd_rb_stdev``'s ``check=False`` skips its entry
+checks for a caller that made them: ``risk_budgeting`` hands it the
+universe's checked cov and its own checked, normalized budgets.
 """
 
 import math
@@ -48,21 +52,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InfeasibleSuspected,
     MaxCyclesExceeded,
+    NegativeLambda,
     NonPositiveDiagonal,
     NonPositiveStart,
     NonPositiveVariance,
+    NonPositiveWeight,
     OutOfDomain,
     ZeroColumn,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_bound, as_matrix, as_scalar, as_vector, per_coordinate
 from .prox import _soft_threshold, projector
 from .reports import CONVERGED, MAX_ITER, SolverReport
 
 # the Newton-CG polish of risk budgeting (``_rb_newton``)
 RB_POLISH_TOL = 1e-10  # certificate max_i |RC_i / b_i - lam| <= tol lam
+RB_BUDGET_FLOOR = 1e-12  # the smallest normalized risk budget (_normalized_budgets)
 RB_NEWTON_STEPS = 20
 ARMIJO = 1e-4  # sufficient decrease of F, as a fraction of the slope
 F_ROUNDING = 1e-15  # relative rounding error allowed in F's decrease
@@ -184,23 +190,6 @@ def _run_cycles(sweep, x0, cfg, constants=None, record_iterates=False, name="ccd
                             last=x, report=report)
 
 
-def _check_shapes(solver, n, **arrays):
-    """Raise DimensionMismatch unless each array is n long on every axis."""
-    for name, a in arrays.items():
-        if a.shape != (n,) * a.ndim:
-            raise DimensionMismatch(f"{solver}: {name} has shape {a.shape} for {n} coordinates")
-
-
-def _per_coordinate(solver, name, value, n):
-    """A scalar or n values as n floats; DimensionMismatch for any other shape."""
-    value = np.asarray(value, dtype=float)
-    try:
-        return np.broadcast_to(value, (n,))
-    except ValueError:
-        raise DimensionMismatch(f"{solver}: {name} has shape {value.shape} for {n} "
-                                "coordinates") from None
-
-
 def _coordinate_sweep(update):
     """The sweep that sets x_i = update(i, x) for each i of the order in turn."""
     def sweep(x, order):
@@ -252,15 +241,13 @@ def cd_lasso(x_mat, y, lam, x0=None, cfg=None, return_report=False,
     maintained incrementally so a cycle costs O(n p).
     """
     cfg = cfg or CdConfig()
-    x_mat = as_matrix(x_mat)
-    y = as_vector(y)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    _check_shapes("cd_lasso", x_mat.shape[0], y=y)
+    x_mat = as_matrix(x_mat, "x_mat")
+    y = as_vector(y, "y", x_mat.shape[0])
+    if as_scalar(lam, "lam") < 0:
+        raise NegativeLambda("lam must be nonnegative")
     norms = _check_columns(x_mat)
     p = x_mat.shape[1]
-    beta = np.zeros(p) if x0 is None else as_vector(x0).copy()
-    _check_shapes("cd_lasso", p, x0=beta)
+    beta = np.zeros(p) if x0 is None else as_vector(x0, "x0", p).copy()
     resid = y - x_mat @ beta
 
     state = {"resid": resid}
@@ -291,18 +278,16 @@ def ccd_qp_box(q, r, lower, upper, x0=None, cfg=None, return_report=False,
     exact coordinate minimization because the box is separable.
     """
     cfg = cfg or CdConfig()
-    q = as_matrix(q)
-    r = as_vector(r)
+    r = as_vector(r, "R")
     n = r.size
-    _check_shapes("ccd_qp_box", n, Q=q)
+    q = as_matrix(q, "Q", n)
     qs = 0.5 * (q + q.T)
     diag = np.diag(qs).copy()
     if np.any(diag <= 0):
         raise NonPositiveDiagonal("Q must have a positive diagonal")
-    lo = _per_coordinate("ccd_qp_box", "lower", lower, n)
-    hi = _per_coordinate("ccd_qp_box", "upper", upper, n)
-    x = np.zeros(n) if x0 is None else as_vector(x0).copy()
-    _check_shapes("ccd_qp_box", n, x0=x)
+    lo = as_bound(lower, -np.inf, n, "lower")
+    hi = as_bound(upper, np.inf, n, "upper")
+    x = np.zeros(n) if x0 is None else as_vector(x0, "x0", n).copy()
 
     def update(i, xx):
         partial = qs[i] @ xx - diag[i] * xx[i]
@@ -319,20 +304,24 @@ def ccd_qp_logbarrier(q, r, lam_vec, x0, cfg=None, return_report=False):
     Coordinate stationarity Q_ii x^2 + (sum_{j!=i} Q_ij x_j - R_i) x - lam_i = 0
     always has one positive root, so iterates stay strictly positive.
     """
-    cfg = cfg or CdConfig()
-    q = as_matrix(q)
-    r = as_vector(r)
-    _check_shapes("ccd_qp_logbarrier", r.size, Q=q)
-    lam_vec = _per_coordinate("ccd_qp_logbarrier", "lam_vec", lam_vec, r.size)
-    if np.any(lam_vec <= 0):
-        raise ValueError("barrier weights must be positive")
-    diag = np.diag(q).copy()
-    if np.any(diag <= 0):
+    r = as_vector(r, "R")
+    q = as_matrix(q, "Q", r.size)
+    if (np.diag(q) <= 0).any():
         raise NonPositiveDiagonal("Q must have a positive diagonal")
-    x0 = as_vector(x0)
-    _check_shapes("ccd_qp_logbarrier", r.size, x0=x0)
-    if np.any(x0 <= 0):
+    return _logbarrier_cycles(q, r, lam_vec, as_vector(x0, "x0", r.size), cfg, return_report)
+
+
+def _logbarrier_cycles(q, r, lam_vec, x0, cfg, return_report):
+    """The cycles of ccd_qp_logbarrier on checked arrays: q n x n with a
+    positive diagonal, r and x0 of n entries; lam_vec and x0 > 0 are
+    checked here."""
+    cfg = cfg or CdConfig()
+    lam_vec = per_coordinate(lam_vec, r.size, "lam_vec")
+    if (lam_vec <= 0).any():
+        raise ValueError("barrier weights must be positive")
+    if (x0 <= 0).any():
         raise NonPositiveStart("starting point must be strictly positive")
+    diag = np.diag(q).copy()
 
     def update(i, xx):
         partial = q[i] @ xx - diag[i] * xx[i]
@@ -357,12 +346,33 @@ def ccd_erc(cov, lam, x0, cfg=None, return_report=False):
     with v_i the off-diagonal part of (cov x)_i.  Callers rescale the
     output to their budget.
     """
-    cov = as_matrix(cov)
-    if np.any(np.diag(cov) <= 0):
+    x0 = as_vector(x0, "x0")
+    cov = as_matrix(cov, "cov", x0.size)
+    if (np.diag(cov) <= 0).any():
         raise NonPositiveVariance("covariance needs a positive diagonal")
-    if np.any(as_vector(x0) <= 0):
-        raise NonPositiveStart("starting point must be strictly positive")
-    return ccd_qp_logbarrier(cov, np.zeros(cov.shape[0]), lam, x0, cfg, return_report)
+    return _logbarrier_cycles(cov, np.zeros(x0.size), lam, x0, cfg, return_report)
+
+
+def _normalized_budgets(budgets):
+    """Checked risk budgets over their sum.
+
+    A budget at or below 0 raises NonPositiveWeight, and a normalized budget
+    below RB_BUDGET_FLOOR OutOfDomain, as does a sum that overflows.  Both
+    risk-budgeting engines start from the positive-root step
+    x_i = (-b + sqrt(b^2 + 4 a c)) / (2 a), whose c is proportional to b_i:
+    once 4 a c / b^2 nears the rounding unit the root cancels to x_i = 0,
+    where the polish's ln x_i fails and the weight came back 0 (a budget of
+    1e-16 against seven of 1 does so on parameter set 1).  The floor keeps
+    that ratio orders of magnitude above the rounding unit, so the start is
+    positive and the polish refines it.
+    """
+    if (budgets <= 0).any():
+        raise NonPositiveWeight("risk budgets must be positive")
+    budgets = budgets / budgets.sum()
+    if not budgets.min() >= RB_BUDGET_FLOOR:
+        raise OutOfDomain(f"risk budgets must stay positive and at least {RB_BUDGET_FLOOR:g} "
+                          f"once normalized, got {budgets.min():.3g}")
+    return budgets
 
 
 def _check_stdev_scale(excess, xi, variances):
@@ -376,8 +386,8 @@ def _check_stdev_scale(excess, xi, variances):
     well, along t x; ``ccd_rb_stdev`` certifies that case from its
     iterate at every cycle boundary.
     """
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if as_scalar(xi, "xi") <= 0:
+        raise OutOfDomain("xi must be positive")
     sharpe = float((excess / np.sqrt(variances)).max())
     if xi <= sharpe:
         raise OutOfDomain(f"stdev scale {xi:.6g} is not above the best single-asset "
@@ -540,21 +550,19 @@ def ccd_rb_stdev(mu, rate, xi, cov, budgets, cfg=None, return_report=False, poli
 
     With ``check`` the inputs are checked and the budgets normalized here:
     mu and budgets finite vectors, cov a finite n x n matrix (DimensionMismatch
-    on a wrong shape), positive budgets and a positive diagonal of cov.
+    on a wrong shape), rate a finite number, budgets as
+    ``_normalized_budgets`` takes them and a positive diagonal of cov.
     ``check=False`` is for a caller that did all of that already: mu and
-    budgets 1-d float arrays of n entries, budgets positive and summing to 1,
-    cov a finite n x n float array with a positive diagonal, as
-    ``risk_budgeting`` holds them.  The xi test above runs either way.
+    budgets 1-d float arrays of n entries, budgets normalized, cov a finite
+    n x n float array with a positive diagonal, as ``risk_budgeting`` holds
+    them.  The xi test above, which a NaN or Inf xi fails, runs either way.
     """
     cfg = cfg or CdConfig()
     if check:
-        cov = as_matrix(cov, "cov")
         mu = as_vector(mu, "mu")
-        budgets = as_vector(budgets, "budgets")
-        _check_shapes("ccd_rb_stdev", mu.size, cov=cov, budgets=budgets)
-        if (budgets <= 0).any():
-            raise ValueError("risk budgets must be positive")
-        budgets = budgets / budgets.sum()
+        cov = as_matrix(cov, "cov", mu.size)
+        budgets = _normalized_budgets(as_vector(budgets, "budgets", mu.size))
+        rate = as_scalar(rate, "rate")
     variances = cov.diagonal().copy()
     if check and (variances <= 0).any():
         raise NonPositiveVariance("covariance needs a positive diagonal")
@@ -622,11 +630,9 @@ def projected_cd(grad, sets, eta, x0, cfg=None, return_report=False):
     sets; eta must be small enough for the smooth part.
     """
     cfg = cfg or CdConfig()
-    x0 = as_vector(x0)
     ops = [projector(s, 1) for s in sets]
-    if len(ops) != x0.size:
-        raise ValueError("need one scalar set per coordinate")
-    if eta <= 0:
+    x0 = as_vector(x0, "x0", len(ops))  # one scalar set per coordinate
+    if as_scalar(eta, "eta") <= 0:
         raise ValueError("eta must be positive")
 
     def update(i, xx):

@@ -19,6 +19,7 @@ import numpy as np
 from . import data, portfolios
 from .cd import CdConfig, cd_lasso, ccd_qp_box
 from .errors import IterationError, ProxallocError
+from .linalg import per_coordinate
 from .prox import (
     AffineSet,
     Box,
@@ -154,7 +155,7 @@ def _cmd_prox(payload, args):
         raise InputError(f"unknown prox {name!r}")
     result = {"prox": name, "result": out}
     if name == "log_barrier":
-        w = np.broadcast_to(np.asarray(payload.get("weights", 1.0), float), out.shape)
+        w = per_coordinate(payload.get("weights", 1.0), out.size, "weights")
         result["stationarity_residual"] = float(np.max(np.abs(
             -lam * w / out + out - v)))
     if name == "kl":

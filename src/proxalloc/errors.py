@@ -15,6 +15,10 @@ class NotPositiveDefinite(ProxallocError, ValueError):
     pass
 
 
+class NonFiniteValue(ProxallocError, ValueError):
+    """NaN or Inf where a finite number is needed (NaN only, for a bound)."""
+
+
 class NoSignChange(ProxallocError, ValueError):
     pass
 

@@ -8,8 +8,14 @@ and the piecewise-linear threshold
 equation sum_i (v_i - s)_+ = target that shows up in simplex/l1-ball
 projections.
 
-Vectors and matrices are plain float64 ndarrays; ``as_vector`` /
-``as_matrix`` are the constructors that enforce finiteness.
+This module is the one owner of argument coercion: the public functions
+of prox, cd, qp and portfolios turn their arguments into float arrays
+through it, at entry, and their loops take the checked arrays.  ``as_vector`` and
+``as_matrix`` take a vector or matrix of an exact size when given one,
+``as_scalar`` a number, ``per_coordinate`` a scalar or n entries
+broadcast to n, and ``as_bound`` a bound by the same rule with +-inf
+allowed and None filled.  NaN (or Inf, where a finite number is needed)
+raises NonFiniteValue and any other shape DimensionMismatch.
 
 The module imports numpy only.  scipy's compiled kernels (BLAS dtrsv and
 dger, LAPACK dgetrf / dgetrs and dpotri, solve_triangular and lambertw) are
@@ -18,6 +24,7 @@ the rest of the package's import, and risk budgeting never calls them.
 """
 
 import importlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MaxIterExceeded,
+    NonFiniteValue,
     NoSignChange,
     NotPositiveDefinite,
     OutOfDomain,
@@ -60,26 +68,72 @@ class _Kernels:
 _scipy = _Kernels()
 
 
-def as_vector(x, name="vector"):
-    """Coerce to a finite 1-d float array; a scalar becomes one entry."""
+def as_vector(x, name="vector", n=None):
+    """Coerce to a finite 1-d float array; a scalar becomes one entry.
+
+    A second axis, or with ``n`` a length other than n, raises
+    DimensionMismatch, and NaN or Inf NonFiniteValue.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         if v.ndim:
             raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
         v = v.reshape(1)
+    if n is not None and v.size != n:
+        raise DimensionMismatch(f"{name} has {v.size} entries, not {n}")
     if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFiniteValue(f"{name} contains NaN or Inf")
     return v
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-d float array."""
+def as_matrix(m, name="matrix", n=None):
+    """Coerce to a finite 2-d float array, n x n when ``n`` is given; the
+    errors are those of as_vector."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
+    if n is not None and a.shape != (n, n):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, not ({n}, {n})")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFiniteValue(f"{name} contains NaN or Inf")
     return a
+
+
+def as_scalar(x, name="scalar"):
+    """Coerce to a finite float; an array of any shape but () raises
+    DimensionMismatch, and NaN or Inf NonFiniteValue."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim:
+        raise DimensionMismatch(f"{name} must be a scalar, got shape {a.shape}")
+    value = float(a)
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"{name} is {value}")
+    return value
+
+
+def per_coordinate(x, n, name="argument"):
+    """A scalar or n entries as n finite floats, a read-only broadcast view.
+
+    Any other shape, an (n, 1) column included, raises DimensionMismatch,
+    and NaN or Inf NonFiniteValue.
+    """
+    return _coordinates(x, n, name, finite=True)
+
+
+def as_bound(x, fill, n, name="bound"):
+    """A bound as per_coordinate takes it, with +-inf an absent bound: n
+    floats, ``fill`` when x is None, and NonFiniteValue for NaN only."""
+    return np.full(n, fill) if x is None else _coordinates(x, n, name, finite=False)
+
+
+def _coordinates(x, n, name, finite):
+    """The rule of per_coordinate and as_bound; ``finite=False`` lets +-inf through."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim > 1 or a.size not in (1, n):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, not a scalar or ({n},)")
+    if not (np.isfinite(a) if finite else ~np.isnan(a)).all():
+        raise NonFiniteValue(f"{name} contains NaN" + (" or Inf" if finite else ""))
+    return np.broadcast_to(a, (n,))
 
 
 def is_symmetric(m):

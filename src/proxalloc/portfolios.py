@@ -25,9 +25,12 @@ it once when the universe is built and owns its one PenaltyFactor (the
 factors of cov + phi I that every QP and quadratic split on the universe
 shares) and its eigendecomposition, computed at most once, on first use.
 
-Each model checks its per-asset vectors once, where it takes them
-(``_asset_vector``: finite, 1-d, n entries), and its loops call the
-catalogue's unchecked kernels.  Every model returns PortfolioWeights
+Each model checks its arguments once, where it takes them, through
+linalg, the one coercion owner: a per-asset vector by ``as_vector`` at
+length n (``_asset_vector`` passes the vector of a PortfolioWeights,
+checked when it was made), a cap, floor or cost that may be a scalar by
+``per_coordinate`` or ``as_bound``; its loops call the catalogue's
+unchecked kernels.  Every model returns PortfolioWeights
 whose vector has passed one common normalization gate (tiny negative
 clips, budget rescale), so solver slack never leaks into downstream
 statistics.
@@ -41,11 +44,11 @@ from typing import Optional
 import numpy as np
 
 from .admm import AdmmConfig, AdmmProblem, admm_solve, consensus_problem
-from .cd import _check_stdev_scale, _rb_newton, _rb_simultaneous, ccd_rb_stdev
+from .cd import (_check_stdev_scale, _normalized_budgets, _rb_newton, _rb_simultaneous,
+                 ccd_rb_stdev)
 from .dykstra import DykstraConfig, dykstra_cycle
 from .errors import (
     BadK,
-    DimensionMismatch,
     Diverged,
     InfeasibleSuspected,
     InfeasibleTargets,
@@ -58,16 +61,15 @@ from .errors import (
     TargetUnreachable,
     UnreachableDiversification,
 )
-from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_symmetric,
-                     as_vector, bisect, cholesky_lower, lambert_w_exp, threshold_sum_root)
+from .linalg import (PenaltyFactor, RootBracket, SupportFactor, _newton_kkt, as_bound,
+                     as_matrix, as_symmetric, as_vector, bisect, cholesky_lower,
+                     lambert_w_exp, per_coordinate, threshold_sum_root)
 from .prox import (
     Box,
     EffectiveBetsCone,
     Halfspace,
     Hyperplane,
     LpBall,
-    _bound,
-    _fit,
     _prox_bid_ask,
     _prox_kl,
     _prox_log_barrier,
@@ -280,15 +282,12 @@ def _gate(w, long_only=True):
 
 
 def _asset_vector(x, n, name):
-    """x as a finite 1-d float array of exactly n entries: the entry check of
-    every per-asset vector a model or statistic takes.  A wrong length raises
-    DimensionMismatch, and NaN, Inf or a second axis raise as in as_vector;
-    the vector of a PortfolioWeights, checked when it was made, only has its
-    length checked."""
-    v = x.w if isinstance(x, PortfolioWeights) else as_vector(x, name)
-    if v.size != n:
-        raise DimensionMismatch(f"{name}: {v.size} entries for {n} assets")
-    return v
+    """as_vector(x, name, n), the entry check of every per-asset vector a model
+    or statistic takes; the vector of a PortfolioWeights, checked when it was
+    made, is taken as it is when it has n entries."""
+    if isinstance(x, PortfolioWeights) and x.w.size == n:
+        return x.w
+    return as_vector(getattr(x, "w", x), name, n)
 
 
 def herfindahl(w):
@@ -581,8 +580,8 @@ def mvo_target(universe, target_return=None, target_volatility=None, lower=None,
     if (target_return is None) == (target_volatility is None):
         raise ValueError("specify exactly one of target_return / target_volatility")
     n, cov, mu = universe.n, universe.cov, universe.mu
-    long_only = lower is not None and np.all(np.asarray(lower) >= 0)
-    low, high = _bound(lower, -np.inf, n, "lower"), _bound(upper, np.inf, n, "upper")
+    low, high = as_bound(lower, -np.inf, n, "lower"), as_bound(upper, np.inf, n, "upper")
+    long_only = lower is not None and bool((low >= 0).all())
     top, vertex, face_low, face_high = _max_return_face(mu, low, high)
     if target_return is not None:
         target = float(target_return)
@@ -751,7 +750,7 @@ def mvo_costs(universe, gamma, current, bid_cost, ask_cost, cfg=None):
     """
     n = universe.n
     current = _asset_vector(current, n, "current")
-    bid, ask = _fit(bid_cost, n, "bid cost"), _fit(ask_cost, n, "ask cost")
+    bid, ask = per_coordinate(bid_cost, n, "bid cost"), per_coordinate(ask_cost, n, "ask cost")
     if np.any(bid < 0) or np.any(ask < 0):
         raise NegativeCost("transaction costs must be nonnegative")
     q = np.zeros((3 * n, 3 * n))
@@ -1077,7 +1076,7 @@ def gmv_herfindahl(universe, upper=None, min_bets=1.0, method="admm", cfg=None):
     if method != "admm":
         raise ValueError(f"unknown method {method!r}: the Herfindahl split is the one solver")
     n = universe.n
-    upper_vec = np.minimum(_bound(upper, 1.0, n, "upper"), 1.0)
+    upper_vec = np.minimum(as_bound(upper, 1.0, n, "upper"), 1.0)
     _check_caps(upper_vec)
     if min_bets > n + 1e-9:
         raise UnreachableDiversification(f"cannot reach {min_bets} bets with {n} assets")
@@ -1222,7 +1221,7 @@ def gmv_diversified(universe, upper=None, constraint=None, cfg=None):
     InfeasibleTargets.
     """
     n = universe.n
-    upper_vec = _bound(upper, 1.0, n, "upper")
+    upper_vec = as_bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     if constraint is None:
         w = _solve_budget_qp(universe.factor, np.zeros(n), lower=np.zeros(n),
@@ -1273,7 +1272,8 @@ def rebalance_penalized(universe, current, cost_scale=0.0, bid_cost=0.0,
     n = universe.n
     current = _asset_vector(current, n, "current")
     scale = max(cost_scale, 0.0)
-    bid, ask = scale * _fit(bid_cost, n, "bid cost"), scale * _fit(ask_cost, n, "ask cost")
+    bid = scale * per_coordinate(bid_cost, n, "bid cost")
+    ask = scale * per_coordinate(ask_cost, n, "ask cost")
     if np.any(bid < 0) or np.any(ask < 0):
         raise NegativeCost("transaction costs must be nonnegative")
     return _rebalance_split(universe, current, turnover_cap, upper, 0.0 * current, bid, ask, cfg)
@@ -1286,7 +1286,7 @@ def _rebalance_split(universe, current, turnover_cap, upper, linear, bid, ask, c
     (when a cap is given) and the bid/ask block (when a cost is nonzero),
     in that order, ended by ``_trade_polish``."""
     n = universe.n
-    upper_vec = _bound(upper, 1.0, n, "upper")
+    upper_vec = as_bound(upper, 1.0, n, "upper")
     blocks = [_projection(Box(np.zeros(n), upper_vec), n)]
     if turnover_cap is not None:
         if turnover_cap < 0:
@@ -1569,13 +1569,12 @@ def risk_budgeting(universe, budgets, measure=Volatility(), engine="ccd",
     the long-only maximum Sharpe ratio the stdev objective is unbounded
     below, and both engines raise OutOfDomain once the scale is under the
     best single-asset ratio or an iterate's Sharpe ratio reaches it.
+    Budgets must be positive (NonPositiveWeight) and, once normalized, at
+    least RB_BUDGET_FLOOR = 1e-12 (OutOfDomain before any cycle): below it
+    the positive-root start of both engines rounds a weight to 0
+    (``cd._normalized_budgets``).
     """
-    budgets = _asset_vector(budgets, universe.n, "budgets")
-    if (budgets <= 0).any():
-        raise ValueError("risk budgets must be positive")
-    budgets = budgets / budgets.sum()
-    if not budgets.all():  # the sum overflowed, or a budget underflowed
-        raise ValueError("risk budgets must stay positive once normalized")
+    budgets = _normalized_budgets(_asset_vector(budgets, universe.n, "budgets"))
     if engine == "ccd":
         if admm_kwargs:
             raise TypeError(f"risk_budgeting: the ccd engine takes no option "
@@ -1633,7 +1632,7 @@ def mdp(universe, long_only=True, constraint=None, upper=None, cfg=None):
                               "diversification ratio has no maximum on the budget plane")
         return PortfolioWeights(z / z.sum())
 
-    upper_vec = _bound(upper, 1.0, n, "upper")
+    upper_vec = as_bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     caps = (np.eye(n) - upper_vec[:, None])[upper_vec < 1]  # the rows e_i' - u_i 1'
     if constraint is None:
@@ -1851,8 +1850,8 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
         raise ValueError("dissimilarity must be nonnegative")
     if np.max(np.abs(np.diag(d))) > 1e-12:
         raise ValueError("dissimilarity diagonal must be zero")
-    lower_vec = _bound(lower, 0.0, n, "lower")
-    upper_vec = _bound(upper, 1.0, n, "upper")
+    lower_vec = as_bound(lower, 0.0, n, "lower")
+    upper_vec = as_bound(upper, 1.0, n, "upper")
     _check_caps(upper_vec)
     if not np.any(d):
         return _gate(np.full(n, 1.0 / n))
@@ -1873,19 +1872,25 @@ def rqe_portfolio(dissimilarity, lower=None, upper=None, cfg=None):
 # ---------------------------------------------------------------------------
 
 def _as_diag(shape, n):
-    shape = np.asarray(1.0 if shape is None else shape, dtype=float)
-    if shape.ndim == 2:
+    """The diagonal of an l1 shaping: None (1), a scalar, n entries or a
+    diagonal n x n matrix."""
+    if np.ndim(shape) == 2:
+        shape = as_matrix(shape, "l1 shaping", n)
         if np.max(np.abs(shape - np.diag(np.diag(shape)))) > 0:
             raise ValueError("l1 shaping must be diagonal")
         shape = np.diag(shape)
+    shape = per_coordinate(1.0 if shape is None else shape, n, "l1 shaping")
     if np.any(shape < 0):
         raise NegativeLambda("l1 shaping must be nonnegative")
-    return _fit(shape, n, "l1 shaping")
+    return shape
 
 
 def _as_full(shape, n):
-    shape = np.asarray(1.0 if shape is None else shape, dtype=float)
-    return shape if shape.ndim == 2 else np.diag(_fit(shape, n, "l2 shaping"))
+    """An l2 shaping as an n x n matrix: None (I), a scalar, n entries (a
+    diagonal) or a matrix."""
+    if np.ndim(shape) == 2:
+        return as_matrix(shape, "l2 shaping", n)
+    return np.diag(per_coordinate(1.0 if shape is None else shape, n, "l2 shaping"))
 
 
 def _robo_quadratic(universe, cfg):
@@ -1932,13 +1937,13 @@ def robo_advisor(universe, cfg, admm_cfg=None):
                           ("benchmark", "reference", "current", "risk_budgets")
                           if getattr(cfg, name) is not None})
     q, r = _robo_quadratic(universe, cfg)
-    lower = _bound(cfg.lower, 0.0, n, "lower")
-    upper = _bound(cfg.upper, 1.0, n, "upper")
+    lower = as_bound(cfg.lower, 0.0, n, "lower")
+    upper = as_bound(cfg.upper, 1.0, n, "upper")
     if not all(isinstance(s, Halfspace) for s in cfg.linear_sets):
         raise TypeError("linear_sets accepts Halfspace descriptors")
     c_rows = d_vals = None
     if cfg.linear_sets:
-        c_rows = np.vstack([as_vector(s.c) for s in cfg.linear_sets])
+        c_rows = np.vstack([as_vector(s.c, "linear set normal", n) for s in cfg.linear_sets])
         d_vals = np.array([float(s.d) for s in cfg.linear_sets])
     try:
         linear_projection(np.ones((1, n)), np.ones(1), c_rows, d_vals, lower, upper,

@@ -22,7 +22,13 @@ and calls the kernel inside its loop, on float arrays that already match
 v; the public functions that build on one another (``prox_lp_norm``,
 ``prox_bid_ask``) call the kernels too, and so do the projectors
 (``linalg._threshold_sum_root``), while ``prox_sum_k_largest`` runs
-``dykstra_cycle`` with its check off.
+``dykstra_cycle`` with its check off.  Every check is linalg's, the one
+coercion owner: v through ``as_vector``, a scalar lam through
+``as_scalar``, and an argument that is a scalar or one entry per
+coordinate (a threshold, weight, reference, cost, anchor or center)
+through ``per_coordinate``, or ``as_bound`` for a box's bounds.  So NaN
+raises NonFiniteValue and a wrong length or an (n, 1) column
+DimensionMismatch, before any arithmetic.
 """
 
 from dataclasses import dataclass
@@ -41,7 +47,8 @@ from .errors import (
     UnsupportedNorm,
     ZeroScale,
 )
-from .linalg import _threshold_sum_root, as_vector, lambert_w_exp, pseudo_inverse, solve_spd
+from .linalg import (_threshold_sum_root, as_bound, as_matrix, as_scalar, as_vector,
+                     lambert_w_exp, per_coordinate, pseudo_inverse, solve_spd)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +58,8 @@ from .linalg import _threshold_sum_root, as_vector, lambert_w_exp, pseudo_invers
 def soft_threshold(v, lam):
     """sign(v) * (|v| - lam)_+, the prox of lam * ||x||_1."""
     v = as_vector(v)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
+    lam = per_coordinate(lam, v.size, "lam")
+    if (lam < 0).any():
         raise NegativeLambda("soft_threshold needs lam >= 0")
     return _soft_threshold(v, lam)
 
@@ -64,9 +71,9 @@ def _soft_threshold(v, lam):
 def soft_threshold_two_sided(v, lam_minus, lam_plus):
     """(v - lam_plus)_+ - (v + lam_minus)_-, with one-sided thresholds."""
     v = as_vector(v)
-    lam_minus = np.asarray(lam_minus, dtype=float)
-    lam_plus = np.asarray(lam_plus, dtype=float)
-    if np.any(lam_minus < 0) or np.any(lam_plus < 0):
+    lam_minus = per_coordinate(lam_minus, v.size, "lam_minus")
+    lam_plus = per_coordinate(lam_plus, v.size, "lam_plus")
+    if (lam_minus < 0).any() or (lam_plus < 0).any():
         raise NegativeLambda("two-sided soft_threshold needs nonnegative thresholds")
     return _soft_threshold_two_sided(v, lam_minus, lam_plus)
 
@@ -158,12 +165,12 @@ def projector(set_, n):
 
     The set's parameters are checked against n here, once: a zero normal,
     a radius at or below zero or bets outside (0, n] raise DegenerateSet,
-    a box with lower above upper InvertedBounds and a NaN bound
-    ValueError, a ball norm without a closed form UnsupportedNorm, and a
-    shape that does not match n DimensionMismatch.  The closure does no
-    checking, so an engine builds it once per solve and calls it inside its
-    loop on float vectors of length n; it may return v itself when v lies in
-    the set.
+    a box with lower above upper InvertedBounds, a NaN bound or a
+    non-finite normal or center NonFiniteValue, a ball norm without a
+    closed form UnsupportedNorm, and a shape that does not match n
+    DimensionMismatch.  The closure does no checking, so an engine builds
+    it once per solve and calls it inside its loop on float vectors of
+    length n; it may return v itself when v lies in the set.
     """
     raise TypeError(f"no projection registered for {type(set_).__name__}")
 
@@ -174,28 +181,9 @@ def project(set_, v):
     return projector(set_, v.size)(v)
 
 
-def _fit(x, n, name):
-    """x as a float array broadcast to length n."""
-    try:
-        return np.broadcast_to(np.asarray(x, dtype=float), (n,))
-    except ValueError:
-        raise DimensionMismatch(f"{name} does not match length {n}") from None
-
-
-def _bound(value, fill, n, name):
-    """value broadcast to length n, or ``fill`` when None; +-inf is an absent
-    bound, NaN raises ValueError."""
-    bound = np.full(n, fill) if value is None else _fit(value, n, name)
-    if np.isnan(bound).any():
-        raise ValueError(f"{name} contains NaN")
-    return bound
-
-
 def _normal(c, n, name):
     """A nonzero normal of length n and its squared norm."""
-    c = as_vector(c)
-    if c.shape != (n,):
-        raise DimensionMismatch(f"{name} normal does not match v")
+    c = as_vector(c, f"{name} normal", n)
     nrm2 = float(np.einsum("i,i", c, c))
     if nrm2 == 0.0:
         raise DegenerateSet(f"{name} normal is zero")
@@ -233,8 +221,8 @@ def _(set_: AffineSet, n):
 
 @projector.register
 def _(set_: Box, n):
-    lo = _bound(set_.lower, -np.inf, n, "lower bound")
-    hi = _bound(set_.upper, np.inf, n, "upper bound")
+    lo = as_bound(set_.lower, -np.inf, n, "lower bound")
+    hi = as_bound(set_.upper, np.inf, n, "upper bound")
     if np.any(lo > hi):
         raise InvertedBounds("lower bound exceeds upper bound")
     return lambda v: np.minimum(np.maximum(v, lo), hi)
@@ -244,7 +232,7 @@ def _ball(set_, n):
     """The center broadcast to length n and the radius, which must be positive."""
     if set_.radius <= 0:
         raise DegenerateSet("ball radius must be positive")
-    return _fit(set_.center, n, "ball center"), float(set_.radius)
+    return per_coordinate(set_.center, n, "ball center"), float(set_.radius)
 
 
 @projector.register
@@ -337,7 +325,7 @@ def _(set_: Polyhedron, n):
 def prox_max(v, lam):
     """prox of lam * max(x): min(v, s*) with sum_i (v_i - s*)_+ = lam."""
     v = as_vector(v)
-    if lam < 0:
+    if as_scalar(lam, "lam") < 0:
         raise NegativeLambda("prox_max needs lam >= 0")
     return _prox_max(v, lam)
 
@@ -349,7 +337,7 @@ def _prox_max(v, lam):
 def prox_lp_norm(v, lam, p):
     """prox of lam * ||x||_p for p in {1, 2, inf}."""
     v = as_vector(v)
-    if lam < 0:
+    if as_scalar(lam, "lam") < 0:
         raise NegativeLambda("prox_lp_norm needs lam >= 0")
     if p == 1:
         return _soft_threshold(v, lam)
@@ -364,10 +352,10 @@ def prox_lp_norm(v, lam, p):
 def prox_log_barrier(v, lam, weights=1.0):
     """prox of -lam * sum_i w_i ln(x_i): (v + sqrt(v*v + 4*lam*w)) / 2."""
     v = as_vector(v)
-    if lam <= 0:
+    if as_scalar(lam, "lam") <= 0:
         raise NegativeLambda("prox_log_barrier needs lam > 0")
-    w = np.broadcast_to(np.asarray(weights, dtype=float), v.shape)
-    if np.any(w <= 0):
+    w = per_coordinate(weights, v.size, "weights")
+    if (w <= 0).any():
         raise NonPositiveWeight("log-barrier weights must be positive")
     return _prox_log_barrier(v, 4.0 * lam * w)
 
@@ -380,9 +368,8 @@ def _prox_log_barrier(v, shift):
 def prox_quadratic(v, q, r):
     """prox of 0.5 x'Qx - x'R: the solution of (Q + I) x = R + v."""
     v = as_vector(v)
-    r = as_vector(r)
-    q = np.asarray(q, dtype=float)
-    return solve_spd(q + np.eye(v.size), r + v)
+    r = as_vector(r, "R", v.size)
+    return solve_spd(as_matrix(q, "Q", v.size) + np.eye(v.size), r + v)
 
 
 def prox_kl(v, lam, reference):
@@ -395,10 +382,10 @@ def prox_kl(v, lam, reference):
     Shannon-entropy prox.
     """
     v = as_vector(v)
-    if lam <= 0:
+    if as_scalar(lam, "lam") <= 0:
         raise NegativeLambda("prox_kl needs lam > 0")
-    ref = np.broadcast_to(np.asarray(reference, dtype=float), v.shape)
-    if np.any(ref <= 0):
+    ref = per_coordinate(reference, v.size, "reference")
+    if (ref <= 0).any():
         raise NonPositiveWeight("KL reference must be positive")
     return _prox_kl(v, lam, ref)
 
@@ -418,14 +405,13 @@ def prox_bid_ask(v, lam, bid_cost, ask_cost, anchor):
     anchor.
     """
     v = as_vector(v)
-    if lam < 0:
+    if as_scalar(lam, "lam") < 0:
         raise NegativeLambda("prox_bid_ask needs lam >= 0")
-    bid = np.broadcast_to(np.asarray(bid_cost, dtype=float), v.shape)
-    ask = np.broadcast_to(np.asarray(ask_cost, dtype=float), v.shape)
-    if np.any(bid < 0) or np.any(ask < 0):
+    bid = per_coordinate(bid_cost, v.size, "bid cost")
+    ask = per_coordinate(ask_cost, v.size, "ask cost")
+    if (bid < 0).any() or (ask < 0).any():
         raise NegativeCost("transaction costs must be nonnegative")
-    anchor = np.broadcast_to(np.asarray(anchor, dtype=float), v.shape)
-    return _prox_bid_ask(v, lam, bid, ask, anchor)
+    return _prox_bid_ask(v, lam, bid, ask, per_coordinate(anchor, v.size, "anchor"))
 
 
 def _prox_bid_ask(v, lam, bid, ask, anchor):
@@ -442,7 +428,7 @@ def prox_sum_k_largest(v, lam, k):
     from .dykstra import DykstraConfig, dykstra_cycle
 
     v = as_vector(v)
-    if lam <= 0:
+    if as_scalar(lam, "lam") <= 0:
         raise NegativeLambda("prox_sum_k_largest needs lam > 0")
     if not 1 <= k <= v.size:
         raise BadK(f"k must lie in [1, {v.size}], got {k}")
@@ -458,8 +444,8 @@ def prox_scale_translate(base_prox, a, b, v):
     ``base_prox`` must be the prox of the scaled function a^2 f; the
     result is (base_prox(a v + b) - b) / a.
     """
-    if a == 0:
+    if as_scalar(a, "a") == 0:
         raise ZeroScale("scale factor must be nonzero")
     v = as_vector(v)
-    b = np.broadcast_to(np.asarray(b, dtype=float), v.shape)
+    b = per_coordinate(b, v.size, "b")
     return (base_prox(a * v + b) - b) / a

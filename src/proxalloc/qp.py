@@ -60,8 +60,8 @@ from .errors import (
     MaxIterExceeded,
     NotPositiveDefinite,
 )
-from .linalg import PenaltyFactor, as_matrix, as_vector, cholesky_lower
-from .prox import Box, _bound, projector
+from .linalg import PenaltyFactor, as_bound, as_matrix, as_vector, cholesky_lower
+from .prox import Box, projector
 from .reports import CONVERGED, DIVERGED, INFEASIBLE, SolverReport
 
 EQUALITY_WEIGHT = np.sqrt(1e3)  # row scale of A in K: a 1000x penalty on A x = B
@@ -119,9 +119,9 @@ class QpProblem:
         self.a, self.b = _rows(self.a, self.b, n, "A", "B")
         self.c, self.d = _rows(self.c, self.d, n, "C", "D")
         if self.lower is not None:
-            self.lower = _bound(self.lower, -np.inf, n, "lower bound")
+            self.lower = as_bound(self.lower, -np.inf, n, "lower bound")
         if self.upper is not None:
-            self.upper = _bound(self.upper, np.inf, n, "upper bound")
+            self.upper = as_bound(self.upper, np.inf, n, "upper bound")
 
     @property
     def n(self):
@@ -541,9 +541,7 @@ def stationarity_residual(problem, x, cfg=None):
     raises MaxCyclesExceeded when it does not settle.  x is checked here:
     NaN or Inf raise ValueError, a length other than n DimensionMismatch.
     """
-    x = as_vector(x, "x")
-    if x.size != problem.n:
-        raise DimensionMismatch(f"x has {x.size} entries for {problem.n} unknowns")
+    x = as_vector(x, "x", problem.n)
     g = problem.factor.matvec(x) - problem.r
     proj = project_general_linear(problem.a, problem.b, problem.c, problem.d,
                                   problem.lower, problem.upper, x - g, cfg)

@@ -211,6 +211,25 @@ class TestLogBarrierQp:
 
 
 class TestErc:
+    def test_checks_each_input_once(self, monkeypatch):
+        # cov is scanned once and x0 checked once: the log-barrier cycles
+        # take the arrays ccd_erc checked
+        from proxalloc import cd, linalg
+
+        calls = []
+        for name in ("as_matrix", "as_vector"):
+            check = getattr(linalg, name)
+
+            def counted(*args, check=check, **kwargs):
+                calls.append(check.__name__)
+                return check(*args, **kwargs)
+
+            monkeypatch.setattr(cd, name, counted)
+        x = ccd_erc(parameter_set_1().universe.cov, 0.2, np.full(8, 1 / 8))
+        assert sorted(calls) == ["as_matrix", "as_vector"]
+        assert np.array_equal(x, ccd_qp_logbarrier(parameter_set_1().universe.cov,
+                                                   np.zeros(8), 0.2, np.full(8, 1 / 8)))
+
     def test_diagonal_covariance_inverse_vol(self):
         sigma = np.array([0.1, 0.2, 0.4])
         x = ccd_erc(np.diag(sigma**2), 1.0, np.ones(3), cfg=CdConfig(tol=1e-12))

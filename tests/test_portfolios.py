@@ -378,15 +378,15 @@ def robo_ccd_reference(universe, cfg, admm_cfg=None):
     """
     from proxalloc.admm import consensus_problem
     from proxalloc.cd import ccd_qp_logbarrier
-    from proxalloc.linalg import PenaltyFactor, as_vector
+    from proxalloc.linalg import PenaltyFactor, as_bound, as_vector
     from proxalloc.portfolios import (_as_diag, _gate, _projection, _robo_quadratic,
                                       _run_split, _soft_pull)
-    from proxalloc.prox import Box, Hyperplane, _bound
+    from proxalloc.prox import Box, Hyperplane
 
     n = universe.n
     q, r = _robo_quadratic(universe, cfg)
-    lower = _bound(cfg.lower, 0.0, n, "lower")
-    upper = _bound(cfg.upper, 1.0, n, "upper")
+    lower = as_bound(cfg.lower, 0.0, n, "lower")
+    upper = as_bound(cfg.upper, 1.0, n, "upper")
     ones = np.ones(n)
     x0 = ones / n
     admm_cfg = admm_cfg or AdmmConfig(phi0=max(float(np.mean(np.diag(q))), 1e-3),
@@ -2205,6 +2205,29 @@ class TestRiskBudgeting:
         # normalized by an infinite sum every budget reads 0
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive"):
             risk_budgeting(tilted_universe(), np.full(8, 1e308), engine=engine)
+
+    @pytest.mark.parametrize("engine", ["ccd", "admm"])
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-16])
+    def test_a_budget_below_the_floor_raises_before_any_cycle(self, engine, tiny,
+                                                               monkeypatch):
+        # the positive-root step rounds the weight of such a budget to 0:
+        # the polish's ln x warned, and both engines returned w_0 = 0
+        from proxalloc import portfolios
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(portfolios, "ccd_rb_stdev", no_solve)
+        monkeypatch.setattr(portfolios, "_rb_admm", no_solve)
+        with pytest.raises(OutOfDomain, match="at least 1e-12 once normalized"):
+            risk_budgeting(SET1.universe, np.r_[tiny, np.ones(7)], engine=engine)
+
+    @pytest.mark.parametrize("engine", ["ccd", "admm"])
+    def test_a_budget_above_the_floor_is_certified(self, engine):
+        # 1e-11 / 7.00...: just above the floor once normalized
+        w, report = risk_budgeting(SET1.universe, np.r_[1e-11, np.ones(7)], engine=engine,
+                                   return_report=True)
+        assert w.w[0] > 0.0 and report.stationarity_residual <= 1e-8
 
     def test_admm_engine_rejects_a_cd_config(self):
         with pytest.raises(TypeError, match="cfg"):
