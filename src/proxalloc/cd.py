@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleSuspected,
+    InvertedBounds,
     MaxCyclesExceeded,
     NegativeLambda,
     NonPositiveDiagonal,
@@ -287,6 +288,8 @@ def ccd_qp_box(q, r, lower, upper, x0=None, cfg=None, return_report=False,
         raise NonPositiveDiagonal("Q must have a positive diagonal")
     lo = as_bound(lower, -np.inf, n, "lower")
     hi = as_bound(upper, np.inf, n, "upper")
+    if (lo > hi).any():
+        raise InvertedBounds("lower bound exceeds upper bound")
     x = np.zeros(n) if x0 is None else as_vector(x0, "x0", n).copy()
 
     def update(i, xx):
@@ -635,8 +638,13 @@ def projected_cd(grad, sets, eta, x0, cfg=None, return_report=False):
     if as_scalar(eta, "eta") <= 0:
         raise ValueError("eta must be positive")
 
+    unchecked = True
+
     def update(i, xx):
-        g = as_vector(grad(xx))
+        nonlocal unchecked
+        g = grad(xx)
+        if unchecked:  # its first output only: a NaN later fails the cycle's finite check
+            g, unchecked = as_vector(g, "grad(x)", x0.size), False
         return ops[i](np.atleast_1d(xx[i] - eta * g[i]))[0]
 
     x, report = _run_cycles(_coordinate_sweep(update), x0, cfg, name="projected_cd")

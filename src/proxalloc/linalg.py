@@ -237,24 +237,25 @@ class SupportFactor:
     (``PenaltyFactor.inverse``).  Otherwise construction passes the block
     through the Cholesky pivot gate, raising NotPositiveDefinite when it
     is singular, and forms G from the factor (LAPACK dpotri); it is the
-    one inversion.  A name that leaves F is deleted in place by its Schur
-    complement, the SWEEP operator (Goodnight 1979): with c its column of
-    G at position p and d = c_p, every other row i of the tableau loses
-    c_i / d times row p, so G becomes G - c c' / d and G U_F its value on
-    the names left, and then the last row and column move into position
-    p.  That is one BLAS rank-one update (dger), O(k (k + c)) with no copy
-    of the tableau.  ``join`` borders G with one name j by the same
-    update: with g = G m_Fj and the Schur complement s = m_jj - m_Fj'g, G
-    gains g g' / s and the border -g / s, 1 / s, which the critical-line
-    walk of portfolios takes at every name whose multiplier turns, and
-    index_sampling at every name its settle rounds free.  scipy's kernels
-    bind on first use.
+    one inversion.  ``delete(p)`` drops the name at position p of F in
+    place by its Schur complement, the SWEEP operator (Goodnight 1979):
+    with c its column of G and d = c_p, every other row i of the tableau
+    loses c_i / d times row p, so G becomes G - c c' / d and G U_F its
+    value on the names left, and then the last row and column move into
+    position p.  That is one BLAS rank-one update (dger), O(k (k + c))
+    with no copy of the tableau; ``remove`` deletes a mask's names this
+    way, from the last position down.  ``join`` borders G with one name j
+    by the same update: with g = G m_Fj and the Schur complement
+    s = m_jj - m_Fj'g, G gains g g' / s and the border -g / s, 1 / s,
+    which the critical-line walk of portfolios takes at every name whose
+    multiplier turns, and index_sampling at every name its settle rounds
+    free.  scipy's kernels bind on first use.
     """
 
     def __init__(self, m, support, rhs):
         quad = m if isinstance(m, PenaltyFactor) else None
         self.m, self.rhs = (m if quad is None else m.q), rhs
-        support = np.array(support)  # a copy: remove moves its entries
+        support = np.array(support)  # a copy: delete moves its entries
         k, c = support.size, rhs.shape[1]
         t = np.empty((k, c + k), order="F")
         g = t[:, c:]  # contiguous, so dpotri inverts it in place
@@ -275,29 +276,33 @@ class SupportFactor:
         k, c = self.support.size, self.rhs.shape[1]
         return self.t[:k, c:c + k].dot(b)
 
-    def remove(self, drop):
-        """Drop the names of F where the boolean mask ``drop`` (in the support's order) is set.
+    def delete(self, p):
+        """Drop the name at position p of F by its Schur complement, O(k (k + c)).
 
-        Deleting the names from the last position down keeps the position
-        of every name still to delete.
+        The last name of F moves into position p.
         """
         t, support, c, k = self.t, self.support, self.rhs.shape[1], self.support.size
+        last = k - 1
+        if last:
+            col = t[:, c + p]  # contiguous; its rows from k on are deleted names'
+            scale = -1.0 / col[p]
+            # with its pivot 0 the update leaves row p as it is, and adds 0 to
+            # column p, which is col itself; zeros from k on keep the deleted rows
+            col[p] = 0.0
+            col[k:] = 0.0
+            _scipy.dger(scale, col, t[p, :c + k], a=t[:, :c + k], overwrite_a=1)
+        if p != last:  # slices and scalar moves cost a third of fancy indexing
+            t[p, :c + k] = t[last, :c + k]
+            t[:k, c + p] = t[:k, c + last]
+            support[p] = support[last]
+        self.support = support[:last]
+
+    def remove(self, drop):
+        """Drop the names of F where the boolean mask ``drop`` (in the support's
+        order) is set, deleting from the last position down so that the
+        position of every name still to delete holds."""
         for p in drop.nonzero()[0][::-1]:
-            last = k - 1
-            if last:
-                col = t[:, c + p]  # contiguous; its rows from k on are deleted names'
-                scale = -1.0 / col[p]
-                # with its pivot 0 the update leaves row p as it is, and adds 0 to
-                # column p, which is col itself; zeros from k on keep the deleted rows
-                col[p] = 0.0
-                col[k:] = 0.0
-                _scipy.dger(scale, col, t[p, :c + k], a=t[:, :c + k], overwrite_a=1)
-            if p != last:  # slices and scalar moves cost a third of fancy indexing
-                t[p, :c + k] = t[last, :c + k]
-                t[:k, c + p] = t[:k, c + last]
-                support[p] = support[last]
-            k = last
-        self.support = support[:k]
+            self.delete(p)
 
     def join(self, j):
         """Add name j to F by bordering G, O(k (k + c)).

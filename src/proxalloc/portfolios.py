@@ -546,9 +546,10 @@ def _critical_line(cov, mu, low, high, start, up, targets):
                 if tau[k] >= end:
                     return base, None
                 if side[k] == 0.0:  # a free name reaches a bound
-                    side[k], fixed[k] = (1.0, low[k]) if move[f == k][0] < 0.0 else (-1.0, high[k])
+                    p = int((f == k).argmax())  # k's position in F
+                    side[k], fixed[k] = (1.0, low[k]) if move[p] < 0.0 else (-1.0, high[k])
                     cov_fixed += fixed[k] * cov[k]
-                    held.remove(f == k)
+                    held.delete(p)
                     break
                 try:
                     held.join(k)
@@ -627,15 +628,21 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     the knocked-out name (every name in round 1).  One inverse
     G = C_FF^-1 is held across the rounds (linalg.SupportFactor), and with
     it a = G (Cb)_F and e = G 1, which the guess's Schur deletes downdate
-    in O(k) each.  Round 1's G is a copy of C^-1, which the universe's
-    PenaltyFactor forms once and keeps for every later account.  The
-    guess's point is x_F = a + nu e, nu = (1 - 1'a) / 1'e, and the zeros'
-    multipliers are their reduced gradient (Cx - Cb - nu)_i.  It is kept
-    when it passes qp._settle's tests: x_F >= -POLISH_TOL (1 + |x_F|), and
-    every multiplier of a zero whose cap is not 0 is at least -POLISH_TOL
-    (1 + max |Cx| + max |Cb|).  When every zero was knocked out (cap 0),
-    the second test is vacuous and Cx is not formed.  Since u <= 1 never
-    binds under the budget, that point is the exact optimum of the round.
+    in O(k (k + 2)) each.  Round 1's G is a copy of C^-1, which the
+    universe's PenaltyFactor forms once and keeps for every later account.
+    The guess's point is x_F = a + nu e, nu = (1 - 1'a) / 1'e, and the
+    zeros' multipliers are their reduced gradient (Cx - Cb - nu)_i.  It is
+    kept when it passes qp._settle's tests: x_F >= -POLISH_TOL (1 + |x_F|),
+    and every multiplier of a zero whose cap is not 0 is at least
+    -POLISH_TOL (1 + max |Cx| + max |Cb|).  When every zero was knocked
+    out (cap 0), the second test is vacuous and the round runs on F
+    alone: it deletes the knocked-out name at its position
+    (SupportFactor.delete), tests x_F and picks the next name on
+    k-vectors, and forms neither Cx nor the n-vector x, which is built
+    when the loop ends or a round leaves that regime (a weight below 1e-7,
+    a free zero of the next round, or an x_F that fails its test).  Since
+    u <= 1 never binds under the budget, a point that passes is the exact
+    optimum of the round.
     Otherwise _tracking_optimum runs _settle from the guess on the same G,
     which deletes the names _settle pins and borders the names it frees.
     A round whose support block is singular (a duplicated asset) or that
@@ -653,41 +660,51 @@ def index_sampling(universe, benchmark, n_assets, cfg=None):
     r_max = np.abs(r).max()
     cap = np.full(n, np.inf)  # u = 1 never binds under the budget; a knocked-out u is 0
     live_tol = 1e-7
-    held, keep = None, np.ones(n, dtype=bool)
-    while True:
-        x = None
+    held, keep, p = None, np.ones(n, dtype=bool), None  # p: a knock-out's position in F
+    for knocked in range(n):  # the names knocked out so far, one a round until the loop ends
         try:
-            if held is None:  # in round 1, a copy of the universe's inverse
+            if held is None:  # on the guess; in round 1, a copy of the universe's inverse
                 held = SupportFactor(universe.factor, np.flatnonzero(keep),
                                      np.column_stack([r, np.ones(n)]))
-            held.remove(~keep[held.support])
-            free = ~(keep | (cap == 0))  # the zeros whose multipliers _settle tests
-            if free.any():
+            elif p is None:
+                held.remove(~keep[held.support])
+            else:  # the name knocked out at its position in F
+                held.delete(p)
+            on_support = held.support.size + knocked == n  # every zero was knocked out
+            if on_support:  # x_F >= 0 is the whole test, so the round runs on F alone
+                x, signs = _support_weights(held)[0], True
+            else:
                 x, mult, tol = _tracking_point(cov, r, r_max, held)
-                signs = (mult[free] >= -tol).all()
-            else:  # x >= 0 is the whole test, so C x is not formed
-                x, signs = np.zeros(n), True
-                x[held.support] = _support_weights(held)[0]
-            if not (signs and (x >= -POLISH_TOL * (1.0 + np.abs(x))).all()):
-                x = _tracking_optimum(cov, r, cap, held, keep)
-        except NotPositiveDefinite:  # a singular join: x may hold the rejected guess
+                signs = (mult[~(keep | (cap == 0))] >= -tol).all()
+            least = x.min()  # at or above 0, x passes its slack test
+            if not (signs and (least >= 0.0 or (x >= -POLISH_TOL * (1.0 + np.abs(x))).all())):
+                on_support, x = False, _tracking_optimum(cov, r, cap, held)
+        except NotPositiveDefinite:  # a singular join
             x = None
         if x is None:
-            held = None
+            on_support, held = False, None
             x = _solve_budget_qp(universe.factor, r, np.zeros(n), np.minimum(cap, 1.0), cfg=cfg)
-        keep = x >= live_tol
-        active = keep.nonzero()[0]
-        if active.size <= n_assets:
-            break
-        live = x[active]
-        out = active[live <= live.min() + POLISH_TOL][0]
-        cap[out] = 0.0
-        keep[out] = False
+        if on_support and (x.size <= n_assets or least < live_tol):  # the end, or a name falls out
+            on_support, x = False, np.bincount(held.support, x, n)  # x_F spread over the n names
+        if on_support:  # every name of F is live, in F's order
+            names, live = held.support, x
+        else:
+            keep = x >= live_tol
+            names = keep.nonzero()[0]
+            if names.size <= n_assets:
+                break
+            live = x[names]
+            least = live.min()
+        tied = (live <= least + POLISH_TOL).nonzero()[0]
+        p = tied[names[tied].argmin()]  # ties go to the lowest index
+        cap[names[p]] = 0.0
+        if not on_support:
+            keep[names[p]], p = False, None
     return _gate(np.where(x < live_tol, 0.0, x))
 
 
-def _tracking_optimum(cov, r, cap, held, support):
-    """The optimum of one index_sampling round from the guess ``support``, or None.
+def _tracking_optimum(cov, r, cap, held):
+    """The optimum of one index_sampling round from the guess of ``held``'s support, or None.
 
     ``cap`` is inf, or 0 for a knocked-out name.  qp._settle's point
     solver: _tracking_point on the inverse G = C_FF^-1 that ``held``
@@ -697,6 +714,7 @@ def _tracking_optimum(cov, r, cap, held, support):
     which raises NotPositiveDefinite when the name copies held ones.
     """
     n, r_max = r.size, np.abs(r).max()
+    guess = np.bincount(held.support, minlength=n) == 0  # the names at 0
 
     def solve(zero, _):
         held.remove(zero[held.support])
@@ -707,7 +725,7 @@ def _tracking_optimum(cov, r, cap, held, support):
         x, mult, tol = _tracking_point(cov, r, r_max, held)
         return x, x, mult, tol
 
-    return _settle(solve, 0.0, cap, ~support, np.zeros(n, dtype=bool))
+    return _settle(solve, 0.0, cap, guess, np.zeros(n, dtype=bool))
 
 
 def _support_weights(held):

@@ -25,6 +25,8 @@ from proxalloc.data import parameter_set_1
 from proxalloc.errors import (
     DimensionMismatch,
     InfeasibleSuspected,
+    InvertedBounds,
+    NonFiniteValue,
     NonPositiveDiagonal,
     NonPositiveStart,
     NonPositiveVariance,
@@ -163,6 +165,17 @@ class TestBoxQp:
     def test_nonpositive_diagonal(self):
         with pytest.raises(NonPositiveDiagonal):
             ccd_qp_box(np.zeros((2, 2)), np.zeros(2), 0.0, 1.0)
+
+    @pytest.mark.parametrize("lower, upper", [(1.0, -1.0), ([0.0, 2.0, 0.0], [1.0, 1.0, 1.0])])
+    def test_inverted_bounds_raise_before_any_cycle(self, monkeypatch, lower, upper):
+        from proxalloc import cd
+
+        def no_cycles(*args, **kwargs):
+            raise AssertionError("a cycle ran")
+
+        monkeypatch.setattr(cd, "_run_cycles", no_cycles)
+        with pytest.raises(InvertedBounds):
+            ccd_qp_box(np.eye(3), np.ones(3), lower, upper)
 
     def test_kkt_conditions(self):
         x = ccd_qp_box(BOX_QP_Q, BOX_QP_R, -0.5, 1.0, x0=np.zeros(5),
@@ -581,6 +594,36 @@ class TestProjectedCd:
         x0 = np.array([0.3, 0.9])
         x = projected_cd(grad, sets, 0.5, x0)
         assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_checks_the_gradient_once(self, monkeypatch, n):
+        # one as_vector for x0 and one for grad's first output, however many
+        # cycles and coordinate moves the solve takes
+        from proxalloc import cd
+
+        calls = []
+        real = cd.as_vector
+        monkeypatch.setattr(cd, "as_vector", lambda *args: calls.append(1) or real(*args))
+        _, report = projected_cd(lambda x: x, [Box(-1.0, 1.0)] * n, 0.5, np.ones(n),
+                                 return_report=True)
+        assert report.iterations > 10 and len(calls) == 2
+
+    @pytest.mark.parametrize("bad, error",
+                             [(lambda x: np.full(x.size + 1, 1.0), DimensionMismatch),
+                              (lambda x: np.full(x.size, np.nan), NonFiniteValue)])
+    def test_a_bad_first_gradient_raises(self, bad, error):
+        with pytest.raises(error):
+            projected_cd(bad, [Box(-1.0, 1.0)] * 3, 0.5, np.ones(3))
+
+    def test_a_later_nan_gradient_fails_the_cycle_check(self):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return x if len(calls) < 4 else np.full(x.size, np.nan)
+
+        with pytest.raises(InfeasibleSuspected):
+            projected_cd(grad, [Box(-1.0, 1.0)] * 3, 0.5, np.ones(3))
 
 
 class TestCoordinateRules:

@@ -151,6 +151,37 @@ class TestSupportFactor:
         assert np.max(np.abs(held.solved - fresh.solved)) <= 1e-12
         assert np.max(np.abs(held.solved - np.linalg.solve(m[np.ix_(f, f)], u[f]))) <= 1e-12
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_deletes_at_one_position_down_to_one_name_match_a_fresh_factor(self, where):
+        # delete(p) moves the last name into position p; at each size G and
+        # the carried columns are those of a factor built on the names left
+        rng = np.random.default_rng(13)
+        m = random_spd(rng, 9)
+        u = rng.standard_normal((9, 2))
+        held = SupportFactor(m, np.arange(9), u)
+        while held.support.size > 1:
+            k = held.support.size
+            p = {"first": 0, "middle": k // 2, "last": k - 1}[where]
+            left = np.delete(held.support, p)
+            held.delete(p)
+            assert sorted(held.support) == sorted(left)
+            fresh = SupportFactor(m, held.support, u)
+            assert np.max(np.abs(held.solve(np.eye(k - 1)) - fresh.solve(np.eye(k - 1)))) <= 1e-12
+            assert np.max(np.abs(held.solved - fresh.solved)) <= 1e-12
+
+    def test_remove_is_deletes_from_the_last_position_down(self):
+        rng = np.random.default_rng(14)
+        m = random_spd(rng, 10)
+        u = rng.standard_normal((10, 2))
+        by_mask, one_by_one = (SupportFactor(m, np.arange(10), u) for _ in range(2))
+        for positions in ([0, 3, 9], [1, 2], [4]):
+            drop = np.isin(np.arange(by_mask.support.size), positions)
+            by_mask.remove(drop)
+            for p in sorted(positions, reverse=True):
+                one_by_one.delete(p)
+            assert np.array_equal(by_mask.support, one_by_one.support)
+            assert by_mask.t.tobytes() == one_by_one.t.tobytes()
+
     def test_the_full_support_of_a_penalty_factor_copies_its_inverse(self, monkeypatch):
         rng = np.random.default_rng(12)
         m = random_spd(rng, 7)

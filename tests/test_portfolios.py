@@ -930,7 +930,7 @@ class TestIndexSampling:
         monkeypatch.setattr(linalg, "cholesky_lower",
                             lambda m, *args, **kwargs: factorizations.append(m.shape[0]))
         held.join = lambda j: joins.append(j) or real_join(j)
-        x = _tracking_optimum(cov, r, np.full(n, np.inf), held, guess)
+        x = _tracking_optimum(cov, r, np.full(n, np.inf), held)  # from held's support
         assert len(points) == 2  # the guess and one correction
         assert joins == [0] and factorizations == []  # 0 borders G; nothing is inverted
         assert np.max(np.abs(x - cold)) <= 1e-10
@@ -1027,9 +1027,9 @@ class TestIndexSampling:
         real_tracking, real_join = portfolios._tracking_optimum, SupportFactor.join
         real_init = SupportFactor.__init__
 
-        def spy_tracking(cov, r, cap, held, support):
-            guesses.append(list(np.flatnonzero(support)))
-            return real_tracking(cov, r, cap, held, support)
+        def spy_tracking(cov, r, cap, held):
+            guesses.append(sorted(held.support.tolist()))
+            return real_tracking(cov, r, cap, held)
 
         def spy_init(held, m, support, rhs):
             built.append(list(support))
@@ -1072,19 +1072,54 @@ class TestIndexSampling:
 
     def test_rounds_with_no_free_zero_form_no_multipliers(self, monkeypatch):
         # a positive benchmark: every name off a round's support was knocked
-        # out, so x_F >= 0 is the whole test and no round forms C x
+        # out, so x_F >= 0 is the whole test, and each round deletes its name
+        # from the held inverse and reads x_F from the carried columns
         from proxalloc import portfolios
+        from proxalloc.linalg import SupportFactor
 
-        calls = []
-        real_point = portfolios._tracking_point
+        calls, deletes = [], []
+        real_point, real_optimum = portfolios._tracking_point, portfolios._tracking_optimum
+        real_delete, real_remove = SupportFactor.delete, SupportFactor.remove
         monkeypatch.setattr(portfolios, "_tracking_point",
-                            lambda *args: calls.append(1) or real_point(*args))
+                            lambda *args: calls.append("point") or real_point(*args))
+        monkeypatch.setattr(portfolios, "_tracking_optimum",
+                            lambda *args: calls.append("optimum") or real_optimum(*args))
+        monkeypatch.setattr(SupportFactor, "delete",
+                            lambda held, p: deletes.append(held.support[p])
+                            or real_delete(held, p))
+        monkeypatch.setattr(SupportFactor, "remove",
+                            lambda held, drop: calls.append("remove") or real_remove(held, drop))
         rng = np.random.default_rng(12)
         u = factor_universe(rng, 12)
         b = rng.dirichlet(np.ones(12))
         w = index_sampling(u, b, 4).w
         assert calls == []
+        assert len(deletes) == 8 and sorted(deletes) == list(np.flatnonzero(w == 0))
         assert_same_sampling(w, cold_index_sampling(u, b, 4))
+
+    def test_a_knock_out_that_drives_a_weight_negative_settles(self, monkeypatch):
+        # on this universe the fifth knock-out, deleted in the fifth round on
+        # the support, drives a weight below 0, so that round's x_F fails its
+        # sign test and its guess goes through _settle on the same inverse
+        from proxalloc import portfolios
+        from proxalloc.linalg import SupportFactor
+
+        events = []
+        real_point, real_optimum = portfolios._tracking_point, portfolios._tracking_optimum
+        real_delete = SupportFactor.delete
+        monkeypatch.setattr(portfolios, "_tracking_point",
+                            lambda *args: events.append("point") or real_point(*args))
+        monkeypatch.setattr(portfolios, "_tracking_optimum",
+                            lambda *args: events.append("optimum") or real_optimum(*args))
+        monkeypatch.setattr(SupportFactor, "delete",
+                            lambda held, p: events.append("delete") or real_delete(held, p))
+        rng = np.random.default_rng(146)
+        u = perfbench_universe().factor_universe(rng, 8, factor_vol=(0.05, 0.4),
+                                                 specific_vol=(0.02, 0.3))
+        b = rng.dirichlet(np.full(8, 5.0))
+        w = index_sampling(u, b, 1).w
+        assert events[:6] == ["delete"] * 5 + ["optimum"]
+        assert_same_sampling(w, cold_index_sampling(u, b, 1))
 
     def test_free_zeros_keep_the_multiplier_test(self, monkeypatch):
         # the benchmark's zeros stay off the support from round 2 on with caps
